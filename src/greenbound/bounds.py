@@ -535,12 +535,15 @@ def assemble(
     N_bar: float,
     mode: str = "theorem-exact",
     rel_tol: float = 1e-6,
+    D: tuple[float, float] | None = None,
 ) -> BoundReport:
     """Build the certificate A <= . <= B for a uniform count bound N_bar.
 
     N_bar bounds the average (N(z, z, 17) + N(w, w, 17)) / 2 over the
     intended range of base points; it must be at least 2 (the identity
-    pair is always counted).
+    pair is always counted).  In theorem-exact mode, D = (D_plus, D_minus)
+    stands in for compute_D(params, rel_tol); the optimizer passes its
+    memoized values this way.
     """
     if not (N_bar >= 2.0):
         raise ConstraintViolation(f"N_bar must be at least 2, got {N_bar}")
@@ -551,7 +554,7 @@ def assemble(
         factor = spectral_factor(ctx.eta, include_phi_constant=False)
     elif mode == "theorem-exact":
         q_plus, q_minus = compute_q(params, ctx)
-        D_plus, D_minus = compute_D(params, rel_tol=rel_tol)
+        D_plus, D_minus = compute_D(params, rel_tol=rel_tol) if D is None else D
         factor = spectral_factor(ctx.eta, include_phi_constant=True)
     else:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")

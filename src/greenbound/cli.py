@@ -163,21 +163,21 @@ def _group_from_entry(entry) -> GroupContext:
     raise ConstraintViolation(f"group must be a preset name or a mapping, got {entry!r}")
 
 
+def params_record(params: ParamSet) -> dict:
+    """The seven free parameters as one flat mapping, trapezoid fields first."""
+    return {
+        **dataclasses.asdict(params.trapezoid),
+        "sigma_plus": params.sigma_plus,
+        "sigma_minus": params.sigma_minus,
+    }
+
+
 def _params_from_entry(entry: dict, base: ParamSet) -> ParamSet:
     if not isinstance(entry, dict):
         raise ConstraintViolation(f"params must be a mapping, got {entry!r}")
-    t = base.trapezoid
-    return ParamSet(
-        trapezoid=TrapezoidParams(
-            delta=float(entry.get("delta", t.delta)),
-            alpha_plus=float(entry.get("alpha_plus", t.alpha_plus)),
-            alpha_minus=float(entry.get("alpha_minus", t.alpha_minus)),
-            beta_plus=float(entry.get("beta_plus", t.beta_plus)),
-            beta_minus=float(entry.get("beta_minus", t.beta_minus)),
-        ),
-        sigma_plus=float(entry.get("sigma_plus", base.sigma_plus)),
-        sigma_minus=float(entry.get("sigma_minus", base.sigma_minus)),
-    )
+    v = {name: float(entry.get(name, value)) for name, value in params_record(base).items()}
+    sigmas = {name: v.pop(name) for name in ("sigma_plus", "sigma_minus")}
+    return ParamSet(trapezoid=TrapezoidParams(**v), **sigmas)
 
 
 def _region_from_entry(entry) -> Rectangle:
@@ -297,17 +297,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def config_echo(config: RunConfig) -> dict:
-    echo = {
+    return {
         "group": dataclasses.asdict(config.group),
-        "params": {
-            "delta": config.params.delta,
-            "alpha_plus": config.params.alpha_plus,
-            "alpha_minus": config.params.alpha_minus,
-            "beta_plus": config.params.beta_plus,
-            "beta_minus": config.params.beta_minus,
-            "sigma_plus": config.params.sigma_plus,
-            "sigma_minus": config.params.sigma_minus,
-        },
+        "params": params_record(config.params),
         "region": dataclasses.asdict(config.region),
         "U": config.U,
         "grid": list(config.grid),
@@ -315,7 +307,6 @@ def config_echo(config: RunConfig) -> dict:
         "n_bar": config.n_bar,
         "cusp": dataclasses.asdict(config.cusp) if config.cusp is not None else None,
     }
-    return echo
 
 
 def _base_record(command: str, config: RunConfig | None) -> dict:
@@ -347,41 +338,25 @@ def parse_count_certificate(record: dict) -> CountCertificate:
     )
 
 
-_REPORT_FIELDS = (
-    "q_plus",
-    "q_minus",
-    "D_plus",
-    "D_minus",
-    "N_bar",
-    "spectral_factor",
-    "A",
-    "B",
-    "mode",
-)
+def _fields_of(cls, record: dict):
+    """Rebuild a report dataclass from the record keys named after its fields."""
+    return cls(**{field.name: record[field.name] for field in dataclasses.fields(cls)})
 
 
 def bounds_record(report: BoundReport, config: RunConfig) -> dict:
-    record = _base_record("bounds", config)
-    record.update({name: getattr(report, name) for name in _REPORT_FIELDS})
-    record["width"] = report.width
-    return record
+    return {**_base_record("bounds", config), **dataclasses.asdict(report), "width": report.width}
 
 
 def parse_bound_report(record: dict) -> BoundReport:
-    return BoundReport(**{name: record[name] for name in _REPORT_FIELDS})
-
-
-_CUSP_FIELDS = ("case", "base_A", "base_B", "offset_terms", "A_tilde", "B_tilde")
+    return _fields_of(BoundReport, record)
 
 
 def cusp_record(report: CuspBoundReport, config: RunConfig) -> dict:
-    record = _base_record("cusp-extend", config)
-    record.update({name: getattr(report, name) for name in _CUSP_FIELDS})
-    return record
+    return {**_base_record("cusp-extend", config), **dataclasses.asdict(report)}
 
 
 def parse_cusp_report(record: dict) -> CuspBoundReport:
-    return CuspBoundReport(**{name: record[name] for name in _CUSP_FIELDS})
+    return _fields_of(CuspBoundReport, record)
 
 
 def _emit(record: dict, path: str | None) -> None:
@@ -481,19 +456,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"width:     {report.width:.4f}")
     for name in ("alpha_plus", "beta_plus", "sigma_plus", "alpha_minus", "beta_minus", "sigma_minus"):
         print(f"{name:<12} {getattr(best, name):.8g}")
-    record = _base_record("optimize", config)
-    record.update({name: getattr(report, name) for name in _REPORT_FIELDS})
-    record["width"] = report.width
-    record["objective"] = cfg.objective
-    record["best_params"] = {
-        "delta": best.delta,
-        "alpha_plus": best.alpha_plus,
-        "alpha_minus": best.alpha_minus,
-        "beta_plus": best.beta_plus,
-        "beta_minus": best.beta_minus,
-        "sigma_plus": best.sigma_plus,
-        "sigma_minus": best.sigma_minus,
-    }
+    record = bounds_record(report, config)
+    record.update(command="optimize", objective=cfg.objective, best_params=params_record(best))
     _emit(record, args.json)
     return EXIT_OK
 

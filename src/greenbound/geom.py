@@ -71,6 +71,8 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ValueError(f"rectangle sides must be finite, got {self}")
         if not (self.x_min <= self.x_max):
             raise ValueError(f"x_min must be <= x_max, got [{self.x_min}, {self.x_max}]")
         if not (0.0 < self.y_min <= self.y_max):

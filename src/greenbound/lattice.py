@@ -30,17 +30,15 @@ started from the cell edges and midpoint.  The counting decision per
 and by the three golden-section start values (to accept); both shortcuts
 reproduce exactly the decision the golden-section minimum would make.
 
-Cell counting is embarrassingly parallel; GREENBOUND_THREADS caps the worker
-threads used for the ambiguous cells.  Results do not depend on the thread
-count: each (matrix, cell) decision is independent and the per-cell tallies
-are summed in a fixed order.
+Before enumerating anything, enumerate_candidates and count_bound estimate
+their work in closed form and raise ValueError above MAX_WORK, so a region
+reaching towards the real axis or a huge grid fails at once instead of
+running for hours.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,6 +55,10 @@ from greenbound.geom import (
 RANGE_SLACK = 1e-9  # absolute slack on continuous coefficient ranges
 GOLDEN_X_TOL = 1e-10  # absolute x tolerance of the golden-section search
 SAFE_MARGIN = 1e-6  # relative inclusion margin on the count threshold
+# Cap on the estimated (c, a, d) triples of the candidate loop and cells x
+# candidates of the grid screen: 400x400 cells at U = 17 on the truncated
+# domain estimate 1.3e8 and take about 15 s on 2 cores.
+MAX_WORK = 2**28
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -109,6 +111,33 @@ def _int_range(lo: float, hi: float) -> range:
     start = math.ceil(lo - RANGE_SLACK)
     stop = math.floor(hi + RANGE_SLACK)
     return range(start, stop + 1)
+
+
+def _check_work(region: Rectangle, U: float, cells: int = 1) -> None:
+    """Raise ValueError when counting on region is estimated above MAX_WORK steps.
+
+    For c = 1 .. C = sqrt(2U)/y_min, a and d each take at most
+    n(c) = 2 sqrt(2U) + 1 + c (x_max - x_min) values, and ad = 1 (mod c)
+    leaves at most n(c)/c + 1 values of d per a; the sums over c are taken
+    in closed form (harmonic sum <= 1 + log C).  NaN or infinity is refused.
+    """
+    root_2u = math.sqrt(2.0 * U)
+    n0 = 2.0 * root_2u + 1.0
+    w = region.x_max - region.x_min
+    C = root_2u / region.y_min
+    loop, candidates = 0.0, 2.0 * region.y_max * math.sqrt(max(2.0 * U - 2.0, 0.0)) + 1.0
+    if C >= 1.0:
+        s1, s2, s3 = C, C * (C + 1.0) / 2.0, C * (C + 1.0) * (2.0 * C + 1.0) / 6.0
+        loop = n0 * n0 * s1 + 2.0 * n0 * w * s2 + w * w * s3
+        candidates += n0 * (n0 * (1.0 + math.log(C)) + (2.0 * w + 1.0) * s1) + w * (w + 1.0) * s2
+    work = loop + cells * candidates
+    if not (work <= MAX_WORK):
+        raise ValueError(
+            f"counting on [{region.x_min:g}, {region.x_max:g}] x "
+            f"[{region.y_min:g}, {region.y_max:g}] at U = {U:g} with {cells} cells "
+            f"is estimated at {work:.3g} steps, above the cap {MAX_WORK}; "
+            "shrink the region, U or the grid"
+        )
 
 
 def _min_u_in_y(a: float, b: float, c: float, d: float, x: float, y_lo: float, y_hi: float) -> float:
@@ -191,6 +220,7 @@ def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
     """
     if not (U >= 1.0):
         raise ValueError(f"enumerate_candidates requires U >= 1, got U = {U}")
+    _check_work(region, U)
     matrices: list[UnimodularMatrix] = []
     root_2u = math.sqrt(2.0 * U)
     b_max = region.y_max * math.sqrt(max(2.0 * U - 2.0, 0.0))
@@ -204,14 +234,6 @@ def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
                     matrices.append(UnimodularMatrix(a, (a * d - 1) // c, c, d))
     min_u = tuple(min_u_over_rect(m, region) for m in matrices)
     return CandidateSet(region=region, U=U, matrices=tuple(matrices), min_u=min_u)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("GREENBOUND_THREADS", "1")
-    try:
-        return max(1, min(64, int(raw)))
-    except ValueError:
-        return 1
 
 
 def _cell_pass(a, b, c, d, X0, XM, X1, Y0, Y1, cutoff):
@@ -277,6 +299,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         raise ValueError(f"grid must be at least 1x1, got {grid}")
     if not (U >= 1.0):
         raise ValueError(f"count_bound requires U >= 1, got U = {U}")
+    _check_work(region, U, nx * ny)
     cutoff = U * (1.0 + SAFE_MARGIN)
     candidates = enumerate_candidates(region, U)
 
@@ -297,19 +320,9 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         for ix, iy in zip(*np.nonzero(ambiguous)):
             ambiguous_jobs.append((m, int(ix), int(iy)))
 
-    def resolve(job: tuple[UnimodularMatrix, int, int]) -> tuple[int, int, bool]:
-        m, ix, iy = job
+    for m, ix, iy in ambiguous_jobs:
         cell = Rectangle(float(xs[ix]), float(xs[ix + 1]), float(ys[iy]), float(ys[iy + 1]))
-        return ix, iy, min_u_over_rect(m, cell) <= cutoff
-
-    workers = _thread_count()
-    if workers > 1 and len(ambiguous_jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            resolved = list(pool.map(resolve, ambiguous_jobs, chunksize=64))
-    else:
-        resolved = [resolve(job) for job in ambiguous_jobs]
-    for ix, iy, counted in resolved:
-        if counted:
+        if min_u_over_rect(m, cell) <= cutoff:
             counts[ix, iy] += 1
 
     per_cell = tuple(tuple(int(v) for v in row) for row in counts)

@@ -19,16 +19,15 @@ never recomputes the minus-side integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from greenbound.bounds import (
     BoundReport,
     GroupContext,
     ParamSet,
     _D_one_sign,
-    compute_q,
+    assemble,
     sigma_ceiling,
-    spectral_factor,
     validate,
 )
 from greenbound.errors import ConstraintViolation, NonConvergenceError
@@ -89,56 +88,27 @@ def _make_params(delta: float, values: dict[str, float], sigma_max: float) -> Pa
         alpha = v[f"alpha_{side}"]
         floor = alpha * (1.0 + _SIGMA_FLOOR_REL)
         v[f"sigma_{side}"] = min(max(v[f"sigma_{side}"], floor), sigma_max)
-    return ParamSet(
-        trapezoid=TrapezoidParams(
-            delta=delta,
-            alpha_plus=v["alpha_plus"],
-            alpha_minus=v["alpha_minus"],
-            beta_plus=v["beta_plus"],
-            beta_minus=v["beta_minus"],
-        ),
-        sigma_plus=v["sigma_plus"],
-        sigma_minus=v["sigma_minus"],
-    )
+    sigmas = {name: v.pop(name) for name in ("sigma_plus", "sigma_minus")}
+    return ParamSet(trapezoid=TrapezoidParams(delta=delta, **v), **sigmas)
 
 
 def _coordinate_values(params: ParamSet) -> dict[str, float]:
     return {name: getattr(params, name) for name in _COORDINATES}
 
 
-def _cached_D(params: ParamSet, sign: int, cache: dict) -> float:
+def _cached_D(params: ParamSet, cache: dict) -> tuple[float, float]:
+    """(D_plus, D_minus), each memoized on the parameters of its own side."""
     t = params.trapezoid
-    if sign > 0:
-        raw = (t.delta, t.alpha_plus, t.beta_plus, params.sigma_plus)
-    else:
-        raw = (t.delta, t.alpha_minus, t.beta_minus, params.sigma_minus)
-    key = (sign,) + tuple(round(x, _KEY_DIGITS) for x in raw)
-    if key not in cache:
-        cache[key] = _D_one_sign(params, sign, _D_REL_TOL)
-    return cache[key]
-
-
-def _evaluate(params: ParamSet, ctx: GroupContext, N_bar: float, cache: dict) -> BoundReport:
-    """Theorem-exact certificate with memoized majorant integrals.
-
-    Produces the same floats as bounds.assemble at the same tolerance.
-    """
-    validate(params, ctx)
-    q_plus, q_minus = compute_q(params, ctx)
-    D_plus = _cached_D(params, +1, cache)
-    D_minus = _cached_D(params, -1, cache)
-    factor = spectral_factor(ctx.eta, include_phi_constant=True)
-    return BoundReport(
-        q_plus=q_plus,
-        q_minus=q_minus,
-        D_plus=D_plus,
-        D_minus=D_minus,
-        N_bar=N_bar,
-        spectral_factor=factor,
-        A=-q_plus - D_plus * factor * N_bar,
-        B=-q_minus + D_minus * factor * N_bar,
-        mode="theorem-exact",
-    )
+    D = []
+    for sign, raw in (
+        (+1, (t.delta, t.alpha_plus, t.beta_plus, params.sigma_plus)),
+        (-1, (t.delta, t.alpha_minus, t.beta_minus, params.sigma_minus)),
+    ):
+        key = (sign,) + tuple(round(x, _KEY_DIGITS) for x in raw)
+        if key not in cache:
+            cache[key] = _D_one_sign(params, sign, _D_REL_TOL)
+        D.append(cache[key])
+    return D[0], D[1]
 
 
 def _objective_value(report: BoundReport, objective: str) -> float:
@@ -157,26 +127,16 @@ def search(
     constraint after projection, or whose quadrature fails to converge, are
     skipped.  The returned objective never exceeds the seed's.
     """
-    seed_values = _coordinate_values(cfg.seed_params)
     sigma_max = sigma_ceiling(ctx.eta)
+    seed = cfg.seed_params
     try:
-        current = ParamSet(
-            trapezoid=TrapezoidParams(
-                delta=delta,
-                alpha_plus=seed_values["alpha_plus"],
-                alpha_minus=seed_values["alpha_minus"],
-                beta_plus=seed_values["beta_plus"],
-                beta_minus=seed_values["beta_minus"],
-            ),
-            sigma_plus=seed_values["sigma_plus"],
-            sigma_minus=seed_values["sigma_minus"],
-        )
+        current = replace(seed, trapezoid=replace(seed.trapezoid, delta=delta))
         validate(current, ctx)
     except ConstraintViolation as exc:
         raise ConstraintViolation(f"seed parameters are invalid: {exc}") from exc
 
     cache: dict = {}
-    report = _evaluate(current, ctx, N_bar, cache)
+    report = assemble(current, ctx, N_bar, D=_cached_D(current, cache))
     score = _objective_value(report, cfg.objective)
 
     steps = {name: math.log(INITIAL_STEP) for name in _COORDINATES}
@@ -191,7 +151,9 @@ def search(
                 values[name] *= math.exp(direction * steps[name])
                 try:
                     candidate = _make_params(delta, values, sigma_max)
-                    candidate_report = _evaluate(candidate, ctx, N_bar, cache)
+                    candidate_report = assemble(
+                        candidate, ctx, N_bar, D=_cached_D(candidate, cache)
+                    )
                 except (ConstraintViolation, NonConvergenceError):
                     continue
                 candidate_score = _objective_value(candidate_report, cfg.objective)

@@ -1,8 +1,11 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
-Each test prints a single PASS/FAIL line (visible with pytest -s, or in the
+Each test prints a PASS/FAIL line (visible with pytest -s, or in the
 captured output of a failing run) before asserting, so the status of every
-criterion is reported even when one of them fails.  Criterion 3 proves
+criterion is reported even when one of them fails.  Criteria 1, 2 and 4-7
+run the checks of greenbound.verify, the functions behind selftest and
+reproduce-paper, at their full sizes and print one line per check.
+Criterion 3 proves
 with a certified enclosure that the rounded cap D_plus <= 18.5 fails at the
 reference parameters for the D_plus integrand this package documents
 (compute_D, p_sigma, V_of_U); PAPER.md does not state the paper's own
@@ -12,94 +15,49 @@ cap as a FAIL line.
 """
 
 import math
-import random
 import time
 
-from greenbound._quad import integrate
+from greenbound import verify
 from greenbound.bounds import (
-    HEADLINE_A,
-    HEADLINE_B,
     ROUNDED_D_MINUS,
     ROUNDED_D_PLUS,
-    ROUNDED_Q_MINUS,
-    ROUNDED_Q_PLUS,
     VOLUME_MODULAR,
-    assemble,
     compute_D,
-    compute_q,
     enclose_D,
-    group_preset,
     reference_params,
 )
-from greenbound.cusps import (
-    N_delta_eps,
-    admissible_eps,
-    check_lemma_bla,
-    lambda_integral_check,
-    poisson_kernel,
-    r_delta,
-)
-from greenbound.geom import UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u, u_of_gamma
-from greenbound.lattice import count_bound, exact_count, truncated_fundamental_domain
-from greenbound.specfun import (
-    gamma_ratio_bounds,
-    legendre_P_neg1,
-    legendre_P_negm,
-    legendre_Q_deriv,
-    log_gamma_complex,
-    p_sigma,
-)
-from greenbound.transforms import (
-    V_of_U,
-    g_U_pm,
-    h_U,
-    h_U_pm_at_one,
-)
+from greenbound.geom import UpperHalfPoint
+from greenbound.lattice import exact_count
 
 
 def report_line(criterion: int, passed: bool, detail: str) -> None:
     print(f"{'PASS' if passed else 'FAIL'} criterion-{criterion}: {detail}", flush=True)
 
 
-def random_unimodular(rng, steps=6):
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(steps):
-        k = rng.randint(-3, 3)
-        a, b = a, b + k * a
-        c, d = c, d + k * c
-        a, b, c, d = b, -a, d, -c
-    return UnimodularMatrix(a, b, c, d)
+def report_checks(criterion: int, results) -> None:
+    """Print the criterion line and one line per check, then assert them all."""
+    report_line(criterion, all(r.passed for r in results), f"{len(results)} checks")
+    for r in results:
+        print(f"  {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}", flush=True)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_criterion_1_count_certificate():
     """Grid count bound on the truncated domain at threshold 17."""
     start = time.perf_counter()
-    cert = count_bound(truncated_fundamental_domain(), 17.0, (100, 100))
+    result = verify.count_check((100, 100))
     elapsed = time.perf_counter() - start
-    ok = 206 <= cert.bound <= 227 and elapsed < 300.0
-    report_line(1, ok, f"bound = {cert.bound} in [206, 227], {elapsed:.1f}s < 300s")
-    assert 206 <= cert.bound <= 227
+    report_line(1, result.passed and elapsed < 300.0, f"{result.detail} < 300s")
+    assert result.passed, result.detail
     assert elapsed < 300.0
 
 
 def test_criterion_2_volume_terms():
     """Closed-form volume terms against their published roundings."""
-    q_plus, q_minus = compute_q(reference_params(), group_preset("sl2z"))
-    ok = (
-        abs(q_plus - 68.41) <= 0.02
-        and q_plus < ROUNDED_Q_PLUS
-        and abs(q_minus - (-215.84)) <= 0.02
-        and q_minus > ROUNDED_Q_MINUS
-    )
-    report_line(2, ok, f"q_plus = {q_plus:.6f} (68.41 +- 0.02, < 69), "
-                f"q_minus = {q_minus:.6f} (-215.84 +- 0.02, > -216)")
-    assert abs(q_plus - 68.41) <= 0.02
-    assert q_plus < ROUNDED_Q_PLUS
-    assert abs(q_minus - (-215.84)) <= 0.02
-    assert q_minus > ROUNDED_Q_MINUS
+    report_checks(2, verify.volume_checks())
 
 
-def test_criterion_3_majorant_integrals():
+def test_criterion_3_majorant_integrals(full_check):
     """Majorant integrals against their rounded caps, stable under tolerance
     halving.
 
@@ -111,17 +69,13 @@ def test_criterion_3_majorant_integrals():
     refutation holds for the integrand documented in compute_D and p_sigma;
     whether the paper integrated the same function is not settled here.  The
     compute_D values must lie inside the enclosures within their 1e-6
-    tolerance and drift by at most 1e-4 when the tolerance is halved.
+    tolerance, and pass the majorant-stability check under tolerance halving.
     """
     params = reference_params()
     start = time.perf_counter()
+    stability = full_check(verify.majorant_stability)
     D_plus, D_minus = compute_D(params, rel_tol=1e-6)
-    halved_plus, halved_minus = compute_D(params, rel_tol=5e-7)
     elapsed = time.perf_counter() - start
-    drift = max(
-        abs(D_plus - halved_plus) / abs(halved_plus),
-        abs(D_minus - halved_minus) / abs(halved_minus),
-    )
     (lo_plus, hi_plus), (lo_minus, hi_minus) = enclose_D(params)
     inside = all(
         lo * (1.0 - 1e-6) <= estimate <= hi * (1.0 + 1e-6)
@@ -131,7 +85,7 @@ def test_criterion_3_majorant_integrals():
         lo_plus > ROUNDED_D_PLUS
         and hi_minus <= ROUNDED_D_MINUS
         and inside
-        and drift <= 1e-4
+        and stability.passed
         and elapsed < 60.0
     )
     report_line(
@@ -140,8 +94,7 @@ def test_criterion_3_majorant_integrals():
         f"rounded cap D_plus <= 18.5 refuted for the documented integrand: "
         f"D_plus in [{lo_plus:.6f}, {hi_plus:.6f}]; "
         f"D_minus in [{lo_minus:.6f}, {hi_minus:.6f}] <= 9.61; compute_D = "
-        f"({D_plus:.8f}, {D_minus:.8f}) inside; halving drift = {drift:.2e} <= 1e-4, "
-        f"{elapsed:.1f}s < 60s",
+        f"({D_plus:.8f}, {D_minus:.8f}) inside; {stability.detail}; {elapsed:.1f}s < 60s",
     )
     assert hi_minus <= ROUNDED_D_MINUS
     assert lo_plus > ROUNDED_D_PLUS, (
@@ -150,185 +103,56 @@ def test_criterion_3_majorant_integrals():
         f"exceeds the rounded cap {ROUNDED_D_PLUS}"
     )
     assert inside, "compute_D left the certified enclosure"
-    assert drift <= 1e-4
+    assert stability.passed, stability.detail
     assert elapsed < 60.0
 
 
 def test_criterion_4_assembled_certificates():
     """Headline reproduction in rounded arithmetic, strictly tighter exact mode."""
-    ctx = group_preset("sl2z")
-    params = reference_params()
-    paper = assemble(params, ctx, 216.0, "paper-arithmetic")
-    exact = assemble(params, ctx, 216.0, "theorem-exact")
-    ok = (
-        abs(paper.A - (-28682.0)) <= 100.0
-        and abs(paper.B - 15080.0) <= 100.0
-        and exact.A > HEADLINE_A
-        and exact.B < HEADLINE_B
-    )
-    report_line(
-        4,
-        ok,
-        f"rounded A = {paper.A:.1f} (-28682 +- 100), B = {paper.B:.1f} (15080 +- 100); "
-        f"exact A = {exact.A:.1f} > {HEADLINE_A:.0f}, B = {exact.B:.1f} < {HEADLINE_B:.0f}",
-    )
-    assert abs(paper.A - (-28682.0)) <= 100.0
-    assert abs(paper.B - 15080.0) <= 100.0
-    assert exact.A > HEADLINE_A
-    assert exact.B < HEADLINE_B
+    report_checks(4, verify.assembly_checks())
 
 
-def test_criterion_5_special_function_suites():
-    """Bracket suites for the special-function bounds; zero violations."""
+def test_criterion_5_special_function_suites(full_check):
+    """Bracket suites for the special-function bounds; zero violations.
+
+    The order-two strip envelope, which selftest does not run, is checked
+    by tests/test_specfun.py::test_regular_strip_bound_grid.
+    """
     start = time.perf_counter()
-    violations = []
-
-    rng = random.Random(77005)
-    low_coeff = 2.0 - 4.0 / math.pi
-    high_coeff = 4.0 / math.pi
-    for _ in range(500):
-        u = 1.0 + rng.uniform(1e-6, 1.9999)
-        lam = rng.uniform(0.0, min(0.25, 0.5 / (u - 1.0)))
-        s = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * lam))
-        value = legendre_P_neg1(s, u).real
-        scale = math.sqrt((u - 1.0) / (u + 1.0))
-        if not (low_coeff * scale <= value <= high_coeff * scale):
-            violations.append(("order-one", u, s))
-
-    for _ in range(500):
-        nu = rng.uniform(0.0, 10.0)
-        u = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(99.0)))
-        value = legendre_Q_deriv(nu, u)
-        floor = -((2.0 / (u + 1.0)) ** nu) / (u * u - 1.0)
-        if not (floor <= value <= 0.0):
-            violations.append(("q-derivative", nu, u))
-
-    t_grid = [0.01 * (50.0 / 0.01) ** (k / 11.0) for k in range(12)]
-    u_grid = [1.0 + 1e-2 * (99.0 / 1e-2) ** (k / 11.0) for k in range(12)]
-    for sigma in (0.1, 0.25, 0.306, 0.45):
-        for t in t_grid:
-            s = complex(sigma, t)
-            cap_factor = abs(s * (1.0 - s)) ** -1.25
-            for u in u_grid:
-                if abs(legendre_P_negm(2, s, u)) > cap_factor * p_sigma(sigma, u) / (u * u - 1.0):
-                    violations.append(("order-two-envelope", sigma, t, u))
-
-    for _ in range(1000):
-        a = rng.uniform(0.1, 5.0)
-        b = rng.uniform(a, a + 5.0)
-        y = rng.uniform(-50.0, 50.0)
-        low, high = gamma_ratio_bounds(a, b, y)
-        oracle = math.exp(
-            (log_gamma_complex(complex(a, y)) - log_gamma_complex(complex(b, y))).real
-        )
-        if not (low <= oracle <= high):
-            violations.append(("gamma-sandwich", a, b, y))
-
-    for _ in range(300):
-        U = rng.uniform(1.01, 2.99)
-        lam = rng.uniform(0.0, min(0.25, 0.5 / (U - 1.0)))
-        s = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * lam))
-        value = h_U(s, U).real
-        if not ((4.0 * math.pi - 8.0) * (U - 1.0) <= value <= 8.0 * (U - 1.0)):
-            violations.append(("sharp-transform", U, s))
-
+    checks = (
+        verify.order_one_bracket,
+        verify.q_derivative_bracket,
+        verify.gamma_ratio_sandwich,
+        verify.transform_bracket,
+    )
+    results = [full_check(check) for check in checks]
     elapsed = time.perf_counter() - start
-    ok = not violations and elapsed < 120.0
-    report_line(5, ok, f"0 violations required, found {len(violations)}; {elapsed:.1f}s < 120s")
-    assert not violations, violations[:5]
+    report_checks(5, results)
     assert elapsed < 120.0
 
 
-def test_criterion_6_cusp_suites():
-    """Smoothing-integral bound, smoothed-count bracket, kernel convolution,
-    and the distance implications."""
-    violations = []
+def test_criterion_6_cusp_suites(full_check):
+    """Smoothed-count bracket, kernel convolution, and the distance implications.
 
-    for xi in (-0.8, -0.3, 0.4, 0.9):
-        for t in (0.1, 0.5, 2.0, 7.0):
-            lhs, cap = lambda_integral_check(xi, t)
-            if lhs > cap:
-                violations.append(("lambda-integral", xi, t))
-
-    for delta in (1.5, 2.0, 3.0):
-        main_angle = (2.0 / math.pi) * math.atan(math.sqrt((delta - 1.0) / 2.0))
-        radius = r_delta(delta)
-        for eps in (0.05, 0.1, 0.3):
-            for xi in (0.0, 0.5, -0.5, 0.9, 0.5j):
-                value = N_delta_eps(delta, eps, xi)
-                main = main_angle / eps - math.log(abs(1.0 - xi)) / (2.0 * math.pi)
-                if abs(value - main) > eps * radius:
-                    violations.append(("smoothed-count", delta, eps, xi))
-
-    rng = random.Random(77006)
-    import cmath
-
-    for _ in range(10):
-        zeta = rng.uniform(0.05, 0.9) * cmath.exp(2j * math.pi * rng.random())
-        eta = rng.uniform(0.05, 0.9) * cmath.exp(2j * math.pi * rng.random())
-
-        def integrand(a):
-            turn = cmath.exp(2j * math.pi * a)
-            return poisson_kernel(turn * zeta) * poisson_kernel(eta / turn)
-
-        value = integrate(integrand, 0.0, 1.0, 1e-10)
-        if abs(value - poisson_kernel(zeta * eta)) > 1e-8:
-            violations.append(("kernel-convolution", zeta, eta))
-
-    for k in range(50):
-        delta = rng.uniform(1.5, 3.0)
-        spread = delta + math.sqrt(delta * delta - 1.0)
-        outer_cap, _ = admissible_eps(delta, 1.0)
-        eps_prime = rng.uniform(0.3, 0.95) * outer_cap
-        eps = rng.uniform(0.3, 0.95) * eps_prime / spread
-        if not check_lemma_bla(delta, eps, eps_prime, samples=2, seed=77100 + k):
-            violations.append(("distance-implication", delta, eps, eps_prime))
-
-    ok = not violations
-    report_line(6, ok, f"0 violations required, found {len(violations)}")
-    assert not violations, violations[:5]
+    The smoothing-integral bound, which selftest does not run, is checked by
+    tests/test_cusps.py::test_lambda_integral_bound_grid.
+    """
+    checks = (verify.smoothing_bracket, verify.poisson_convolution, verify.cusp_distance_lemma)
+    report_checks(6, [full_check(check) for check in checks])
 
 
-def test_criterion_7_oracle_equivalences():
-    """Independent-route equalities between the core numeric primitives."""
-    failures = []
+def test_criterion_7_oracle_equivalences(full_check):
+    """Independent-route equalities between the core numeric primitives.
 
-    rng = random.Random(77007)
-    for _ in range(1000):
-        gamma = random_unimodular(rng)
-        z = UpperHalfPoint(rng.uniform(-2.0, 2.0), math.exp(rng.uniform(math.log(0.2), math.log(5.0))))
-        direct = u_of_gamma(gamma, z)
-        oracle = point_u(z, mobius_apply(gamma, z))
-        if abs(direct - oracle) > 1e-12 * oracle:
-            failures.append(("displacement", gamma, z))
-
-    box = truncated_fundamental_domain()
-    cert = count_bound(box, 17.0, (40, 40))
-    for _ in range(200):
-        z = UpperHalfPoint(rng.uniform(box.x_min, box.x_max), rng.uniform(box.y_min, box.y_max))
-        if exact_count(z, z, 17.0) > cert.bound:
-            failures.append(("count-soundness", z))
-
-    trapezoid = reference_params().trapezoid
-    for U in (2.0, 3.0, 7.0):
-        V = V_of_U(trapezoid, U)
-        for sign in (+1, -1):
-            area = integrate(lambda u: g_U_pm(trapezoid, sign, u, U), 1.0, V + 1.0, abs_tol=1e-12)
-            closed = h_U_pm_at_one(trapezoid, sign, U)
-            if abs(2.0 * math.pi * area - closed) > 1e-10 * abs(closed):
-                failures.append(("transform-area", sign, U))
-
-    # u >= 1.1 stays clear of the cancellation floor of the series at s = 1
-    for _ in range(200):
-        u = 1.0 + math.exp(rng.uniform(math.log(0.1), math.log(99.0)))
-        value = legendre_P_negm(2, 1.0, u).real
-        closed = (u - 1.0) / (2.0 * u + 2.0)
-        if abs(value - closed) > 1e-12 * closed:
-            failures.append(("order-two-closed-form", u))
-
-    ok = not failures
-    report_line(7, ok, f"4 equivalences, {len(failures)} failures")
-    assert not failures, failures[:5]
+    The transform-area equality, which selftest does not run, is checked by
+    tests/test_transforms.py::test_transform_at_one_is_trapezoid_area.
+    """
+    checks = (
+        verify.displacement_identity,
+        verify.count_certificate_soundness,
+        verify.order_two_closed_form,
+    )
+    report_checks(7, [full_check(check) for check in checks])
 
 
 def test_criterion_8_hyperbolic_circle_ratio():

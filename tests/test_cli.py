@@ -2,9 +2,12 @@
 
 import json
 import math
+import pathlib
+import re
 
 import pytest
 
+from greenbound.bounds import assemble, group_preset, reference_params
 from greenbound.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -48,6 +51,16 @@ def test_count_rejects_bad_region(capsys):
     assert "greenbound:" in err
 
 
+@pytest.mark.parametrize("region", ["-0.5,0.5,1,inf", "-0.5,0.5,1e-300,1"])
+def test_count_refuses_infinite_side_or_work(region, capsys):
+    """An infinite side, or a region whose candidate loop would run for
+    ages, is refused with a one-line error before any enumeration."""
+    assert main(["count", f"--region={region}", "--grid", "2x2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("greenbound: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_preset_is_config_error(capsys):
     assert main(["count", "--preset", "psl2z"]) == EXIT_CONFIG
     assert "unknown preset" in capsys.readouterr().err
@@ -58,8 +71,8 @@ def test_bounds_paper_arithmetic(capsys, tmp_path):
     assert main(["bounds", "--mode", "paper", "--json", str(path)]) == EXIT_OK
     record = read_record(path)
     assert record["mode"] == "paper-arithmetic"
-    assert abs(record["A"] - (-28682.0)) <= 100.0
-    assert abs(record["B"] - 15080.0) <= 100.0
+    paper = assemble(reference_params(), group_preset("sl2z"), 216.0, "paper-arithmetic")
+    assert (record["A"], record["B"]) == (paper.A, paper.B)
     report = parse_bound_report(record)
     assert report.A == record["A"]
     assert report.width == record["width"]
@@ -74,8 +87,8 @@ def test_bounds_theorem_exact_round_trip(tmp_path):
     report = parse_bound_report(record)
     # serialized floats reconstruct the identical certificate
     assert (report.A, report.B) == (record["A"], record["B"])
-    assert report.A > -2.87e4
-    assert report.B < 1.51e4
+    exact = assemble(reference_params(), group_preset("sl2z"), 216.0, "theorem-exact")
+    assert (report.A, report.B) == (exact.A, exact.B)
 
 
 def test_bounds_n_bar_flag(tmp_path):
@@ -83,7 +96,8 @@ def test_bounds_n_bar_flag(tmp_path):
     assert main(["bounds", "--mode", "paper", "--n-bar", "300", "--json", str(path)]) == EXIT_OK
     record = read_record(path)
     assert record["N_bar"] == 300.0
-    assert record["A"] < -28682.0 - 100.0
+    paper = assemble(reference_params(), group_preset("sl2z"), 300.0, "paper-arithmetic")
+    assert (record["A"], record["B"]) == (paper.A, paper.B)
 
 
 def test_cusp_extend_same_cusp(capsys, tmp_path):
@@ -252,3 +266,11 @@ def test_unknown_subcommand_is_config_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == EXIT_CONFIG
+
+
+def test_readme_library_example_runs(capsys):
+    """The python block of README.md runs as written."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out.split()[0] == "214"

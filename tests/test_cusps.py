@@ -2,10 +2,10 @@
 
 import cmath
 import math
-import random
 
 import pytest
 
+from greenbound import verify
 from greenbound._quad import integrate
 from greenbound.bounds import BoundReport
 from greenbound.cusps import (
@@ -61,31 +61,16 @@ def test_poisson_kernel_mean_value():
         assert abs(mean - 1.0) <= 1e-10
 
 
-def test_poisson_convolution_semigroup():
+def test_poisson_convolution_semigroup(full_check):
     """Circular convolution of two kernels is the kernel of the product point."""
-    rng = random.Random(90100)
-    for _ in range(10):
-        zeta = rng.uniform(0.05, 0.9) * cmath.exp(2j * math.pi * rng.random())
-        eta = rng.uniform(0.05, 0.9) * cmath.exp(2j * math.pi * rng.random())
-
-        def integrand(a):
-            turn = cmath.exp(2j * math.pi * a)
-            return poisson_kernel(turn * zeta) * poisson_kernel(eta / turn)
-
-        value = integrate(integrand, 0.0, 1.0, 1e-10)
-        assert abs(value - poisson_kernel(zeta * eta)) <= 1e-8
+    result = full_check(verify.poisson_convolution)
+    assert result.passed, result.detail
 
 
-def test_phase_average_fourier_series():
+def test_phase_average_fourier_series(full_check):
     """lambda(xi, t) equals sum over n of xi^n sin(2 pi n t)/(pi n)."""
-    rng = random.Random(90200)
-    for _ in range(20):
-        xi = rng.uniform(-0.9, 0.9)
-        t = rng.uniform(0.0, 1.0)
-        partial = sum(
-            xi**n * math.sin(2.0 * math.pi * n * t) / (math.pi * n) for n in range(1, 400)
-        )
-        assert abs(lambda_xi(xi, t) - partial) <= 1e-10
+    result = full_check(verify.phase_fourier_series)
+    assert result.passed, result.detail
 
 
 def test_phase_average_branches_and_domain():
@@ -119,17 +104,11 @@ def test_lambda_integral_vanishes_at_zero():
     assert lhs <= 1e-12
 
 
-def test_smoothing_count_bracket_grid():
-    """45-point bracket: the smoothed count sits within eps r_delta of its
-    main term (1/eps)(2/pi) arctan sqrt((delta-1)/2) - (1/2 pi) log|1 - xi|."""
-    for delta in (1.5, 2.0, 3.0):
-        main_angle = (2.0 / math.pi) * math.atan(math.sqrt((delta - 1.0) / 2.0))
-        radius = r_delta(delta)
-        for eps in (0.05, 0.1, 0.3):
-            for xi in (0.0, 0.5, -0.5, 0.9, 0.5j):
-                value = N_delta_eps(delta, eps, xi)
-                main = main_angle / eps - math.log(abs(1.0 - xi)) / (2.0 * math.pi)
-                assert abs(value - main) <= eps * radius, (delta, eps, xi)
+def test_smoothing_count_bracket_grid(full_check):
+    """The smoothed count sits within eps r_delta of its main term on the
+    45-point grid and one point off the real axis."""
+    result = full_check(verify.smoothing_bracket)
+    assert result.passed, result.detail
 
 
 def test_smoothing_count_domain():
@@ -219,16 +198,10 @@ def test_extend_same_cusp_offsets():
     assert "q(z) - q(w)" in report.offset_terms
 
 
-def test_distance_implications_sampled_configurations():
+def test_distance_implications_sampled_configurations(full_check):
     """No counterexamples to either implication over 50 admissible draws."""
-    rng = random.Random(90300)
-    for k in range(50):
-        delta = rng.uniform(1.5, 3.0)
-        spread = delta + math.sqrt(delta * delta - 1.0)
-        outer_cap, _ = admissible_eps(delta, 1.0)
-        eps_prime = rng.uniform(0.3, 0.95) * outer_cap
-        eps = rng.uniform(0.3, 0.95) * eps_prime / spread
-        assert check_lemma_bla(delta, eps, eps_prime, samples=2, seed=90400 + k)
+    result = full_check(verify.cusp_distance_lemma)
+    assert result.passed, result.detail
 
 
 def test_distance_implications_reject_inadmissible_radii():

@@ -1,7 +1,8 @@
 """Special functions: gamma machinery, hypergeometric series, Legendre bounds.
 
 The bracket suites mirror the inequalities the certificate rests on; they
-run at full sample size and permit zero violations.
+run the greenbound.verify checks at full sample size and permit zero
+violations.
 """
 
 import cmath
@@ -10,17 +11,14 @@ import random
 
 import pytest
 
-from greenbound.errors import NonConvergenceError
+from greenbound import verify
 from greenbound.specfun import (
     C_sigma,
-    gamma_ratio_bounds,
-    gamma_ratio_upper,
     gauss_value,
     hyp2f1,
     legendre_P_neg1,
     legendre_P_negm,
     legendre_Q0,
-    legendre_Q_deriv,
     log_gamma_complex,
     p_sigma,
 )
@@ -96,29 +94,16 @@ def test_legendre_P_neg1_at_s_one():
         assert cmath.isclose(value, math.sqrt((u - 1.0) / (u + 1.0)), rel_tol=1e-13)
 
 
-def test_order_one_bracket_suite():
+def test_order_one_bracket_suite(full_check):
     """Two-sided bracket for the order-one function, 500 samples."""
-    rng = random.Random(52010)
-    low_coeff = 2.0 - 4.0 / math.pi
-    high_coeff = 4.0 / math.pi
-    for _ in range(500):
-        u = 1.0 + rng.uniform(1e-4, 1.99)
-        lam = rng.uniform(0.0, min(0.25, 0.5 / (u - 1.0)))
-        s = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * lam))
-        value = legendre_P_neg1(s, u).real
-        scale = math.sqrt((u - 1.0) / (u + 1.0))
-        assert low_coeff * scale <= value <= high_coeff * scale, (u, s)
+    result = full_check(verify.order_one_bracket)
+    assert result.passed, result.detail
 
 
-def test_q_derivative_bracket_suite():
+def test_q_derivative_bracket_suite(full_check):
     """Q' is negative and dominated by the closed envelope, 500 samples."""
-    rng = random.Random(52011)
-    for _ in range(500):
-        nu = rng.uniform(0.0, 10.0)
-        u = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(99.0)))
-        value = legendre_Q_deriv(nu, u)
-        floor = -((2.0 / (u + 1.0)) ** nu) / (u * u - 1.0)
-        assert floor <= value <= 0.0, (nu, u)
+    result = full_check(verify.q_derivative_bracket)
+    assert result.passed, result.detail
 
 
 def test_legendre_P_negm_validation():
@@ -130,13 +115,9 @@ def test_legendre_P_negm_validation():
         legendre_P_negm(2, 0.5 + 1e-5j, 2.0)  # removable singularity zone
 
 
-def test_legendre_P_negm_closed_form_at_s_one():
-    rng = random.Random(52012)
-    for _ in range(200):
-        u = 1.0 + math.exp(rng.uniform(math.log(0.1), math.log(99.0)))
-        value = legendre_P_negm(2, 1.0, u).real
-        closed = (u - 1.0) / (2.0 * u + 2.0)
-        assert abs(value - closed) <= 1e-12 * closed, u
+def test_legendre_P_negm_closed_form_at_s_one(full_check):
+    result = full_check(verify.order_two_closed_form)
+    assert result.passed, result.detail
 
 
 def test_legendre_P_negm_order_zero_is_legendre_P():
@@ -164,21 +145,11 @@ def test_regular_strip_bound_grid():
                 assert value <= cap, (sigma, t, u, value, cap)
 
 
-def test_gamma_ratio_sandwich_suite():
-    """Closed two-sided bounds vs the log-gamma oracle, 1000 samples."""
-    rng = random.Random(52013)
-    for _ in range(1000):
-        a = rng.uniform(0.1, 5.0)
-        b = rng.uniform(a, a + 5.0)
-        y = rng.uniform(-50.0, 50.0)
-        low, high = gamma_ratio_bounds(a, b, y)
-        oracle = math.exp(
-            (log_gamma_complex(complex(a, y)) - log_gamma_complex(complex(b, y))).real
-        )
-        assert low <= oracle <= high, (a, b, y)
-        if b >= 0.5:
-            # the simplified decay bound dominates the sharp one
-            assert gamma_ratio_upper(a, b, y) >= high, (a, b, y)
+def test_gamma_ratio_sandwich_suite(full_check):
+    """Closed two-sided bounds vs the log-gamma oracle, 1000 samples; the
+    simplified decay bound dominates the sharp one."""
+    result = full_check(verify.gamma_ratio_sandwich)
+    assert result.passed, result.detail
 
 
 def test_C_sigma_reference_values():
