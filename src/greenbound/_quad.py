@@ -1,7 +1,15 @@
 """Adaptive Simpson quadrature used throughout the numeric pipeline.
 
-Plain doubles, deterministic refinement order, no randomness.  Improper
-integrals over [a, infinity) march over geometrically growing panels and stop
+One routine, `_integrate`, refines any number of intervals at once.  A panel
+is split at its quarter points and accepted when its halves agree with the
+whole to 15 tol, with the Richardson correction added; tol halves on each
+split, and a panel 60 splits deep raises NonConvergenceError.  Acceptance is
+decided per panel, so the tree is that of the textbook recursion in any
+order of refinement.  Here the open panels are refined depth-first in
+batches, which bounds the abscissas of each integrand call and the open set.
+Integrands map a 1-D float array to a real or complex array of its shape.
+
+Improper integrals over [a, infinity) march over octaves [M, 2M] and stop
 once a caller-supplied analytic bound on the remaining tail drops below the
 requested tolerance; the tail bound is returned so callers that need a
 one-sided (upper) estimate can add it to the quadrature value.
@@ -12,90 +20,123 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from greenbound.errors import NonConvergenceError
 
-_MAX_DEPTH = 60
+# Abscissas per integrand call.  Batches of half as many panels bound the
+# integrand's temporaries and, refined depth-first, the open panels.
+_MAX_POINTS = 1024
+# Octaves per engine call in integrate_to_infinity; bounds the work spent on
+# octaves past the one where the march stops.
+_BLOCK_OCTAVES = 16
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
+def _simpson(fa, fm, fb, h):
     return h * (fa + 4.0 * fm + fb) / 6.0
 
 
-def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    err = left + right - whole
-    if depth <= 0:
-        raise NonConvergenceError(f"adaptive Simpson hit max depth on [{a}, {b}]")
-    if abs(err) <= 15.0 * tol:
-        # Accept with the standard Richardson correction.
-        return left + right + err / 15.0
-    return _adaptive(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
+def _eval(f: Callable, x: np.ndarray) -> np.ndarray:
+    return np.concatenate([f(x[i : i + _MAX_POINTS]) for i in range(0, x.size, _MAX_POINTS)])
 
 
-def integrate(f: Callable[[float], float], a: float, b: float, abs_tol: float) -> float:
+def _pop(stack: list[np.ndarray]) -> np.ndarray:
+    """Up to _MAX_POINTS // 2 of the newest, so deepest, panels off the stack."""
+    room, batch = _MAX_POINTS // 2, []
+    while stack and room:
+        top = stack.pop()
+        if top.shape[1] > room:
+            stack.append(top[:, :-room])
+            top = top[:, -room:]
+        batch.append(top)
+        room -= top.shape[1]
+    return np.concatenate(batch, axis=1)
+
+
+def _integrate(f: Callable, a: np.ndarray, b: np.ndarray, tol: float, relative=False) -> list:
+    """Integrals of f over the intervals [a[i], b[i]], a < b, in order.
+
+    tol is each interval's absolute tolerance; with relative=True it is
+    relative to the size of a 16-panel Simpson pass over the interval,
+    floored at 1e-300.
+    """
+    k = a.size
+    x = [a, 0.5 * (a + b), b]
+    if relative:
+        h = ((b - a) / 16)[:, None]
+        x0 = a[:, None] + np.arange(16) * h
+        x += [x0.ravel(), (x0 + 0.5 * h).ravel(), (x0 + h).ravel()]
+    y = _eval(f, np.concatenate(x))
+    fa, fm, fb = y[: 3 * k].reshape(3, k)
+    tol = np.full(k, float(tol))
+    if relative:
+        coarse = 0.0
+        for panel in _simpson(*y[3 * k :].reshape(3, k, 16), h).T:
+            coarse = coarse + panel
+        tol *= np.maximum(np.abs(coarse), 1e-300)
+    # One column per open panel, in the integrand's dtype: a, b, f(a),
+    # f(mid), f(b), Simpson estimate, tol, depth, interval index.
+    whole = _simpson(fa, fm, fb, b - a)
+    stack = [np.array([a, b, fa, fm, fb, whole, tol, np.zeros(k), np.arange(k)])]
+    sums = []  # per batch, the sum of its accepted panels on each interval
+    while stack:
+        a, b, fa, fm, fb, whole, tol, depth, owner = _pop(stack)
+        a, b, tol, depth = a.real, b.real, tol.real, depth.real
+        if depth.max() >= 60:  # the depth limit of the textbook recursion
+            i = depth.argmax()
+            raise NonConvergenceError(f"adaptive Simpson hit max depth on [{a[i]}, {b[i]}]")
+        m = 0.5 * (a + b)
+        flm, frm = _eval(f, np.concatenate([0.5 * (a + m), 0.5 * (m + b)])).reshape(2, -1)
+        left = _simpson(fa, flm, fm, m - a)
+        right = _simpson(fm, frm, fb, b - m)
+        err = left + right - whole
+        ok = np.abs(err) <= 15.0 * tol
+        sums.append(np.zeros(k, dtype=y.dtype))
+        np.add.at(sums[-1], owner.real[ok].astype(int), (left + right + err / 15.0)[ok])
+        if not ok.all():
+            half, deeper = 0.5 * tol, depth + 1.0
+            stack.append(np.array([a, m, fa, flm, fm, left, half, deeper, owner])[:, ~ok])
+            stack.append(np.array([m, b, fm, frm, fb, right, half, deeper, owner])[:, ~ok])
+    return np.sum(sums, axis=0).tolist()
+
+
+def integrate(f: Callable, a: float, b: float, abs_tol: float) -> float | complex:
     """Integrate f over [a, b] to absolute tolerance abs_tol."""
     if not (b >= a):
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
     if a == b:
         return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    return _adaptive(f, a, b, fa, fm, fb, whole, abs_tol, _MAX_DEPTH)
-
-
-def integrate_relative(f: Callable[[float], float], a: float, b: float, rel_tol: float) -> float:
-    """Integrate f over [a, b] to relative tolerance rel_tol.
-
-    A coarse Simpson pass sets the scale; the scale is floored to protect
-    against a vanishing first estimate.
-    """
-    if a == b:
-        return 0.0
-    n = 16
-    h = (b - a) / n
-    coarse = 0.0
-    for i in range(n):
-        x0 = a + i * h
-        coarse += _simpson(f(x0), f(x0 + 0.5 * h), f(x0 + h), h)
-    scale = max(abs(coarse), 1e-300)
-    return integrate(f, a, b, rel_tol * scale)
+    return _integrate(f, np.array([a], float), np.array([b], float), abs_tol)[0]
 
 
 def integrate_to_infinity(
-    f: Callable[[float], float],
-    a: float,
-    tail_bound: Callable[[float], float],
-    rel_tol: float,
-    max_doublings: int = 400,
+    f: Callable, a: float, tail_bound: Callable[[float], float], rel_tol: float
 ) -> tuple[float, float]:
     """Integrate f over [a, infinity) against an analytic tail majorant.
 
     tail_bound(M) must dominate |integral of f over [M, infinity)| and decay
-    to 0.  Panels [M, 2M] are integrated until tail_bound(M) < rel_tol times
-    the accumulated absolute mass (with an absolute floor).  Returns
-    (value over [a, M], tail_bound(M)); the caller decides whether the tail
-    belongs in the value or only in the error budget.
+    to 0.  Octaves [M, 2M], each to rel_tol of its own 16-panel Simpson
+    size, are summed until tail_bound(M) < rel_tol times the accumulated
+    absolute mass (with an absolute floor); they are integrated
+    _BLOCK_OCTAVES at a time.  Returns (value over [a, M], tail_bound(M));
+    the caller decides whether the tail belongs in the value or only in the
+    error budget.
     """
     total = 0.0
     mass = 0.0
     lo = a
     hi = 2.0 * a if a > 0 else 1.0
-    for _ in range(max_doublings):
-        piece = integrate_relative(f, lo, hi, rel_tol)
-        total += piece
-        mass += abs(piece)
-        bound = tail_bound(hi)
-        if bound <= rel_tol * max(mass, 1e-300):
-            return total, bound
-        lo, hi = hi, 2.0 * hi
-        if not math.isfinite(hi):
-            break
+    while math.isfinite(hi):
+        los, his = [], []
+        while math.isfinite(hi) and len(los) < _BLOCK_OCTAVES:
+            los.append(lo)
+            his.append(hi)
+            lo, hi = hi, 2.0 * hi
+        pieces = _integrate(f, np.array(los), np.array(his), rel_tol, relative=True)
+        for piece, top in zip(pieces, his):
+            total += piece
+            mass += abs(piece)
+            bound = tail_bound(top)
+            if bound <= rel_tol * max(mass, 1e-300):
+                return total, bound
     raise NonConvergenceError("tail bound cannot reach tolerance on [a, infinity)")

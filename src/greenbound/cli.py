@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -102,8 +103,8 @@ class RunConfig:
             raise ConstraintViolation(f"U must be at least 1, got {self.U}")
         if not (self.grid[0] >= 1 and self.grid[1] >= 1):
             raise ConstraintViolation(f"grid must be at least 1x1, got {self.grid}")
-        if not (self.n_bar >= 2.0):
-            raise ConstraintViolation(f"n_bar must be at least 2, got {self.n_bar}")
+        if not (self.n_bar >= 2.0 and math.isfinite(self.n_bar)):
+            raise ConstraintViolation(f"n_bar must be finite and at least 2, got {self.n_bar}")
 
 
 def default_config() -> RunConfig:

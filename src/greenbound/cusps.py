@@ -22,10 +22,11 @@ checked by the caller.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from greenbound._quad import integrate
 from greenbound.bounds import BoundReport
@@ -38,31 +39,33 @@ N_ABS_TOL = 1e-10  # absolute quadrature tolerance of N_delta_eps
 _HEAD_CUT = 1e-16  # relative start of the log-substituted quadrature
 
 
-def poisson_kernel(zeta: complex) -> float:
-    """P(zeta) = (1 - |zeta|^2) / |1 - zeta|^2 on the open unit disc."""
-    z = complex(zeta)
+def poisson_kernel(zeta):
+    """P(zeta) = (1 - |zeta|^2) / |1 - zeta|^2 on the open unit disc, elementwise."""
+    z = np.asarray(zeta, dtype=complex)
     norm = z.real * z.real + z.imag * z.imag
-    if norm >= 1.0:
-        raise ValueError(f"poisson_kernel requires |zeta| < 1, got |zeta| = {math.sqrt(norm)}")
+    if not np.all(norm < 1.0):
+        raise ValueError(f"poisson_kernel requires |zeta| < 1, got zeta = {zeta}")
     den = (1.0 - z.real) ** 2 + z.imag * z.imag
-    return (1.0 - norm) / den
+    value = (1.0 - norm) / den
+    return value if value.ndim else float(value)
 
 
-def lambda_xi(xi: complex, t: float):
+def lambda_xi(xi: complex, t):
     """Boundary phase function (log(1 - e^{-2 pi i t} xi) - log(1 - e^{2 pi i t} xi)) / 2 pi i.
 
     Principal branches.  Real for real xi (the logs are conjugate), where it
     equals the Fourier series (1/pi) sum xi^n sin(2 pi n t)/n; returns a
-    float in that case and the complex value otherwise.
+    float in that case and the complex value otherwise.  Elementwise on an
+    array t.
     """
     z = complex(xi)
     if abs(z) >= 1.0:
         raise ValueError(f"lambda_xi requires |xi| < 1, got |xi| = {abs(z)}")
-    phase = cmath.exp(2j * math.pi * t)
-    value = (cmath.log(1.0 - z / phase) - cmath.log(1.0 - z * phase)) / (2j * math.pi)
+    phase = np.exp(2j * math.pi * np.asarray(t, dtype=float))
+    value = (np.log(1.0 - z / phase) - np.log(1.0 - z * phase)) / (2j * math.pi)
     if z.imag == 0.0:
-        return value.real
-    return value
+        value = value.real
+    return value if value.ndim else value.item()
 
 
 def r_delta(delta: float) -> float:
@@ -73,10 +76,10 @@ def r_delta(delta: float) -> float:
     return (math.sqrt(2.0 / (delta - 1.0)) + math.atan(root)) / (24.0 * math.pi)
 
 
-def _J_from_h(h: float, L_delta: float) -> float:
+def _J_from_h(h: np.ndarray, L_delta: float) -> np.ndarray:
     # J_delta(1 + h) computed from h = u - 1 directly; safe for h near 0.
-    value = math.log((2.0 + h) / h) / (4.0 * math.pi) - L_delta
-    return value if value > 0.0 else 0.0
+    value = np.log((2.0 + h) / h) / (4.0 * math.pi) - L_delta
+    return np.clip(value, 0.0, None)
 
 
 def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
@@ -84,8 +87,9 @@ def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
 
     The integrand is supported on |t| <= tau = sqrt(2 delta - 2)/eps and has
     an integrable log singularity at t = 0.  Each half is integrated in
-    log(t) coordinates (adaptive Simpson, absolute tolerance); the head
-    below tau * 1e-16 contributes less than 1e-12 and is dropped.
+    log(t) coordinates (adaptive Simpson on arrays of log t, absolute
+    tolerance); the head below tau * 1e-16 contributes less than 1e-12 and
+    is dropped.
     """
     if not (delta > 1.0):
         raise ValueError(f"N_delta_eps requires delta > 1, got {delta}")
@@ -101,9 +105,9 @@ def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
     total = 0.0
     for sign in (1.0, -1.0):
 
-        def g(x: float) -> float:
-            t = math.exp(x)
-            kernel = poisson_kernel(cmath.exp(2j * math.pi * sign * t) * z)
+        def g(x: np.ndarray) -> np.ndarray:
+            t = np.exp(x)
+            kernel = poisson_kernel(np.exp(2j * math.pi * sign * t) * z)
             return _J_from_h(half * t * t, L_delta) * kernel * t
 
         total += integrate(g, math.log(tau * _HEAD_CUT), math.log(tau), abs_tol=0.5 * N_ABS_TOL)
@@ -122,10 +126,10 @@ def lambda_integral_check(xi: float, t: float) -> tuple[float, float]:
     if not (t > 0.0):
         raise ValueError(f"lambda_integral_check requires t > 0, got {t}")
 
-    def integrand(y: float) -> float:
-        if y == 0.0:
-            return 2.0 * xi / (1.0 - xi)
-        return lambda_xi(xi, y) / y
+    def integrand(y: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            value = lambda_xi(xi, y) / y
+        return np.where(y == 0.0, 2.0 * xi / (1.0 - xi), value)
 
     value = integrate(integrand, 0.0, t, abs_tol=1e-10)
     lhs = abs(value + 0.5 * math.log(1.0 - xi))

@@ -23,6 +23,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from greenbound.errors import NonConvergenceError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -170,7 +172,7 @@ def legendre_Q_deriv(nu: float, u: float) -> float:
     return -((2.0 / (u + 1.0)) ** nu) / (u * u - 1.0) * gamma_factor * f
 
 
-def legendre_P_negm(m: int, s: complex, u: float) -> complex:
+def legendre_P_negm(m: int, s: complex, u):
     """Order -m Legendre function P^{-m}_{s-1}(u) for even m >= 0 and u > 1.
 
     Descending series in x = u + sqrt(u^2 - 1) > 1:
@@ -185,32 +187,40 @@ def legendre_P_negm(m: int, s: complex, u: float) -> complex:
     term, which keeps every factor finite: at s = 1 the reciprocal Gammas
     vanish on the former pole terms and the series terminates.
 
+    On an array u the Gamma factors are computed once and each entry stops
+    at its own cutoff, as a scalar call would.
+
     The strip point s = 1/2 is a removable singularity handled analytically
     but not numerically; inputs within 1e-3 of it (both components) are
     rejected.
     """
     if m < 0 or m % 2 != 0:
         raise ValueError(f"legendre_P_negm supports even m >= 0 only, got m = {m}")
-    if not (u > 1.0):
+    u = np.asarray(u, dtype=float)
+    if not np.all(u > 1.0):
         raise ValueError(f"legendre_P_negm requires u > 1, got u = {u}")
     s = complex(s)
     if abs(s.real - 0.5) < 1e-3 and abs(s.imag) < 1e-3:
         raise ValueError(f"legendre_P_negm excluded zone around s = 1/2, got s = {s}")
 
-    x = u + math.sqrt(u * u - 1.0)
+    x = (u + np.sqrt(u * u - 1.0)).ravel()
     inv_x2 = 1.0 / (x * x)
 
     # x^{m-s} and x^{m-1+s}; each subsequent term carries another x^{-2}.
-    pow1 = cmath.exp((m - s) * math.log(x))
-    pow2 = cmath.exp((m - 1.0 + s) * math.log(x))
+    pow1 = np.exp((m - s) * np.log(x))
+    pow2 = np.exp((m - 1.0 + s) * np.log(x))
 
     g1 = _recip_gamma(m + 1.0 - s) * _recip_gamma(0.5 + s)
     g2 = _recip_gamma(m + 0.0 + s) * _recip_gamma(1.5 - s)
 
     coeff = 1.0  # (1/2 - m)_n / n!, signed
     sign = 1.0  # (-1)^n
-    total = 0.0 + 0.0j
+    total = np.zeros(x.size, dtype=complex)
+    out = np.empty(x.size, dtype=complex)
+    todo = np.arange(x.size)  # entries still summing; the arrays above hold only these
     for n in range(_MAX_TERMS):
+        if not todo.size:
+            break
         part1 = g1 * pow1
         part2 = g2 * pow2
         total += coeff * sign * (part1 - part2)
@@ -219,9 +229,10 @@ def legendre_P_negm(m: int, s: complex, u: float) -> complex:
             # decay at least geometrically with ratio x^-2; bound the tail by
             # the current part magnitudes rather than their difference, which
             # may cancel.
-            tail = abs(coeff) * (abs(part1) + abs(part2)) * inv_x2 / (1.0 - inv_x2)
-            if tail < 1e-15 * abs(total):
-                break
+            tail = abs(coeff) * (np.abs(part1) + np.abs(part2)) * inv_x2 / (1.0 - inv_x2)
+            done = tail < 1e-15 * np.abs(total)
+            out[todo[done]] = total[done]
+            todo, total, pow1, pow2, inv_x2 = (v[~done] for v in (todo, total, pow1, pow2, inv_x2))
         # Advance n -> n+1.
         coeff *= (0.5 - m + n) / (n + 1.0)
         sign = -sign
@@ -233,7 +244,8 @@ def legendre_P_negm(m: int, s: complex, u: float) -> complex:
         raise NonConvergenceError(f"legendre_P_negm series did not converge at u = {u}")
 
     prefactor = SQRT_PI / ((x - 1.0 / x) ** m * cmath.cos(math.pi * s))
-    return prefactor * total
+    value = (prefactor * out).reshape(u.shape)
+    return value if value.ndim else complex(value)
 
 
 def C_sigma(sigma: float) -> tuple[float, float]:
@@ -251,21 +263,24 @@ def C_sigma(sigma: float) -> tuple[float, float]:
     return c_main, c_prime
 
 
-def p_sigma(sigma: float, u: float) -> float:
+def p_sigma(sigma: float, u):
     """Envelope p_sigma(u) controlling |P^{-2}_{s-1}(u)| (u^2 - 1) on the strip.
 
     p_sigma(u) = (C_sigma x^{2-sigma} + C_sigma' x^{1+sigma}) / (4 sqrt(pi)) *
                  ((1 - x^{-2})^{3/2} + 3 x^{-2}),   x = u + sqrt(u^2 - 1),
 
     defined for u >= 1 (x = 1 gives the finite limit 3 (C + C') / (4 sqrt(pi))).
+    Elementwise on an array u; a scalar u gives a float.
     """
-    if not (u >= 1.0):
+    u = np.asarray(u, dtype=float)
+    if not np.all(u >= 1.0):
         raise ValueError(f"p_sigma requires u >= 1, got {u}")
     c_main, c_prime = C_sigma(sigma)
-    x = u + math.sqrt(u * u - 1.0)
+    x = u + np.sqrt(u * u - 1.0)
     inv_x2 = 1.0 / (x * x)
     shape = (1.0 - inv_x2) ** 1.5 + 3.0 * inv_x2
-    return (c_main * x ** (2.0 - sigma) + c_prime * x ** (1.0 + sigma)) / (4.0 * SQRT_PI) * shape
+    value = (c_main * x ** (2.0 - sigma) + c_prime * x ** (1.0 + sigma)) / (4.0 * SQRT_PI) * shape
+    return value if value.ndim else float(value)
 
 
 def gamma_ratio_bounds(a: float, b: float, y: float) -> tuple[float, float]:

@@ -100,6 +100,20 @@ def test_bounds_n_bar_flag(tmp_path):
     assert (record["A"], record["B"]) == (paper.A, paper.B)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bounds_rejects_infinite_n_bar(source, capsys, tmp_path):
+    """An infinite count bound is refused, from the flag or a config file,
+    with a one-line error and exit 1 instead of the certificate (-inf, inf)."""
+    config = tmp_path / "config.json"
+    config.write_text('{"n_bar": Infinity}', encoding="utf-8")
+    argv = ["--n-bar", "inf"] if source == "flag" else ["--config", str(config)]
+    assert main(["bounds", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+    assert captured.err.startswith("greenbound: ") and "n_bar" in captured.err
+    assert captured.out == ""
+
+
 def test_cusp_extend_same_cusp(capsys, tmp_path):
     path = tmp_path / "cusp.json"
     code = main(

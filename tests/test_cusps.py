@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from greenbound import verify
@@ -57,7 +58,7 @@ def test_poisson_kernel_values():
 def test_poisson_kernel_mean_value():
     # the kernel has circular mean 1 at every radius
     for r in (0.3, 0.8):
-        mean = integrate(lambda a: poisson_kernel(r * cmath.exp(2j * math.pi * a)), 0.0, 1.0, 1e-12)
+        mean = integrate(lambda a: poisson_kernel(r * np.exp(2j * math.pi * a)), 0.0, 1.0, 1e-12)
         assert abs(mean - 1.0) <= 1e-10
 
 

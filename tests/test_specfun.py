@@ -9,6 +9,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from greenbound import verify
@@ -113,6 +114,26 @@ def test_legendre_P_negm_validation():
         legendre_P_negm(2, 0.7, 1.0)  # u must exceed 1
     with pytest.raises(ValueError):
         legendre_P_negm(2, 0.5 + 1e-5j, 2.0)  # removable singularity zone
+
+
+def test_legendre_P_negm_array_matches_mpmath_and_scalar_calls():
+    """The array path against mpmath legenp on both strip lines, and entry by
+    entry against scalar calls.  Near u = 1 the descending series cancels:
+    P^{-2} vanishes like u - 1 while its two parts do not, so the relative
+    error grows like 1e-14 / (u - 1)^2 (5e-9 at u = 1.001, the same as a
+    scalar call); from u = 1.1 on it is within 1e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    u = 1.0 + np.geomspace(1e-3, 1e6 - 1.0, 25)
+    for sigma in (0.306, 0.25):
+        for s in (complex(re, t) for re in (sigma, 1.0 - sigma) for t in (0.5, -2.0, 30.0)):
+            values = legendre_P_negm(2, s, u)
+            for x, value in zip(u, values):
+                with mpmath.workdps(30):
+                    oracle = complex(mpmath.legenp(s - 1.0, -2, x, type=3))
+                tol = max(1e-12, 1e-14 / (x - 1.0) ** 2)
+                assert abs(value - oracle) <= tol * abs(oracle), (s, x, value, oracle)
+                scalar = legendre_P_negm(2, s, float(x))
+                assert abs(value - scalar) <= 1e-15 * abs(scalar), (s, x)
 
 
 def test_legendre_P_negm_closed_form_at_s_one(full_check):
