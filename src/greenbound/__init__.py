@@ -22,8 +22,8 @@ from greenbound.lattice import (
     count_bound,
     enumerate_candidates,
     exact_count,
-    min_u_over_rect,
     truncated_fundamental_domain,
+    u_lower_bound,
 )
 from greenbound.bounds import (
     BoundReport,
@@ -69,12 +69,12 @@ __all__ = [
     "group_preset",
     "kernel_J",
     "kernel_L",
-    "min_u_over_rect",
     "mobius_apply",
     "point_u",
     "search",
     "spectral_factor",
     "truncated_fundamental_domain",
+    "u_lower_bound",
     "u_of_gamma",
     "validate",
     "__version__",

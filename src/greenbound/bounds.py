@@ -64,6 +64,21 @@ COUNT_CAP_STANDARD = 216.0  # certified N(z, z, 17) cap on the truncated domain
 HEADLINE_A = -2.87e4
 HEADLINE_B = 1.51e4
 
+# The constants above with their meaning, as reproduce-paper lists them.
+CONSTANTS = {
+    "volume_modular": (VOLUME_MODULAR, "stack volume pi/6 of the modular quotient"),
+    "eta_selberg": (ETA_SELBERG, "classical spectral gap 3/16"),
+    "eta_kim_sarnak": (ETA_KIM_SARNAK, "strongest supported spectral gap 975/4096"),
+    "min_c_modular": (MIN_C_MODULAR, "smallest positive lower-left entry over the group"),
+    "count_cap": (COUNT_CAP_STANDARD, "certified displacement count on the truncated domain"),
+    "rounded_q_plus": (ROUNDED_Q_PLUS, "rounded cap on the plus volume term"),
+    "rounded_q_minus": (ROUNDED_Q_MINUS, "rounded floor on the minus volume term"),
+    "rounded_D_plus": (ROUNDED_D_PLUS, "rounded cap on the plus majorant integral"),
+    "rounded_D_minus": (ROUNDED_D_MINUS, "rounded cap on the minus majorant integral"),
+    "headline_A": (HEADLINE_A, "published lower certificate"),
+    "headline_B": (HEADLINE_B, "published upper certificate"),
+}
+
 _MODES = ("theorem-exact", "paper-arithmetic")
 
 

@@ -28,17 +28,7 @@ import time
 
 from greenbound import __version__
 from greenbound.bounds import (
-    COUNT_CAP_STANDARD,
-    ETA_KIM_SARNAK,
-    ETA_SELBERG,
-    HEADLINE_A,
-    HEADLINE_B,
-    MIN_C_MODULAR,
-    ROUNDED_D_MINUS,
-    ROUNDED_D_PLUS,
-    ROUNDED_Q_MINUS,
-    ROUNDED_Q_PLUS,
-    VOLUME_MODULAR,
+    CONSTANTS,
     BoundReport,
     GroupContext,
     ParamSet,
@@ -58,22 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_MISMATCH = 3
-
-# The physical constants of the pipeline, in one place.  Values mirror the
-# module-level definitions they annotate.
-CONSTANTS = {
-    "volume_modular": (VOLUME_MODULAR, "stack volume pi/6 of the modular quotient"),
-    "eta_selberg": (ETA_SELBERG, "classical spectral gap 3/16"),
-    "eta_kim_sarnak": (ETA_KIM_SARNAK, "strongest supported spectral gap 975/4096"),
-    "min_c_modular": (MIN_C_MODULAR, "smallest positive lower-left entry over the group"),
-    "count_cap": (COUNT_CAP_STANDARD, "certified displacement count on the truncated domain"),
-    "rounded_q_plus": (ROUNDED_Q_PLUS, "rounded cap on the plus volume term"),
-    "rounded_q_minus": (ROUNDED_Q_MINUS, "rounded floor on the minus volume term"),
-    "rounded_D_plus": (ROUNDED_D_PLUS, "rounded cap on the plus majorant integral"),
-    "rounded_D_minus": (ROUNDED_D_MINUS, "rounded cap on the minus majorant integral"),
-    "headline_A": (HEADLINE_A, "published lower certificate"),
-    "headline_B": (HEADLINE_B, "published upper certificate"),
-}
 
 _MODE_ALIASES = {
     "exact": "theorem-exact",
@@ -115,7 +89,7 @@ def default_config() -> RunConfig:
         U=17.0,
         grid=(100, 100),
         mode="theorem-exact",
-        n_bar=COUNT_CAP_STANDARD,
+        n_bar=CONSTANTS["count_cap"][0],
         cusp=None,
     )
 

@@ -22,18 +22,22 @@ into explicit intervals, and b = (ad - 1)/c must be integral.  Translations
 (c = 0) obey |b| <= y sqrt(2U - 2).  Continuous interval endpoints get a
 1e-9 slack before floor/ceil so borderline integers are kept.
 
-Per cell, the minimum of u over (x, y) uses the exact inner minimum in y
-(closed form y* = sqrt(|W|/|c|) clamped to the cell, W(x) = b + (a-d)x -
-cx^2) and multistart golden-section in x with absolute tolerance 1e-10,
-started from the cell edges and midpoint.  The counting decision per
-(matrix, cell) is accelerated by an interval lower bound on u (to discard)
-and by the three golden-section start values (to accept); both shortcuts
-reproduce exactly the decision the golden-section minimum would make.
+Every (matrix, cell) decision goes through one interval lower bound on u
+over the cell, _lower_u, which bounds each part of the closed form below
+separately and exactly (see its docstring); on a single point it is u
+itself.  A matrix counts for a cell when that bound is at most
+U (1 + SAFE_MARGIN), so a cell's count covers every point of the cell.
+count_bound screens the grid once, then halves, across the wider side, the
+cells that attain the current maximum, round after round, and keeps for
+each grid cell the maximum over its pieces.  It stops when a maximal piece
+counts as many matrices at its centre as over the whole piece (the maximum
+is attained there, so no refinement can lower it), when a split no longer
+changes a float, or when the refinement work would pass MAX_WORK.
 
-Before enumerating anything, enumerate_candidates and count_bound estimate
-their work in closed form and raise ValueError above MAX_WORK, so a region
-reaching towards the real axis or a huge grid fails at once instead of
-running for hours.
+Before enumerating anything, enumerate_candidates, count_bound and
+enumerate_group_elements estimate their work in closed form and raise
+ValueError above MAX_WORK, so a region reaching towards the real axis, a
+huge grid or a huge orbit count fails at once instead of running for hours.
 """
 
 from __future__ import annotations
@@ -53,29 +57,26 @@ from greenbound.geom import (
 )
 
 RANGE_SLACK = 1e-9  # absolute slack on continuous coefficient ranges
-GOLDEN_X_TOL = 1e-10  # absolute x tolerance of the golden-section search
 SAFE_MARGIN = 1e-6  # relative inclusion margin on the count threshold
-# Cap on the estimated (c, a, d) triples of the candidate loop and cells x
-# candidates of the grid screen: 400x400 cells at U = 17 on the truncated
-# domain estimate 1.3e8 and take about 15 s on 2 cores.
+# Cap on the estimated steps of the candidate loop, of the grid screen
+# (cells x candidates), of the refinement after it and of the orbit loop of
+# enumerate_group_elements: 400x400 cells at U = 17 on the truncated domain
+# estimate 1.3e8 and take 1.5 s on a 2-core box.
 MAX_WORK = 2**28
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CHUNK = 2**13  # (cell, candidate) pairs per kernel call, to bound memory
 
 
 @dataclass(frozen=True)
 class CandidateSet:
     """Sign-representatives that could satisfy min over R of u(z, gamma z) <= U.
 
-    matrices[i] has min_u[i] = estimated min of u(z, matrices[i] z) over the
-    rectangle.  Representatives are normalized to c > 0, or c = 0 with
-    a = d = 1; no two entries are negatives of each other.
+    Representatives are normalized to c > 0, or c = 0 with a = d = 1; no
+    two entries are negatives of each other.
     """
 
     region: Rectangle
     U: float
     matrices: tuple[UnimodularMatrix, ...]
-    min_u: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -140,83 +141,52 @@ def _check_work(region: Rectangle, U: float, cells: int = 1) -> None:
         )
 
 
-def _min_u_in_y(a: float, b: float, c: float, d: float, x: float, y_lo: float, y_hi: float) -> float:
-    """min over y in [y_lo, y_hi] of u(x + iy, gamma(x + iy)) at fixed x.
+def _dist0(lo, hi):
+    """Distance from 0 of the interval [lo, hi] (elementwise)."""
+    return np.maximum(np.maximum(lo, -hi), 0.0)
 
-    The y-dependent part W^2/y^2 + c^2 y^2 has unconstrained minimizer
-    y* = sqrt(|W|/|c|); the minimum sits at the clamp of y* for c != 0 and
-    at y_hi for c = 0.
+
+def _lower_u(a, b, c, d, X0, X1, Y0, Y1):
+    """Lower bound on u(z, gamma z) over z in [X0, X1] x [Y0, Y1], for c >= 0.
+
+    Arguments broadcast, in count_bound candidates as columns and cells as
+    rows; c is 0 or an integer >= 1.  Each part of the closed form is
+    bounded below exactly over the cell:
+
+    * (a - cx)^2 and (d + cx)^2 by the squared distance from 0 of the range
+      of a monotone linear function, spanned by its values at X0 and X1;
+    * W(x) = b + (a - d)x - cx^2 is concave, so its range is spanned by the
+      endpoint values and, when the vertex x = (a - d)/(2c) lies in the
+      cell, the vertex value; |W| is at least that range's distance w from 0;
+    * W^2/y^2 + c^2 y^2 increases in |W| and, at |W| = w, is least at
+      y = sqrt(w/c) clamped to [Y0, Y1] (at Y1 when c = 0).
+
+    On a single point every part is exact and the bound is u itself.
     """
-    t1 = a - c * x
-    t4 = d + c * x
-    w = b + (a - d) * x - c * x * x
-    if c == 0.0:
-        yc = y_hi
-    else:
-        ystar = math.sqrt(abs(w) / c)
-        yc = y_lo if ystar < y_lo else (y_hi if ystar > y_hi else ystar)
-    return 0.5 * (t1 * t1 + (w / yc) ** 2 + (c * yc) ** 2 + t4 * t4)
+    cx0, cx1 = c * X0, c * X1
+    w0 = b + (a - d) * X0 - cx0 * X0
+    w1 = b + (a - d) * X1 - cx1 * X1
+    c1 = np.maximum(c, 1.0)
+    xv = (a - d) / (2.0 * c1)  # for c = 0, a = d and W is constant
+    wv = np.where((X0 <= xv) & (xv <= X1), b + (a - d) * xv - c * xv * xv, -np.inf)
+    w = _dist0(np.minimum(w0, w1), np.maximum(np.maximum(w0, w1), wv))
+    yc = np.where(c > 0.0, np.clip(np.sqrt(w / c1), Y0, Y1), Y1)
+    return 0.5 * (_dist0(a - cx1, a - cx0) ** 2 + (w / yc) ** 2 + (c * yc) ** 2 + _dist0(d + cx0, d + cx1) ** 2)
 
 
-def _golden_min(g, lo: float, hi: float) -> float:
-    if hi - lo <= GOLDEN_X_TOL:
-        return min(g(lo), g(0.5 * (lo + hi)), g(hi))
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1 = g(x1)
-    f2 = g(x2)
-    best = f1 if f1 < f2 else f2
-    while hi - lo > GOLDEN_X_TOL:
-        if f1 <= f2:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = g(x1)
-        else:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = g(x2)
-        if f1 < best:
-            best = f1
-        if f2 < best:
-            best = f2
-    return best
-
-
-def min_u_over_rect(gamma: UnimodularMatrix, region: Rectangle) -> float:
-    """Estimated min over z in region of u(z, gamma z).
-
-    Exact in y at each x; multistart golden-section in x (full interval plus
-    both halves, all three start abscissas evaluated directly).
-    """
-    a, b, c, d = (float(gamma.a), float(gamma.b), float(gamma.c), float(gamma.d))
-    if c < 0.0 or (c == 0.0 and a < 0.0):
-        a, b, c, d = -a, -b, -c, -d  # u is sign-invariant; normalize for y*
-    y_lo, y_hi = region.y_min, region.y_max
-
-    def g(x: float) -> float:
-        return _min_u_in_y(a, b, c, d, x, y_lo, y_hi)
-
-    x_lo, x_hi = region.x_min, region.x_max
-    if x_lo == x_hi:
-        return g(x_lo)
-    mid = 0.5 * (x_lo + x_hi)
-    best = min(g(x_lo), g(mid), g(x_hi))
-    for lo, hi in ((x_lo, x_hi), (x_lo, mid), (mid, x_hi)):
-        value = _golden_min(g, lo, hi)
-        if value < best:
-            best = value
-    return best
+def u_lower_bound(gamma: UnimodularMatrix, region: Rectangle) -> float:
+    """Lower bound on u(z, gamma z) over z in region; u itself on a point region."""
+    s = -1.0 if gamma.c < 0 else 1.0  # u is sign-invariant; _lower_u needs c >= 0
+    a, b, c, d = (s * v for v in gamma.entries())
+    return float(_lower_u(a, b, c, d, region.x_min, region.x_max, region.y_min, region.y_max))
 
 
 def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
     """All sign-representatives whose displacement could be <= U somewhere on region.
 
     Returned in canonical order: translations by increasing b, then c > 0
-    sorted by (c, a, d).  Each entry carries its min_u_over_rect estimate;
-    the set is a superset of the matrices any sub-rectangle of region can
-    count for the same U.
+    sorted by (c, a, d).  The set is a superset of the matrices any
+    sub-rectangle of region can count for the same U.
     """
     if not (U >= 1.0):
         raise ValueError(f"enumerate_candidates requires U >= 1, got U = {U}")
@@ -232,67 +202,36 @@ def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
             for d in _int_range(-root_2u - c * region.x_max, root_2u - c * region.x_min):
                 if (a * d - 1) % c == 0:
                     matrices.append(UnimodularMatrix(a, (a * d - 1) // c, c, d))
-    min_u = tuple(min_u_over_rect(m, region) for m in matrices)
-    return CandidateSet(region=region, U=U, matrices=tuple(matrices), min_u=min_u)
+    return CandidateSet(region=region, U=U, matrices=tuple(matrices))
 
 
-def _cell_pass(a, b, c, d, X0, XM, X1, Y0, Y1, cutoff):
-    """Vectorized per-cell screen for one candidate.
-
-    Returns (accept, ambiguous) boolean grids: accept cells have one of the
-    three golden-section start values already <= cutoff; ambiguous cells
-    cannot be decided by the interval lower bound either.
-    """
-    best = None
-    for X in (X0, XM, X1):
-        t1 = a - c * X
-        t4 = d + c * X
-        w = b + (a - d) * X - c * X * X
-        if c == 0.0:
-            yc = np.broadcast_to(Y1, np.broadcast_shapes(X.shape, Y1.shape))
-        else:
-            ystar = np.sqrt(np.abs(w) / c)
-            yc = np.clip(ystar, Y0, Y1)
-        g = 0.5 * (t1 * t1 + (w / yc) ** 2 + (c * yc) ** 2 + t4 * t4)
-        best = g if best is None else np.minimum(best, g)
-    accept = best <= cutoff
-
-    # Interval lower bound on u over the cell.
-    e1a = a - c * X1
-    e1b = a - c * X0
-    lo1 = np.where(e1a * e1b <= 0.0, 0.0, np.minimum(e1a * e1a, e1b * e1b))
-    e4a = d + c * X0
-    e4b = d + c * X1
-    lo4 = np.where(e4a * e4b <= 0.0, 0.0, np.minimum(e4a * e4a, e4b * e4b))
-    w0 = b + (a - d) * X0 - c * X0 * X0
-    w1 = b + (a - d) * X1 - c * X1 * X1
-    # W is concave in x (coefficient -c <= 0): its minimum over the cell is
-    # the endpoint minimum, but its maximum may sit at the interior vertex.
-    w_lo = np.minimum(w0, w1)
-    w_hi = np.maximum(w0, w1)
-    if c > 0.0:
-        xv = (a - d) / (2.0 * c)
-        wv = b + (a - d) * xv - c * xv * xv
-        w_hi = np.where((X0 <= xv) & (xv <= X1), np.maximum(w_hi, wv), w_hi)
-        w_hi = np.broadcast_to(w_hi, w_lo.shape)
-    w_abs = np.where(w_lo * w_hi <= 0.0, 0.0, np.minimum(np.abs(w_lo), np.abs(w_hi)))
-    if c == 0.0:
-        ypart = (w_abs / Y1) ** 2
-    else:
-        ystar = np.sqrt(w_abs / c)
-        yc = np.clip(ystar, Y0, Y1)
-        ypart = (w_abs / yc) ** 2 + (c * yc) ** 2
-    lower = 0.5 * (lo1 + lo4 + ypart)
-    ambiguous = ~accept & (lower <= cutoff)
-    return accept, ambiguous
+def _count(cols: np.ndarray, cells, cutoff: float) -> np.ndarray:
+    """Per cell (X0, X1, Y0, Y1), the columns (a, b, c, d) of cols with _lower_u <= cutoff."""
+    width = min(cols.shape[1], _CHUNK)
+    rows = max(1, _CHUNK // width)
+    counts = np.zeros(len(cells[0]), dtype=np.int64)
+    for i in range(0, len(counts), rows):
+        box = [v[i : i + rows, None] for v in cells]
+        for j in range(0, cols.shape[1], width):
+            counts[i : i + rows] += np.count_nonzero(_lower_u(*cols[:, j : j + width], *box) <= cutoff, axis=1)
+    return counts
 
 
 def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCertificate:
     """Certified uniform bound on N(z, U) = #{gamma : u(z, gamma z) <= U} over region.
 
-    Subdivides region into grid = (nx, ny) cells.  A representative is
-    counted for a cell when its estimated min_u over the cell is at most
-    U (1 + 1e-6); the certificate bound is twice the maximal cell count.
+    Subdivides region into grid = (nx, ny) cells and counts for each cell
+    the candidates whose interval lower bound on u over the cell is at most
+    U (1 + 1e-6).  The cells attaining the maximal count are then halved
+    across their wider side, round after round, until a maximal piece counts
+    as many matrices at its centre as over the whole piece, a split leaves a
+    float unchanged, or the refinement work would pass MAX_WORK.  A cell's
+    count is the maximum over its pieces and the bound is twice the largest.
+
+    The result is a proof: every matrix with u <= U at some point of a
+    piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
+    rounding of the bound, a few ulps of terms of size U (x/y)^2, wherever
+    |x|/y stays below about 1e4, as on the truncated fundamental domain.
     """
     nx, ny = grid
     if nx < 1 or ny < 1:
@@ -301,37 +240,48 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         raise ValueError(f"count_bound requires U >= 1, got U = {U}")
     _check_work(region, U, nx * ny)
     cutoff = U * (1.0 + SAFE_MARGIN)
-    candidates = enumerate_candidates(region, U)
+    cols = np.array([m.entries() for m in enumerate_candidates(region, U).matrices], dtype=float).T
 
     xs = np.linspace(region.x_min, region.x_max, nx + 1)
     ys = np.linspace(region.y_min, region.y_max, ny + 1)
-    X0 = xs[:-1][:, None]
-    X1 = xs[1:][:, None]
-    XM = 0.5 * (X0 + X1)
-    Y0 = ys[:-1][None, :]
-    Y1 = ys[1:][None, :]
+    cells = [np.repeat(xs[:-1], ny), np.repeat(xs[1:], ny), np.tile(ys[:-1], nx), np.tile(ys[1:], nx)]
+    owner = np.arange(nx * ny)  # the grid cell each piece belongs to
+    counts = _count(cols, cells, cutoff)
+    work = 0
+    while True:
+        top = counts.max()
+        hot = counts == top
+        x0, x1, y0, y1 = (v[hot] for v in cells)
+        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        wide = x1 - x0 >= y1 - y0
+        work += 3 * len(x0) * cols.shape[1]
+        if (
+            work > MAX_WORK
+            or not np.all(np.where(wide, (x0 < xm) & (xm < x1), (y0 < ym) & (ym < y1)))
+            or np.any(_count(cols, (xm, xm, ym, ym), cutoff) >= top)
+        ):
+            break
+        # The first halves replace their pieces in place and the second halves
+        # are appended, one array at a time, so that the grid-sized arrays are
+        # never all held twice.
+        first = (x0, np.where(wide, xm, x1), y0, np.where(wide, y1, ym))
+        second = (np.where(wide, xm, x0), x1, np.where(wide, y0, ym), y1)
+        extra = _count(cols, second, cutoff)
+        counts[hot] = _count(cols, first, cutoff)
+        counts = np.concatenate([counts, extra])
+        owner = np.concatenate([owner, owner[hot]])
+        for k in range(4):
+            cells[k][hot] = first[k]
+            cells[k] = np.concatenate([cells[k], second[k]])
 
-    counts = np.zeros((nx, ny), dtype=np.int64)
-    ambiguous_jobs: list[tuple[UnimodularMatrix, int, int]] = []
-    for m in candidates.matrices:
-        a, b, c, d = (float(m.a), float(m.b), float(m.c), float(m.d))
-        accept, ambiguous = _cell_pass(a, b, c, d, X0, XM, X1, Y0, Y1, cutoff)
-        counts += accept
-        for ix, iy in zip(*np.nonzero(ambiguous)):
-            ambiguous_jobs.append((m, int(ix), int(iy)))
-
-    for m, ix, iy in ambiguous_jobs:
-        cell = Rectangle(float(xs[ix]), float(xs[ix + 1]), float(ys[iy]), float(ys[iy + 1]))
-        if min_u_over_rect(m, cell) <= cutoff:
-            counts[ix, iy] += 1
-
-    per_cell = tuple(tuple(int(v) for v in row) for row in counts)
+    per_cell = np.zeros(nx * ny, dtype=np.int64)
+    np.maximum.at(per_cell, owner, counts)
     return CountCertificate(
         region=region,
         U=U,
         grid=(nx, ny),
-        per_cell_counts=per_cell,
-        bound=2 * int(counts.max()),
+        per_cell_counts=tuple(tuple(int(v) for v in row) for row in per_cell.reshape(nx, ny)),
+        bound=2 * int(top),
     )
 
 
@@ -344,10 +294,20 @@ def enumerate_group_elements(
     coprime pair (c, d) in range, the solutions (a, b) of ad - bc = 1 form a
     line gamma_t w = gamma_0 w + t, so t runs over an interval.  Every
     candidate is verified against point_u directly before being yielded.
+    The (c, d) loop takes at most (c_max + 1)(2 q_max + 3) steps; above
+    MAX_WORK (or for a non-finite estimate) ValueError is raised first.
     """
     if not (U >= 1.0):
         raise ValueError(f"enumerate_group_elements requires U >= 1, got U = {U}")
     rho = U + math.sqrt(U * U - 1.0)
+    c_max = math.sqrt(rho / (z.y * w.y))
+    q_max = math.sqrt(w.y * rho / z.y)
+    work = (c_max + 1.0) * (2.0 * q_max + 3.0)
+    if not (work <= MAX_WORK):
+        raise ValueError(
+            f"orbit enumeration at U = {U:g} for heights {z.y:g}, {w.y:g} is estimated at "
+            f"{work:.3g} steps, above the cap {MAX_WORK}; lower U"
+        )
 
     def _yield_range(c: int, d: int, a0: int, b0: int) -> Iterator[tuple[UnimodularMatrix, float]]:
         base = mobius_apply(UnimodularMatrix(a0, b0, c, d), w)
@@ -365,8 +325,6 @@ def enumerate_group_elements(
     # Translations: u(z, w + b) <= U.
     yield from _yield_range(0, 1, 1, 0)
 
-    c_max = math.sqrt(rho / (z.y * w.y))
-    q_max = math.sqrt(w.y * rho / z.y)
     for c in _int_range(1.0, c_max + 1.0):
         for d in _int_range(-q_max - c * w.x - 1.0, q_max - c * w.x + 1.0):
             if math.gcd(c, abs(d)) != 1:

@@ -36,12 +36,12 @@ def test_count_preset_region(capsys, tmp_path):
     code = main(["count", "--preset", "y0", "--grid", "20x20", "--json", str(path)])
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "bound:   218" in out
+    assert "bound:   214" in out
     record = read_record(path)
     assert record["tool"] == "greenbound"
     assert record["command"] == "count"
     cert = parse_count_certificate(record)
-    assert cert.bound == 218
+    assert cert.bound == 214
     assert cert.grid == (20, 20)
 
 

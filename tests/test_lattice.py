@@ -2,19 +2,20 @@
 
 import math
 import random
+import time
 
 import pytest
 
-from greenbound import verify
-from greenbound.geom import Rectangle, UpperHalfPoint, mobius_apply, point_u, u_of_gamma
+from greenbound import lattice, verify
+from greenbound.geom import Rectangle, UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u, u_of_gamma
 from greenbound.lattice import (
     CountCertificate,
     count_bound,
     enumerate_candidates,
     exact_count,
-    min_u_over_rect,
     reduce_to_fundamental_domain,
     truncated_fundamental_domain,
+    u_lower_bound,
 )
 
 STANDARD_U = 17.0
@@ -32,7 +33,6 @@ def test_candidate_enumeration_is_canonical():
     box = truncated_fundamental_domain()
     cands = enumerate_candidates(box, STANDARD_U)
     assert len(cands.matrices) == 378
-    assert len(cands.min_u) == 378
     seen = set()
     for gamma in cands.matrices:
         # sign normalization: c > 0, or the translation family c = 0, a = d = 1
@@ -47,10 +47,6 @@ def test_candidate_enumeration_is_canonical():
     assert [g.b for g in translations] == sorted(g.b for g in translations)
     keys = [(g.c, g.a, g.d) for g in rest]
     assert keys == sorted(keys)
-    # the estimates are finite and the superset contains live candidates
-    # (an elliptic element attains u = 1 on the boundary, so allow one ulp)
-    assert all(math.isfinite(v) and v >= 1.0 - 1e-12 for v in cands.min_u)
-    assert sum(1 for v in cands.min_u if v <= STANDARD_U) >= 100
 
 
 def test_count_certificate_reference_grid():
@@ -63,13 +59,27 @@ def test_count_certificate_reference_grid():
     assert cert.bound == 2 * max(max(row) for row in cert.per_cell_counts)
 
 
-def test_coarser_grids_only_loosen():
+def test_coarse_grids_refine_to_the_same_bound():
+    """Bisecting the maximal cells brings every grid down to the 100x100 bound."""
     box = truncated_fundamental_domain()
-    coarse = count_bound(box, STANDARD_U, (20, 20))
-    fine = count_bound(box, STANDARD_U, (40, 40))
-    assert coarse.bound == 218
-    assert fine.bound == 214
-    assert coarse.bound >= fine.bound
+    for grid in ((1, 1), (4, 4), (20, 20), (40, 40)):
+        assert count_bound(box, STANDARD_U, grid).bound == 214, grid
+
+
+def test_counts_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Chunks narrower than the candidate list split it into column blocks."""
+    box = truncated_fundamental_domain()
+    whole = count_bound(box, STANDARD_U, (4, 4))
+    monkeypatch.setattr(lattice, "_CHUNK", 100)
+    assert count_bound(box, STANDARD_U, (4, 4)) == whole
+
+
+def test_segment_region_refines_quickly():
+    """A zero-width region is bisected along its one side only."""
+    start = time.perf_counter()
+    cert = count_bound(Rectangle(0.0, 0.0, 1.0, 2.0), 3.0, (1, 5))
+    assert cert.bound == 36
+    assert time.perf_counter() - start < 1.0
 
 
 def test_certificate_rejects_tampering():
@@ -127,20 +137,55 @@ def test_certificate_dominates_exact_counts(full_check):
 
 
 def test_min_u_lower_bounds_sampled_values():
-    """min_u_over_rect must never exceed the value at any point of the cell."""
+    """u_lower_bound must never exceed the value at any point of the cell."""
     rng = random.Random(70300)
     for _ in range(30):
         gamma = verify.random_unimodular(rng)
         x0 = rng.uniform(-0.6, 0.4)
         y0 = rng.uniform(0.8, 1.8)
         rect = Rectangle(x0, x0 + 0.2, y0, y0 + 0.2)
-        low = min_u_over_rect(gamma, rect)
+        low = u_lower_bound(gamma, rect)
         sampled = min(
             u_of_gamma(gamma, UpperHalfPoint(x0 + 0.2 * ix / 8.0, y0 + 0.2 * iy / 8.0))
             for ix in range(9)
             for iy in range(9)
         )
         assert low <= sampled + 1e-9, (gamma, low, sampled)
+
+
+def test_u_lower_bound_property():
+    """On random matrices (either sign of c) and cells, degenerate ones included,
+    the bound is at most u at sampled points and is u itself on a point cell."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def unimodular(draw):
+        c = draw(st.integers(-12, 12))
+        if c == 0:
+            d = draw(st.sampled_from((-1, 1)))
+            return UnimodularMatrix(d, draw(st.integers(-12, 12)), 0, d)
+        d = draw(st.integers(-12, 12))
+        hypothesis.assume(math.gcd(c, d) == 1)
+        a = (pow(d, -1, abs(c)) if abs(c) > 1 else 0) + abs(c) * draw(st.integers(-3, 3))
+        return UnimodularMatrix(a, (a * d - 1) // c, c, d)
+
+    side = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        unimodular(), st.floats(-1.0, 1.0), side, st.floats(0.5, 2.0), side,
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+    )
+    def check(gamma, x0, width, y0, height, fractions):
+        low = u_lower_bound(gamma, Rectangle(x0, x0 + width, y0, y0 + height))
+        for fx, fy in fractions + [(i / 8.0, j / 8.0) for i in range(9) for j in range(9)]:
+            z = UpperHalfPoint(x0 + fx * width, y0 + fy * height)
+            assert low <= u_of_gamma(gamma, z) * (1.0 + 1e-12), (gamma, z, low)
+        point = u_lower_bound(gamma, Rectangle(x0, x0, y0, y0))
+        assert math.isclose(point, u_of_gamma(gamma, UpperHalfPoint(x0, y0)), rel_tol=1e-12)
+
+    check()
 
 
 def test_reduction_round_trip_and_membership():
@@ -179,3 +224,8 @@ def test_enumeration_requires_sane_threshold():
     z = UpperHalfPoint(0.0, 1.0)
     with pytest.raises(ValueError, match="U >= 1"):
         exact_count(z, z, 0.5)
+    # refused from the closed-form work estimate, before any enumeration
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="above the cap"):
+        exact_count(z, z, 1e12)
+    assert time.perf_counter() - start < 0.1
