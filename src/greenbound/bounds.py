@@ -473,7 +473,7 @@ def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float
     The grid is fixed: _ENCLOSE_PER_OCTAVE geometric panels per octave from
     delta to M = delta 2^_ENCLOSE_OCTAVES.  The bounds are first order, so
     hi - lo shrinks only as 1/panels; at the reference parameters it is
-    about 4e-4 relative, in about 0.6 s for both signs.  Raises
+    about 4e-4 relative, in about 0.3 s for both signs.  Raises
     ConstraintViolation outside the checked range.
     """
     return _enclose_one_sign(params, +1), _enclose_one_sign(params, -1)

@@ -299,6 +299,7 @@ def count_record(cert: CountCertificate, config: RunConfig) -> dict:
         grid=list(cert.grid),
         per_cell_counts=[list(row) for row in cert.per_cell_counts],
         bound=cert.bound,
+        pairs=cert.pairs,
     )
     return record
 
@@ -310,6 +311,7 @@ def parse_count_certificate(record: dict) -> CountCertificate:
         grid=tuple(record["grid"]),
         per_cell_counts=tuple(tuple(row) for row in record["per_cell_counts"]),
         bound=record["bound"],
+        pairs=record["pairs"],
     )
 
 

@@ -32,7 +32,11 @@ cells that attain the current maximum, round after round, and keeps for
 each grid cell the maximum over its pieces.  It stops when a maximal piece
 counts as many matrices at its centre as over the whole piece (the maximum
 is attained there, so no refinement can lower it), when a split no longer
-changes a float, or when the refinement work would pass MAX_WORK.
+changes a float, or when the refinement work would pass MAX_WORK.  Most
+pairs do not count (about 70% on the truncated domain), so a matrix is
+tested only on the cells whose grid column and grid row leave it a chance
+and on the pieces whose parent does; count_bound explains why no decision
+changes.
 
 Before enumerating anything, enumerate_candidates, count_bound and
 enumerate_group_elements estimate their work in closed form and raise
@@ -43,7 +47,7 @@ huge grid or a huge orbit count fails at once instead of running for hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -58,12 +62,15 @@ from greenbound.geom import (
 
 RANGE_SLACK = 1e-9  # absolute slack on continuous coefficient ranges
 SAFE_MARGIN = 1e-6  # relative inclusion margin on the count threshold
+TIE_MARGIN = 1e-9  # relative distance from U below which exact_count decides exactly
 # Cap on the estimated steps of the candidate loop, of the grid screen
 # (cells x candidates), of the refinement after it and of the orbit loop of
 # enumerate_group_elements: 400x400 cells at U = 17 on the truncated domain
-# estimate 1.3e8 and take 1.5 s on a 2-core box.
+# estimate 1.3e8 and take 0.25 s on a 2-core box.  The screen and the
+# refinement are estimated as if they tested every candidate everywhere.
 MAX_WORK = 2**28
 _CHUNK = 2**13  # (cell, candidate) pairs per kernel call, to bound memory
+PRUNE_SLACK = 1e-12  # relative slack of the pruning threshold over the count threshold
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,7 @@ class CountCertificate:
     grid: tuple[int, int]
     per_cell_counts: tuple[tuple[int, ...], ...]
     bound: int
+    pairs: int = field(default=0, compare=False)  # kernel pairs evaluated; work, not proof
 
     def __post_init__(self) -> None:
         max_count = max(max(row) for row in self.per_cell_counts)
@@ -205,16 +213,66 @@ def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
     return CandidateSet(region=region, U=U, matrices=tuple(matrices))
 
 
-def _count(cols: np.ndarray, cells, cutoff: float) -> np.ndarray:
-    """Per cell (X0, X1, Y0, Y1), the columns (a, b, c, d) of cols with _lower_u <= cutoff."""
-    width = min(cols.shape[1], _CHUNK)
-    rows = max(1, _CHUNK // width)
-    counts = np.zeros(len(cells[0]), dtype=np.int64)
-    for i in range(0, len(counts), rows):
-        box = [v[i : i + rows, None] for v in cells]
-        for j in range(0, cols.shape[1], width):
-            counts[i : i + rows] += np.count_nonzero(_lower_u(*cols[:, j : j + width], *box) <= cutoff, axis=1)
-    return counts
+def _span(ok: np.ndarray) -> range:
+    """From the first to past the last index where ok is set (empty when none is)."""
+    hit = np.flatnonzero(ok)
+    return range(hit[0], hit[-1] + 1) if hit.size else range(0)
+
+
+def _screen(cols: np.ndarray, xs: np.ndarray, ys: np.ndarray, cutoff: float, relaxed: float):
+    """Per grid cell (x-major), the count of columns (a, b, c, d) of cols with _lower_u <= cutoff.
+
+    Each kernel call covers the span of grid columns and rows whose strips
+    a candidate passes at relaxed, broadcast (columns, 1) x (1, rows), or on
+    small grids several candidates and the union of their spans.  Also
+    returns the pairs evaluated and, as bits, the candidates each strip passed.
+    """
+    nx, ny, k = len(xs) - 1, len(ys) - 1, cols.shape[1]
+    X0, X1, Y0, Y1 = xs[:-1, None], xs[1:, None], ys[:-1], ys[1:]
+    col_ok, row_ok = np.empty((k, nx), dtype=bool), np.empty((k, ny), dtype=bool)
+    step = max(1, _CHUNK // max(nx, ny))
+    for j in range(0, k, step):
+        part = cols[:, j : j + step, None]
+        col_ok[j : j + step] = _lower_u(*part, xs[:-1], xs[1:], ys[0], ys[-1]) <= relaxed
+        row_ok[j : j + step] = _lower_u(*part, xs[0], xs[-1], ys[:-1], ys[1:]) <= relaxed
+    counts = np.zeros((nx, ny), dtype=np.int64)
+    tested = k * (nx + ny)
+    group = max(1, _CHUNK // (nx * ny))
+    for j in range(0, k, group):
+        part = cols[:, j : j + group, None, None]
+        x_span, y_span = _span(col_ok[j : j + group].any(axis=0)), _span(row_ok[j : j + group].any(axis=0))
+        tested += part.shape[1] * len(x_span) * len(y_span)
+        for r in y_span[::_CHUNK]:
+            y = slice(r, min(r + _CHUNK, y_span.stop))
+            width = max(1, _CHUNK // (part.shape[1] * (y.stop - r)))
+            for i in x_span[::width]:
+                x = slice(i, min(i + width, x_span.stop))
+                counts[x, y] += np.count_nonzero(_lower_u(*part, X0[x], X1[x], Y0[y], Y1[y]) <= cutoff, axis=0)
+    return counts.ravel(), tested, np.packbits(col_ok.T, axis=1), np.packbits(row_ok.T, axis=1)
+
+
+def _sift(cols: np.ndarray, boxes, masks: np.ndarray, keep: float, cutoff: float):
+    """Test piece i of each box (X0, X1, Y0, Y1) of boxes on the candidates set in bit row i of masks.
+
+    Returns per box and piece the count with _lower_u <= cutoff and the bits
+    of those with _lower_u <= keep, and the pairs tested.
+    """
+    k = cols.shape[1]
+    counts = np.zeros((len(boxes), len(masks)), dtype=np.int64)
+    kept = np.zeros((len(boxes),) + masks.shape, dtype=np.uint8)
+    tested, step = 0, max(1, _CHUNK // k)
+    for i in range(0, len(masks), step):
+        rows = slice(i, i + step)
+        bits = np.unpackbits(masks[rows], axis=1, count=k)
+        p, c = np.nonzero(bits)
+        cand = cols[:, c]
+        for j, box in enumerate(boxes):
+            low = _lower_u(*cand, *(v[rows][p] for v in box))
+            counts[j, rows] = np.bincount(p[low <= cutoff], minlength=len(bits))
+            bits[p, c] = low <= keep
+            kept[j, rows] = np.packbits(bits, axis=1)
+        tested += len(boxes) * p.size
+    return counts, kept, tested
 
 
 def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCertificate:
@@ -222,11 +280,23 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
 
     Subdivides region into grid = (nx, ny) cells and counts for each cell
     the candidates whose interval lower bound on u over the cell is at most
-    U (1 + 1e-6).  The cells attaining the maximal count are then halved
-    across their wider side, round after round, until a maximal piece counts
-    as many matrices at its centre as over the whole piece, a split leaves a
-    float unchanged, or the refinement work would pass MAX_WORK.  A cell's
-    count is the maximum over its pieces and the bound is twice the largest.
+    cutoff = U (1 + 1e-6).  The cells attaining the maximal count are then
+    halved across their wider side, round after round, until a maximal piece
+    counts as many matrices at its centre as over the whole piece, a split
+    leaves a float unchanged, or the refinement work would pass MAX_WORK.  A
+    cell's count is the maximum over its pieces and the bound is twice the
+    largest.
+
+    A candidate is tested on a grid cell only when its bounds over the
+    cell's grid column and grid row, strips across the region, both pass.
+    A cell that becomes maximal carries, as bits, the candidates both its
+    strips passed; a piece's centre and halves test only what it carries,
+    and each half carries on those that pass on it.  Strips and pieces pass
+    at cutoff (1 + PRUNE_SLACK); counts use cutoff.  A strip or a parent
+    contains what is tested after it, so its exact bound is never higher,
+    and the slack absorbs the rounding of both bounds: every decision is the
+    one a test of every candidate on every piece makes.  `pairs` counts the
+    kernel pairs evaluated.
 
     The result is a proof: every matrix with u <= U at some point of a
     piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
@@ -240,49 +310,68 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         raise ValueError(f"count_bound requires U >= 1, got U = {U}")
     _check_work(region, U, nx * ny)
     cutoff = U * (1.0 + SAFE_MARGIN)
+    relaxed = cutoff * (1.0 + PRUNE_SLACK)
     cols = np.array([m.entries() for m in enumerate_candidates(region, U).matrices], dtype=float).T
 
     xs = np.linspace(region.x_min, region.x_max, nx + 1)
     ys = np.linspace(region.y_min, region.y_max, ny + 1)
-    cells = [np.repeat(xs[:-1], ny), np.repeat(xs[1:], ny), np.tile(ys[:-1], nx), np.tile(ys[1:], nx)]
-    owner = np.arange(nx * ny)  # the grid cell each piece belongs to
-    counts = _count(cols, cells, cutoff)
+    counts, pairs, col_bits, row_bits = _screen(cols, xs, ys, cutoff, relaxed)
+    # Pieces: the grid cells that have been maximal and their halves, with
+    # their grid cell (owner), their count and the candidates they carry.
+    box = [np.empty(0) for _ in range(4)]
+    owner, score = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    masks = np.empty((0, col_bits.shape[1]), dtype=np.uint8)
     work = 0
     while True:
-        top = counts.max()
-        hot = counts == top
-        x0, x1, y0, y1 = (v[hot] for v in cells)
+        top = max(counts.max(), score.max(initial=0))
+        fresh = np.flatnonzero(counts == top)  # grid cells maximal for the first time
+        ix, iy = np.divmod(fresh, ny)
+        box = [np.concatenate([v, e]) for v, e in zip(box, (xs[ix], xs[ix + 1], ys[iy], ys[iy + 1]))]
+        owner, score = np.concatenate([owner, fresh]), np.concatenate([score, counts[fresh]])
+        masks = np.concatenate([masks, col_bits[ix] & row_bits[iy]])
+        counts[fresh] = 0
+        hot = np.flatnonzero(score == top)
+        x0, x1, y0, y1 = (v[hot] for v in box)
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         wide = x1 - x0 >= y1 - y0
-        work += 3 * len(x0) * cols.shape[1]
-        if (
-            work > MAX_WORK
-            or not np.all(np.where(wide, (x0 < xm) & (xm < x1), (y0 < ym) & (ym < y1)))
-            or np.any(_count(cols, (xm, xm, ym, ym), cutoff) >= top)
-        ):
+        work += 3 * hot.size * cols.shape[1]
+        if work > MAX_WORK or not np.all(np.where(wide, (x0 < xm) & (xm < x1), (y0 < ym) & (ym < y1))):
             break
-        # The first halves replace their pieces in place and the second halves
-        # are appended, one array at a time, so that the grid-sized arrays are
-        # never all held twice.
+        # The first halves replace their pieces in place; the second are appended.
+        centre = (xm, xm, ym, ym)
         first = (x0, np.where(wide, xm, x1), y0, np.where(wide, y1, ym))
         second = (np.where(wide, xm, x0), x1, np.where(wide, y0, ym), y1)
-        extra = _count(cols, second, cutoff)
-        counts[hot] = _count(cols, first, cutoff)
-        counts = np.concatenate([counts, extra])
+        counted, carried, tested = _sift(cols, (centre, first, second), masks[hot], relaxed, cutoff)
+        pairs += tested
+        if np.any(counted[0] >= top):
+            break
+        score[hot], masks[hot] = counted[1], carried[1]
+        score, masks = np.concatenate([score, counted[2]]), np.concatenate([masks, carried[2]])
         owner = np.concatenate([owner, owner[hot]])
-        for k in range(4):
-            cells[k][hot] = first[k]
-            cells[k] = np.concatenate([cells[k], second[k]])
+        for j in range(4):
+            box[j][hot] = first[j]
+            box[j] = np.concatenate([box[j], second[j]])
 
-    per_cell = np.zeros(nx * ny, dtype=np.int64)
-    np.maximum.at(per_cell, owner, counts)
+    np.maximum.at(counts, owner, score)
     return CountCertificate(
         region=region,
         U=U,
         grid=(nx, ny),
-        per_cell_counts=tuple(tuple(int(v) for v in row) for row in per_cell.reshape(nx, ny)),
+        per_cell_counts=tuple(tuple(int(v) for v in row) for row in counts.reshape(nx, ny)),
         bound=2 * int(top),
+        pairs=pairs,
     )
+
+
+def _exact_u(z: UpperHalfPoint, gamma: UnimodularMatrix, w: UpperHalfPoint):
+    """u(z, gamma w) as a Fraction, exact on the float coordinates."""
+    from fractions import Fraction  # on first use: near ties are rare, the import costs 2 ms and 0.4 MB
+
+    x, y, wx, wy = (Fraction(t) for t in (z.x, z.y, w.x, w.y))
+    a, b, c, d = gamma.entries()
+    den = (c * wx + d) ** 2 + (c * wy) ** 2
+    gx, gy = ((a * wx + b) * (c * wx + d) + a * c * wy * wy) / den, wy / den
+    return 1 + ((x - gx) ** 2 + (y - gy) ** 2) / (2 * y * gy)
 
 
 def enumerate_group_elements(
@@ -294,6 +383,9 @@ def enumerate_group_elements(
     coprime pair (c, d) in range, the solutions (a, b) of ad - bc = 1 form a
     line gamma_t w = gamma_0 w + t, so t runs over an interval.  Every
     candidate is verified against point_u directly before being yielded.
+    A value within TIE_MARGIN of U is decided in exact rational arithmetic
+    on the float inputs (a tie such as u(i, gamma i) = 3 can round to either
+    side), and the value yielded is then at most U.
     The (c, d) loop takes at most (c_max + 1)(2 q_max + 3) steps; above
     MAX_WORK (or for a non-finite estimate) ValueError is raised first.
     """
@@ -312,13 +404,15 @@ def enumerate_group_elements(
     def _yield_range(c: int, d: int, a0: int, b0: int) -> Iterator[tuple[UnimodularMatrix, float]]:
         base = mobius_apply(UnimodularMatrix(a0, b0, c, d), w)
         disc = 2.0 * z.y * base.y * (U - 1.0) - (z.y - base.y) ** 2
-        if disc < 0.0:
+        if disc < -TIE_MARGIN * z.y * base.y * U:
             return
-        r = math.sqrt(disc)
+        r = math.sqrt(max(disc, 0.0))
         center = z.x - base.x
         for t in _int_range(center - r - 1.0, center + r + 1.0):
             gamma = UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
             value = point_u(z, mobius_apply(gamma, w))
+            if abs(value - U) <= TIE_MARGIN * U:  # a near tie: decide it exactly
+                value = min(value, U) if _exact_u(z, gamma, w) <= U else math.inf
             if value <= U:
                 yield gamma, value
 

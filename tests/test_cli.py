@@ -8,6 +8,7 @@ import re
 import pytest
 
 from greenbound.bounds import assemble, group_preset, reference_params
+from greenbound.lattice import count_bound, truncated_fundamental_domain
 from greenbound.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -43,6 +44,8 @@ def test_count_preset_region(capsys, tmp_path):
     cert = parse_count_certificate(record)
     assert cert.bound == 214
     assert cert.grid == (20, 20)
+    # the work counter is carried and deterministic
+    assert cert.pairs == record["pairs"] == count_bound(truncated_fundamental_domain(), 17.0, (20, 20)).pairs > 0
 
 
 def test_count_rejects_bad_region(capsys):

@@ -4,6 +4,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from greenbound import lattice, verify
@@ -60,18 +61,89 @@ def test_count_certificate_reference_grid():
 
 
 def test_coarse_grids_refine_to_the_same_bound():
-    """Bisecting the maximal cells brings every grid down to the 100x100 bound."""
+    """Bisecting the maximal cells brings every grid, from 1x1 to 400x400, to the same bound."""
     box = truncated_fundamental_domain()
-    for grid in ((1, 1), (4, 4), (20, 20), (40, 40)):
-        assert count_bound(box, STANDARD_U, grid).bound == 214, grid
+    for n in (1, 2, 3, 4, 7, 10, 17, 20, 33, 40, 64, 150, 400):
+        assert count_bound(box, STANDARD_U, (n, n)).bound == 214, n
+
+
+def test_screen_tests_few_pairs():
+    """Strip pruning and inherited candidates test at most 35% of the
+    (cell, candidate) pairs at 333x333 (they test 31%)."""
+    box = truncated_fundamental_domain()
+    cert = count_bound(box, STANDARD_U, (333, 333))
+    assert cert.bound == 214
+    assert cert.pairs <= 0.35 * 333 * 333 * len(enumerate_candidates(box, STANDARD_U).matrices)
+
+
+def _oracle_count_bound(region, U, grid):
+    """count_bound by testing every candidate on every piece: the grid screen
+    and the bisection of the maximal cells without any pruning."""
+    cutoff = U * (1.0 + lattice.SAFE_MARGIN)
+    cols = np.array([m.entries() for m in enumerate_candidates(region, U).matrices], dtype=float).T
+
+    def count(cells):
+        return np.count_nonzero(lattice._lower_u(*cols[:, None, :], *(v[:, None] for v in cells)) <= cutoff, axis=1)
+
+    nx, ny = grid
+    xs = np.linspace(region.x_min, region.x_max, nx + 1)
+    ys = np.linspace(region.y_min, region.y_max, ny + 1)
+    cells = [np.repeat(xs[:-1], ny), np.repeat(xs[1:], ny), np.tile(ys[:-1], nx), np.tile(ys[1:], nx)]
+    owner, counts, work = np.arange(nx * ny), count(cells), 0
+    while True:
+        top = counts.max()
+        hot = counts == top
+        x0, x1, y0, y1 = (v[hot] for v in cells)
+        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        wide = x1 - x0 >= y1 - y0
+        work += 3 * len(x0) * cols.shape[1]
+        if (
+            work > lattice.MAX_WORK
+            or not np.all(np.where(wide, (x0 < xm) & (xm < x1), (y0 < ym) & (ym < y1)))
+            or np.any(count((xm, xm, ym, ym)) >= top)
+        ):
+            break
+        first = (x0, np.where(wide, xm, x1), y0, np.where(wide, y1, ym))
+        second = (np.where(wide, xm, x0), x1, np.where(wide, y0, ym), y1)
+        extra = count(second)
+        counts[hot] = count(first)
+        counts, owner = np.concatenate([counts, extra]), np.concatenate([owner, owner[hot]])
+        for k in range(4):
+            cells[k][hot] = first[k]
+            cells[k] = np.concatenate([cells[k], second[k]])
+    per_cell = np.zeros(nx * ny, dtype=np.int64)
+    np.maximum.at(per_cell, owner, counts)
+    rows = tuple(tuple(int(v) for v in row) for row in per_cell.reshape(nx, ny))
+    return CountCertificate(region=region, U=U, grid=grid, per_cell_counts=rows, bound=2 * int(top))
+
+
+def test_count_bound_matches_the_all_pairs_oracle():
+    """On random regions (segments and points included), U in [1, 17] and
+    grids up to 30x30, pruning changes no cell count of the certificate."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    side = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        st.floats(-0.8, 0.5), side, st.floats(0.85, 1.8), side,
+        st.one_of(st.integers(1, 17).map(float), st.floats(1.0, 17.0)),
+        st.integers(1, 30), st.integers(1, 30),
+    )
+    def check(x0, width, y0, height, U, nx, ny):
+        region = Rectangle(x0, x0 + width, y0, y0 + height)
+        assert count_bound(region, U, (nx, ny)) == _oracle_count_bound(region, U, (nx, ny))
+
+    check()
 
 
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch):
-    """Chunks narrower than the candidate list split it into column blocks."""
+    """Chunks narrower than the candidate list, or than a row of cells,
+    split the screen and the refinement into blocks."""
     box = truncated_fundamental_domain()
-    whole = count_bound(box, STANDARD_U, (4, 4))
+    whole = [count_bound(box, STANDARD_U, grid) for grid in ((4, 4), (30, 120))]
     monkeypatch.setattr(lattice, "_CHUNK", 100)
-    assert count_bound(box, STANDARD_U, (4, 4)) == whole
+    assert [count_bound(box, STANDARD_U, grid) for grid in ((4, 4), (30, 120))] == whole
 
 
 def test_segment_region_refines_quickly():
@@ -106,7 +178,9 @@ def test_exact_count_small_values():
     # U = 1: only the stabilizer pair {1, -1} together with the rotation of
     # order two fixing i
     assert exact_count(i, i, 1.0) == 4
-    assert exact_count(i, i, 3.0) == 28
+    # 18 sign representatives with (a^2 + b^2 + c^2 + d^2)/2 <= 3; ties such
+    # as (0, -1; 1, -2), with u = 3 exactly, round up in floating point
+    assert exact_count(i, i, 3.0) == 36
 
 
 def test_exact_count_monotone_in_U():
