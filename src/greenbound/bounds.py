@@ -189,10 +189,18 @@ def reference_params() -> ParamSet:
 
 
 def sigma_ceiling(eta: float) -> float:
-    """Largest sigma in (0, 1/2] with sigma (1 - sigma) <= eta."""
+    """Largest sigma in (0, 1/2] with sigma (1 - sigma) <= eta, as validate computes it.
+
+    The closed-form root can round to a sigma whose float sigma (1 - sigma)
+    exceeds eta (0.39999999999999997 at eta = 0.24); it is stepped down to
+    the first float that passes.
+    """
     if not (0.0 < eta <= 0.25):
         raise ConstraintViolation(f"spectral gap must lie in (0, 1/4], got {eta}")
-    return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * eta))
+    sigma = 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * eta))
+    while sigma * (1.0 - sigma) > eta:
+        sigma = math.nextafter(sigma, 0.0)
+    return sigma
 
 
 def validate(params: ParamSet, ctx: GroupContext) -> ParamSet:
@@ -243,8 +251,8 @@ def _D_one_sign(params: ParamSet, sign: int, rel_tol: float) -> float:
         value = np.zeros(U.shape)
         ok = den < np.inf
         u = U[ok]
-        shifted = p_sigma(sigma, corner(t, u)) + p_sigma(sigma, u)
-        value[ok] = shifted * u ** (1.0 + alpha) / den[ok]
+        at_corner, at_u = p_sigma(sigma, np.concatenate([corner(t, u), u])).reshape(2, -1)
+        value[ok] = (at_corner + at_u) * u ** (1.0 + alpha) / den[ok]
         return value
 
     def tail(M: float) -> float:
@@ -260,7 +268,10 @@ def compute_D(params: ParamSet, rel_tol: float = 1e-6) -> tuple[float, float]:
 
     Each value is adaptive quadrature over octaves of [delta, M], on arrays
     of U, plus the analytic bound for the tail past M, so the results are
-    upper estimates converging from above as rel_tol shrinks.
+    upper estimates converging from above as rel_tol shrinks.  Each sign
+    takes two engine calls of integrate_to_infinity, and each integrand call
+    one p_sigma call on U and its corner together; at the reference
+    parameters the march stops at M = delta 2^84 (plus) and 2^93 (minus).
     """
     return _D_one_sign(params, +1, rel_tol), _D_one_sign(params, -1, rel_tol)
 

@@ -198,7 +198,7 @@ def legendre_P_negm(m: int, s: complex, u):
         raise ValueError(f"legendre_P_negm supports even m >= 0 only, got m = {m}")
     u = np.asarray(u, dtype=float)
     if not np.all(u > 1.0):
-        raise ValueError(f"legendre_P_negm requires u > 1, got u = {u}")
+        raise ValueError(f"legendre_P_negm requires u > 1, got min u = {np.min(u)}")
     s = complex(s)
     if abs(s.real - 0.5) < 1e-3 and abs(s.imag) < 1e-3:
         raise ValueError(f"legendre_P_negm excluded zone around s = 1/2, got s = {s}")
@@ -241,7 +241,7 @@ def legendre_P_negm(m: int, s: complex, u):
         g1 *= (m - n - s) / (n + 0.5 + s)
         g2 *= (m - n - 1.0 + s) / (n + 1.5 - s)
     else:
-        raise NonConvergenceError(f"legendre_P_negm series did not converge at u = {u}")
+        raise NonConvergenceError(f"legendre_P_negm series did not converge at min u = {np.min(u)}")
 
     prefactor = SQRT_PI / ((x - 1.0 / x) ** m * cmath.cos(math.pi * s))
     value = (prefactor * out).reshape(u.shape)
@@ -274,7 +274,7 @@ def p_sigma(sigma: float, u):
     """
     u = np.asarray(u, dtype=float)
     if not np.all(u >= 1.0):
-        raise ValueError(f"p_sigma requires u >= 1, got {u}")
+        raise ValueError(f"p_sigma requires u >= 1, got min u = {np.min(u)}")
     c_main, c_prime = C_sigma(sigma)
     x = u + np.sqrt(u * u - 1.0)
     inv_x2 = 1.0 / (x * x)

@@ -79,16 +79,21 @@ class TrapezoidParams:
 
 
 def T_of_U(params: TrapezoidParams, U):
-    """Lower trapezoid corner T(U) = U - beta^- U^{-1-alpha^-} (U^2 - 1); needs U >= delta."""
+    """Lower trapezoid corner T(U) = U - beta^- U^{-1-alpha^-} (U^2 - 1); needs U >= delta.
+
+    The beta^- cap proves T(U) >= 1 there, so a value that rounding puts
+    below 1 (beta^- on the cap, U = delta) is clamped to 1.
+    """
     if not np.all(U >= params.delta):
-        raise ValueError(f"T_of_U requires U >= delta = {params.delta}, got U = {U}")
-    return U - params.beta_minus * U ** (-1.0 - params.alpha_minus) * (U * U - 1.0)
+        raise ValueError(f"T_of_U requires U >= delta = {params.delta}, got min U = {np.min(U)}")
+    T = U - params.beta_minus * U ** (-1.0 - params.alpha_minus) * (U * U - 1.0)
+    return np.maximum(T, 1.0) if np.ndim(T) else max(T, 1.0)
 
 
 def V_of_U(params: TrapezoidParams, U):
     """Upper trapezoid corner V(U) = U + beta^+ U^{-1-alpha^+} (U^2 - 1); needs U >= 1."""
     if not np.all(U >= 1.0):
-        raise ValueError(f"V_of_U requires U >= 1, got U = {U}")
+        raise ValueError(f"V_of_U requires U >= 1, got min U = {np.min(U)}")
     return U + params.beta_plus * U ** (-1.0 - params.alpha_plus) * (U * U - 1.0)
 
 
@@ -96,7 +101,7 @@ def g_U_pm(params: TrapezoidParams, sign: int, u, U: float):
     """Trapezoid kernel value g_U^{+-}(u): 1 up to the inner corner, linear to 0."""
     u = np.asarray(u, dtype=float)
     if not np.all(u >= 1.0):
-        raise ValueError(f"g_U_pm requires u >= 1, got {u}")
+        raise ValueError(f"g_U_pm requires u >= 1, got min u = {np.min(u)}")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     inner, outer = (U, V_of_U(params, U)) if sign == +1 else (T_of_U(params, U), U)
@@ -129,7 +134,7 @@ def h_U_pm(params: TrapezoidParams, sign: int, s: complex, U):
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not np.all(U > 1.0):
-        raise ValueError(f"h_U_pm requires U > 1, got U = {U}")
+        raise ValueError(f"h_U_pm requires U > 1, got min U = {np.min(U)}")
     W = V_of_U(params, U) if sign == +1 else T_of_U(params, U)
     corner = np.zeros(U.shape, dtype=complex)
     kept = (W > _T_EDGE) | (sign == +1)

@@ -79,10 +79,27 @@ def test_sigma_ceiling_values():
     assert sigma_ceiling(975.0 / 4096.0) == 0.390625
     assert sigma_ceiling(3.0 / 16.0) == 0.25
     assert sigma_ceiling(0.25) == 0.5
+    # the closed-form root 0.39999999999999997 has s (1 - s) > 0.24; the
+    # ceiling is the largest float below it that passes
+    sigma = sigma_ceiling(0.24)
+    above = math.nextafter(sigma, 1.0)
+    assert sigma * (1.0 - sigma) <= 0.24 < above * (1.0 - above)
+    assert sigma < 0.39999999999999997
     with pytest.raises(ConstraintViolation):
         sigma_ceiling(0.0)
     with pytest.raises(ConstraintViolation):
         sigma_ceiling(0.26)
+
+
+def test_validate_accepts_the_sigma_ceiling():
+    """On 683 of these etas the closed-form root rounds above the ceiling.
+    ParamSet needs alpha < sigma < 1/2, so alpha is tiny and sigma stays
+    below 1/2."""
+    t = TrapezoidParams(delta=2.0, alpha_plus=1e-4, alpha_minus=1e-4, beta_plus=1.0, beta_minus=0.1)
+    for eta in np.linspace(0.001, 0.25, 2490).tolist():
+        sigma = min(sigma_ceiling(eta), math.nextafter(0.5, 0.0))
+        ctx = GroupContext(name="grid", vol=1.0, eta=eta, contains_minus_one=True, min_c=1.0)
+        validate(ParamSet(trapezoid=t, sigma_plus=sigma, sigma_minus=sigma), ctx)
 
 
 def test_reference_params_values():

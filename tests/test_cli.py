@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from greenbound.bounds import assemble, group_preset, reference_params
+from greenbound.bounds import ParamSet, assemble, enclose_D, group_preset, reference_params
+from greenbound.transforms import TrapezoidParams
 from greenbound.lattice import count_bound, truncated_fundamental_domain
 from greenbound.cli import (
     EXIT_CONFIG,
@@ -251,6 +252,24 @@ def test_config_file_params_block(tmp_path):
     assert record["config"]["params"]["beta_plus"] == 2.0
     assert record["config"]["params"]["delta"] == 2.0
     assert record["N_bar"] == 250.0
+
+
+def test_bounds_exact_with_beta_minus_on_its_cap(tmp_path, capsys):
+    """On the cap the corner T(delta) is 1; unclamped, it rounds to
+    0.9999999999999996 here and p_sigma used to refuse it."""
+    config = tmp_path / "config.json"
+    params = {"delta": 3.0, "alpha_minus": 0.1, "beta_minus": 3.0**1.1 / 4.0}
+    config.write_text(json.dumps({"params": params}), encoding="utf-8")
+    out_path = tmp_path / "bounds.json"
+    argv = ["bounds", "--mode", "exact", "--config", str(config), "--json", str(out_path)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    record = read_record(out_path)
+    p = record["config"]["params"]
+    assert p["beta_minus"] == params["beta_minus"]
+    sigmas = {name: p.pop(name) for name in ("sigma_plus", "sigma_minus")}
+    _, (lo, hi) = enclose_D(ParamSet(trapezoid=TrapezoidParams(**p), **sigmas))
+    assert lo <= record["D_minus"] <= hi
 
 
 def test_unknown_config_field_rejected(tmp_path, capsys):

@@ -1,18 +1,45 @@
 """Adaptive Simpson engine: finite, relative, batched, and marching improper integrals."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from test_bounds import draw_valid_params
 
-from greenbound import _quad
+from greenbound import _quad, bounds, transforms
 from greenbound._quad import integrate, integrate_to_infinity
+from greenbound.bounds import compute_D, group_preset, reference_params
 from greenbound.errors import NonConvergenceError
+from greenbound.optimize import SearchConfig, search
+
+_ENGINE = _quad._integrate  # unpatched, for the oracle and the call counter
+
+
+def count_engine_calls(monkeypatch):
+    """Patch a call counter onto _quad._integrate; returns the list it appends to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _ENGINE(*args, **kwargs)
+
+    monkeypatch.setattr(_quad, "_integrate", counted)
+    return calls
 
 
 def test_integrate_polynomial_exact():
-    value = integrate(lambda x: 3.0 * x * x, 0.0, 2.0, abs_tol=1e-12)
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return 3.0 * x * x
+
+    value = integrate(f, 0.0, 2.0, abs_tol=1e-12)
     assert math.isclose(value, 8.0, abs_tol=1e-11)
+    # Simpson is exact here: the first pass (ends, midpoint and quarter
+    # points) settles it in one integrand call
+    assert sizes == [5]
 
 
 def test_integrate_oscillatory():
@@ -77,10 +104,107 @@ def test_integrate_to_infinity_exponential():
     assert math.isclose(value, 1.0, rel_tol=1e-8)
 
 
-def test_integrate_to_infinity_rejects_fat_tail():
-    # tail bound that never decays cannot reach the tolerance
+def test_integrate_to_infinity_rejects_fat_tail(monkeypatch):
+    # tail bound that never decays cannot reach the tolerance; the march
+    # integrates every octave up to overflow, in two engine calls
+    sizes, calls = [], count_engine_calls(monkeypatch)
+
     def tail(M):
         return 1.0
 
-    with pytest.raises(NonConvergenceError):
-        integrate_to_infinity(lambda u: 1.0 / (1.0 + u), 1.0, tail, rel_tol=1e-6)
+    def f(u):
+        sizes.append(u.size)
+        return 1.0 / (1.0 + u)
+
+    with pytest.raises(NonConvergenceError, match="tail bound cannot reach tolerance"):
+        integrate_to_infinity(f, 1.0, tail, rel_tol=1e-6)
+    assert len(calls) == 2
+    assert max(sizes) <= _quad._MAX_POINTS
+    assert sum(sizes) > 1000 * 33  # about 1,000 octaves of at least 33 points each
+
+
+def block_march(f, a, tail_bound, rel_tol):
+    """The march before its stop was predicted: 16 octaves per engine call,
+    past the stop too.  The oracle for integrate_to_infinity."""
+    total = 0.0
+    mass = 0.0
+    lo = a
+    hi = 2.0 * a if a > 0 else 1.0
+    while math.isfinite(hi):
+        los, his = [], []
+        while math.isfinite(hi) and len(los) < 16:
+            los.append(lo)
+            his.append(hi)
+            lo, hi = hi, 2.0 * hi
+        pieces = _ENGINE(f, np.array(los), np.array(his), rel_tol, relative=True)
+        for piece, top in zip(pieces, his):
+            total += piece
+            mass += abs(piece)
+            bound = tail_bound(top)
+            if bound <= rel_tol * max(mass, 1e-300):
+                return total, bound
+    raise NonConvergenceError("tail bound cannot reach tolerance on [a, infinity)")
+
+
+@pytest.fixture
+def paired(monkeypatch):
+    """Each march of bounds and transforms also runs block_march.
+
+    The marches' results, the oracle's and the march's engine calls gather
+    in paired.records; paired(f, a, tail_bound, rel_tol) runs one pair.
+    """
+    calls = count_engine_calls(monkeypatch)
+
+    def march(f, a, tail_bound, rel_tol):
+        calls.clear()
+        result = integrate_to_infinity(f, a, tail_bound, rel_tol)
+        march.records.append((result, block_march(f, a, tail_bound, rel_tol), len(calls)))
+        return result
+
+    march.records = []
+    for module in (bounds, transforms):
+        monkeypatch.setattr(module, "integrate_to_infinity", march)
+    return march
+
+
+def test_march_matches_block_oracle(paired):
+    paired(lambda u: u**-3, 2.0, lambda M: 0.5 * M**-2, 1e-10)
+    paired(lambda u: np.exp(-u), 0.0, lambda M: math.exp(-M), 1e-10)
+    compute_D(reference_params())
+    rng = random.Random(80300)
+    for _ in range(5):
+        compute_D(draw_valid_params(rng))
+    t = reference_params().trapezoid
+    for sign, s in ((+1, 0.306 + 30.0j), (-1, 0.25 + 2.0j), (+1, 0.694 + 0.5j)):
+        transforms.I_delta_pm(t, sign, s)
+    assert len(paired.records) == 2 + 2 * 6 + 3
+    for (value, bound), (oracle_value, oracle_bound), _ in paired.records:
+        assert abs(value - oracle_value) <= 1e-15 * abs(oracle_value)
+        assert abs(bound - oracle_bound) <= 1e-15 * abs(oracle_bound)
+
+
+def test_march_makes_at_most_two_engine_calls(paired):
+    compute_D(reference_params())
+    transforms.I_delta_pm(reference_params().trapezoid, -1, 0.25 + 2.0j)
+    paired(lambda u: u**-3, 2.0, lambda M: 0.5 * M**-2, 1e-10)
+    # each of these marches stops past its first block, so it takes both calls
+    assert [calls for *_, calls in paired.records] == [2, 2, 2, 2]
+
+
+def test_optimize_width_path_is_pinned():
+    """optimize --objective width --max-iters 25 scores every candidate on
+    compute_D; its path and result are fixed to the last bit."""
+    ctx = group_preset("sl2z")
+    seed = reference_params()
+    config = SearchConfig(objective="width", max_iters=25, step_shrink=0.7, seed_params=seed)
+    params, report = search(config, ctx, seed.delta, 216.0)
+    assert (report.A, report.B) == (-17307.302116257473, 9154.741499261117)
+    t = params.trapezoid
+    assert (t.delta, t.alpha_plus, t.alpha_minus, t.beta_plus, t.beta_minus) == (
+        2.0,
+        0.038902918559462346,
+        0.003731038598193473,
+        2.672333735667888,
+        0.6683930032505743,
+    )
+    assert (params.sigma_plus, params.sigma_minus) == (0.2923714123420863, 0.2501198950266565)

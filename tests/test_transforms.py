@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from greenbound import verify
 from greenbound._quad import integrate, integrate_to_infinity
 from greenbound.bounds import compute_D, reference_params
 from greenbound.errors import ConstraintViolation, NonConvergenceError
+from greenbound.specfun import legendre_P_negm, p_sigma
 from greenbound.transforms import (
     I_delta_pm,
     T_of_U,
@@ -17,6 +19,7 @@ from greenbound.transforms import (
     c_a_coefficient,
     g_U_pm,
     h_U,
+    h_U_pm,
     h_U_pm_at_one,
     h_a,
 )
@@ -82,6 +85,38 @@ def test_T_stays_at_least_one_at_extremal_beta():
             for k in range(60):
                 U = delta * (1.0 + 0.35 * k)
                 assert T_of_U(p, U) >= 1.0, (delta, alpha, U)
+    # on 33 of these 200 caps the unclamped T(delta) rounds below 1
+    for delta in np.linspace(1.1, 4.0, 20).tolist():
+        for alpha in np.linspace(0.01, 0.45, 10).tolist():
+            p = TrapezoidParams(
+                delta=delta,
+                alpha_plus=0.1,
+                alpha_minus=alpha,
+                beta_plus=1.0,
+                beta_minus=delta ** (1.0 + alpha) / (delta + 1.0),
+            )
+            assert T_of_U(p, delta) >= 1.0, (delta, alpha)
+            assert T_of_U(p, np.array([delta, 2.0 * delta])).min() >= 1.0, (delta, alpha)
+
+
+def test_u_range_errors_name_the_minimum():
+    """An array argument out of range gives a one-line error naming its
+    minimum, not the array."""
+    p = reference_trapezoid()
+    bad = np.concatenate([np.geomspace(2.0, 1e30, 5000), [0.75]])
+    for call in (
+        lambda: p_sigma(0.3, bad),
+        lambda: V_of_U(p, bad),
+        lambda: T_of_U(p, bad),
+        lambda: h_U_pm(p, +1, 0.3 + 1.0j, bad),
+        lambda: g_U_pm(p, +1, bad, 3.0),
+        lambda: legendre_P_negm(2, 0.3 + 1.0j, bad),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        assert "\n" not in message and len(message) < 120, message
+        assert message.endswith("= 0.75"), message
 
 
 def test_trapezoid_kernels_piecewise_shape():
