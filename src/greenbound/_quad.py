@@ -67,8 +67,10 @@ def _integrate(f: Callable, a: np.ndarray, b: np.ndarray, tol: float, relative=F
     floored at 1e-300.
     """
     k = a.size
-    m = 0.5 * (a + b)
-    x = [a, m, b, 0.5 * (a + m), 0.5 * (m + b)]
+    # Halving each end before adding gives the same bits as 0.5 * (a + b)
+    # but does not overflow on an interval whose ends sum past the largest float.
+    m = 0.5 * a + 0.5 * b
+    x = [a, m, b, 0.5 * a + 0.5 * m, 0.5 * m + 0.5 * b]
     if relative:
         h = ((b - a) / 16)[:, None]
         x0 = a[:, None] + np.arange(16) * h
@@ -94,9 +96,9 @@ def _integrate(f: Callable, a: np.ndarray, b: np.ndarray, tol: float, relative=F
         if depth.max() >= 60:  # the depth limit of the textbook recursion
             i = depth.argmax()
             raise NonConvergenceError(f"adaptive Simpson hit max depth on [{a[i]}, {b[i]}]")
-        m = 0.5 * (a + b)
+        m = 0.5 * a + 0.5 * b
         if quarters is None:
-            quarters = _eval(f, np.concatenate([0.5 * (a + m), 0.5 * (m + b)])).reshape(2, -1)
+            quarters = _eval(f, np.concatenate([0.5 * a + 0.5 * m, 0.5 * m + 0.5 * b])).reshape(2, -1)
         flm, frm = quarters
         left = _simpson(fa, flm, fm, m - a)
         right = _simpson(fm, frm, fb, b - m)

@@ -5,22 +5,34 @@ Everything is computed in plain doubles with documented truncation rules:
 
 * hyp2f1: direct power series, stop after three consecutive terms below
   1e-16 times the partial sum (and at least ten terms), error past 1e6 terms.
-* legendre_P_negm: descending series in x = u + sqrt(u^2 - 1) with the
-  reflection tan(pi s) Gamma(n - m + s) = (-1)^(n-m) pi / (cos(pi s)
-  Gamma(m - n + 1 - s)) applied term by term, so the evaluation stays finite
-  where the raw prefactor and the Gamma factors trade poles (in particular on
-  the real boundary s = 1).  Geometric tail cutoff with ratio x^-2.
+  On an array z each entry stops by this rule on its own.
+* legendre_P_negm: two forms, chosen per entry.  Near u = 1, where
+  (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2, the hypergeometric form
+  ((u-1)/(u+1))^(m/2) F(s, 1-s; 1+m; (1-u)/2) / m! (DLMF 14.3.1), summed
+  by hyp2f1.  Its terms peak near exp(2 sqrt(|s(1-s)| (u-1)/2)) <= e^4.5,
+  so they cancel by at most about two digits, and |z| <= 0.1 ends the sum
+  in a few dozen terms.  Everywhere else, a descending series in
+  x = u + sqrt(u^2 - 1) with the reflection tan(pi s) Gamma(n - m + s) =
+  (-1)^(n-m) pi / (cos(pi s) Gamma(m - n + 1 - s)) applied term by term,
+  so the evaluation stays finite where the raw prefactor and the Gamma
+  factors trade poles (in particular on the real boundary s = 1), and a
+  geometric tail cutoff with ratio x^-2.  The descending series needs
+  about 17 / sqrt(2 (u - 1)) terms near u = 1 and cancels there (for
+  m = 2 its relative error grows like 1e-14 / (u - 1)^2), which is what
+  the near-one zone avoids; at the zone's edge it is below 2e-13.
 * log_gamma_complex: upward recurrence to Re z >= 10 followed by the
   Stirling asymptotic series with ten Bernoulli coefficients.
 
 Evaluation near s = 1/2 is excluded for legendre_P_negm: the cos(pi s)
-denominator vanishes there, so inputs with |Re s - 1/2| < 1e-3 and
-|Im s| < 1e-3 are rejected rather than evaluated inaccurately.
+denominator of the descending series vanishes there, so inputs with
+|Re s - 1/2| < 1e-3 and |Im s| < 1e-3 are rejected rather than evaluated
+inaccurately.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -85,33 +97,40 @@ def _recip_gamma(z: complex) -> complex:
     return cmath.sin(math.pi * z) * cmath.exp(log_gamma_complex(1.0 - z)) / math.pi
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
+def hyp2f1(a: complex, b: complex, c: complex, z):
     """Gauss hypergeometric series F(a, b; c; z) for real |z| < 1.
 
     Terms follow the ratio recurrence t_{n+1} = t_n (a+n)(b+n) z /
     ((c+n)(n+1)); summation stops once three consecutive terms fall below
-    1e-16 times the partial sum (after at least ten terms).
+    1e-16 times the partial sum (after at least ten terms).  Elementwise on
+    an array z, each entry stopping by that rule on its own (its sum stays
+    fixed while the others go on); a scalar z gives a complex.
     """
-    if abs(z) >= 1.0:
-        raise ValueError(f"hyp2f1 series requires |z| < 1, got z = {z}")
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.abs(z) < 1.0):
+        raise ValueError(f"hyp2f1 series requires |z| < 1, got max |z| = {np.max(np.abs(z))}")
     c = complex(c)
     if _is_nonpositive_integer(c):
         raise ValueError(f"hyp2f1 undefined for c = {c}")
     a = complex(a)
     b = complex(b)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+    # A scalar runs in Python complex arithmetic, which is many times faster
+    # than numpy on one entry; the loop below reads the same for both.
+    if z.ndim:
+        total = term = np.ones(z.shape, dtype=complex)
+        live, any_live = np.ones(z.shape, dtype=bool), np.any
+    else:
+        z, total, term, live, any_live = float(z), 1.0 + 0.0j, 1.0 + 0.0j, True, bool
     small_run = 0
     for n in range(_MAX_TERMS):
-        term = term * (a + n) * (b + n) * z / ((c + n) * (n + 1))
-        total += term
-        if abs(term) < 1e-16 * abs(total):
-            small_run += 1
-            if small_run >= 3 and n > 10:
+        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1))) * z
+        total = total + term * live
+        small_run = (small_run + 1) * (abs(term) < 1e-16 * abs(total))
+        if n > 10:
+            live = live & (small_run < 3)
+            if not any_live(live):
                 return total
-        else:
-            small_run = 0
-    raise NonConvergenceError(f"hyp2f1 did not converge for z = {z}")
+    raise NonConvergenceError(f"hyp2f1 did not converge for max |z| = {np.max(np.abs(z))}")
 
 
 def gauss_value(a: complex, b: complex, c: complex) -> complex:
@@ -144,15 +163,17 @@ def legendre_Q0(u: float) -> float:
 def legendre_P_neg1(s: complex, u: float) -> complex:
     """Order -1 Legendre function on the cut, hypergeometric form.
 
-    P^{-1}_{s-1}(u) = sqrt((u-1)/(u+1)) F(s, 1-s; 2; (1-u)/2).
+    P^{-1}_{s-1}(u) = sqrt((u-1)/(u+1)) F(s, 1-s; 2; (1-u)/2), the m = 1 case
+    of _P_negm_near_one.
 
     The direct series converges only for u < 3 (argument in (-1, 0]), so the
-    domain is restricted to 1 < u < 3.
+    domain is restricted to 1 < u < 3.  Its terms cancel as legendre_P_negm's
+    near-one form does: by about two digits at most where
+    (u - 1) max(|s(1-s)|, 1) <= 10, and by more beyond.
     """
     if not (1.0 < u < 3.0):
         raise ValueError(f"legendre_P_neg1 requires 1 < u < 3, got u = {u}")
-    s = complex(s)
-    return math.sqrt((u - 1.0) / (u + 1.0)) * hyp2f1(s, 1.0 - s, 2.0, (1.0 - u) / 2.0)
+    return _P_negm_near_one(1, complex(s), u)
 
 
 def legendre_Q_deriv(nu: float, u: float) -> float:
@@ -172,46 +193,40 @@ def legendre_Q_deriv(nu: float, u: float) -> float:
     return -((2.0 / (u + 1.0)) ** nu) / (u * u - 1.0) * gamma_factor * f
 
 
-def legendre_P_negm(m: int, s: complex, u):
-    """Order -m Legendre function P^{-m}_{s-1}(u) for even m >= 0 and u > 1.
+def _near_one(s: complex, u: np.ndarray) -> np.ndarray:
+    """Entries that _P_negm_near_one evaluates: (u-1) max(|s(1-s)|, 1) <= 10
+    and u - 1 <= 0.2 (see the module docstring for why)."""
+    d = u - 1.0
+    return (d * max(abs(s * (1.0 - s)), 1.0) <= 10.0) & (d <= 0.2)
 
-    Descending series in x = u + sqrt(u^2 - 1) > 1:
 
-        P^{-m}_{s-1}(u) = sqrt(pi) / ((x - 1/x)^m cos(pi s)) *
-            sum_n ((1/2 - m)_n / n!) (-1)^n [ G1(n) x^{m-s-2n}
-                                              - G2(n) x^{m-1+s-2n} ],
+def _P_negm_near_one(m: int, s: complex, u):
+    """P^{-m}_{s-1}(u) = ((u-1)/(u+1))^{m/2} F(s, 1-s; 1+m; (1-u)/2) / m!
+    (DLMF 14.3.1) for integer m >= 0 and 1 < u < 3, elementwise."""
+    series = hyp2f1(s, 1.0 - s, 1.0 + m, (1.0 - u) / 2.0)
+    return ((u - 1.0) / (u + 1.0)) ** (0.5 * m) / math.factorial(m) * series
 
-    with G1(n) = 1/(Gamma(m-n+1-s) Gamma(n+1/2+s)) and
-    G2(n) = 1/(Gamma(m-n+s) Gamma(n+3/2-s)).  This is the raw
-    tan(pi s)-prefactored series with the reflection formula folded into each
-    term, which keeps every factor finite: at s = 1 the reciprocal Gammas
-    vanish on the former pole terms and the series terminates.
 
-    On an array u the Gamma factors are computed once and each entry stops
-    at its own cutoff, as a scalar call would.
+@functools.lru_cache(maxsize=64)
+def _descending_gammas(m: int, s: complex) -> tuple[complex, complex]:
+    """The n = 0 Gamma factors G1(0), G2(0) of the descending series; one
+    I_delta_pm evaluates about 130 batches at the same s."""
+    return (
+        _recip_gamma(m + 1.0 - s) * _recip_gamma(0.5 + s),
+        _recip_gamma(m + 0.0 + s) * _recip_gamma(1.5 - s),
+    )
 
-    The strip point s = 1/2 is a removable singularity handled analytically
-    but not numerically; inputs within 1e-3 of it (both components) are
-    rejected.
-    """
-    if m < 0 or m % 2 != 0:
-        raise ValueError(f"legendre_P_negm supports even m >= 0 only, got m = {m}")
-    u = np.asarray(u, dtype=float)
-    if not np.all(u > 1.0):
-        raise ValueError(f"legendre_P_negm requires u > 1, got min u = {np.min(u)}")
-    s = complex(s)
-    if abs(s.real - 0.5) < 1e-3 and abs(s.imag) < 1e-3:
-        raise ValueError(f"legendre_P_negm excluded zone around s = 1/2, got s = {s}")
 
-    x = (u + np.sqrt(u * u - 1.0)).ravel()
+def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
+    """The descending series of legendre_P_negm on a 1-D array u > 1."""
+    x = u + np.sqrt(u * u - 1.0)
     inv_x2 = 1.0 / (x * x)
 
     # x^{m-s} and x^{m-1+s}; each subsequent term carries another x^{-2}.
     pow1 = np.exp((m - s) * np.log(x))
     pow2 = np.exp((m - 1.0 + s) * np.log(x))
 
-    g1 = _recip_gamma(m + 1.0 - s) * _recip_gamma(0.5 + s)
-    g2 = _recip_gamma(m + 0.0 + s) * _recip_gamma(1.5 - s)
+    g1, g2 = _descending_gammas(m, s)
 
     coeff = 1.0  # (1/2 - m)_n / n!, signed
     sign = 1.0  # (-1)^n
@@ -244,7 +259,52 @@ def legendre_P_negm(m: int, s: complex, u):
         raise NonConvergenceError(f"legendre_P_negm series did not converge at min u = {np.min(u)}")
 
     prefactor = SQRT_PI / ((x - 1.0 / x) ** m * cmath.cos(math.pi * s))
-    value = (prefactor * out).reshape(u.shape)
+    return prefactor * out
+
+
+def legendre_P_negm(m: int, s: complex, u):
+    """Order -m Legendre function P^{-m}_{s-1}(u) for even m >= 0 and u > 1.
+
+    Each entry of u takes one of two forms (module docstring).  Near u = 1,
+    where (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2, the
+    hypergeometric form _P_negm_near_one.  Everywhere else, the descending
+    series in x = u + sqrt(u^2 - 1) > 1:
+
+        P^{-m}_{s-1}(u) = sqrt(pi) / ((x - 1/x)^m cos(pi s)) *
+            sum_n ((1/2 - m)_n / n!) (-1)^n [ G1(n) x^{m-s-2n}
+                                              - G2(n) x^{m-1+s-2n} ],
+
+    with G1(n) = 1/(Gamma(m-n+1-s) Gamma(n+1/2+s)) and
+    G2(n) = 1/(Gamma(m-n+s) Gamma(n+3/2-s)).  This is the raw
+    tan(pi s)-prefactored series with the reflection formula folded into each
+    term, which keeps every factor finite: at s = 1 the reciprocal Gammas
+    vanish on the former pole terms and the series terminates.
+
+    Every entry is evaluated as a scalar call would evaluate it: each form
+    is elementwise, and each entry stops at its own cutoff.  The Gamma
+    factors G1(0), G2(0) are cached per (m, s).
+
+    The strip point s = 1/2 is a removable singularity handled analytically
+    but not numerically; inputs within 1e-3 of it (both components) are
+    rejected.
+    """
+    if m < 0 or m % 2 != 0:
+        raise ValueError(f"legendre_P_negm supports even m >= 0 only, got m = {m}")
+    u = np.asarray(u, dtype=float)
+    if not np.all(u > 1.0):
+        raise ValueError(f"legendre_P_negm requires u > 1, got min u = {np.min(u)}")
+    s = complex(s)
+    if abs(s.real - 0.5) < 1e-3 and abs(s.imag) < 1e-3:
+        raise ValueError(f"legendre_P_negm excluded zone around s = 1/2, got s = {s}")
+
+    flat = u.ravel()
+    near = _near_one(s, flat)
+    value = np.empty(flat.size, dtype=complex)
+    if near.any():
+        value[near] = _P_negm_near_one(m, s, flat[near])
+    if not near.all():
+        value[~near] = _P_negm_descending(m, s, flat[~near])
+    value = value.reshape(u.shape)
     return value if value.ndim else complex(value)
 
 

@@ -127,8 +127,11 @@ def h_U_pm(params: TrapezoidParams, sign: int, s: complex, U):
 
     The minus side needs U >= delta so that T(U) >= 1; where T lands on the
     kernel edge its (T^2 - 1) P^{-2}_{s-1}(T) term is zero to well below
-    double precision and is dropped.  Elementwise on an array U; a scalar U
-    gives a complex.
+    double precision and is dropped.  U and its corners W go to
+    legendre_P_negm in one call, which evaluates each entry on its own, so
+    corners just above 1 take its hypergeometric form and the rest its
+    descending series.  Elementwise on an array U; a scalar U gives a
+    complex.
     """
     U = np.asarray(U, dtype=float)
     if sign not in (+1, -1):
@@ -136,10 +139,11 @@ def h_U_pm(params: TrapezoidParams, sign: int, s: complex, U):
     if not np.all(U > 1.0):
         raise ValueError(f"h_U_pm requires U > 1, got min U = {np.min(U)}")
     W = V_of_U(params, U) if sign == +1 else T_of_U(params, U)
-    corner = np.zeros(U.shape, dtype=complex)
     kept = (W > _T_EDGE) | (sign == +1)
-    corner[kept] = (W[kept] * W[kept] - 1.0) * legendre_P_negm(2, s, W[kept])
-    value = TWO_PI * (corner - (U * U - 1.0) * legendre_P_negm(2, s, U)) / (W - U)
+    P = legendre_P_negm(2, s, np.concatenate([U.ravel(), W[kept]]))
+    corner = np.zeros(U.shape, dtype=complex)
+    corner[kept] = (W[kept] * W[kept] - 1.0) * P[U.size :]
+    value = TWO_PI * (corner - (U * U - 1.0) * P[: U.size].reshape(U.shape)) / (W - U)
     return value if value.ndim else complex(value)
 
 

@@ -224,6 +224,19 @@ def test_reproduce_paper_reports_honest_mismatch(capsys, tmp_path):
     assert names.count("D_plus") == 1
 
 
+
+def test_reproduce_paper_records_are_reproducible(tmp_path, capsys):
+    """Two runs write the same bytes: the count check reports its kernel
+    pairs, a work counter, not a wall time."""
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        assert main(["reproduce-paper", "--grid", "10x10", "--json", str(path)]) == EXIT_MISMATCH
+    capsys.readouterr()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    pairs = count_bound(truncated_fundamental_domain(), 17.0, (10, 10)).pairs
+    (count,) = [check for check in read_record(paths[0])["checks"] if check["name"] == "count"]
+    assert count["detail"].endswith(f", {pairs} kernel pairs"), count["detail"]
+
 def test_config_file_and_flag_precedence(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"U": 5.0, "grid": "10x10"}), encoding="utf-8")

@@ -1,5 +1,6 @@
 """Adaptive Simpson engine: finite, relative, batched, and marching improper integrals."""
 
+import dataclasses
 import math
 import random
 
@@ -122,6 +123,22 @@ def test_integrate_to_infinity_rejects_fat_tail(monkeypatch):
     assert max(sizes) <= _quad._MAX_POINTS
     assert sum(sizes) > 1000 * 33  # about 1,000 octaves of at least 33 points each
 
+
+
+def test_march_to_overflow_reports_the_tail():
+    """At delta = 3 the last octave below overflow tops out at 1.35e308, so
+    a midpoint taken as 0.5 * (a + b) would overflow; the march must still
+    end on its tail bound, not on an engine error at [inf, ...]."""
+    ref = reference_params()
+    params = dataclasses.replace(
+        ref,
+        trapezoid=dataclasses.replace(ref.trapezoid, delta=3.0),
+        sigma_plus=ref.trapezoid.alpha_plus + 0.01,
+    )
+    cap = 3.0 ** (1.0 + params.trapezoid.alpha_minus) / 4.0
+    assert params.trapezoid.beta_minus < cap
+    with pytest.raises(NonConvergenceError, match="tail bound cannot reach tolerance"):
+        compute_D(params)
 
 def block_march(f, a, tail_bound, rel_tol):
     """The march before its stop was predicted: 16 octaves per engine call,

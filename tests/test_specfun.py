@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from greenbound import verify
+from greenbound import specfun, verify
 from greenbound.specfun import (
     C_sigma,
     gauss_value,
@@ -116,24 +116,67 @@ def test_legendre_P_negm_validation():
         legendre_P_negm(2, 0.5 + 1e-5j, 2.0)  # removable singularity zone
 
 
-def test_legendre_P_negm_array_matches_mpmath_and_scalar_calls():
-    """The array path against mpmath legenp on both strip lines, and entry by
-    entry against scalar calls.  Near u = 1 the descending series cancels:
-    P^{-2} vanishes like u - 1 while its two parts do not, so the relative
-    error grows like 1e-14 / (u - 1)^2 (5e-9 at u = 1.001, the same as a
-    scalar call); from u = 1.1 on it is within 1e-12."""
-    mpmath = pytest.importorskip("mpmath")
-    u = 1.0 + np.geomspace(1e-3, 1e6 - 1.0, 25)
+def _zone_edge(s):
+    """u - 1 at the edge of legendre_P_negm's hypergeometric zone for s."""
+    return min(10.0 / max(abs(s * (1.0 - s)), 1.0), 0.2)
+
+
+def _strip_points():
+    """s on both strip lines of each sign side, |Im s| <= 30."""
     for sigma in (0.306, 0.25):
-        for s in (complex(re, t) for re in (sigma, 1.0 - sigma) for t in (0.5, -2.0, 30.0)):
-            values = legendre_P_negm(2, s, u)
+        for re in (sigma, 1.0 - sigma):
+            for t in (0.5, -2.0, 10.0, 30.0):
+                yield complex(re, t)
+
+
+def test_legendre_P_negm_array_matches_mpmath_and_scalar_calls():
+    """The array path against mpmath legenp on both strip lines, within
+    1e-12 relative for u - 1 in [1e-6, 1e6], with points on both sides of
+    the edge of the hypergeometric zone; and entry by entry against scalar
+    calls."""
+    mpmath = pytest.importorskip("mpmath")
+    for s in _strip_points():
+        edge = _zone_edge(s)
+        sides = 1.0 + np.array([0.9 * edge, 1.1 * edge])
+        assert specfun._near_one(s, sides).tolist() == [True, False]
+        u = np.sort(np.concatenate([1.0 + np.geomspace(1e-6, 1e6, 25), sides]))
+        values = legendre_P_negm(2, s, u)
+        for x, value in zip(u, values):
+            with mpmath.workdps(30):
+                oracle = complex(mpmath.legenp(s - 1.0, -2, x, type=3))
+            assert abs(value - oracle) <= 1e-12 * abs(oracle), (s, x, value, oracle)
+            scalar = legendre_P_negm(2, s, float(x))
+            assert abs(value - scalar) <= 1e-15 * abs(scalar), (s, x)
+
+
+def test_orders_zero_and_one_match_mpmath_near_one():
+    """P^0_{s-1} (legendre_P_negm) and P^{-1}_{s-1} (legendre_P_neg1) within
+    1e-12 relative of mpmath legenp near u = 1 on both strip lines: order 0
+    for u - 1 in [1e-6, 1.9], across the edge of the hypergeometric zone,
+    and order 1, which has that form only, inside the zone."""
+    mpmath = pytest.importorskip("mpmath")
+    for s in _strip_points():
+        for m, u in ((0, 1.0 + np.geomspace(1e-6, 1.9, 12)), (1, 1.0 + np.geomspace(1e-6, _zone_edge(s), 6))):
+            values = legendre_P_negm(0, s, u) if m == 0 else [legendre_P_neg1(s, float(x)) for x in u]
             for x, value in zip(u, values):
                 with mpmath.workdps(30):
-                    oracle = complex(mpmath.legenp(s - 1.0, -2, x, type=3))
-                tol = max(1e-12, 1e-14 / (x - 1.0) ** 2)
-                assert abs(value - oracle) <= tol * abs(oracle), (s, x, value, oracle)
-                scalar = legendre_P_negm(2, s, float(x))
-                assert abs(value - scalar) <= 1e-15 * abs(scalar), (s, x)
+                    oracle = complex(mpmath.legenp(s - 1.0, -m, x, type=3))
+                assert abs(value - oracle) <= 1e-12 * abs(oracle), (m, s, x, value, oracle)
+
+
+def test_hyp2f1_array_matches_scalar_calls():
+    """On an array z each entry stops by the scalar rule, whichever entries
+    it shares the array with, and agrees with a scalar call to 1e-15 (numpy
+    and Python round complex products differently)."""
+    z = np.array([[-0.1, -0.01], [0.0, 0.5]])
+    values = hyp2f1(0.3 + 2.0j, 0.7 - 2.0j, 3.0, z)
+    assert values.shape == z.shape
+    for x, value in zip(z.ravel(), values.ravel()):
+        scalar = hyp2f1(0.3 + 2.0j, 0.7 - 2.0j, 3.0, float(x))
+        assert isinstance(scalar, complex)
+        assert abs(value - scalar) <= 1e-15 * abs(scalar), x
+    with pytest.raises(ValueError):
+        hyp2f1(1.0, 1.0, 2.0, np.array([0.5, -1.0]))
 
 
 def test_legendre_P_negm_closed_form_at_s_one(full_check):

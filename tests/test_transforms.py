@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from greenbound import verify
+from greenbound import transforms, verify
 from greenbound._quad import integrate, integrate_to_infinity
 from greenbound.bounds import compute_D, reference_params
 from greenbound.errors import ConstraintViolation, NonConvergenceError
@@ -118,6 +118,30 @@ def test_u_range_errors_name_the_minimum():
         assert "\n" not in message and len(message) < 120, message
         assert message.endswith("= 0.75"), message
 
+
+
+def test_h_U_pm_makes_one_legendre_call(monkeypatch):
+    """U and its corners go to legendre_P_negm together, for either sign and
+    for scalar or array U, and the result is the two-call difference quotient."""
+    p = reference_trapezoid()
+    calls = []
+
+    def counted(m, s, u):
+        calls.append(np.size(u))
+        return legendre_P_negm(m, s, u)
+
+    monkeypatch.setattr(transforms, "legendre_P_negm", counted)
+    s = 0.306 + 2.0j
+    for sign, corner in ((+1, V_of_U), (-1, T_of_U)):
+        for U in (3.0, np.geomspace(2.0, 64.0, 9)):
+            calls.clear()
+            value = h_U_pm(p, sign, s, U)
+            assert calls == [2 * np.size(U)], (sign, calls)
+            W = corner(p, U)
+            two_calls = 2.0 * math.pi * (
+                (W * W - 1.0) * legendre_P_negm(2, s, W) - (U * U - 1.0) * legendre_P_negm(2, s, U)
+            ) / (W - U)
+            assert np.array_equal(value, two_calls), sign
 
 def test_trapezoid_kernels_piecewise_shape():
     p = reference_trapezoid()
