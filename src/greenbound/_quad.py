@@ -13,11 +13,11 @@ array of its shape, elementwise.
 
 Improper integrals over [a, infinity) march over octaves [M, 2M] and stop
 once a caller-supplied analytic bound on the remaining tail drops below the
-requested tolerance; the tail bound is returned so callers that need a
-one-sided (upper) estimate can add it to the quadrature value.  The march
-takes at most two engine calls: a first block of octaves, then every octave
-up to the last one where, by the mass of that block alone, the stop rule
-must fire.
+requested tolerance; the averaged transforms I_delta_pm are the one caller
+(the majorant integrals D_pm are enclosed by greenbound.bounds.enclose_D).
+The march takes at most two engine calls: a first block of octaves, then
+every octave up to the last one where, by the mass of that block alone, the
+stop rule must fire.
 """
 
 from __future__ import annotations

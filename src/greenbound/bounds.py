@@ -16,8 +16,10 @@ and N_bar is a uniform bound on the average of the two displacement counts
 N(z, z, 17) and N(w, w, 17).
 
 Two arithmetic modes are supported.  theorem-exact (the default) evaluates
-q_pm in closed form and D_pm by adaptive quadrature with a certified tail,
-and includes the pi/(2 pi - 4)^2 prefactor in the spectral factor.
+q_pm in closed form, takes D_pm as the upper ends of the certified
+enclosures of enclose_D (outward-rounded midpoint sums with a proved range
+of the integrand's second derivative, trapezoid sums where that proves it
+convex, and an analytic tail), and includes the pi/(2 pi - 4)^2 prefactor.
 paper-arithmetic reproduces the historical headline numbers: it plugs in
 the rounded caps q_plus = 69.0, q_minus = -216, D_plus = 18.5,
 D_minus = 9.61 and omits the prefactor.  theorem-exact always gives the
@@ -36,15 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from greenbound._quad import integrate_to_infinity
-from greenbound.errors import ConstraintViolation
-from greenbound.specfun import p_sigma
-from greenbound.transforms import (
-    TrapezoidParams,
-    T_of_U,
-    V_of_U,
-    averaged_transform_tail,
-)
+from greenbound.errors import ConstraintViolation, NonConvergenceError
+from greenbound.specfun import SQRT_PI, C_sigma
+from greenbound.transforms import TrapezoidParams, averaged_transform_tail
 
 # Spectral gap presets for congruence subgroups: Selberg's classical 3/16,
 # and the bound (25/64)(39/64) = 975/4096 from the best known progress
@@ -152,26 +148,6 @@ class ParamSet:
             if not (sigma < 0.5):
                 raise ConstraintViolation(f"sigma_{label} must be below 1/2, got {sigma}")
 
-    @property
-    def delta(self) -> float:
-        return self.trapezoid.delta
-
-    @property
-    def alpha_plus(self) -> float:
-        return self.trapezoid.alpha_plus
-
-    @property
-    def alpha_minus(self) -> float:
-        return self.trapezoid.alpha_minus
-
-    @property
-    def beta_plus(self) -> float:
-        return self.trapezoid.beta_plus
-
-    @property
-    def beta_minus(self) -> float:
-        return self.trapezoid.beta_minus
-
 
 def reference_params() -> ParamSet:
     """The tuned parameter set behind the headline certificate (delta = 2)."""
@@ -237,56 +213,18 @@ def _side(params: ParamSet, sign: int) -> tuple[float, float, float]:
     return params.sigma_minus, t.alpha_minus, t.beta_minus
 
 
-def _D_one_sign(params: ParamSet, sign: int, rel_tol: float) -> float:
-    t = params.trapezoid
-    sigma, alpha, beta = _side(params, sign)
-    corner = V_of_U if sign > 0 else T_of_U
-
-    def integrand(U: np.ndarray) -> np.ndarray:
-        # past ~1e77 the intermediate powers overflow while the true
-        # integrand (~U^{sigma+alpha-2}) underflows; the analytic tail
-        # majorant covers everything from there on
-        with np.errstate(over="ignore"):
-            den = beta * (U * U - 1.0) ** 2
-        value = np.zeros(U.shape)
-        ok = den < np.inf
-        u = U[ok]
-        at_corner, at_u = p_sigma(sigma, np.concatenate([corner(t, u), u])).reshape(2, -1)
-        value[ok] = (at_corner + at_u) * u ** (1.0 + alpha) / den[ok]
-        return value
-
-    def tail(M: float) -> float:
-        return averaged_transform_tail(t, sign, sigma, M)
-
-    value, tail_bound = integrate_to_infinity(integrand, t.delta, tail, rel_tol)
-    # Adding the certified tail keeps the reported value an upper estimate.
-    return value + tail_bound
-
-
-def compute_D(params: ParamSet, rel_tol: float = 1e-6) -> tuple[float, float]:
-    """Majorant integrals (D_plus, D_minus) over [delta, infinity).
-
-    Each value is adaptive quadrature over octaves of [delta, M], on arrays
-    of U, plus the analytic bound for the tail past M, so the results are
-    upper estimates converging from above as rel_tol shrinks.  Each sign
-    takes two engine calls of integrate_to_infinity, and each integrand call
-    one p_sigma call on U and its corner together; at the reference
-    parameters the march stops at M = delta 2^84 (plus) and 2^93 (minus).
-    """
-    return _D_one_sign(params, +1, rel_tol), _D_one_sign(params, -1, rel_tol)
-
-
-# Outward rounding for enclose_D.  Every quantity it bounds is nonnegative, so
-# a lower (upper) end is widened by the factor 1 - w (1 + w) after each
-# operation.  With unit roundoff u = 2^-53 and a result of relative error at
-# most e, fl(y (1 + w)) >= y (1 + w)(1 - u) >= exact value once w >= e + 2u
-# (and symmetrically below).  The two widths cover:
+# Outward rounding for enclose_D: a lower (upper) end of a quantity >= 0 is
+# widened by 1 - w (1 + w) after each operation; with u = 2^-53 and a result
+# of relative error e, fl(y (1 + w)) >= y (1 + w)(1 - u) >= the exact value
+# once w >= e + 2u (and symmetrically below).  The widths cover:
 _W_OP = 2.0**-51  # +, -, *, / and sqrt, correctly rounded (e <= u)
-_W_LIBM = 2.0**-48  # **, exp and tan from libm or numpy SIMD: e up to 15 ulp
+_W_LIBM = 2.0**-48  # **, exp, tan and log1p from libm or numpy SIMD: e up to 15 ulp
+_W_EVAL = 2.0**-46  # the short plain-float expressions of _x_parts
 _TAIL_MARGIN = 2.0**-24  # on the plain float value of averaged_transform_tail
-_ENCLOSE_PER_OCTAVE = 8192  # geometric panels per octave of [delta, M]
-_ENCLOSE_OCTAVES = 100  # M = delta 2^100; averaged_transform_tail covers the rest
-_ENCLOSE_CHUNK = 2**16  # nodes per vectorised evaluation, to bound memory
+_W_CONVEX = 2.0**-30  # slack of the plain-float curvature bounds
+_D_REL_WIDTH = 1e-6  # widest enclosure, relative to its lower end, that compute_D accepts
+_PANELS = 200.0  # panels on an octave of U^2 - 1 next to delta or below 1; see _grid
+_CELL = 4  # panels per curvature cell
 
 
 def _dn(x, w=_W_OP):
@@ -297,197 +235,263 @@ def _up(x, w=_W_OP):
     return x * (1.0 + w)
 
 
+def _widen(x, side):
+    return x + side * np.abs(x) * _W_OP  # outward by _W_OP, downward for side -1, for any sign
+
+
+def _grid(t0: float, octaves: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t (t^2 = U^2 - 1) past t0, rounded up to 26 bits, and the curvature cell ends: the
+    j-th octave [X, 2 X] of U^2 - 1 from delta takes max(3, ceil(_PANELS 2^(-k/32) / sqrt(1 + k)))
+    steps even in s = log(U^2 - 1), k = max(0, min(j, log2 X)), the first cut at 2^-11, ..., 2^-1
+    of itself; each cut and every _CELL-th node of an octave ends a cell."""
+    k = np.maximum(0.0, np.minimum(np.arange(octaves), 2.0 * math.log2(t0) + np.arange(octaves)))
+    n = np.maximum(3, np.ceil(_PANELS * np.exp2(-k / 32.0) / np.sqrt(1.0 + k))).astype(int)
+    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    cuts = 2.0 ** -np.arange(11.0, 0.0, -1.0) / n[0]
+    offsets = np.concatenate([cuts, (np.repeat(np.arange(octaves), n) + j / np.repeat(n, n))[1:], [octaves]])
+    m, e = np.frexp(t0 * np.exp2(0.5 * offsets))
+    return np.ldexp(np.ceil(m * 2.0**26), e - 26), np.concatenate([cuts > 0, j[1:] % _CELL == 0, [True]])
+
+
 def _C_sigma_enclosure(sigma: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Enclosures of C_sigma / (4 sqrt pi) and C_sigma' / (4 sqrt pi).
-
-    Each factor of C_sigma is monotone in its rounded inputs (tan on
-    (0, pi/2), x^{1/4}, exp and 1/x), so it is evaluated once per end with
-    the matching widening; pi enters as the floats either side of math.pi.
-    """
-    pi_lo, pi_hi = math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0)
-    arg_lo, arg_hi = _dn(pi_lo * sigma), _up(pi_hi * sigma)
-    tan_lo = max(1.0, _dn(math.tan(arg_lo), _W_LIBM))
-    tan_hi = max(1.0, _up(math.tan(arg_hi), _W_LIBM))
-    root_lo = _dn(_dn(_dn(1.0 / sigma) - 1.0) ** 0.25, _W_LIBM)
-    root_hi = _up(_up(_up(1.0 / sigma) - 1.0) ** 0.25, _W_LIBM)
-    norm_lo, norm_hi = 4.0 * _dn(math.sqrt(pi_lo)), 4.0 * _up(math.sqrt(pi_hi))
-    common_lo = _dn(_dn(tan_lo * root_lo) / norm_hi)
-    common_hi = _up(_up(tan_hi * root_hi) / norm_lo)
-    out = []
-    for a_lo, a_hi, b_lo, b_hi in (
-        (_dn(24.0 * sigma), _up(24.0 * sigma), _dn(0.5 + sigma), _up(0.5 + sigma)),
-        (
-            _dn(24.0 * _dn(1.0 - sigma)),
-            _up(24.0 * _up(1.0 - sigma)),
-            _dn(1.5 - sigma),
-            _up(1.5 - sigma),
-        ),
-    ):
-        # exp(1/2 + 1/(a b)) decreases in a and b
-        e_lo = _dn(math.exp(_dn(0.5 + _dn(1.0 / _up(a_hi * b_hi)))), _W_LIBM)
-        e_hi = _up(math.exp(_up(0.5 + _up(1.0 / _dn(a_lo * b_lo)))), _W_LIBM)
-        out.append((_dn(common_lo * e_lo), _up(common_hi * e_hi)))
-    return out[0], out[1]
+    """Enclosures of C_sigma / (4 sqrt pi) and C_sigma' / (4 sqrt pi), from each end of their
+    factors' rounded inputs: tan on (0, pi/2), x^{1/4}, exp and 1/x are monotone."""
+    ends = []
+    for d, o, pi, pi_o in ((_dn, _up, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0)),
+                           (_up, _dn, math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 0.0))):
+        tan = max(1.0, d(math.tan(d(pi * sigma)), _W_LIBM))
+        common = d(d(tan * d(d(d(1.0 / sigma) - 1.0) ** 0.25, _W_LIBM)) / (4.0 * o(math.sqrt(pi_o))))
+        # exp(1/2 + 1/(24 a b)) falls in a and b
+        ends.append([d(common * d(math.exp(d(0.5 + d(1.0 / o(o(24.0 * o(a)) * o(b))))), _W_LIBM))
+                     for a, b in ((sigma, 0.5 + sigma), (1.0 - sigma, 1.5 - sigma))])
+    return (ends[0][0], ends[1][0]), (ends[0][1], ends[1][1])
 
 
-def _x_power_part(x, sigma, consts, up):
-    """(C x^{2-sigma} + C' x^{1+sigma}) / (4 sqrt pi) at x >= 1, rounded up or down.
-
-    Uses x^{2-sigma} = x^2 / x^sigma and x^{1+sigma} = x x^sigma, one power.
-    """
+def _x_parts(x_lo, x_hi, sigma, consts):
+    """Directed x-power part P = (C x^{2-sigma} + C' x^{1+sigma}) / (4 sqrt pi), rising, and shape
+    factor S = (1 - y)^{3/2} + 3 y >= 1, y = x^-2, falling, over 1 <= x_lo <= x <= x_hi."""
     (c_lo, c_hi), (cp_lo, cp_hi) = consts
-    xs = x**sigma
-    if up:
-        big = _up(_up(x * x) / _dn(xs, _W_LIBM))
-        return _up(_up(c_hi * big) + _up(cp_hi * _up(x * _up(xs, _W_LIBM))))
-    big = _dn(_dn(x * x) / _up(xs, _W_LIBM))
-    return _dn(_dn(c_lo * big) + _dn(cp_lo * _dn(x * _dn(xs, _W_LIBM))))
+    x = np.stack([x_lo, x_hi])
+    xs, y = x**sigma, 1.0 / (x * x)
+    P = np.array([[c_lo], [c_hi]]) * x * x / xs + np.array([[cp_lo], [cp_hi]]) * x * xs
+    S = (1.0 - y) * np.sqrt(1.0 - y) + 3.0 * y
+    return _dn(P[0], _W_EVAL), _up(P[1], _W_EVAL), _dn(S[1], _W_EVAL), _up(S[0], _W_EVAL)
 
 
-def _shape(x, up):
-    """(1 - y)^{3/2} + 3 y at y = x^-2 (x >= 1), rounded up or down."""
-    if up:
-        y = np.minimum(_up(1.0 / _dn(x * x)), 1.0)
-        rest = _up(1.0 - y)
-        return _up(_up(rest * _up(np.sqrt(rest))) + _up(3.0 * y))
-    y = _dn(1.0 / _up(x * x))
-    rest = _dn(1.0 - y)
-    return _dn(_dn(rest * _dn(np.sqrt(rest))) + _dn(3.0 * y))
-
-
-def _x_of(w, up):
-    """x = w + sqrt(w^2 - 1) at w >= 1, rounded up or down (and kept >= 1)."""
-    if up:
-        return _up(w + _up(np.sqrt(_up(_up(w * w) - 1.0))))
-    return np.maximum(_dn(w + _dn(np.sqrt(np.maximum(_dn(_dn(w * w) - 1.0), 0.0)))), 1.0)
-
-
-def _node_bounds(params: ParamSet, sign: int, u: np.ndarray) -> dict[str, np.ndarray]:
-    """Directed values at the nodes u of the monotone pieces of the D integrand."""
+def _node_bounds(params: ParamSet, sign: int, X_lo: np.ndarray, X_hi: np.ndarray):
+    """Directed (own, pow, rest) at nodes X_lo <= U^2 - 1 <= X_hi, lower and upper
+    ends interleaved: own = p_sigma(U) G, pow the x-power part P of p_sigma(W)
+    and rest its shape factor S times G = U^alpha / (2 beta (U^2 - 1)), W = V or T."""
     sigma, alpha, beta = _side(params, sign)
     consts = _C_sigma_enclosure(sigma)
-    sq_lo, sq_hi = _dn(_dn(u * u) - 1.0), _up(_up(u * u) - 1.0)
-    ua = u**alpha
-    ua1_lo, ua1_hi = _dn(u * _dn(ua, _W_LIBM)), _up(u * _up(ua, _W_LIBM))  # U^{1+alpha}
-    g_lo = _dn(_dn(_dn(ua1_lo / sq_hi) / sq_hi) / beta)
-    g_hi = _up(_up(_up(ua1_hi / sq_lo) / sq_lo) / beta)
-    # corner offset beta U^{-1-alpha} (U^2 - 1)
-    m_lo = _dn(_dn(beta / ua1_hi) * sq_lo)
-    m_hi = _up(_up(beta / ua1_lo) * sq_hi)
-    if sign > 0:
-        w_lo, w_hi = _dn(u + m_lo), _up(u + m_hi)
-    else:  # T(U) >= 1 for U >= delta under the beta^- cap
-        w_lo, w_hi = np.maximum(_dn(u - m_hi), 1.0), np.maximum(_up(u - m_lo), 1.0)
-    xu_lo, xu_hi = _x_of(u, False), _x_of(u, True)
-    xw_lo, xw_hi = _x_of(w_lo, False), _x_of(w_hi, True)
-    return {
-        # p_sigma(U) g(U) / beta decreases in U
-        "own_lo": _dn(_dn(_x_power_part(xu_lo, sigma, consts, False) * _shape(xu_hi, False)) * g_lo),
-        "own_hi": _up(_up(_x_power_part(xu_hi, sigma, consts, True) * _shape(xu_lo, True)) * g_hi),
-        # the corner term's power part increases, its shape factor and g decrease
-        "pow_lo": _x_power_part(xw_lo, sigma, consts, False),
-        "pow_hi": _x_power_part(xw_hi, sigma, consts, True),
-        "rest_lo": _dn(_shape(xw_hi, False) * g_lo),
-        "rest_hi": _up(_shape(xw_lo, True) * g_hi),
-    }
+    u2_lo, u2_hi = _dn(1.0 + X_lo), _up(1.0 + X_hi)
+    u_lo, u_hi = _dn(np.sqrt(u2_lo)), _up(np.sqrt(u2_hi))
+    ua = u2_lo ** (0.5 * alpha)  # U^alpha; (u2_hi / u2_lo)^(alpha / 2) <= u2_hi / u2_lo
+    ua_lo, ua_hi = _dn(ua, _W_LIBM), _up(_up(ua, _W_LIBM) * _up(u2_hi / u2_lo))
+    G_lo, G_hi = _dn(ua_lo / _up(2.0 * beta * X_hi)), _up(ua_hi / _dn(2.0 * beta * X_lo))
+    m_lo, m_hi = _dn(_dn(beta * X_lo) / _up(u_hi * ua_hi)), _up(_up(beta * X_hi) / _dn(u_lo * ua_lo))
+    w_lo, w_hi = (_dn(u_lo + m_lo), _up(u_hi + m_hi)) if sign > 0 else (  # T(U) >= 1 under the beta^- cap
+        np.maximum(_dn(u_lo - m_hi), 1.0), np.maximum(_up(u_hi - m_lo), 1.0))
+    xu_lo, xu_hi = _dn(u_lo + _dn(np.sqrt(X_lo))), _up(u_hi + _up(np.sqrt(X_hi)))
+    pu_lo, pu_hi, su_lo, su_hi = _x_parts(xu_lo, xu_hi, sigma, consts)
+    xw_lo = np.maximum(_dn(w_lo + _dn(np.sqrt(np.maximum(_dn(_dn(w_lo * w_lo) - 1.0), 0.0)))), 1.0)
+    xw_hi = _up(w_hi + _up(np.sqrt(_up(_up(w_hi * w_hi) - 1.0))))  # x = w + sqrt(w^2 - 1)
+    pw_lo, pw_hi, sw_lo, sw_hi = _x_parts(xw_lo, xw_hi, sigma, consts)
+    own = _dn(pu_lo * su_lo * G_lo, 2.0 * _W_OP), _up(pu_hi * su_hi * G_hi, 2.0 * _W_OP)
+    return *own, pw_lo, pw_hi, _dn(sw_lo * G_lo), _up(sw_hi * G_hi)
 
 
-def _panel_bounds(params: ParamSet, sign: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the D integral over each panel [nodes[i], nodes[i+1]].
-
-    nodes must increase from at least delta with nodes[i+1] <= 2 nodes[i],
-    so that each panel width is an exact float difference (Sterbenz).
-    """
-    los, his = [], []
-    for start in range(0, nodes.size - 1, _ENCLOSE_CHUNK):
-        u = nodes[start : start + _ENCLOSE_CHUNK + 1]
-        f = _node_bounds(params, sign, u)
-        # Decreasing pieces peak at the left end a of [a, b], increasing at b.
-        hi = _up(f["own_hi"][:-1] + _up(f["pow_hi"][1:] * f["rest_hi"][:-1]))
-        lo = _dn(f["own_lo"][1:] + _dn(f["pow_lo"][:-1] * f["rest_lo"][1:]))
-        width = u[1:] - u[:-1]
-        his.append(_up(hi * width))
-        los.append(_dn(lo * width))
-    return np.concatenate(los), np.concatenate(his)
+def _span(v, slack=_W_CONVEX):
+    """Range over each cell of a quantity monotone in s, from its node values, widened."""
+    lo, hi = np.minimum(v[..., :-1], v[..., 1:]), np.maximum(v[..., :-1], v[..., 1:])
+    return lo - slack * np.abs(lo), hi + slack * np.abs(hi)
 
 
-def _enclosure_nodes(delta: float) -> np.ndarray:
-    """Panel ends delta 2^(k / _ENCLOSE_PER_OCTAVE) over _ENCLOSE_OCTAVES octaves."""
-    k = np.arange(_ENCLOSE_OCTAVES * _ENCLOSE_PER_OCTAVE + 1)
-    return delta * np.exp2(k / _ENCLOSE_PER_OCTAVE)
+def _imul(x, y):
+    a, b, c, d = x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1]
+    return np.minimum(np.minimum(a, b), np.minimum(c, d)), np.maximum(np.maximum(a, b), np.maximum(c, d))
+
+
+def _isq(x):
+    low = np.where(x[0] > 0.0, x[0] ** 2, np.where(x[1] < 0.0, x[1] ** 2, 0.0))
+    return low, np.maximum(x[0] ** 2, x[1] ** 2)
+
+
+def _curvature(params: ParamSet, sign: int, X: np.ndarray, f):
+    """Bounds (lo, hi) on F'' over each cell [X[i], X[i+1]] of U^2 - 1 (NaN where untested);
+    f holds the node bounds, and row 0 of each array below is own, row 1 the corner."""
+    sigma, alpha, beta = _side(params, sign)
+    c_main, c_prime = C_sigma(sigma)
+    low = np.stack([f[0][1:], _dn(f[2][:-1] * f[4][1:])])  # each term's least and greatest value
+    high = np.stack([f[1][:-1], _up(f[3][1:] * f[5][:-1])])
+    U = np.sqrt(1.0 + X)
+    r2, om = X / (1.0 + X), 1.0 / (1.0 + X)  # r^2 = (U^2 - 1) / U^2 and 1 - r^2
+    gb = np.stack([0.0 * X, sign * beta * U**-alpha])  # g = gb r^2 = W / U - 1
+    wm1 = X / (U + 1.0) + gb * r2 * U  # W - 1
+    # log W = log U + log(1 + g); its first two derivatives in s are d1, d2
+    r2_, om_ = _span(r2), _span(om)
+    ro, g = (r2_[0] * om_[0], r2_[1] * om_[1]), _imul(_span(gb), r2_)
+    G1 = (om_[0] - 0.5 * alpha * r2_[1], om_[1] - 0.5 * alpha * r2_[0])  # (log g)'
+    G1_sq, inv_c = _isq(G1), (1.0 / (1.0 + g[1]), 1.0 / (1.0 + g[0]))
+    c1 = _imul(_imul(g, G1), inv_c)  # (log c)', c = 1 + g
+    cc = _imul(_imul(g, (G1_sq[0] - (1.0 + 0.5 * alpha) * ro[1], G1_sq[1] - (1.0 + 0.5 * alpha) * ro[0])), inv_c)
+    c1_sq = _isq(c1)
+    d1 = (np.maximum(0.5 * r2_[0] + c1[0], 0.0), 0.5 * r2_[1] + c1[1])
+    d2 = (0.5 * ro[0] + cc[0] - c1_sq[1], 0.5 * ro[1] + cc[1] - c1_sq[0])
+    # omega = arccosh W = log x, x = W + tau, tau = sqrt(W^2 - 1)
+    W, tau = 1.0 + wm1, np.sqrt(wm1 * (wm1 + 2.0))
+    cond = 2.0**-45 * X / (U + 1.0) / wm1  # relative error of tau, q and z, as W - 1 cancels
+    loose = _W_CONVEX + np.maximum(cond[..., :-1], cond[..., 1:])
+    x = W + tau
+    z, xs = np.sqrt(2.0 * tau / x), x**sigma  # z = sqrt(1 - x^-2)
+    a, b, y = c_main * x * x / xs, c_prime * x * xs, 1.0 / (x * x)
+    nu = ((2.0 - sigma) * a + (1.0 + sigma) * b) / (a + b) - 2.0 * y * (3.0 - 1.5 * z) / (z**3 + 3.0 * y)
+    vw = b / (a + b) * (a / (a + b))  # w (1 - w), w = b / (a + b) falls in x: least at an end
+    nu = (np.minimum(nu[:, :-1], nu[:, 1:]) - _W_CONVEX, np.maximum(nu[:, :-1], nu[:, 1:]) + _W_CONVEX)
+    v, q = _span(1.0 / (W * W)), _span(tau / W, loose)  # q = sqrt(1 - v)
+    phi1 = (1.0 + v[0] / (q[1] + 1.0 - v[0]), 1.0 + v[1] / (q[0] + 1.0 - v[1]))
+    phi2 = ((2.0 * v[0] * (q[0] + 1.0) + v[0] ** 2 / q[1]) / (q[1] + 1.0 - v[0]) ** 2,
+            (2.0 * v[1] * (q[1] + 1.0) + v[1] ** 2 / q[0]) / (q[0] + 1.0 - v[1]) ** 2)  # 2 v phi_v
+    rho = (d1[0] * phi1[0], d1[1] * phi1[1])  # omega'
+    first, second = _imul(d2, phi1), (phi2[0] * d1[0] ** 2, phi2[1] * d1[1] ** 2)
+    drho = (first[0] - second[1], first[1] - second[0])  # omega''
+    slope = _isq(tuple(nr + 0.5 * alpha * r - 1.0 for nr, r in zip(_imul(nu, rho), r2_)))  # psi'^2
+    z_lo, z_hi = _span(z, loose)
+    mu = [3 * (1 - a**2) * (3 - 2 * a**3 + a**4) / (a * (b**3 + 3 - 3 * b**2) ** 2)  # (log S)'', low and high
+          for a, b in ((z_hi, z_lo), (z_lo, z_hi))]
+    spread = (1.0 - _W_CONVEX) * (1.0 - 2.0 * sigma) ** 2 * np.minimum(vw[:, :-1], vw[:, 1:])  # log-sum-exp''
+    nu_drho = _imul(nu, drho)  # kappa <= psi'' + psi'^2 <= kappa_hi
+    kappa = nu_drho[0] + (mu[0] + spread) * rho[0] ** 2 + slope[0] + 0.5 * alpha * ro[0]
+    kappa_hi = nu_drho[1] + (mu[1] + (0.5 - sigma) ** 2) * rho[1] ** 2 + slope[1] + 0.5 * alpha * ro[1]
+    size = np.maximum(-nu[0], nu[1]) * (np.maximum(-first[0], first[1]) + second[1]) + slope[1] + 1.0
+    margin = _W_CONVEX * np.sum((size + (mu[1] + 1.0) * rho[1] ** 2) * high, axis=0)
+    d1_node = 0.5 * r2 + gb[1] * r2 * (om - 0.5 * alpha * r2) / (1.0 + gb[1] * r2)
+    safe = (cond[1] <= 2.0**-20) & (1.0 + gb[1] * r2 >= 2.0**-17) & (d1_node >= 2.0**-17 * r2)
+    safe = np.where(safe[:-1] & safe[1:], 1.0, np.nan)
+    low_F = np.sum(kappa * np.where(kappa >= 0.0, low, high), axis=0) - margin
+    return safe * low_F, safe * (np.sum(kappa_hi * np.where(kappa_hi >= 0.0, high, low), axis=0) + margin)
+
+
+def _panels(params: ParamSet, sign: int, t: np.ndarray, cells: np.ndarray, start) -> tuple[float, float]:
+    """Bounds on the integral of F in s from the node start = (X_lo, X_hi) encloses, by a
+    first-order panel to t[0]^2 and panels [t[i]^2, t[i+1]^2] halved at their midpoint
+    t[i] t[i+1] in s; the nodes where cells is set split these into curvature cells."""
+    X = np.empty(2 * t.size)
+    X[0], X[1::2], X[2::2] = start[0], t * t, t[:-1] * t[1:]
+    X_hi = np.insert(X[1:], 0, start[1])
+    f = _node_bounds(params, sign, X, X_hi)
+    own_lo, own_hi, pow_lo, pow_hi, rest_lo, rest_hi = f
+    ends = 2 * np.flatnonzero(np.concatenate([[True], cells[1:-1], [True]])) + 1
+    F2_lo, F2_hi = (np.repeat(v, np.diff(ends) // 2) for v in _curvature(params, sign, X[ends], [u[ends] for u in f]))
+    F_lo, F_hi = _dn(own_lo + _dn(pow_lo * rest_lo)), _up(own_hi + _up(pow_hi * rest_hi))
+    h_lo = _dn(np.log1p(_dn(X[1:] / X_hi[:-1]) - 1.0), _W_LIBM)
+    h_hi = _up(np.log1p(_up(X_hi[1:] / X[:-1]) - 1.0), _W_LIBM)
+    # First order on each half panel: own and rest fall in s, pow rises
+    lo = _dn(h_lo * _dn(own_lo[1:] + _dn(pow_lo[:-1] * rest_lo[1:])))
+    hi = _up(h_hi * _up(own_hi[:-1] + _up(pow_hi[1:] * rest_hi[:-1])))
+    # Whole panels: the midpoint rule plus h^3 F''(xi) / 24, and the trapezoid rule where convex
+    h = (_dn(h_lo[1::2] + h_lo[2::2]), _up(h_hi[1::2] + h_hi[2::2]))
+    cube = (_dn(_dn(h[0] * h[0]) * h[0]) / 24.0, _up(_up(h[1] * h[1]) * h[1]) / 24.0)
+    lo2 = _widen(_dn(h[0] * F_lo[2::2]) + _widen(np.minimum(F2_lo * cube[0], F2_lo * cube[1]), -1), -1)
+    hi2 = _widen(_up(h[1] * F_hi[2::2]) + _widen(np.maximum(F2_hi * cube[0], F2_hi * cube[1]), 1), 1)
+    trap = _up(_up(h_hi[1::2] * _up(F_hi[1:-1:2] + F_hi[2::2])) + _up(h_hi[2::2] * _up(F_hi[2::2] + F_hi[3::2]))) / 2
+    hi2 = np.where(F2_lo >= 0.0, np.minimum(hi2, trap), hi2)
+    lo_sum = np.where(np.isnan(lo2), lo[1::2] + lo[2::2], np.maximum(lo2, 0.0))
+    hi_sum = np.where(np.isnan(hi2), hi[1::2] + hi[2::2], hi2)
+    w = (lo.size + 4) * 2.0**-52  # np.sum errs by less than n u of the sum of n terms >= 0
+    return _dn(lo[0] + np.sum(lo_sum), w), _up(hi[0] + np.sum(hi_sum), w)
+
+
+def _grid_bounds(params: ParamSet, sign: int) -> tuple[float, float, float]:
+    """Bounds (lo, hi) on the D integral over [delta, M], and M rounded down."""
+    t = params.trapezoid
+    sigma, alpha, beta = _side(params, sign)
+    e = 2.0**-20
+    if not (e <= sigma <= 0.5 - e and sigma - alpha >= e and 1 + e <= t.delta <= 2.0**200 and e <= beta <= 1 / e):
+        raise ConstraintViolation("enclose_D needs sigma, sigma - alpha, 1/2 - sigma, delta - 1 and beta >= 2^-20, "
+                                  f"delta <= 2^200, beta <= 2^20; got {sigma}, {alpha}, {t.delta}, {beta}")
+    sq_lo, sq_hi = _dn(_dn(t.delta * t.delta) - 1.0), _up(_up(t.delta * t.delta) - 1.0)
+    floor = C_sigma(sigma)[0] * t.delta ** (alpha - sigma) / (4.0 * SQRT_PI * beta * (sigma - alpha))
+    ends = np.arange(1, math.floor(600.0 - math.log2(sq_hi)) + 1)  # U^2 - 1 <= 2^600
+    fits = averaged_transform_tail(t, sign, sigma, np.sqrt(1.0 + sq_lo * np.exp2(ends))) <= floor * 2.0**-22
+    nodes, cells = _grid(math.sqrt(t.delta * t.delta - 1.0), int(ends[fits.argmax() if fits.any() else -1]))
+    lo, hi = _panels(params, sign, nodes, cells, (sq_lo, sq_hi))
+    return lo, hi, _dn(math.sqrt(_dn(1.0 + nodes[-1] * nodes[-1])))
 
 
 def _enclose_one_sign(params: ParamSet, sign: int) -> tuple[float, float]:
-    t = params.trapezoid
-    sigma, alpha, _ = _side(params, sign)
-    if not (2.0**-20 <= sigma <= 0.5 - 2.0**-20 and sigma - alpha >= 2.0**-20):
-        raise ConstraintViolation(
-            "enclose_D needs 2^-20 <= sigma <= 1/2 - 2^-20 and sigma - alpha >= 2^-20, "
-            f"got sigma = {sigma}, alpha = {alpha}"
-        )
-    if not (1.0 + 2.0**-20 <= t.delta <= 2.0**200):
-        raise ConstraintViolation(f"enclose_D needs 1 + 2^-20 <= delta <= 2^200, got {t.delta}")
-    nodes = _enclosure_nodes(t.delta)
-    lo, hi = _panel_bounds(params, sign, nodes)
-    tail = _up(averaged_transform_tail(t, sign, sigma, float(nodes[-1])), _TAIL_MARGIN)
-    return _dn(math.fsum(lo)), _up(_up(math.fsum(hi)) + tail)
+    lo, hi, M = _grid_bounds(params, sign)
+    tail = _up(averaged_transform_tail(params.trapezoid, sign, _side(params, sign)[0], M), _TAIL_MARGIN)
+    return float(lo), float(_up(hi + tail))
 
 
 def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float]]:
     """Certified enclosures ((lo_plus, hi_plus), (lo_minus, hi_minus)) of D_plus and D_minus.
 
-    Unlike compute_D (an estimate), each pair provably contains the exact
-    integral of (p_sigma(U) + p_sigma(V or T)) g(U) / beta over [delta,
-    infinity), g(U) = U^{1+alpha} / (U^2 - 1)^2.
+    D is the integral over U >= delta of (p_sigma(U) + p_sigma(W)) U^{1+alpha} / (beta
+    (U^2 - 1)^2), W = V(U) (plus) or T(U) (minus); in s = log(U^2 - 1) it is that of F =
+    (p_sigma(U) + p_sigma(W)) G, G = U^alpha / (2 beta (U^2 - 1)), with terms own and
+    corner.  The nodes are U^2 - 1 = t^2, t a float of 26 bits, even in s on each octave
+    (_grid), so t^2 and a panel's midpoint t t' in s are exact.  The last node M is the
+    first octave end where averaged_transform_tail(M), which the upper end adds, is below
+    2^-22 of C delta^(alpha-sigma) / (4 sqrt(pi) beta (sigma-alpha)) <= D (U^4 >= (U^2-1)^2).
 
-    Monotonicity, for U >= delta > 1, 0 < alpha < sigma < 1/2:
+    Curvature.  p_sigma(w) = exp(Phi(omega)), omega = arccosh w = log x, where Phi is the
+    log-sum-exp log(C e^{(2-sigma) omega} + C' e^{(1+sigma) omega}), whose second
+    derivative (1 - 2 sigma)^2 w (1 - w), w the weight of C', lies in [0, (1/2 - sigma)^2],
+    plus log S, S = z^3 + 3 (1 - z^2), z = sqrt(1 - e^{-2 omega}), with (log S)'' = mu = 3
+    (1 - z^2)(3 - 2 z^3 + z^4) / (z S^2) > 0.  So Phi is convex and nu = Phi' rises.  A
+    term of F is exp(psi), psi = Phi(omega(s)) + log G(s), omega = arccosh U or arccosh W,
+    with second derivative (psi'' + psi'^2) exp(psi), psi' = nu omega' + alpha r^2 / 2 - 1,
+    psi'' = nu omega'' + Phi'' omega'^2 + alpha r^2 (1 - r^2) / 2, r^2 = (U^2 - 1) / U^2.
+    With log W = log U + log(1 + g), g = +-beta U^-alpha r^2: (log U)' = r^2 / 2, (log U)''
+    = r^2 (1 - r^2) / 2, (log g)' = 1 - r^2 - alpha r^2 / 2, (log g)'' = -(1 + alpha / 2)
+    r^2 (1 - r^2), omega' = (log W)'(1 + phi) and omega'' = (log W)''(1 + phi) - 2 v phi_v
+    (log W)'^2, phi = v / (q + 1 - v), v = W^-2, q = sqrt(1 - v), forms that keep apart
+    the terms that cancel in omega''.  On a cell of _CELL panels _curvature takes each
+    monotone piece (r^2, beta U^-alpha, v, q, z, w, nu) between its values at the ends,
+    bounds the rest by interval arithmetic, and sums into L <= F'' <= H the bounds on
+    psi'' + psi'^2 times the terms' extremes; L >= 0 proves F convex there.  It runs in
+    plain floats, only where W / U and (log W)' are not small and W - 1 does not cancel to
+    more than 2^25 of its error: node values err by less than 2^-45 (U - 1) / (W - 1),
+    ranges are widened by 2^-30, and L and H by 2^-30 of the terms' size.
 
-    * x = u + sqrt(u^2 - 1) increases in u, with x' = x / sqrt(u^2 - 1).
-    * The shape factor (1 - y)^{3/2} + 3 y of p_sigma, y = x^-2, has
-      derivative 3 - (3/2)(1 - y)^{1/2} > 0 in y, so it decreases in x.
-    * The x-power part C x^{2-sigma} + C' x^{1+sigma} of p_sigma increases.
-    * g decreases: d log g / dU = ((1 + alpha)(U^2 - 1) - 4 U^2) / (U (U^2 -
-      1)) < 0.  Moreover x(U)^e g(U) decreases for e <= 2: its log-derivative
-      times U (U^2 - 1) is e U sqrt(U^2 - 1) + (1 + alpha)(U^2 - 1) - 4 U^2
-      < (2 + 3/2 - 4) U^2 < 0.  So p_sigma(U) g(U), a sum of two such terms
-      times the decreasing shape factor, decreases.
-    * V(U) = U + beta (U^{1-alpha} - U^{-1-alpha}) increases: V' = 1 + beta
-      ((1 - alpha) U^{-alpha} + (1 + alpha) U^{-2-alpha}) > 0.
-    * T(U) = U - beta (U^{1-alpha} - U^{-1-alpha}) increases: the bracket in
-      T' = 1 - beta ((1 - alpha) U^{-alpha} + (1 + alpha) U^{-2-alpha})
-      decreases in U, and at U = delta the cap beta <= delta^{1+alpha} /
-      (delta + 1) gives T' >= (delta - 1)(1 + alpha (delta + 1)) / (delta
-      (delta + 1)) > 0.  The cap also gives T(delta) >= 1.
+    Bounds.  A panel of width h in s lies within h F(m) + h^3 [L, H] / 24 (the midpoint
+    rule with its remainder), and on a convex panel also below the trapezoid rule on its
+    halves.  Untested panels and the tiny first panel from delta are first order on each
+    half: own and S(W) G fall in s ((log G)' < 0, and psi' <= (2 - sigma + alpha) / 2 - 1
+    for own) and the x-power part of p_sigma(W) rises, as U, V and T do (V' > 0; T' > 0
+    and T(delta) >= 1 under the beta^- cap).
 
-    So on a panel [a, b] the bound takes p_sigma(U) g(U) and the shape factor
-    at V or T times g at one end each, and the x-power part at V or T at the
-    other, times the width b - a.
-
-    Rounding.  Panel ends are floats with b <= 2a, so b - a is exact.  Each
-    operation's result is widened outward by _W_OP (correctly rounded +, -,
-    *, /, sqrt: at most u = 2^-53 relative) or _W_LIBM (**, exp, tan: any
-    error up to 15 ulp, well above the few ulp that glibc's error tables and
-    numpy's accuracy tests allow these functions); only the exact exponents
-    sigma, alpha and 1/4 are used, and pi enters as the floats either side
-    of math.pi.  Each panel bound takes about 60 such steps.  Sums are taken
-    by math.fsum, correctly rounded, then widened once more.  Nothing underflows or overflows: the last node is at most 2^300.
-
-    Tail.  Past the last node M the bound adds averaged_transform_tail(M),
-    the analytic majorant compute_D also adds, computed in plain floats by
-    fewer than 40 operations.  Its relative error is below 2^-48 times the
-    sum of the condition numbers of tan (2 pi sigma / sin(2 pi sigma)), exp
-    (1/2 + 1/(12 sigma)), 1/(sigma - alpha) and M^(alpha - sigma) (log M),
-    each below 2^21 on the checked range 2^-20 <= sigma <= 1/2 - 2^-20,
-    sigma - alpha >= 2^-20, 1 + 2^-20 <= delta <= 2^200; so the relative
-    margin _TAIL_MARGIN = 2^-24 covers it.
-
-    The grid is fixed: _ENCLOSE_PER_OCTAVE geometric panels per octave from
-    delta to M = delta 2^_ENCLOSE_OCTAVES.  The bounds are first order, so
-    hi - lo shrinks only as 1/panels; at the reference parameters it is
-    about 4e-4 relative, in about 0.3 s for both signs.  Raises
-    ConstraintViolation outside the checked range.
+    Rounding.  Node values are outward rounded, each operation widened by _W_OP (correctly
+    rounded +, -, *, /, sqrt: at most u = 2^-53 relative) or _W_LIBM (**, exp, tan, log1p:
+    any error up to 15 ulp, well above what glibc's error tables and numpy's accuracy tests
+    allow); the plain floats of _x_parts (one power within 2^-48, steps within 2^-53, and S
+    >= 1 absorbing the cancellation in 1 - y) are within _W_EVAL.  Only the exact exponents
+    sigma, alpha / 2 and 1/4 are used, and pi is enclosed by the floats either side of
+    math.pi.  Widths are log1p of outward-rounded node ratios, np.sum of n panel bounds is
+    widened by n u, and with 2^-20 <= beta <= 2^20 and 2^-19 <= U^2 - 1 <= 2^600 nothing
+    overflows.  averaged_transform_tail(M) takes fewer than 40 plain float operations; its
+    relative error is below 2^-48 times the sum of the condition numbers of tan (2 pi sigma /
+    sin(2 pi sigma)), exp (1/2 + 1/(12 sigma)), 1/(sigma - alpha) and M^(alpha - sigma) (log
+    M), each below 2^21 on the range _grid_bounds checks (ConstraintViolation outside it),
+    so _TAIL_MARGIN = 2^-24 covers it.  At the reference parameters the enclosures are about
+    1e-7 and 3e-7 relative wide.
     """
     return _enclose_one_sign(params, +1), _enclose_one_sign(params, -1)
+
+
+def _upper_end(enclosure: tuple[float, float], sign: int) -> float:
+    lo, hi = enclosure
+    if not hi - lo <= _D_REL_WIDTH * lo:
+        raise NonConvergenceError(f"D_{'plus' if sign > 0 else 'minus'} enclosure {enclosure} wider than 1e-06")
+    return hi
+
+
+def compute_D(params: ParamSet) -> tuple[float, float]:
+    """Majorant integrals (D_plus, D_minus): the upper ends of enclose_D, proved upper bounds.
+    Raises NonConvergenceError if an enclosure is wider than 1e-6 of its lower end."""
+    return tuple(_upper_end(enclosure, sign) for enclosure, sign in zip(enclose_D(params), (+1, -1)))
 
 
 def spectral_factor(eta: float, include_phi_constant: bool) -> float:
@@ -544,16 +548,16 @@ def assemble(
     ctx: GroupContext,
     N_bar: float,
     mode: str = "theorem-exact",
-    rel_tol: float = 1e-6,
     D: tuple[float, float] | None = None,
 ) -> BoundReport:
     """Build the certificate A <= . <= B for a uniform count bound N_bar.
 
     N_bar bounds the average (N(z, z, 17) + N(w, w, 17)) / 2 over the
     intended range of base points; it must be finite and at least 2 (the
-    identity pair is always counted).  In theorem-exact mode, D = (D_plus,
-    D_minus) stands in for compute_D(params, rel_tol); the optimizer passes
-    its memoized values this way.
+    identity pair is always counted).  In theorem-exact mode D_plus and
+    D_minus are the upper ends of the certified enclosures, compute_D(params);
+    a given D = (D_plus, D_minus) stands in for them, which is how the
+    optimizer passes its memoized values.
     """
     if not (N_bar >= 2.0 and math.isfinite(N_bar)):
         raise ConstraintViolation(f"N_bar must be finite and at least 2, got {N_bar}")
@@ -564,7 +568,7 @@ def assemble(
         factor = spectral_factor(ctx.eta, include_phi_constant=False)
     elif mode == "theorem-exact":
         q_plus, q_minus = compute_q(params, ctx)
-        D_plus, D_minus = compute_D(params, rel_tol=rel_tol) if D is None else D
+        D_plus, D_minus = compute_D(params) if D is None else D
         factor = spectral_factor(ctx.eta, include_phi_constant=True)
     else:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")

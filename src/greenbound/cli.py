@@ -103,25 +103,34 @@ def _parse_mode(text: str) -> str:
         ) from None
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConstraintViolation(f"grid must look like 100x100, got {text!r}")
+def _number(value, what: str, kind=float):
     try:
-        nx, ny = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ConstraintViolation(f"grid must hold integers, got {text!r}") from None
-    return nx, ny
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConstraintViolation(f"{what} must hold numbers, got {value!r}") from None
+
+
+def _field(entry: dict, name: str, what: str, default=None, kind=float):
+    """entry[name] converted by kind, or default if missing; a missing or malformed field is a
+    ConstraintViolation naming it, as is a malformed value in _number."""
+    if name not in entry and default is None:
+        raise ConstraintViolation(f"{what} needs a value for {name!r}")
+    return _number(entry.get(name, default), f"{what} field {name!r}", kind)
+
+
+def _parse_grid(entry) -> tuple[int, int]:
+    """A grid as NXxNY text or two integers."""
+    parts = entry.lower().split("x") if isinstance(entry, str) else entry
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 2):
+        raise ConstraintViolation(f"grid must look like 100x100 or hold two integers, got {entry!r}")
+    return _number(parts[0], "grid", int), _number(parts[1], "grid", int)
 
 
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != count:
         raise ConstraintViolation(f"{what} needs {count} comma-separated numbers, got {text!r}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ConstraintViolation(f"{what} must hold numbers, got {text!r}") from None
+    return [_number(p, what) for p in parts]
 
 
 def _group_from_entry(entry) -> GroupContext:
@@ -130,10 +139,10 @@ def _group_from_entry(entry) -> GroupContext:
     if isinstance(entry, dict):
         return GroupContext(
             name=str(entry.get("name", "custom")),
-            vol=float(entry["vol"]),
-            eta=float(entry["eta"]),
+            vol=_field(entry, "vol", "group"),
+            eta=_field(entry, "eta", "group"),
             contains_minus_one=bool(entry.get("contains_minus_one", True)),
-            min_c=float(entry.get("min_c", 1.0)),
+            min_c=_field(entry, "min_c", "group", 1.0),
         )
     raise ConstraintViolation(f"group must be a preset name or a mapping, got {entry!r}")
 
@@ -150,21 +159,16 @@ def params_record(params: ParamSet) -> dict:
 def _params_from_entry(entry: dict, base: ParamSet) -> ParamSet:
     if not isinstance(entry, dict):
         raise ConstraintViolation(f"params must be a mapping, got {entry!r}")
-    v = {name: float(entry.get(name, value)) for name, value in params_record(base).items()}
+    v = {name: _field(entry, name, "params", value) for name, value in params_record(base).items()}
     sigmas = {name: v.pop(name) for name in ("sigma_plus", "sigma_minus")}
     return ParamSet(trapezoid=TrapezoidParams(**v), **sigmas)
 
 
 def _region_from_entry(entry) -> Rectangle:
     if isinstance(entry, dict):
-        return Rectangle(
-            x_min=float(entry["x_min"]),
-            x_max=float(entry["x_max"]),
-            y_min=float(entry["y_min"]),
-            y_max=float(entry["y_max"]),
-        )
+        return Rectangle(**{name: _field(entry, name, "region") for name in ("x_min", "x_max", "y_min", "y_max")})
     if isinstance(entry, (list, tuple)) and len(entry) == 4:
-        return Rectangle(*(float(v) for v in entry))
+        return Rectangle(*(_number(v, "region entry") for v in entry))
     raise ConstraintViolation(f"region must be a mapping or 4 numbers, got {entry!r}")
 
 
@@ -172,11 +176,11 @@ def _cusp_from_entry(entry: dict, group: GroupContext, params: ParamSet) -> Cusp
     if not isinstance(entry, dict):
         raise ConstraintViolation(f"cusp must be a mapping, got {entry!r}")
     return CuspGeometry(
-        eps=float(entry["eps"]),
-        eps_prime=float(entry["eps_prime"]),
-        delta=float(entry.get("delta", params.delta)),
-        min_c=float(entry.get("min_c", group.min_c)),
-        count_pm1=int(entry.get("count_pm1", 2 if group.contains_minus_one else 1)),
+        eps=_field(entry, "eps", "cusp"),
+        eps_prime=_field(entry, "eps_prime", "cusp"),
+        delta=_field(entry, "delta", "cusp", params.trapezoid.delta),
+        min_c=_field(entry, "min_c", "cusp", group.min_c),
+        count_pm1=_field(entry, "count_pm1", "cusp", 2 if group.contains_minus_one else 1, int),
     )
 
 
@@ -213,15 +217,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if "region" in data:
             region = _region_from_entry(data["region"])
         if "U" in data:
-            U = float(data["U"])
+            U = _field(data, "U", "config")
         if "grid" in data:
-            entry = data["grid"]
-            grid = _parse_grid(entry) if isinstance(entry, str) else (int(entry[0]), int(entry[1]))
+            grid = _parse_grid(data["grid"])
             grid_given = True
         if "mode" in data:
             mode = _parse_mode(str(data["mode"]))
         if "n_bar" in data:
-            n_bar = float(data["n_bar"])
+            n_bar = _field(data, "n_bar", "config")
         if "cusp" in data:
             cusp_entry = data["cusp"]
 
@@ -426,15 +429,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         step_shrink=args.step_shrink,
         seed_params=config.params,
     )
-    best, report = search(cfg, config.group, config.params.delta, config.n_bar)
+    best, report = search(cfg, config.group, config.params.trapezoid.delta, config.n_bar)
     print(f"objective: {cfg.objective}")
     print(f"A:         {report.A:.4f}")
     print(f"B:         {report.B:.4f}")
     print(f"width:     {report.width:.4f}")
+    best_params = params_record(best)
     for name in ("alpha_plus", "beta_plus", "sigma_plus", "alpha_minus", "beta_minus", "sigma_minus"):
-        print(f"{name:<12} {getattr(best, name):.8g}")
+        print(f"{name:<12} {best_params[name]:.8g}")
     record = bounds_record(report, config)
-    record.update(command="optimize", objective=cfg.objective, best_params=params_record(best))
+    record.update(command="optimize", objective=cfg.objective, best_params=best_params)
     _emit(record, args.json)
     return EXIT_OK
 

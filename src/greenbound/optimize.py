@@ -25,7 +25,9 @@ from greenbound.bounds import (
     BoundReport,
     GroupContext,
     ParamSet,
-    _D_one_sign,
+    _enclose_one_sign,
+    _side,
+    _upper_end,
     assemble,
     sigma_ceiling,
     validate,
@@ -46,7 +48,6 @@ _COORDINATES = (
 )
 _BETA_CAP_MARGIN = 1.0 - 1e-9
 _SIGMA_FLOOR_REL = 1e-6
-_D_REL_TOL = 1e-6
 _KEY_DIGITS = 12
 
 
@@ -93,21 +94,18 @@ def _make_params(delta: float, values: dict[str, float], sigma_max: float) -> Pa
 
 
 def _coordinate_values(params: ParamSet) -> dict[str, float]:
-    return {name: getattr(params, name) for name in _COORDINATES}
+    values = {**vars(params.trapezoid), "sigma_plus": params.sigma_plus, "sigma_minus": params.sigma_minus}
+    return {name: values[name] for name in _COORDINATES}
 
 
 def _cached_D(params: ParamSet, cache: dict) -> tuple[float, float]:
-    """(D_plus, D_minus), each memoized on the parameters of its own side."""
-    t = params.trapezoid
+    """(D_plus, D_minus), the upper ends of enclosures memoized on the parameters of their side."""
     D = []
-    for sign, raw in (
-        (+1, (t.delta, t.alpha_plus, t.beta_plus, params.sigma_plus)),
-        (-1, (t.delta, t.alpha_minus, t.beta_minus, params.sigma_minus)),
-    ):
-        key = (sign,) + tuple(round(x, _KEY_DIGITS) for x in raw)
+    for sign in (+1, -1):
+        key = (sign,) + tuple(round(x, _KEY_DIGITS) for x in (params.trapezoid.delta, *_side(params, sign)))
         if key not in cache:
-            cache[key] = _D_one_sign(params, sign, _D_REL_TOL)
-        D.append(cache[key])
+            cache[key] = _enclose_one_sign(params, sign)
+        D.append(_upper_end(cache[key], sign))
     return D[0], D[1]
 
 

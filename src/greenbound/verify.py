@@ -32,6 +32,7 @@ from greenbound.bounds import (
     assemble,
     compute_D,
     compute_q,
+    enclose_D,
     group_preset,
     reference_params,
 )
@@ -417,18 +418,10 @@ def count_certificate_soundness(
 
 
 def majorant_stability() -> CheckResult:
-    """Majorant integrals drift at most 1e-4, and never rise, when the tolerance is halved."""
-    params = reference_params()
-    coarse = compute_D(params, rel_tol=1e-6)
-    fine = compute_D(params, rel_tol=5e-7)
-    drift = max(abs(c - f) / f for c, f in zip(coarse, fine))
-    lowered = all(f <= c + 1e-12 * c for c, f in zip(coarse, fine))
-    return _result(
-        "majorant-stability",
-        drift <= 1e-4 and lowered,
-        f"majorant integrals under tolerance halving, relative drift {drift:.2e} <= 1e-4, "
-        f"{'never raised' if lowered else 'raised'}",
-    )
+    """The majorant enclosures at the reference parameters are at most 1e-6 wide, relative."""
+    widths = [(hi - lo) / lo for lo, hi in enclose_D(reference_params())]
+    detail = f"majorant integral enclosures {widths[0]:.2e} (plus) and {widths[1]:.2e} (minus) wide"
+    return _result("majorant-stability", all(0.0 < w <= 1e-6 for w in widths), detail + " relative, each <= 1e-6")
 
 
 # The property checks in battery order, each with the size selftest runs.

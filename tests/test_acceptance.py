@@ -8,7 +8,7 @@ reproduce-paper, at their full sizes and print one line per check.
 Criterion 3 proves
 with a certified enclosure that the rounded cap D_plus <= 18.5 fails at the
 reference parameters for the D_plus integrand this package documents
-(compute_D, p_sigma, V_of_U); PAPER.md does not state the paper's own
+(enclose_D, p_sigma, V_of_U); PAPER.md does not state the paper's own
 integrand, so the proof does not reach the paper itself.  The suite is
 green because it checks that proof, while reproduce-paper still reports the
 cap as a FAIL line.
@@ -58,33 +58,30 @@ def test_criterion_2_volume_terms():
 
 
 def test_criterion_3_majorant_integrals(full_check):
-    """Majorant integrals against their rounded caps, stable under tolerance
-    halving.
+    """Majorant integrals against their rounded caps, with enclosures at most
+    1e-6 wide.
 
-    Each cap is settled by the certified enclosures of enclose_D rather than
-    by the compute_D estimate: the minus integral provably stays within its
-    cap 9.61, and the plus integral provably exceeds its rounded cap 18.5
+    Each cap is settled by the certified enclosures of enclose_D, whose upper
+    ends are the compute_D values: the minus integral provably stays within
+    its cap 9.61, and the plus integral provably exceeds its rounded cap 18.5
     (D_plus = 18.5638 at the reference parameters), so the criterion checks
     that the plus cap is refuted; the cap itself is not loosened.  The
-    refutation holds for the integrand documented in compute_D and p_sigma;
-    whether the paper integrated the same function is not settled here.  The
-    compute_D values must lie inside the enclosures within their 1e-6
-    tolerance, and pass the majorant-stability check under tolerance halving.
+    refutation holds for the integrand documented in enclose_D and p_sigma;
+    whether the paper integrated the same function is not settled here.
+    The majorant-stability check asks both enclosures to be at most 1e-6
+    wide, relative to their lower ends.
     """
     params = reference_params()
     start = time.perf_counter()
     stability = full_check(verify.majorant_stability)
-    D_plus, D_minus = compute_D(params, rel_tol=1e-6)
+    D_plus, D_minus = compute_D(params)
     elapsed = time.perf_counter() - start
     (lo_plus, hi_plus), (lo_minus, hi_minus) = enclose_D(params)
-    inside = all(
-        lo * (1.0 - 1e-6) <= estimate <= hi * (1.0 + 1e-6)
-        for estimate, lo, hi in ((D_plus, lo_plus, hi_plus), (D_minus, lo_minus, hi_minus))
-    )
+    upper_ends = (D_plus, D_minus) == (hi_plus, hi_minus)
     ok = (
         lo_plus > ROUNDED_D_PLUS
         and hi_minus <= ROUNDED_D_MINUS
-        and inside
+        and upper_ends
         and stability.passed
         and elapsed < 60.0
     )
@@ -92,17 +89,17 @@ def test_criterion_3_majorant_integrals(full_check):
         3,
         ok,
         f"rounded cap D_plus <= 18.5 refuted for the documented integrand: "
-        f"D_plus in [{lo_plus:.6f}, {hi_plus:.6f}]; "
-        f"D_minus in [{lo_minus:.6f}, {hi_minus:.6f}] <= 9.61; compute_D = "
-        f"({D_plus:.8f}, {D_minus:.8f}) inside; {stability.detail}; {elapsed:.1f}s < 60s",
+        f"D_plus in [{lo_plus:.8f}, {hi_plus:.8f}]; "
+        f"D_minus in [{lo_minus:.8f}, {hi_minus:.8f}] <= 9.61; compute_D = "
+        f"({D_plus:.8f}, {D_minus:.8f}), the upper ends; {stability.detail}; {elapsed:.1f}s < 60s",
     )
     assert hi_minus <= ROUNDED_D_MINUS
     assert lo_plus > ROUNDED_D_PLUS, (
         f"the enclosure [{lo_plus:.8f}, {hi_plus:.8f}] no longer proves that D_plus, "
-        f"the integral of the integrand documented in compute_D and p_sigma, "
+        f"the integral of the integrand documented in enclose_D and p_sigma, "
         f"exceeds the rounded cap {ROUNDED_D_PLUS}"
     )
-    assert inside, "compute_D left the certified enclosure"
+    assert upper_ends, "compute_D is not the upper end of the certified enclosure"
     assert stability.passed, stability.detail
     assert elapsed < 60.0
 

@@ -104,11 +104,12 @@ def test_validate_accepts_the_sigma_ceiling():
 
 def test_reference_params_values():
     p = reference_params()
-    assert p.delta == 2.0
-    assert p.alpha_plus == 0.0366
-    assert p.alpha_minus == 2.96e-3
-    assert p.beta_plus == 2.72
-    assert p.beta_minus == 0.668
+    t = p.trapezoid
+    assert t.delta == 2.0
+    assert t.alpha_plus == 0.0366
+    assert t.alpha_minus == 2.96e-3
+    assert t.beta_plus == 2.72
+    assert t.beta_minus == 0.668
     assert p.sigma_plus == 0.306
     assert p.sigma_minus == 0.250
     validate(p, group_preset("sl2z"))
@@ -121,7 +122,7 @@ def test_param_set_constraints():
     with pytest.raises(ConstraintViolation, match="sigma_minus must be below 1/2"):
         ParamSet(trapezoid=t, sigma_plus=0.2, sigma_minus=0.5)
     p = ParamSet(trapezoid=t, sigma_plus=0.2, sigma_minus=0.3)
-    assert (p.delta, p.alpha_plus, p.beta_minus) == (2.0, 0.1, 0.1)
+    assert p.trapezoid == t and (p.sigma_plus, p.sigma_minus) == (0.2, 0.3)
 
 
 def test_validate_checks_spectral_gap():
@@ -161,15 +162,23 @@ def test_volume_terms_closed_form():
     assert q_minus <= 0.0
 
 
+# D_plus and D_minus at the reference parameters by 30-digit mpmath quadrature
+# (test_enclose_D_contains_mpmath_quadrature computes them again).
+D_PLUS_MPMATH = 18.563806879166080
+D_MINUS_MPMATH = 9.6018700179587493
+
+
 def test_majorant_integrals_reference_values():
-    """Documented computed values; the certified enclosure proves that D_plus
-    exceeds its rounded cap and that D_minus stays within its own."""
+    """compute_D gives the upper ends of the certified enclosures, within 1e-6
+    above the mpmath values; the enclosures prove that D_plus exceeds its
+    rounded cap and that D_minus stays within its own."""
     D_plus, D_minus = compute_D(reference_params())
-    assert math.isclose(D_plus, 18.56382172154982, rel_tol=1e-6)
-    assert math.isclose(D_minus, 9.601877877076772, rel_tol=1e-6)
     enclosures = enclose_D(reference_params())
+    assert (D_plus, D_minus) == (enclosures[0][1], enclosures[1][1])
+    assert D_PLUS_MPMATH <= D_plus <= D_PLUS_MPMATH * (1.0 + 1e-6)
+    assert D_MINUS_MPMATH <= D_minus <= D_MINUS_MPMATH * (1.0 + 1e-6)
     for lo, hi in enclosures:
-        assert 0.0 < lo < hi <= lo * (1.0 + 1e-3)
+        assert 0.0 < lo < hi <= lo * (1.0 + 1e-6)
     (lo_plus, _), (_, hi_minus) = enclosures
     assert hi_minus <= ROUNDED_D_MINUS
     assert lo_plus > ROUNDED_D_PLUS  # the rounded cap understates the integral
@@ -210,8 +219,8 @@ def test_count_cap_monotonicity():
     loose = assemble(p, ctx, 300.0, "paper-arithmetic")
     assert loose.A < tight.A
     assert loose.B > tight.B
-    exact_tight = assemble(p, ctx, 216.0, "theorem-exact", rel_tol=1e-5)
-    exact_loose = assemble(p, ctx, 300.0, "theorem-exact", rel_tol=1e-5)
+    exact_tight = assemble(p, ctx, 216.0, "theorem-exact")
+    exact_loose = assemble(p, ctx, 300.0, "theorem-exact")
     assert exact_loose.A < exact_tight.A
     assert exact_loose.B > exact_tight.B
 
@@ -250,24 +259,24 @@ def test_report_validation():
 
 
 def test_majorant_integral_reports_nonconvergence_honestly():
-    """With sigma barely above alpha the tail cannot close in double
-    precision; that must surface as the convergence error, not a crash."""
+    """With sigma barely above alpha the tail bound stays large up to the last
+    node; that must surface as the convergence error, not a crash."""
     from greenbound.errors import NonConvergenceError
 
     t = TrapezoidParams(delta=2.0, alpha_plus=0.3, alpha_minus=0.1, beta_plus=1.0, beta_minus=0.1)
     p = ParamSet(trapezoid=t, sigma_plus=0.302, sigma_minus=0.3)
-    with pytest.raises(NonConvergenceError):
-        compute_D(p, rel_tol=1e-6)
+    with pytest.raises(NonConvergenceError, match="wider than 1e-06"):
+        compute_D(p)
 
 
 def test_enclose_D_contains_compute_D_on_random_params():
     rng = random.Random(80300)
     for _ in range(5):
         p = draw_valid_params(rng)
-        estimates = compute_D(p, rel_tol=1e-6)
+        estimates = compute_D(p)
         for (lo, hi), estimate in zip(enclose_D(p), estimates):
-            assert 0.0 < lo < hi <= lo * (1.0 + 1e-3)
-            assert lo * (1.0 - 1e-6) <= estimate <= hi * (1.0 + 1e-6)
+            assert 0.0 < lo < hi <= lo * (1.0 + 1e-6)
+            assert estimate == hi
 
 
 def test_enclose_D_rejects_out_of_range_inputs():
@@ -285,18 +294,18 @@ def test_enclose_D_rejects_out_of_range_inputs():
 def test_enclose_D_upper_end_carries_the_tail():
     """With sigma barely above alpha on the plus side the tail past the last
     node outweighs the panel sums, so the upper end must hold both."""
-    from greenbound.bounds import _enclosure_nodes, _panel_bounds
+    from greenbound.bounds import _grid_bounds
     from greenbound.transforms import averaged_transform_tail
 
     t = TrapezoidParams(delta=2.0, alpha_plus=0.3, alpha_minus=0.1, beta_plus=1.0, beta_minus=0.1)
     p = ParamSet(trapezoid=t, sigma_plus=0.302, sigma_minus=0.3)
-    nodes = _enclosure_nodes(t.delta)
     for sign, sigma, (lo, hi) in zip((1, -1), (0.302, 0.3), enclose_D(p)):
-        panel_hi = math.fsum(_panel_bounds(p, sign, nodes)[1])
-        tail = averaged_transform_tail(t, sign, sigma, float(nodes[-1]))
-        assert 0.0 < lo < panel_hi
+        panel_lo, panel_hi, M = _grid_bounds(p, sign)
+        tail = averaged_transform_tail(t, sign, sigma, M)
+        assert lo == panel_lo and 0.0 < lo < panel_hi
         assert hi >= panel_hi + tail
         if sign > 0:
+            assert M >= 2.0**299  # the grid ran to its last node
             assert tail > panel_hi  # the case where dropping the tail shows
 
 
@@ -339,34 +348,65 @@ def _D_pieces(ctx, params, sign):
     return x, P, S, g, corner
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_enclose_D_contains_mpmath_quadrature(sign):
-    mpmath = pytest.importorskip("mpmath")
-    params = reference_params()
+def mpmath_D(mpmath, params, sign):
+    """D_plus or D_minus by 30-digit mpmath quadrature in log U."""
     with mpmath.workdps(30):
         x, P, S, g, corner = _D_pieces(mpmath.mp, params, sign)
         delta = mpmath.mpf(params.trapezoid.delta)
 
-        def integrand(s):  # U = delta e^s
+        def integrand(s):  # U = delta e^s; T >= 1 is proved, but a float beta^- on its cap rounds
             U = delta * mpmath.exp(s)
-            xu, xw = x(U), x(corner(U))
+            xu, xw = x(U), x(max(corner(U), 1))
             return (P(xu) * S(xu) + P(xw) * S(xw)) * g(U) * U
 
-        oracle = mpmath.quad(integrand, [0, 1, 4, 16, 64, 256, mpmath.inf])
+        return mpmath.quad(integrand, [0, 1, 4, 16, 64, 256, mpmath.inf])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_enclose_D_contains_mpmath_quadrature(sign):
+    mpmath = pytest.importorskip("mpmath")
+    params = reference_params()
+    oracle = mpmath_D(mpmath, params, sign)
     lo, hi = enclose_D(params)[0 if sign > 0 else 1]
-    assert lo <= oracle <= hi
+    assert lo <= oracle <= hi <= lo * (1.0 + 1e-6)
+    assert abs(oracle - (D_PLUS_MPMATH if sign > 0 else D_MINUS_MPMATH)) <= 1e-15 * oracle
+
+
+def test_enclose_D_is_narrow_and_contains_mpmath_on_varied_params():
+    """Both enclosures are at most 1e-6 wide and contain the mpmath value on
+    the random sets, close to delta = 1 with beta^- under and on its cap, and
+    for a plus side whose integrand is not convex on a stretch of octaves."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(80300)
+    sets = [draw_valid_params(rng) for _ in range(5)]
+    for delta in (1.05, 1.001):
+        for share in (0.5, 0.999, 1.0):
+            beta_minus = share * delta**1.01 / (delta + 1.0)
+            t = TrapezoidParams(delta, alpha_plus=0.05, alpha_minus=0.01, beta_plus=2.7, beta_minus=beta_minus)
+            sets.append(ParamSet(trapezoid=t, sigma_plus=0.3, sigma_minus=0.3))
+    t = TrapezoidParams(2.1, alpha_plus=0.013, alpha_minus=0.17, beta_plus=2.86, beta_minus=0.7)
+    sets.append(ParamSet(trapezoid=t, sigma_plus=0.139, sigma_minus=0.32))
+    for params in sets:
+        for sign, (lo, hi) in zip((1, -1), enclose_D(params)):
+            assert 0.0 < lo < hi <= lo * (1.0 + 1e-6), (params, sign)
+            assert lo <= mpmath_D(mpmath, params, sign) <= hi, (params, sign)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_enclose_D_panel_bounds_agree_with_interval_arithmetic(sign):
-    """Per panel [a, b], the float bounds sit outside the exact monotone
-    corner values (rounded outward by at most 1e-12), inside the naive
-    mpmath.iv range of the integrand times b - a, and around the panel's
-    quadrature."""
+    """Per panel [a, b] in U, the node bounds of own, pow and rest at a and b
+    contain their exact values; the first-order panel bounds built from them
+    sit outside the exact monotone corner values (rounded outward by at most
+    1e-12), inside the naive mpmath.iv range of the integrand in s, and times
+    the panel width in s around the panel's quadrature."""
     mpmath = pytest.importorskip("mpmath")
-    from greenbound.bounds import _panel_bounds
+    from greenbound.bounds import _node_bounds
 
     params = reference_params()
+    alpha, beta = (params.trapezoid.alpha_plus, params.trapezoid.beta_plus) if sign > 0 else (
+        params.trapezoid.alpha_minus,
+        params.trapezoid.beta_minus,
+    )
     panels = [(2.0, 2.001), (2.5, 3.0), (7.0, 7.25), (1e3, 1.2e3), (1e12, 1.5e12)]
     panels.append((2.0**100, 2.0**100 * 1.01))
     iv, mp = mpmath.iv, mpmath.mp
@@ -375,24 +415,40 @@ def test_enclose_D_panel_bounds_agree_with_interval_arithmetic(sign):
     try:
         x, P, S, g, corner = _D_pieces(mp, params, sign)
         ix, iP, iS, ig, icorner = _D_pieces(iv, params, sign)
+
+        def pieces(U):  # own, pow, rest at U, in the variable s = log(U^2 - 1)
+            G = g(U) * (U * U - 1) / (2 * U)
+            return P(x(U)) * S(x(U)) * G, P(x(corner(U))), S(x(corner(U))) * G
+
         for a, b in panels:
-            lo, hi = (float(v[0]) for v in _panel_bounds(params, sign, np.array([a, b])))
-            A, B = mp.mpf(a), mp.mpf(b)
-            width = B - A
-            exact_hi = (P(x(A)) * S(x(A)) + P(x(corner(B))) * S(x(corner(A)))) * g(A) * width
-            exact_lo = (P(x(B)) * S(x(B)) + P(x(corner(A))) * S(x(corner(B)))) * g(B) * width
+            # U^2 - 1 at a and b, enclosed between the floats either side
+            X = [mp.mpf(v) ** 2 - 1 for v in (a, b)]
+            X_lo = np.array([float(mpmath.nstr(v, 17)) for v in X])
+            X_lo, X_hi = np.nextafter(X_lo, 0.0), np.nextafter(X_lo, np.inf)
+            own_lo, own_hi, pow_lo, pow_hi, rest_lo, rest_hi = _node_bounds(params, sign, X_lo, X_hi)
+            ends = pieces(mp.mpf(a)), pieces(mp.mpf(b))
+            for k, exact in enumerate(ends):
+                for value, low, high in zip(exact, (own_lo, pow_lo, rest_lo), (own_hi, pow_hi, rest_hi)):
+                    assert low[k] <= value <= high[k]
+            lo = own_lo[1] + pow_lo[0] * rest_lo[1]
+            hi = own_hi[0] + pow_hi[1] * rest_hi[0]
+            exact_lo = ends[1][0] + ends[0][1] * ends[1][2]
+            exact_hi = ends[0][0] + ends[1][1] * ends[0][2]
             assert exact_hi <= hi <= exact_hi * (1 + mp.mpf(1e-12))
             assert exact_lo * (1 - mp.mpf(1e-12)) <= lo <= exact_lo
+            width = mp.log(X[1] / X[0])
             U = iv.mpf([a, b])
             W = icorner(U)  # naively T(U) may dip below 1, where T >= 1 is proved
             xu, xw = ix(U), ix(iv.mpf([max(1, W.a), W.b]))
-            naive = (iP(xu) * iS(xu) + iP(xw) * iS(xw)) * ig(U) * iv.mpf(b - a)
+            naive = (iP(xu) * iS(xu) + iP(xw) * iS(xw)) * ig(U) * (U * U - 1) / (2 * U)
             assert naive.a <= lo and hi <= naive.b
-            def f(u):
-                return (P(x(u)) * S(x(u)) + P(x(corner(u))) * S(x(corner(u)))) * g(u)
 
-            quad = mp.quad(f, [A, B])
-            assert lo <= quad <= hi
+            def f(s):  # U^2 - 1 = e^s
+                own, pow_, rest = pieces(mp.sqrt(1 + mp.exp(s)))
+                return own + pow_ * rest
+
+            quad = mp.quad(f, [mp.log(X[0]), mp.log(X[1])])
+            assert lo * width <= quad <= hi * width
     finally:
         iv.dps, mp.dps = saved
 
@@ -431,7 +487,7 @@ def test_random_certificates_are_ordered():
     rng = random.Random(80200)
     for _ in range(20):
         p = draw_valid_params(rng)
-        report = assemble(p, ctx, 216.0, "theorem-exact", rel_tol=1e-4)
+        report = assemble(p, ctx, 216.0, "theorem-exact")
         assert report.A <= report.B
         assert report.D_plus > 0.0 and report.D_minus > 0.0
         assert report.q_minus <= 0.0 <= report.q_plus

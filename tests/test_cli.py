@@ -118,6 +118,33 @@ def test_bounds_rejects_infinite_n_bar(source, capsys, tmp_path):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ('{"grid": [1]}', []),
+        ('{"grid": 5}', []),
+        ('{"group": {"vol": 1}}', []),
+        ('{"region": {"x_min": 0}}', []),
+        ('{"n_bar": null}', []),
+        ('{"cusp": {"eps": 0.1}}', []),
+        (None, ["cusp-extend", "--case", "c", "--eps", "0.05"]),
+    ],
+    ids=["grid-short", "grid-number", "group-no-eta", "region-short", "n_bar-null", "cusp-no-eps_prime", "no-eps-prime"],
+)
+def test_bad_config_entries_are_refused(config, argv, capsys, tmp_path):
+    """A config entry that is missing a field or is not a number is refused
+    with a one-line error naming the field and exit 1, not a traceback."""
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        argv = ["bounds", "--mode", "paper", "--config", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+    assert captured.err.startswith("greenbound: constraint error: ")
+    assert captured.out == ""
+
+
 def test_cusp_extend_same_cusp(capsys, tmp_path):
     path = tmp_path / "cusp.json"
     code = main(

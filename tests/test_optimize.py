@@ -37,7 +37,7 @@ def test_config_validation():
 def test_single_iteration_returns_validated_seed():
     ctx = group_preset("sl2z")
     seed = reference_params()
-    params, report = search(make_config(max_iters=1), ctx, seed.delta, N_BAR)
+    params, report = search(make_config(max_iters=1), ctx, seed.trapezoid.delta, N_BAR)
     assert params == seed
     direct = assemble(seed, ctx, N_BAR, "theorem-exact")
     assert report.A == direct.A
@@ -57,7 +57,7 @@ def test_width_objective_never_worsens():
     ctx = group_preset("sl2z")
     seed = reference_params()
     base = assemble(seed, ctx, N_BAR, "theorem-exact")
-    params, report = search(make_config(max_iters=3), ctx, seed.delta, N_BAR)
+    params, report = search(make_config(max_iters=3), ctx, seed.trapezoid.delta, N_BAR)
     assert report.width <= base.width
     validate(params, ctx)
     assert report.A <= report.B
@@ -68,7 +68,7 @@ def test_max_abs_objective_never_worsens():
     seed = reference_params()
     base = assemble(seed, ctx, N_BAR, "theorem-exact")
     params, report = search(
-        make_config(objective="max-abs", max_iters=3), ctx, seed.delta, N_BAR
+        make_config(objective="max-abs", max_iters=3), ctx, seed.trapezoid.delta, N_BAR
     )
     assert max(abs(report.A), abs(report.B)) <= max(abs(base.A), abs(base.B))
     validate(params, ctx)
@@ -86,10 +86,10 @@ def test_search_is_deterministic():
 def test_delta_override_rebuilds_seed():
     ctx = group_preset("sl2z")
     params, report = search(make_config(max_iters=1), ctx, 2.5, N_BAR)
-    assert params.delta == 2.5
+    assert params.trapezoid.delta == 2.5
     # the other seed coordinates carry over unchanged
     seed = reference_params()
-    assert params.alpha_plus == seed.alpha_plus
+    assert params.trapezoid.alpha_plus == seed.trapezoid.alpha_plus
     assert params.sigma_minus == seed.sigma_minus
     assert report.A <= report.B
 

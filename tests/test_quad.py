@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_bounds import draw_valid_params
 
-from greenbound import _quad, bounds, transforms
+from greenbound import _quad, transforms
 from greenbound._quad import integrate, integrate_to_infinity
 from greenbound.bounds import compute_D, group_preset, reference_params
 from greenbound.errors import NonConvergenceError
@@ -128,17 +128,27 @@ def test_integrate_to_infinity_rejects_fat_tail(monkeypatch):
 def test_march_to_overflow_reports_the_tail():
     """At delta = 3 the last octave below overflow tops out at 1.35e308, so
     a midpoint taken as 0.5 * (a + b) would overflow; the march must still
-    end on its tail bound, not on an engine error at [inf, ...]."""
+    end on its tail bound, not on an engine error at [inf, ...].  The tail
+    bound is that of the plus averaged transform at Re s = alpha_plus + 0.01,
+    which decays like M^-0.01; the integrand decays as slowly, so the march
+    runs to overflow.  compute_D at these parameters fails the same way."""
     ref = reference_params()
     params = dataclasses.replace(
         ref,
         trapezoid=dataclasses.replace(ref.trapezoid, delta=3.0),
         sigma_plus=ref.trapezoid.alpha_plus + 0.01,
     )
-    cap = 3.0 ** (1.0 + params.trapezoid.alpha_minus) / 4.0
-    assert params.trapezoid.beta_minus < cap
+    t = params.trapezoid
+    assert t.beta_minus < 3.0 ** (1.0 + t.alpha_minus) / 4.0
+
+    def tail(M):
+        return transforms.averaged_transform_tail(t, +1, params.sigma_plus, M)
+
     with pytest.raises(NonConvergenceError, match="tail bound cannot reach tolerance"):
+        integrate_to_infinity(lambda u: u ** (t.alpha_plus - params.sigma_plus - 1.0), t.delta, tail, 1e-6)
+    with pytest.raises(NonConvergenceError):
         compute_D(params)
+
 
 def block_march(f, a, tail_bound, rel_tol):
     """The march before its stop was predicted: 16 octaves per engine call,
@@ -165,7 +175,7 @@ def block_march(f, a, tail_bound, rel_tol):
 
 @pytest.fixture
 def paired(monkeypatch):
-    """Each march of bounds and transforms also runs block_march.
+    """Each march of transforms also runs block_march.
 
     The marches' results, the oracle's and the march's engine calls gather
     in paired.records; paired(f, a, tail_bound, rel_tol) runs one pair.
@@ -179,18 +189,17 @@ def paired(monkeypatch):
         return result
 
     march.records = []
-    for module in (bounds, transforms):
-        monkeypatch.setattr(module, "integrate_to_infinity", march)
+    monkeypatch.setattr(transforms, "integrate_to_infinity", march)
     return march
 
 
 def test_march_matches_block_oracle(paired):
     paired(lambda u: u**-3, 2.0, lambda M: 0.5 * M**-2, 1e-10)
     paired(lambda u: np.exp(-u), 0.0, lambda M: math.exp(-M), 1e-10)
-    compute_D(reference_params())
     rng = random.Random(80300)
-    for _ in range(5):
-        compute_D(draw_valid_params(rng))
+    for t in [reference_params().trapezoid] + [draw_valid_params(rng).trapezoid for _ in range(5)]:
+        for sign in (+1, -1):
+            transforms.I_delta_pm(t, sign, 0.45 + 1.0j)
     t = reference_params().trapezoid
     for sign, s in ((+1, 0.306 + 30.0j), (-1, 0.25 + 2.0j), (+1, 0.694 + 0.5j)):
         transforms.I_delta_pm(t, sign, s)
@@ -201,27 +210,29 @@ def test_march_matches_block_oracle(paired):
 
 
 def test_march_makes_at_most_two_engine_calls(paired):
-    compute_D(reference_params())
-    transforms.I_delta_pm(reference_params().trapezoid, -1, 0.25 + 2.0j)
+    t = reference_params().trapezoid
+    for sign in (+1, -1):
+        transforms.I_delta_pm(t, sign, 0.45 + 1.0j)
+    transforms.I_delta_pm(t, -1, 0.25 + 2.0j)
     paired(lambda u: u**-3, 2.0, lambda M: 0.5 * M**-2, 1e-10)
     # each of these marches stops past its first block, so it takes both calls
     assert [calls for *_, calls in paired.records] == [2, 2, 2, 2]
 
 
 def test_optimize_width_path_is_pinned():
-    """optimize --objective width --max-iters 25 scores every candidate on
-    compute_D; its path and result are fixed to the last bit."""
+    """optimize --objective width --max-iters 25 scores every candidate on the
+    upper ends of enclose_D; its path and result are fixed to the last bit."""
     ctx = group_preset("sl2z")
     seed = reference_params()
     config = SearchConfig(objective="width", max_iters=25, step_shrink=0.7, seed_params=seed)
-    params, report = search(config, ctx, seed.delta, 216.0)
-    assert (report.A, report.B) == (-17307.302116257473, 9154.741499261117)
+    params, report = search(config, ctx, seed.trapezoid.delta, 216.0)
+    assert (report.A, report.B) == (-17307.291135686035, 9154.735711309677)
     t = params.trapezoid
     assert (t.delta, t.alpha_plus, t.alpha_minus, t.beta_plus, t.beta_minus) == (
         2.0,
-        0.038902918559462346,
+        0.038963511852965475,
         0.003731038598193473,
-        2.672333735667888,
+        2.673965263910509,
         0.6683930032505743,
     )
     assert (params.sigma_plus, params.sigma_minus) == (0.2923714123420863, 0.2501198950266565)
