@@ -407,9 +407,9 @@ def _grid_bounds(params: ParamSet, sign: int) -> tuple[float, float, float]:
     t = params.trapezoid
     sigma, alpha, beta = _side(params, sign)
     e = 2.0**-20
-    if not (e <= sigma <= 0.5 - e and sigma - alpha >= e and 1 + e <= t.delta <= 2.0**200 and e <= beta <= 1 / e):
-        raise ConstraintViolation("enclose_D needs sigma, sigma - alpha, 1/2 - sigma, delta - 1 and beta >= 2^-20, "
-                                  f"delta <= 2^200, beta <= 2^20; got {sigma}, {alpha}, {t.delta}, {beta}")
+    if not (2.0**-11 <= sigma <= 0.5 - e and sigma - alpha >= e and 1 + e <= t.delta <= 2.0**200 and e <= beta <= 1 / e):
+        raise ConstraintViolation("enclose_D needs sigma >= 2^-11, sigma - alpha, 1/2 - sigma, delta - 1 and beta >= "
+                                  f"2^-20, delta <= 2^200, beta <= 2^20; got {sigma}, {alpha}, {t.delta}, {beta}")
     sq_lo, sq_hi = _dn(_dn(t.delta * t.delta) - 1.0), _up(_up(t.delta * t.delta) - 1.0)
     floor = C_sigma(sigma)[0] * t.delta ** (alpha - sigma) / (4.0 * SQRT_PI * beta * (sigma - alpha))
     ends = np.arange(1, math.floor(600.0 - math.log2(sq_hi)) + 1)  # U^2 - 1 <= 2^600
@@ -471,7 +471,9 @@ def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float
     sigma, alpha / 2 and 1/4 are used, and pi is enclosed by the floats either side of
     math.pi.  Widths are log1p of outward-rounded node ratios, np.sum of n panel bounds is
     widened by n u, and with 2^-20 <= beta <= 2^20 and 2^-19 <= U^2 - 1 <= 2^600 nothing
-    overflows.  averaged_transform_tail(M) takes fewer than 40 plain float operations; its
+    overflows: W <= 2^321, so the x-power parts C x^2 stay below 2^644 C, and sigma >= 2^-11
+    keeps C below 2^250 (at sigma = 3e-4, C ~ 2^404 and C x^2 overflows; below 1.2e-4 C
+    itself does).  averaged_transform_tail(M) takes fewer than 40 plain float operations; its
     relative error is below 2^-48 times the sum of the condition numbers of tan (2 pi sigma /
     sin(2 pi sigma)), exp (1/2 + 1/(12 sigma)), 1/(sigma - alpha) and M^(alpha - sigma) (log
     M), each below 2^21 on the range _grid_bounds checks (ConstraintViolation outside it),

@@ -81,33 +81,29 @@ class RunConfig:
             raise ConstraintViolation(f"n_bar must be finite and at least 2, got {self.n_bar}")
 
 
-def default_config() -> RunConfig:
-    return RunConfig(
-        group=group_preset("sl2z"),
-        params=reference_params(),
-        region=truncated_fundamental_domain(),
-        U=17.0,
-        grid=(100, 100),
-        mode="theorem-exact",
-        n_bar=CONSTANTS["count_cap"][0],
-        cusp=None,
-    )
-
-
-def _parse_mode(text: str) -> str:
+def _parse_mode(entry) -> str:
     try:
-        return _MODE_ALIASES[text]
+        return _MODE_ALIASES[str(entry)]
     except KeyError:
         raise ConstraintViolation(
-            f"mode must be one of {sorted(set(_MODE_ALIASES))}, got {text!r}"
+            f"mode must be one of {sorted(set(_MODE_ALIASES))}, got {entry!r}"
         ) from None
 
 
 def _number(value, what: str, kind=float):
+    """value as a float, or an integer for kind=int; a boolean or a non-number is a
+    ConstraintViolation, and so is a fraction or a non-finite value for kind=int."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConstraintViolation(f"{what} must hold numbers, got {value!r}") from None
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+        if kind is int and number != float(value):
+            raise ValueError
+        return number
+    except (TypeError, ValueError, OverflowError):
+        raise ConstraintViolation(
+            f"{what} must hold {'integers' if kind is int else 'numbers'}, got {value!r}"
+        ) from None
 
 
 def _field(entry: dict, name: str, what: str, default=None, kind=float):
@@ -116,6 +112,20 @@ def _field(entry: dict, name: str, what: str, default=None, kind=float):
     if name not in entry and default is None:
         raise ConstraintViolation(f"{what} needs a value for {name!r}")
     return _number(entry.get(name, default), f"{what} field {name!r}", kind)
+
+
+def _names(cls) -> list[str]:
+    return [field.name for field in dataclasses.fields(cls)]
+
+
+def _mapping(entry, what: str, names) -> dict:
+    """entry, if it is a mapping with no keys outside names; else a ConstraintViolation."""
+    if not isinstance(entry, dict):
+        raise ConstraintViolation(f"{what} must be a mapping, got {entry!r}")
+    unknown = set(entry) - set(names)
+    if unknown:
+        raise ConstraintViolation(f"unknown {what} fields: {sorted(unknown)}")
+    return entry
 
 
 def _parse_grid(entry) -> tuple[int, int]:
@@ -136,15 +146,19 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 def _group_from_entry(entry) -> GroupContext:
     if isinstance(entry, str):
         return group_preset(entry)
-    if isinstance(entry, dict):
-        return GroupContext(
-            name=str(entry.get("name", "custom")),
-            vol=_field(entry, "vol", "group"),
-            eta=_field(entry, "eta", "group"),
-            contains_minus_one=bool(entry.get("contains_minus_one", True)),
-            min_c=_field(entry, "min_c", "group", 1.0),
+    entry = _mapping(entry, "group", _names(GroupContext))
+    name, minus_one = entry.get("name", "custom"), entry.get("contains_minus_one", True)
+    if not (isinstance(name, str) and isinstance(minus_one, bool)):
+        raise ConstraintViolation(
+            f"group name must be text and contains_minus_one true or false, got {name!r}, {minus_one!r}"
         )
-    raise ConstraintViolation(f"group must be a preset name or a mapping, got {entry!r}")
+    return GroupContext(
+        name=name,
+        vol=_field(entry, "vol", "group"),
+        eta=_field(entry, "eta", "group"),
+        contains_minus_one=minus_one,
+        min_c=_field(entry, "min_c", "group", 1.0),
+    )
 
 
 def params_record(params: ParamSet) -> dict:
@@ -156,25 +170,25 @@ def params_record(params: ParamSet) -> dict:
     }
 
 
-def _params_from_entry(entry: dict, base: ParamSet) -> ParamSet:
-    if not isinstance(entry, dict):
-        raise ConstraintViolation(f"params must be a mapping, got {entry!r}")
-    v = {name: _field(entry, name, "params", value) for name, value in params_record(base).items()}
+def _params_from_entry(entry, base: ParamSet) -> ParamSet:
+    defaults = params_record(base)
+    entry = _mapping(entry, "params", defaults)
+    v = {name: _field(entry, name, "params", value) for name, value in defaults.items()}
     sigmas = {name: v.pop(name) for name in ("sigma_plus", "sigma_minus")}
     return ParamSet(trapezoid=TrapezoidParams(**v), **sigmas)
 
 
 def _region_from_entry(entry) -> Rectangle:
     if isinstance(entry, dict):
-        return Rectangle(**{name: _field(entry, name, "region") for name in ("x_min", "x_max", "y_min", "y_max")})
-    if isinstance(entry, (list, tuple)) and len(entry) == 4:
-        return Rectangle(*(_number(v, "region entry") for v in entry))
-    raise ConstraintViolation(f"region must be a mapping or 4 numbers, got {entry!r}")
+        _mapping(entry, "region", _names(Rectangle))
+        entry = [_field(entry, name, "region") for name in _names(Rectangle)]
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
+        raise ConstraintViolation(f"region must be a mapping or 4 numbers, got {entry!r}")
+    return Rectangle(*(_number(v, "region entry") for v in entry))
 
 
-def _cusp_from_entry(entry: dict, group: GroupContext, params: ParamSet) -> CuspGeometry:
-    if not isinstance(entry, dict):
-        raise ConstraintViolation(f"cusp must be a mapping, got {entry!r}")
+def _cusp_from_entry(entry, group: GroupContext, params: ParamSet) -> CuspGeometry:
+    entry = _mapping(entry, "cusp", _names(CuspGeometry))
     return CuspGeometry(
         eps=_field(entry, "eps", "cusp"),
         eps_prime=_field(entry, "eps_prime", "cusp"),
@@ -198,79 +212,41 @@ def load_config(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config file entries, then command-line flags."""
-    base = default_config()
-    group, params, region = base.group, base.params, base.region
-    U, grid, mode, n_bar = base.U, base.grid, base.mode, base.n_bar
-    cusp_entry: dict | None = None
-    grid_given = False
-
-    if getattr(args, "config", None):
-        data = load_config(args.config)
-        unknown = set(data) - {"group", "params", "region", "U", "grid", "mode", "n_bar", "cusp"}
-        if unknown:
-            raise ConstraintViolation(f"unknown config fields: {sorted(unknown)}")
-        if "group" in data:
-            group = _group_from_entry(data["group"])
-        if "params" in data:
-            params = _params_from_entry(data["params"], params)
-        if "region" in data:
-            region = _region_from_entry(data["region"])
-        if "U" in data:
-            U = _field(data, "U", "config")
-        if "grid" in data:
-            grid = _parse_grid(data["grid"])
-            grid_given = True
-        if "mode" in data:
-            mode = _parse_mode(str(data["mode"]))
-        if "n_bar" in data:
-            n_bar = _field(data, "n_bar", "config")
-        if "cusp" in data:
-            cusp_entry = data["cusp"]
-
-    preset = getattr(args, "preset", None)
+    """Parse one mapping: the config file's entries, with the flags laid over them in the order
+    --preset, --point, --region, --U/--grid/--mode/--n-bar, then the cusp flags into the cusp
+    block.  A setting neither gives keeps its default."""
+    flags, y0 = vars(args), dataclasses.astuple(truncated_fundamental_domain())
+    entries = _mapping(load_config(args.config) if flags.get("config") else {}, "config", _names(RunConfig))
+    preset = flags.get("preset")
     if preset == "sl2z":
-        group = group_preset("sl2z")
+        entries["group"] = "sl2z"
     elif preset == "y0":
-        region = truncated_fundamental_domain()
+        entries["region"] = y0
     elif preset is not None:
         raise ConstraintViolation(f"unknown preset {preset!r}; available: sl2z, y0")
+    if flags.get("point") is not None:
+        x, y = _parse_floats(flags["point"], 2, "point")
+        entries["region"] = (x, x, y, y)
+        entries.setdefault("grid", (1, 1))
+    if flags.get("region") is not None:
+        entries["region"] = _parse_floats(flags["region"], 4, "region")
+    entries.update({name: flags[name] for name in ("U", "grid", "mode", "n_bar") if flags.get(name) is not None})
+    cusp_flags = {name: flags[name] for name in ("eps", "eps_prime", "count_pm1") if flags.get(name) is not None}
+    cusp = entries.get("cusp") or {}
+    if cusp_flags and isinstance(cusp, dict):
+        entries["cusp"] = {**cusp, **cusp_flags}
 
-    if getattr(args, "point", None):
-        x, y = _parse_floats(args.point, 2, "point")
-        region = Rectangle(x_min=x, x_max=x, y_min=y, y_max=y)
-        if not grid_given and getattr(args, "grid", None) is None:
-            grid = (1, 1)
-    if getattr(args, "region", None):
-        values = _parse_floats(args.region, 4, "region")
-        region = Rectangle(*values)
-    if getattr(args, "U", None) is not None:
-        U = args.U
-    if getattr(args, "grid", None):
-        grid = _parse_grid(args.grid)
-    if getattr(args, "mode", None):
-        mode = _parse_mode(args.mode)
-    if getattr(args, "n_bar", None) is not None:
-        n_bar = args.n_bar
-
-    for name in ("eps", "eps_prime"):
-        if getattr(args, name, None) is not None:
-            cusp_entry = dict(cusp_entry or {})
-            cusp_entry[name] = getattr(args, name)
-    if getattr(args, "count_pm1", None) is not None:
-        cusp_entry = dict(cusp_entry or {})
-        cusp_entry["count_pm1"] = args.count_pm1
-
-    cusp = _cusp_from_entry(cusp_entry, group, params) if cusp_entry is not None else None
+    group = _group_from_entry(entries.get("group", "sl2z"))
+    params = _params_from_entry(entries.get("params", {}), reference_params())
     return RunConfig(
         group=group,
         params=params,
-        region=region,
-        U=U,
-        grid=grid,
-        mode=mode,
-        n_bar=n_bar,
-        cusp=cusp,
+        region=_region_from_entry(entries.get("region", y0)),
+        U=_field(entries, "U", "config", 17.0),
+        grid=_parse_grid(entries.get("grid", "100x100")),
+        mode=_parse_mode(entries.get("mode", "exact")),
+        n_bar=_field(entries, "n_bar", "config", CONSTANTS["count_cap"][0]),
+        cusp=None if entries.get("cusp") is None else _cusp_from_entry(entries["cusp"], group, params),
     )
 
 
@@ -347,9 +323,17 @@ def _emit(record: dict, path: str | None) -> None:
         handle.write("\n")
 
 
-def _print_checks(results: list[CheckResult]) -> None:
+def _report_checks(
+    command: str, results: list[CheckResult], summary: str, path: str | None, fail_code: int
+) -> int:
+    """Print one PASS/FAIL line a check and the summary line, write the record; the exit code."""
     for result in results:
         print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
+    passed = all(r.passed for r in results)
+    print(summary.format(sum(r.passed for r in results), len(results)))
+    record = {**_base_record(command, None), "checks": [dataclasses.asdict(r) for r in results], "passed": passed}
+    _emit(record, path)
+    return EXIT_OK if passed else fail_code
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -390,14 +374,8 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     for name, (value, description) in CONSTANTS.items():
         print(f"  {name} = {value:.12g}  ({description})")
     results = reproduction_battery(grid=grid)
-    _print_checks(results)
-    passed = all(r.passed for r in results)
-    print(f"reproduction: {sum(r.passed for r in results)}/{len(results)} items passed")
-    record = _base_record("reproduce-paper", None)
-    record["checks"] = [dataclasses.asdict(r) for r in results]
-    record["passed"] = passed
-    _emit(record, args.json)
-    return EXIT_OK if passed else EXIT_MISMATCH
+    summary = "reproduction: {}/{} items passed"
+    return _report_checks("reproduce-paper", results, summary, args.json, EXIT_MISMATCH)
 
 
 def cmd_cusp_extend(args: argparse.Namespace) -> int:
@@ -423,13 +401,8 @@ def cmd_cusp_extend(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    cfg = SearchConfig(
-        objective=args.objective,
-        max_iters=args.max_iters,
-        step_shrink=args.step_shrink,
-        seed_params=config.params,
-    )
-    best, report = search(cfg, config.group, config.params.trapezoid.delta, config.n_bar)
+    cfg = SearchConfig(objective=args.objective, max_iters=args.max_iters, seed_params=config.params)
+    best, report = search(cfg, config.group, config.n_bar)
     print(f"objective: {cfg.objective}")
     print(f"A:         {report.A:.4f}")
     print(f"B:         {report.B:.4f}")
@@ -445,14 +418,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     results = property_battery()
-    _print_checks(results)
-    passed = all(r.passed for r in results)
-    print(f"selftest: {sum(r.passed for r in results)}/{len(results)} checks passed")
-    record = _base_record("selftest", None)
-    record["checks"] = [dataclasses.asdict(r) for r in results]
-    record["passed"] = passed
-    _emit(record, args.json)
-    return EXIT_OK if passed else EXIT_NUMERICAL
+    return _report_checks("selftest", results, "selftest: {}/{} checks passed", args.json, EXIT_NUMERICAL)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -506,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_opt)
     p_opt.add_argument("--objective", default="width", choices=("width", "max-abs"))
     p_opt.add_argument("--max-iters", dest="max_iters", type=int, default=25)
-    p_opt.add_argument("--step-shrink", dest="step_shrink", type=float, default=0.7)
     p_opt.add_argument("--n-bar", dest="n_bar", type=float, help="uniform count bound")
     p_opt.set_defaults(handler=cmd_optimize)
 

@@ -19,7 +19,7 @@ never recomputes the minus-side integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from greenbound.bounds import (
     BoundReport,
@@ -37,6 +37,7 @@ from greenbound.transforms import TrapezoidParams
 
 INITIAL_STEP = 1.3  # starting multiplicative step for every coordinate
 STEP_FLOOR = 1e-3  # stop once every relative step is below this
+STEP_SHRINK = 0.7  # a coordinate's step is multiplied by this when neither direction improves
 _OBJECTIVES = ("width", "max-abs")
 _COORDINATES = (
     "alpha_plus",
@@ -53,7 +54,7 @@ _KEY_DIGITS = 12
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search settings: objective, iteration budget, step decay, start point.
+    """Search settings: objective, iteration budget, start point.
 
     The seed evaluation counts as the first iteration, so max_iters = 1
     returns the validated seed without moving.
@@ -61,7 +62,6 @@ class SearchConfig:
 
     objective: str
     max_iters: int
-    step_shrink: float
     seed_params: ParamSet
 
     def __post_init__(self) -> None:
@@ -71,8 +71,6 @@ class SearchConfig:
             )
         if self.max_iters < 1:
             raise ConstraintViolation(f"max_iters must be at least 1, got {self.max_iters}")
-        if not (0.0 < self.step_shrink < 1.0):
-            raise ConstraintViolation(f"step_shrink must lie in (0, 1), got {self.step_shrink}")
 
 
 def _make_params(delta: float, values: dict[str, float], sigma_max: float) -> ParamSet:
@@ -115,20 +113,18 @@ def _objective_value(report: BoundReport, objective: str) -> float:
     return max(abs(report.A), abs(report.B))
 
 
-def search(
-    cfg: SearchConfig, ctx: GroupContext, delta: float, N_bar: float
-) -> tuple[ParamSet, BoundReport]:
+def search(cfg: SearchConfig, ctx: GroupContext, N_bar: float) -> tuple[ParamSet, BoundReport]:
     """Minimize the configured objective starting from the seed parameters.
 
-    The seed is rebuilt at the requested delta and validated against ctx; an
+    delta stays at the seed's.  The seed is validated against ctx; an
     invalid seed raises ConstraintViolation.  Candidates that violate a
     constraint after projection, or whose quadrature fails to converge, are
     skipped.  The returned objective never exceeds the seed's.
     """
     sigma_max = sigma_ceiling(ctx.eta)
-    seed = cfg.seed_params
+    current = cfg.seed_params
+    delta = current.trapezoid.delta
     try:
-        current = replace(seed, trapezoid=replace(seed.trapezoid, delta=delta))
         validate(current, ctx)
     except ConstraintViolation as exc:
         raise ConstraintViolation(f"seed parameters are invalid: {exc}") from exc
@@ -158,7 +154,7 @@ def search(
                 if candidate_score < score and (best is None or candidate_score < best[0]):
                     best = (candidate_score, candidate, candidate_report)
             if best is None:
-                steps[name] *= cfg.step_shrink
+                steps[name] *= STEP_SHRINK
             else:
                 score, current, report = best
     return current, report

@@ -227,6 +227,7 @@ def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
     pow2 = np.exp((m - 1.0 + s) * np.log(x))
 
     g1, g2 = _descending_gammas(m, s)
+    scale = (x - 1.0 / x) ** m
 
     coeff = 1.0  # (1/2 - m)_n / n!, signed
     sign = 1.0  # (-1)^n
@@ -239,6 +240,9 @@ def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
         part1 = g1 * pow1
         part2 = g2 * pow2
         total += coeff * sign * (part1 - part2)
+        if n == 0 and not np.isfinite(total + scale).all():  # past u ~ 1e154, else it never stops
+            bad = u[~np.isfinite(total + scale)][0]
+            raise NonConvergenceError(f"legendre_P_negm series terms are not finite at u = {bad}")
         if n >= m + 2:
             # For n >= m every factor ratio has modulus < 1, so both parts
             # decay at least geometrically with ratio x^-2; bound the tail by
@@ -256,9 +260,9 @@ def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
         g1 *= (m - n - s) / (n + 0.5 + s)
         g2 *= (m - n - 1.0 + s) / (n + 1.5 - s)
     else:
-        raise NonConvergenceError(f"legendre_P_negm series did not converge at min u = {np.min(u)}")
+        raise NonConvergenceError(f"legendre_P_negm series did not converge at u = {u[todo[0]]}")
 
-    prefactor = SQRT_PI / ((x - 1.0 / x) ** m * cmath.cos(math.pi * s))
+    prefactor = SQRT_PI / (scale * cmath.cos(math.pi * s))
     return prefactor * out
 
 
@@ -286,7 +290,8 @@ def legendre_P_negm(m: int, s: complex, u):
 
     The strip point s = 1/2 is a removable singularity handled analytically
     but not numerically; inputs within 1e-3 of it (both components) are
-    rejected.
+    rejected.  An entry whose series terms overflow (u past about 1e154)
+    raises NonConvergenceError naming its u.
     """
     if m < 0 or m % 2 != 0:
         raise ValueError(f"legendre_P_negm supports even m >= 0 only, got m = {m}")
@@ -317,6 +322,8 @@ def C_sigma(sigma: float) -> tuple[float, float]:
     """
     if not (0.0 < sigma < 0.5):
         raise ValueError(f"C_sigma requires 0 < sigma < 1/2, got {sigma}")
+    if sigma < 1.2e-4:  # the exp below overflows near sigma = 1.17e-4
+        raise ValueError(f"C_sigma overflows for sigma below 1.2e-4, got {sigma}")
     common = max(1.0, math.tan(math.pi * sigma)) * (1.0 / sigma - 1.0) ** 0.25
     c_main = common * math.exp(0.5 + 1.0 / (24.0 * sigma * (0.5 + sigma)))
     c_prime = common * math.exp(0.5 + 1.0 / (24.0 * (1.0 - sigma) * (1.5 - sigma)))

@@ -37,7 +37,7 @@ import numpy as np
 
 from greenbound._quad import integrate_to_infinity
 from greenbound.errors import ConstraintViolation, NonConvergenceError
-from greenbound.specfun import C_sigma, SQRT_PI, legendre_P_neg1, legendre_P_negm, p_sigma
+from greenbound.specfun import C_sigma, SQRT_PI, legendre_P_neg1, legendre_P_negm
 
 TWO_PI = 2.0 * math.pi
 

@@ -289,6 +289,11 @@ def test_enclose_D_rejects_out_of_range_inputs():
     )
     with pytest.raises(ConstraintViolation):
         enclose_D(ParamSet(trapezoid=near_one, sigma_plus=0.35, sigma_minus=0.3))
+    # below sigma = 2^-11 C_sigma x^2 overflows at the far nodes, or C_sigma itself
+    tiny = TrapezoidParams(delta=2.0, alpha_plus=1e-6, alpha_minus=0.1, beta_plus=1.0, beta_minus=0.1)
+    for sigma in (1e-5, 1.17e-4, 1.5e-4, 3e-4):
+        with pytest.raises(ConstraintViolation, match="2\\^-11"):
+            enclose_D(ParamSet(trapezoid=tiny, sigma_plus=sigma, sigma_minus=0.3))
 
 
 def test_enclose_D_upper_end_carries_the_tail():

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, stdout tables, and machine records."""
 
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -14,7 +16,9 @@ from greenbound.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
     EXIT_OK,
+    build_parser,
     main,
+    params_record,
     parse_bound_report,
     parse_count_certificate,
     parse_cusp_report,
@@ -128,12 +132,26 @@ def test_bounds_rejects_infinite_n_bar(source, capsys, tmp_path):
         ('{"n_bar": null}', []),
         ('{"cusp": {"eps": 0.1}}', []),
         (None, ["cusp-extend", "--case", "c", "--eps", "0.05"]),
+        ('{"params": {"betaplus": 2.0}}', []),
+        ('{"group": {"vol": 0.5, "eta": 0.25, "min_cc": 3}}', []),
+        ('{"cusp": {"eps": 0.05, "eps_prime": 0.2, "detla": 9}}', []),
+        ('{"region": {"x_min": 0, "x_max": 0, "y_min": 1, "y_max": 1, "ymax": 2}}', []),
+        ('{"U": true}', []),
+        ('{"cusp": {"eps": 0.05, "eps_prime": 0.2, "count_pm1": true}}', []),
+        ('{"group": {"vol": 0.5, "eta": 0.25, "contains_minus_one": "false"}}', []),
+        ('{"grid": [2.5, 3]}', []),
+        ('{"grid": [Infinity, 1]}', []),
     ],
-    ids=["grid-short", "grid-number", "group-no-eta", "region-short", "n_bar-null", "cusp-no-eps_prime", "no-eps-prime"],
+    ids=[
+        "grid-short", "grid-number", "group-no-eta", "region-short", "n_bar-null", "cusp-no-eps_prime",
+        "no-eps-prime", "params-unknown", "group-unknown", "cusp-unknown", "region-unknown", "U-bool",
+        "count_pm1-bool", "minus-one-text", "grid-fraction", "grid-infinite",
+    ],
 )
 def test_bad_config_entries_are_refused(config, argv, capsys, tmp_path):
-    """A config entry that is missing a field or is not a number is refused
-    with a one-line error naming the field and exit 1, not a traceback."""
+    """A config entry that is missing a field, names an unknown one, or is not
+    a number (a boolean is not) is refused with a one-line error and exit 1,
+    not a traceback."""
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(config, encoding="utf-8")
@@ -142,6 +160,18 @@ def test_bad_config_entries_are_refused(config, argv, capsys, tmp_path):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and captured.err.count("\n") == 1
     assert captured.err.startswith("greenbound: constraint error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 1.17e-4, 1.2e-4, 1.5e-4])
+def test_bounds_refuses_tiny_sigma(sigma, capsys, tmp_path):
+    """Below sigma = 2^-11 C_sigma or the enclosure's node values overflow:
+    exit 1 with one line, not a traceback or the enclosure (inf, inf)."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"sigma_plus": sigma, "alpha_plus": 1e-6}}), encoding="utf-8")
+    assert main(["bounds", "--config", str(config)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("greenbound: ") and captured.err.count("\n") == 1
     assert captured.out == ""
 
 
@@ -344,9 +374,134 @@ def test_unknown_subcommand_is_config_error(capsys):
     assert info.value.code == EXIT_CONFIG
 
 
+def test_readme_command_lines_parse():
+    """Every greenbound line of README's command-line block parses, so the
+    documentation cannot keep a flag that is gone."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"## Command line\n\n```\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("greenbound ")]
+    assert len(lines) >= 7
+    for argv in lines:
+        build_parser().parse_args(argv)
+
+
 def test_readme_library_example_runs(capsys):
     """The python block of README.md runs as written."""
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
     exec(compile(block, str(readme), "exec"), {})
     assert capsys.readouterr().out.split()[0] == "214"
+
+
+def _holds(echo, given) -> bool:
+    """Whether a config echo entry holds the value a config file or flag gave for it."""
+    if given is None:
+        return echo is None
+    if isinstance(given, dict):
+        return all(_holds(echo[name], value) for name, value in given.items())
+    if isinstance(echo, dict):  # a region given as four numbers, a group by its preset name
+        if isinstance(given, list):
+            return _holds([echo[name] for name in ("x_min", "x_max", "y_min", "y_max")], given)
+        return echo["name"] == given
+    if isinstance(given, list):
+        return len(echo) == len(given) and all(map(_holds, echo, given))
+    if isinstance(echo, str):  # a group name, or a mode alias such as exact for theorem-exact
+        return given in echo
+    if isinstance(echo, list):  # grid text
+        return _holds(echo, given.lower().split("x"))
+    return echo == float(given)
+
+
+def test_any_config_and_flag_text_exits_0_or_1(tmp_path):
+    """Config fields holding any JSON value, unknown keys among them, and any
+    flag text: bounds, cusp-extend and count exit 0 or 1 without a traceback,
+    a config error is one stderr line, and on exit 0 the record's config echo
+    holds the values given, flags over the file."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Numbers stay below 1e3 or are extreme: a count at U near 5e4 is accepted and takes seconds.
+    number = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 5e-324]))
+    scalar = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), number, st.text(max_size=4),
+                       st.sampled_from(["nan", "inf", "2", "1x1", "sl2z", "exact"]))
+    anything = st.one_of(scalar, st.lists(scalar, max_size=4), st.dictionaries(st.text(max_size=3), scalar, max_size=2))
+    flag_junk = st.one_of(st.text(max_size=6), st.sampled_from(["", "nan", "inf", "-1", "1e400", "1,2", "1x1x1"]))
+    ref = params_record(reference_params())
+    fields = {
+        "U": st.floats(1.0, 20.0),
+        "n_bar": st.floats(2.0, 1e3),
+        "mode": st.sampled_from(["exact", "paper", "theorem-exact", "paper-arithmetic"]),
+        "grid": st.sampled_from([[1, 1], "1x1", [1.0, 1]]),
+        "region": st.floats(-0.5, 0.4).flatmap(lambda x: st.floats(0.9, 1.9).map(lambda y: [x, x + 0.1, y, y + 0.1])),
+        "group": st.just("sl2z"),
+        "params": {name: st.floats(0.9, 1.0).map(lambda f, v=value: f * v) for name, value in ref.items()},
+        "cusp": {"eps": st.floats(1e-3, 0.01), "eps_prime": st.floats(0.1, 0.2), "count_pm1": st.sampled_from([1, 2]),
+                 "delta": st.floats(1.5, 2.5), "min_c": st.floats(1.0, 2.0)},
+    }
+    group = {"vol": st.floats(0.1, 3.0), "eta": st.floats(0.24, 0.25), "name": st.text(max_size=3),
+             "contains_minus_one": st.booleans(), "min_c": st.floats(1.0, 2.0)}
+    required = {"group": ["vol", "eta"], "cusp": ["eps", "eps_prime"], "cusp-extend": ["cusp"]}
+    flags = {
+        "U": st.floats(1.0, 20.0).map(repr),
+        "n_bar": st.floats(2.0, 1e3).map(repr),
+        "eps": st.floats(1e-3, 0.01).map(repr),
+        "eps_prime": st.floats(0.1, 0.2).map(repr),
+        "grid": st.sampled_from(["1x1", "1X1", " 1 x 1"]),
+        "point": st.floats(-0.5, 0.5).flatmap(lambda x: st.floats(0.9, 2.0).map(lambda y: f"{x!r},{y!r}")),
+        "region": st.just("-0.5,0.5,1.0,2.0"),
+    }
+    commands = {
+        "bounds": (["bounds", "--mode", "paper"], ["n_bar"]),
+        "cusp-extend": (["cusp-extend", "--case", "a", "--mode", "paper"], ["n_bar", "eps", "eps_prime"]),
+        "count": (["count"], ["U", "point", "region"]),
+    }
+    config, record = tmp_path / "config.json", tmp_path / "record.json"
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        def odds(label, n):  # true one time in n
+            return data.draw(st.integers(1, n), label=label) == 1
+
+        def keys(names, label):  # the required names, each other one time in two, an unknown one time in eight
+            must = required.get(label, [])
+            some = [n for n in names if n not in must and odds(f"{label} has {n}", 2)]
+            return must + some + ["extra"] * odds(label, 8)
+
+        def draw(plausible, name, junk=anything):  # five times in six a plausible value
+            if isinstance(plausible, dict):
+                return {key: draw(plausible.get(key, anything), f"{name}.{key}") for key in keys(plausible, name)}
+            return data.draw(junk if odds(f"{name} junk", 6) else plausible, label=name)
+
+        command, (argv, flag_names) = data.draw(st.sampled_from(sorted(commands.items())), label="command")
+        shapes = {**fields, "group": data.draw(st.sampled_from([fields["group"], group]), label="group form")}
+        entries = {name: draw(shapes.get(name, anything), name) for name in keys(shapes, command)}
+        config.write_text(json.dumps(entries), encoding="utf-8")
+        given = {name: draw(flags[name], f"--{name}", flag_junk) for name in flag_names if odds(f"--{name}?", 2)}
+        if command == "count":  # every count runs on a 1x1 grid
+            given["grid"] = draw(flags["grid"], "--grid", flag_junk)
+        argv = [*argv, "--config", str(config), "--json", str(record)]
+        argv += [f"--{name.replace('_', '-')}={value}" for name, value in given.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, parsed = main(argv), True
+            except SystemExit as exc:  # argparse refused a flag's text
+                code, parsed = exc.code, False
+        assert code in (EXIT_OK, EXIT_CONFIG) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+        if code == EXIT_CONFIG:
+            assert out.getvalue() == ""
+            assert not parsed or err.getvalue().count("\n") == 1, err.getvalue()
+            return
+        expected = dict(entries, mode="paper") if command != "count" else dict(entries)
+        if "point" in given:
+            x, y = given["point"].split(",")
+            expected["region"] = [x, x, y, y]
+        for name in ("region", "U", "grid", "n_bar"):
+            if name in given:
+                expected[name] = given[name].split(",") if name == "region" else given[name]
+        cusp = {name: given[name] for name in ("eps", "eps_prime") if name in given}
+        if cusp:
+            expected["cusp"] = {**(expected.get("cusp") or {}), **cusp}
+        assert _holds(read_record(record)["config"], expected), (expected, read_record(record)["config"])
+
+    check()

@@ -224,8 +224,8 @@ def test_optimize_width_path_is_pinned():
     upper ends of enclose_D; its path and result are fixed to the last bit."""
     ctx = group_preset("sl2z")
     seed = reference_params()
-    config = SearchConfig(objective="width", max_iters=25, step_shrink=0.7, seed_params=seed)
-    params, report = search(config, ctx, seed.trapezoid.delta, 216.0)
+    config = SearchConfig(objective="width", max_iters=25, seed_params=seed)
+    params, report = search(config, ctx, 216.0)
     assert (report.A, report.B) == (-17307.291135686035, 9154.735711309677)
     t = params.trapezoid
     assert (t.delta, t.alpha_plus, t.alpha_minus, t.beta_plus, t.beta_minus) == (

@@ -8,11 +8,13 @@ violations.
 import cmath
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from greenbound import specfun, verify
+from greenbound.errors import NonConvergenceError
 from greenbound.specfun import (
     C_sigma,
     gauss_value,
@@ -114,6 +116,16 @@ def test_legendre_P_negm_validation():
         legendre_P_negm(2, 0.7, 1.0)  # u must exceed 1
     with pytest.raises(ValueError):
         legendre_P_negm(2, 0.5 + 1e-5j, 2.0)  # removable singularity zone
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_legendre_P_negm_refuses_overflowing_u_at_once():
+    """Past u ~ 1e154 the descending series' terms overflow; the entry is
+    named at once instead of after a million series passes."""
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError, match=r"u = 1e\+160"):
+        legendre_P_negm(2, 0.3 + 1j, [3.0, 1e160])
+    assert time.perf_counter() - start < 1.0
 
 
 def _zone_edge(s):
@@ -225,6 +237,8 @@ def test_C_sigma_reference_values():
         C_sigma(0.0)
     with pytest.raises(ValueError):
         C_sigma(0.5)
+    with pytest.raises(ValueError, match="overflows"):
+        C_sigma(1e-5)  # its exp overflows below about 1.17e-4
 
 
 def test_p_sigma_series_identity():
