@@ -40,7 +40,7 @@ from greenbound.bounds import (
 )
 from greenbound.transforms import TrapezoidParams
 from greenbound.cusps import CuspBoundReport, CuspGeometry, extend_bounds
-from greenbound.optimize import SearchConfig, search
+from greenbound.optimize import search
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "GroupContext",
     "ParamSet",
     "Rectangle",
-    "SearchConfig",
     "TrapezoidParams",
     "UnimodularMatrix",
     "UpperHalfPoint",

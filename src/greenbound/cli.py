@@ -40,7 +40,7 @@ from greenbound.cusps import CuspBoundReport, CuspGeometry, admissible_eps, exte
 from greenbound.errors import ConstraintViolation, NonConvergenceError
 from greenbound.geom import Rectangle
 from greenbound.lattice import CountCertificate, count_bound, truncated_fundamental_domain
-from greenbound.optimize import SearchConfig, search
+from greenbound.optimize import search
 from greenbound.transforms import TrapezoidParams
 from greenbound.verify import CheckResult, property_battery, reproduction_battery
 
@@ -401,9 +401,8 @@ def cmd_cusp_extend(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    cfg = SearchConfig(objective=args.objective, max_iters=args.max_iters, seed_params=config.params)
-    best, report = search(cfg, config.group, config.n_bar)
-    print(f"objective: {cfg.objective}")
+    best, report = search(config.params, config.group, config.n_bar, args.max_iters)
+    print(f"objective: {args.objective}")
     print(f"A:         {report.A:.4f}")
     print(f"B:         {report.B:.4f}")
     print(f"width:     {report.width:.4f}")
@@ -411,7 +410,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     for name in ("alpha_plus", "beta_plus", "sigma_plus", "alpha_minus", "beta_minus", "sigma_minus"):
         print(f"{name:<12} {best_params[name]:.8g}")
     record = bounds_record(report, config)
-    record.update(command="optimize", objective=cfg.objective, best_params=best_params)
+    record.update(command="optimize", objective=args.objective, best_params=best_params)
     _emit(record, args.json)
     return EXIT_OK
 
@@ -470,7 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="tune the free parameters")
     add_common(p_opt)
-    p_opt.add_argument("--objective", default="width", choices=("width", "max-abs"))
+    p_opt.add_argument(
+        "--objective", default="width", choices=("width", "max-abs"),
+        help="echoed in the record; both values return the same minimiser",
+    )
     p_opt.add_argument("--max-iters", dest="max_iters", type=int, default=25)
     p_opt.add_argument("--n-bar", dest="n_bar", type=float, help="uniform count bound")
     p_opt.set_defaults(handler=cmd_optimize)

@@ -63,12 +63,15 @@ from greenbound.geom import (
 RANGE_SLACK = 1e-9  # absolute slack on continuous coefficient ranges
 SAFE_MARGIN = 1e-6  # relative inclusion margin on the count threshold
 TIE_MARGIN = 1e-9  # relative distance from U below which exact_count decides exactly
-# Cap on the estimated steps of the candidate loop, of the grid screen
-# (cells x candidates), of the refinement after it and of the orbit loop of
-# enumerate_group_elements: 400x400 cells at U = 17 on the truncated domain
-# estimate 1.3e8 and take 0.25 s on a 2-core box.  The screen and the
-# refinement are estimated as if they tested every candidate everywhere.
+# Cap on the estimated steps of the grid screen (cells x candidates), of the
+# refinement after it and of the orbit loop of enumerate_group_elements:
+# 400x400 cells at U = 17 on the truncated domain estimate 1.3e8 and take
+# 0.25 s on a 2-core box.  The screen and the refinement are estimated as if
+# they tested every candidate everywhere.  A step of the pure-Python candidate
+# loop costs about 70 screen steps (1.15e8 of them took 16.4 s on the same
+# box), so it counts LOOP_WEIGHT steps against the same cap.
 MAX_WORK = 2**28
+LOOP_WEIGHT = 64
 _CHUNK = 2**13  # (cell, candidate) pairs per kernel call, to bound memory
 PRUNE_SLACK = 1e-12  # relative slack of the pruning threshold over the count threshold
 
@@ -128,7 +131,8 @@ def _check_work(region: Rectangle, U: float, cells: int = 1) -> None:
     For c = 1 .. C = sqrt(2U)/y_min, a and d each take at most
     n(c) = 2 sqrt(2U) + 1 + c (x_max - x_min) values, and ad = 1 (mod c)
     leaves at most n(c)/c + 1 values of d per a; the sums over c are taken
-    in closed form (harmonic sum <= 1 + log C).  NaN or infinity is refused.
+    in closed form (harmonic sum <= 1 + log C).  Each loop step counts
+    LOOP_WEIGHT against the cap.  NaN or infinity is refused.
     """
     root_2u = math.sqrt(2.0 * U)
     n0 = 2.0 * root_2u + 1.0
@@ -139,7 +143,7 @@ def _check_work(region: Rectangle, U: float, cells: int = 1) -> None:
         s1, s2, s3 = C, C * (C + 1.0) / 2.0, C * (C + 1.0) * (2.0 * C + 1.0) / 6.0
         loop = n0 * n0 * s1 + 2.0 * n0 * w * s2 + w * w * s3
         candidates += n0 * (n0 * (1.0 + math.log(C)) + (2.0 * w + 1.0) * s1) + w * (w + 1.0) * s2
-    work = loop + cells * candidates
+    work = LOOP_WEIGHT * loop + cells * candidates
     if not (work <= MAX_WORK):
         raise ValueError(
             f"counting on [{region.x_min:g}, {region.x_max:g}] x "

@@ -1,25 +1,30 @@
 """Derivative-free tuning of the certificate parameters.
 
-The six free parameters (alpha_plus, beta_plus, sigma_plus, alpha_minus,
-beta_minus, sigma_minus) enter the bounds through closed forms and through
-quadrature, so no gradients are available.  The search is plain coordinate
-descent in log-space: each coordinate is scaled up or down by a
-multiplicative step, infeasible candidates are projected back onto the
-constraint set where a projection is canonical (the beta_minus cap and the
-sigma window) and skipped otherwise, and the per-coordinate step shrinks
-whenever neither direction improves the objective.  Deterministic by
-construction: no randomness, strict-improvement moves, fixed coordinate
-order.
+A = -q_plus - D_plus S N_bar depends only on delta and the plus side
+(alpha_plus, beta_plus, sigma_plus), and B = -q_minus + D_minus S N_bar only
+on delta and the minus side.  delta stays at the seed's and every constraint
+(the beta_minus cap, the sigma window) touches one side, so the width B - A
+and max(|A|, |B|) are both minimized by minimizing -A and B separately: the
+search is one coordinate descent on the plus side, then one on the minus side.
 
-The majorant integrals dominate the cost, so they are memoized per sign on
-the parameters they actually depend on; stepping a plus-side coordinate
-never recomputes the minus-side integral.
+The parameters enter the bounds through closed forms and through quadrature,
+so no gradients are available.  Each descent works in log-space: each of its
+three coordinates is scaled up or down by a multiplicative step, infeasible
+candidates are projected back onto the constraint set where a projection is
+canonical (the beta_minus cap and the sigma window) and skipped otherwise,
+and a coordinate's step shrinks whenever neither direction improves.  A side
+stops once its three steps are all below STEP_FLOOR, or after max_iters - 1
+sweeps.  Deterministic by construction: no randomness, strict-improvement
+moves, fixed coordinate order.
+
+The D enclosures dominate the cost.  Each side's are memoized on that side's
+parameters, so the side not being searched is enclosed once, and a step up
+followed by a step down lands on a point already scored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from greenbound.bounds import (
     BoundReport,
@@ -36,41 +41,15 @@ from greenbound.errors import ConstraintViolation, NonConvergenceError
 from greenbound.transforms import TrapezoidParams
 
 INITIAL_STEP = 1.3  # starting multiplicative step for every coordinate
-STEP_FLOOR = 1e-3  # stop once every relative step is below this
+STEP_FLOOR = 1e-3  # a side stops once each of its relative steps is below this
 STEP_SHRINK = 0.7  # a coordinate's step is multiplied by this when neither direction improves
-_OBJECTIVES = ("width", "max-abs")
-_COORDINATES = (
-    "alpha_plus",
-    "beta_plus",
-    "sigma_plus",
-    "alpha_minus",
-    "beta_minus",
-    "sigma_minus",
+_SIDES = (
+    (+1, ("alpha_plus", "beta_plus", "sigma_plus")),
+    (-1, ("alpha_minus", "beta_minus", "sigma_minus")),
 )
 _BETA_CAP_MARGIN = 1.0 - 1e-9
 _SIGMA_FLOOR_REL = 1e-6
 _KEY_DIGITS = 12
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Search settings: objective, iteration budget, start point.
-
-    The seed evaluation counts as the first iteration, so max_iters = 1
-    returns the validated seed without moving.
-    """
-
-    objective: str
-    max_iters: int
-    seed_params: ParamSet
-
-    def __post_init__(self) -> None:
-        if self.objective not in _OBJECTIVES:
-            raise ConstraintViolation(
-                f"objective must be one of {_OBJECTIVES}, got {self.objective!r}"
-            )
-        if self.max_iters < 1:
-            raise ConstraintViolation(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 def _make_params(delta: float, values: dict[str, float], sigma_max: float) -> ParamSet:
@@ -93,68 +72,60 @@ def _make_params(delta: float, values: dict[str, float], sigma_max: float) -> Pa
 
 def _coordinate_values(params: ParamSet) -> dict[str, float]:
     values = {**vars(params.trapezoid), "sigma_plus": params.sigma_plus, "sigma_minus": params.sigma_minus}
-    return {name: values[name] for name in _COORDINATES}
+    return {name: values[name] for _, names in _SIDES for name in names}
 
 
-def _cached_D(params: ParamSet, cache: dict) -> tuple[float, float]:
-    """(D_plus, D_minus), the upper ends of enclosures memoized on the parameters of their side."""
-    D = []
-    for sign in (+1, -1):
-        key = (sign,) + tuple(round(x, _KEY_DIGITS) for x in (params.trapezoid.delta, *_side(params, sign)))
-        if key not in cache:
-            cache[key] = _enclose_one_sign(params, sign)
-        D.append(_upper_end(cache[key], sign))
-    return D[0], D[1]
+def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> tuple[ParamSet, BoundReport]:
+    """Minimize -A over the plus side from the seed, then B over the minus side.
 
-
-def _objective_value(report: BoundReport, objective: str) -> float:
-    if objective == "width":
-        return report.width
-    return max(abs(report.A), abs(report.B))
-
-
-def search(cfg: SearchConfig, ctx: GroupContext, N_bar: float) -> tuple[ParamSet, BoundReport]:
-    """Minimize the configured objective starting from the seed parameters.
-
-    delta stays at the seed's.  The seed is validated against ctx; an
-    invalid seed raises ConstraintViolation.  Candidates that violate a
-    constraint after projection, or whose quadrature fails to converge, are
-    skipped.  The returned objective never exceeds the seed's.
+    The seed evaluation counts as the first iteration, so max_iters = 1
+    returns the validated seed without moving; max_iters < 1 and a seed that
+    fails validation against ctx raise ConstraintViolation.  Candidates that
+    violate a constraint after projection, or whose enclosure is too wide,
+    are skipped, so neither -A nor B ever exceeds the seed's.
     """
-    sigma_max = sigma_ceiling(ctx.eta)
-    current = cfg.seed_params
-    delta = current.trapezoid.delta
+    if max_iters < 1:
+        raise ConstraintViolation(f"max_iters must be at least 1, got {max_iters}")
     try:
-        validate(current, ctx)
+        validate(seed, ctx)
     except ConstraintViolation as exc:
         raise ConstraintViolation(f"seed parameters are invalid: {exc}") from exc
+    sigma_max = sigma_ceiling(ctx.eta)
+    delta = seed.trapezoid.delta
+    memo: dict[int, dict] = {+1: {}, -1: {}}
 
-    cache: dict = {}
-    report = assemble(current, ctx, N_bar, D=_cached_D(current, cache))
-    score = _objective_value(report, cfg.objective)
+    def evaluate(params: ParamSet) -> BoundReport:
+        D = []
+        for sign in (+1, -1):
+            key = tuple(round(x, _KEY_DIGITS) for x in _side(params, sign))
+            if key not in memo[sign]:
+                memo[sign][key] = _enclose_one_sign(params, sign)
+            D.append(_upper_end(memo[sign][key], sign))
+        return assemble(params, ctx, N_bar, D=tuple(D))
 
-    steps = {name: math.log(INITIAL_STEP) for name in _COORDINATES}
+    current, report = seed, evaluate(seed)
     step_floor = math.log1p(STEP_FLOOR)
-    for _ in range(cfg.max_iters - 1):
-        if all(step < step_floor for step in steps.values()):
-            break
-        for name in _COORDINATES:
-            best = None
-            for direction in (1.0, -1.0):
-                values = _coordinate_values(current)
-                values[name] *= math.exp(direction * steps[name])
-                try:
-                    candidate = _make_params(delta, values, sigma_max)
-                    candidate_report = assemble(
-                        candidate, ctx, N_bar, D=_cached_D(candidate, cache)
-                    )
-                except (ConstraintViolation, NonConvergenceError):
-                    continue
-                candidate_score = _objective_value(candidate_report, cfg.objective)
-                if candidate_score < score and (best is None or candidate_score < best[0]):
-                    best = (candidate_score, candidate, candidate_report)
-            if best is None:
-                steps[name] *= STEP_SHRINK
-            else:
-                score, current, report = best
+    for sign, names in _SIDES:
+        score = -report.A if sign > 0 else report.B
+        steps = dict.fromkeys(names, math.log(INITIAL_STEP))
+        for _ in range(max_iters - 1):
+            if all(step < step_floor for step in steps.values()):
+                break
+            for name in names:
+                best = None
+                for direction in (1.0, -1.0):
+                    values = _coordinate_values(current)
+                    values[name] *= math.exp(direction * steps[name])
+                    try:
+                        candidate = _make_params(delta, values, sigma_max)
+                        candidate_report = evaluate(candidate)
+                    except (ConstraintViolation, NonConvergenceError):
+                        continue
+                    candidate_score = -candidate_report.A if sign > 0 else candidate_report.B
+                    if candidate_score < score and (best is None or candidate_score < best[0]):
+                        best = (candidate_score, candidate, candidate_report)
+                if best is None:
+                    steps[name] *= STEP_SHRINK
+                else:
+                    score, current, report = best
     return current, report

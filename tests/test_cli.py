@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -256,6 +257,38 @@ def test_optimize_short_budget(capsys, tmp_path):
     }
     out = capsys.readouterr().out
     assert "width" in out
+
+
+def test_optimize_objectives_give_one_record(tmp_path):
+    """Each side is searched on its own, so width and max-abs reach the same
+    parameters; their records differ only in the objective they echo."""
+    records = {}
+    for objective in ("width", "max-abs"):
+        path = tmp_path / f"{objective}.json"
+        assert main(["optimize", "--objective", objective, "--max-iters", "25", "--json", str(path)]) == EXIT_OK
+        records[objective] = read_record(path)
+    assert records["width"].pop("objective") == "width"
+    assert records["max-abs"].pop("objective") == "max-abs"
+    assert records["width"] == records["max-abs"]
+    assert records["width"]["B"] < 9165.737
+
+
+def test_optimize_refuses_zero_iterations(capsys):
+    assert main(["optimize", "--max-iters", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+    assert "max_iters" in captured.err
+
+
+def test_count_work_cap_weighs_the_candidate_loop(capsys):
+    """At one point a large U is all candidate loop, which runs in Python:
+    U = 5e4 is refused at once, U = 5000 still counts."""
+    start = time.perf_counter()
+    assert main(["count", "--point", "0.1,1.1", "--U", "50000"]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "above the cap" in captured.err
+    assert main(["count", "--point", "0.1,1.1", "--U", "5000"]) == EXIT_OK
 
 
 def test_selftest_passes(capsys):

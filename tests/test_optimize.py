@@ -4,34 +4,24 @@ import math
 
 import pytest
 
+from greenbound import optimize
 from greenbound.bounds import ParamSet, assemble, group_preset, reference_params, validate
 from greenbound.errors import ConstraintViolation
-from greenbound.optimize import SearchConfig, search
+from greenbound.optimize import search
 
 N_BAR = 216.0
-
-
-def make_config(**overrides):
-    fields = dict(
-        objective="width",
-        max_iters=1,
-        seed_params=reference_params(),
-    )
-    fields.update(overrides)
-    return SearchConfig(**fields)
+SEED_B = 9165.7369649571  # B at reference_params(), N_bar = 216
 
 
 def test_config_validation():
-    with pytest.raises(ConstraintViolation, match="objective"):
-        make_config(objective="area")
     with pytest.raises(ConstraintViolation, match="max_iters"):
-        make_config(max_iters=0)
+        search(reference_params(), group_preset("sl2z"), N_BAR, 0)
 
 
 def test_single_iteration_returns_validated_seed():
     ctx = group_preset("sl2z")
     seed = reference_params()
-    params, report = search(make_config(max_iters=1), ctx, N_BAR)
+    params, report = search(seed, ctx, N_BAR, 1)
     assert params == seed
     direct = assemble(seed, ctx, N_BAR, "theorem-exact")
     assert report.A == direct.A
@@ -44,42 +34,76 @@ def test_invalid_seed_is_rejected():
     t = reference_params().trapezoid
     bad_seed = ParamSet(trapezoid=t, sigma_plus=0.45, sigma_minus=0.25)
     with pytest.raises(ConstraintViolation, match="seed parameters are invalid"):
-        search(make_config(seed_params=bad_seed), ctx, N_BAR)
+        search(bad_seed, ctx, N_BAR, 1)
 
 
 def test_width_objective_never_worsens():
     ctx = group_preset("sl2z")
     seed = reference_params()
     base = assemble(seed, ctx, N_BAR, "theorem-exact")
-    params, report = search(make_config(max_iters=3), ctx, N_BAR)
+    params, report = search(seed, ctx, N_BAR, 3)
     assert report.width <= base.width
     validate(params, ctx)
     assert report.A <= report.B
 
 
-def test_max_abs_objective_never_worsens():
+def test_minus_side_moves_without_the_plus_side():
+    """B is searched on its own: in three iterations the plus side finds no
+    better A, and B still drops below the seed's, although no minus move
+    lowers max(|A|, |B|)."""
     ctx = group_preset("sl2z")
     seed = reference_params()
     base = assemble(seed, ctx, N_BAR, "theorem-exact")
-    params, report = search(
-        make_config(objective="max-abs", max_iters=3), ctx, N_BAR
-    )
-    assert max(abs(report.A), abs(report.B)) <= max(abs(base.A), abs(base.B))
+    assert base.B == SEED_B
+    params, report = search(seed, ctx, N_BAR, 3)
+    assert report.A == base.A
+    assert report.B < SEED_B
     validate(params, ctx)
 
 
 def test_search_is_deterministic():
     ctx = group_preset("sl2z")
-    cfg = make_config(max_iters=3)
-    first = search(cfg, ctx, N_BAR)
-    second = search(cfg, ctx, N_BAR)
+    first = search(reference_params(), ctx, N_BAR, 3)
+    second = search(reference_params(), ctx, N_BAR, 3)
     assert first[0] == second[0]
     assert (first[1].A, first[1].B) == (second[1].A, second[1].B)
 
 
 def test_longer_budget_does_not_regress():
     ctx = group_preset("sl2z")
-    short = search(make_config(max_iters=2), ctx, N_BAR)
-    longer = search(make_config(max_iters=4), ctx, N_BAR)
+    short = search(reference_params(), ctx, N_BAR, 2)
+    longer = search(reference_params(), ctx, N_BAR, 4)
     assert longer[1].width <= short[1].width + 1e-12 * abs(short[1].width)
     assert math.isfinite(longer[1].width)
+
+
+def test_search_result_is_pinned():
+    """optimize --max-iters 25 scores every candidate on the upper ends of
+    enclose_D; its path and result are fixed to the last bit."""
+    ctx = group_preset("sl2z")
+    params, report = search(reference_params(), ctx, N_BAR, 25)
+    assert (report.A, report.B) == (-17307.291135686035, 9154.736655067029)
+    t = params.trapezoid
+    assert (t.delta, t.alpha_plus, t.alpha_minus, t.beta_plus, t.beta_minus) == (
+        2.0,
+        0.038963511852965475,
+        0.003731038598193473,
+        2.673965263910509,
+        0.6683930032505743,
+    )
+    assert (params.sigma_plus, params.sigma_minus) == (0.2923714123420863, 0.2502180733913586)
+
+
+def test_search_encloses_each_side_point_once(monkeypatch):
+    """Each side stops on its own step floor and its enclosures are memoized,
+    so 25 iterations take at most 226 enclosures."""
+    calls = []
+    enclose = optimize._enclose_one_sign
+
+    def counted(params, sign):
+        calls.append(sign)
+        return enclose(params, sign)
+
+    monkeypatch.setattr(optimize, "_enclose_one_sign", counted)
+    search(reference_params(), group_preset("sl2z"), N_BAR, 25)
+    assert len(calls) <= 226

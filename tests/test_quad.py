@@ -10,9 +10,8 @@ from test_bounds import draw_valid_params
 
 from greenbound import _quad, transforms
 from greenbound._quad import integrate, integrate_to_infinity
-from greenbound.bounds import compute_D, group_preset, reference_params
+from greenbound.bounds import compute_D, reference_params
 from greenbound.errors import NonConvergenceError
-from greenbound.optimize import SearchConfig, search
 
 _ENGINE = _quad._integrate  # unpatched, for the oracle and the call counter
 
@@ -217,22 +216,3 @@ def test_march_makes_at_most_two_engine_calls(paired):
     paired(lambda u: u**-3, 2.0, lambda M: 0.5 * M**-2, 1e-10)
     # each of these marches stops past its first block, so it takes both calls
     assert [calls for *_, calls in paired.records] == [2, 2, 2, 2]
-
-
-def test_optimize_width_path_is_pinned():
-    """optimize --objective width --max-iters 25 scores every candidate on the
-    upper ends of enclose_D; its path and result are fixed to the last bit."""
-    ctx = group_preset("sl2z")
-    seed = reference_params()
-    config = SearchConfig(objective="width", max_iters=25, seed_params=seed)
-    params, report = search(config, ctx, 216.0)
-    assert (report.A, report.B) == (-17307.291135686035, 9154.735711309677)
-    t = params.trapezoid
-    assert (t.delta, t.alpha_plus, t.alpha_minus, t.beta_plus, t.beta_minus) == (
-        2.0,
-        0.038963511852965475,
-        0.003731038598193473,
-        2.673965263910509,
-        0.6683930032505743,
-    )
-    assert (params.sigma_plus, params.sigma_minus) == (0.2923714123420863, 0.2501198950266565)
