@@ -24,6 +24,7 @@ from greenbound.lattice import (
     exact_count,
     truncated_fundamental_domain,
     u_lower_bound,
+    u_upper_bound,
 )
 from greenbound.bounds import (
     BoundReport,
@@ -75,6 +76,7 @@ __all__ = [
     "truncated_fundamental_domain",
     "u_lower_bound",
     "u_of_gamma",
+    "u_upper_bound",
     "validate",
     "__version__",
 ]

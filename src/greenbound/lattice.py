@@ -22,21 +22,23 @@ into explicit intervals, and b = (ad - 1)/c must be integral.  Translations
 (c = 0) obey |b| <= y sqrt(2U - 2).  Continuous interval endpoints get a
 1e-9 slack before floor/ceil so borderline integers are kept.
 
-Every (matrix, cell) decision goes through one interval lower bound on u
-over the cell, _lower_u, which bounds each part of the closed form below
-separately and exactly (see its docstring); on a single point it is u
-itself.  A matrix counts for a cell when that bound is at most
-U (1 + SAFE_MARGIN), so a cell's count covers every point of the cell.
-count_bound screens the grid once, then halves, across the wider side, the
-cells that attain the current maximum, round after round, and keeps for
-each grid cell the maximum over its pieces.  It stops when a maximal piece
-counts as many matrices at its centre as over the whole piece (the maximum
-is attained there, so no refinement can lower it), when a split no longer
-changes a float, or when the refinement work would pass MAX_WORK.  Most
-pairs do not count (about 70% on the truncated domain), so a matrix is
-tested only on the cells whose grid column and grid row leave it a chance
-and on the pieces whose parent does; count_bound explains why no decision
-changes.
+A matrix counts for a cell when one interval lower bound on u over the
+cell, _lower_u, is at most U (1 + SAFE_MARGIN); _lower_u bounds each part
+of the closed form below separately and exactly (see its docstring) and is
+u itself on a single point, so a cell's count covers every point of the
+cell.  count_bound screens the grid once, then halves, across the wider
+side, the cells that attain the current maximum, round after round, and
+keeps for each grid cell the maximum over its pieces.  It stops when a
+maximal piece counts as many matrices at its centre as over the whole piece
+(the maximum is attained there, so no refinement can lower it), when a
+split no longer changes a float, or when the refinement work would pass
+MAX_WORK.
+
+Most pairs are settled on whole blocks of cells, from both sides: a matrix
+whose lower bound over a block fails fails on every cell and piece inside
+it, and one whose upper bound over the block, _upper_u, is at most U counts
+on all of them.  Only the cells that a matrix's level set u = U crosses
+test it one by one; count_bound explains why no decision changes.
 
 Before enumerating anything, enumerate_candidates, count_bound and
 enumerate_group_elements estimate their work in closed form and raise
@@ -65,15 +67,17 @@ SAFE_MARGIN = 1e-6  # relative inclusion margin on the count threshold
 TIE_MARGIN = 1e-9  # relative distance from U below which exact_count decides exactly
 # Cap on the estimated steps of the grid screen (cells x candidates), of the
 # refinement after it and of the orbit loop of enumerate_group_elements:
-# 400x400 cells at U = 17 on the truncated domain estimate 1.3e8 and take
-# 0.25 s on a 2-core box.  The screen and the refinement are estimated as if
-# they tested every candidate everywhere.  A step of the pure-Python candidate
-# loop costs about 70 screen steps (1.15e8 of them took 16.4 s on the same
+# 400x400 cells at U = 17 on the truncated domain estimate 1.3e8 steps, as if
+# the screen and the refinement tested every candidate everywhere; the count
+# takes about 0.1 s on a 2-core box.  A step of the pure-Python candidate
+# loop costs about 70 such steps of a screen that tests a third of them
+# (1.15e8 loop steps took 16.4 s, that 1.3e8-step screen 0.25 s, on the same
 # box), so it counts LOOP_WEIGHT steps against the same cap.
 MAX_WORK = 2**28
 LOOP_WEIGHT = 64
-_CHUNK = 2**13  # (cell, candidate) pairs per kernel call, to bound memory
+_CHUNK = 2**13  # kernel evaluations per call, to bound memory
 PRUNE_SLACK = 1e-12  # relative slack of the pruning threshold over the count threshold
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)  # set bits
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ class CountCertificate:
     grid: tuple[int, int]
     per_cell_counts: tuple[tuple[int, ...], ...]
     bound: int
-    pairs: int = field(default=0, compare=False)  # kernel pairs evaluated; work, not proof
+    pairs: int = field(default=0, compare=False)  # evaluations of either kernel; work, not proof
 
     def __post_init__(self) -> None:
         max_count = max(max(row) for row in self.per_cell_counts)
@@ -186,11 +190,47 @@ def _lower_u(a, b, c, d, X0, X1, Y0, Y1):
     return 0.5 * (_dist0(a - cx1, a - cx0) ** 2 + (w / yc) ** 2 + (c * yc) ** 2 + _dist0(d + cx0, d + cx1) ** 2)
 
 
+def _upper_u(a, b, c, d, X0, X1, Y0, Y1):
+    """Upper bound on u(z, gamma z) over z in [X0, X1] x [Y0, Y1], for c >= 0.
+
+    Arguments broadcast as for _lower_u.  Each part of the closed form is
+    bounded above over the cell:
+
+    * (a - cx)^2 and (d + cx)^2 by their larger value at X0 and X1 (a square
+      of a linear function is convex);
+    * |W(x)| by the largest of |W(X0)|, |W(X1)| and, when the vertex
+      x = (a - d)/(2c) lies in the cell, |W(vertex)| (W is concave), and
+      W^2/y^2 by that over Y0^2;
+    * (cy)^2 by (c Y1)^2.
+
+    On a single point every part is exact and the bound is u itself.  Each
+    part is computed from the same floats as in _lower_u and rounding is
+    monotone, so in floats too the bound is never below _lower_u.
+    """
+    cx0, cx1 = c * X0, c * X1
+    w0 = b + (a - d) * X0 - cx0 * X0
+    w1 = b + (a - d) * X1 - cx1 * X1
+    xv = (a - d) / (2.0 * np.maximum(c, 1.0))
+    wv = np.where((X0 <= xv) & (xv <= X1), b + (a - d) * xv - c * xv * xv, 0.0)
+    w = np.maximum(np.maximum(np.abs(w0), np.abs(w1)), np.abs(wv))
+    sq_a, sq_d = np.maximum((a - cx0) ** 2, (a - cx1) ** 2), np.maximum((d + cx0) ** 2, (d + cx1) ** 2)
+    return 0.5 * (sq_a + (w / Y0) ** 2 + (c * Y1) ** 2 + sq_d)
+
+
+def _signed(gamma: UnimodularMatrix):
+    """Entries of gamma or -gamma, whichever has c >= 0 (u is sign-invariant)."""
+    s = -1.0 if gamma.c < 0 else 1.0
+    return (s * v for v in gamma.entries())
+
+
 def u_lower_bound(gamma: UnimodularMatrix, region: Rectangle) -> float:
     """Lower bound on u(z, gamma z) over z in region; u itself on a point region."""
-    s = -1.0 if gamma.c < 0 else 1.0  # u is sign-invariant; _lower_u needs c >= 0
-    a, b, c, d = (s * v for v in gamma.entries())
-    return float(_lower_u(a, b, c, d, region.x_min, region.x_max, region.y_min, region.y_max))
+    return float(_lower_u(*_signed(gamma), region.x_min, region.x_max, region.y_min, region.y_max))
+
+
+def u_upper_bound(gamma: UnimodularMatrix, region: Rectangle) -> float:
+    """Upper bound on u(z, gamma z) over z in region; u itself on a point region."""
+    return float(_upper_u(*_signed(gamma), region.x_min, region.x_max, region.y_min, region.y_max))
 
 
 def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
@@ -217,66 +257,110 @@ def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
     return CandidateSet(region=region, U=U, matrices=tuple(matrices))
 
 
-def _span(ok: np.ndarray) -> range:
-    """From the first to past the last index where ok is set (empty when none is)."""
-    hit = np.flatnonzero(ok)
-    return range(hit[0], hit[-1] + 1) if hit.size else range(0)
+def _block_side(n: int) -> int:
+    """Cells per block side on a grid side of n cells: about 1.5 n^(1/3).
+
+    A candidate costs two evaluations per block, and one per cell of the
+    blocks its level set u = U crosses, about n/b of them for blocks of side
+    b; the sum is least at b proportional to n^(1/3), and the factor 1.5
+    measured fastest at U = 5 to 17 on the truncated domain.
+    """
+    return max(1, round(1.5 * n ** (1.0 / 3.0)))
 
 
-def _screen(cols: np.ndarray, xs: np.ndarray, ys: np.ndarray, cutoff: float, relaxed: float):
+def _chunks(load: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of load holding at most _CHUNK in total, or one item."""
+    ends = np.cumsum(load)
+    i = 0
+    while i < len(load):
+        j = max(i + 1, int(np.searchsorted(ends, (ends[i - 1] if i else 0) + _CHUNK, side="right")))
+        yield slice(i, j)
+        i = j
+
+
+def _screen(
+    cols: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: tuple[int, int], U: float, cutoff: float, relaxed: float
+):
     """Per grid cell (x-major), the count of columns (a, b, c, d) of cols with _lower_u <= cutoff.
 
-    Each kernel call covers the span of grid columns and rows whose strips
-    a candidate passes at relaxed, broadcast (columns, 1) x (1, rows), or on
-    small grids several candidates and the union of their spans.  Also
-    returns the pairs evaluated and, as bits, the candidates each strip passed.
+    The grid is cut into blocks of side[0] x side[1] cells, partial at the
+    far edges.  Per candidate and block, _upper_u <= U makes it sure (it
+    counts on every cell of the block), _lower_u > relaxed makes it fail,
+    and otherwise it is open and tested on each cell of the block.  Kernel
+    calls broadcast (candidates, x, 1) x (1, y).  Also returns the pairs
+    evaluated and, per block, the sure count and the open candidates as bits.
     """
     nx, ny, k = len(xs) - 1, len(ys) - 1, cols.shape[1]
-    X0, X1, Y0, Y1 = xs[:-1, None], xs[1:, None], ys[:-1], ys[1:]
-    col_ok, row_ok = np.empty((k, nx), dtype=bool), np.empty((k, ny), dtype=bool)
-    step = max(1, _CHUNK // max(nx, ny))
+    ex, ey = np.append(np.arange(0, nx, side[0]), nx), np.append(np.arange(0, ny, side[1]), ny)
+    nbx, nby = len(ex) - 1, len(ey) - 1
+    sure = np.zeros((nbx, nby), dtype=np.int64)
+    bits = np.empty((nbx, nby, (k + 7) // 8), dtype=np.uint8)
+    open_b, open_c = [], []  # the open (block, candidate) pairs
+    step = 8 * max(1, _CHUNK // (8 * nbx * nby))  # candidates per call, whole bytes of bits
+    width = max(1, _CHUNK // (step * nby))
     for j in range(0, k, step):
-        part = cols[:, j : j + step, None]
-        col_ok[j : j + step] = _lower_u(*part, xs[:-1], xs[1:], ys[0], ys[-1]) <= relaxed
-        row_ok[j : j + step] = _lower_u(*part, xs[0], xs[-1], ys[:-1], ys[1:]) <= relaxed
-    counts = np.zeros((nx, ny), dtype=np.int64)
-    tested = k * (nx + ny)
-    group = max(1, _CHUNK // (nx * ny))
-    for j in range(0, k, group):
-        part = cols[:, j : j + group, None, None]
-        x_span, y_span = _span(col_ok[j : j + group].any(axis=0)), _span(row_ok[j : j + group].any(axis=0))
-        tested += part.shape[1] * len(x_span) * len(y_span)
-        for r in y_span[::_CHUNK]:
-            y = slice(r, min(r + _CHUNK, y_span.stop))
-            width = max(1, _CHUNK // (part.shape[1] * (y.stop - r)))
-            for i in x_span[::width]:
-                x = slice(i, min(i + width, x_span.stop))
-                counts[x, y] += np.count_nonzero(_lower_u(*part, X0[x], X1[x], Y0[y], Y1[y]) <= cutoff, axis=0)
-    return counts.ravel(), tested, np.packbits(col_ok.T, axis=1), np.packbits(row_ok.T, axis=1)
+        part = cols[:, j : j + step, None, None]
+        for i in range(0, nbx, width):
+            x = slice(i, i + width)
+            block = (xs[ex[:-1][x], None], xs[ex[1:][x], None], ys[ey[:-1]], ys[ey[1:]])
+            is_sure = _upper_u(*part, *block) <= U
+            is_open = (_lower_u(*part, *block) <= relaxed) & ~is_sure
+            sure[x] += np.count_nonzero(is_sure, axis=0)
+            bits[x, :, j // 8 : (j + step) // 8] = np.packbits(is_open, axis=0).transpose(1, 2, 0)
+            c, bx, by = np.nonzero(is_open)
+            open_b.append((bx + i) * nby + by)
+            open_c.append(c + j)
+    counts = np.repeat(np.repeat(sure, np.diff(ex), axis=0), np.diff(ey), axis=1).ravel()
+    order = np.argsort(np.concatenate(open_b), kind="stable")  # block by block, so that a call's cells are near
+    b, c = np.concatenate(open_b)[order], np.concatenate(open_c)[order]
+    ox, oy = np.arange(side[0]), np.arange(side[1])
+    step = max(1, _CHUNK // (side[0] * side[1]))
+    for i in range(0, b.size, step):
+        q = slice(i, i + step)
+        ix, iy = ex[b[q] // nby, None] + ox, ey[b[q] % nby, None] + oy
+        ok = (ix < nx)[:, :, None] & (iy < ny)[:, None, :]  # cells of partial blocks
+        ix, iy = np.minimum(ix, nx - 1), np.minimum(iy, ny - 1)
+        cells = (xs[ix, None], xs[ix + 1, None], ys[iy][:, None], ys[iy + 1][:, None])
+        ok &= _lower_u(*cols[:, c[q], None, None], *cells) <= cutoff
+        cell = (ix[:, :, None] * ny + iy[:, None, :])[ok]
+        if cell.size:
+            low = cell.min()
+            hit = np.bincount(cell - low)
+            counts[low : low + hit.size] += hit
+    return counts, 2 * k * nbx * nby + b.size * side[0] * side[1], sure, bits
 
 
-def _sift(cols: np.ndarray, boxes, masks: np.ndarray, keep: float, cutoff: float):
-    """Test piece i of each box (X0, X1, Y0, Y1) of boxes on the candidates set in bit row i of masks.
+def _sift(cols: np.ndarray, boxes, sure: np.ndarray, masks: np.ndarray, U: float, keep: float, cutoff: float):
+    """Count the centre and the two halves, boxes = (centre, first, second), of each piece.
 
-    Returns per box and piece the count with _lower_u <= cutoff and the bits
-    of those with _lower_u <= keep, and the pairs tested.
+    Each box is (X0, X1, Y0, Y1) per piece.  Piece i has sure[i] candidates
+    counting on all of it and its open ones set in bit row i of masks; only
+    those are evaluated, in calls of at most _CHUNK evaluations.  Returns per
+    box and piece the count, sure plus open with _lower_u <= cutoff; per half
+    and piece the new sure count, with the open ones whose _upper_u <= U, and
+    the bits of the others with _lower_u <= keep; and the pairs evaluated.
     """
-    k = cols.shape[1]
-    counts = np.zeros((len(boxes), len(masks)), dtype=np.int64)
-    kept = np.zeros((len(boxes),) + masks.shape, dtype=np.uint8)
-    tested, step = 0, max(1, _CHUNK // k)
-    for i in range(0, len(masks), step):
-        rows = slice(i, i + step)
-        bits = np.unpackbits(masks[rows], axis=1, count=k)
-        p, c = np.nonzero(bits)
-        cand = cols[:, c]
-        for j, box in enumerate(boxes):
-            low = _lower_u(*cand, *(v[rows][p] for v in box))
-            counts[j, rows] = np.bincount(p[low <= cutoff], minlength=len(bits))
-            bits[p, c] = low <= keep
-            kept[j, rows] = np.packbits(bits, axis=1)
-        tested += len(boxes) * p.size
-    return counts, kept, tested
+    counts = np.tile(sure, (3, 1))
+    sured = np.tile(sure, (2, 1))
+    kept = np.zeros((2,) + masks.shape, dtype=np.uint8)
+    tested = 0
+    for rows in _chunks(5 * _POPCOUNT[masks].sum(axis=1)):  # 3 + 2 evaluations per open pair
+        r, j = np.nonzero(masks[rows])  # the non-zero bytes
+        unpacked = np.unpackbits(masks[rows][r, j, None], axis=1)
+        g, bit = np.nonzero(unpacked)
+        p, c = r[g], 8 * j[g] + bit
+        cand, corner = cols[:, c], np.array([[v[rows][p] for v in box] for box in boxes]).transpose(1, 0, 2)
+        low = _lower_u(*cand, *corner)
+        is_sure = _upper_u(*cand, *corner[:, 1:]) <= U
+        start = np.flatnonzero(np.diff(p, prepend=-1))  # p is sorted: the first pair of each piece
+        at = p[start] + rows.start
+        counts[:, at] += np.add.reduceat(low <= cutoff, start, axis=1, dtype=np.int64)
+        sured[:, at] += np.add.reduceat(is_sure, start, axis=1, dtype=np.int64)
+        for h in range(2):
+            unpacked[g, bit] = (low[h + 1] <= keep) & ~is_sure[h]
+            kept[h, r + rows.start, j] = np.packbits(unpacked, axis=1)[:, 0]
+        tested += 5 * p.size
+    return counts, sured, kept, tested
 
 
 def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCertificate:
@@ -291,16 +375,34 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     cell's count is the maximum over its pieces and the bound is twice the
     largest.
 
-    A candidate is tested on a grid cell only when its bounds over the
-    cell's grid column and grid row, strips across the region, both pass.
-    A cell that becomes maximal carries, as bits, the candidates both its
-    strips passed; a piece's centre and halves test only what it carries,
-    and each half carries on those that pass on it.  Strips and pieces pass
-    at cutoff (1 + PRUNE_SLACK); counts use cutoff.  A strip or a parent
-    contains what is tested after it, so its exact bound is never higher,
-    and the slack absorbs the rounding of both bounds: every decision is the
-    one a test of every candidate on every piece makes.  `pairs` counts the
-    kernel pairs evaluated.
+    Candidates are settled on whole boxes from both sides.  The grid is cut
+    into blocks of about 1.5 n^(1/3) cells a side on a grid side of n (see
+    _block_side), the last one along a side possibly partial; block edges
+    are grid nodes, so a block contains its cells exactly in floats, and a
+    cell or piece contains its pieces.  Per candidate and block, and in the refinement per open
+    candidate and half piece, one _lower_u and one _upper_u decide:
+
+    * fail, when _lower_u > relaxed = cutoff (1 + PRUNE_SLACK).  A box's
+      exact lower bound is never above that of a cell or piece inside it
+      (each part is an exact minimum over the box), and the slack absorbs
+      the rounding of both bounds, so the candidate fails at cutoff on all
+      of them;
+    * sure, when _upper_u <= U.  Then the exact maximum of u over the box is
+      at most U plus a few ulps, so the float _lower_u of any cell, piece or
+      centre inside it is at most cutoff and the candidate counts there.
+      SAFE_MARGIN absorbs the rounding of _lower_u, and that of _upper_u,
+      which has the same parts and operations, on the same |x|/y range.  A
+      sure candidate is counted on every cell and every later piece of the
+      box without another test;
+    * open otherwise: tested on each cell of the block with _lower_u.  A grid
+      cell that becomes maximal starts with its block's sure count and open
+      bits, and a piece's centre and halves evaluate only its open
+      candidates.
+
+    So every count is the one a test of every candidate on every piece
+    makes, and only the cells that a candidate's level set u = U crosses
+    test it one by one.  `pairs` counts every evaluation of either kernel,
+    _lower_u or _upper_u.
 
     The result is a proof: every matrix with u <= U at some point of a
     piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
@@ -319,12 +421,14 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
 
     xs = np.linspace(region.x_min, region.x_max, nx + 1)
     ys = np.linspace(region.y_min, region.y_max, ny + 1)
-    counts, pairs, col_bits, row_bits = _screen(cols, xs, ys, cutoff, relaxed)
+    side = (_block_side(nx), _block_side(ny))
+    counts, pairs, block_sure, block_bits = _screen(cols, xs, ys, side, U, cutoff, relaxed)
     # Pieces: the grid cells that have been maximal and their halves, with
-    # their grid cell (owner), their count and the candidates they carry.
+    # their grid cell (owner), their count, the count of candidates sure on
+    # them and the bits of those still open.
     box = [np.empty(0) for _ in range(4)]
-    owner, score = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    masks = np.empty((0, col_bits.shape[1]), dtype=np.uint8)
+    owner, score, sure = (np.empty(0, dtype=np.int64) for _ in range(3))
+    masks = np.empty((0, block_bits.shape[2]), dtype=np.uint8)
     work = 0
     while True:
         top = max(counts.max(), score.max(initial=0))
@@ -332,7 +436,8 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         ix, iy = np.divmod(fresh, ny)
         box = [np.concatenate([v, e]) for v, e in zip(box, (xs[ix], xs[ix + 1], ys[iy], ys[iy + 1]))]
         owner, score = np.concatenate([owner, fresh]), np.concatenate([score, counts[fresh]])
-        masks = np.concatenate([masks, col_bits[ix] & row_bits[iy]])
+        block = (ix // side[0], iy // side[1])
+        sure, masks = np.concatenate([sure, block_sure[block]]), np.concatenate([masks, block_bits[block]])
         counts[fresh] = 0
         hot = np.flatnonzero(score == top)
         x0, x1, y0, y1 = (v[hot] for v in box)
@@ -345,13 +450,13 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         centre = (xm, xm, ym, ym)
         first = (x0, np.where(wide, xm, x1), y0, np.where(wide, y1, ym))
         second = (np.where(wide, xm, x0), x1, np.where(wide, y0, ym), y1)
-        counted, carried, tested = _sift(cols, (centre, first, second), masks[hot], relaxed, cutoff)
+        counted, sured, kept, tested = _sift(cols, (centre, first, second), sure[hot], masks[hot], U, relaxed, cutoff)
         pairs += tested
         if np.any(counted[0] >= top):
             break
-        score[hot], masks[hot] = counted[1], carried[1]
-        score, masks = np.concatenate([score, counted[2]]), np.concatenate([masks, carried[2]])
-        owner = np.concatenate([owner, owner[hot]])
+        score[hot], sure[hot], masks[hot] = counted[1], sured[0], kept[0]
+        score, sure = np.concatenate([score, counted[2]]), np.concatenate([sure, sured[1]])
+        masks, owner = np.concatenate([masks, kept[1]]), np.concatenate([owner, owner[hot]])
         for j in range(4):
             box[j][hot] = first[j]
             box[j] = np.concatenate([box[j], second[j]])
@@ -361,7 +466,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         region=region,
         U=U,
         grid=(nx, ny),
-        per_cell_counts=tuple(tuple(int(v) for v in row) for row in counts.reshape(nx, ny)),
+        per_cell_counts=tuple(tuple(row.tolist()) for row in counts.reshape(nx, ny)),
         bound=2 * int(top),
         pairs=pairs,
     )

@@ -17,6 +17,7 @@ from greenbound.lattice import (
     reduce_to_fundamental_domain,
     truncated_fundamental_domain,
     u_lower_bound,
+    u_upper_bound,
 )
 
 STANDARD_U = 17.0
@@ -68,12 +69,21 @@ def test_coarse_grids_refine_to_the_same_bound():
 
 
 def test_screen_tests_few_pairs():
-    """Strip pruning and inherited candidates test at most 35% of the
-    (cell, candidate) pairs at 333x333 (they test 31%)."""
+    """Settling candidates on whole blocks evaluates kernels at most 0.10 times
+    per (cell, candidate) pair at 333x333 (it evaluates 0.04)."""
     box = truncated_fundamental_domain()
     cert = count_bound(box, STANDARD_U, (333, 333))
     assert cert.bound == 214
-    assert cert.pairs <= 0.35 * 333 * 333 * len(enumerate_candidates(box, STANDARD_U).matrices)
+    assert cert.pairs <= 0.10 * 333 * 333 * len(enumerate_candidates(box, STANDARD_U).matrices)
+
+
+def test_refinement_tests_few_pairs():
+    """An 11x11 grid refines for 39 rounds; pieces evaluate only the candidates
+    still open on them, 102k kernel evaluations in all (589k when every
+    candidate that passed the screen was tested on every piece)."""
+    cert = count_bound(truncated_fundamental_domain(), STANDARD_U, (11, 11))
+    assert cert.bound == 214
+    assert cert.pairs <= 150_000
 
 
 def _oracle_count_bound(region, U, grid):
@@ -124,12 +134,20 @@ def test_count_bound_matches_the_all_pairs_oracle():
     st = hypothesis.strategies
     side = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
 
+    full = truncated_fundamental_domain()
+
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(
         st.floats(-0.8, 0.5), side, st.floats(0.85, 1.8), side,
         st.one_of(st.integers(1, 17).map(float), st.floats(1.0, 17.0)),
         st.integers(1, 30), st.integers(1, 30),
     )
+    @hypothesis.example(-0.5, 0.6, 0.9, 0.6, 9.0, 11, 29)  # block sides 3 and 5 divide neither grid side
+    @hypothesis.example(-0.3, 0.5, 1.0, 0.5, 5.5, 1, 30)
+    @hypothesis.example(-0.3, 0.5, 1.0, 0.5, 5.5, 30, 1)
+    @hypothesis.example(0.1, 0.0, 1.1, 0.0, 17.0, 3, 4)  # a point
+    @hypothesis.example(0.0, 0.0, 1.0, 0.6, 3.0, 1, 5)  # a segment
+    @hypothesis.example(full.x_min, 1.0, full.y_min, full.y_max - full.y_min, 17.0, 11, 11)  # sure at the first split
     def check(x0, width, y0, height, U, nx, ny):
         region = Rectangle(x0, x0 + width, y0, y0 + height)
         assert count_bound(region, U, (nx, ny)) == _oracle_count_bound(region, U, (nx, ny))
@@ -227,10 +245,8 @@ def test_min_u_lower_bounds_sampled_values():
         assert low <= sampled + 1e-9, (gamma, low, sampled)
 
 
-def test_u_lower_bound_property():
-    """On random matrices (either sign of c) and cells, degenerate ones included,
-    the bound is at most u at sampled points and is u itself on a point cell."""
-    hypothesis = pytest.importorskip("hypothesis")
+def _unimodular(hypothesis):
+    """Strategy: matrices of SL(2, Z) with either sign of c, |c| <= 12."""
     st = hypothesis.strategies
 
     @st.composite
@@ -244,19 +260,55 @@ def test_u_lower_bound_property():
         a = (pow(d, -1, abs(c)) if abs(c) > 1 else 0) + abs(c) * draw(st.integers(-3, 3))
         return UnimodularMatrix(a, (a * d - 1) // c, c, d)
 
+    return unimodular()
+
+
+def _cells(hypothesis):
+    """Strategies for a cell (x0, width, y0, height), degenerate ones included,
+    and fractions of it at which to sample u."""
+    st = hypothesis.strategies
     side = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+    fractions = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8)
+    return st.floats(-1.0, 1.0), side, st.floats(0.5, 2.0), side, fractions
+
+
+def _sample_points(x0, width, y0, height, fractions):
+    grid = [(i / 8.0, j / 8.0) for i in range(9) for j in range(9)]
+    return [UpperHalfPoint(x0 + fx * width, y0 + fy * height) for fx, fy in fractions + grid]
+
+
+def test_u_lower_bound_property():
+    """On random matrices (either sign of c) and cells, degenerate ones included,
+    the bound is at most u at sampled points and is u itself on a point cell."""
+    hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(
-        unimodular(), st.floats(-1.0, 1.0), side, st.floats(0.5, 2.0), side,
-        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
-    )
+    @hypothesis.given(_unimodular(hypothesis), *_cells(hypothesis))
     def check(gamma, x0, width, y0, height, fractions):
         low = u_lower_bound(gamma, Rectangle(x0, x0 + width, y0, y0 + height))
-        for fx, fy in fractions + [(i / 8.0, j / 8.0) for i in range(9) for j in range(9)]:
-            z = UpperHalfPoint(x0 + fx * width, y0 + fy * height)
+        for z in _sample_points(x0, width, y0, height, fractions):
             assert low <= u_of_gamma(gamma, z) * (1.0 + 1e-12), (gamma, z, low)
         point = u_lower_bound(gamma, Rectangle(x0, x0, y0, y0))
+        assert math.isclose(point, u_of_gamma(gamma, UpperHalfPoint(x0, y0)), rel_tol=1e-12)
+
+    check()
+
+
+def test_u_upper_bound_property():
+    """On random matrices (either sign of c) and cells, degenerate ones included,
+    the upper bound is at least u at sampled points and at least the lower
+    bound, and is u itself on a point cell."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_unimodular(hypothesis), *_cells(hypothesis))
+    def check(gamma, x0, width, y0, height, fractions):
+        cell = Rectangle(x0, x0 + width, y0, y0 + height)
+        high = u_upper_bound(gamma, cell)
+        for z in _sample_points(x0, width, y0, height, fractions):
+            assert high >= u_of_gamma(gamma, z) * (1.0 - 1e-12), (gamma, z, high)
+        assert high >= u_lower_bound(gamma, cell)
+        point = u_upper_bound(gamma, Rectangle(x0, x0, y0, y0))
         assert math.isclose(point, u_of_gamma(gamma, UpperHalfPoint(x0, y0)), rel_tol=1e-12)
 
     check()
