@@ -407,7 +407,8 @@ def _grid_bounds(params: ParamSet, sign: int) -> tuple[float, float, float]:
     t = params.trapezoid
     sigma, alpha, beta = _side(params, sign)
     e = 2.0**-20
-    if not (2.0**-11 <= sigma <= 0.5 - e and sigma - alpha >= e and 1 + e <= t.delta <= 2.0**200 and e <= beta <= 1 / e):
+    if not (2.0**-11 <= sigma <= 0.5 - e and sigma - alpha >= e
+            and 1 + e <= t.delta <= 2.0**200 and e <= beta <= 1 / e):
         raise ConstraintViolation("enclose_D needs sigma >= 2^-11, sigma - alpha, 1/2 - sigma, delta - 1 and beta >= "
                                   f"2^-20, delta <= 2^200, beta <= 2^20; got {sigma}, {alpha}, {t.delta}, {beta}")
     sq_lo, sq_hi = _dn(_dn(t.delta * t.delta) - 1.0), _up(_up(t.delta * t.delta) - 1.0)

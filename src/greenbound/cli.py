@@ -369,7 +369,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.grid) if args.grid else (100, 100)
+    grid = _parse_grid(args.grid)
     print("constants:")
     for name, (value, description) in CONSTANTS.items():
         print(f"  {name} = {value:.12g}  ({description})")
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce-paper", help="replay the published pipeline numbers")
     p_rep.add_argument("--json", help="write the machine record to this file")
-    p_rep.add_argument("--grid", help="grid for the count item (default 100x100)")
+    p_rep.add_argument("--grid", default="100x100", help="grid for the count item (default 100x100)")
     p_rep.set_defaults(handler=cmd_reproduce_paper)
 
     p_cusp = sub.add_parser("cusp-extend", help="transport a certificate to a cusp neighbourhood")

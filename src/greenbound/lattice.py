@@ -32,12 +32,14 @@ keeps for each grid cell the maximum over its pieces.  It stops when a
 maximal piece counts as many matrices at its centre as over the whole piece
 (the maximum is attained there, so no refinement can lower it), when a
 split no longer changes a float, or when the refinement work would pass
-MAX_WORK.
+MAX_WORK.  Each round tests the centres first and the halves only when no
+centre stops it.
 
 Most pairs are settled on whole blocks of cells, from both sides: a matrix
 whose lower bound over a block fails fails on every cell and piece inside
 it, and one whose upper bound over the block, _upper_u, is at most U counts
-on all of them.  Only the cells that a matrix's level set u = U crosses
+on all of them.  The others stay open, listed as (block or piece, matrix)
+index pairs, and only the cells that a matrix's level set u = U crosses
 test it one by one; count_bound explains why no decision changes.
 
 Before enumerating anything, enumerate_candidates, count_bound and
@@ -77,7 +79,6 @@ MAX_WORK = 2**28
 LOOP_WEIGHT = 64
 _CHUNK = 2**13  # kernel evaluations per call, to bound memory
 PRUNE_SLACK = 1e-12  # relative slack of the pruning threshold over the count threshold
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)  # set bits
 
 
 @dataclass(frozen=True)
@@ -268,35 +269,25 @@ def _block_side(n: int) -> int:
     return max(1, round(1.5 * n ** (1.0 / 3.0)))
 
 
-def _chunks(load: np.ndarray) -> Iterator[slice]:
-    """Consecutive slices of load holding at most _CHUNK in total, or one item."""
-    ends = np.cumsum(load)
-    i = 0
-    while i < len(load):
-        j = max(i + 1, int(np.searchsorted(ends, (ends[i - 1] if i else 0) + _CHUNK, side="right")))
-        yield slice(i, j)
-        i = j
-
-
 def _screen(
     cols: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: tuple[int, int], U: float, cutoff: float, relaxed: float
 ):
     """Per grid cell (x-major), the count of columns (a, b, c, d) of cols with _lower_u <= cutoff.
 
     The grid is cut into blocks of side[0] x side[1] cells, partial at the
-    far edges.  Per candidate and block, _upper_u <= U makes it sure (it
-    counts on every cell of the block), _lower_u > relaxed makes it fail,
-    and otherwise it is open and tested on each cell of the block.  Kernel
-    calls broadcast (candidates, x, 1) x (1, y).  Also returns the pairs
-    evaluated and, per block, the sure count and the open candidates as bits.
+    far edges, and numbered x-major.  Per candidate and block, _upper_u <= U
+    makes it sure (it counts on every cell of the block), _lower_u > relaxed
+    makes it fail, and otherwise it is open and tested on each cell of the
+    block.  Kernel calls broadcast (candidates, x, 1) x (1, y).  Also returns
+    the pairs evaluated, the sure count per block and the open (block,
+    candidate) pairs as two index arrays, sorted.
     """
     nx, ny, k = len(xs) - 1, len(ys) - 1, cols.shape[1]
     ex, ey = np.append(np.arange(0, nx, side[0]), nx), np.append(np.arange(0, ny, side[1]), ny)
     nbx, nby = len(ex) - 1, len(ey) - 1
     sure = np.zeros((nbx, nby), dtype=np.int64)
-    bits = np.empty((nbx, nby, (k + 7) // 8), dtype=np.uint8)
-    open_b, open_c = [], []  # the open (block, candidate) pairs
-    step = 8 * max(1, _CHUNK // (8 * nbx * nby))  # candidates per call, whole bytes of bits
+    open_b, open_c = [], []
+    step = max(1, _CHUNK // (nbx * nby))  # candidates per call
     width = max(1, _CHUNK // (step * nby))
     for j in range(0, k, step):
         part = cols[:, j : j + step, None, None]
@@ -304,10 +295,8 @@ def _screen(
             x = slice(i, i + width)
             block = (xs[ex[:-1][x], None], xs[ex[1:][x], None], ys[ey[:-1]], ys[ey[1:]])
             is_sure = _upper_u(*part, *block) <= U
-            is_open = (_lower_u(*part, *block) <= relaxed) & ~is_sure
             sure[x] += np.count_nonzero(is_sure, axis=0)
-            bits[x, :, j // 8 : (j + step) // 8] = np.packbits(is_open, axis=0).transpose(1, 2, 0)
-            c, bx, by = np.nonzero(is_open)
+            c, bx, by = np.nonzero((_lower_u(*part, *block) <= relaxed) & ~is_sure)
             open_b.append((bx + i) * nby + by)
             open_c.append(c + j)
     counts = np.repeat(np.repeat(sure, np.diff(ex), axis=0), np.diff(ey), axis=1).ravel()
@@ -327,40 +316,16 @@ def _screen(
             low = cell.min()
             hit = np.bincount(cell - low)
             counts[low : low + hit.size] += hit
-    return counts, 2 * k * nbx * nby + b.size * side[0] * side[1], sure, bits
+    return counts, 2 * k * nbx * nby + b.size * side[0] * side[1], sure, b, c
 
 
-def _sift(cols: np.ndarray, boxes, sure: np.ndarray, masks: np.ndarray, U: float, keep: float, cutoff: float):
-    """Count the centre and the two halves, boxes = (centre, first, second), of each piece.
-
-    Each box is (X0, X1, Y0, Y1) per piece.  Piece i has sure[i] candidates
-    counting on all of it and its open ones set in bit row i of masks; only
-    those are evaluated, in calls of at most _CHUNK evaluations.  Returns per
-    box and piece the count, sure plus open with _lower_u <= cutoff; per half
-    and piece the new sure count, with the open ones whose _upper_u <= U, and
-    the bits of the others with _lower_u <= keep; and the pairs evaluated.
-    """
-    counts = np.tile(sure, (3, 1))
-    sured = np.tile(sure, (2, 1))
-    kept = np.zeros((2,) + masks.shape, dtype=np.uint8)
-    tested = 0
-    for rows in _chunks(5 * _POPCOUNT[masks].sum(axis=1)):  # 3 + 2 evaluations per open pair
-        r, j = np.nonzero(masks[rows])  # the non-zero bytes
-        unpacked = np.unpackbits(masks[rows][r, j, None], axis=1)
-        g, bit = np.nonzero(unpacked)
-        p, c = r[g], 8 * j[g] + bit
-        cand, corner = cols[:, c], np.array([[v[rows][p] for v in box] for box in boxes]).transpose(1, 0, 2)
-        low = _lower_u(*cand, *corner)
-        is_sure = _upper_u(*cand, *corner[:, 1:]) <= U
-        start = np.flatnonzero(np.diff(p, prepend=-1))  # p is sorted: the first pair of each piece
-        at = p[start] + rows.start
-        counts[:, at] += np.add.reduceat(low <= cutoff, start, axis=1, dtype=np.int64)
-        sured[:, at] += np.add.reduceat(is_sure, start, axis=1, dtype=np.int64)
-        for h in range(2):
-            unpacked[g, bit] = (low[h + 1] <= keep) & ~is_sure[h]
-            kept[h, r + rows.start, j] = np.packbits(unpacked, axis=1)[:, 0]
-        tested += 5 * p.size
-    return counts, sured, kept, tested
+def _each(kernel, cols: np.ndarray, cand: np.ndarray, at: np.ndarray, box) -> np.ndarray:
+    """kernel on each pair i: candidate cand[i] over box (v[at[i]] for v in box), _CHUNK pairs per call."""
+    out = np.empty(cand.size)
+    for i in range(0, cand.size, _CHUNK):
+        s = slice(i, i + _CHUNK)
+        out[s] = kernel(*cols[:, cand[s]], *(v[at[s]] for v in box))
+    return out
 
 
 def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCertificate:
@@ -396,13 +361,17 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
       box without another test;
     * open otherwise: tested on each cell of the block with _lower_u.  A grid
       cell that becomes maximal starts with its block's sure count and open
-      bits, and a piece's centre and halves evaluate only its open
-      candidates.
+      (block, candidate) pairs, found by binary search in the screen's
+      sorted list, and keeps them as (piece, candidate) pairs.  A piece's
+      centre and halves evaluate only its open candidates.
 
-    So every count is the one a test of every candidate on every piece
-    makes, and only the cells that a candidate's level set u = U crosses
-    test it one by one.  `pairs` counts every evaluation of either kernel,
-    _lower_u or _upper_u.
+    Each round tests the centres of the maximal pieces first, with _lower_u,
+    and stops if one reaches the maximum; only then are both halves tested,
+    and the pairs still open on a half are kept under its piece.  So every
+    count is the one a test of every candidate on every piece makes, and
+    only the cells that a candidate's level set u = U crosses test it one by
+    one.  `pairs` counts every evaluation of either kernel, _lower_u or
+    _upper_u.
 
     The result is a proof: every matrix with u <= U at some point of a
     piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
@@ -422,22 +391,25 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     xs = np.linspace(region.x_min, region.x_max, nx + 1)
     ys = np.linspace(region.y_min, region.y_max, ny + 1)
     side = (_block_side(nx), _block_side(ny))
-    counts, pairs, block_sure, block_bits = _screen(cols, xs, ys, side, U, cutoff, relaxed)
+    counts, pairs, block_sure, block_of, block_cand = _screen(cols, xs, ys, side, U, cutoff, relaxed)
     # Pieces: the grid cells that have been maximal and their halves, with
-    # their grid cell (owner), their count, the count of candidates sure on
-    # them and the bits of those still open.
+    # their grid cell (owner), their count and the count of candidates sure
+    # on them; the (piece, cand) pairs list the candidates still open.
     box = [np.empty(0) for _ in range(4)]
-    owner, score, sure = (np.empty(0, dtype=np.int64) for _ in range(3))
-    masks = np.empty((0, block_bits.shape[2]), dtype=np.uint8)
+    owner, score, sure, piece, cand = (np.empty(0, dtype=np.int64) for _ in range(5))
     work = 0
     while True:
         top = max(counts.max(), score.max(initial=0))
         fresh = np.flatnonzero(counts == top)  # grid cells maximal for the first time
         ix, iy = np.divmod(fresh, ny)
+        block = np.ravel_multi_index((ix // side[0], iy // side[1]), block_sure.shape)
+        lo = np.searchsorted(block_of, block)
+        n = np.searchsorted(block_of, block, side="right") - lo  # the open pairs of each cell's block
+        piece = np.concatenate([piece, np.repeat(score.size + np.arange(fresh.size), n)])
+        cand = np.concatenate([cand, block_cand[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]])
         box = [np.concatenate([v, e]) for v, e in zip(box, (xs[ix], xs[ix + 1], ys[iy], ys[iy + 1]))]
         owner, score = np.concatenate([owner, fresh]), np.concatenate([score, counts[fresh]])
-        block = (ix // side[0], iy // side[1])
-        sure, masks = np.concatenate([sure, block_sure[block]]), np.concatenate([masks, block_bits[block]])
+        sure = np.concatenate([sure, block_sure.ravel()[block]])
         counts[fresh] = 0
         hot = np.flatnonzero(score == top)
         x0, x1, y0, y1 = (v[hot] for v in box)
@@ -446,17 +418,27 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         work += 3 * hot.size * cols.shape[1]
         if work > MAX_WORK or not np.all(np.where(wide, (x0 < xm) & (xm < x1), (y0 < ym) & (ym < y1))):
             break
+        slot = np.full(score.size, -1)
+        slot[hot] = np.arange(hot.size)
+        on_hot = slot[piece] >= 0
+        at, c = slot[piece[on_hot]], cand[on_hot]  # the open pairs of the hot pieces, at their slot in hot
+        low = _each(_lower_u, cols, c, at, (xm, xm, ym, ym))
+        pairs += at.size
+        if np.any(sure[hot] + np.bincount(at[low <= cutoff], minlength=hot.size) >= top):
+            break
         # The first halves replace their pieces in place; the second are appended.
-        centre = (xm, xm, ym, ym)
         first = (x0, np.where(wide, xm, x1), y0, np.where(wide, y1, ym))
         second = (np.where(wide, xm, x0), x1, np.where(wide, y0, ym), y1)
-        counted, sured, kept, tested = _sift(cols, (centre, first, second), sure[hot], masks[hot], U, relaxed, cutoff)
-        pairs += tested
-        if np.any(counted[0] >= top):
-            break
-        score[hot], sure[hot], masks[hot] = counted[1], sured[0], kept[0]
-        score, sure = np.concatenate([score, counted[2]]), np.concatenate([sure, sured[1]])
-        masks, owner = np.concatenate([masks, kept[1]]), np.concatenate([owner, owner[hot]])
+        piece, cand, tallies = piece[~on_hot], cand[~on_hot], []
+        for ids, half in ((hot, first), (score.size + np.arange(hot.size), second)):
+            low, is_sure = _each(_lower_u, cols, c, at, half), _each(_upper_u, cols, c, at, half) <= U
+            keep = (low <= relaxed) & ~is_sure
+            piece, cand = np.concatenate([piece, ids[at[keep]]]), np.concatenate([cand, c[keep]])
+            tallies += [sure[hot] + np.bincount(at[ok], minlength=hot.size) for ok in (low <= cutoff, is_sure)]
+        pairs += 4 * at.size
+        score[hot], sure[hot] = tallies[:2]
+        score, sure = np.concatenate([score, tallies[2]]), np.concatenate([sure, tallies[3]])
+        owner = np.concatenate([owner, owner[hot]])
         for j in range(4):
             box[j][hot] = first[j]
             box[j] = np.concatenate([box[j], second[j]])

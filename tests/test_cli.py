@@ -70,6 +70,15 @@ def test_count_refuses_infinite_side_or_work(region, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["count", "reproduce-paper"])
+def test_empty_grid_is_refused(command, capsys):
+    """An empty --grid is a config error with one line, not the default grid."""
+    assert main([command, "--grid", ""]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "greenbound: constraint error: grid must look like 100x100 or hold two integers, got ''\n"
+    assert captured.out == ""
+
+
 def test_unknown_preset_is_config_error(capsys):
     assert main(["count", "--preset", "psl2z"]) == EXIT_CONFIG
     assert "unknown preset" in capsys.readouterr().err

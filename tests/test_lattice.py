@@ -79,11 +79,18 @@ def test_screen_tests_few_pairs():
 
 def test_refinement_tests_few_pairs():
     """An 11x11 grid refines for 39 rounds; pieces evaluate only the candidates
-    still open on them, 102k kernel evaluations in all (589k when every
-    candidate that passed the screen was tested on every piece)."""
-    cert = count_bound(truncated_fundamental_domain(), STANDARD_U, (11, 11))
+    still open on them, 97k kernel evaluations in all (589k when every
+    candidate that passed the screen was tested on every piece).  At U = 5
+    on 12x12 the last round splits about 900 tied pieces; their centres are
+    tested first, and one at the maximum ends the refinement without
+    testing the halves (95k evaluations, 108k with the halves)."""
+    box = truncated_fundamental_domain()
+    cert = count_bound(box, STANDARD_U, (11, 11))
     assert cert.bound == 214
     assert cert.pairs <= 150_000
+    cert = count_bound(box, 5.0, (12, 12))
+    assert cert.bound == 64
+    assert cert.pairs <= 100_000
 
 
 def _oracle_count_bound(region, U, grid):
@@ -148,6 +155,7 @@ def test_count_bound_matches_the_all_pairs_oracle():
     @hypothesis.example(0.1, 0.0, 1.1, 0.0, 17.0, 3, 4)  # a point
     @hypothesis.example(0.0, 0.0, 1.0, 0.6, 3.0, 1, 5)  # a segment
     @hypothesis.example(full.x_min, 1.0, full.y_min, full.y_max - full.y_min, 17.0, 11, 11)  # sure at the first split
+    @hypothesis.example(0.04, 0.6, 1.12, 0.23, 16.05, 3, 2)  # ends at the last of 7 hot centres
     def check(x0, width, y0, height, U, nx, ny):
         region = Rectangle(x0, x0 + width, y0, y0 + height)
         assert count_bound(region, U, (nx, ny)) == _oracle_count_bound(region, U, (nx, ny))
