@@ -17,7 +17,9 @@ requested tolerance; the averaged transforms I_delta_pm are the one caller
 (the majorant integrals D_pm are enclosed by greenbound.bounds.enclose_D).
 The march takes at most two engine calls: a first block of octaves, then
 every octave up to the last one where, by the mass of that block alone, the
-stop rule must fire.
+stop rule must fire.  Its error budget: each first-block octave to tol of its
+own size, the far octaves together to tol times the first block's mass, and
+the tail bound, which the caller keeps out of the value.
 """
 
 from __future__ import annotations
@@ -130,13 +132,14 @@ def integrate_to_infinity(
     """Integrate f over [a, infinity) against an analytic tail majorant.
 
     tail_bound(M) must dominate |integral of f over [M, infinity)| and decay
-    to 0.  Octaves [M, 2M], each to rel_tol of its own 16-panel Simpson
-    size, are summed until tail_bound(M) <= rel_tol times the accumulated
-    absolute mass (floored at 1e-300).  The first _BLOCK_OCTAVES octaves take
-    one engine call.  If the march goes on, the mass only grows, so it stops
-    at the latest at the first octave top M_k with tail_bound(M_k) <= rel_tol
-    times the first block's mass; the octaves up to M_k (or up to overflow)
-    take the second call, and nothing past M_k is integrated.  Returns (value
+    to 0.  Octaves [M, 2M] are summed until tail_bound(M) <= rel_tol times
+    the accumulated absolute mass (floored at 1e-300).  The first
+    _BLOCK_OCTAVES octaves take one engine call, each to rel_tol of its own
+    16-panel Simpson size.  If the march goes on, the mass only grows, so it
+    stops at the latest at the first octave top M_k with tail_bound(M_k) <=
+    rel_tol times the first block's mass; the n octaves up to M_k (or up to
+    overflow) take the second call, each to the absolute tolerance rel_tol
+    times that mass over n.  Nothing past M_k is integrated.  Returns (value
     over [a, M], tail_bound(M)); the caller decides whether the tail belongs
     in the value or only in the error budget.
     """
@@ -147,8 +150,9 @@ def integrate_to_infinity(
         tops.append(hi)
         hi *= 2.0
     bounds = [tail_bound(top) for top in tops]
+    tol, relative = rel_tol, True
     while tops:
-        pieces = _integrate(f, np.array([lo, *tops[:-1]]), np.array(tops), rel_tol, relative=True)
+        pieces = _integrate(f, np.array([lo, *tops[:-1]]), np.array(tops), tol, relative)
         for piece, bound in zip(pieces, bounds):
             total += piece
             mass += abs(piece)
@@ -160,4 +164,5 @@ def integrate_to_infinity(
             tops.append(hi)
             bounds.append(tail_bound(hi))
             hi *= 2.0
+        tol, relative = floor / max(len(tops), 1), False
     raise NonConvergenceError("tail bound cannot reach tolerance on [a, infinity)")

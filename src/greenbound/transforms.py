@@ -131,7 +131,9 @@ def h_U_pm(params: TrapezoidParams, sign: int, s: complex, U):
     legendre_P_negm in one call, which evaluates each entry on its own, so
     corners just above 1 take its hypergeometric form and the rest its
     descending series.  Elementwise on an array U; a scalar U gives a
-    complex.
+    complex.  W/U - 1 = beta U^-alpha, so the difference loses about
+    log10(U^alpha / beta) digits: at alpha = 0.143, beta = 0.92 the error
+    against mpmath is 1e-6 relative at U = 2^200 and 14% at U = 2^300.
     """
     U = np.asarray(U, dtype=float)
     if sign not in (+1, -1):
@@ -241,9 +243,11 @@ def I_delta_pm(params: TrapezoidParams, sign: int, s: complex, rel_tol: float = 
 
     Defined on the open strip 0 < Re s < 1.  The quadrature marches over
     octaves [M, 2M], evaluating h_U_pm on batches of U, until the
-    closed-form tail majorant falls below rel_tol of the accumulated mass;
-    the tail enters the error budget only (the returned value is the plain
-    quadrature estimate).
+    closed-form tail majorant falls below rel_tol of the accumulated mass.
+    The value is an adaptive-Simpson estimate, not an enclosure: the first
+    16 octaves are each solved to rel_tol of their own size, the later ones
+    together to rel_tol of the mass, so h_U_pm's far-out rounding noise does
+    not drive the refinement; the tail enters the error budget only.
     """
     s = complex(s)
     if not (0.0 < s.real < 1.0):

@@ -94,6 +94,11 @@ def test_integrate_to_infinity_power_law():
     value, tail_bound = integrate_to_infinity(lambda u: u**-3, 2.0, tail, rel_tol=1e-10)
     assert math.isclose(value, 0.125, rel_tol=1e-8)
     assert tail_bound <= 1e-9 * value
+    # u^-1.05 over [1, infinity) is 20 with tail 20 M^-0.05: about 530 octaves,
+    # 515 in the second engine call, whose errors together stay within rel_tol
+    # of the mass
+    value, tail_bound = integrate_to_infinity(lambda u: u**-1.05, 1.0, lambda M: 20.0 * M**-0.05, 1e-8)
+    assert abs(value + tail_bound - 20.0) <= 1e-8 * 20.0
 
 
 def test_integrate_to_infinity_exponential():
@@ -151,24 +156,36 @@ def test_march_to_overflow_reports_the_tail():
 
 def block_march(f, a, tail_bound, rel_tol):
     """The march before its stop was predicted: 16 octaves per engine call,
-    past the stop too.  The oracle for integrate_to_infinity."""
+    past the stop too.  The first 16 octaves are each solved to rel_tol of
+    their own size; every later octave gets an equal share of rel_tol times
+    their mass, shared among the octaves up to the first top whose tail
+    bound is below that budget.  The oracle for integrate_to_infinity."""
     total = 0.0
     mass = 0.0
     lo = a
     hi = 2.0 * a if a > 0 else 1.0
+    tol, relative = rel_tol, True
     while math.isfinite(hi):
         los, his = [], []
         while math.isfinite(hi) and len(los) < 16:
             los.append(lo)
             his.append(hi)
             lo, hi = hi, 2.0 * hi
-        pieces = _ENGINE(f, np.array(los), np.array(his), rel_tol, relative=True)
+        pieces = _ENGINE(f, np.array(los), np.array(his), tol, relative)
         for piece, top in zip(pieces, his):
             total += piece
             mass += abs(piece)
             bound = tail_bound(top)
             if bound <= rel_tol * max(mass, 1e-300):
                 return total, bound
+        if relative:
+            budget, shares, top = rel_tol * max(mass, 1e-300), 0, hi
+            while math.isfinite(top):
+                shares += 1
+                if tail_bound(top) <= budget:
+                    break
+                top *= 2.0
+            tol, relative = budget / max(shares, 1), False
     raise NonConvergenceError("tail bound cannot reach tolerance on [a, infinity)")
 
 
@@ -176,15 +193,23 @@ def block_march(f, a, tail_bound, rel_tol):
 def paired(monkeypatch):
     """Each march of transforms also runs block_march.
 
-    The marches' results, the oracle's and the march's engine calls gather
-    in paired.records; paired(f, a, tail_bound, rel_tol) runs one pair.
+    The marches' results, the oracle's, and the march's engine calls and
+    integrand abscissas gather in paired.records; paired(f, a, tail_bound,
+    rel_tol) runs one pair.
     """
     calls = count_engine_calls(monkeypatch)
 
     def march(f, a, tail_bound, rel_tol):
         calls.clear()
-        result = integrate_to_infinity(f, a, tail_bound, rel_tol)
-        march.records.append((result, block_march(f, a, tail_bound, rel_tol), len(calls)))
+        points = []
+
+        def counted(x):
+            points.append(x.size)
+            return f(x)
+
+        result = integrate_to_infinity(counted, a, tail_bound, rel_tol)
+        oracle = block_march(f, a, tail_bound, rel_tol)
+        march.records.append((result, oracle, len(calls), sum(points)))
         return result
 
     march.records = []
@@ -203,7 +228,7 @@ def test_march_matches_block_oracle(paired):
     for sign, s in ((+1, 0.306 + 30.0j), (-1, 0.25 + 2.0j), (+1, 0.694 + 0.5j)):
         transforms.I_delta_pm(t, sign, s)
     assert len(paired.records) == 2 + 2 * 6 + 3
-    for (value, bound), (oracle_value, oracle_bound), _ in paired.records:
+    for (value, bound), (oracle_value, oracle_bound), *_ in paired.records:
         assert abs(value - oracle_value) <= 1e-15 * abs(oracle_value)
         assert abs(bound - oracle_bound) <= 1e-15 * abs(oracle_bound)
 
@@ -215,4 +240,8 @@ def test_march_makes_at_most_two_engine_calls(paired):
     transforms.I_delta_pm(t, -1, 0.25 + 2.0j)
     paired(lambda u: u**-3, 2.0, lambda M: 0.5 * M**-2, 1e-10)
     # each of these marches stops past its first block, so it takes both calls
-    assert [calls for *_, calls in paired.records] == [2, 2, 2, 2]
+    assert [calls for *_, calls, _ in paired.records] == [2, 2, 2, 2]
+    # the far octaves share one error budget: at most a third of the abscissas
+    # of solving each octave to rel_tol of its own size (10,914 and 18,193)
+    points = [points for *_, points in paired.records]
+    assert points[0] <= 10_914 // 3 and points[2] <= 18_193 // 3, points

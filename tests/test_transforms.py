@@ -1,9 +1,11 @@
 """Trapezoid kernels, their transforms, and the averaged-transform machinery."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from test_bounds import draw_valid_params
 
 from greenbound import transforms, verify
 from greenbound._quad import integrate, integrate_to_infinity
@@ -277,3 +279,45 @@ def test_averaged_transform_strip_bound():
                 value = abs(I_delta_pm(p, sign, s))
                 envelope = cap * abs(s * (1.0 - s)) ** -1.25
                 assert value <= envelope, (sign, sigma_prime, t, value, envelope)
+
+
+# I_delta_pm by mpmath quadrature at 30 digits: legenp(s - 1, -2, u, type=3)
+# in the difference quotient, Gauss-Legendre on pieces of each octave at most
+# half an oscillation long, and the tail past the last octave extrapolated at
+# the ratio 2^-s of the leading U^(-1-s) term, where it is below 1e-11
+# relative.  At the reference parameters: the two fixed spectral-strip jobs
+# and the strip-ratio maxima of the plus and minus sides.
+I_DELTA_MPMATH = {
+    (+1, 0.306 + 30.0j): complex(-1.11279428807459802571e-5, -1.429501288922305204918e-6),
+    (-1, 0.25 + 2.0j): complex(0.02948807406748320461573, -0.02694455425336456469514),
+    (+1, 0.306 + 0.30j): complex(4.425503681022473145659, -2.342094426609341337199),
+    (-1, 0.25 + 0.85j): complex(0.4473036082050803503224, -0.2765202610454235964797),
+}
+# The same quadrature for I_delta_pm(+1, 0.3+1j) on the third draw_valid_params
+# set of seed 80300 (delta = 1.579, alpha_plus = 0.143, beta_plus = 0.923).
+SEED_80300_MPMATH = complex(0.5281345430835397850555, -0.3238655726354031525217)
+
+
+def test_averaged_transform_matches_mpmath():
+    p = reference_trapezoid()
+    for (sign, s), exact in I_DELTA_MPMATH.items():
+        value = I_delta_pm(p, sign, s)
+        assert abs(value - exact) <= 1e-6 * abs(exact), (sign, s, value)
+
+
+def test_averaged_transform_returns_where_the_quotient_is_noise(monkeypatch):
+    """At alpha_plus = 0.143 h_U_pm loses 9 digits by U = 2^200 and 13 by
+    2^300, so octaves far out cannot be solved to 1e-8 of their own size.
+    The march must still return, with few integrand abscissas."""
+    rng = random.Random(80300)
+    p = [draw_valid_params(rng) for _ in range(3)][2].trapezoid
+    points = []
+
+    def counted(params, sign, s, U):
+        points.append(U.size)
+        assert sum(points) <= 10_000, "the march refines rounding noise"
+        return h_U_pm(params, sign, s, U)
+
+    monkeypatch.setattr(transforms, "h_U_pm", counted)
+    value = I_delta_pm(p, +1, 0.3 + 1.0j)
+    assert abs(value - SEED_80300_MPMATH) <= 1e-6 * abs(SEED_80300_MPMATH)
