@@ -1,15 +1,18 @@
-"""Adaptive Simpson quadrature used throughout the numeric pipeline.
+"""Adaptive Clenshaw-Curtis quadrature used throughout the numeric pipeline.
 
 One routine, `_integrate`, refines any number of intervals at once.  A panel
-is split at its quarter points and accepted when its halves agree with the
-whole to 15 tol, with the Richardson correction added; tol halves on each
-split, and a panel 60 splits deep raises NonConvergenceError.  Acceptance is
-decided per panel, so the tree is that of the textbook recursion in any
-order of refinement.  The first pass evaluates every interval's ends,
-midpoint and quarter points together; after it the open panels are refined
-depth-first in batches, which bounds the abscissas of each integrand call
-and the open set.  Integrands map a 1-D float array to a real or complex
-array of its shape, elementwise.
+is sampled at the 17 nodes cos(k pi / 16), both ends included.  Its value is
+the Clenshaw-Curtis sum CC17, its error estimate |CC17 - CC9|, CC9 taking
+every other node.  It is accepted when that estimate is at most tol, or at
+most 50 * 2^-52 times its CC17 of |f|, below which rounding noise is all a
+split would chase; else it is split at its midpoint, tol halves, and a panel
+60 splits deep raises NonConvergenceError.  The rule is closed, so a kink
+between an end and the next node still shows in the estimate.  Acceptance
+is per panel, so the tree is that of the textbook recursion in any order of
+refinement.  The first pass evaluates every interval; after it the open
+panels are refined depth-first in batches of _MAX_POINTS // 17, which bounds
+the abscissas of each integrand call and the open set.  Integrands map a
+1-D float array to a real or complex array of its shape, elementwise.
 
 Improper integrals over [a, infinity) march over octaves [M, 2M] and stop
 once a caller-supplied analytic bound on the remaining tail drops below the
@@ -31,17 +34,28 @@ import numpy as np
 
 from greenbound.errors import NonConvergenceError
 
-# Abscissas per integrand call.  Batches of half as many panels bound the
-# integrand's temporaries and, refined depth-first, the open panels.
+# Abscissas per integrand call.  Batches of _MAX_POINTS // 17 panels bound
+# the integrand's temporaries and, refined depth-first, the open panels.
 _MAX_POINTS = 1024
 # Octaves in integrate_to_infinity's first engine call.  Their mass predicts
 # how far the second call must reach; a march that stops inside this block
 # integrates up to _BLOCK_OCTAVES - 1 octaves past its stop.
 _BLOCK_OCTAVES = 16
+_ROUNDING = 50.0 * 2.0**-52  # rounding floor of a panel's error estimate, relative to its CC17 of |f|
 
 
-def _simpson(fa, fm, fb, h):
-    return h * (fa + 4.0 * fm + fb) / 6.0
+def _cc_weights(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights on [-1, 1] at the nodes cos(k pi / n), k = 0..n, n even."""
+    j, k = np.arange(1, n // 2 + 1)[:, None], np.arange(n + 1)
+    b = np.where(2 * j == n, 1.0, 2.0) / (4.0 * j * j - 1.0)
+    w = 1.0 - np.sum(b * np.cos(2.0 * np.pi * j * k / n), axis=0)
+    return w * np.where(k % n == 0, 1.0, 2.0) / n
+
+
+# Nodes in increasing order, -1, 0 and 1 exact; the weights are symmetric.
+_NODES = np.sin(np.pi * np.arange(-8, 9) / 16)
+_W17 = _cc_weights(16)
+_W17_MINUS_W9 = _W17 - np.insert(_cc_weights(8), np.arange(1, 9), 0.0)
 
 
 def _eval(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -49,8 +63,8 @@ def _eval(f: Callable, x: np.ndarray) -> np.ndarray:
 
 
 def _pop(stack: list[np.ndarray]) -> np.ndarray:
-    """Up to _MAX_POINTS // 2 of the newest, so deepest, panels off the stack."""
-    room, batch = _MAX_POINTS // 2, []
+    """Up to _MAX_POINTS // 17 of the newest, so deepest, panels off the stack."""
+    room, batch = _MAX_POINTS // _NODES.size, []
     while stack and room:
         top = stack.pop()
         if top.shape[1] > room:
@@ -65,60 +79,42 @@ def _integrate(f: Callable, a: np.ndarray, b: np.ndarray, tol: float, relative=F
     """Integrals of f over the intervals [a[i], b[i]], a < b, in order.
 
     tol is each interval's absolute tolerance; with relative=True it is
-    relative to the size of a 16-panel Simpson pass over the interval,
-    floored at 1e-300.
+    relative to the interval's first-pass CC17 of |f|, floored at 1e-300.
+    The rounding floor adds at most 50 * 2^-52 of the integral of |f| to that.
     """
     k = a.size
-    # Halving each end before adding gives the same bits as 0.5 * (a + b)
-    # but does not overflow on an interval whose ends sum past the largest float.
-    m = 0.5 * a + 0.5 * b
-    x = [a, m, b, 0.5 * a + 0.5 * m, 0.5 * m + 0.5 * b]
-    if relative:
-        h = ((b - a) / 16)[:, None]
-        x0 = a[:, None] + np.arange(16) * h
-        x += [x0.ravel(), (x0 + 0.5 * h).ravel(), (x0 + h).ravel()]
-    y = _eval(f, np.concatenate(x))
-    fa, fm, fb, *quarters = y[: 5 * k].reshape(5, k)
-    tol = np.full(k, float(tol))
-    if relative:
-        coarse = 0.0
-        for panel in _simpson(*y[5 * k :].reshape(3, k, 16), h).T:
-            coarse = coarse + panel
-        tol *= np.maximum(np.abs(coarse), 1e-300)
-    # One column per open panel, in the integrand's dtype: a, b, f(a),
-    # f(mid), f(b), Simpson estimate, tol, depth, interval index.  The first
-    # batch is every interval, its quarter points evaluated with the rest.
-    whole = _simpson(fa, fm, fb, b - a)
-    batch = np.array([a, b, fa, fm, fb, whole, tol, np.zeros(k), np.arange(k)])
-    stack = []
-    sums = []  # per batch, the sum of its accepted panels on each interval
+    # One column per open panel: a, b, tol, depth, interval index.
+    batch = np.array([a, b, np.full(k, float(tol)), np.zeros(k), np.arange(k)])
+    stack, total = [], None  # total is made on the first pass, in the integrand's dtype
     while True:
-        a, b, fa, fm, fb, whole, tol, depth, owner = batch
-        a, b, tol, depth = a.real, b.real, tol.real, depth.real
+        a, b, tol, depth, owner = batch
         if depth.max() >= 60:  # the depth limit of the textbook recursion
             i = depth.argmax()
-            raise NonConvergenceError(f"adaptive Simpson hit max depth on [{a[i]}, {b[i]}]")
-        m = 0.5 * a + 0.5 * b
-        if quarters is None:
-            quarters = _eval(f, np.concatenate([0.5 * a + 0.5 * m, 0.5 * m + 0.5 * b])).reshape(2, -1)
-        flm, frm = quarters
-        left = _simpson(fa, flm, fm, m - a)
-        right = _simpson(fm, frm, fb, b - m)
-        err = left + right - whole
-        ok = np.abs(err) <= 15.0 * tol
-        sums.append(np.zeros(k, dtype=y.dtype))
-        np.add.at(sums[-1], owner.real[ok].astype(int), (left + right + err / 15.0)[ok])
+            raise NonConvergenceError(f"adaptive quadrature hit max depth on [{a[i]}, {b[i]}]")
+        # Halving each end before adding gives the same bits as 0.5 * (a + b)
+        # but does not overflow on an interval whose ends sum past the largest float.
+        m, h = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
+        x = m[:, None] + h[:, None] * _NODES
+        x[:, 0], x[:, -1] = a, b
+        y = _eval(f, x.ravel()).reshape(x.shape)
+        size = h * (np.abs(y) @ _W17)
+        if total is None:
+            total = np.zeros(k, dtype=y.dtype)
+            if relative:
+                tol = tol * np.maximum(size, 1e-300)
+        ok = np.abs(h * (y @ _W17_MINUS_W9)) <= np.maximum(tol, _ROUNDING * size)
+        np.add.at(total, owner[ok].astype(int), (h * (y @ _W17))[ok])
         if not ok.all():
             half, deeper = 0.5 * tol, depth + 1.0
-            stack.append(np.array([a, m, fa, flm, fm, left, half, deeper, owner])[:, ~ok])
-            stack.append(np.array([m, b, fm, frm, fb, right, half, deeper, owner])[:, ~ok])
+            stack.append(np.array([a, m, half, deeper, owner])[:, ~ok])
+            stack.append(np.array([m, b, half, deeper, owner])[:, ~ok])
         if not stack:
-            return np.sum(sums, axis=0).tolist()
-        batch, quarters = _pop(stack), None
+            return total.tolist()
+        batch = _pop(stack)
 
 
 def integrate(f: Callable, a: float, b: float, abs_tol: float) -> float | complex:
-    """Integrate f over [a, b] to absolute tolerance abs_tol."""
+    """Integrate f over [a, b] to abs_tol plus about 1.1e-14 of the integral of |f|."""
     if not (b >= a):
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
     if a == b:
@@ -135,13 +131,13 @@ def integrate_to_infinity(
     to 0.  Octaves [M, 2M] are summed until tail_bound(M) <= rel_tol times
     the accumulated absolute mass (floored at 1e-300).  The first
     _BLOCK_OCTAVES octaves take one engine call, each to rel_tol of its own
-    16-panel Simpson size.  If the march goes on, the mass only grows, so it
-    stops at the latest at the first octave top M_k with tail_bound(M_k) <=
-    rel_tol times the first block's mass; the n octaves up to M_k (or up to
-    overflow) take the second call, each to the absolute tolerance rel_tol
-    times that mass over n.  Nothing past M_k is integrated.  Returns (value
-    over [a, M], tail_bound(M)); the caller decides whether the tail belongs
-    in the value or only in the error budget.
+    size, the first pass's CC17 of |f| over it.  If the march goes on, the
+    mass only grows, so it stops at the latest at the first octave top M_k
+    with tail_bound(M_k) <= rel_tol times the first block's mass; the n
+    octaves up to M_k (or up to overflow) take the second call, each to the
+    absolute tolerance rel_tol times that mass over n.  Nothing past M_k is
+    integrated.  Returns (value over [a, M], tail_bound(M)); the caller
+    decides whether the tail belongs in the value or only in the error budget.
     """
     total = mass = 0.0
     lo, hi = a, (2.0 * a if a > 0 else 1.0)

@@ -87,8 +87,9 @@ def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
 
     The integrand is supported on |t| <= tau = sqrt(2 delta - 2)/eps and has
     an integrable log singularity at t = 0.  Each half is integrated in
-    log(t) coordinates (adaptive Simpson on arrays of log t, absolute
-    tolerance); the head below tau * 1e-16 contributes less than 1e-12 and
+    log(t) coordinates (adaptive Clenshaw-Curtis on arrays of log t, to an
+    absolute tolerance, no panel refined below 50 * 2^-52 of its CC17 of
+    |integrand|); the head below tau * 1e-16 contributes less than 1e-12 and
     is dropped.
     """
     if not (delta > 1.0):

@@ -22,10 +22,10 @@ and beta^- <= delta^{1+alpha^-} / (delta + 1) guarantees T(U) >= 1 for
 U >= delta.
 
 The averaged transforms I_delta^{+-}(s) = (1/2 pi) Integral_delta^infinity
-h_U^{+-}(s) / (U^2 - 1) dU are evaluated by the adaptive Simpson engine of
-greenbound._quad over octaves [M, 2M], calling h_U_pm on arrays of U; the
-integrand decays like U^{alpha - sigma - 1}, so the remaining tail past the
-last octave is bounded in closed form.
+h_U^{+-}(s) / (U^2 - 1) dU are evaluated by the adaptive Clenshaw-Curtis
+engine of greenbound._quad over octaves [M, 2M], calling h_U_pm on arrays of
+U; the integrand decays like U^{alpha - sigma - 1}, so the remaining tail
+past the last octave is bounded in closed form.
 """
 
 from __future__ import annotations
@@ -244,9 +244,10 @@ def I_delta_pm(params: TrapezoidParams, sign: int, s: complex, rel_tol: float = 
     Defined on the open strip 0 < Re s < 1.  The quadrature marches over
     octaves [M, 2M], evaluating h_U_pm on batches of U, until the
     closed-form tail majorant falls below rel_tol of the accumulated mass.
-    The value is an adaptive-Simpson estimate, not an enclosure: the first
-    16 octaves are each solved to rel_tol of their own size, the later ones
-    together to rel_tol of the mass, so h_U_pm's far-out rounding noise does
+    The value is an adaptive Clenshaw-Curtis estimate, not an enclosure: the
+    first 16 octaves are each solved to rel_tol of their own CC17 of
+    |integrand|, the later ones together to rel_tol of the mass, and no panel
+    below the engine's rounding floor, so h_U_pm's far-out rounding noise does
     not drive the refinement; the tail enters the error budget only.
     """
     s = complex(s)

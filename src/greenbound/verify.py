@@ -98,10 +98,10 @@ def volume_checks() -> list[CheckResult]:
     ]
 
 
-def majorant_cap_checks() -> list[CheckResult]:
-    """Majorant integral estimates against their rounded caps; D_plus fails at
-    the reference parameters (see the package documentation)."""
-    D_plus, D_minus = compute_D(reference_params())
+def majorant_cap_checks(D: tuple[float, float]) -> list[CheckResult]:
+    """Majorant integrals D = compute_D(reference_params()) against their rounded
+    caps; D_plus fails at the reference parameters (see the package documentation)."""
+    D_plus, D_minus = D
     return [
         _result(
             "D_plus",
@@ -117,12 +117,12 @@ def majorant_cap_checks() -> list[CheckResult]:
     ]
 
 
-def assembly_checks() -> list[CheckResult]:
-    """Headline interval in paper arithmetic; strictly tighter in theorem-exact mode."""
+def assembly_checks(D: tuple[float, float]) -> list[CheckResult]:
+    """Headline interval in paper arithmetic; strictly tighter in theorem-exact mode on D."""
     ctx = group_preset("sl2z")
     params = reference_params()
     paper = assemble(params, ctx, COUNT_CAP_STANDARD, mode="paper-arithmetic")
-    exact = assemble(params, ctx, COUNT_CAP_STANDARD, mode="theorem-exact")
+    exact = assemble(params, ctx, COUNT_CAP_STANDARD, mode="theorem-exact", D=D)
     return [
         _result(
             "paper_A",
@@ -148,8 +148,10 @@ def assembly_checks() -> list[CheckResult]:
 
 
 def reproduction_battery(grid: tuple[int, int] = (100, 100)) -> list[CheckResult]:
-    """Replay the published constants; one record per reproduced number."""
-    return [count_check(grid), *volume_checks(), *majorant_cap_checks(), *assembly_checks()]
+    """Replay the published constants; one record per reproduced number.  D is
+    enclosed once, for both the cap checks and the theorem-exact assembly."""
+    D = compute_D(reference_params())
+    return [count_check(grid), *volume_checks(), *majorant_cap_checks(D), *assembly_checks(D)]
 
 
 def random_unimodular(rng: random.Random, steps: int = 6) -> UnimodularMatrix:

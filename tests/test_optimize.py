@@ -107,3 +107,15 @@ def test_search_encloses_each_side_point_once(monkeypatch):
     monkeypatch.setattr(optimize, "_enclose_one_sign", counted)
     search(reference_params(), group_preset("sl2z"), N_BAR, 25)
     assert len(calls) <= 226
+
+
+@pytest.mark.parametrize("max_iters", [5, 9, 25])
+def test_search_report_reassembles_exactly(max_iters):
+    """The memo keys each side's point by its coordinates rounded to 12
+    digits; assembling afresh at the returned parameters must give the
+    report's A and B to the last bit, so no neighbouring point's D reaches
+    the certificate."""
+    ctx = group_preset("sl2z")
+    params, report = search(reference_params(), ctx, N_BAR, max_iters)
+    direct = assemble(params, ctx, N_BAR, "theorem-exact")
+    assert (direct.A, direct.B) == (report.A, report.B)

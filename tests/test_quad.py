@@ -1,4 +1,6 @@
-"""Adaptive Simpson engine: finite, relative, batched, and marching improper integrals."""
+"""Adaptive Clenshaw-Curtis engine (17 nodes, CC17 - CC9 error estimate, a
+rounding floor of 50 * 2^-52 times each panel's CC17 of |f|): finite,
+relative, batched, and marching improper integrals."""
 
 import dataclasses
 import math
@@ -37,9 +39,19 @@ def test_integrate_polynomial_exact():
 
     value = integrate(f, 0.0, 2.0, abs_tol=1e-12)
     assert math.isclose(value, 8.0, abs_tol=1e-11)
-    # Simpson is exact here: the first pass (ends, midpoint and quarter
-    # points) settles it in one integrand call
-    assert sizes == [5]
+    # CC9 and CC17 are both exact here: the first pass, one panel of 17
+    # nodes, settles it in one integrand call
+    assert sizes == [17]
+
+
+def test_integrate_sees_a_kink_next_to_an_end():
+    """The ramp's kink lies 5e-5 from the left end, inside the first node gap
+    (0.058 wide on [1, 7]).  The closed rule samples f(a) and sees the kink;
+    an open rule such as Gauss-Kronrod G7/K15 sees only the straight part
+    there and can accept a panel that is off by far more than 1e-12."""
+    kink = 1.0 + 5e-5
+    value = integrate(lambda x: np.maximum(x - kink, 0.0), 1.0, 7.0, abs_tol=1e-12)
+    assert abs(value - 0.5 * (7.0 - kink) ** 2) <= 1e-12
 
 
 def test_integrate_oscillatory():
@@ -73,6 +85,18 @@ def test_integrand_calls_stay_within_batch_bound():
     edges = np.linspace(-1.0, 1.0, 3 * _quad._MAX_POINTS + 1)
     _quad._integrate(peaked, edges[:-1], edges[1:], 1e-12)
     assert max(sizes) <= _quad._MAX_POINTS < sum(sizes)
+
+
+def test_rounding_floor_accepts_below_the_integrand_noise(monkeypatch):
+    """At abs_tol 1e-12 against an integral of 2.2e4, |CC17 - CC9| is rounding
+    noise at every depth: the floor returns the value to within 50 * 2^-52
+    of the integral, and without it the engine hits the depth limit."""
+    exact = math.expm1(10.0)
+    value = integrate(np.exp, 0.0, 10.0, abs_tol=1e-12)
+    assert abs(value - exact) <= 50.0 * 2.0**-52 * exact
+    monkeypatch.setattr(_quad, "_ROUNDING", 0.0)
+    with pytest.raises(NonConvergenceError):
+        integrate(np.exp, 0.0, 10.0, abs_tol=1e-12)
 
 
 def test_many_intervals_in_one_call_match_separate_calls():
@@ -125,7 +149,7 @@ def test_integrate_to_infinity_rejects_fat_tail(monkeypatch):
         integrate_to_infinity(f, 1.0, tail, rel_tol=1e-6)
     assert len(calls) == 2
     assert max(sizes) <= _quad._MAX_POINTS
-    assert sum(sizes) > 1000 * 33  # about 1,000 octaves of at least 33 points each
+    assert sum(sizes) > 1000 * 17  # about 1,000 octaves of at least 17 points each
 
 
 
@@ -238,10 +262,11 @@ def test_march_makes_at_most_two_engine_calls(paired):
     for sign in (+1, -1):
         transforms.I_delta_pm(t, sign, 0.45 + 1.0j)
     transforms.I_delta_pm(t, -1, 0.25 + 2.0j)
+    transforms.I_delta_pm(t, +1, 0.306 + 30.0j)
     paired(lambda u: u**-3, 2.0, lambda M: 0.5 * M**-2, 1e-10)
     # each of these marches stops past its first block, so it takes both calls
-    assert [calls for *_, calls, _ in paired.records] == [2, 2, 2, 2]
-    # the far octaves share one error budget: at most a third of the abscissas
-    # of solving each octave to rel_tol of its own size (10,914 and 18,193)
+    assert [calls for *_, calls, _ in paired.records] == [2, 2, 2, 2, 2]
+    # the far octaves share one error budget and each panel is a 17-node
+    # Clenshaw-Curtis pair: 1,496, 2,227 and 15,572 abscissas
     points = [points for *_, points in paired.records]
-    assert points[0] <= 10_914 // 3 and points[2] <= 18_193 // 3, points
+    assert points[0] <= 2_000 and points[2] <= 3_000 and points[3] <= 20_000, points
