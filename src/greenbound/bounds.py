@@ -33,6 +33,7 @@ forensics force this normalization; see the numeric checks in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -225,6 +226,7 @@ _W_CONVEX = 2.0**-30  # slack of the plain-float curvature bounds
 _D_REL_WIDTH = 1e-6  # widest enclosure, relative to its lower end, that compute_D accepts
 _PANELS = 200.0  # panels on an octave of U^2 - 1 next to delta or below 1; see _grid
 _CELL = 4  # panels per curvature cell
+_TABLES = 4  # node tables kept, a fine and a coarse one for each of two values of delta
 
 
 def _dn(x, w=_W_OP):
@@ -239,18 +241,18 @@ def _widen(x, side):
     return x + side * np.abs(x) * _W_OP  # outward by _W_OP, downward for side -1, for any sign
 
 
-def _grid(t0: float, octaves: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t (t^2 = U^2 - 1) past t0, rounded up to 26 bits, and the curvature cell ends: the
-    j-th octave [X, 2 X] of U^2 - 1 from delta takes max(3, ceil(_PANELS 2^(-k/32) / sqrt(1 + k)))
-    steps even in s = log(U^2 - 1), k = max(0, min(j, log2 X)), the first cut at 2^-11, ..., 2^-1
-    of itself; each cut and every _CELL-th node of an octave ends a cell."""
+def _grid(t0: float, octaves: int, panels: float = _PANELS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t (t^2 = U^2 - 1) past t0, rounded up to 26 bits, the curvature cell ends and the steps
+    of each octave: the j-th octave [X, 2 X] of U^2 - 1 from delta takes max(3, ceil(panels 2^(-k/32)
+    / sqrt(1 + k))) steps even in s = log(U^2 - 1), k = max(0, min(j, log2 X)), the first cut at
+    2^-11, ..., 2^-1 of itself; each cut and every _CELL-th node of an octave ends a cell."""
     k = np.maximum(0.0, np.minimum(np.arange(octaves), 2.0 * math.log2(t0) + np.arange(octaves)))
-    n = np.maximum(3, np.ceil(_PANELS * np.exp2(-k / 32.0) / np.sqrt(1.0 + k))).astype(int)
+    n = np.maximum(3, np.ceil(panels * np.exp2(-k / 32.0) / np.sqrt(1.0 + k))).astype(int)
     j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     cuts = 2.0 ** -np.arange(11.0, 0.0, -1.0) / n[0]
     offsets = np.concatenate([cuts, (np.repeat(np.arange(octaves), n) + j / np.repeat(n, n))[1:], [octaves]])
     m, e = np.frexp(t0 * np.exp2(0.5 * offsets))
-    return np.ldexp(np.ceil(m * 2.0**26), e - 26), np.concatenate([cuts > 0, j[1:] % _CELL == 0, [True]])
+    return np.ldexp(np.ceil(m * 2.0**26), e - 26), np.concatenate([cuts > 0, j[1:] % _CELL == 0, [True]]), n
 
 
 def _C_sigma_enclosure(sigma: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -278,21 +280,26 @@ def _x_parts(x_lo, x_hi, sigma, consts):
     return _dn(P[0], _W_EVAL), _up(P[1], _W_EVAL), _dn(S[1], _W_EVAL), _up(S[0], _W_EVAL)
 
 
-def _node_bounds(params: ParamSet, sign: int, X_lo: np.ndarray, X_hi: np.ndarray):
-    """Directed (own, pow, rest) at nodes X_lo <= U^2 - 1 <= X_hi, lower and upper
-    ends interleaved: own = p_sigma(U) G, pow the x-power part P of p_sigma(W)
-    and rest its shape factor S times G = U^alpha / (2 beta (U^2 - 1)), W = V or T."""
-    sigma, alpha, beta = _side(params, sign)
-    consts = _C_sigma_enclosure(sigma)
+def _u_parts(X_lo: np.ndarray, X_hi: np.ndarray):
+    """Directed u^2, u and x_U = u + sqrt(U^2 - 1) at X_lo <= U^2 - 1 <= X_hi, each lower end first."""
     u2_lo, u2_hi = _dn(1.0 + X_lo), _up(1.0 + X_hi)
     u_lo, u_hi = _dn(np.sqrt(u2_lo)), _up(np.sqrt(u2_hi))
+    return u2_lo, u2_hi, u_lo, u_hi, _dn(u_lo + _dn(np.sqrt(X_lo))), _up(u_hi + _up(np.sqrt(X_hi)))
+
+
+def _node_bounds(params: ParamSet, sign: int, X_lo: np.ndarray, X_hi: np.ndarray, u=None):
+    """Directed (own, pow, rest) at nodes X_lo <= U^2 - 1 <= X_hi, lower and upper ends interleaved:
+    own = p_sigma(U) G, pow the x-power part P of p_sigma(W) and rest its shape factor S times
+    G = U^alpha / (2 beta (U^2 - 1)), W = V or T; u is _u_parts(X_lo, X_hi) if a table has it."""
+    sigma, alpha, beta = _side(params, sign)
+    consts = _C_sigma_enclosure(sigma)
+    u2_lo, u2_hi, u_lo, u_hi, xu_lo, xu_hi = _u_parts(X_lo, X_hi) if u is None else u
     ua = u2_lo ** (0.5 * alpha)  # U^alpha; (u2_hi / u2_lo)^(alpha / 2) <= u2_hi / u2_lo
     ua_lo, ua_hi = _dn(ua, _W_LIBM), _up(_up(ua, _W_LIBM) * _up(u2_hi / u2_lo))
     G_lo, G_hi = _dn(ua_lo / _up(2.0 * beta * X_hi)), _up(ua_hi / _dn(2.0 * beta * X_lo))
     m_lo, m_hi = _dn(_dn(beta * X_lo) / _up(u_hi * ua_hi)), _up(_up(beta * X_hi) / _dn(u_lo * ua_lo))
     w_lo, w_hi = (_dn(u_lo + m_lo), _up(u_hi + m_hi)) if sign > 0 else (  # T(U) >= 1 under the beta^- cap
         np.maximum(_dn(u_lo - m_hi), 1.0), np.maximum(_up(u_hi - m_lo), 1.0))
-    xu_lo, xu_hi = _dn(u_lo + _dn(np.sqrt(X_lo))), _up(u_hi + _up(np.sqrt(X_hi)))
     pu_lo, pu_hi, su_lo, su_hi = _x_parts(xu_lo, xu_hi, sigma, consts)
     xw_lo = np.maximum(_dn(w_lo + _dn(np.sqrt(np.maximum(_dn(_dn(w_lo * w_lo) - 1.0), 0.0)))), 1.0)
     xw_hi = _up(w_hi + _up(np.sqrt(_up(_up(w_hi * w_hi) - 1.0))))  # x = w + sqrt(w^2 - 1)
@@ -317,20 +324,19 @@ def _isq(x):
     return low, np.maximum(x[0] ** 2, x[1] ** 2)
 
 
-def _curvature(params: ParamSet, sign: int, X: np.ndarray, f):
-    """Bounds (lo, hi) on F'' over each cell [X[i], X[i+1]] of U^2 - 1 (NaN where untested);
-    f holds the node bounds, and row 0 of each array below is own, row 1 the corner."""
+def _curvature(params: ParamSet, sign: int, nodes: np.ndarray, spans: np.ndarray, f):
+    """Bounds (lo, hi) on F'' over each cell between the cell ends (NaN where untested), from their
+    nodes and spans in _node_table; f holds the node bounds, and row 0 below is own, row 1 the corner."""
     sigma, alpha, beta = _side(params, sign)
     c_main, c_prime = C_sigma(sigma)
     low = np.stack([f[0][1:], _dn(f[2][:-1] * f[4][1:])])  # each term's least and greatest value
     high = np.stack([f[1][:-1], _up(f[3][1:] * f[5][:-1])])
-    U = np.sqrt(1.0 + X)
-    r2, om = X / (1.0 + X), 1.0 / (1.0 + X)  # r^2 = (U^2 - 1) / U^2 and 1 - r^2
+    X, U, r2, om, um1 = nodes
+    r2_, om_, ro = spans[0:2], spans[2:4], spans[4:6]
     gb = np.stack([0.0 * X, sign * beta * U**-alpha])  # g = gb r^2 = W / U - 1
-    wm1 = X / (U + 1.0) + gb * r2 * U  # W - 1
+    wm1 = um1 + gb * r2 * U  # W - 1
     # log W = log U + log(1 + g); its first two derivatives in s are d1, d2
-    r2_, om_ = _span(r2), _span(om)
-    ro, g = (r2_[0] * om_[0], r2_[1] * om_[1]), _imul(_span(gb), r2_)
+    g = _imul(_span(gb), r2_)
     G1 = (om_[0] - 0.5 * alpha * r2_[1], om_[1] - 0.5 * alpha * r2_[0])  # (log g)'
     G1_sq, inv_c = _isq(G1), (1.0 / (1.0 + g[1]), 1.0 / (1.0 + g[0]))
     c1 = _imul(_imul(g, G1), inv_c)  # (log c)', c = 1 + g
@@ -372,20 +378,45 @@ def _curvature(params: ParamSet, sign: int, X: np.ndarray, f):
     return safe * low_F, safe * (np.sum(kappa_hi * np.where(kappa_hi >= 0.0, high, low), axis=0) + margin)
 
 
-def _panels(params: ParamSet, sign: int, t: np.ndarray, cells: np.ndarray, start) -> tuple[float, float]:
-    """Bounds on the integral of F in s from the node start = (X_lo, X_hi) encloses, by a
-    first-order panel to t[0]^2 and panels [t[i]^2, t[i+1]^2] halved at their midpoint
-    t[i] t[i+1] in s; the nodes where cells is set split these into curvature cells."""
+@functools.lru_cache(maxsize=_TABLES)
+def _node_table(delta: float, panels: float, octaves: int = 0) -> dict:
+    """Read-only U-only parts of _panels on _grid(delta, octaves or up to U^2 - 1 = 2^600, panels):
+    X_lo, X_hi interleave nodes t^2 and panel midpoints t t' in s after delta^2 - 1; u = _u_parts;
+    h_lo <= h <= h_hi bound the half panel widths in s; ends index the cell ends in X_lo, with nodes
+    (U^2 - 1, U, r^2 = 1 - 1/U^2, 1 - r^2, U - 1) there and spans (of r^2, 1 - r^2, r^2 (1 - r^2)) per
+    cell; tail_U are the U that end the octaves, and size the nodes of a grid ending with each."""
+    sq_lo, sq_hi = _dn(_dn(delta * delta) - 1.0), _up(_up(delta * delta) - 1.0)
+    top = np.arange(1, math.floor(600.0 - math.log2(sq_hi)) + 1)  # U^2 - 1 <= 2^600
+    t, cells, n = _grid(math.sqrt(delta * delta - 1.0), octaves or int(top[-1]), panels)
     X = np.empty(2 * t.size)
-    X[0], X[1::2], X[2::2] = start[0], t * t, t[:-1] * t[1:]
-    X_hi = np.insert(X[1:], 0, start[1])
-    f = _node_bounds(params, sign, X, X_hi)
-    own_lo, own_hi, pow_lo, pow_hi, rest_lo, rest_hi = f
+    X[0], X[1::2], X[2::2] = sq_lo, t * t, t[:-1] * t[1:]
+    X_hi = np.insert(X[1:], 0, sq_hi)
     ends = 2 * np.flatnonzero(np.concatenate([[True], cells[1:-1], [True]])) + 1
-    F2_lo, F2_hi = (np.repeat(v, np.diff(ends) // 2) for v in _curvature(params, sign, X[ends], [u[ends] for u in f]))
+    U, r2, om = np.sqrt(1.0 + X[ends]), X[ends] / (1.0 + X[ends]), 1.0 / (1.0 + X[ends])
+    r2_, om_ = _span(r2), _span(om)
+    table = dict(X_lo=X, X_hi=X_hi, u=np.stack(_u_parts(X, X_hi)), ends=ends, size=11 + np.cumsum(n),
+                 h_lo=_dn(np.log1p(_dn(X[1:] / X_hi[:-1]) - 1.0), _W_LIBM),
+                 h_hi=_up(np.log1p(_up(X_hi[1:] / X[:-1]) - 1.0), _W_LIBM), tail_U=np.sqrt(1.0 + sq_lo * np.exp2(top)),
+                 nodes=np.stack([X[ends], U, r2, om, X[ends] / (U + 1.0)]),
+                 spans=np.stack([*r2_, *om_, r2_[0] * om_[0], r2_[1] * om_[1]]))
+    for v in table.values():
+        v.setflags(write=False)
+    return table
+
+
+def _panels(params: ParamSet, sign: int, table: dict, n: int) -> tuple[float, float]:
+    """Bounds on the integral of F in s over the first n nodes of table (_node_table), from delta: a
+    first-order panel to t[0]^2 and panels [t[i]^2, t[i+1]^2] halved at their midpoint t[i] t[i+1]
+    in s; the cell ends split these into curvature cells."""
+    X, X_hi, u = table["X_lo"][: 2 * n], table["X_hi"][: 2 * n], table["u"][:, : 2 * n]
+    c = np.searchsorted(table["ends"], 2 * n)
+    ends = table["ends"][:c]
+    f = _node_bounds(params, sign, X, X_hi, u)
+    own_lo, own_hi, pow_lo, pow_hi, rest_lo, rest_hi = f
+    F2 = _curvature(params, sign, table["nodes"][:, :c], table["spans"][:, : c - 1], [v[ends] for v in f])
+    F2_lo, F2_hi = (np.repeat(v, np.diff(ends) // 2) for v in F2)
     F_lo, F_hi = _dn(own_lo + _dn(pow_lo * rest_lo)), _up(own_hi + _up(pow_hi * rest_hi))
-    h_lo = _dn(np.log1p(_dn(X[1:] / X_hi[:-1]) - 1.0), _W_LIBM)
-    h_hi = _up(np.log1p(_up(X_hi[1:] / X[:-1]) - 1.0), _W_LIBM)
+    h_lo, h_hi = table["h_lo"][: 2 * n - 1], table["h_hi"][: 2 * n - 1]
     # First order on each half panel: own and rest fall in s, pow rises
     lo = _dn(h_lo * _dn(own_lo[1:] + _dn(pow_lo[:-1] * rest_lo[1:])))
     hi = _up(h_hi * _up(own_hi[:-1] + _up(pow_hi[1:] * rest_hi[:-1])))
@@ -402,8 +433,8 @@ def _panels(params: ParamSet, sign: int, t: np.ndarray, cells: np.ndarray, start
     return _dn(lo[0] + np.sum(lo_sum), w), _up(hi[0] + np.sum(hi_sum), w)
 
 
-def _grid_bounds(params: ParamSet, sign: int) -> tuple[float, float, float]:
-    """Bounds (lo, hi) on the D integral over [delta, M], and M rounded down."""
+def _grid_bounds(params: ParamSet, sign: int, panels: float = _PANELS) -> tuple[float, float, float]:
+    """Bounds (lo, hi) on the D integral over [delta, M] on _grid at panels, and M rounded down."""
     t = params.trapezoid
     sigma, alpha, beta = _side(params, sign)
     e = 2.0**-20
@@ -411,13 +442,12 @@ def _grid_bounds(params: ParamSet, sign: int) -> tuple[float, float, float]:
             and 1 + e <= t.delta <= 2.0**200 and e <= beta <= 1 / e):
         raise ConstraintViolation("enclose_D needs sigma >= 2^-11, sigma - alpha, 1/2 - sigma, delta - 1 and beta >= "
                                   f"2^-20, delta <= 2^200, beta <= 2^20; got {sigma}, {alpha}, {t.delta}, {beta}")
-    sq_lo, sq_hi = _dn(_dn(t.delta * t.delta) - 1.0), _up(_up(t.delta * t.delta) - 1.0)
+    table = _node_table(t.delta, panels)
     floor = C_sigma(sigma)[0] * t.delta ** (alpha - sigma) / (4.0 * SQRT_PI * beta * (sigma - alpha))
-    ends = np.arange(1, math.floor(600.0 - math.log2(sq_hi)) + 1)  # U^2 - 1 <= 2^600
-    fits = averaged_transform_tail(t, sign, sigma, np.sqrt(1.0 + sq_lo * np.exp2(ends))) <= floor * 2.0**-22
-    nodes, cells = _grid(math.sqrt(t.delta * t.delta - 1.0), int(ends[fits.argmax() if fits.any() else -1]))
-    lo, hi = _panels(params, sign, nodes, cells, (sq_lo, sq_hi))
-    return lo, hi, _dn(math.sqrt(_dn(1.0 + nodes[-1] * nodes[-1])))
+    fits = averaged_transform_tail(t, sign, sigma, table["tail_U"]) <= floor * 2.0**-22
+    n = int(table["size"][fits.argmax() if fits.any() else -1])
+    lo, hi = _panels(params, sign, table, n)
+    return lo, hi, float(table["u"][2, 2 * n - 1])
 
 
 def _enclose_one_sign(params: ParamSet, sign: int) -> tuple[float, float]:
@@ -436,6 +466,12 @@ def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float
     (_grid), so t^2 and a panel's midpoint t t' in s are exact.  The last node M is the
     first octave end where averaged_transform_tail(M), which the upper end adds, is below
     2^-22 of C delta^(alpha-sigma) / (4 sqrt(pi) beta (sigma-alpha)) <= D (U^4 >= (U^2-1)^2).
+
+    Node table.  What depends on U alone (nodes and cell ends out to U^2 - 1 = 2^600, directed
+    U^2 - 1, u^2, u and u + sqrt(U^2 - 1), panel widths, and U, r^2, 1 - r^2 and spans at the cell
+    ends) is built once per delta and steps an octave (_node_table, a small LRU cache).  A grid of
+    k octaves is a prefix of it, as _grid's steps on an octave do not depend on how many follow and
+    an octave's first node ends a cell: an enclosure reads the first nodes, with a k-octave grid's bits.
 
     Curvature.  p_sigma(w) = exp(Phi(omega)), omega = arccosh w = log x, where Phi is the
     log-sum-exp log(C e^{(2-sigma) omega} + C' e^{(1+sigma) omega}), whose second
@@ -546,6 +582,12 @@ class BoundReport:
         return self.B - self.A
 
 
+def _certificate_end(q: float, D: float, factor: float, N_bar: float, sign: int) -> float:
+    """A = -q_plus - D_plus factor N_bar (sign > 0) or B = -q_minus + D_minus factor N_bar; rounding
+    is monotone, so with factor, N_bar > 0 a smaller D never gives a smaller A or a larger B."""
+    return -q - D * factor * N_bar if sign > 0 else -q + D * factor * N_bar
+
+
 def assemble(
     params: ParamSet,
     ctx: GroupContext,
@@ -575,8 +617,7 @@ def assemble(
         factor = spectral_factor(ctx.eta, include_phi_constant=True)
     else:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    A = -q_plus - D_plus * factor * N_bar
-    B = -q_minus + D_minus * factor * N_bar
+    A, B = _certificate_end(q_plus, D_plus, factor, N_bar, +1), _certificate_end(q_minus, D_minus, factor, N_bar, -1)
     return BoundReport(
         q_plus=q_plus,
         q_minus=q_minus,

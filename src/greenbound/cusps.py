@@ -115,28 +115,6 @@ def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
     return total
 
 
-def lambda_integral_check(xi: float, t: float) -> tuple[float, float]:
-    """(lhs, bound) for the boundary-phase integral estimate.
-
-    lhs = |integral over (0, t] of lambda(xi, y)/y dy + (1/2) log(1 - xi)|,
-    bound = 1/(12 t).  The integrand extends continuously to y = 0 with
-    value 2 xi / (1 - xi).
-    """
-    if not (-1.0 < xi < 1.0):
-        raise ValueError(f"lambda_integral_check requires real xi in (-1, 1), got {xi}")
-    if not (t > 0.0):
-        raise ValueError(f"lambda_integral_check requires t > 0, got {t}")
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            value = lambda_xi(xi, y) / y
-        return np.where(y == 0.0, 2.0 * xi / (1.0 - xi), value)
-
-    value = integrate(integrand, 0.0, t, abs_tol=1e-10)
-    lhs = abs(value + 0.5 * math.log(1.0 - xi))
-    return lhs, 1.0 / (12.0 * t)
-
-
 def admissible_eps(delta: float, min_c: float) -> tuple[float, float]:
     """Largest neighbourhood radii (eps_prime_max, eps_max) for a given delta and min_c."""
     if not (delta > 1.0):

@@ -67,16 +67,14 @@ from greenbound.geom import (
 RANGE_SLACK = 1e-9  # absolute slack on continuous coefficient ranges
 SAFE_MARGIN = 1e-6  # relative inclusion margin on the count threshold
 TIE_MARGIN = 1e-9  # relative distance from U below which exact_count decides exactly
-# Cap on the estimated steps of the grid screen (cells x candidates), of the
-# refinement after it and of the orbit loop of enumerate_group_elements:
-# 400x400 cells at U = 17 on the truncated domain estimate 1.3e8 steps, as if
-# the screen and the refinement tested every candidate everywhere; the count
-# takes about 0.1 s on a 2-core box.  A step of the pure-Python candidate
-# loop costs about 70 such steps of a screen that tests a third of them
-# (1.15e8 loop steps took 16.4 s, that 1.3e8-step screen 0.25 s, on the same
-# box), so it counts LOOP_WEIGHT steps against the same cap.
+# Cap on the estimated steps (kernel evaluations, about 2 ns each in the screen:
+# 1.3e8 took 0.25 s on a 2-core box) of the grid screen, of the refinement and of
+# the orbit loop of enumerate_group_elements.  A pure-Python candidate loop step
+# costs about 70 (1.15e8 took 16.4 s), so it counts LOOP_WEIGHT; a grid cell, its
+# counts and certificate entry, about 16 (4e6 cells at U = 1.0001 took 0.13 s).
 MAX_WORK = 2**28
 LOOP_WEIGHT = 64
+CELL_WEIGHT = 16
 _CHUNK = 2**13  # kernel evaluations per call, to bound memory
 PRUNE_SLACK = 1e-12  # relative slack of the pruning threshold over the count threshold
 
@@ -130,14 +128,16 @@ def _int_range(lo: float, hi: float) -> range:
     return range(start, stop + 1)
 
 
-def _check_work(region: Rectangle, U: float, cells: int = 1) -> None:
-    """Raise ValueError when counting on region is estimated above MAX_WORK steps.
+def _check_work(region: Rectangle, U: float, grid: tuple[int, int] = (1, 1)) -> None:
+    """Raise ValueError when counting on region with grid cells is estimated above MAX_WORK steps.
 
     For c = 1 .. C = sqrt(2U)/y_min, a and d each take at most
     n(c) = 2 sqrt(2U) + 1 + c (x_max - x_min) values, and ad = 1 (mod c)
     leaves at most n(c)/c + 1 values of d per a; the sums over c are taken
     in closed form (harmonic sum <= 1 + log C).  Each loop step counts
-    LOOP_WEIGHT against the cap.  NaN or infinity is refused.
+    LOOP_WEIGHT against the cap, each cell CELL_WEIGHT and the block screen two
+    steps per candidate and block; _screen checks the per-cell tests it leaves
+    open.  NaN or infinity is refused.
     """
     root_2u = math.sqrt(2.0 * U)
     n0 = 2.0 * root_2u + 1.0
@@ -148,11 +148,12 @@ def _check_work(region: Rectangle, U: float, cells: int = 1) -> None:
         s1, s2, s3 = C, C * (C + 1.0) / 2.0, C * (C + 1.0) * (2.0 * C + 1.0) / 6.0
         loop = n0 * n0 * s1 + 2.0 * n0 * w * s2 + w * w * s3
         candidates += n0 * (n0 * (1.0 + math.log(C)) + (2.0 * w + 1.0) * s1) + w * (w + 1.0) * s2
-    work = LOOP_WEIGHT * loop + cells * candidates
+    blocks = math.prod(-(-n // _block_side(n)) for n in grid)
+    work = LOOP_WEIGHT * loop + 2.0 * blocks * candidates + CELL_WEIGHT * grid[0] * grid[1]
     if not (work <= MAX_WORK):
         raise ValueError(
             f"counting on [{region.x_min:g}, {region.x_max:g}] x "
-            f"[{region.y_min:g}, {region.y_max:g}] at U = {U:g} with {cells} cells "
+            f"[{region.y_min:g}, {region.y_max:g}] at U = {U:g} on a {grid[0]}x{grid[1]} grid "
             f"is estimated at {work:.3g} steps, above the cap {MAX_WORK}; "
             "shrink the region, U or the grid"
         )
@@ -302,6 +303,8 @@ def _screen(
     counts = np.repeat(np.repeat(sure, np.diff(ex), axis=0), np.diff(ey), axis=1).ravel()
     order = np.argsort(np.concatenate(open_b), kind="stable")  # block by block, so that a call's cells are near
     b, c = np.concatenate(open_b)[order], np.concatenate(open_c)[order]
+    if not (b.size * side[0] * side[1] <= MAX_WORK):  # the per-cell tests below
+        raise ValueError(f"{b.size * side[0] * side[1]} cell tests stay open, above the cap {MAX_WORK}")
     ox, oy = np.arange(side[0]), np.arange(side[1])
     step = max(1, _CHUNK // (side[0] * side[1]))
     for i in range(0, b.size, step):
@@ -383,7 +386,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         raise ValueError(f"grid must be at least 1x1, got {grid}")
     if not (U >= 1.0):
         raise ValueError(f"count_bound requires U >= 1, got U = {U}")
-    _check_work(region, U, nx * ny)
+    _check_work(region, U, grid)
     cutoff = U * (1.0 + SAFE_MARGIN)
     relaxed = cutoff * (1.0 + PRUNE_SLACK)
     cols = np.array([m.entries() for m in enumerate_candidates(region, U).matrices], dtype=float).T

@@ -19,7 +19,14 @@ moves, fixed coordinate order.
 
 The D enclosures dominate the cost.  Each side's are memoized on that side's
 parameters, so the side not being searched is enclosed once, and a step up
-followed by a step down lands on a point already scored.
+followed by a step down lands on a point already scored.  A new point is
+screened first: the lower end of its D enclosure on a coarse grid
+(_SCREEN_PANELS steps an octave) is a proved lower bound on D, so in
+assemble's float expression (bounds._certificate_end) it scores no worse than
+the fine upper end, rounding being monotone.  If it already reaches the score
+to beat, the candidate could not be taken and is skipped unenclosed; the
+score to beat never rises, so the memoized lower ends stay valid and the
+result is the unscreened search's to the last bit.
 """
 
 from __future__ import annotations
@@ -30,11 +37,15 @@ from greenbound.bounds import (
     BoundReport,
     GroupContext,
     ParamSet,
+    _certificate_end,
     _enclose_one_sign,
+    _grid_bounds,
     _side,
     _upper_end,
     assemble,
+    compute_q,
     sigma_ceiling,
+    spectral_factor,
     validate,
 )
 from greenbound.errors import ConstraintViolation, NonConvergenceError
@@ -50,6 +61,7 @@ _SIDES = (
 _BETA_CAP_MARGIN = 1.0 - 1e-9
 _SIGMA_FLOOR_REL = 1e-6
 _KEY_DIGITS = 12
+_SCREEN_PANELS = 50.0  # steps of the screen's grid on an octave next to delta; see bounds._grid
 
 
 def _make_params(delta: float, values: dict[str, float], sigma_max: float) -> ParamSet:
@@ -92,16 +104,29 @@ def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> t
         raise ConstraintViolation(f"seed parameters are invalid: {exc}") from exc
     sigma_max = sigma_ceiling(ctx.eta)
     delta = seed.trapezoid.delta
+    factor = spectral_factor(ctx.eta, include_phi_constant=True)
     memo: dict[int, dict] = {+1: {}, -1: {}}
+    lows: dict[int, dict] = {+1: {}, -1: {}}  # lower ends on the screen's grid
+
+    def key(params: ParamSet, sign: int) -> tuple:
+        return tuple(round(x, _KEY_DIGITS) for x in _side(params, sign))
 
     def evaluate(params: ParamSet) -> BoundReport:
         D = []
         for sign in (+1, -1):
-            key = tuple(round(x, _KEY_DIGITS) for x in _side(params, sign))
-            if key not in memo[sign]:
-                memo[sign][key] = _enclose_one_sign(params, sign)
-            D.append(_upper_end(memo[sign][key], sign))
+            k = key(params, sign)
+            if k not in memo[sign]:
+                memo[sign][k] = _enclose_one_sign(params, sign)
+            D.append(_upper_end(memo[sign][k], sign))
         return assemble(params, ctx, N_bar, D=tuple(D))
+
+    def screened(params: ParamSet, sign: int, bar: float) -> bool:
+        k = key(params, sign)
+        if k not in memo[sign] and k not in lows[sign]:
+            lows[sign][k] = _grid_bounds(params, sign, _SCREEN_PANELS)[0]
+        q = compute_q(params, ctx)[0 if sign > 0 else 1]
+        end = _certificate_end(q, lows[sign].get(k, -math.inf), factor, N_bar, sign)  # -inf: never skip
+        return (-end if sign > 0 else end) >= bar
 
     current, report = seed, evaluate(seed)
     step_floor = math.log1p(STEP_FLOOR)
@@ -118,6 +143,8 @@ def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> t
                     values[name] *= math.exp(direction * steps[name])
                     try:
                         candidate = _make_params(delta, values, sigma_max)
+                        if screened(candidate, sign, score if best is None else best[0]):
+                            continue
                         candidate_report = evaluate(candidate)
                     except (ConstraintViolation, NonConvergenceError):
                         continue

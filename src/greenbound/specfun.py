@@ -133,33 +133,6 @@ def hyp2f1(a: complex, b: complex, c: complex, z):
     raise NonConvergenceError(f"hyp2f1 did not converge for max |z| = {np.max(np.abs(z))}")
 
 
-def gauss_value(a: complex, b: complex, c: complex) -> complex:
-    """F(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)).
-
-    Requires Re c > 0 and Re(c - a - b) > 0 for convergence of the series it
-    sums in closed form.
-    """
-    a, b, c = complex(a), complex(b), complex(c)
-    if not (c.real > 0.0):
-        raise ValueError(f"gauss_value requires Re c > 0, got c = {c}")
-    if not (c.real > (a + b).real):
-        raise ValueError(f"gauss_value requires Re(c - a - b) > 0, got a={a}, b={b}, c={c}")
-    log_value = (
-        log_gamma_complex(c)
-        + log_gamma_complex(c - a - b)
-        - log_gamma_complex(c - a)
-        - log_gamma_complex(c - b)
-    )
-    return cmath.exp(log_value)
-
-
-def legendre_Q0(u: float) -> float:
-    """Legendre function Q_0(u) = (1/2) log((u+1)/(u-1)) for u > 1."""
-    if not (u > 1.0):
-        raise ValueError(f"legendre_Q0 requires u > 1, got {u}")
-    return 0.5 * math.log((u + 1.0) / (u - 1.0))
-
-
 def legendre_P_neg1(s: complex, u: float) -> complex:
     """Order -1 Legendre function on the cut, hypergeometric form.
 

@@ -97,19 +97,6 @@ def V_of_U(params: TrapezoidParams, U):
     return U + params.beta_plus * U ** (-1.0 - params.alpha_plus) * (U * U - 1.0)
 
 
-def g_U_pm(params: TrapezoidParams, sign: int, u, U: float):
-    """Trapezoid kernel value g_U^{+-}(u): 1 up to the inner corner, linear to 0."""
-    u = np.asarray(u, dtype=float)
-    if not np.all(u >= 1.0):
-        raise ValueError(f"g_U_pm requires u >= 1, got min u = {np.min(u)}")
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    inner, outer = (U, V_of_U(params, U)) if sign == +1 else (T_of_U(params, U), U)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the empty ramp of U = 1
-        value = np.where(u <= inner, 1.0, np.clip((outer - u) / (outer - inner), 0.0, 1.0))
-    return value if value.ndim else float(value)
-
-
 def h_U(s: complex, U: float) -> complex:
     """Sharp-cutoff transform h_U(s) = 2 pi sqrt(U^2 - 1) P^{-1}_{s-1}(U) for 1 < U < 3.
 
@@ -165,15 +152,6 @@ def h_a(a: float, s: complex) -> complex:
     if den == 0:
         raise ValueError(f"h_a pole at s = {s} for a = {a}")
     return 1.0 / den
-
-
-def c_a_coefficient(a: float, vol: float) -> float:
-    """Normalizing constant c_a = 1 / (vol a (a-1)) of the resolvent kernel, a > 1."""
-    if not (a > 1.0):
-        raise ValueError(f"c_a_coefficient requires a > 1, got {a}")
-    if not (vol > 0.0):
-        raise ValueError(f"c_a_coefficient requires vol > 0, got {vol}")
-    return 1.0 / (vol * a * (a - 1.0))
 
 
 def resolvent_difference(a: float, b: float, s: complex, variant: str = "displayed") -> complex:

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from greenbound import verify
+from greenbound import bounds, verify
 from greenbound.bounds import (
     COUNT_CAP_STANDARD,
     ETA_KIM_SARNAK,
@@ -34,7 +34,8 @@ from greenbound.bounds import (
     validate,
 )
 from greenbound.errors import ConstraintViolation
-from greenbound.transforms import TrapezoidParams
+from greenbound.specfun import SQRT_PI, C_sigma
+from greenbound.transforms import TrapezoidParams, averaged_transform_tail
 
 
 def test_module_constants():
@@ -312,6 +313,47 @@ def test_enclose_D_upper_end_carries_the_tail():
         if sign > 0:
             assert M >= 2.0**299  # the grid ran to its last node
             assert tail > panel_hi  # the case where dropping the tail shows
+
+
+def grid_bounds_without_table(params, sign):
+    """_grid_bounds with no cached prefix: the octave count by the tail rule,
+    then a fresh table of _grid over exactly that many octaves."""
+    t = params.trapezoid
+    sigma, alpha, beta = bounds._side(params, sign)
+    sq_lo, sq_hi = (bounds._dn(bounds._dn(t.delta * t.delta) - 1.0), bounds._up(bounds._up(t.delta * t.delta) - 1.0))
+    floor = C_sigma(sigma)[0] * t.delta ** (alpha - sigma) / (4.0 * SQRT_PI * beta * (sigma - alpha))
+    ends = np.arange(1, math.floor(600.0 - math.log2(sq_hi)) + 1)
+    fits = averaged_transform_tail(t, sign, sigma, np.sqrt(1.0 + sq_lo * np.exp2(ends))) <= floor * 2.0**-22
+    octaves = int(ends[fits.argmax() if fits.any() else -1])
+    nodes = bounds._grid(math.sqrt(t.delta * t.delta - 1.0), octaves)[0]
+    table = bounds._node_table.__wrapped__(t.delta, bounds._PANELS, octaves)
+    assert np.array_equal(table["X_lo"][1::2], nodes * nodes)
+    lo, hi = bounds._panels(params, sign, table, nodes.size)
+    return lo, hi, bounds._dn(math.sqrt(bounds._dn(1.0 + nodes[-1] * nodes[-1])))
+
+
+def test_node_table_prefix_gives_the_same_bits():
+    """_grid_bounds reads a prefix of one table per delta, built out to 2^600;
+    it gives the bits of a table of exactly its own octaves, at the reference
+    parameters, on seeded sets and at other delta, also after enough other
+    delta to evict every table, and the cache stays within its size."""
+    rng = random.Random(1600)
+    sets = [reference_params()] + [draw_valid_params(rng) for _ in range(4)]
+    t = reference_params().trapezoid
+    for delta in (1.5, 3.0, 10.0):
+        beta_minus = min(t.beta_minus, 0.99 * delta ** (1.0 + t.alpha_minus) / (delta + 1.0))
+        shape = TrapezoidParams(delta, t.alpha_plus, t.alpha_minus, t.beta_plus, beta_minus)
+        sets.append(ParamSet(trapezoid=shape, sigma_plus=0.306, sigma_minus=0.25))
+    for _ in range(2):
+        for params in sets:
+            for sign in (1, -1):
+                assert bounds._grid_bounds(params, sign) == grid_bounds_without_table(params, sign), (params, sign)
+                assert bounds._node_table.cache_info().currsize <= bounds._TABLES
+    assert bounds._node_table.cache_info().maxsize == bounds._TABLES
+    table = bounds._node_table(2.0, bounds._PANELS)
+    for values in table.values():
+        with pytest.raises(ValueError, match="read-only"):
+            values[..., 0] = 0
 
 
 def _D_pieces(ctx, params, sign):

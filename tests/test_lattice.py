@@ -363,3 +363,41 @@ def test_enumeration_requires_sane_threshold():
     with pytest.raises(ValueError, match="above the cap"):
         exact_count(z, z, 1e12)
     assert time.perf_counter() - start < 0.1
+
+
+def test_work_cap_charges_the_block_screen(monkeypatch):
+    """The cap charges two tests per candidate and block, not one per candidate
+    and cell: 900x900 at U = 17 counts (cells x candidates estimated 6.46e8
+    steps), while a 20000x20000 grid and a one-point count at U = 5e4 are still
+    refused before anything is enumerated or allocated."""
+    region = truncated_fundamental_domain()
+    assert count_bound(region, STANDARD_U, (900, 900)).bound == 214
+
+    def unreachable(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(lattice, "enumerate_candidates", unreachable)
+    monkeypatch.setattr(lattice.np, "linspace", unreachable)
+    for box, U, grid in ((region, STANDARD_U, (20000, 20000)), (Rectangle(0.1, 0.1, 1.1, 1.1), 5e4, (1, 1))):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="above the cap"):
+            count_bound(box, U, grid)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_screen_refuses_open_pairs_above_the_cap(monkeypatch):
+    """After the block pass the screen checks its per-cell tests, open pairs
+    times cells per block, against MAX_WORK before it runs them."""
+    region = truncated_fundamental_domain()
+    cols = np.array([m.entries() for m in enumerate_candidates(region, STANDARD_U).matrices], dtype=float).T
+    xs = np.linspace(region.x_min, region.x_max, 101)
+    ys = np.linspace(region.y_min, region.y_max, 101)
+    side = (lattice._block_side(100), lattice._block_side(100))
+    cutoff = STANDARD_U * (1.0 + lattice.SAFE_MARGIN)
+    args = (cols, xs, ys, side, STANDARD_U, cutoff, cutoff * (1.0 + lattice.PRUNE_SLACK))
+    tests = lattice._screen(*args)[3].size * side[0] * side[1]
+    monkeypatch.setattr(lattice, "MAX_WORK", tests)
+    lattice._screen(*args)
+    monkeypatch.setattr(lattice, "MAX_WORK", tests - 1)
+    with pytest.raises(ValueError, match="stay open"):
+        lattice._screen(*args)

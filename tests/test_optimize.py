@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from test_bounds import D_MINUS_MPMATH, D_PLUS_MPMATH
 
 from greenbound import optimize
 from greenbound.bounds import ParamSet, assemble, group_preset, reference_params, validate
@@ -95,8 +96,9 @@ def test_search_result_is_pinned():
 
 
 def test_search_encloses_each_side_point_once(monkeypatch):
-    """Each side stops on its own step floor and its enclosures are memoized,
-    so 25 iterations take at most 226 enclosures."""
+    """Each side stops on its own step floor, its enclosures are memoized, and
+    the screen skips the candidates whose proved lower bound already misses,
+    so 25 iterations take at most 70 fine enclosures (226 unscreened)."""
     calls = []
     enclose = optimize._enclose_one_sign
 
@@ -106,7 +108,25 @@ def test_search_encloses_each_side_point_once(monkeypatch):
 
     monkeypatch.setattr(optimize, "_enclose_one_sign", counted)
     search(reference_params(), group_preset("sl2z"), N_BAR, 25)
-    assert len(calls) <= 226
+    assert len(calls) <= 70
+
+
+@pytest.mark.parametrize("n_bar", [N_BAR, 80.0])
+@pytest.mark.parametrize("max_iters", [1, 5, 12, 25])
+def test_screen_changes_no_decision(monkeypatch, max_iters, n_bar):
+    """With a screen that never skips, search returns the same parameters and
+    report to the last bit."""
+    ctx = group_preset("sl2z")
+    screened = search(reference_params(), ctx, n_bar, max_iters)
+    monkeypatch.setattr(optimize, "_grid_bounds", lambda params, sign, panels: (-math.inf, math.inf, 1.0))
+    assert repr(search(reference_params(), ctx, n_bar, max_iters)) == repr(screened)
+
+
+def test_screen_end_is_a_proved_lower_bound():
+    """The coarse grid's lower end lies below the 30-digit D and within 2e-6 of it."""
+    for sign, D in ((+1, D_PLUS_MPMATH), (-1, D_MINUS_MPMATH)):
+        low = optimize._grid_bounds(reference_params(), sign, optimize._SCREEN_PANELS)[0]
+        assert D * (1.0 - 2e-6) <= low <= D
 
 
 @pytest.mark.parametrize("max_iters", [5, 9, 25])

@@ -17,11 +17,9 @@ from greenbound import specfun, verify
 from greenbound.errors import NonConvergenceError
 from greenbound.specfun import (
     C_sigma,
-    gauss_value,
     hyp2f1,
     legendre_P_neg1,
     legendre_P_negm,
-    legendre_Q0,
     log_gamma_complex,
     p_sigma,
 )
@@ -65,22 +63,6 @@ def test_hyp2f1_binomial_series():
         for z in (-0.8, 0.4):
             value = hyp2f1(a, 2.25, 2.25, z)
             assert cmath.isclose(value, (1.0 - z) ** (-a), rel_tol=1e-13)
-
-
-def test_gauss_value_at_one():
-    # Gauss: 2F1(a, b; c; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b))
-    a, b, c = 0.3, 0.4, 2.0
-    expected = math.exp(
-        math.lgamma(c) + math.lgamma(c - a - b) - math.lgamma(c - a) - math.lgamma(c - b)
-    )
-    assert cmath.isclose(gauss_value(a, b, c), expected, rel_tol=1e-12)
-
-
-def test_legendre_Q0_matches_log_form():
-    for u in (1.0001, 1.5, 3.0, 10.0, 1e5):
-        assert math.isclose(legendre_Q0(u), 0.5 * math.log((u + 1.0) / (u - 1.0)), rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        legendre_Q0(1.0)
 
 
 def test_legendre_P_neg1_domain():

@@ -18,8 +18,6 @@ from greenbound.transforms import (
     TrapezoidParams,
     V_of_U,
     averaged_transform_tail,
-    c_a_coefficient,
-    g_U_pm,
     h_U,
     h_U_pm,
     h_U_pm_at_one,
@@ -111,7 +109,6 @@ def test_u_range_errors_name_the_minimum():
         lambda: V_of_U(p, bad),
         lambda: T_of_U(p, bad),
         lambda: h_U_pm(p, +1, 0.3 + 1.0j, bad),
-        lambda: g_U_pm(p, +1, bad, 3.0),
         lambda: legendre_P_negm(2, 0.3 + 1.0j, bad),
     ):
         with pytest.raises(ValueError) as info:
@@ -145,30 +142,20 @@ def test_h_U_pm_makes_one_legendre_call(monkeypatch):
             ) / (W - U)
             assert np.array_equal(value, two_calls), sign
 
-def test_trapezoid_kernels_piecewise_shape():
-    p = reference_trapezoid()
-    U = 3.0
-    V = V_of_U(p, U)
-    T = T_of_U(p, U)
-    # plus kernel: 1 on [1, U], linear decay to 0 at V
-    assert g_U_pm(p, +1, 1.0, U) == 1.0
-    assert g_U_pm(p, +1, U, U) == 1.0
-    assert math.isclose(g_U_pm(p, +1, 0.5 * (U + V), U), 0.5, rel_tol=1e-12)
-    assert g_U_pm(p, +1, V, U) == 0.0
-    assert g_U_pm(p, +1, V + 1.0, U) == 0.0
-    # minus kernel: 1 on [1, T], linear decay to 0 at U
-    assert g_U_pm(p, -1, 1.0, U) == 1.0
-    assert math.isclose(g_U_pm(p, -1, 0.5 * (T + U), U), 0.5, rel_tol=1e-12)
-    assert g_U_pm(p, -1, U, U) == 0.0
-
 
 def test_transform_at_one_is_trapezoid_area():
-    """Transform at the endpoint equals 2 pi times the kernel's area."""
+    """Transform at the endpoint equals 2 pi times the area of the trapezoid
+    kernel g_U^+- (1 up to its inner corner, linear down to 0 at its outer)."""
     p = reference_trapezoid()
     for U in (2.0, 3.0, 7.0):
         V = V_of_U(p, U)
         for sign in (+1, -1):
-            area = integrate(lambda u: g_U_pm(p, sign, u, U), 1.0, V + 1.0, abs_tol=1e-12)
+            inner, outer = (U, V) if sign > 0 else (T_of_U(p, U), U)
+
+            def kernel(u):
+                return np.where(u <= inner, 1.0, np.clip((outer - u) / (outer - inner), 0.0, 1.0))
+
+            area = integrate(kernel, 1.0, V + 1.0, abs_tol=1e-12)
             closed = h_U_pm_at_one(p, sign, U)
             assert abs(2.0 * math.pi * area - closed) <= 1e-10 * abs(closed), (sign, U)
 
@@ -220,13 +207,6 @@ def test_resolvent_difference_variants(full_check):
     check also asserts the exact symmetry h_a(s) = h_a(1 - s)."""
     result = full_check(verify.resolvent_identities)
     assert result.passed, result.detail
-
-
-def test_c_a_coefficient():
-    vol = math.pi / 6.0
-    assert math.isclose(c_a_coefficient(2.0, vol), 1.0 / (vol * 2.0), rel_tol=1e-15)
-    with pytest.raises(ValueError):
-        c_a_coefficient(1.0, vol)
 
 
 def test_tail_majorant_requires_sigma_above_alpha():
