@@ -34,7 +34,6 @@ from greenbound.bounds import (
     compute_D,
     compute_q,
     enclose_D,
-    eta_presets,
     group_preset,
     spectral_factor,
     validate,
@@ -63,7 +62,6 @@ __all__ = [
     "count_bound",
     "enclose_D",
     "enumerate_candidates",
-    "eta_presets",
     "exact_count",
     "extend_bounds",
     "group_preset",

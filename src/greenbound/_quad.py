@@ -3,16 +3,16 @@
 One routine, `_integrate`, refines any number of intervals at once.  A panel
 is sampled at the 17 nodes cos(k pi / 16), both ends included.  Its value is
 the Clenshaw-Curtis sum CC17, its error estimate |CC17 - CC9|, CC9 taking
-every other node.  It is accepted when that estimate is at most tol, or at
-most 50 * 2^-52 times its CC17 of |f|, below which rounding noise is all a
-split would chase; else it is split at its midpoint, tol halves, and a panel
-60 splits deep raises NonConvergenceError.  The rule is closed, so a kink
-between an end and the next node still shows in the estimate.  Acceptance
-is per panel, so the tree is that of the textbook recursion in any order of
-refinement.  The first pass evaluates every interval; after it the open
-panels are refined depth-first in batches of _MAX_POINTS // 17, which bounds
-the abscissas of each integrand call and the open set.  Integrands map a
-1-D float array to a real or complex array of its shape, elementwise.
+every other node.  It is accepted when that estimate is at most tol; else it
+is split at its midpoint, tol halves, and a panel 60 splits deep raises
+NonConvergenceError, as a tol below the integrand's rounding noise does.
+The rule is closed, so a kink between an end and the next node still shows
+in the estimate.  Acceptance is per panel, so the tree is that of the
+textbook recursion in any order of refinement.  The first pass evaluates
+every interval; after it the open panels are refined depth-first in batches
+of _MAX_POINTS // 17, which bounds the abscissas of each integrand call and
+the open set.  Integrands map a 1-D float array to a real or complex array
+of its shape, elementwise.
 
 Improper integrals over [a, infinity) march over octaves [M, 2M] and stop
 once a caller-supplied analytic bound on the remaining tail drops below the
@@ -41,7 +41,6 @@ _MAX_POINTS = 1024
 # how far the second call must reach; a march that stops inside this block
 # integrates up to _BLOCK_OCTAVES - 1 octaves past its stop.
 _BLOCK_OCTAVES = 16
-_ROUNDING = 50.0 * 2.0**-52  # rounding floor of a panel's error estimate, relative to its CC17 of |f|
 
 
 def _cc_weights(n: int) -> np.ndarray:
@@ -80,7 +79,6 @@ def _integrate(f: Callable, a: np.ndarray, b: np.ndarray, tol: float, relative=F
 
     tol is each interval's absolute tolerance; with relative=True it is
     relative to the interval's first-pass CC17 of |f|, floored at 1e-300.
-    The rounding floor adds at most 50 * 2^-52 of the integral of |f| to that.
     """
     k = a.size
     # One column per open panel: a, b, tol, depth, interval index.
@@ -97,12 +95,11 @@ def _integrate(f: Callable, a: np.ndarray, b: np.ndarray, tol: float, relative=F
         x = m[:, None] + h[:, None] * _NODES
         x[:, 0], x[:, -1] = a, b
         y = _eval(f, x.ravel()).reshape(x.shape)
-        size = h * (np.abs(y) @ _W17)
         if total is None:
             total = np.zeros(k, dtype=y.dtype)
             if relative:
-                tol = tol * np.maximum(size, 1e-300)
-        ok = np.abs(h * (y @ _W17_MINUS_W9)) <= np.maximum(tol, _ROUNDING * size)
+                tol = tol * np.maximum(h * (np.abs(y) @ _W17), 1e-300)
+        ok = np.abs(h * (y @ _W17_MINUS_W9)) <= tol
         np.add.at(total, owner[ok].astype(int), (h * (y @ _W17))[ok])
         if not ok.all():
             half, deeper = 0.5 * tol, depth + 1.0
@@ -114,7 +111,7 @@ def _integrate(f: Callable, a: np.ndarray, b: np.ndarray, tol: float, relative=F
 
 
 def integrate(f: Callable, a: float, b: float, abs_tol: float) -> float | complex:
-    """Integrate f over [a, b] to abs_tol plus about 1.1e-14 of the integral of |f|."""
+    """Integrate f over [a, b] to abs_tol; NonConvergenceError if rounding noise exceeds it."""
     if not (b >= a):
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
     if a == b:

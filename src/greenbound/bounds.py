@@ -117,11 +117,6 @@ def group_preset(name: str) -> GroupContext:
     raise ValueError(f"unknown group preset {name!r}; available: 'sl2z'")
 
 
-def eta_presets() -> list[tuple[str, float]]:
-    """Named spectral-gap presets, weakest first."""
-    return [("selberg-3-16", ETA_SELBERG), ("kim-sarnak", ETA_KIM_SARNAK)]
-
-
 @dataclass(frozen=True)
 class ParamSet:
     """Full free-parameter set: trapezoid shape plus the strip abscissas.

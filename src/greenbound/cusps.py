@@ -88,9 +88,8 @@ def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
     The integrand is supported on |t| <= tau = sqrt(2 delta - 2)/eps and has
     an integrable log singularity at t = 0.  Each half is integrated in
     log(t) coordinates (adaptive Clenshaw-Curtis on arrays of log t, to an
-    absolute tolerance, no panel refined below 50 * 2^-52 of its CC17 of
-    |integrand|); the head below tau * 1e-16 contributes less than 1e-12 and
-    is dropped.
+    absolute tolerance); the head below tau * 1e-16 contributes less than
+    1e-12 and is dropped.
     """
     if not (delta > 1.0):
         raise ValueError(f"N_delta_eps requires delta > 1, got {delta}")
@@ -166,7 +165,15 @@ class CuspGeometry:
             )
 
 
-_CASES = ("a", "a_prime", "b", "c")
+# The logarithmic offsets each case subtracts from the Green function.
+_OFFSETS = {
+    "a": "subtract (1/vol) log(eps * height(z))",
+    "a_prime": "subtract (1/vol) log(eps * height(w))",
+    "b": "subtract (1/vol) log(eps * height(z)) + (1/vol) log(eps * height(w))",
+    "c": "subtract count_pm1/(2 pi) log|q(z) - q(w)| + (1/vol) log(eps' * height(z)) "
+    "+ (1/vol) log(eps' * height(w))",
+}
+_CASES = tuple(_OFFSETS)
 
 
 @dataclass(frozen=True)
@@ -211,40 +218,16 @@ def extend_bounds(base: BoundReport, geom: CuspGeometry, case: str) -> CuspBound
     """
     if case not in _CASES:
         raise ConstraintViolation(f"case must be one of {_CASES}, got {case!r}")
-    if case == "a":
-        return CuspBoundReport(
-            case=case,
-            base_A=base.A,
-            base_B=base.B,
-            offset_terms="subtract (1/vol) log(eps * height(z))",
-        )
-    if case == "a_prime":
-        return CuspBoundReport(
-            case=case,
-            base_A=base.A,
-            base_B=base.B,
-            offset_terms="subtract (1/vol) log(eps * height(w))",
-        )
-    if case == "b":
-        return CuspBoundReport(
-            case=case,
-            base_A=base.A,
-            base_B=base.B,
-            offset_terms=(
-                "subtract (1/vol) log(eps * height(z)) + (1/vol) log(eps * height(w))"
-            ),
-        )
+    if case != "c":
+        return CuspBoundReport(case=case, base_A=base.A, base_B=base.B, offset_terms=_OFFSETS[case])
     shift = (1.0 - (2.0 / math.pi) * math.atan(math.sqrt((geom.delta - 1.0) / 2.0)))
     shift *= geom.count_pm1 / geom.eps_prime
     half_width = geom.count_pm1 * geom.eps_prime * r_delta(geom.delta)
     return CuspBoundReport(
-        case="c",
+        case=case,
         base_A=base.A,
         base_B=base.B,
-        offset_terms=(
-            "subtract count_pm1/(2 pi) log|q(z) - q(w)| "
-            "+ (1/vol) log(eps' * height(z)) + (1/vol) log(eps' * height(w))"
-        ),
+        offset_terms=_OFFSETS[case],
         A_tilde=base.A + shift - half_width,
         B_tilde=base.B + shift + half_width,
     )

@@ -33,9 +33,6 @@ class UpperHalfPoint:
         if not (self.y > 0.0) or not math.isfinite(self.x) or not math.isfinite(self.y):
             raise ValueError(f"point must have finite coordinates and y > 0, got ({self.x}, {self.y})")
 
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class UnimodularMatrix:
@@ -77,9 +74,6 @@ class Rectangle:
             raise ValueError(f"x_min must be <= x_max, got [{self.x_min}, {self.x_max}]")
         if not (0.0 < self.y_min <= self.y_max):
             raise ValueError(f"need 0 < y_min <= y_max, got [{self.y_min}, {self.y_max}]")
-
-    def midpoint(self) -> UpperHalfPoint:
-        return UpperHalfPoint(0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
 
 
 def point_u(z: UpperHalfPoint, w: UpperHalfPoint) -> float:

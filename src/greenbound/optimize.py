@@ -18,8 +18,9 @@ sweeps.  Deterministic by construction: no randomness, strict-improvement
 moves, fixed coordinate order.
 
 The D enclosures dominate the cost.  Each side's are memoized on that side's
-parameters, so the side not being searched is enclosed once, and a step up
-followed by a step down lands on a point already scored.  A new point is
+exact parameter floats, so the side not being searched is enclosed once, a
+step that lands on the same floats again reuses the enclosure, and each
+reported D was enclosed at its own parameters.  A new point is
 screened first: the lower end of its D enclosure on a coarse grid
 (_SCREEN_PANELS steps an octave) is a proved lower bound on D, so in
 assemble's float expression (bounds._certificate_end) it scores no worse than
@@ -60,7 +61,6 @@ _SIDES = (
 )
 _BETA_CAP_MARGIN = 1.0 - 1e-9
 _SIGMA_FLOOR_REL = 1e-6
-_KEY_DIGITS = 12
 _SCREEN_PANELS = 50.0  # steps of the screen's grid on an octave next to delta; see bounds._grid
 
 
@@ -108,20 +108,17 @@ def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> t
     memo: dict[int, dict] = {+1: {}, -1: {}}
     lows: dict[int, dict] = {+1: {}, -1: {}}  # lower ends on the screen's grid
 
-    def key(params: ParamSet, sign: int) -> tuple:
-        return tuple(round(x, _KEY_DIGITS) for x in _side(params, sign))
-
     def evaluate(params: ParamSet) -> BoundReport:
         D = []
         for sign in (+1, -1):
-            k = key(params, sign)
+            k = _side(params, sign)
             if k not in memo[sign]:
                 memo[sign][k] = _enclose_one_sign(params, sign)
             D.append(_upper_end(memo[sign][k], sign))
         return assemble(params, ctx, N_bar, D=tuple(D))
 
     def screened(params: ParamSet, sign: int, bar: float) -> bool:
-        k = key(params, sign)
+        k = _side(params, sign)
         if k not in memo[sign] and k not in lows[sign]:
             lows[sign][k] = _grid_bounds(params, sign, _SCREEN_PANELS)[0]
         q = compute_q(params, ctx)[0 if sign > 0 else 1]

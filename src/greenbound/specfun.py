@@ -134,19 +134,22 @@ def hyp2f1(a: complex, b: complex, c: complex, z):
 
 
 def legendre_P_neg1(s: complex, u: float) -> complex:
-    """Order -1 Legendre function on the cut, hypergeometric form.
+    """Order -1 Legendre function P^{-1}_{s-1}(u) on the cut, for 1 < u < 3.
 
-    P^{-1}_{s-1}(u) = sqrt((u-1)/(u+1)) F(s, 1-s; 2; (1-u)/2), the m = 1 case
-    of _P_negm_near_one.
-
-    The direct series converges only for u < 3 (argument in (-1, 0]), so the
-    domain is restricted to 1 < u < 3.  Its terms cancel as legendre_P_negm's
-    near-one form does: by about two digits at most where
-    (u - 1) max(|s(1-s)|, 1) <= 10, and by more beyond.
+    Where (u - 1) max(|s(1-s)|, 1) <= 10, the hypergeometric form
+    sqrt((u-1)/(u+1)) F(s, 1-s; 2; (1-u)/2), the m = 1 case of
+    _P_negm_near_one, whose terms cancel by about two digits at most there
+    and by more beyond.  Elsewhere the m = 1 case of legendre_P_negm's
+    descending series.  Near s = 1/2, where cos(pi s) vanishes, every u < 3
+    lies in the hypergeometric zone.  The domain stops at u = 3, where the
+    hypergeometric series stops converging.
     """
     if not (1.0 < u < 3.0):
         raise ValueError(f"legendre_P_neg1 requires 1 < u < 3, got u = {u}")
-    return _P_negm_near_one(1, complex(s), u)
+    s = complex(s)
+    if (u - 1.0) * max(abs(s * (1.0 - s)), 1.0) <= 10.0:
+        return _P_negm_near_one(1, s, u)
+    return complex(_P_negm_descending(1, s, np.array([u]))[0])
 
 
 def legendre_Q_deriv(nu: float, u: float) -> float:

@@ -154,8 +154,8 @@ def h_a(a: float, s: complex) -> complex:
     return 1.0 / den
 
 
-def resolvent_difference(a: float, b: float, s: complex, variant: str = "displayed") -> complex:
-    """Closed forms for h_a(s) - h_b(s).
+def resolvent_difference(a: float, b: float, s: complex, variant: str) -> complex:
+    """Closed forms for h_a(s) - h_b(s); the caller names the form.
 
     variant="displayed" evaluates
         (b(b-1) - a(a-1)) / ((a-s)(a-1+s)(b-s)(b+1-s))
@@ -224,9 +224,9 @@ def I_delta_pm(params: TrapezoidParams, sign: int, s: complex, rel_tol: float = 
     closed-form tail majorant falls below rel_tol of the accumulated mass.
     The value is an adaptive Clenshaw-Curtis estimate, not an enclosure: the
     first 16 octaves are each solved to rel_tol of their own CC17 of
-    |integrand|, the later ones together to rel_tol of the mass, and no panel
-    below the engine's rounding floor, so h_U_pm's far-out rounding noise does
-    not drive the refinement; the tail enters the error budget only.
+    |integrand| and the later ones together to rel_tol of the mass; the tail
+    enters the error budget only.  A rel_tol below h_U_pm's rounding noise
+    raises NonConvergenceError.
     """
     s = complex(s)
     if not (0.0 < s.real < 1.0):

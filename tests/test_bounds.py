@@ -26,7 +26,6 @@ from greenbound.bounds import (
     compute_D,
     compute_q,
     enclose_D,
-    eta_presets,
     group_preset,
     reference_params,
     sigma_ceiling,
@@ -67,13 +66,6 @@ def test_group_context_validation():
         GroupContext(name="x", vol=1.0, eta=0.3, contains_minus_one=True, min_c=1.0)
     with pytest.raises(ConstraintViolation, match="min_c"):
         GroupContext(name="x", vol=1.0, eta=0.2, contains_minus_one=True, min_c=0.0)
-
-
-def test_eta_presets_ordering():
-    presets = eta_presets()
-    assert presets[0] == ("selberg-3-16", 3.0 / 16.0)
-    assert presets[1] == ("kim-sarnak", 975.0 / 4096.0)
-    assert presets[0][1] < presets[1][1]
 
 
 def test_sigma_ceiling_values():

@@ -52,6 +52,12 @@ def test_count_preset_region(capsys, tmp_path):
     assert cert.grid == (20, 20)
     # the work counter is carried and deterministic
     assert cert.pairs == record["pairs"] == count_bound(truncated_fundamental_domain(), 17.0, (20, 20)).pairs > 0
+    fields = {"region": dict, "U": float, "grid": list, "per_cell_counts": list, "bound": int, "pairs": int}
+    assert set(record) == {"tool", "version", "command", "config", *fields}
+    assert all(isinstance(record[name], kind) for name, kind in fields.items())
+    assert set(record["region"]) == {"x_min", "x_max", "y_min", "y_max"}
+    assert record["grid"] == [20, 20] and len(record["per_cell_counts"]) == 20
+    assert all(isinstance(row, list) and len(row) == 20 for row in record["per_cell_counts"])
 
 
 def test_count_rejects_bad_region(capsys):

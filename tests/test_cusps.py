@@ -175,6 +175,18 @@ def test_report_validation():
         )
 
 
+def test_extend_offset_terms_are_pinned():
+    base, geom = small_report(), reference_geometry()
+    offsets = {case: extend_bounds(base, geom, case).offset_terms for case in ("a", "a_prime", "b", "c")}
+    assert offsets == {
+        "a": "subtract (1/vol) log(eps * height(z))",
+        "a_prime": "subtract (1/vol) log(eps * height(w))",
+        "b": "subtract (1/vol) log(eps * height(z)) + (1/vol) log(eps * height(w))",
+        "c": "subtract count_pm1/(2 pi) log|q(z) - q(w)| + (1/vol) log(eps' * height(z)) "
+        "+ (1/vol) log(eps' * height(w))",
+    }
+
+
 def test_extend_mixed_configurations_echo_base():
     base = small_report()
     geom = reference_geometry()

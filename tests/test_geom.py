@@ -50,8 +50,8 @@ def test_rectangle_validation_names_the_sides():
     with pytest.raises(ValueError, match="y_min"):
         Rectangle(0.0, 1.0, 0.0, 2.0)
     # degenerate rectangles describe points and segments
-    square = Rectangle(0.25, 0.25, 1.0, 1.0)
-    assert square.midpoint() == UpperHalfPoint(0.25, 1.0)
+    point = Rectangle(0.25, 0.25, 1.0, 1.0)
+    assert (point.x_max - point.x_min, point.y_max - point.y_min) == (0.0, 0.0)
 
 
 def test_point_u_basics():

@@ -6,7 +6,7 @@ import pytest
 from test_bounds import D_MINUS_MPMATH, D_PLUS_MPMATH
 
 from greenbound import optimize
-from greenbound.bounds import ParamSet, assemble, group_preset, reference_params, validate
+from greenbound.bounds import ParamSet, _side, _upper_end, assemble, group_preset, reference_params, validate
 from greenbound.errors import ConstraintViolation
 from greenbound.optimize import search
 
@@ -98,7 +98,7 @@ def test_search_result_is_pinned():
 def test_search_encloses_each_side_point_once(monkeypatch):
     """Each side stops on its own step floor, its enclosures are memoized, and
     the screen skips the candidates whose proved lower bound already misses,
-    so 25 iterations take at most 70 fine enclosures (226 unscreened)."""
+    so 25 iterations take at most 70 fine enclosures (230 unscreened)."""
     calls = []
     enclose = optimize._enclose_one_sign
 
@@ -131,11 +131,33 @@ def test_screen_end_is_a_proved_lower_bound():
 
 @pytest.mark.parametrize("max_iters", [5, 9, 25])
 def test_search_report_reassembles_exactly(max_iters):
-    """The memo keys each side's point by its coordinates rounded to 12
-    digits; assembling afresh at the returned parameters must give the
-    report's A and B to the last bit, so no neighbouring point's D reaches
-    the certificate."""
+    """Assembling afresh at the returned parameters gives the report's A and
+    B to the last bit."""
     ctx = group_preset("sl2z")
     params, report = search(reference_params(), ctx, N_BAR, max_iters)
     direct = assemble(params, ctx, N_BAR, "theorem-exact")
     assert (direct.A, direct.B) == (report.A, report.B)
+
+
+def test_each_assembled_D_was_enclosed_at_its_own_floats(monkeypatch):
+    """The memo is keyed on each side's exact (sigma, alpha, beta), so every D
+    that search hands to assemble is the upper end of an enclosure made at
+    exactly that candidate's floats, never at a neighbouring point's."""
+    enclosed, assembled = {}, []
+    enclose, assemble_ = optimize._enclose_one_sign, optimize.assemble
+
+    def recorded_enclose(params, sign):
+        enclosed[sign, _side(params, sign)] = result = enclose(params, sign)
+        return result
+
+    def recorded_assemble(params, ctx, N_bar, D):
+        assembled.append((params, D))
+        return assemble_(params, ctx, N_bar, D=D)
+
+    monkeypatch.setattr(optimize, "_enclose_one_sign", recorded_enclose)
+    monkeypatch.setattr(optimize, "assemble", recorded_assemble)
+    search(reference_params(), group_preset("sl2z"), N_BAR, 25)
+    assert len(assembled) > 50
+    for params, D in assembled:
+        for sign, value in zip((+1, -1), D):
+            assert value == _upper_end(enclosed[sign, _side(params, sign)], sign)

@@ -1,6 +1,6 @@
-"""Adaptive Clenshaw-Curtis engine (17 nodes, CC17 - CC9 error estimate, a
-rounding floor of 50 * 2^-52 times each panel's CC17 of |f|): finite,
-relative, batched, and marching improper integrals."""
+"""Adaptive Clenshaw-Curtis engine (17 nodes, CC17 - CC9 error estimate, each
+panel accepted on its tolerance alone): finite, relative, batched, and
+marching improper integrals."""
 
 import dataclasses
 import math
@@ -80,21 +80,17 @@ def test_integrand_calls_stay_within_batch_bound():
         sizes.append(x.size)
         return 1.0 / (1e-4 + x * x)
 
-    value = integrate(peaked, -1.0, 1.0, abs_tol=1e-12)
+    value = integrate(peaked, -1.0, 1.0, abs_tol=1e-11)
     assert math.isclose(value, 200.0 * math.atan(100.0), rel_tol=1e-12)
     edges = np.linspace(-1.0, 1.0, 3 * _quad._MAX_POINTS + 1)
     _quad._integrate(peaked, edges[:-1], edges[1:], 1e-12)
     assert max(sizes) <= _quad._MAX_POINTS < sum(sizes)
 
 
-def test_rounding_floor_accepts_below_the_integrand_noise(monkeypatch):
+def test_unattainable_tolerance_raises():
     """At abs_tol 1e-12 against an integral of 2.2e4, |CC17 - CC9| is rounding
-    noise at every depth: the floor returns the value to within 50 * 2^-52
-    of the integral, and without it the engine hits the depth limit."""
-    exact = math.expm1(10.0)
-    value = integrate(np.exp, 0.0, 10.0, abs_tol=1e-12)
-    assert abs(value - exact) <= 50.0 * 2.0**-52 * exact
-    monkeypatch.setattr(_quad, "_ROUNDING", 0.0)
+    noise at every depth, so the engine hits the depth limit rather than
+    return a value that misses the tolerance."""
     with pytest.raises(NonConvergenceError):
         integrate(np.exp, 0.0, 10.0, abs_tol=1e-12)
 

@@ -147,7 +147,7 @@ def test_orders_zero_and_one_match_mpmath_near_one():
     """P^0_{s-1} (legendre_P_negm) and P^{-1}_{s-1} (legendre_P_neg1) within
     1e-12 relative of mpmath legenp near u = 1 on both strip lines: order 0
     for u - 1 in [1e-6, 1.9], across the edge of the hypergeometric zone,
-    and order 1, which has that form only, inside the zone."""
+    and order 1 inside that zone."""
     mpmath = pytest.importorskip("mpmath")
     for s in _strip_points():
         for m, u in ((0, 1.0 + np.geomspace(1e-6, 1.9, 12)), (1, 1.0 + np.geomspace(1e-6, _zone_edge(s), 6))):
@@ -156,6 +156,23 @@ def test_orders_zero_and_one_match_mpmath_near_one():
                 with mpmath.workdps(30):
                     oracle = complex(mpmath.legenp(s - 1.0, -m, x, type=3))
                 assert abs(value - oracle) <= 1e-12 * abs(oracle), (m, s, x, value, oracle)
+
+
+def test_order_one_matches_mpmath_outside_its_zone():
+    """Past (u - 1) max(|s(1-s)|, 1) = 10, where the hypergeometric form
+    cancels (2e17 off at s = 0.306+30i, u = 2.9), legendre_P_neg1 sums the
+    descending series, within 1e-12 relative of mpmath legenp up to u = 3."""
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    for s in [*_strip_points(), 0.306 + 100.0j]:
+        edge = 10.0 / max(abs(s * (1.0 - s)), 1.0)
+        for x in 1.0 + np.linspace(1.01 * edge, 1.999, 5) if edge < 1.98 else ():
+            value = legendre_P_neg1(s, float(x))
+            with mpmath.workdps(30):
+                oracle = complex(mpmath.legenp(s - 1.0, -1, x, type=3))
+            assert abs(value - oracle) <= 1e-12 * abs(oracle), (s, x, value, oracle)
+            checked += 1
+    assert checked >= 40
 
 
 def test_hyp2f1_array_matches_scalar_calls():

@@ -22,6 +22,7 @@ from greenbound.transforms import (
     h_U_pm,
     h_U_pm_at_one,
     h_a,
+    resolvent_difference,
 )
 
 
@@ -207,6 +208,8 @@ def test_resolvent_difference_variants(full_check):
     check also asserts the exact symmetry h_a(s) = h_a(1 - s)."""
     result = full_check(verify.resolvent_identities)
     assert result.passed, result.detail
+    with pytest.raises(TypeError):
+        resolvent_difference(2.0, 3.0, 0.3 + 1.0j)  # no default form
 
 
 def test_tail_majorant_requires_sigma_above_alpha():
