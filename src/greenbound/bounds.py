@@ -144,6 +144,17 @@ class ParamSet:
             if not (sigma < 0.5):
                 raise ConstraintViolation(f"sigma_{label} must be below 1/2, got {sigma}")
 
+    def record(self) -> dict[str, float]:
+        """The seven free parameters as one flat mapping: the trapezoid fields, then the two sigmas."""
+        return {**vars(self.trapezoid), "sigma_plus": self.sigma_plus, "sigma_minus": self.sigma_minus}
+
+    @classmethod
+    def from_record(cls, values: dict[str, float]) -> ParamSet:
+        """The ParamSet whose record() is values."""
+        v = dict(values)
+        sigmas = v.pop("sigma_plus"), v.pop("sigma_minus")
+        return cls(TrapezoidParams(**v), *sigmas)
+
 
 def reference_params() -> ParamSet:
     """The tuned parameter set behind the headline certificate (delta = 2)."""
@@ -545,7 +556,7 @@ def spectral_factor(eta: float, include_phi_constant: bool) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Assembled certificate; constructing one re-checks its sign structure."""
+    """Assembled certificate; constructing one re-checks its sign structure and finite ends."""
 
     q_plus: float
     q_minus: float
@@ -569,6 +580,8 @@ class BoundReport:
                 f"q values must satisfy q_minus <= 0 <= q_plus, got "
                 f"({self.q_plus}, {self.q_minus})"
             )
+        if not (math.isfinite(self.A) and math.isfinite(self.B)):
+            raise ConstraintViolation(f"certificate ends must be finite, got A = {self.A}, B = {self.B}")
         if not (self.A <= self.B):
             raise ConstraintViolation(f"certificate is empty: A = {self.A} > B = {self.B}")
 

@@ -41,7 +41,6 @@ from greenbound.errors import ConstraintViolation, NonConvergenceError
 from greenbound.geom import Rectangle
 from greenbound.lattice import CountCertificate, count_bound, truncated_fundamental_domain
 from greenbound.optimize import search
-from greenbound.transforms import TrapezoidParams
 from greenbound.verify import CheckResult, property_battery, reproduction_battery
 
 EXIT_OK = 0
@@ -71,8 +70,6 @@ class RunConfig:
     cusp: CuspGeometry | None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("theorem-exact", "paper-arithmetic"):
-            raise ConstraintViolation(f"mode must be exact or paper, got {self.mode!r}")
         if not (self.U >= 1.0):
             raise ConstraintViolation(f"U must be at least 1, got {self.U}")
         if not (self.grid[0] >= 1 and self.grid[1] >= 1):
@@ -161,21 +158,10 @@ def _group_from_entry(entry) -> GroupContext:
     )
 
 
-def params_record(params: ParamSet) -> dict:
-    """The seven free parameters as one flat mapping, trapezoid fields first."""
-    return {
-        **dataclasses.asdict(params.trapezoid),
-        "sigma_plus": params.sigma_plus,
-        "sigma_minus": params.sigma_minus,
-    }
-
-
 def _params_from_entry(entry, base: ParamSet) -> ParamSet:
-    defaults = params_record(base)
+    defaults = base.record()
     entry = _mapping(entry, "params", defaults)
-    v = {name: _field(entry, name, "params", value) for name, value in defaults.items()}
-    sigmas = {name: v.pop(name) for name in ("sigma_plus", "sigma_minus")}
-    return ParamSet(trapezoid=TrapezoidParams(**v), **sigmas)
+    return ParamSet.from_record({name: _field(entry, name, "params", value) for name, value in defaults.items()})
 
 
 def _region_from_entry(entry) -> Rectangle:
@@ -251,16 +237,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def config_echo(config: RunConfig) -> dict:
-    return {
-        "group": dataclasses.asdict(config.group),
-        "params": params_record(config.params),
-        "region": dataclasses.asdict(config.region),
-        "U": config.U,
-        "grid": list(config.grid),
-        "mode": config.mode,
-        "n_bar": config.n_bar,
-        "cusp": dataclasses.asdict(config.cusp) if config.cusp is not None else None,
-    }
+    return {**dataclasses.asdict(config), "params": config.params.record()}
 
 
 def _base_record(command: str, config: RunConfig | None) -> dict:
@@ -398,7 +375,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"A:         {report.A:.4f}")
     print(f"B:         {report.B:.4f}")
     print(f"width:     {report.width:.4f}")
-    best_params = params_record(best)
+    best_params = best.record()
     for name in ("alpha_plus", "beta_plus", "sigma_plus", "alpha_minus", "beta_minus", "sigma_minus"):
         print(f"{name:<12} {best_params[name]:.8g}")
     record = bounds_record(report, config)

@@ -23,7 +23,6 @@ checked by the caller.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +30,8 @@ import numpy as np
 from greenbound._quad import integrate
 from greenbound.bounds import BoundReport
 from greenbound.errors import ConstraintViolation
-from greenbound.geom import UpperHalfPoint, kernel_L
-from greenbound.lattice import enumerate_group_elements, reduce_to_fundamental_domain
+from greenbound.geom import kernel_L
 
-TWO_PI = 2.0 * math.pi
 N_ABS_TOL = 1e-10  # absolute quadrature tolerance of N_delta_eps
 _HEAD_CUT = 1e-16  # relative start of the log-substituted quadrature
 
@@ -114,13 +111,18 @@ def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
     return total
 
 
+def _spread(delta: float) -> float:
+    """delta + sqrt(delta^2 - 1), the factor in both radius inequalities."""
+    return delta + math.sqrt(delta * delta - 1.0)
+
+
 def admissible_eps(delta: float, min_c: float) -> tuple[float, float]:
     """Largest neighbourhood radii (eps_prime_max, eps_max) for a given delta and min_c."""
     if not (delta > 1.0):
         raise ValueError(f"admissible_eps requires delta > 1, got {delta}")
     if not (min_c > 0.0):
         raise ValueError(f"admissible_eps requires min_c > 0, got {min_c}")
-    spread = delta + math.sqrt(delta * delta - 1.0)
+    spread = _spread(delta)
     eps_prime_max = min_c / math.sqrt(spread)
     return eps_prime_max, eps_prime_max / spread
 
@@ -132,7 +134,8 @@ class CuspGeometry:
     count_pm1 = #(group intersect {+-1}): 2 when -1 belongs to the group.
     The two radius inequalities are the hypotheses under which close
     displacements are translations (inner radius) and far points stay at
-    kernel distance >= delta (outer radius).
+    kernel distance >= delta (outer radius).  They are checked in the float
+    order of admissible_eps, so its maxima pass.
     """
 
     eps: float
@@ -152,17 +155,14 @@ class CuspGeometry:
             raise ConstraintViolation(f"min_c must be positive, got {self.min_c}")
         if self.count_pm1 not in (1, 2):
             raise ConstraintViolation(f"count_pm1 must be 1 or 2, got {self.count_pm1}")
-        spread = self.delta + math.sqrt(self.delta * self.delta - 1.0)
-        if self.eps_prime * math.sqrt(spread) > self.min_c:
+        eps_prime_max = admissible_eps(self.delta, self.min_c)[0]
+        if self.eps_prime > eps_prime_max:
             raise ConstraintViolation(
-                f"eps_prime ({self.eps_prime}) exceeds min_c/sqrt(delta + sqrt(delta^2-1)) = "
-                f"{self.min_c / math.sqrt(spread):.7f}"
+                f"eps_prime ({self.eps_prime}) exceeds min_c/sqrt(delta + sqrt(delta^2-1)) = {eps_prime_max:.7f}"
             )
-        if spread * self.eps > self.eps_prime:
-            raise ConstraintViolation(
-                f"eps ({self.eps}) exceeds eps_prime/(delta + sqrt(delta^2-1)) = "
-                f"{self.eps_prime / spread:.7f}"
-            )
+        eps_max = self.eps_prime / _spread(self.delta)
+        if self.eps > eps_max:
+            raise ConstraintViolation(f"eps ({self.eps}) exceeds eps_prime/(delta + sqrt(delta^2-1)) = {eps_max:.7f}")
 
 
 # The logarithmic offsets each case subtracts from the Green function.
@@ -182,7 +182,7 @@ class CuspBoundReport:
 
     For cases a / a_prime / b the interval [base_A, base_B] applies to the
     Green function minus the offsets described in offset_terms.  Case c
-    carries its own interval [A_tilde, B_tilde].
+    carries its own interval [A_tilde, B_tilde], whose ends must be finite.
     """
 
     case: str
@@ -197,6 +197,8 @@ class CuspBoundReport:
             raise ConstraintViolation(f"case must be one of {_CASES}, got {self.case!r}")
         if (self.A_tilde is None) != (self.B_tilde is None):
             raise ConstraintViolation("A_tilde and B_tilde must be set together")
+        if self.A_tilde is not None and not (math.isfinite(self.A_tilde) and math.isfinite(self.B_tilde)):
+            raise ConstraintViolation(f"extended ends must be finite, got {self.A_tilde}, {self.B_tilde}")
         if self.A_tilde is not None and self.base_A <= self.base_B:
             if not (self.A_tilde <= self.B_tilde):
                 raise ConstraintViolation(
@@ -231,55 +233,3 @@ def extend_bounds(base: BoundReport, geom: CuspGeometry, case: str) -> CuspBound
         A_tilde=base.A + shift - half_width,
         B_tilde=base.B + shift + half_width,
     )
-
-
-def _sample_outside_outer_disc(
-    rng: random.Random, eps_prime: float, attempts: int = 200
-) -> UpperHalfPoint:
-    """Point whose whole orbit stays at height <= 1/eps_prime.
-
-    The reduced representative maximizes the height over the orbit, so the
-    condition is checked after fundamental-domain reduction.
-    """
-    ceiling = 1.0 / eps_prime
-    for _ in range(attempts):
-        w = UpperHalfPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.05, min(ceiling, 2.0)))
-        reduced, _ = reduce_to_fundamental_domain(w)
-        if reduced.y <= ceiling:
-            return w
-    raise RuntimeError(f"could not sample a point outside the outer disc (eps' = {eps_prime})")
-
-
-def check_lemma_bla(
-    delta: float, eps: float, eps_prime: float, samples: int, seed: int = 20406
-) -> bool:
-    """Randomized verification of the two cusp-distance implications.
-
-    Part (a): if both points have height >= 1/eps', every group element
-    moving one within kernel distance < delta of the other is a
-    translation.  Part (b): if z has height >= 1/eps and the orbit of w
-    stays below height 1/eps', then u(z, gamma w) >= delta for all gamma.
-    Uses the modular-group model (min_c = 1); admissibility of the radii is
-    rejected up front.  Returns True iff no counterexample was found.
-    """
-    spread = delta + math.sqrt(delta * delta - 1.0)
-    if eps_prime * math.sqrt(spread) > 1.0:
-        raise ConstraintViolation(
-            f"eps_prime ({eps_prime}) inadmissible for delta = {delta} with min_c = 1"
-        )
-    if spread * eps > eps_prime:
-        raise ConstraintViolation(f"eps ({eps}) inadmissible: exceeds eps_prime/spread")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        z = UpperHalfPoint(rng.uniform(-2.0, 2.0), rng.uniform(1.0, 2.0) / eps_prime)
-        w = UpperHalfPoint(rng.uniform(-2.0, 2.0), rng.uniform(1.0, 2.0) / eps_prime)
-        for gamma, value in enumerate_group_elements(z, w, delta):
-            if value < delta and gamma.c != 0:
-                return False
-    for _ in range(samples):
-        z = UpperHalfPoint(rng.uniform(-2.0, 2.0), rng.uniform(1.0, 2.0) / eps)
-        w = _sample_outside_outer_disc(rng, eps_prime)
-        for _, value in enumerate_group_elements(z, w, delta):
-            if value < delta:
-                return False
-    return True

@@ -26,7 +26,9 @@ A matrix counts for a cell when one interval lower bound on u over the
 cell, _lower_u, is at most U (1 + SAFE_MARGIN); _lower_u bounds each part
 of the closed form below separately and exactly (see its docstring) and is
 u itself on a single point, so a cell's count covers every point of the
-cell.  count_bound screens the grid once, then halves, across the wider
+cell.  The region is first moved into the strip around x = 0 by an
+integer translation, which changes no count and keeps the rounding of the
+bound small.  count_bound screens the grid once, then halves, across the wider
 side, the cells that attain the current maximum, round after round, and
 keeps for each grid cell the maximum over its pieces.  It stops when a
 maximal piece counts as many matrices at its centre as over the whole piece
@@ -126,6 +128,23 @@ def _int_range(lo: float, hi: float) -> range:
     start = math.ceil(lo - RANGE_SLACK)
     stop = math.floor(hi + RANGE_SLACK)
     return range(start, stop + 1)
+
+
+def _centred(region: Rectangle) -> Rectangle:
+    """region moved by -n, n = round(its x midpoint), each x side outward by one ulp where the shift rounds.
+
+    Conjugating by the translation z -> z - n maps the matrices counted at z onto those counted at
+    z - n, so every count is unchanged, and the rounding of the count kernels follows |x - n| / y.
+    """
+    n = round(0.5 * region.x_min + 0.5 * region.x_max)
+    if n == 0:
+        return region
+    from fractions import Fraction  # a region away from the centre strip is rare; see _exact_u
+
+    def move(x: float, outward: float) -> float:
+        return x - n if Fraction(x - n) == Fraction(x) - n else math.nextafter(x - n, outward)
+
+    return Rectangle(move(region.x_min, -math.inf), move(region.x_max, math.inf), region.y_min, region.y_max)
 
 
 def _check_work(region: Rectangle, U: float, grid: tuple[int, int] = (1, 1)) -> None:
@@ -379,20 +398,24 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     The result is a proof: every matrix with u <= U at some point of a
     piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
     rounding of the bound, a few ulps of terms of size U (x/y)^2, wherever
-    |x|/y stays below about 1e4, as on the truncated fundamental domain.
+    |x|/y stays below about 1e4.  So the count runs on the region moved by
+    n = round(its x midpoint) (_centred), where |x| is at most half its
+    width plus 1/2, and holds on any region narrower than about 2e4 y_min.
+    The certificate names the caller's region; its cells are the moved grid's.
     """
     nx, ny = grid
     if nx < 1 or ny < 1:
         raise ValueError(f"grid must be at least 1x1, got {grid}")
     if not (U >= 1.0):
         raise ValueError(f"count_bound requires U >= 1, got U = {U}")
-    _check_work(region, U, grid)
+    centred = _centred(region)
+    _check_work(centred, U, grid)
     cutoff = U * (1.0 + SAFE_MARGIN)
     relaxed = cutoff * (1.0 + PRUNE_SLACK)
-    cols = np.array([m.entries() for m in enumerate_candidates(region, U).matrices], dtype=float).T
+    cols = np.array([m.entries() for m in enumerate_candidates(centred, U).matrices], dtype=float).T
 
-    xs = np.linspace(region.x_min, region.x_max, nx + 1)
-    ys = np.linspace(region.y_min, region.y_max, ny + 1)
+    xs = np.linspace(centred.x_min, centred.x_max, nx + 1)
+    ys = np.linspace(centred.y_min, centred.y_max, ny + 1)
     side = (_block_side(nx), _block_side(ny))
     counts, pairs, block_sure, block_of, block_cand = _screen(cols, xs, ys, side, U, cutoff, relaxed)
     # Pieces: the grid cells that have been maximal and their halves, with

@@ -50,7 +50,6 @@ from greenbound.bounds import (
     validate,
 )
 from greenbound.errors import ConstraintViolation, NonConvergenceError
-from greenbound.transforms import TrapezoidParams
 
 INITIAL_STEP = 1.3  # starting multiplicative step for every coordinate
 STEP_FLOOR = 1e-3  # a side stops once each of its relative steps is below this
@@ -64,27 +63,21 @@ _SIGMA_FLOOR_REL = 1e-6
 _SCREEN_PANELS = 50.0  # steps of the screen's grid on an octave next to delta; see bounds._grid
 
 
-def _make_params(delta: float, values: dict[str, float], sigma_max: float) -> ParamSet:
-    """Project the raw coordinate values onto the feasible set and build a ParamSet.
+def _make_params(values: dict[str, float], sigma_max: float) -> ParamSet:
+    """Project the raw parameter record (ParamSet.record) onto the feasible set and build a ParamSet.
 
     beta_minus is clipped just below its cap, and each sigma is clipped into
     (alpha, sigma_max].  Anything still infeasible (for example alpha at or
     above sigma_max) surfaces as a ConstraintViolation from the constructors.
     """
     v = dict(values)
-    cap = delta ** (1.0 + v["alpha_minus"]) / (delta + 1.0)
+    cap = v["delta"] ** (1.0 + v["alpha_minus"]) / (v["delta"] + 1.0)
     v["beta_minus"] = min(v["beta_minus"], _BETA_CAP_MARGIN * cap)
     for side in ("plus", "minus"):
         alpha = v[f"alpha_{side}"]
         floor = alpha * (1.0 + _SIGMA_FLOOR_REL)
         v[f"sigma_{side}"] = min(max(v[f"sigma_{side}"], floor), sigma_max)
-    sigmas = {name: v.pop(name) for name in ("sigma_plus", "sigma_minus")}
-    return ParamSet(trapezoid=TrapezoidParams(delta=delta, **v), **sigmas)
-
-
-def _coordinate_values(params: ParamSet) -> dict[str, float]:
-    values = {**vars(params.trapezoid), "sigma_plus": params.sigma_plus, "sigma_minus": params.sigma_minus}
-    return {name: values[name] for _, names in _SIDES for name in names}
+    return ParamSet.from_record(v)
 
 
 def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> tuple[ParamSet, BoundReport]:
@@ -103,7 +96,6 @@ def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> t
     except ConstraintViolation as exc:
         raise ConstraintViolation(f"seed parameters are invalid: {exc}") from exc
     sigma_max = sigma_ceiling(ctx.eta)
-    delta = seed.trapezoid.delta
     factor = spectral_factor(ctx.eta, include_phi_constant=True)
     memo: dict[int, dict] = {+1: {}, -1: {}}
     lows: dict[int, dict] = {+1: {}, -1: {}}  # lower ends on the screen's grid
@@ -136,10 +128,10 @@ def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> t
             for name in names:
                 best = None
                 for direction in (1.0, -1.0):
-                    values = _coordinate_values(current)
+                    values = current.record()
                     values[name] *= math.exp(direction * steps[name])
                     try:
-                        candidate = _make_params(delta, values, sigma_max)
+                        candidate = _make_params(values, sigma_max)
                         if screened(candidate, sign, score if best is None else best[0]):
                             continue
                         candidate_report = evaluate(candidate)

@@ -44,6 +44,7 @@ TWO_PI = 2.0 * math.pi
 # Below this margin the lower trapezoid corner T is numerically at the kernel
 # edge u = 1 and its (T^2 - 1) P^{-2}(T) contribution is O((T-1)^2).
 _T_EDGE = 1.0 + 1e-9
+I_REL_TOL = 1e-8  # relative tolerance of I_delta_pm
 
 
 @dataclass(frozen=True)
@@ -216,17 +217,17 @@ def averaged_transform_tail(
     return s_factor * coeff * geometry * M ** (alpha - sigma) / (sigma - alpha)
 
 
-def I_delta_pm(params: TrapezoidParams, sign: int, s: complex, rel_tol: float = 1e-8) -> complex:
+def I_delta_pm(params: TrapezoidParams, sign: int, s: complex) -> complex:
     """Averaged transform I_delta^{+-}(s) = (1/2 pi) Integral_delta^inf h_U^{+-}(s)/(U^2-1) dU.
 
     Defined on the open strip 0 < Re s < 1.  The quadrature marches over
     octaves [M, 2M], evaluating h_U_pm on batches of U, until the
-    closed-form tail majorant falls below rel_tol of the accumulated mass.
-    The value is an adaptive Clenshaw-Curtis estimate, not an enclosure: the
-    first 16 octaves are each solved to rel_tol of their own CC17 of
-    |integrand| and the later ones together to rel_tol of the mass; the tail
-    enters the error budget only.  A rel_tol below h_U_pm's rounding noise
-    raises NonConvergenceError.
+    closed-form tail majorant falls below I_REL_TOL = 1e-8 of the accumulated
+    mass.  The value is an adaptive Clenshaw-Curtis estimate, not an
+    enclosure: the first 16 octaves are each solved to I_REL_TOL of their own
+    CC17 of |integrand| and the later ones together to I_REL_TOL of the mass;
+    the tail enters the error budget only.  Where h_U_pm's rounding noise
+    exceeds that tolerance, NonConvergenceError is raised.
     """
     s = complex(s)
     if not (0.0 < s.real < 1.0):
@@ -243,5 +244,5 @@ def I_delta_pm(params: TrapezoidParams, sign: int, s: complex, rel_tol: float = 
         # integral; the march integrates the unnormalized integrand.
         return TWO_PI * averaged_transform_tail(params, sign, sigma_eff, M, s_factor)
 
-    value, _tail_bound = integrate_to_infinity(integrand, params.delta, tail, rel_tol)
+    value, _tail_bound = integrate_to_infinity(integrand, params.delta, tail, I_REL_TOL)
     return value / TWO_PI

@@ -36,16 +36,15 @@ from greenbound.bounds import (
     group_preset,
     reference_params,
 )
-from greenbound.cusps import (
-    N_delta_eps,
-    admissible_eps,
-    check_lemma_bla,
-    lambda_xi,
-    poisson_kernel,
-    r_delta,
-)
+from greenbound.cusps import N_delta_eps, admissible_eps, lambda_xi, poisson_kernel, r_delta
 from greenbound.geom import UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u, u_of_gamma
-from greenbound.lattice import count_bound, exact_count, truncated_fundamental_domain
+from greenbound.lattice import (
+    count_bound,
+    enumerate_group_elements,
+    exact_count,
+    reduce_to_fundamental_domain,
+    truncated_fundamental_domain,
+)
 from greenbound.specfun import (
     gamma_ratio_bounds,
     gamma_ratio_upper,
@@ -154,10 +153,10 @@ def reproduction_battery(grid: tuple[int, int] = (100, 100)) -> list[CheckResult
     return [count_check(grid), *volume_checks(), *majorant_cap_checks(D), *assembly_checks(D)]
 
 
-def random_unimodular(rng: random.Random, steps: int = 6) -> UnimodularMatrix:
-    """Random word in the inversion and small translations; entries stay modest."""
+def random_unimodular(rng: random.Random) -> UnimodularMatrix:
+    """Random word of six inversions and small translations; entries stay modest."""
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(steps):
+    for _ in range(6):
         k = rng.randint(-3, 3)
         # right-multiply by the translation by k, then by the inversion
         a, b = a, a * k + b
@@ -382,16 +381,46 @@ def smoothing_bracket(n: int = len(_SMOOTHING_POINTS)) -> CheckResult:
     )
 
 
+def _sample_outside_outer_disc(rng: random.Random, eps_prime: float) -> UpperHalfPoint:
+    """Point whose whole orbit stays at height <= 1/eps_prime: its reduced point, the highest, does."""
+    ceiling = 1.0 / eps_prime
+    for _ in range(200):
+        w = UpperHalfPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.05, min(ceiling, 2.0)))
+        if reduce_to_fundamental_domain(w)[0].y <= ceiling:
+            return w
+    raise RuntimeError(f"could not sample a point outside the outer disc (eps' = {eps_prime})")
+
+
+def _cusp_distance_holds(delta: float, eps: float, eps_prime: float, rng: random.Random) -> bool:
+    """Two samples of each cusp-distance implication in the modular group; False on a counterexample.
+
+    (a) If z and w have height >= 1/eps', each gamma with u(z, gamma w) < delta is a translation.
+    (b) If z has height >= 1/eps and the orbit of w stays below 1/eps', every u(z, gamma w) >= delta.
+    """
+    for _ in range(2):
+        z = UpperHalfPoint(rng.uniform(-2.0, 2.0), rng.uniform(1.0, 2.0) / eps_prime)
+        w = UpperHalfPoint(rng.uniform(-2.0, 2.0), rng.uniform(1.0, 2.0) / eps_prime)
+        if any(value < delta and gamma.c != 0 for gamma, value in enumerate_group_elements(z, w, delta)):
+            return False
+    for _ in range(2):
+        z = UpperHalfPoint(rng.uniform(-2.0, 2.0), rng.uniform(1.0, 2.0) / eps)
+        w = _sample_outside_outer_disc(rng, eps_prime)
+        if any(value < delta for _, value in enumerate_group_elements(z, w, delta)):
+            return False
+    return True
+
+
 def cusp_distance_lemma(n: int = 50, seed: int = 90300) -> CheckResult:
-    """Both cusp-distance implications on n admissible radius pairs, two samples each."""
+    """Both cusp-distance implications on n radius pairs, two samples each: delta in [1.5, 3],
+    eps' a fraction in [0.3, 0.95] of its admissible maximum at min_c = 1, and eps such a fraction of eps'/spread."""
     rng = random.Random(seed)
     failures = 0
     for k in range(n):
         delta = rng.uniform(1.5, 3.0)
-        spread = delta + math.sqrt(delta * delta - 1.0)
-        eps_prime = rng.uniform(0.3, 0.95) * admissible_eps(delta, 1.0)[0]
-        eps = rng.uniform(0.3, 0.95) * eps_prime / spread
-        failures += not check_lemma_bla(delta, eps, eps_prime, samples=2, seed=seed + 100 + k)
+        eps_prime_max, eps_max = admissible_eps(delta, 1.0)
+        scale = rng.uniform(0.3, 0.95)
+        eps = rng.uniform(0.3, 0.95) * scale * eps_max
+        failures += not _cusp_distance_holds(delta, eps, scale * eps_prime_max, random.Random(seed + 100 + k))
     return _result(
         "cusp-distance-lemma",
         failures == 0,

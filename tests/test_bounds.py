@@ -249,6 +249,9 @@ def test_report_validation():
         BoundReport(**{**kwargs, "q_plus": -0.5})
     with pytest.raises(ConstraintViolation, match="empty"):
         BoundReport(**{**kwargs, "A": 2.0})
+    for end in ({"A": -math.inf}, {"B": math.inf}, {"A": math.nan}):
+        with pytest.raises(ConstraintViolation, match="finite"):
+            BoundReport(**{**kwargs, **end})
 
 
 def test_majorant_integral_reports_nonconvergence_honestly():
@@ -531,3 +534,18 @@ def test_random_certificates_are_ordered():
         assert report.D_plus > 0.0 and report.D_minus > 0.0
         assert report.q_minus <= 0.0 <= report.q_plus
         assert report.width > 0.0
+
+
+def test_param_record_round_trip():
+    """record() lists the trapezoid fields, then the sigmas, and from_record inverts it."""
+    p = reference_params()
+    assert list(p.record()) == [
+        "delta", "alpha_plus", "alpha_minus", "beta_plus", "beta_minus", "sigma_plus", "sigma_minus",
+    ]
+    assert p.record() == {"delta": 2.0, "alpha_plus": 0.0366, "alpha_minus": 2.96e-3, "beta_plus": 2.72,
+                          "beta_minus": 0.668, "sigma_plus": 0.306, "sigma_minus": 0.25}
+    rng = random.Random(80300)
+    for q in [p, *(draw_valid_params(rng) for _ in range(50))]:
+        assert ParamSet.from_record(q.record()) == q
+    with pytest.raises(ConstraintViolation, match="sigma_plus"):
+        ParamSet.from_record({**p.record(), "sigma_plus": 0.5})

@@ -19,7 +19,6 @@ from greenbound.cli import (
     EXIT_OK,
     build_parser,
     main,
-    params_record,
     parse_bound_report,
     parse_count_certificate,
     parse_cusp_report,
@@ -83,6 +82,29 @@ def test_empty_grid_is_refused(command, capsys):
     captured = capsys.readouterr()
     assert captured.err == "greenbound: constraint error: grid must look like 100x100 or hold two integers, got ''\n"
     assert captured.out == ""
+
+
+def test_count_far_point_is_counted_in_the_centre_strip(capsys):
+    """The count of a point near x = 1e6 is that of its translate near x = 0 (60), not the 56 of
+    the uncentred float lower bound."""
+    assert main(["count", "--point", "999999.6661726177,1.8153809179298033", "--U", "4.907111401264591"]) == EXIT_OK
+    assert "bound:   60\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n-bar", "1e308"],
+    ["bounds", "--mode", "paper", "--n-bar", "1e307"],
+    ["cusp-extend", "--case", "c", "--eps", "1e-311", "--eps-prime", "1e-309"],
+])
+def test_non_finite_certificate_ends_are_refused(argv, capsys, tmp_path):
+    """An end that overflows to infinity is a vacuous certificate and no strict JSON: exit 1 with
+    one stderr line and no record."""
+    path = tmp_path / "out.json"
+    assert main([*argv, "--json", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("greenbound: constraint error: ") and captured.err.count("\n") == 1
+    assert "must be finite" in captured.err and captured.out == ""
+    assert not path.exists()
 
 
 def test_unknown_preset_is_config_error(capsys):
@@ -473,7 +495,7 @@ def test_any_config_and_flag_text_exits_0_or_1(tmp_path):
                        st.sampled_from(["nan", "inf", "2", "1x1", "sl2z", "exact"]))
     anything = st.one_of(scalar, st.lists(scalar, max_size=4), st.dictionaries(st.text(max_size=3), scalar, max_size=2))
     flag_junk = st.one_of(st.text(max_size=6), st.sampled_from(["", "nan", "inf", "-1", "1e400", "1,2", "1x1x1"]))
-    ref = params_record(reference_params())
+    ref = reference_params().record()
     fields = {
         "U": st.floats(1.0, 20.0),
         "n_bar": st.floats(2.0, 1e3),

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from greenbound.cusps import (
     CuspGeometry,
     N_delta_eps,
     admissible_eps,
-    check_lemma_bla,
     extend_bounds,
     lambda_xi,
     poisson_kernel,
@@ -164,6 +164,20 @@ def test_geometry_validation():
         CuspGeometry(eps=0.1, eps_prime=0.2, delta=2.0, min_c=1.0, count_pm1=2)
 
 
+def test_geometry_accepts_the_admissible_maxima():
+    """CuspGeometry checks both radius inequalities in admissible_eps's float order, so it
+    accepts the pair of maxima admissible_eps returns, for every delta and min_c."""
+    rng = random.Random(90400)
+    for _ in range(20000):
+        delta = 50.0 - rng.uniform(0.0, 49.0)  # (1, 50]
+        min_c = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        eps_prime_max, eps_max = admissible_eps(delta, min_c)
+        CuspGeometry(eps=eps_max, eps_prime=eps_prime_max, delta=delta, min_c=min_c, count_pm1=2)
+        with pytest.raises(ConstraintViolation, match="eps_prime"):
+            CuspGeometry(eps=eps_max, eps_prime=math.nextafter(eps_prime_max, math.inf), delta=delta, min_c=min_c,
+                         count_pm1=2)
+
+
 def test_report_validation():
     with pytest.raises(ConstraintViolation, match="case"):
         CuspBoundReport(case="z", base_A=0.0, base_B=1.0, offset_terms="")
@@ -173,6 +187,8 @@ def test_report_validation():
         CuspBoundReport(
             case="c", base_A=0.0, base_B=1.0, offset_terms="", A_tilde=2.0, B_tilde=1.0
         )
+    with pytest.raises(ConstraintViolation, match="finite"):
+        CuspBoundReport(case="c", base_A=0.0, base_B=1.0, offset_terms="", A_tilde=0.0, B_tilde=math.inf)
 
 
 def test_extend_offset_terms_are_pinned():
@@ -225,9 +241,3 @@ def test_distance_implications_sampled_configurations(full_check):
     result = full_check(verify.cusp_distance_lemma)
     assert result.passed, result.detail
 
-
-def test_distance_implications_reject_inadmissible_radii():
-    with pytest.raises(ConstraintViolation, match="inadmissible"):
-        check_lemma_bla(2.0, 0.01, 0.6, samples=1)
-    with pytest.raises(ConstraintViolation, match="inadmissible"):
-        check_lemma_bla(2.0, 0.15, 0.2, samples=1)

@@ -180,6 +180,35 @@ def test_segment_region_refines_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+FAR_POINT = (999999.6661726177, 1.8153809179298033, 4.907111401264591)  # x, y, U
+
+
+def test_far_point_counts_as_its_translate():
+    """u(z + n, gamma' (z + n)) with gamma' = T^n gamma T^-n is u(z, gamma z), so a point near
+    x = 1e6 counts what its translate by -1e6 (an exact subtraction) counts: 60.  Counted in place,
+    where the 1e-6 margin no longer covers the rounding of the float lower bound, it gave 56."""
+    x, y, U = FAR_POINT
+    far = count_bound(Rectangle(x, x, y, y), U, (1, 1))
+    assert far.bound == count_bound(Rectangle(x - 1e6, x - 1e6, y, y), U, (1, 1)).bound == 60
+    assert far.region == Rectangle(x, x, y, y)
+    shifted = count_bound(Rectangle(x - 2.0, x + 3.0, y, y + 1.0), U, (3, 2))
+    assert shifted.bound == count_bound(Rectangle(x - 1e6 - 2.0, x - 1e6 + 3.0, y, y + 1.0), U, (3, 2)).bound
+
+
+def test_centring_moves_inexact_sides_outward():
+    """Where x - n rounds, the moved side steps one ulp outward, so the moved region holds the
+    exact translate; exact shifts and regions already around x = 0 are kept as they are."""
+    from fractions import Fraction
+
+    box = truncated_fundamental_domain()
+    assert lattice._centred(box) is box
+    region = Rectangle(0.3, 2.9, 1.0, 2.0)  # n = 2; 0.3 - 2 rounds
+    moved = lattice._centred(region)
+    assert Fraction(moved.x_min) < Fraction(0.3) - 2 and Fraction(moved.x_max) == Fraction(2.9) - 2
+    assert (moved.y_min, moved.y_max) == (1.0, 2.0)
+    assert lattice._centred(Rectangle(-3.7, -2.2, 1.0, 2.0)) == Rectangle(-3.7 + 3, -2.2 + 3, 1.0, 2.0)
+
+
 def test_certificate_rejects_tampering():
     with pytest.raises(ValueError, match="twice the max cell count"):
         CountCertificate(
