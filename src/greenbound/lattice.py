@@ -28,21 +28,11 @@ of the closed form below separately and exactly (see its docstring) and is
 u itself on a single point, so a cell's count covers every point of the
 cell.  The region is first moved into the strip around x = 0 by an
 integer translation, which changes no count and keeps the rounding of the
-bound small.  count_bound screens the grid once, then halves, across the wider
-side, the cells that attain the current maximum, round after round, and
-keeps for each grid cell the maximum over its pieces.  It stops when a
-maximal piece counts as many matrices at its centre as over the whole piece
-(the maximum is attained there, so no refinement can lower it), when a
-split no longer changes a float, or when the refinement work would pass
-MAX_WORK.  Each round tests the centres first and the halves only when no
-centre stops it.
-
-Most pairs are settled on whole blocks of cells, from both sides: a matrix
-whose lower bound over a block fails fails on every cell and piece inside
-it, and one whose upper bound over the block, _upper_u, is at most U counts
-on all of them.  The others stay open, listed as (block or piece, matrix)
-index pairs, and only the cells that a matrix's level set u = U crosses
-test it one by one; count_bound explains why no decision changes.
+bound small.  count_bound screens the grid once, settling most matrices on
+whole blocks of cells from both sides, by _lower_u and by an upper bound,
+_upper_u, then halves the cells that attain the maximum, round after round,
+until a centre attains it (see its docstring).  One pass gives both bounds
+from their shared x-only parts (_parts), and a centre is tested by u itself.
 
 Before enumerating anything, enumerate_candidates, count_bound and
 enumerate_group_elements estimate their work in closed form and raise
@@ -103,7 +93,7 @@ class CountCertificate:
     grid: tuple[int, int]
     per_cell_counts: tuple[tuple[int, ...], ...]
     bound: int
-    pairs: int = field(default=0, compare=False)  # evaluations of either kernel; work, not proof
+    pairs: int = field(default=0, compare=False)  # bounds evaluated per candidate and box; work, not proof
 
     def __post_init__(self) -> None:
         max_count = max(max(row) for row in self.per_cell_counts)
@@ -183,6 +173,29 @@ def _dist0(lo, hi):
     return np.maximum(np.maximum(lo, -hi), 0.0)
 
 
+def _at(a, b, c, d, x):
+    """a - cx, d + cx and W(x) = b + (a - d)x - cx^2: the x-only parts of the closed form at x."""
+    cx = c * x
+    return a - cx, d + cx, b + (a - d) * x - cx * x
+
+
+def _parts(a, b, c, d, X0, X1):
+    """_at at X0 and at X1, W at the vertex x = (a - d)/(2c), and whether the vertex lies in [X0, X1]."""
+    xv = (a - d) / (2.0 * np.maximum(c, 1.0))  # for c = 0, a = d and W is constant
+    return (*_at(a, b, c, d, X0), *_at(a, b, c, d, X1), _at(a, b, c, d, xv)[2], (X0 <= xv) & (xv <= X1))
+
+
+def _low(c, Y0, Y1, a0, d0, w0, a1, d1, w1, wv, inside):
+    w = _dist0(np.minimum(w0, w1), np.maximum(np.maximum(w0, w1), np.where(inside, wv, -np.inf)))
+    yc = np.where(c > 0.0, np.minimum(np.maximum(np.sqrt(w / np.maximum(c, 1.0)), Y0), Y1), Y1)
+    return 0.5 * (_dist0(a1, a0) ** 2 + (w / yc) ** 2 + (c * yc) ** 2 + _dist0(d0, d1) ** 2)
+
+
+def _high(c, Y0, Y1, a0, d0, w0, a1, d1, w1, wv, inside):
+    w = np.maximum(np.maximum(np.abs(w0), np.abs(w1)), np.abs(np.where(inside, wv, 0.0)))
+    return 0.5 * (np.maximum(a0**2, a1**2) + (w / Y0) ** 2 + (c * Y1) ** 2 + np.maximum(d0**2, d1**2))
+
+
 def _lower_u(a, b, c, d, X0, X1, Y0, Y1):
     """Lower bound on u(z, gamma z) over z in [X0, X1] x [Y0, Y1], for c >= 0.
 
@@ -200,15 +213,7 @@ def _lower_u(a, b, c, d, X0, X1, Y0, Y1):
 
     On a single point every part is exact and the bound is u itself.
     """
-    cx0, cx1 = c * X0, c * X1
-    w0 = b + (a - d) * X0 - cx0 * X0
-    w1 = b + (a - d) * X1 - cx1 * X1
-    c1 = np.maximum(c, 1.0)
-    xv = (a - d) / (2.0 * c1)  # for c = 0, a = d and W is constant
-    wv = np.where((X0 <= xv) & (xv <= X1), b + (a - d) * xv - c * xv * xv, -np.inf)
-    w = _dist0(np.minimum(w0, w1), np.maximum(np.maximum(w0, w1), wv))
-    yc = np.where(c > 0.0, np.clip(np.sqrt(w / c1), Y0, Y1), Y1)
-    return 0.5 * (_dist0(a - cx1, a - cx0) ** 2 + (w / yc) ** 2 + (c * yc) ** 2 + _dist0(d + cx0, d + cx1) ** 2)
+    return _low(c, Y0, Y1, *_parts(a, b, c, d, X0, X1))
 
 
 def _upper_u(a, b, c, d, X0, X1, Y0, Y1):
@@ -228,14 +233,19 @@ def _upper_u(a, b, c, d, X0, X1, Y0, Y1):
     part is computed from the same floats as in _lower_u and rounding is
     monotone, so in floats too the bound is never below _lower_u.
     """
-    cx0, cx1 = c * X0, c * X1
-    w0 = b + (a - d) * X0 - cx0 * X0
-    w1 = b + (a - d) * X1 - cx1 * X1
-    xv = (a - d) / (2.0 * np.maximum(c, 1.0))
-    wv = np.where((X0 <= xv) & (xv <= X1), b + (a - d) * xv - c * xv * xv, 0.0)
-    w = np.maximum(np.maximum(np.abs(w0), np.abs(w1)), np.abs(wv))
-    sq_a, sq_d = np.maximum((a - cx0) ** 2, (a - cx1) ** 2), np.maximum((d + cx0) ** 2, (d + cx1) ** 2)
-    return 0.5 * (sq_a + (w / Y0) ** 2 + (c * Y1) ** 2 + sq_d)
+    return _high(c, Y0, Y1, *_parts(a, b, c, d, X0, X1))
+
+
+def _both_u(a, b, c, d, X0, X1, Y0, Y1):
+    """(_lower_u, _upper_u) from one evaluation of their shared x-only parts, bit for bit."""
+    parts = _parts(a, b, c, d, X0, X1)
+    return _low(c, Y0, Y1, *parts), _high(c, Y0, Y1, *parts)
+
+
+def _point_u(a, b, c, d, x, y):
+    """u(z, gamma z) at z = x + iy by the closed form: _lower_u on the point, from the same floats."""
+    ax, dx, w = _at(a, b, c, d, x)
+    return 0.5 * (ax**2 + (w / y) ** 2 + (c * y) ** 2 + dx**2)
 
 
 def _signed(gamma: UnimodularMatrix):
@@ -314,9 +324,10 @@ def _screen(
         for i in range(0, nbx, width):
             x = slice(i, i + width)
             block = (xs[ex[:-1][x], None], xs[ex[1:][x], None], ys[ey[:-1]], ys[ey[1:]])
-            is_sure = _upper_u(*part, *block) <= U
+            low, high = _both_u(*part, *block)
+            is_sure = high <= U
             sure[x] += np.count_nonzero(is_sure, axis=0)
-            c, bx, by = np.nonzero((_lower_u(*part, *block) <= relaxed) & ~is_sure)
+            c, bx, by = np.nonzero((low <= relaxed) & ~is_sure)
             open_b.append((bx + i) * nby + by)
             open_c.append(c + j)
     counts = np.repeat(np.repeat(sure, np.diff(ex), axis=0), np.diff(ey), axis=1).ravel()
@@ -341,13 +352,11 @@ def _screen(
     return counts, 2 * k * nbx * nby + b.size * side[0] * side[1], sure, b, c
 
 
-def _each(kernel, cols: np.ndarray, cand: np.ndarray, at: np.ndarray, box) -> np.ndarray:
-    """kernel on each pair i: candidate cand[i] over box (v[at[i]] for v in box), _CHUNK pairs per call."""
-    out = np.empty(cand.size)
-    for i in range(0, cand.size, _CHUNK):
-        s = slice(i, i + _CHUNK)
-        out[s] = kernel(*cols[:, cand[s]], *(v[at[s]] for v in box))
-    return out
+def _each(kernel, cols: np.ndarray, cand: np.ndarray, at: np.ndarray, box):
+    """kernel on each pair i, candidate cand[i] over box (v[at[i]] for v in box), on the last axis; _CHUNK per call."""
+    chunks = (slice(i, i + _CHUNK) for i in range(0, max(cand.size, 1), _CHUNK))
+    out = [kernel(*cols[:, cand[s]], *(v[at[s]] for v in box)) for s in chunks]
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
 
 def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCertificate:
@@ -357,7 +366,8 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     the candidates whose interval lower bound on u over the cell is at most
     cutoff = U (1 + 1e-6).  The cells attaining the maximal count are then
     halved across their wider side, round after round, until a maximal piece
-    counts as many matrices at its centre as over the whole piece, a split
+    counts as many matrices at its centre as over the whole piece (the
+    maximum is attained there, so no refinement can lower it), a split
     leaves a float unchanged, or the refinement work would pass MAX_WORK.  A
     cell's count is the maximum over its pieces and the bound is twice the
     largest.
@@ -367,7 +377,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     _block_side), the last one along a side possibly partial; block edges
     are grid nodes, so a block contains its cells exactly in floats, and a
     cell or piece contains its pieces.  Per candidate and block, and in the refinement per open
-    candidate and half piece, one _lower_u and one _upper_u decide:
+    candidate and half piece, _lower_u and _upper_u decide, both from one pass (_both_u):
 
     * fail, when _lower_u > relaxed = cutoff (1 + PRUNE_SLACK).  A box's
       exact lower bound is never above that of a cell or piece inside it
@@ -387,13 +397,14 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
       sorted list, and keeps them as (piece, candidate) pairs.  A piece's
       centre and halves evaluate only its open candidates.
 
-    Each round tests the centres of the maximal pieces first, with _lower_u,
-    and stops if one reaches the maximum; only then are both halves tested,
-    and the pairs still open on a half are kept under its piece.  So every
-    count is the one a test of every candidate on every piece makes, and
-    only the cells that a candidate's level set u = U crosses test it one by
-    one.  `pairs` counts every evaluation of either kernel, _lower_u or
-    _upper_u.
+    Each round tests the centres of the maximal pieces first, with u itself
+    (_point_u, the bits of _lower_u on the point), and stops if one reaches
+    the maximum; only then are both halves tested, in one pass, and the pairs
+    still open on a half are kept under its piece.  So every count is the one
+    a test of every candidate on every piece makes, and only the cells that a
+    candidate's level set u = U crosses test it one by one.  `pairs` counts
+    each bound evaluated on one candidate and box: two per pass of _both_u,
+    one per centre.
 
     The result is a proof: every matrix with u <= U at some point of a
     piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
@@ -448,22 +459,26 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         slot[hot] = np.arange(hot.size)
         on_hot = slot[piece] >= 0
         at, c = slot[piece[on_hot]], cand[on_hot]  # the open pairs of the hot pieces, at their slot in hot
-        low = _each(_lower_u, cols, c, at, (xm, xm, ym, ym))
+        low = _each(_point_u, cols, c, at, (xm, ym))
         pairs += at.size
         if np.any(sure[hot] + np.bincount(at[low <= cutoff], minlength=hot.size) >= top):
             break
-        # The first halves replace their pieces in place; the second are appended.
+        # The first halves replace their pieces in place; the second are appended.  Both are
+        # tested in one pass, the pairs of the second half at slots hot.size + at.
         first = (x0, np.where(wide, xm, x1), y0, np.where(wide, y1, ym))
         second = (np.where(wide, xm, x0), x1, np.where(wide, y0, ym), y1)
-        piece, cand, tallies = piece[~on_hot], cand[~on_hot], []
-        for ids, half in ((hot, first), (score.size + np.arange(hot.size), second)):
-            low, is_sure = _each(_lower_u, cols, c, at, half), _each(_upper_u, cols, c, at, half) <= U
-            keep = (low <= relaxed) & ~is_sure
-            piece, cand = np.concatenate([piece, ids[at[keep]]]), np.concatenate([cand, c[keep]])
-            tallies += [sure[hot] + np.bincount(at[ok], minlength=hot.size) for ok in (low <= cutoff, is_sure)]
-        pairs += 4 * at.size
-        score[hot], sure[hot] = tallies[:2]
-        score, sure = np.concatenate([score, tallies[2]]), np.concatenate([sure, tallies[3]])
+        at, c = np.concatenate([at, at + hot.size]), np.concatenate([c, c])
+        low, high = _each(_both_u, cols, c, at, [np.concatenate(v) for v in zip(first, second)])
+        is_sure = high <= U
+        keep = (low <= relaxed) & ~is_sure
+        ids = np.concatenate([hot, score.size + np.arange(hot.size)])
+        piece, cand = np.concatenate([piece[~on_hot], ids[at[keep]]]), np.concatenate([cand[~on_hot], c[keep]])
+        counted, sured = (
+            sure[hot] + np.bincount(at[ok], minlength=2 * hot.size).reshape(2, -1) for ok in (low <= cutoff, is_sure)
+        )
+        pairs += 2 * at.size
+        score[hot], sure[hot] = counted[0], sured[0]
+        score, sure = np.concatenate([score, counted[1]]), np.concatenate([sure, sured[1]])
         owner = np.concatenate([owner, owner[hot]])
         for j in range(4):
             box[j][hot] = first[j]
@@ -505,9 +520,17 @@ def enumerate_group_elements(
     side), and the value yielded is then at most U.
     The (c, d) loop takes at most (c_max + 1)(2 q_max + 3) steps; above
     MAX_WORK (or for a non-finite estimate) ValueError is raised first.
+    Away from x = 0 it enumerates gamma' at z - n, w - m (n, m the rounded real parts, exact
+    subtractions) and yields T^n gamma' T^-m, so the floats keep size 1, not n.
     """
     if not (U >= 1.0):
         raise ValueError(f"enumerate_group_elements requires U >= 1, got U = {U}")
+    n, m = round(z.x), round(w.x)
+    if n or m:
+        for g, value in enumerate_group_elements(UpperHalfPoint(z.x - n, z.y), UpperHalfPoint(w.x - m, w.y), U):
+            a = g.a + n * g.c
+            yield UnimodularMatrix(a, g.b + n * g.d - m * a, g.c, g.d - m * g.c), value
+        return
     rho = U + math.sqrt(U * U - 1.0)
     c_max = math.sqrt(rho / (z.y * w.y))
     q_max = math.sqrt(w.y * rho / z.y)

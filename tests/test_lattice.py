@@ -1,5 +1,6 @@
 """Orbit enumeration, grid count certificates, and domain reduction."""
 
+import hashlib
 import math
 import random
 import time
@@ -91,6 +92,60 @@ def test_refinement_tests_few_pairs():
     cert = count_bound(box, 5.0, (12, 12))
     assert cert.bound == 64
     assert cert.pairs <= 100_000
+
+
+PINNED = [  # (region, U, grid, pairs, digest of per_cell_counts)
+    (truncated_fundamental_domain(), 17.0, (10, 10), 101_271, "1a8041d06e7e8dcf"),
+    (truncated_fundamental_domain(), 5.0, (12, 12), 94_518, "a7608c7aeab97251"),
+    (truncated_fundamental_domain(), 9.0, (12, 12), 16_454, "475fe8e8317e67fd"),
+    (Rectangle(-0.3819660112501051, 0.1180339887498949, 1.1495190528383288, 1.7165063509461096), 17.0, (25, 25),
+     55_454, "d1b9e4dcae2b9b7d"),  # a lattice-grid sub-rectangle job
+]
+
+
+def test_certificates_are_pinned():
+    """Every stop decision of the screen and the refinement shows in pairs, and every count in
+    the digest: a refactor of the kernels or of the refinement must keep both."""
+    for region, U, grid, pairs, digest in PINNED:
+        cert = count_bound(region, U, grid)
+        assert cert.pairs == pairs, (U, grid)
+        assert hashlib.sha256(str(cert.per_cell_counts).encode()).hexdigest()[:16] == digest, (U, grid)
+
+
+def test_shared_parts_give_both_kernels_bit_for_bit():
+    """_both_u returns exactly _lower_u's and _upper_u's bits, and _point_u exactly _lower_u's on a
+    point, for integer (a, b, c, d) with c >= 0 on points, segments and cells at either sign of x,
+    in the broadcast shapes of the block pass, the per-cell pass and the refinement."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.integers(-40, 40)
+    matrices = st.lists(st.tuples(entry, entry, st.integers(0, 12), entry), min_size=1, max_size=6)
+    side = st.one_of(st.just(0.0), st.floats(0.0, 0.7))
+
+    def same(got, want):
+        return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        matrices, st.floats(-2.0, 1.5), side, st.floats(0.5, 2.0), side, st.integers(1, 4), st.integers(1, 4)
+    )
+    def check(mats, x0, width, y0, height, nx, ny):
+        cols = np.array(mats, dtype=float).T
+        xs, ys = np.linspace(x0, x0 + width, nx + 1), np.linspace(y0, y0 + height, ny + 1)
+        ix, iy = (np.tile(np.arange(n), (cols.shape[1], 1)) for n in (nx, ny))
+        flat = np.repeat(cols, nx, axis=1)
+        shapes = [
+            (cols[:, :, None, None], (xs[:-1, None], xs[1:, None], ys[:-1], ys[1:])),  # blocks
+            (cols[:, :, None, None], (xs[ix, None], xs[ix + 1, None], ys[iy][:, None], ys[iy + 1][:, None])),  # cells
+            (flat, (xs[ix].ravel(), xs[ix + 1].ravel(), np.full(ix.size, y0), np.full(ix.size, ys[-1]))),  # pieces
+        ]
+        for m, box in shapes:
+            low, high = lattice._both_u(*m, *box)
+            assert same(low, lattice._lower_u(*m, *box)) and same(high, lattice._upper_u(*m, *box))
+        x, y = xs[ix].ravel(), ys[np.minimum(ix, ny)].ravel()
+        assert same(lattice._point_u(*flat, x, y), lattice._lower_u(*flat, x, x, y, y))
+
+    check()
 
 
 def _oracle_count_bound(region, U, grid):
@@ -186,10 +241,12 @@ FAR_POINT = (999999.6661726177, 1.8153809179298033, 4.907111401264591)  # x, y, 
 def test_far_point_counts_as_its_translate():
     """u(z + n, gamma' (z + n)) with gamma' = T^n gamma T^-n is u(z, gamma z), so a point near
     x = 1e6 counts what its translate by -1e6 (an exact subtraction) counts: 60.  Counted in place,
-    where the 1e-6 margin no longer covers the rounding of the float lower bound, it gave 56."""
+    where the 1e-6 margin no longer covers the rounding of the float lower bound, it gave 56, and
+    exact_count, whose floats carried |z - gamma z|^2 from coordinates of size 1e6, gave 58."""
     x, y, U = FAR_POINT
     far = count_bound(Rectangle(x, x, y, y), U, (1, 1))
     assert far.bound == count_bound(Rectangle(x - 1e6, x - 1e6, y, y), U, (1, 1)).bound == 60
+    assert exact_count(UpperHalfPoint(x, y), UpperHalfPoint(x, y), U) == 60
     assert far.region == Rectangle(x, x, y, y)
     shifted = count_bound(Rectangle(x - 2.0, x + 3.0, y, y + 1.0), U, (3, 2))
     assert shifted.bound == count_bound(Rectangle(x - 1e6 - 2.0, x - 1e6 + 3.0, y, y + 1.0), U, (3, 2)).bound
