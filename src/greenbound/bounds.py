@@ -144,6 +144,10 @@ class ParamSet:
             if not (sigma < 0.5):
                 raise ConstraintViolation(f"sigma_{label} must be below 1/2, got {sigma}")
 
+    def side(self, sign: int) -> tuple[float, float, float]:
+        """(sigma, alpha, beta) of the plus (sign > 0) or minus side."""
+        return (self.sigma_plus if sign > 0 else self.sigma_minus, *self.trapezoid.side(sign))
+
     def record(self) -> dict[str, float]:
         """The seven free parameters as one flat mapping: the trapezoid fields, then the two sigmas."""
         return {**vars(self.trapezoid), "sigma_plus": self.sigma_plus, "sigma_minus": self.sigma_minus}
@@ -210,14 +214,6 @@ def compute_q(params: ParamSet, ctx: GroupContext) -> tuple[float, float]:
     q_plus = (t.beta_plus / (2.0 * t.alpha_plus * t.delta**t.alpha_plus) - log_term) / ctx.vol
     q_minus = -(t.beta_minus / (2.0 * t.alpha_minus * t.delta**t.alpha_minus) + log_term) / ctx.vol
     return q_plus, q_minus
-
-
-def _side(params: ParamSet, sign: int) -> tuple[float, float, float]:
-    """(sigma, alpha, beta) of the plus (sign > 0) or minus side."""
-    t = params.trapezoid
-    if sign > 0:
-        return params.sigma_plus, t.alpha_plus, t.beta_plus
-    return params.sigma_minus, t.alpha_minus, t.beta_minus
 
 
 # Outward rounding for enclose_D: a lower (upper) end of a quantity >= 0 is
@@ -297,7 +293,7 @@ def _node_bounds(params: ParamSet, sign: int, X_lo: np.ndarray, X_hi: np.ndarray
     """Directed (own, pow, rest) at nodes X_lo <= U^2 - 1 <= X_hi, lower and upper ends interleaved:
     own = p_sigma(U) G, pow the x-power part P of p_sigma(W) and rest its shape factor S times
     G = U^alpha / (2 beta (U^2 - 1)), W = V or T; u is _u_parts(X_lo, X_hi) if a table has it."""
-    sigma, alpha, beta = _side(params, sign)
+    sigma, alpha, beta = params.side(sign)
     consts = _C_sigma_enclosure(sigma)
     u2_lo, u2_hi, u_lo, u_hi, xu_lo, xu_hi = _u_parts(X_lo, X_hi) if u is None else u
     ua = u2_lo ** (0.5 * alpha)  # U^alpha; (u2_hi / u2_lo)^(alpha / 2) <= u2_hi / u2_lo
@@ -333,7 +329,7 @@ def _isq(x):
 def _curvature(params: ParamSet, sign: int, nodes: np.ndarray, spans: np.ndarray, f):
     """Bounds (lo, hi) on F'' over each cell between the cell ends (NaN where untested), from their
     nodes and spans in _node_table; f holds the node bounds, and row 0 below is own, row 1 the corner."""
-    sigma, alpha, beta = _side(params, sign)
+    sigma, alpha, beta = params.side(sign)
     c_main, c_prime = C_sigma(sigma)
     low = np.stack([f[0][1:], _dn(f[2][:-1] * f[4][1:])])  # each term's least and greatest value
     high = np.stack([f[1][:-1], _up(f[3][1:] * f[5][:-1])])
@@ -442,7 +438,7 @@ def _panels(params: ParamSet, sign: int, table: dict, n: int) -> tuple[float, fl
 def _grid_bounds(params: ParamSet, sign: int, panels: float = _PANELS) -> tuple[float, float, float]:
     """Bounds (lo, hi) on the D integral over [delta, M] on _grid at panels, and M rounded down."""
     t = params.trapezoid
-    sigma, alpha, beta = _side(params, sign)
+    sigma, alpha, beta = params.side(sign)
     e = 2.0**-20
     if not (2.0**-11 <= sigma <= 0.5 - e and sigma - alpha >= e
             and 1 + e <= t.delta <= 2.0**200 and e <= beta <= 1 / e):
@@ -458,7 +454,7 @@ def _grid_bounds(params: ParamSet, sign: int, panels: float = _PANELS) -> tuple[
 
 def _enclose_one_sign(params: ParamSet, sign: int) -> tuple[float, float]:
     lo, hi, M = _grid_bounds(params, sign)
-    tail = _up(averaged_transform_tail(params.trapezoid, sign, _side(params, sign)[0], M), _TAIL_MARGIN)
+    tail = _up(averaged_transform_tail(params.trapezoid, sign, params.side(sign)[0], M), _TAIL_MARGIN)
     return float(lo), float(_up(hi + tail))
 
 

@@ -174,14 +174,8 @@ def _region_from_entry(entry) -> Rectangle:
 
 
 def _cusp_from_entry(entry, group: GroupContext, params: ParamSet) -> CuspGeometry:
-    entry = _mapping(entry, "cusp", _names(CuspGeometry))
-    return CuspGeometry(
-        eps=_field(entry, "eps", "cusp"),
-        eps_prime=_field(entry, "eps_prime", "cusp"),
-        delta=_field(entry, "delta", "cusp", params.trapezoid.delta),
-        min_c=_field(entry, "min_c", "cusp", group.min_c),
-        count_pm1=_field(entry, "count_pm1", "cusp", 2 if group.contains_minus_one else 1, int),
-    )
+    entry = _mapping(entry, "cusp", ("eps", "eps_prime"))
+    return CuspGeometry.of(_field(entry, "eps", "cusp"), _field(entry, "eps_prime", "cusp"), params, group)
 
 
 def load_config(path: str) -> dict:
@@ -199,7 +193,7 @@ def load_config(path: str) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Parse one mapping: the config file's entries, with the flags laid over them in the order
-    --preset, --point, --region, --U/--grid/--mode/--n-bar, then the cusp flags into the cusp
+    --preset, --point, --region, --U/--grid/--mode/--n-bar, then the cusp radii into the cusp
     block.  A setting neither gives keeps its default."""
     flags, y0 = vars(args), dataclasses.astuple(truncated_fundamental_domain())
     entries = _mapping(load_config(args.config) if flags.get("config") else {}, "config", _names(RunConfig))
@@ -217,7 +211,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if flags.get("region") is not None:
         entries["region"] = _parse_floats(flags["region"], 4, "region")
     entries.update({name: flags[name] for name in ("U", "grid", "mode", "n_bar") if flags.get(name) is not None})
-    cusp_flags = {name: flags[name] for name in ("eps", "eps_prime", "count_pm1") if flags.get(name) is not None}
+    cusp_flags = {name: flags[name] for name in ("eps", "eps_prime") if flags.get(name) is not None}
     cusp = entries.get("cusp") or {}
     if cusp_flags and isinstance(cusp, dict):
         entries["cusp"] = {**cusp, **cusp_flags}
@@ -236,20 +230,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def config_echo(config: RunConfig) -> dict:
-    return {**dataclasses.asdict(config), "params": config.params.record()}
-
-
-def _base_record(command: str, config: RunConfig | None) -> dict:
+def _record(command: str, config: RunConfig | None, **fields) -> dict:
+    """The machine record: tool, version, command, the config echo if any (flat params), then fields."""
     record = {"tool": "greenbound", "version": __version__, "command": command}
     if config is not None:
-        record["config"] = config_echo(config)
-    return record
-
-
-def count_record(cert: CountCertificate, config: RunConfig) -> dict:
-    # vars, not dataclasses.asdict, whose deep copy of per_cell_counts costs more than a 100x100 count
-    return {**_base_record("count", config), **vars(cert), "region": dataclasses.asdict(cert.region)}
+        record["config"] = {**dataclasses.asdict(config), "params": config.params.record()}
+    return {**record, **fields}
 
 
 def parse_count_certificate(record: dict) -> CountCertificate:
@@ -268,16 +254,8 @@ def _fields_of(cls, record: dict):
     return cls(**{field.name: record[field.name] for field in dataclasses.fields(cls)})
 
 
-def bounds_record(report: BoundReport, config: RunConfig) -> dict:
-    return {**_base_record("bounds", config), **dataclasses.asdict(report), "width": report.width}
-
-
 def parse_bound_report(record: dict) -> BoundReport:
     return _fields_of(BoundReport, record)
-
-
-def cusp_record(report: CuspBoundReport, config: RunConfig) -> dict:
-    return {**_base_record("cusp-extend", config), **dataclasses.asdict(report)}
 
 
 def parse_cusp_report(record: dict) -> CuspBoundReport:
@@ -300,8 +278,7 @@ def _report_checks(
         print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
     passed = all(r.passed for r in results)
     print(summary.format(sum(r.passed for r in results), len(results)))
-    record = {**_base_record(command, None), "checks": [dataclasses.asdict(r) for r in results], "passed": passed}
-    _emit(record, path)
+    _emit(_record(command, None, checks=[dataclasses.asdict(r) for r in results], passed=passed), path)
     return EXIT_OK if passed else fail_code
 
 
@@ -316,7 +293,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     print(f"grid:    {cert.grid[0]}x{cert.grid[1]}")
     print(f"bound:   {cert.bound}")
     print(f"elapsed: {elapsed:.2f}s")
-    _emit(count_record(cert, config), args.json)
+    # vars, not dataclasses.asdict, whose deep copy of per_cell_counts costs more than a 100x100 count
+    _emit(_record("count", config, **{**vars(cert), "region": dataclasses.asdict(cert.region)}), args.json)
     return EXIT_OK
 
 
@@ -333,7 +311,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     print(f"A:               {report.A:.4f}")
     print(f"B:               {report.B:.4f}")
     print(f"width:           {report.width:.4f}")
-    _emit(bounds_record(report, config), args.json)
+    _emit(_record("bounds", config, **dataclasses.asdict(report), width=report.width), args.json)
     return EXIT_OK
 
 
@@ -364,7 +342,7 @@ def cmd_cusp_extend(args: argparse.Namespace) -> int:
     print(f"offsets:       {report.offset_terms}")
     if report.A_tilde is not None:
         print(f"A~, B~:        {report.A_tilde:.4f}, {report.B_tilde:.4f}")
-    _emit(cusp_record(report, config), args.json)
+    _emit(_record("cusp-extend", config, **dataclasses.asdict(report)), args.json)
     return EXIT_OK
 
 
@@ -378,9 +356,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     best_params = best.record()
     for name in ("alpha_plus", "beta_plus", "sigma_plus", "alpha_minus", "beta_minus", "sigma_minus"):
         print(f"{name:<12} {best_params[name]:.8g}")
-    record = bounds_record(report, config)
-    record.update(command="optimize", objective=args.objective, best_params=best_params)
-    _emit(record, args.json)
+    _emit(_record("optimize", config, **dataclasses.asdict(report), width=report.width,
+                  objective=args.objective, best_params=best_params), args.json)
     return EXIT_OK
 
 
@@ -390,10 +367,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; remap to the config error code."""
+    """argparse prints the usage and exits with status 2 on bad flags; a bad flag is a config error
+    instead: exit 1 with one stderr line, the usage being one --help away."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
@@ -431,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cusp.add_argument("--case", required=True, choices=("a", "a_prime", "b", "c"))
     p_cusp.add_argument("--eps", type=float, help="inner neighbourhood radius")
     p_cusp.add_argument("--eps-prime", dest="eps_prime", type=float, help="outer radius")
-    p_cusp.add_argument("--count-pm1", dest="count_pm1", type=int, help="1 or 2")
     p_cusp.add_argument("--mode", help="arithmetic mode: exact or paper")
     p_cusp.add_argument("--n-bar", dest="n_bar", type=float, help="uniform count bound")
     p_cusp.set_defaults(handler=cmd_cusp_extend)

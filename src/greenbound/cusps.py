@@ -16,8 +16,10 @@ eps times the constant r_delta.
 The geometry is the single-cusp model: cusp at infinity with identity
 scaling, cusp height = Im z, stabilizer = integer translations, and the
 rest of the group summarized by min_c, the smallest positive lower-left
-entry.  Multi-cusp groups need the neighbourhood-disjointness hypothesis
-checked by the caller.
+entry.  CuspGeometry.of takes delta, min_c and the +-1 count from the
+certificate's own parameter set and group, so only the radii are chosen.
+Multi-cusp groups need the neighbourhood-disjointness hypothesis checked by
+the caller.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from greenbound._quad import integrate
-from greenbound.bounds import BoundReport
+from greenbound.bounds import BoundReport, GroupContext, ParamSet
 from greenbound.errors import ConstraintViolation
 from greenbound.geom import kernel_L
 
@@ -163,6 +165,12 @@ class CuspGeometry:
         eps_max = self.eps_prime / _spread(self.delta)
         if self.eps > eps_max:
             raise ConstraintViolation(f"eps ({self.eps}) exceeds eps_prime/(delta + sqrt(delta^2-1)) = {eps_max:.7f}")
+
+    @classmethod
+    def of(cls, eps: float, eps_prime: float, params: ParamSet, group: GroupContext) -> CuspGeometry:
+        """The radii eps < eps_prime around the cusp of a certificate at params over group: its
+        delta, the group's min_c, and count_pm1 = 2 when -1 belongs to the group, else 1."""
+        return cls(eps, eps_prime, params.trapezoid.delta, group.min_c, 2 if group.contains_minus_one else 1)
 
 
 # The logarithmic offsets each case subtracts from the Green function.

@@ -41,7 +41,6 @@ from greenbound.bounds import (
     _certificate_end,
     _enclose_one_sign,
     _grid_bounds,
-    _side,
     _upper_end,
     assemble,
     compute_q,
@@ -50,6 +49,7 @@ from greenbound.bounds import (
     validate,
 )
 from greenbound.errors import ConstraintViolation, NonConvergenceError
+from greenbound.transforms import beta_minus_cap
 
 INITIAL_STEP = 1.3  # starting multiplicative step for every coordinate
 STEP_FLOOR = 1e-3  # a side stops once each of its relative steps is below this
@@ -71,8 +71,7 @@ def _make_params(values: dict[str, float], sigma_max: float) -> ParamSet:
     above sigma_max) surfaces as a ConstraintViolation from the constructors.
     """
     v = dict(values)
-    cap = v["delta"] ** (1.0 + v["alpha_minus"]) / (v["delta"] + 1.0)
-    v["beta_minus"] = min(v["beta_minus"], _BETA_CAP_MARGIN * cap)
+    v["beta_minus"] = min(v["beta_minus"], _BETA_CAP_MARGIN * beta_minus_cap(v["delta"], v["alpha_minus"]))
     for side in ("plus", "minus"):
         alpha = v[f"alpha_{side}"]
         floor = alpha * (1.0 + _SIGMA_FLOOR_REL)
@@ -103,14 +102,14 @@ def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> t
     def evaluate(params: ParamSet) -> BoundReport:
         D = []
         for sign in (+1, -1):
-            k = _side(params, sign)
+            k = params.side(sign)
             if k not in memo[sign]:
                 memo[sign][k] = _enclose_one_sign(params, sign)
             D.append(_upper_end(memo[sign][k], sign))
         return assemble(params, ctx, N_bar, D=tuple(D))
 
     def screened(params: ParamSet, sign: int, bar: float) -> bool:
-        k = _side(params, sign)
+        k = params.side(sign)
         if k not in memo[sign] and k not in lows[sign]:
             lows[sign][k] = _grid_bounds(params, sign, _SCREEN_PANELS)[0]
         q = compute_q(params, ctx)[0 if sign > 0 else 1]

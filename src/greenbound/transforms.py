@@ -9,8 +9,7 @@ P_{s-1}(u) du.  Three families appear:
 * trapezoid cutoffs g_U^- <= g_U <= g_U^+ with corners at T(U) < U < V(U):
       h_U^+(s) = 2 pi [(V^2-1) P^{-2}_{s-1}(V) - (U^2-1) P^{-2}_{s-1}(U)] / (V - U),
       h_U^-(s) = 2 pi [(U^2-1) P^{-2}_{s-1}(U) - (T^2-1) P^{-2}_{s-1}(T)] / (U - T),
-  with the boundary values h_U^+(1) = 2 pi (U-1) + pi (V-U) and
-  h_U^-(1) = 2 pi (U-1) - pi (U-T);
+  with the boundary values h_U^{+-}(1) = 2 pi (U-1) + pi (W-U), W = V or T;
 * resolvent h_a(s) = 1 / (s(1-s) + a(a-1)).
 
 The corner functions are
@@ -18,8 +17,8 @@ The corner functions are
     T(U) = U - beta^- U^{-1-alpha^-} (U^2 - 1),
     V(U) = U + beta^+ U^{-1-alpha^+} (U^2 - 1),
 
-and beta^- <= delta^{1+alpha^-} / (delta + 1) guarantees T(U) >= 1 for
-U >= delta.
+and beta^- <= delta^{1+alpha^-} / (delta + 1) (beta_minus_cap) guarantees
+T(U) >= 1 for U >= delta.
 
 The averaged transforms I_delta^{+-}(s) = (1/2 pi) Integral_delta^infinity
 h_U^{+-}(s) / (U^2 - 1) dU are evaluated by the adaptive Clenshaw-Curtis
@@ -47,6 +46,11 @@ _T_EDGE = 1.0 + 1e-9
 I_REL_TOL = 1e-8  # relative tolerance of I_delta_pm
 
 
+def beta_minus_cap(delta: float, alpha_minus: float) -> float:
+    """The corner criterion's cap delta^{1+alpha^-} / (delta + 1) on beta^-."""
+    return delta ** (1.0 + alpha_minus) / (delta + 1.0)
+
+
 @dataclass(frozen=True)
 class TrapezoidParams:
     """Parameters (delta, alpha^{+-}, beta^{+-}) of the trapezoid smoothing.
@@ -72,11 +76,15 @@ class TrapezoidParams:
             raise ConstraintViolation(f"beta_plus > 0 violated: {self.beta_plus}")
         if not (self.beta_minus > 0.0):
             raise ConstraintViolation(f"beta_minus > 0 violated: {self.beta_minus}")
-        cap = self.delta ** (1.0 + self.alpha_minus) / (self.delta + 1.0)
+        cap = beta_minus_cap(self.delta, self.alpha_minus)
         if not (self.beta_minus <= cap):
             raise ConstraintViolation(
                 f"beta_minus <= delta^(1+alpha_minus)/(delta+1) violated: {self.beta_minus} > {cap}"
             )
+
+    def side(self, sign: int) -> tuple[float, float]:
+        """(alpha, beta) of the plus (sign > 0) or minus side."""
+        return (self.alpha_plus, self.beta_plus) if sign > 0 else (self.alpha_minus, self.beta_minus)
 
 
 def T_of_U(params: TrapezoidParams, U):
@@ -96,6 +104,15 @@ def V_of_U(params: TrapezoidParams, U):
     if not np.all(U >= 1.0):
         raise ValueError(f"V_of_U requires U >= 1, got min U = {np.min(U)}")
     return U + params.beta_plus * U ** (-1.0 - params.alpha_plus) * (U * U - 1.0)
+
+
+def _corner(params: TrapezoidParams, sign: int, U):
+    """The trapezoid corner W(U): V(U) for sign +1, T(U) for sign -1."""
+    if sign == +1:
+        return V_of_U(params, U)
+    if sign == -1:
+        return T_of_U(params, U)
+    raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
 def h_U(s: complex, U: float) -> complex:
@@ -124,11 +141,9 @@ def h_U_pm(params: TrapezoidParams, sign: int, s: complex, U):
     against mpmath is 1e-6 relative at U = 2^200 and 14% at U = 2^300.
     """
     U = np.asarray(U, dtype=float)
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not np.all(U > 1.0):
         raise ValueError(f"h_U_pm requires U > 1, got min U = {np.min(U)}")
-    W = V_of_U(params, U) if sign == +1 else T_of_U(params, U)
+    W = _corner(params, sign, U)
     kept = (W > _T_EDGE) | (sign == +1)
     P = legendre_P_negm(2, s, np.concatenate([U.ravel(), W[kept]]))
     corner = np.zeros(U.shape, dtype=complex)
@@ -138,12 +153,9 @@ def h_U_pm(params: TrapezoidParams, sign: int, s: complex, U):
 
 
 def h_U_pm_at_one(params: TrapezoidParams, sign: int, U: float) -> float:
-    """Boundary values h_U^+(1) = 2 pi (U-1) + pi (V-U), h_U^-(1) = 2 pi (U-1) - pi (U-T)."""
-    if sign == +1:
-        return TWO_PI * (U - 1.0) + math.pi * (V_of_U(params, U) - U)
-    if sign == -1:
-        return TWO_PI * (U - 1.0) - math.pi * (U - T_of_U(params, U))
-    raise ValueError(f"sign must be +1 or -1, got {sign}")
+    """Boundary value h_U^{+-}(1) = 2 pi (U-1) + pi (W-U), W = V or T: the minus side's
+    2 pi (U-1) - pi (U-T), as pi (T-U) is exactly -pi (U-T)."""
+    return TWO_PI * (U - 1.0) + math.pi * (_corner(params, sign, U) - U)
 
 
 def h_a(a: float, s: complex) -> complex:
@@ -179,40 +191,28 @@ def resolvent_difference(a: float, b: float, s: complex, variant: str) -> comple
     return num / den
 
 
-def _tail_majorant_coefficient(params: TrapezoidParams, sign: int, sigma: float) -> float:
-    """Coefficient K with Integral_M^inf (p(V or T) + p(U)) U^{1+alpha} / (U^2-1)^2 dU
-    <= K (1 - M^-2)^-2 M^{alpha-sigma} / (sigma - alpha) / beta for M >= delta.
-
-    Uses p_sigma(u) <= 3 (C + C') (2u)^{2-sigma} / (4 sqrt(pi)), V <= kappa U
-    with kappa = 1 + beta^+ delta^{-alpha^+}, and T <= U.
-    """
-    c_main, c_prime = C_sigma(sigma)
-    p0 = 3.0 * (c_main + c_prime) * 2.0 ** (2.0 - sigma) / (4.0 * SQRT_PI)
-    if sign == +1:
-        kappa = 1.0 + params.beta_plus * params.delta ** (-params.alpha_plus)
-        beta = params.beta_plus
-        scale = kappa ** (2.0 - sigma) + 1.0
-    else:
-        beta = params.beta_minus
-        scale = 2.0
-    return p0 * scale / beta
-
-
 def averaged_transform_tail(
     params: TrapezoidParams, sign: int, sigma: float, M: float, s_factor: float = 1.0
 ) -> float:
-    """Analytic bound on |(1/2 pi) Integral_M^inf h_U^{+-}(s) / (U^2-1) dU|.
+    """Analytic bound on |(1/2 pi) Integral_M^inf h_U^{+-}(s) / (U^2-1) dU| for M >= delta.
 
     Requires sigma > alpha for integrability; s_factor should carry the
     |s(1-s)|^{-5/4} of the strip bound (1.0 when bounding the D integrals,
-    which already strip it off).
+    which already strip it off).  Without s_factor the bound is
+    K (1 - M^-2)^-2 M^{alpha-sigma} / (sigma - alpha), K = p0 (kappa^{2-sigma} + 1) / beta,
+    which also bounds Integral_M^inf (p(W) + p(U)) U^{1+alpha} / (beta (U^2-1)^2) dU:
+    p_sigma(u) <= p0 u^{2-sigma}, p0 = 3 (C + C') 2^{2-sigma} / (4 sqrt(pi)), and W <= kappa U,
+    kappa = max(1, 1 + sign beta delta^-alpha), as W / U - 1 = sign beta U^-alpha (1 - U^-2).
     """
-    alpha = params.alpha_plus if sign == +1 else params.alpha_minus
+    alpha, beta = params.side(sign)
     if not (sigma > alpha):
         raise NonConvergenceError(
             f"tail bound needs sigma > alpha, got sigma = {sigma}, alpha = {alpha}"
         )
-    coeff = _tail_majorant_coefficient(params, sign, sigma)
+    c_main, c_prime = C_sigma(sigma)
+    p0 = 3.0 * (c_main + c_prime) * 2.0 ** (2.0 - sigma) / (4.0 * SQRT_PI)
+    kappa = max(1.0, 1.0 + sign * beta * params.delta ** -alpha)
+    coeff = p0 * (kappa ** (2.0 - sigma) + 1.0) / beta
     geometry = (1.0 - M ** -2.0) ** -2.0
     return s_factor * coeff * geometry * M ** (alpha - sigma) / (sigma - alpha)
 

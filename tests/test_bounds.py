@@ -314,7 +314,7 @@ def grid_bounds_without_table(params, sign):
     """_grid_bounds with no cached prefix: the octave count by the tail rule,
     then a fresh table of _grid over exactly that many octaves."""
     t = params.trapezoid
-    sigma, alpha, beta = bounds._side(params, sign)
+    sigma, alpha, beta = params.side(sign)
     sq_lo, sq_hi = (bounds._dn(bounds._dn(t.delta * t.delta) - 1.0), bounds._up(bounds._up(t.delta * t.delta) - 1.0))
     floor = C_sigma(sigma)[0] * t.delta ** (alpha - sigma) / (4.0 * SQRT_PI * beta * (sigma - alpha))
     ends = np.arange(1, math.floor(600.0 - math.log2(sq_hi)) + 1)

@@ -175,7 +175,7 @@ def test_bounds_rejects_infinite_n_bar(source, capsys, tmp_path):
         ('{"cusp": {"eps": 0.05, "eps_prime": 0.2, "detla": 9}}', []),
         ('{"region": {"x_min": 0, "x_max": 0, "y_min": 1, "y_max": 1, "ymax": 2}}', []),
         ('{"U": true}', []),
-        ('{"cusp": {"eps": 0.05, "eps_prime": 0.2, "count_pm1": true}}', []),
+        ('{"cusp": {"eps": 0.05, "eps_prime": true}}', []),
         ('{"group": {"vol": 0.5, "eta": 0.25, "contains_minus_one": "false"}}', []),
         ('{"grid": [2.5, 3]}', []),
         ('{"grid": [Infinity, 1]}', []),
@@ -183,7 +183,7 @@ def test_bounds_rejects_infinite_n_bar(source, capsys, tmp_path):
     ids=[
         "grid-short", "grid-number", "group-no-eta", "region-short", "n_bar-null", "cusp-no-eps_prime",
         "no-eps-prime", "params-unknown", "group-unknown", "cusp-unknown", "region-unknown", "U-bool",
-        "count_pm1-bool", "minus-one-text", "grid-fraction", "grid-infinite",
+        "eps_prime-bool", "minus-one-text", "grid-fraction", "grid-infinite",
     ],
 )
 def test_bad_config_entries_are_refused(config, argv, capsys, tmp_path):
@@ -273,6 +273,50 @@ def test_cusp_extend_rejects_inadmissible_radii(capsys):
 def test_cusp_extend_requires_radii(capsys):
     assert main(["cusp-extend", "--case", "c"]) == EXIT_CONFIG
     assert "cusp radii" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cusp, argv",
+    [
+        ({"delta": 3}, ["--case", "c", "--eps", "0.01", "--eps-prime", "0.2", "--mode", "paper"]),
+        ({"min_c": 2}, ["--case", "a", "--eps", "0.01", "--eps-prime", "0.9"]),
+        ({"count_pm1": 1}, ["--case", "c", "--eps", "0.01", "--eps-prime", "0.2"]),
+        (None, ["--case", "c", "--eps", "0.01", "--eps-prime", "0.2", "--count-pm1", "1"]),
+    ],
+    ids=["delta", "min_c", "count_pm1", "count-pm1-flag"],
+)
+def test_cusp_takes_only_the_radii(cusp, argv, capsys, tmp_path):
+    """delta, min_c and the +-1 count are the certificate's own, so a cusp block or flag that sets
+    one (a delta = 3 cusp on the delta = 2 kernel, a min_c above the group's, one sign on SL(2, Z))
+    is refused: exit 1, one stderr line, no record."""
+    path, config = tmp_path / "cusp.json", tmp_path / "config.json"
+    if cusp is not None:
+        config.write_text(json.dumps({"cusp": cusp}), encoding="utf-8")
+        argv = [*argv, "--config", str(config)]
+    try:
+        code = main(["cusp-extend", *argv, "--json", str(path)])
+    except SystemExit as exc:  # argparse refuses a flag it does not know
+        code = exc.code
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.out == "" and not path.exists()
+    assert captured.err.startswith("greenbound")
+    assert (repr(next(iter(cusp))) if cusp else "--count-pm1") in captured.err
+
+
+def test_cusp_echo_is_derived_from_params_and_group(tmp_path, capsys):
+    """The cusp echo carries the params' delta, the group's min_c and its +-1 count."""
+    config, path = tmp_path / "config.json", tmp_path / "cusp.json"
+    entries = {
+        "params": {"delta": 3.0, "alpha_minus": 0.1, "beta_minus": 3.0**1.1 / 4.0},
+        "group": {"vol": 0.5, "eta": 0.24, "contains_minus_one": False, "min_c": 1.5},
+        "cusp": {"eps": 0.01, "eps_prime": 0.2},
+    }
+    config.write_text(json.dumps(entries), encoding="utf-8")
+    assert main(["cusp-extend", "--case", "c", "--config", str(config), "--json", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    record = read_record(path)
+    assert record["config"]["cusp"] == {"eps": 0.01, "eps_prime": 0.2, "delta": 3.0, "min_c": 1.5, "count_pm1": 1}
 
 
 def test_optimize_short_budget(capsys, tmp_path):
@@ -486,7 +530,8 @@ def test_any_config_and_flag_text_exits_0_or_1(tmp_path):
     """Config fields holding any JSON value, unknown keys among them, and any
     flag text: bounds, cusp-extend and count exit 0 or 1 without a traceback,
     a config error is one stderr line, and on exit 0 the record's config echo
-    holds the values given, flags over the file."""
+    holds the values given, flags over the file, and a cusp echo takes delta, min_c and the +-1
+    count from the params and the group."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # Numbers stay below 1e3 or are extreme: a count at U near 5e4 is accepted and takes seconds.
@@ -504,8 +549,7 @@ def test_any_config_and_flag_text_exits_0_or_1(tmp_path):
         "region": st.floats(-0.5, 0.4).flatmap(lambda x: st.floats(0.9, 1.9).map(lambda y: [x, x + 0.1, y, y + 0.1])),
         "group": st.just("sl2z"),
         "params": {name: st.floats(0.9, 1.0).map(lambda f, v=value: f * v) for name, value in ref.items()},
-        "cusp": {"eps": st.floats(1e-3, 0.01), "eps_prime": st.floats(0.1, 0.2), "count_pm1": st.sampled_from([1, 2]),
-                 "delta": st.floats(1.5, 2.5), "min_c": st.floats(1.0, 2.0)},
+        "cusp": {"eps": st.floats(1e-3, 0.01), "eps_prime": st.floats(0.1, 0.2)},
     }
     group = {"vol": st.floats(0.1, 3.0), "eta": st.floats(0.24, 0.25), "name": st.text(max_size=3),
              "contains_minus_one": st.booleans(), "min_c": st.floats(1.0, 2.0)}
@@ -572,6 +616,12 @@ def test_any_config_and_flag_text_exits_0_or_1(tmp_path):
         cusp = {name: given[name] for name in ("eps", "eps_prime") if name in given}
         if cusp:
             expected["cusp"] = {**(expected.get("cusp") or {}), **cusp}
-        assert _holds(read_record(record)["config"], expected), (expected, read_record(record)["config"])
+        echo = read_record(record)["config"]
+        assert _holds(echo, expected), (expected, echo)
+        if echo["cusp"] is not None:
+            ctx = echo["group"]
+            derived = {"delta": echo["params"]["delta"], "min_c": ctx["min_c"]}
+            assert {name: echo["cusp"][name] for name in derived} == derived, echo
+            assert echo["cusp"]["count_pm1"] == (2 if ctx["contains_minus_one"] else 1), echo
 
     check()

@@ -9,7 +9,7 @@ import pytest
 
 from greenbound import verify
 from greenbound._quad import integrate
-from greenbound.bounds import BoundReport
+from greenbound.bounds import BoundReport, GroupContext, group_preset, reference_params
 from greenbound.cusps import (
     CuspBoundReport,
     CuspGeometry,
@@ -162,6 +162,15 @@ def test_geometry_validation():
         CuspGeometry(eps=0.05, eps_prime=0.6, delta=2.0, min_c=1.0, count_pm1=2)
     with pytest.raises(ConstraintViolation, match="exceeds eps_prime"):
         CuspGeometry(eps=0.1, eps_prime=0.2, delta=2.0, min_c=1.0, count_pm1=2)
+
+
+def test_geometry_of_a_certificate_takes_its_delta_and_group_data():
+    """CuspGeometry.of gives the hand-built reference geometry at the reference inputs, and one
+    sign and the group's min_c for a group without -1."""
+    assert CuspGeometry.of(0.05, 0.2, reference_params(), group_preset("sl2z")) == reference_geometry()
+    group = GroupContext(name="g", vol=1.0, eta=0.2, contains_minus_one=False, min_c=1.5)
+    expected = CuspGeometry(eps=0.05, eps_prime=0.2, delta=2.0, min_c=1.5, count_pm1=1)
+    assert CuspGeometry.of(0.05, 0.2, reference_params(), group) == expected
 
 
 def test_geometry_accepts_the_admissible_maxima():

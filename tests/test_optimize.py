@@ -6,7 +6,7 @@ import pytest
 from test_bounds import D_MINUS_MPMATH, D_PLUS_MPMATH
 
 from greenbound import optimize
-from greenbound.bounds import ParamSet, _side, _upper_end, assemble, group_preset, reference_params, validate
+from greenbound.bounds import ParamSet, _upper_end, assemble, group_preset, reference_params, validate
 from greenbound.errors import ConstraintViolation
 from greenbound.optimize import search
 
@@ -147,7 +147,7 @@ def test_each_assembled_D_was_enclosed_at_its_own_floats(monkeypatch):
     enclose, assemble_ = optimize._enclose_one_sign, optimize.assemble
 
     def recorded_enclose(params, sign):
-        enclosed[sign, _side(params, sign)] = result = enclose(params, sign)
+        enclosed[sign, params.side(sign)] = result = enclose(params, sign)
         return result
 
     def recorded_assemble(params, ctx, N_bar, D):
@@ -160,4 +160,4 @@ def test_each_assembled_D_was_enclosed_at_its_own_floats(monkeypatch):
     assert len(assembled) > 50
     for params, D in assembled:
         for sign, value in zip((+1, -1), D):
-            assert value == _upper_end(enclosed[sign, _side(params, sign)], sign)
+            assert value == _upper_end(enclosed[sign, params.side(sign)], sign)

@@ -10,7 +10,7 @@ MAX_LINE = 120
 # Every private name one package module imports from another, as (importer, module, name).
 PRIVATE_IMPORTS = {
     ("optimize", "bounds", name)
-    for name in ("_certificate_end", "_enclose_one_sign", "_grid_bounds", "_side", "_upper_end")
+    for name in ("_certificate_end", "_enclose_one_sign", "_grid_bounds", "_upper_end")
 }
 
 
