@@ -20,7 +20,11 @@ Candidate enumeration derives from the closed form
 every square is at most 2U on the counted set, which pins (c, then a and d)
 into explicit intervals, and b = (ad - 1)/c must be integral.  Translations
 (c = 0) obey |b| <= y sqrt(2U - 2).  Continuous interval endpoints get a
-1e-9 slack before floor/ceil so borderline integers are kept.
+1e-9 slack before floor/ceil so borderline integers are kept.  The
+enumeration is built as integer arrays: ad = 1 (mod c) makes a a unit mod c
+and d the residue class of its inverse, so each a steps straight through
+its d values, and work and memory follow the candidates, not the (a, d)
+box.  Only the ranges and inverse tables of each c are Python loops.
 
 A matrix counts for a cell when one interval lower bound on u over the
 cell, _lower_u, is at most U (1 + SAFE_MARGIN); _lower_u bounds each part
@@ -33,6 +37,10 @@ whole blocks of cells from both sides, by _lower_u and by an upper bound,
 _upper_u, then halves the cells that attain the maximum, round after round,
 until a centre attains it (see its docstring).  One pass gives both bounds
 from their shared x-only parts (_parts), and a centre is tested by u itself.
+The parts that depend on a candidate alone (the vertex of W and W there)
+are computed once per candidate (_rows), and the two ends of a box in x and
+in y enter each kernel stacked, so a kernel call is a fixed, short list of
+numpy operations whatever the number of pairs.
 
 Before enumerating anything, enumerate_candidates, count_bound and
 enumerate_group_elements estimate their work in closed form and raise
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -61,14 +70,24 @@ SAFE_MARGIN = 1e-6  # relative inclusion margin on the count threshold
 TIE_MARGIN = 1e-9  # relative distance from U below which exact_count decides exactly
 # Cap on the estimated steps (kernel evaluations, about 2 ns each in the screen:
 # 1.3e8 took 0.25 s on a 2-core box) of the grid screen, of the refinement and of
-# the orbit loop of enumerate_group_elements.  A pure-Python candidate loop step
-# costs about 70 (1.15e8 took 16.4 s), so it counts LOOP_WEIGHT; a grid cell, its
-# counts and certificate entry, about 16 (4e6 cells at U = 1.0001 took 0.13 s).
+# the orbit loop of enumerate_group_elements.  The array enumeration of candidates
+# costs 1.0 to 4.8 ns per step of its (c, a, d) box (1.15e8 steps at U = 5e4 on a
+# point took 0.11 s, 7.9e6 at U = 4,999 on the truncated domain 14 ms, 1.2e5 at
+# U = 300 0.58 ms), so a step counts LOOP_WEIGHT, the upper end rounded up; a value
+# of c, its ranges and inverse table in Python, took 3.6 to 9 us with its box steps
+# (U = 1 to 17 at y_min = 1e-4 to 3e-3), so it counts C_WEIGHT on top of them; a
+# grid cell, its counts and certificate entry, about 16 (4e6 cells at U = 1.0001
+# took 0.13 s).
 MAX_WORK = 2**28
-LOOP_WEIGHT = 64
+LOOP_WEIGHT = 3
+C_WEIGHT = 4096
 CELL_WEIGHT = 16
 _CHUNK = 2**13  # kernel evaluations per call, to bound memory
 PRUNE_SLACK = 1e-12  # relative slack of the pruning threshold over the count threshold
+_EDGE = np.array([0, 1])[:, None, None]  # the lower and upper end of a cell, from its index
+# Rows of (x0, x1, y0, y1, xm, ym) that give (x0, x1, y0, y1) of the (first, second) half
+# of a piece, halved across x ([0]) or across y ([1]).
+_HALVES = np.array([[[0, 4], [4, 1], [2, 2], [3, 3]], [[0, 0], [1, 1], [2, 5], [5, 3]]])
 
 
 @dataclass(frozen=True)
@@ -76,12 +95,17 @@ class CandidateSet:
     """Sign-representatives that could satisfy min over R of u(z, gamma z) <= U.
 
     Representatives are normalized to c > 0, or c = 0 with a = d = 1; no
-    two entries are negatives of each other.
+    two entries are negatives of each other.  columns holds their (a, b, c, d)
+    as four integer rows, one column each; matrices builds them on first read.
     """
 
     region: Rectangle
     U: float
-    matrices: tuple[UnimodularMatrix, ...]
+    columns: np.ndarray = field(repr=False, compare=False)  # a function of region and U
+
+    @cached_property
+    def matrices(self) -> tuple[UnimodularMatrix, ...]:
+        return tuple(UnimodularMatrix(*m) for m in self.columns.T.tolist())
 
 
 @dataclass(frozen=True)
@@ -96,7 +120,7 @@ class CountCertificate:
     pairs: int = field(default=0, compare=False)  # bounds evaluated per candidate and box; work, not proof
 
     def __post_init__(self) -> None:
-        max_count = max(max(row) for row in self.per_cell_counts)
+        max_count = max(map(max, self.per_cell_counts))
         if self.bound != 2 * max_count:
             raise ValueError(f"bound {self.bound} is not twice the max cell count {max_count}")
         if self.bound < 2:
@@ -143,22 +167,22 @@ def _check_work(region: Rectangle, U: float, grid: tuple[int, int] = (1, 1)) -> 
     For c = 1 .. C = sqrt(2U)/y_min, a and d each take at most
     n(c) = 2 sqrt(2U) + 1 + c (x_max - x_min) values, and ad = 1 (mod c)
     leaves at most n(c)/c + 1 values of d per a; the sums over c are taken
-    in closed form (harmonic sum <= 1 + log C).  Each loop step counts
-    LOOP_WEIGHT against the cap, each cell CELL_WEIGHT and the block screen two
-    steps per candidate and block; _screen checks the per-cell tests it leaves
-    open.  NaN or infinity is refused.
+    in closed form (harmonic sum <= 1 + log C).  Each step of that (c, a, d)
+    box counts LOOP_WEIGHT against the cap, each value of c C_WEIGHT, each cell
+    CELL_WEIGHT and the block screen two steps per candidate and block; _screen
+    checks the per-cell tests it leaves open.  NaN or infinity is refused.
     """
     root_2u = math.sqrt(2.0 * U)
     n0 = 2.0 * root_2u + 1.0
     w = region.x_max - region.x_min
     C = root_2u / region.y_min
-    loop, candidates = 0.0, 2.0 * region.y_max * math.sqrt(max(2.0 * U - 2.0, 0.0)) + 1.0
+    loop, s1, candidates = 0.0, 0.0, 2.0 * region.y_max * math.sqrt(max(2.0 * U - 2.0, 0.0)) + 1.0
     if C >= 1.0:
         s1, s2, s3 = C, C * (C + 1.0) / 2.0, C * (C + 1.0) * (2.0 * C + 1.0) / 6.0
         loop = n0 * n0 * s1 + 2.0 * n0 * w * s2 + w * w * s3
         candidates += n0 * (n0 * (1.0 + math.log(C)) + (2.0 * w + 1.0) * s1) + w * (w + 1.0) * s2
     blocks = math.prod(-(-n // _block_side(n)) for n in grid)
-    work = LOOP_WEIGHT * loop + 2.0 * blocks * candidates + CELL_WEIGHT * grid[0] * grid[1]
+    work = LOOP_WEIGHT * loop + C_WEIGHT * s1 + 2.0 * blocks * candidates + CELL_WEIGHT * grid[0] * grid[1]
     if not (work <= MAX_WORK):
         raise ValueError(
             f"counting on [{region.x_min:g}, {region.x_max:g}] x "
@@ -168,32 +192,82 @@ def _check_work(region: Rectangle, U: float, grid: tuple[int, int] = (1, 1)) -> 
         )
 
 
+def _ramp(n: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n[0] - 1, 0, 1, ..., n[1] - 1, ...: each entry's place in its run, for run lengths n."""
+    return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+
+
 def _dist0(lo, hi):
     """Distance from 0 of the interval [lo, hi] (elementwise)."""
     return np.maximum(np.maximum(lo, -hi), 0.0)
 
 
-def _at(a, b, c, d, x):
-    """a - cx, d + cx and W(x) = b + (a - d)x - cx^2: the x-only parts of the closed form at x."""
-    cx = c * x
-    return a - cx, d + cx, b + (a - d) * x - cx * x
+def _rows(a, b, c, d):
+    """A candidate's kernel rows: -a, d, c, b, e = a - d, the vertex x = e/(2c) of W, W and |W| there, max(c, 1).
+
+    The bounds read the vertex and W there from these rows, so a candidate
+    computes them once, not once per box; for c = 0, a = d and W is constant.
+    a enters negated, so that a - cx and d + cx are each one addition of cx
+    (-a + cx is -(a - cx) exactly).  a, b, c, d share one shape.
+    """
+    e = a - d
+    c1 = np.maximum(c, 1.0)
+    xv = e / (2.0 * c1)
+    cv = c * xv
+    wv = b + e * xv - cv * xv
+    return np.array([-a, d, c, b, e, xv, wv, np.abs(wv), c1])
 
 
-def _parts(a, b, c, d, X0, X1):
-    """_at at X0 and at X1, W at the vertex x = (a - d)/(2c), and whether the vertex lies in [X0, X1]."""
-    xv = (a - d) / (2.0 * np.maximum(c, 1.0))  # for c = 0, a = d and W is constant
-    return (*_at(a, b, c, d, X0), *_at(a, b, c, d, X1), _at(a, b, c, d, xv)[2], (X0 <= xv) & (xv <= X1))
+def _parts(g, X):
+    """The x-only parts of the closed form on [X0, X1], for kernel rows g and X = (X0, X1) stacked.
+
+    Returns -(a - cx) and d + cx at X0 and X1 as ((-a0, -a1), (d0, d1)), W(x) = b + (a - d)x - cx^2
+    at X0 and X1, and whether the vertex lies in [X0, X1].
+    """
+    cx = g[2] * X
+    return g[0:2, None] + cx, g[3] + g[4] * X - cx * X, (X[0] <= g[5]) & (g[5] <= X[1])
 
 
-def _low(c, Y0, Y1, a0, d0, w0, a1, d1, w1, wv, inside):
-    w = _dist0(np.minimum(w0, w1), np.maximum(np.maximum(w0, w1), np.where(inside, wv, -np.inf)))
-    yc = np.where(c > 0.0, np.minimum(np.maximum(np.sqrt(w / np.maximum(c, 1.0)), Y0), Y1), Y1)
-    return 0.5 * (_dist0(a1, a0) ** 2 + (w / yc) ** 2 + (c * yc) ** 2 + _dist0(d0, d1) ** 2)
+def _low(g, Y, ad, w, inside):
+    """_lower_u from the rows g, Y = (Y0, Y1) stacked and _parts."""
+    m = _dist0(np.minimum(w[0], w[1]), np.maximum(np.maximum(w[0], w[1]), np.where(inside, g[6], -np.inf)))
+    yc = np.where(g[2], np.minimum(np.maximum(np.sqrt(m / g[8]), Y[0]), Y[1]), Y[1])  # Y1 where c = 0
+    s = _dist0(ad[:, 0], ad[:, 1]) ** 2  # least (a - cx)^2 and (d + cx)^2
+    return 0.5 * (s[0] + (m / yc) ** 2 + (g[2] * yc) ** 2 + s[1])
 
 
-def _high(c, Y0, Y1, a0, d0, w0, a1, d1, w1, wv, inside):
-    w = np.maximum(np.maximum(np.abs(w0), np.abs(w1)), np.abs(np.where(inside, wv, 0.0)))
-    return 0.5 * (np.maximum(a0**2, a1**2) + (w / Y0) ** 2 + (c * Y1) ** 2 + np.maximum(d0**2, d1**2))
+def _high(g, Y, ad, w, inside):
+    """_upper_u from the rows g, Y = (Y0, Y1) stacked and _parts."""
+    aw = np.abs(w)
+    m = np.maximum(np.maximum(aw[0], aw[1]), np.where(inside, g[7], 0.0))
+    s = ad**2
+    s = np.maximum(s[:, 0], s[:, 1])  # largest (a - cx)^2 and (d + cx)^2
+    return 0.5 * (s[0] + (m / Y[0]) ** 2 + (g[2] * Y[1]) ** 2 + s[1])
+
+
+def _lower(g, X, Y):
+    """_lower_u from the candidates' kernel rows g (_rows) over X = (X0, X1) and Y = (Y0, Y1) stacked."""
+    return _low(g, Y, *_parts(g, X))
+
+
+def _both(g, X, Y):
+    """_both_u from the candidates' kernel rows g (_rows) over X = (X0, X1) and Y = (Y0, Y1) stacked."""
+    parts = _parts(g, X)
+    return _low(g, Y, *parts), _high(g, Y, *parts)
+
+
+def _centre(g, x, y):
+    """_point_u from the candidates' kernel rows g (_rows)."""
+    cx = g[2] * x
+    s = (g[0:2] + cx) ** 2
+    w = g[3] + g[4] * x - cx * x
+    return 0.5 * (s[0] + (w / y) ** 2 + (g[2] * y) ** 2 + s[1])
+
+
+def _stacked(a, b, c, d, X0, X1, Y0, Y1):
+    """The arguments of _lower_u and its siblings as the kernels take them: rows (_rows), X = (X0, X1), Y = (Y0, Y1)."""
+    a, b, c, d, X0, X1, Y0, Y1 = np.broadcast_arrays(a, b, c, d, X0, X1, Y0, Y1)
+    return _rows(a, b, c, d), np.array([X0, X1]), np.array([Y0, Y1])
 
 
 def _lower_u(a, b, c, d, X0, X1, Y0, Y1):
@@ -213,7 +287,7 @@ def _lower_u(a, b, c, d, X0, X1, Y0, Y1):
 
     On a single point every part is exact and the bound is u itself.
     """
-    return _low(c, Y0, Y1, *_parts(a, b, c, d, X0, X1))
+    return _lower(*_stacked(a, b, c, d, X0, X1, Y0, Y1))
 
 
 def _upper_u(a, b, c, d, X0, X1, Y0, Y1):
@@ -233,19 +307,19 @@ def _upper_u(a, b, c, d, X0, X1, Y0, Y1):
     part is computed from the same floats as in _lower_u and rounding is
     monotone, so in floats too the bound is never below _lower_u.
     """
-    return _high(c, Y0, Y1, *_parts(a, b, c, d, X0, X1))
+    g, X, Y = _stacked(a, b, c, d, X0, X1, Y0, Y1)
+    return _high(g, Y, *_parts(g, X))
 
 
 def _both_u(a, b, c, d, X0, X1, Y0, Y1):
     """(_lower_u, _upper_u) from one evaluation of their shared x-only parts, bit for bit."""
-    parts = _parts(a, b, c, d, X0, X1)
-    return _low(c, Y0, Y1, *parts), _high(c, Y0, Y1, *parts)
+    return _both(*_stacked(a, b, c, d, X0, X1, Y0, Y1))
 
 
 def _point_u(a, b, c, d, x, y):
     """u(z, gamma z) at z = x + iy by the closed form: _lower_u on the point, from the same floats."""
-    ax, dx, w = _at(a, b, c, d, x)
-    return 0.5 * (ax**2 + (w / y) ** 2 + (c * y) ** 2 + dx**2)
+    g, X, Y = _stacked(a, b, c, d, x, x, y, y)
+    return _centre(g, X[0], Y[0])
 
 
 def _signed(gamma: UnimodularMatrix):
@@ -269,23 +343,44 @@ def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
 
     Returned in canonical order: translations by increasing b, then c > 0
     sorted by (c, a, d).  The set is a superset of the matrices any
-    sub-rectangle of region can count for the same U.
+    sub-rectangle of region can count for the same U.  The entries are
+    64-bit integers, so a region where |a| and |d| could pass 2^31, that is
+    sqrt(2U) (1 + max |x| / y_min) + 1 >= 2^31, raises ValueError.
     """
     if not (U >= 1.0):
         raise ValueError(f"enumerate_candidates requires U >= 1, got U = {U}")
     _check_work(region, U)
-    matrices: list[UnimodularMatrix] = []
     root_2u = math.sqrt(2.0 * U)
+    reach = root_2u + root_2u / region.y_min * max(abs(region.x_min), abs(region.x_max)) + 1.0  # |a|, |d| at most
+    if not reach * reach < 2.0**62:  # so that ad and b fit in int64
+        raise ValueError(
+            f"enumerate_candidates: entries up to {reach:.3g} at x up to "
+            f"{max(abs(region.x_min), abs(region.x_max)):g} overflow 64-bit integers; "
+            "translate the region towards x = 0 by an integer (count_bound does)"
+        )
     b_max = region.y_max * math.sqrt(max(2.0 * U - 2.0, 0.0))
-    for b in _int_range(-b_max, b_max):
-        matrices.append(UnimodularMatrix(1, b, 0, 1))
-    c_max = root_2u / region.y_min
-    for c in _int_range(1.0, c_max):
-        for a in _int_range(-root_2u + c * region.x_min, root_2u + c * region.x_max):
-            for d in _int_range(-root_2u - c * region.x_max, root_2u - c * region.x_min):
-                if (a * d - 1) % c == 0:
-                    matrices.append(UnimodularMatrix(a, (a * d - 1) // c, c, d))
-    return CandidateSet(region=region, U=U, matrices=tuple(matrices))
+    b = _int_range(-b_max, b_max)
+    b = np.arange(b.start, b.stop)
+    cs = _int_range(1.0, root_2u / region.y_min)
+    ar = [_int_range(-root_2u + c * region.x_min, root_2u + c * region.x_max) for c in cs]
+    dr = [_int_range(-root_2u - c * region.x_max, root_2u - c * region.x_min) for c in cs]
+    # ad = 1 (mod c): a is a unit mod c, and d runs over the class of a's inverse in dr.  Each c has
+    # a table of the inverses of its first c values of a, -1 for no unit; the tables lie end to end.
+    tables = [[pow(r, -1, c) if math.gcd(r, c) == 1 else -1 for r in a[:c]] for c, a in zip(cs, ar)]
+    c, a0, na, d0, d1, nt = np.array(
+        [(c, a.start, len(a), d.start, d.stop, len(t)) for c, a, d, t in zip(cs, ar, dr, tables)], dtype=np.int64
+    ).reshape(-1, 6).T
+    k, i = np.repeat(np.arange(c.size), na), _ramp(na)  # per a: the index of its c and its place in ar
+    inv = np.array([v for t in tables for v in t], dtype=np.int64)[np.repeat(np.cumsum(nt) - nt, na) + i % c[k]]
+    unit = inv >= 0
+    k, a, inv = k[unit], (a0[k] + i)[unit], inv[unit]
+    c, d0 = c[k], d0[k]
+    first = d0 + (inv - d0) % c  # the least d of each a
+    n = np.maximum((d1[k] - 1 - first) // c + 1, 0)
+    a, c = np.repeat(a, n), np.repeat(c, n)
+    d = np.repeat(first, n) + c * _ramp(n)
+    columns = [[np.ones_like(b), b, np.zeros_like(b), np.ones_like(b)], [a, (a * d - 1) // c, c, d]]
+    return CandidateSet(region=region, U=U, columns=np.concatenate(columns, axis=1))
 
 
 def _block_side(n: int) -> int:
@@ -313,18 +408,19 @@ def _screen(
     candidate) pairs as two index arrays, sorted.
     """
     nx, ny, k = len(xs) - 1, len(ys) - 1, cols.shape[1]
+    rows = _rows(*cols)
     ex, ey = np.append(np.arange(0, nx, side[0]), nx), np.append(np.arange(0, ny, side[1]), ny)
     nbx, nby = len(ex) - 1, len(ey) - 1
+    xb, yb = np.array([xs[ex[:-1]], xs[ex[1:]]])[:, None, :, None], np.array([ys[ey[:-1]], ys[ey[1:]]])  # block ends
     sure = np.zeros((nbx, nby), dtype=np.int64)
     open_b, open_c = [], []
     step = max(1, _CHUNK // (nbx * nby))  # candidates per call
     width = max(1, _CHUNK // (step * nby))
     for j in range(0, k, step):
-        part = cols[:, j : j + step, None, None]
+        part = rows[:, j : j + step, None, None]
         for i in range(0, nbx, width):
             x = slice(i, i + width)
-            block = (xs[ex[:-1][x], None], xs[ex[1:][x], None], ys[ey[:-1]], ys[ey[1:]])
-            low, high = _both_u(*part, *block)
+            low, high = _both(part, xb[:, :, x], yb)
             is_sure = high <= U
             sure[x] += np.count_nonzero(is_sure, axis=0)
             c, bx, by = np.nonzero((low <= relaxed) & ~is_sure)
@@ -342,8 +438,8 @@ def _screen(
         ix, iy = ex[b[q] // nby, None] + ox, ey[b[q] % nby, None] + oy
         ok = (ix < nx)[:, :, None] & (iy < ny)[:, None, :]  # cells of partial blocks
         ix, iy = np.minimum(ix, nx - 1), np.minimum(iy, ny - 1)
-        cells = (xs[ix, None], xs[ix + 1, None], ys[iy][:, None], ys[iy + 1][:, None])
-        ok &= _lower_u(*cols[:, c[q], None, None], *cells) <= cutoff
+        cells = xs[ix + _EDGE][..., None], ys[iy + _EDGE][:, :, None]  # (x0, x1) and (y0, y1) of each cell
+        ok &= _lower(rows.take(c[q], axis=1)[:, :, None, None], *cells) <= cutoff
         cell = (ix[:, :, None] * ny + iy[:, None, :])[ok]
         if cell.size:
             low = cell.min()
@@ -352,10 +448,15 @@ def _screen(
     return counts, 2 * k * nbx * nby + b.size * side[0] * side[1], sure, b, c
 
 
-def _each(kernel, cols: np.ndarray, cand: np.ndarray, at: np.ndarray, box):
-    """kernel on each pair i, candidate cand[i] over box (v[at[i]] for v in box), on the last axis; _CHUNK per call."""
-    chunks = (slice(i, i + _CHUNK) for i in range(0, max(cand.size, 1), _CHUNK))
-    out = [kernel(*cols[:, cand[s]], *(v[at[s]] for v in box)) for s in chunks]
+def _each(kernel, rows: np.ndarray, cand: np.ndarray, at: np.ndarray, box: np.ndarray):
+    """kernel on each pair i: the kernel rows of candidate cand[i] over the box column at[i] (last axis).
+
+    _CHUNK / 2 pairs per call, so that _both's (2, 2, pairs) temporaries stay at 128 kB: a call on
+    5,000 pairs (160 kB) took twice as long as one on 4,500 (2-core box).
+    """
+    step = max(1, _CHUNK // 2)
+    chunks = (slice(i, i + step) for i in range(0, max(cand.size, 1), step))
+    out = [kernel(rows.take(cand[s], axis=1), *box.take(at[s], axis=-1)) for s in chunks]
     return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
 
@@ -404,7 +505,11 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     a test of every candidate on every piece makes, and only the cells that a
     candidate's level set u = U crosses test it one by one.  `pairs` counts
     each bound evaluated on one candidate and box: two per pass of _both_u,
-    one per centre.
+    one per centre.  A round costs a fixed number of numpy calls, whatever
+    its numbers of pieces and pairs: the pieces keep their boxes in one
+    array and their grid cell, count and sure count in another, so each
+    gather, update and halving is one call, and the grid is searched for
+    cells at the maximum only in rounds whose maximum a grid cell attains.
 
     The result is a proof: every matrix with u <= U at some point of a
     piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
@@ -423,73 +528,73 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     _check_work(centred, U, grid)
     cutoff = U * (1.0 + SAFE_MARGIN)
     relaxed = cutoff * (1.0 + PRUNE_SLACK)
-    cols = np.array([m.entries() for m in enumerate_candidates(centred, U).matrices], dtype=float).T
+    cols = enumerate_candidates(centred, U).columns.astype(float)
+    rows = _rows(*cols)
 
     xs = np.linspace(centred.x_min, centred.x_max, nx + 1)
     ys = np.linspace(centred.y_min, centred.y_max, ny + 1)
     side = (_block_side(nx), _block_side(ny))
     counts, pairs, block_sure, block_of, block_cand = _screen(cols, xs, ys, side, U, cutoff, relaxed)
-    # Pieces: the grid cells that have been maximal and their halves, with
-    # their grid cell (owner), their count and the count of candidates sure
-    # on them; the (piece, cand) pairs list the candidates still open.
-    box = [np.empty(0) for _ in range(4)]
-    owner, score, sure, piece, cand = (np.empty(0, dtype=np.int64) for _ in range(5))
-    work = 0
+    nby, block_sure = block_sure.shape[1], block_sure.ravel()
+    # Pieces: the grid cells that have been maximal and their halves.  box holds their
+    # ((x0, x1), (y0, y1)) and tally their grid cell (owner), count (score) and count of
+    # candidates sure on them, one column each; pair lists the (piece, candidate) pairs
+    # still open.  grid_top is the largest count of a grid cell not yet a piece.
+    box = np.empty((2, 2, 0))
+    tally, pair = np.empty((3, 0), dtype=np.int64), np.empty((2, 0), dtype=np.int64)
+    grid_top, work = counts.max(), 0
     while True:
-        top = max(counts.max(), score.max(initial=0))
-        fresh = np.flatnonzero(counts == top)  # grid cells maximal for the first time
-        ix, iy = np.divmod(fresh, ny)
-        block = np.ravel_multi_index((ix // side[0], iy // side[1]), block_sure.shape)
-        lo = np.searchsorted(block_of, block)
-        n = np.searchsorted(block_of, block, side="right") - lo  # the open pairs of each cell's block
-        piece = np.concatenate([piece, np.repeat(score.size + np.arange(fresh.size), n)])
-        cand = np.concatenate([cand, block_cand[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]])
-        box = [np.concatenate([v, e]) for v, e in zip(box, (xs[ix], xs[ix + 1], ys[iy], ys[iy + 1]))]
-        owner, score = np.concatenate([owner, fresh]), np.concatenate([score, counts[fresh]])
-        sure = np.concatenate([sure, block_sure.ravel()[block]])
-        counts[fresh] = 0
-        hot = np.flatnonzero(score == top)
-        x0, x1, y0, y1 = (v[hot] for v in box)
-        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        wide = x1 - x0 >= y1 - y0
-        work += 3 * hot.size * cols.shape[1]
-        if work > MAX_WORK or not np.all(np.where(wide, (x0 < xm) & (xm < x1), (y0 < ym) & (ym < y1))):
+        top = max(grid_top, tally[1].max(initial=0))
+        if grid_top == top:  # grid cells maximal for the first time become pieces
+            fresh = (counts == top).nonzero()[0]
+            ix, iy = np.divmod(fresh, ny)
+            block = ix // side[0] * nby + iy // side[1]
+            lo, hi = np.searchsorted(block_of, [block, block + 1])  # the open pairs of each cell's block
+            n = hi - lo
+            cand = block_cand[np.repeat(lo, n) + _ramp(n)]
+            pair = np.concatenate([pair, [np.repeat(tally.shape[1] + np.arange(fresh.size), n), cand]], axis=1)
+            box = np.concatenate([box, [[xs[ix], xs[ix + 1]], [ys[iy], ys[iy + 1]]]], axis=2)
+            tally = np.concatenate([tally, [fresh, counts[fresh], block_sure[block]]], axis=1)
+            counts[fresh] = 0
+            grid_top = counts.max()
+        is_hot = tally[1] == top
+        hot = is_hot.nonzero()[0]
+        h, b = hot.size, box.take(hot, axis=2)
+        mid = 0.5 * (b[:, 0] + b[:, 1])  # xm, ym
+        size = b[:, 1] - b[:, 0]
+        wide = size[0] >= size[1]
+        inner = (b[:, 0] < mid) & (mid < b[:, 1])
+        work += 3 * h * cols.shape[1]
+        if work > MAX_WORK or not np.where(wide, inner[0], inner[1]).all():
             break
-        slot = np.full(score.size, -1)
-        slot[hot] = np.arange(hot.size)
-        on_hot = slot[piece] >= 0
-        at, c = slot[piece[on_hot]], cand[on_hot]  # the open pairs of the hot pieces, at their slot in hot
-        low = _each(_point_u, cols, c, at, (xm, ym))
+        on_hot = is_hot[pair[0]]
+        at, c = hot.searchsorted(pair[0].compress(on_hot)), pair[1].compress(on_hot)  # at: slot in hot
+        low = _each(_centre, rows, c, at, mid)
         pairs += at.size
-        if np.any(sure[hot] + np.bincount(at[low <= cutoff], minlength=hot.size) >= top):
+        if (tally[2, hot] + np.bincount(at.compress(low <= cutoff), minlength=h) >= top).any():
             break
-        # The first halves replace their pieces in place; the second are appended.  Both are
-        # tested in one pass, the pairs of the second half at slots hot.size + at.
-        first = (x0, np.where(wide, xm, x1), y0, np.where(wide, y1, ym))
-        second = (np.where(wide, xm, x0), x1, np.where(wide, y0, ym), y1)
-        at, c = np.concatenate([at, at + hot.size]), np.concatenate([c, c])
-        low, high = _each(_both_u, cols, c, at, [np.concatenate(v) for v in zip(first, second)])
+        # Both halves of each hot piece, in one pass: the first (lower x or y) at slot i, the
+        # second at h + i.  The first halves replace their pieces in place; the second are appended.
+        split = np.where(wide, _HALVES[0, :, :, None], _HALVES[1, :, :, None])
+        halves = np.concatenate([b.reshape(4, h), mid])[split, np.arange(h)].reshape(2, 2, 2 * h)
+        at, c = np.concatenate([at, at + h]), np.concatenate([c, c])
+        low, high = _each(_both, rows, c, at, halves)
         is_sure = high <= U
         keep = (low <= relaxed) & ~is_sure
-        ids = np.concatenate([hot, score.size + np.arange(hot.size)])
-        piece, cand = np.concatenate([piece[~on_hot], ids[at[keep]]]), np.concatenate([cand[~on_hot], c[keep]])
-        counted, sured = (
-            sure[hot] + np.bincount(at[ok], minlength=2 * hot.size).reshape(2, -1) for ok in (low <= cutoff, is_sure)
-        )
+        ids = np.concatenate([hot, tally.shape[1] + np.arange(h)])
+        pair = np.concatenate([pair.compress(~on_hot, axis=1), [ids[at.compress(keep)], c.compress(keep)]], axis=1)
         pairs += 2 * at.size
-        score[hot], sure[hot] = counted[0], sured[0]
-        score, sure = np.concatenate([score, counted[1]]), np.concatenate([sure, sured[1]])
-        owner = np.concatenate([owner, owner[hot]])
-        for j in range(4):
-            box[j][hot] = first[j]
-            box[j] = np.concatenate([box[j], second[j]])
+        new = tally.take(np.concatenate([hot, hot]), axis=1)  # owner, score and sure count of each half
+        new[1:] = new[2] + [np.bincount(at.compress(ok), minlength=2 * h) for ok in (low <= cutoff, is_sure)]
+        tally[:, hot], box[..., hot] = new[:, :h], halves[..., :h]
+        tally, box = np.concatenate([tally, new[:, h:]], axis=1), np.concatenate([box, halves[..., h:]], axis=2)
 
-    np.maximum.at(counts, owner, score)
+    np.maximum.at(counts, tally[0], tally[1])
     return CountCertificate(
         region=region,
         U=U,
         grid=(nx, ny),
-        per_cell_counts=tuple(tuple(row.tolist()) for row in counts.reshape(nx, ny)),
+        per_cell_counts=tuple(map(tuple, counts.reshape(nx, ny).tolist())),
         bound=2 * int(top),
         pairs=pairs,
     )

@@ -362,7 +362,7 @@ def test_optimize_refuses_zero_iterations(capsys):
 
 
 def test_count_work_cap_weighs_the_candidate_loop(capsys):
-    """At one point a large U is all candidate loop, which runs in Python:
+    """At one point a large U is all candidate enumeration:
     U = 5e4 is refused at once, U = 5000 still counts."""
     start = time.perf_counter()
     assert main(["count", "--point", "0.1,1.1", "--U", "50000"]) == EXIT_CONFIG

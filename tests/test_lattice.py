@@ -52,6 +52,39 @@ def test_candidate_enumeration_is_canonical():
     assert keys == sorted(keys)
 
 
+def _loop_candidates(region, U):
+    """The candidate set by a plain (c, a, d) loop over the ranges enumerate_candidates documents."""
+    root_2u = math.sqrt(2.0 * U)
+    b_max = region.y_max * math.sqrt(max(2.0 * U - 2.0, 0.0))
+    found = [(1, b, 0, 1) for b in lattice._int_range(-b_max, b_max)]
+    for c in lattice._int_range(1.0, root_2u / region.y_min):
+        for a in lattice._int_range(-root_2u + c * region.x_min, root_2u + c * region.x_max):
+            for d in lattice._int_range(-root_2u - c * region.x_max, root_2u - c * region.x_min):
+                if (a * d - 1) % c == 0:
+                    found.append((a, (a * d - 1) // c, c, d))
+    return tuple(UnimodularMatrix(*m) for m in found)
+
+
+def test_array_enumeration_matches_the_loop():
+    """The array enumeration gives the loop's matrices in the loop's order: on 300 seeded regions
+    (points and segments included) with |x| <= 4, y in [0.6, 3] and U in [1, 40], on the
+    truncated domain at U = 881 (27,326 candidates) and near x = 1e6; it refuses a region whose
+    entries would overflow its 64-bit integers."""
+    rng = random.Random(70500)
+    for _ in range(300):
+        x0, y0 = rng.uniform(-4.0, 3.5), rng.uniform(0.6, 2.5)
+        width, height = (rng.choice([0.0, rng.uniform(0.0, s)]) for s in (4.0 - x0, 3.0 - y0))
+        U = rng.choice([float(rng.randint(1, 40)), rng.uniform(1.0, 40.0)])
+        region = Rectangle(x0, x0 + width, y0, y0 + height)
+        assert enumerate_candidates(region, U).matrices == _loop_candidates(region, U), (region, U)
+    box = truncated_fundamental_domain()
+    assert enumerate_candidates(box, 881.0).matrices == _loop_candidates(box, 881.0)
+    far = Rectangle(1e6 + 0.3, 1e6 + 0.5, 1.0, 1.2)  # entries up to 4e12
+    assert enumerate_candidates(far, 9.0).matrices == _loop_candidates(far, 9.0)
+    with pytest.raises(ValueError, match="64-bit"):  # entries near 6e9: ad would wrap
+        enumerate_candidates(Rectangle(1e9, 1e9, 1.0, 1.0), 17.0)
+
+
 def test_count_certificate_reference_grid():
     box = truncated_fundamental_domain()
     cert = count_bound(box, STANDARD_U, (100, 100))
@@ -150,16 +183,19 @@ def test_shared_parts_give_both_kernels_bit_for_bit():
 
 def _oracle_count_bound(region, U, grid):
     """count_bound by testing every candidate on every piece: the grid screen
-    and the bisection of the maximal cells without any pruning."""
+    and the bisection of the maximal cells without any pruning, on the grid of
+    the region moved to the strip around x = 0, as count_bound counts; the
+    certificate names the caller's region."""
     cutoff = U * (1.0 + lattice.SAFE_MARGIN)
-    cols = np.array([m.entries() for m in enumerate_candidates(region, U).matrices], dtype=float).T
+    moved = lattice._centred(region)
+    cols = np.array([m.entries() for m in enumerate_candidates(moved, U).matrices], dtype=float).T
 
     def count(cells):
         return np.count_nonzero(lattice._lower_u(*cols[:, None, :], *(v[:, None] for v in cells)) <= cutoff, axis=1)
 
     nx, ny = grid
-    xs = np.linspace(region.x_min, region.x_max, nx + 1)
-    ys = np.linspace(region.y_min, region.y_max, ny + 1)
+    xs = np.linspace(moved.x_min, moved.x_max, nx + 1)
+    ys = np.linspace(moved.y_min, moved.y_max, ny + 1)
     cells = [np.repeat(xs[:-1], ny), np.repeat(xs[1:], ny), np.tile(ys[:-1], nx), np.tile(ys[1:], nx)]
     owner, counts, work = np.arange(nx * ny), count(cells), 0
     while True:
@@ -211,6 +247,7 @@ def test_count_bound_matches_the_all_pairs_oracle():
     @hypothesis.example(0.0, 0.0, 1.0, 0.6, 3.0, 1, 5)  # a segment
     @hypothesis.example(full.x_min, 1.0, full.y_min, full.y_max - full.y_min, 17.0, 11, 11)  # sure at the first split
     @hypothesis.example(0.04, 0.6, 1.12, 0.23, 16.05, 3, 2)  # ends at the last of 7 hot centres
+    @hypothesis.example(0.40625, 0.40853598691700443, 1.5, 0.40853598691700443, 16.0, 1, 4)  # moved by -1
     def check(x0, width, y0, height, U, nx, ny):
         region = Rectangle(x0, x0 + width, y0, y0 + height)
         assert count_bound(region, U, (nx, ny)) == _oracle_count_bound(region, U, (nx, ny))
@@ -469,6 +506,14 @@ def test_work_cap_charges_the_block_screen(monkeypatch):
         with pytest.raises(ValueError, match="above the cap"):
             count_bound(box, U, grid)
         assert time.perf_counter() - start < 0.1
+
+
+def test_work_cap_accepts_delta_50_counts():
+    """U = 4,999 (delta = 50) on the truncated domain is estimated below MAX_WORK on 1x1 and on
+    40x40; the estimate alone is checked here, as the counts take seconds."""
+    box = truncated_fundamental_domain()
+    for grid in ((1, 1), (40, 40)):
+        lattice._check_work(box, 4999.0, grid)
 
 
 def test_screen_refuses_open_pairs_above_the_cap(monkeypatch):
