@@ -27,20 +27,20 @@ its d values, and work and memory follow the candidates, not the (a, d)
 box.  Only the ranges and inverse tables of each c are Python loops.
 
 A matrix counts for a cell when one interval lower bound on u over the
-cell, _lower_u, is at most U (1 + SAFE_MARGIN); _lower_u bounds each part
-of the closed form below separately and exactly (see its docstring) and is
-u itself on a single point, so a cell's count covers every point of the
+cell, _low, is at most U (1 + SAFE_MARGIN); _low bounds each part of the
+closed form below separately and exactly (see its docstring) and is u
+itself on a single point, so a cell's count covers every point of the
 cell.  The region is first moved into the strip around x = 0 by an
 integer translation, which changes no count and keeps the rounding of the
 bound small.  count_bound screens the grid once, settling most matrices on
-whole blocks of cells from both sides, by _lower_u and by an upper bound,
-_upper_u, then halves the cells that attain the maximum, round after round,
-until a centre attains it (see its docstring).  One pass gives both bounds
-from their shared x-only parts (_parts), and a centre is tested by u itself.
-The parts that depend on a candidate alone (the vertex of W and W there)
-are computed once per candidate (_rows), and the two ends of a box in x and
-in y enter each kernel stacked, so a kernel call is a fixed, short list of
-numpy operations whatever the number of pairs.
+whole blocks of cells from both sides, by _low and by an upper bound,
+_high, then halves the cells that attain the maximum, round after round,
+until a centre attains it (see its docstring).  One pass (_both) gives both
+bounds from their shared x-only parts (_parts), and a centre is tested by u
+itself (_centre).  The parts that depend on a candidate alone (the vertex
+of W and W there) are computed once per candidate (_rows), and the two ends
+of a box in x and in y enter each kernel stacked, so a kernel call is a
+fixed, short list of numpy operations whatever the number of pairs.
 
 Before enumerating anything, enumerate_candidates, count_bound and
 enumerate_group_elements estimate their work in closed form and raise
@@ -179,6 +179,8 @@ def _check_work(region: Rectangle, U: float, grid: tuple[int, int] = (1, 1)) -> 
     loop, s1, candidates = 0.0, 0.0, 2.0 * region.y_max * math.sqrt(max(2.0 * U - 2.0, 0.0)) + 1.0
     if C >= 1.0:
         s1, s2, s3 = C, C * (C + 1.0) / 2.0, C * (C + 1.0) * (2.0 * C + 1.0) / 6.0
+        if w == 0.0:  # no width terms, not 0 * inf where s2 or s3 overflows
+            s2 = s3 = 0.0
         loop = n0 * n0 * s1 + 2.0 * n0 * w * s2 + w * w * s3
         candidates += n0 * (n0 * (1.0 + math.log(C)) + (2.0 * w + 1.0) * s1) + w * (w + 1.0) * s2
     blocks = math.prod(-(-n // _block_side(n)) for n in grid)
@@ -229,52 +231,11 @@ def _parts(g, X):
 
 
 def _low(g, Y, ad, w, inside):
-    """_lower_u from the rows g, Y = (Y0, Y1) stacked and _parts."""
-    m = _dist0(np.minimum(w[0], w[1]), np.maximum(np.maximum(w[0], w[1]), np.where(inside, g[6], -np.inf)))
-    yc = np.where(g[2], np.minimum(np.maximum(np.sqrt(m / g[8]), Y[0]), Y[1]), Y[1])  # Y1 where c = 0
-    s = _dist0(ad[:, 0], ad[:, 1]) ** 2  # least (a - cx)^2 and (d + cx)^2
-    return 0.5 * (s[0] + (m / yc) ** 2 + (g[2] * yc) ** 2 + s[1])
-
-
-def _high(g, Y, ad, w, inside):
-    """_upper_u from the rows g, Y = (Y0, Y1) stacked and _parts."""
-    aw = np.abs(w)
-    m = np.maximum(np.maximum(aw[0], aw[1]), np.where(inside, g[7], 0.0))
-    s = ad**2
-    s = np.maximum(s[:, 0], s[:, 1])  # largest (a - cx)^2 and (d + cx)^2
-    return 0.5 * (s[0] + (m / Y[0]) ** 2 + (g[2] * Y[1]) ** 2 + s[1])
-
-
-def _lower(g, X, Y):
-    """_lower_u from the candidates' kernel rows g (_rows) over X = (X0, X1) and Y = (Y0, Y1) stacked."""
-    return _low(g, Y, *_parts(g, X))
-
-
-def _both(g, X, Y):
-    """_both_u from the candidates' kernel rows g (_rows) over X = (X0, X1) and Y = (Y0, Y1) stacked."""
-    parts = _parts(g, X)
-    return _low(g, Y, *parts), _high(g, Y, *parts)
-
-
-def _centre(g, x, y):
-    """_point_u from the candidates' kernel rows g (_rows)."""
-    cx = g[2] * x
-    s = (g[0:2] + cx) ** 2
-    w = g[3] + g[4] * x - cx * x
-    return 0.5 * (s[0] + (w / y) ** 2 + (g[2] * y) ** 2 + s[1])
-
-
-def _stacked(a, b, c, d, X0, X1, Y0, Y1):
-    """The arguments of _lower_u and its siblings as the kernels take them: rows (_rows), X = (X0, X1), Y = (Y0, Y1)."""
-    a, b, c, d, X0, X1, Y0, Y1 = np.broadcast_arrays(a, b, c, d, X0, X1, Y0, Y1)
-    return _rows(a, b, c, d), np.array([X0, X1]), np.array([Y0, Y1])
-
-
-def _lower_u(a, b, c, d, X0, X1, Y0, Y1):
     """Lower bound on u(z, gamma z) over z in [X0, X1] x [Y0, Y1], for c >= 0.
 
-    Arguments broadcast, in count_bound candidates as columns and cells as
-    rows; c is 0 or an integer >= 1.  Each part of the closed form is
+    From the kernel rows g (_rows), Y = (Y0, Y1) stacked and _parts(g, X),
+    X = (X0, X1), broadcast, in count_bound candidates as columns and cells
+    as rows; c is 0 or an integer >= 1.  Each part of the closed form is
     bounded below exactly over the cell:
 
     * (a - cx)^2 and (d + cx)^2 by the squared distance from 0 of the range
@@ -287,14 +248,16 @@ def _lower_u(a, b, c, d, X0, X1, Y0, Y1):
 
     On a single point every part is exact and the bound is u itself.
     """
-    return _lower(*_stacked(a, b, c, d, X0, X1, Y0, Y1))
+    m = _dist0(np.minimum(w[0], w[1]), np.maximum(np.maximum(w[0], w[1]), np.where(inside, g[6], -np.inf)))
+    yc = np.where(g[2], np.minimum(np.maximum(np.sqrt(m / g[8]), Y[0]), Y[1]), Y[1])  # Y1 where c = 0
+    s = _dist0(ad[:, 0], ad[:, 1]) ** 2  # least (a - cx)^2 and (d + cx)^2
+    return 0.5 * (s[0] + (m / yc) ** 2 + (g[2] * yc) ** 2 + s[1])
 
 
-def _upper_u(a, b, c, d, X0, X1, Y0, Y1):
+def _high(g, Y, ad, w, inside):
     """Upper bound on u(z, gamma z) over z in [X0, X1] x [Y0, Y1], for c >= 0.
 
-    Arguments broadcast as for _lower_u.  Each part of the closed form is
-    bounded above over the cell:
+    Arguments as for _low.  Each part of the closed form is bounded above over the cell:
 
     * (a - cx)^2 and (d + cx)^2 by their larger value at X0 and X1 (a square
       of a linear function is convex);
@@ -304,38 +267,46 @@ def _upper_u(a, b, c, d, X0, X1, Y0, Y1):
     * (cy)^2 by (c Y1)^2.
 
     On a single point every part is exact and the bound is u itself.  Each
-    part is computed from the same floats as in _lower_u and rounding is
-    monotone, so in floats too the bound is never below _lower_u.
+    part is computed from the same floats as in _low and rounding is
+    monotone, so in floats too the bound is never below _low.
     """
-    g, X, Y = _stacked(a, b, c, d, X0, X1, Y0, Y1)
-    return _high(g, Y, *_parts(g, X))
+    aw = np.abs(w)
+    m = np.maximum(np.maximum(aw[0], aw[1]), np.where(inside, g[7], 0.0))
+    s = ad**2
+    s = np.maximum(s[:, 0], s[:, 1])  # largest (a - cx)^2 and (d + cx)^2
+    return 0.5 * (s[0] + (m / Y[0]) ** 2 + (g[2] * Y[1]) ** 2 + s[1])
 
 
-def _both_u(a, b, c, d, X0, X1, Y0, Y1):
-    """(_lower_u, _upper_u) from one evaluation of their shared x-only parts, bit for bit."""
-    return _both(*_stacked(a, b, c, d, X0, X1, Y0, Y1))
+def _both(g, X, Y):
+    """(_low, _high) from the candidates' kernel rows g (_rows) over X = (X0, X1) and Y = (Y0, Y1) stacked."""
+    parts = _parts(g, X)
+    return _low(g, Y, *parts), _high(g, Y, *parts)
 
 
-def _point_u(a, b, c, d, x, y):
-    """u(z, gamma z) at z = x + iy by the closed form: _lower_u on the point, from the same floats."""
-    g, X, Y = _stacked(a, b, c, d, x, x, y, y)
-    return _centre(g, X[0], Y[0])
+def _centre(g, x, y):
+    """u(z, gamma z) at z = x + iy from the candidates' kernel rows g (_rows): _low's bits on the
+    point, X = (x, x) and Y = (y, y), the one identity the refinement's stop rule needs."""
+    cx = g[2] * x
+    s = (g[0:2] + cx) ** 2
+    w = g[3] + g[4] * x - cx * x
+    return 0.5 * (s[0] + (w / y) ** 2 + (g[2] * y) ** 2 + s[1])
 
 
-def _signed(gamma: UnimodularMatrix):
-    """Entries of gamma or -gamma, whichever has c >= 0 (u is sign-invariant)."""
+def _matrix_bounds(gamma: UnimodularMatrix, region: Rectangle):
+    """_both over region for gamma or -gamma, whichever has c >= 0 (u is sign-invariant)."""
     s = -1.0 if gamma.c < 0 else 1.0
-    return (s * v for v in gamma.entries())
+    g = _rows(*(s * v for v in gamma.entries()))
+    return _both(g, np.array([region.x_min, region.x_max]), np.array([region.y_min, region.y_max]))
 
 
 def u_lower_bound(gamma: UnimodularMatrix, region: Rectangle) -> float:
     """Lower bound on u(z, gamma z) over z in region; u itself on a point region."""
-    return float(_lower_u(*_signed(gamma), region.x_min, region.x_max, region.y_min, region.y_max))
+    return float(_matrix_bounds(gamma, region)[0])
 
 
 def u_upper_bound(gamma: UnimodularMatrix, region: Rectangle) -> float:
     """Upper bound on u(z, gamma z) over z in region; u itself on a point region."""
-    return float(_upper_u(*_signed(gamma), region.x_min, region.x_max, region.y_min, region.y_max))
+    return float(_matrix_bounds(gamma, region)[1])
 
 
 def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
@@ -395,20 +366,19 @@ def _block_side(n: int) -> int:
 
 
 def _screen(
-    cols: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: tuple[int, int], U: float, cutoff: float, relaxed: float
+    rows: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: tuple[int, int], U: float, cutoff: float, relaxed: float
 ):
-    """Per grid cell (x-major), the count of columns (a, b, c, d) of cols with _lower_u <= cutoff.
+    """Per grid cell (x-major), the count of candidates (columns of the kernel rows, _rows) with _low <= cutoff.
 
     The grid is cut into blocks of side[0] x side[1] cells, partial at the
-    far edges, and numbered x-major.  Per candidate and block, _upper_u <= U
-    makes it sure (it counts on every cell of the block), _lower_u > relaxed
+    far edges, and numbered x-major.  Per candidate and block, _high <= U
+    makes it sure (it counts on every cell of the block), _low > relaxed
     makes it fail, and otherwise it is open and tested on each cell of the
     block.  Kernel calls broadcast (candidates, x, 1) x (1, y).  Also returns
     the pairs evaluated, the sure count per block and the open (block,
     candidate) pairs as two index arrays, sorted.
     """
-    nx, ny, k = len(xs) - 1, len(ys) - 1, cols.shape[1]
-    rows = _rows(*cols)
+    nx, ny, k = len(xs) - 1, len(ys) - 1, rows.shape[1]
     ex, ey = np.append(np.arange(0, nx, side[0]), nx), np.append(np.arange(0, ny, side[1]), ny)
     nbx, nby = len(ex) - 1, len(ey) - 1
     xb, yb = np.array([xs[ex[:-1]], xs[ex[1:]]])[:, None, :, None], np.array([ys[ey[:-1]], ys[ey[1:]]])  # block ends
@@ -438,8 +408,9 @@ def _screen(
         ix, iy = ex[b[q] // nby, None] + ox, ey[b[q] % nby, None] + oy
         ok = (ix < nx)[:, :, None] & (iy < ny)[:, None, :]  # cells of partial blocks
         ix, iy = np.minimum(ix, nx - 1), np.minimum(iy, ny - 1)
-        cells = xs[ix + _EDGE][..., None], ys[iy + _EDGE][:, :, None]  # (x0, x1) and (y0, y1) of each cell
-        ok &= _lower(rows.take(c[q], axis=1)[:, :, None, None], *cells) <= cutoff
+        X, Y = xs[ix + _EDGE][..., None], ys[iy + _EDGE][:, :, None]  # (x0, x1) and (y0, y1) of each cell
+        g = rows.take(c[q], axis=1)[:, :, None, None]
+        ok &= _low(g, Y, *_parts(g, X)) <= cutoff
         cell = (ix[:, :, None] * ny + iy[:, None, :])[ok]
         if cell.size:
             low = cell.min()
@@ -478,33 +449,33 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     _block_side), the last one along a side possibly partial; block edges
     are grid nodes, so a block contains its cells exactly in floats, and a
     cell or piece contains its pieces.  Per candidate and block, and in the refinement per open
-    candidate and half piece, _lower_u and _upper_u decide, both from one pass (_both_u):
+    candidate and half piece, _low and _high decide, both from one pass (_both):
 
-    * fail, when _lower_u > relaxed = cutoff (1 + PRUNE_SLACK).  A box's
+    * fail, when _low > relaxed = cutoff (1 + PRUNE_SLACK).  A box's
       exact lower bound is never above that of a cell or piece inside it
       (each part is an exact minimum over the box), and the slack absorbs
       the rounding of both bounds, so the candidate fails at cutoff on all
       of them;
-    * sure, when _upper_u <= U.  Then the exact maximum of u over the box is
-      at most U plus a few ulps, so the float _lower_u of any cell, piece or
+    * sure, when _high <= U.  Then the exact maximum of u over the box is
+      at most U plus a few ulps, so the float _low of any cell, piece or
       centre inside it is at most cutoff and the candidate counts there.
-      SAFE_MARGIN absorbs the rounding of _lower_u, and that of _upper_u,
+      SAFE_MARGIN absorbs the rounding of _low, and that of _high,
       which has the same parts and operations, on the same |x|/y range.  A
       sure candidate is counted on every cell and every later piece of the
       box without another test;
-    * open otherwise: tested on each cell of the block with _lower_u.  A grid
+    * open otherwise: tested on each cell of the block with _low.  A grid
       cell that becomes maximal starts with its block's sure count and open
       (block, candidate) pairs, found by binary search in the screen's
       sorted list, and keeps them as (piece, candidate) pairs.  A piece's
       centre and halves evaluate only its open candidates.
 
     Each round tests the centres of the maximal pieces first, with u itself
-    (_point_u, the bits of _lower_u on the point), and stops if one reaches
+    (_centre, the bits of _low on the point), and stops if one reaches
     the maximum; only then are both halves tested, in one pass, and the pairs
     still open on a half are kept under its piece.  So every count is the one
     a test of every candidate on every piece makes, and only the cells that a
     candidate's level set u = U crosses test it one by one.  `pairs` counts
-    each bound evaluated on one candidate and box: two per pass of _both_u,
+    each bound evaluated on one candidate and box: two per pass of _both,
     one per centre.  A round costs a fixed number of numpy calls, whatever
     its numbers of pieces and pairs: the pieces keep their boxes in one
     array and their grid cell, count and sure count in another, so each
@@ -528,13 +499,12 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     _check_work(centred, U, grid)
     cutoff = U * (1.0 + SAFE_MARGIN)
     relaxed = cutoff * (1.0 + PRUNE_SLACK)
-    cols = enumerate_candidates(centred, U).columns.astype(float)
-    rows = _rows(*cols)
+    rows = _rows(*enumerate_candidates(centred, U).columns.astype(float))
 
     xs = np.linspace(centred.x_min, centred.x_max, nx + 1)
     ys = np.linspace(centred.y_min, centred.y_max, ny + 1)
     side = (_block_side(nx), _block_side(ny))
-    counts, pairs, block_sure, block_of, block_cand = _screen(cols, xs, ys, side, U, cutoff, relaxed)
+    counts, pairs, block_sure, block_of, block_cand = _screen(rows, xs, ys, side, U, cutoff, relaxed)
     nby, block_sure = block_sure.shape[1], block_sure.ravel()
     # Pieces: the grid cells that have been maximal and their halves.  box holds their
     # ((x0, x1), (y0, y1)) and tally their grid cell (owner), count (score) and count of
@@ -564,7 +534,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         size = b[:, 1] - b[:, 0]
         wide = size[0] >= size[1]
         inner = (b[:, 0] < mid) & (mid < b[:, 1])
-        work += 3 * h * cols.shape[1]
+        work += 3 * h * rows.shape[1]
         if work > MAX_WORK or not np.where(wide, inner[0], inner[1]).all():
             break
         on_hot = is_hot[pair[0]]

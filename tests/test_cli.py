@@ -65,14 +65,19 @@ def test_count_rejects_bad_region(capsys):
     assert "greenbound:" in err
 
 
-@pytest.mark.parametrize("region", ["-0.5,0.5,1,inf", "-0.5,0.5,1e-300,1"])
-def test_count_refuses_infinite_side_or_work(region, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--region=-0.5,0.5,1,inf", "--grid", "2x2"], id="-0.5,0.5,1,inf"),
+    pytest.param(["--region=-0.5,0.5,1e-300,1", "--grid", "2x2"], id="-0.5,0.5,1e-300,1"),
+    pytest.param(["--point", "0.1,1e-300", "--U", "2"], id="point-0.1,1e-300"),
+])
+def test_count_refuses_infinite_side_or_work(argv, capsys):
     """An infinite side, or a region whose candidate loop would run for
-    ages, is refused with a one-line error before any enumeration."""
-    assert main(["count", f"--region={region}", "--grid", "2x2"]) == EXIT_CONFIG
+    ages, is refused with a one-line error before any enumeration, and a
+    zero-width region's estimate is a number, not 0 * inf."""
+    assert main(["count", *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("greenbound: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "nan" not in err
 
 
 @pytest.mark.parametrize("command", ["count", "reproduce-paper"])

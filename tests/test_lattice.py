@@ -108,7 +108,7 @@ def test_screen_tests_few_pairs():
     box = truncated_fundamental_domain()
     cert = count_bound(box, STANDARD_U, (333, 333))
     assert cert.bound == 214
-    assert cert.pairs <= 0.10 * 333 * 333 * len(enumerate_candidates(box, STANDARD_U).matrices)
+    assert cert.pairs <= 0.10 * 333 * 333 * enumerate_candidates(box, STANDARD_U).columns.shape[1]
 
 
 def test_refinement_tests_few_pairs():
@@ -145,10 +145,10 @@ def test_certificates_are_pinned():
         assert hashlib.sha256(str(cert.per_cell_counts).encode()).hexdigest()[:16] == digest, (U, grid)
 
 
-def test_shared_parts_give_both_kernels_bit_for_bit():
-    """_both_u returns exactly _lower_u's and _upper_u's bits, and _point_u exactly _lower_u's on a
-    point, for integer (a, b, c, d) with c >= 0 on points, segments and cells at either sign of x,
-    in the broadcast shapes of the block pass, the per-cell pass and the refinement."""
+def test_centre_gives_the_lower_bound_bits_on_a_point():
+    """_centre returns exactly the bits of _both's lower bound on a point, for integer (a, b, c, d)
+    with c >= 0 at either sign of x, in the broadcast shapes of the block pass, the per-cell pass
+    and the refinement."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     entry = st.integers(-40, 40)
@@ -163,20 +163,18 @@ def test_shared_parts_give_both_kernels_bit_for_bit():
         matrices, st.floats(-2.0, 1.5), side, st.floats(0.5, 2.0), side, st.integers(1, 4), st.integers(1, 4)
     )
     def check(mats, x0, width, y0, height, nx, ny):
-        cols = np.array(mats, dtype=float).T
-        xs, ys = np.linspace(x0, x0 + width, nx + 1), np.linspace(y0, y0 + height, ny + 1)
-        ix, iy = (np.tile(np.arange(n), (cols.shape[1], 1)) for n in (nx, ny))
-        flat = np.repeat(cols, nx, axis=1)
+        rows = lattice._rows(*np.array(mats, dtype=float).T)
+        xs, ys = np.linspace(x0, x0 + width, nx), np.linspace(y0, y0 + height, ny)
+        ix, iy = (np.tile(np.arange(n), (rows.shape[1], 1)) for n in (nx, ny))
+        flat = np.repeat(rows, nx, axis=1)
         shapes = [
-            (cols[:, :, None, None], (xs[:-1, None], xs[1:, None], ys[:-1], ys[1:])),  # blocks
-            (cols[:, :, None, None], (xs[ix, None], xs[ix + 1, None], ys[iy][:, None], ys[iy + 1][:, None])),  # cells
-            (flat, (xs[ix].ravel(), xs[ix + 1].ravel(), np.full(ix.size, y0), np.full(ix.size, ys[-1]))),  # pieces
+            (rows[:, :, None, None], xs[None, :, None], ys),  # blocks: (candidates, x, 1) x (y)
+            (rows[:, :, None, None], xs[ix][:, :, None], ys[iy][:, None, :]),  # cells of each open pair
+            (flat, xs[ix].ravel(), ys[np.minimum(ix, ny - 1)].ravel()),  # centres: one point per pair
         ]
-        for m, box in shapes:
-            low, high = lattice._both_u(*m, *box)
-            assert same(low, lattice._lower_u(*m, *box)) and same(high, lattice._upper_u(*m, *box))
-        x, y = xs[ix].ravel(), ys[np.minimum(ix, ny)].ravel()
-        assert same(lattice._point_u(*flat, x, y), lattice._lower_u(*flat, x, x, y, y))
+        for g, x, y in shapes:
+            x, y = np.broadcast_arrays(x, y)
+            assert same(lattice._centre(g, x, y), lattice._both(g, np.array([x, x]), np.array([y, y]))[0])
 
     check()
 
@@ -188,10 +186,12 @@ def _oracle_count_bound(region, U, grid):
     certificate names the caller's region."""
     cutoff = U * (1.0 + lattice.SAFE_MARGIN)
     moved = lattice._centred(region)
-    cols = np.array([m.entries() for m in enumerate_candidates(moved, U).matrices], dtype=float).T
+    rows = lattice._rows(*enumerate_candidates(moved, U).columns.astype(float))[:, None, :]
 
     def count(cells):
-        return np.count_nonzero(lattice._lower_u(*cols[:, None, :], *(v[:, None] for v in cells)) <= cutoff, axis=1)
+        x0, x1, y0, y1 = (v[:, None] for v in cells)
+        low = lattice._low(rows, np.array([y0, y1]), *lattice._parts(rows, np.array([x0, x1])))
+        return np.count_nonzero(low <= cutoff, axis=1)
 
     nx, ny = grid
     xs = np.linspace(moved.x_min, moved.x_max, nx + 1)
@@ -204,7 +204,7 @@ def _oracle_count_bound(region, U, grid):
         x0, x1, y0, y1 = (v[hot] for v in cells)
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         wide = x1 - x0 >= y1 - y0
-        work += 3 * len(x0) * cols.shape[1]
+        work += 3 * len(x0) * rows.shape[2]
         if (
             work > lattice.MAX_WORK
             or not np.all(np.where(wide, (x0 < xm) & (xm < x1), (y0 < ym) & (ym < y1)))
@@ -520,12 +520,12 @@ def test_screen_refuses_open_pairs_above_the_cap(monkeypatch):
     """After the block pass the screen checks its per-cell tests, open pairs
     times cells per block, against MAX_WORK before it runs them."""
     region = truncated_fundamental_domain()
-    cols = np.array([m.entries() for m in enumerate_candidates(region, STANDARD_U).matrices], dtype=float).T
+    rows = lattice._rows(*enumerate_candidates(region, STANDARD_U).columns.astype(float))
     xs = np.linspace(region.x_min, region.x_max, 101)
     ys = np.linspace(region.y_min, region.y_max, 101)
     side = (lattice._block_side(100), lattice._block_side(100))
     cutoff = STANDARD_U * (1.0 + lattice.SAFE_MARGIN)
-    args = (cols, xs, ys, side, STANDARD_U, cutoff, cutoff * (1.0 + lattice.PRUNE_SLACK))
+    args = (rows, xs, ys, side, STANDARD_U, cutoff, cutoff * (1.0 + lattice.PRUNE_SLACK))
     tests = lattice._screen(*args)[3].size * side[0] * side[1]
     monkeypatch.setattr(lattice, "MAX_WORK", tests)
     lattice._screen(*args)

@@ -46,3 +46,22 @@ def test_private_imports_between_modules_are_listed():
         if alias.name.startswith("_")
     }
     assert found == PRIVATE_IMPORTS
+
+
+def test_every_private_definition_is_used_in_the_package():
+    """Every module-level private function or class is named somewhere in the package besides its
+    own def (as a Name, an Attribute or an import alias), so no private helper lives only for tests."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert not defined - named, sorted(defined - named)
