@@ -14,7 +14,6 @@ from greenbound.geom import (
     kernel_L,
     mobius_apply,
     point_u,
-    u_of_gamma,
 )
 from greenbound.lattice import (
     CandidateSet,
@@ -24,6 +23,7 @@ from greenbound.lattice import (
     exact_count,
     truncated_fundamental_domain,
     u_lower_bound,
+    u_of_gamma,
     u_upper_bound,
 )
 from greenbound.bounds import (

@@ -15,6 +15,12 @@ translating eigenfunction sums into lattice counts for a spectral gap eta,
 and N_bar is a uniform bound on the average of the two displacement counts
 N(z, z, 17) and N(w, w, 17).
 
+delta, the radius of the truncated kernel J_delta, enters three hypotheses:
+delta > 1 (TrapezoidParams), the beta^- cap beta^- <= delta^{1+alpha^-} /
+(delta + 1) (beta_minus_cap, so T(U) >= 1 for U >= delta), and the lower end
+U = delta of the D integrals and of the transforms I_delta^{+-} they bound.
+Nothing in the code ties the count radius 17 of N_bar, or S(eta), to delta.
+
 Two arithmetic modes are supported.  theorem-exact (the default) evaluates
 q_pm in closed form, takes D_pm as the upper ends of the certified
 enclosures of enclose_D (outward-rounded midpoint sums with a proved range

@@ -194,7 +194,9 @@ def load_config(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Parse one mapping: the config file's entries, with the flags laid over them in the order
     --preset, --point, --region, --U/--grid/--mode/--n-bar, then the cusp radii into the cusp
-    block.  A setting neither gives keeps its default."""
+    block.  A setting neither gives keeps its default, except that a command taking --n-bar
+    refuses a group mapping without n_bar: the default N_bar is proved for SL(2, Z) and its
+    subgroups only, and a mapping can describe any group."""
     flags, y0 = vars(args), dataclasses.astuple(truncated_fundamental_domain())
     entries = _mapping(load_config(args.config) if flags.get("config") else {}, "config", _names(RunConfig))
     preset = flags.get("preset")
@@ -217,6 +219,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         entries["cusp"] = {**cusp, **cusp_flags}
 
     group = _group_from_entry(entries.get("group", "sl2z"))
+    if "n_bar" in flags and "n_bar" not in entries and isinstance(entries.get("group"), dict):
+        raise ConstraintViolation(f"a group mapping needs n_bar in the config or --n-bar; the default "
+                                  f"{CONSTANTS['count_cap'][0]:g} is proved only for SL(2, Z) and its subgroups")
     params = _params_from_entry(entries.get("params", {}), reference_params())
     return RunConfig(
         group=group,

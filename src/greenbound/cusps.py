@@ -20,6 +20,14 @@ entry.  CuspGeometry.of takes delta, min_c and the +-1 count from the
 certificate's own parameter set and group, so only the radii are chosen.
 Multi-cusp groups need the neighbourhood-disjointness hypothesis checked by
 the caller.
+
+The model is sound only for a cusp of width 1, like SL(2, Z)'s at infinity:
+identity scaling makes the height Im z and the chart e^{2 pi i z}; a
+stabilizer of the integer translations is what the inner radius reduces close
+displacements to and what N_delta_eps sums over with period 1; and min_c, the
+least positive c outside it, is what the radius inequalities keep far away.
+A cusp of width h (the cusp 0 of Gamma_0(N) has width N) needs its scaling
+matrix, translations by h and the min_c of the conjugated group.
 """
 
 from __future__ import annotations
@@ -75,20 +83,14 @@ def r_delta(delta: float) -> float:
     return (math.sqrt(2.0 / (delta - 1.0)) + math.atan(root)) / (24.0 * math.pi)
 
 
-def _J_from_h(h: np.ndarray, L_delta: float) -> np.ndarray:
-    # J_delta(1 + h) computed from h = u - 1 directly; safe for h near 0.
-    value = np.log((2.0 + h) / h) / (4.0 * math.pi) - L_delta
-    return np.clip(value, 0.0, None)
-
-
 def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
     """Smoothing integral of J_delta(1 + (eps t)^2/2) against the rotated Poisson kernel.
 
     The integrand is supported on |t| <= tau = sqrt(2 delta - 2)/eps and has
-    an integrable log singularity at t = 0.  Each half is integrated in
-    log(t) coordinates (adaptive Clenshaw-Curtis on arrays of log t, to an
-    absolute tolerance); the head below tau * 1e-16 contributes less than
-    1e-12 and is dropped.
+    an integrable log singularity at t = 0.  J is even in t, so the halves fold
+    into J (P(e^{2 pi i t} xi) + P(e^{-2 pi i t} xi)) on (0, tau], which one
+    engine call integrates in log(t) coordinates to N_ABS_TOL; the head below
+    tau * 1e-16 contributes less than 1e-12 and is dropped.
     """
     if not (delta > 1.0):
         raise ValueError(f"N_delta_eps requires delta > 1, got {delta}")
@@ -101,16 +103,14 @@ def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
     L_delta = kernel_L(delta)
     half = 0.5 * eps * eps
 
-    total = 0.0
-    for sign in (1.0, -1.0):
+    def g(x: np.ndarray) -> np.ndarray:
+        t = np.exp(x)
+        h = half * t * t  # J_delta(1 + h) from h = u - 1 itself, accurate for h near 0
+        phase = np.exp(2j * math.pi * t)
+        kernel = poisson_kernel(phase * z) + poisson_kernel(phase.conj() * z)
+        return np.clip(np.log((2.0 + h) / h) / (4.0 * math.pi) - L_delta, 0.0, None) * kernel * t
 
-        def g(x: np.ndarray) -> np.ndarray:
-            t = np.exp(x)
-            kernel = poisson_kernel(np.exp(2j * math.pi * sign * t) * z)
-            return _J_from_h(half * t * t, L_delta) * kernel * t
-
-        total += integrate(g, math.log(tau * _HEAD_CUT), math.log(tau), abs_tol=0.5 * N_ABS_TOL)
-    return total
+    return integrate(g, math.log(tau * _HEAD_CUT), math.log(tau), abs_tol=N_ABS_TOL)
 
 
 def _spread(delta: float) -> float:

@@ -11,7 +11,8 @@ The free-space Green kernel is
     L(u) = (1/4 pi) log((u + 1)/(u - 1)),
 
 and the truncated kernel J_delta(u) = max(0, L(u) - L(delta)) vanishes for
-u >= delta.
+u >= delta.  The displacement u(z, gamma z) has one closed form, the count
+kernel's (lattice.u_of_gamma); point_u of mobius_apply is its oracle.
 """
 
 from __future__ import annotations
@@ -97,25 +98,6 @@ def mobius_apply(gamma: UnimodularMatrix, z: UpperHalfPoint) -> UpperHalfPoint:
     x_new = (num_re * den_re + a * c * z.y * z.y) / den2
     y_new = z.y / den2
     return UpperHalfPoint(x_new, y_new)
-
-
-def u_of_gamma(gamma: UnimodularMatrix, z: UpperHalfPoint) -> float:
-    """Displacement invariant u(z, gamma z) in closed form.
-
-    For gamma = (a b; c d) and z = x + iy,
-
-        u(z, gamma z) = (1/2) [ (a - cx)^2 + ((b + (a - d)x - cx^2)/y)^2
-                                + (cy)^2 + (d + cx)^2 ].
-
-    Entries are converted to float before squaring so large integer
-    coefficients cannot overflow intermediate products.
-    """
-    a, b, c, d = (float(gamma.a), float(gamma.b), float(gamma.c), float(gamma.d))
-    x, y = z.x, z.y
-    t1 = a - c * x
-    t4 = d + c * x
-    w = b + (a - d) * x - c * x * x
-    return 0.5 * (t1 * t1 + (w / y) ** 2 + (c * y) ** 2 + t4 * t4)
 
 
 def kernel_L(u: float) -> float:

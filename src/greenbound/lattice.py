@@ -309,6 +309,11 @@ def u_upper_bound(gamma: UnimodularMatrix, region: Rectangle) -> float:
     return float(_matrix_bounds(gamma, region)[1])
 
 
+def u_of_gamma(gamma: UnimodularMatrix, z: UpperHalfPoint) -> float:
+    """u(z, gamma z): _centre on gamma's kernel rows, so _low's bits on the point; -gamma gives the same bits."""
+    return float(_centre(_rows(*map(float, gamma.entries())), z.x, z.y))
+
+
 def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
     """All sign-representatives whose displacement could be <= U somewhere on region.
 

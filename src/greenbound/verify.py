@@ -37,13 +37,14 @@ from greenbound.bounds import (
     reference_params,
 )
 from greenbound.cusps import N_delta_eps, admissible_eps, lambda_xi, poisson_kernel, r_delta
-from greenbound.geom import UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u, u_of_gamma
+from greenbound.geom import UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u
 from greenbound.lattice import (
     count_bound,
     enumerate_group_elements,
     exact_count,
     reduce_to_fundamental_domain,
     truncated_fundamental_domain,
+    u_of_gamma,
 )
 from greenbound.specfun import (
     gamma_ratio_bounds,
@@ -174,7 +175,7 @@ def _strip_point(rng: random.Random, lo: float, hi: float) -> tuple[float, float
 
 
 def displacement_identity(n: int = 1000, seed: int = 4102) -> CheckResult:
-    """u(z, gamma z) from the matrix entries against u of the explicit image."""
+    """u(z, gamma z) by the count kernel (u_of_gamma, _low's bits on a point) against u of the explicit image."""
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(n):

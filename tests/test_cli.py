@@ -316,12 +316,38 @@ def test_cusp_echo_is_derived_from_params_and_group(tmp_path, capsys):
         "params": {"delta": 3.0, "alpha_minus": 0.1, "beta_minus": 3.0**1.1 / 4.0},
         "group": {"vol": 0.5, "eta": 0.24, "contains_minus_one": False, "min_c": 1.5},
         "cusp": {"eps": 0.01, "eps_prime": 0.2},
+        "n_bar": 216.0,
     }
     config.write_text(json.dumps(entries), encoding="utf-8")
     assert main(["cusp-extend", "--case", "c", "--config", str(config), "--json", str(path)]) == EXIT_OK
     assert capsys.readouterr().err == ""
     record = read_record(path)
     assert record["config"]["cusp"] == {"eps": 0.01, "eps_prime": 0.2, "delta": 3.0, "min_c": 1.5, "count_pm1": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds"], ["cusp-extend", "--case", "c", "--eps", "0.01", "--eps-prime", "0.2"], ["optimize", "--max-iters", "1"]],
+    ids=["bounds", "cusp-extend", "optimize"],
+)
+def test_group_mapping_must_state_n_bar(argv, capsys, tmp_path):
+    """The default N_bar is proved for SL(2, Z) and its subgroups only, so a command that uses N_bar
+    refuses a group mapping without n_bar: exit 1, one stderr line, no record.  n_bar in the config
+    or --n-bar lifts the refusal, and count, which takes no N_bar, runs on the same config."""
+    config, path = tmp_path / "config.json", tmp_path / "record.json"
+    group = {"vol": 0.5, "eta": 0.24, "contains_minus_one": True, "min_c": 1.0}
+    config.write_text(json.dumps({"group": group}), encoding="utf-8")
+    assert main([*argv, "--config", str(config), "--json", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "n_bar" in captured.err and "SL(2, Z)" in captured.err
+    assert captured.out == "" and not path.exists()
+    assert main([*argv, "--config", str(config), "--n-bar", "216", "--json", str(path)]) == EXIT_OK
+    assert read_record(path)["config"]["n_bar"] == 216.0
+    config.write_text(json.dumps({"group": group, "n_bar": 100.0}), encoding="utf-8")
+    assert main([*argv, "--config", str(config), "--json", str(path)]) == EXIT_OK
+    assert read_record(path)["config"]["n_bar"] == 100.0
+    assert main(["count", "--point", "0.1,1.1", "--config", str(config)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_optimize_short_budget(capsys, tmp_path):

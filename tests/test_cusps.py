@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from greenbound import verify
+from greenbound import cusps, verify
 from greenbound._quad import integrate
 from greenbound.bounds import BoundReport, GroupContext, group_preset, reference_params
 from greenbound.cusps import (
@@ -21,6 +21,7 @@ from greenbound.cusps import (
     r_delta,
 )
 from greenbound.errors import ConstraintViolation
+from greenbound.geom import kernel_L
 
 
 def small_report():
@@ -119,6 +120,41 @@ def test_smoothing_count_bracket_grid(full_check):
     45-point grid and one point off the real axis."""
     result = full_check(verify.smoothing_bracket)
     assert result.passed, result.detail
+
+
+def two_half_N_delta_eps(delta, eps, xi):
+    """The smoothing integral as its two halves t > 0 and t < 0, each its own engine call in
+    log t to half of N_ABS_TOL: the form N_delta_eps had before it folded them into one integrand."""
+    tau = math.sqrt(2.0 * delta - 2.0) / eps
+    L_delta = kernel_L(delta)
+    total = 0.0
+    for sign in (1.0, -1.0):
+
+        def g(x):
+            t = np.exp(x)
+            h = 0.5 * eps * eps * t * t
+            J = np.clip(np.log((2.0 + h) / h) / (4.0 * math.pi) - L_delta, 0.0, None)
+            return J * poisson_kernel(np.exp(2j * math.pi * sign * t) * xi) * t
+
+        total += integrate(g, math.log(tau * 1e-16), math.log(tau), abs_tol=0.5 * cusps.N_ABS_TOL)
+    return total
+
+
+# spectral-strip's N strata: (delta, eps, |xi|), the smallest eps with the largest |xi|.
+_N_STRATA = ((1.5, 0.08125, 0.7875), (2.0, 0.14375, 0.5625), (3.0, 0.20625, 0.3375), (2.0, 0.26875, 0.1125))
+
+
+def test_smoothing_integral_is_one_engine_call_matching_the_two_halves(monkeypatch):
+    """One engine call gives the integral within 1e-13 of the two half integrals, on the smoothing
+    grid and on spectral-strip's N strata at four directions of xi each."""
+    points = list(verify._SMOOTHING_POINTS)
+    points += [(d, e, cmath.rect(r, k * math.pi / 2 + 0.3)) for d, e, r in _N_STRATA for k in range(4)]
+    calls = []
+    monkeypatch.setattr(cusps, "integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k))
+    for delta, eps, xi in points:
+        value = N_delta_eps(delta, eps, xi)
+        assert abs(value - two_half_N_delta_eps(delta, eps, xi)) <= 1e-13, (delta, eps, xi)
+    assert len(points) == 62 and len(calls) == len(points)
 
 
 def test_smoothing_count_domain():

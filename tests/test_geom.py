@@ -14,8 +14,8 @@ from greenbound.geom import (
     kernel_L,
     mobius_apply,
     point_u,
-    u_of_gamma,
 )
+from greenbound.lattice import u_of_gamma
 
 
 def random_point(rng, spread=2.0):

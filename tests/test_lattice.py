@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from greenbound import lattice, verify
-from greenbound.geom import Rectangle, UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u, u_of_gamma
+from greenbound.geom import Rectangle, UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u
 from greenbound.lattice import (
     CountCertificate,
     count_bound,
@@ -177,6 +177,21 @@ def test_centre_gives_the_lower_bound_bits_on_a_point():
             assert same(lattice._centre(g, x, y), lattice._both(g, np.array([x, x]), np.array([y, y]))[0])
 
     check()
+
+
+def test_displacement_check_exercises_the_count_kernel(monkeypatch):
+    """selftest's displacement-identity check reads u(z, gamma z) through the count kernel: with W
+    scaled by 1 + 1e-9 in _centre, it fails."""
+    assert verify.displacement_identity(n=50).passed
+
+    def skewed(g, x, y):
+        cx = g[2] * x
+        s = (g[0:2] + cx) ** 2
+        w = (g[3] + g[4] * x - cx * x) * (1.0 + 1e-9)
+        return 0.5 * (s[0] + (w / y) ** 2 + (g[2] * y) ** 2 + s[1])
+
+    monkeypatch.setattr(lattice, "_centre", skewed)
+    assert not verify.displacement_identity(n=50).passed
 
 
 def _oracle_count_bound(region, U, grid):
@@ -359,6 +374,17 @@ def test_certificate_dominates_exact_counts(full_check):
     assert result.passed, result.detail
 
 
+def closed_form_u(gamma, z):
+    """u(z, gamma z) by the scalar closed form, sharing no code with the count kernels:
+    (1/2) [(a - cx)^2 + ((b + (a - d)x - cx^2)/y)^2 + (cy)^2 + (d + cx)^2]."""
+    a, b, c, d = (float(gamma.a), float(gamma.b), float(gamma.c), float(gamma.d))
+    x, y = z.x, z.y
+    t1 = a - c * x
+    t4 = d + c * x
+    w = b + (a - d) * x - c * x * x
+    return 0.5 * (t1 * t1 + (w / y) ** 2 + (c * y) ** 2 + t4 * t4)
+
+
 def test_min_u_lower_bounds_sampled_values():
     """u_lower_bound must never exceed the value at any point of the cell."""
     rng = random.Random(70300)
@@ -369,7 +395,7 @@ def test_min_u_lower_bounds_sampled_values():
         rect = Rectangle(x0, x0 + 0.2, y0, y0 + 0.2)
         low = u_lower_bound(gamma, rect)
         sampled = min(
-            u_of_gamma(gamma, UpperHalfPoint(x0 + 0.2 * ix / 8.0, y0 + 0.2 * iy / 8.0))
+            closed_form_u(gamma, UpperHalfPoint(x0 + 0.2 * ix / 8.0, y0 + 0.2 * iy / 8.0))
             for ix in range(9)
             for iy in range(9)
         )
@@ -418,9 +444,9 @@ def test_u_lower_bound_property():
     def check(gamma, x0, width, y0, height, fractions):
         low = u_lower_bound(gamma, Rectangle(x0, x0 + width, y0, y0 + height))
         for z in _sample_points(x0, width, y0, height, fractions):
-            assert low <= u_of_gamma(gamma, z) * (1.0 + 1e-12), (gamma, z, low)
+            assert low <= closed_form_u(gamma, z) * (1.0 + 1e-12), (gamma, z, low)
         point = u_lower_bound(gamma, Rectangle(x0, x0, y0, y0))
-        assert math.isclose(point, u_of_gamma(gamma, UpperHalfPoint(x0, y0)), rel_tol=1e-12)
+        assert math.isclose(point, closed_form_u(gamma, UpperHalfPoint(x0, y0)), rel_tol=1e-12)
 
     check()
 
@@ -437,10 +463,10 @@ def test_u_upper_bound_property():
         cell = Rectangle(x0, x0 + width, y0, y0 + height)
         high = u_upper_bound(gamma, cell)
         for z in _sample_points(x0, width, y0, height, fractions):
-            assert high >= u_of_gamma(gamma, z) * (1.0 - 1e-12), (gamma, z, high)
+            assert high >= closed_form_u(gamma, z) * (1.0 - 1e-12), (gamma, z, high)
         assert high >= u_lower_bound(gamma, cell)
         point = u_upper_bound(gamma, Rectangle(x0, x0, y0, y0))
-        assert math.isclose(point, u_of_gamma(gamma, UpperHalfPoint(x0, y0)), rel_tol=1e-12)
+        assert math.isclose(point, closed_form_u(gamma, UpperHalfPoint(x0, y0)), rel_tol=1e-12)
 
     check()
 
