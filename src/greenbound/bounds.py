@@ -235,6 +235,7 @@ _D_REL_WIDTH = 1e-6  # widest enclosure, relative to its lower end, that compute
 _PANELS = 200.0  # panels on an octave of U^2 - 1 next to delta or below 1; see _grid
 _CELL = 4  # panels per curvature cell
 _TABLES = 4  # node tables kept, a fine and a coarse one for each of two values of delta
+_ENCLOSURES = 4096  # one-sign grid bounds kept process-wide, fine and coarse; see _grid_bounds
 
 
 def _dn(x, w=_W_OP):
@@ -295,11 +296,12 @@ def _u_parts(X_lo: np.ndarray, X_hi: np.ndarray):
     return u2_lo, u2_hi, u_lo, u_hi, _dn(u_lo + _dn(np.sqrt(X_lo))), _up(u_hi + _up(np.sqrt(X_hi)))
 
 
-def _node_bounds(params: ParamSet, sign: int, X_lo: np.ndarray, X_hi: np.ndarray, u=None):
+def _node_bounds(side: tuple[float, float, float], sign: int, X_lo: np.ndarray, X_hi: np.ndarray, u=None):
     """Directed (own, pow, rest) at nodes X_lo <= U^2 - 1 <= X_hi, lower and upper ends interleaved:
     own = p_sigma(U) G, pow the x-power part P of p_sigma(W) and rest its shape factor S times
-    G = U^alpha / (2 beta (U^2 - 1)), W = V or T; u is _u_parts(X_lo, X_hi) if a table has it."""
-    sigma, alpha, beta = params.side(sign)
+    G = U^alpha / (2 beta (U^2 - 1)), W = V or T, on side = (sigma, alpha, beta); u is _u_parts(X_lo,
+    X_hi) if a table has it."""
+    sigma, alpha, beta = side
     consts = _C_sigma_enclosure(sigma)
     u2_lo, u2_hi, u_lo, u_hi, xu_lo, xu_hi = _u_parts(X_lo, X_hi) if u is None else u
     ua = u2_lo ** (0.5 * alpha)  # U^alpha; (u2_hi / u2_lo)^(alpha / 2) <= u2_hi / u2_lo
@@ -332,10 +334,10 @@ def _isq(x):
     return low, np.maximum(x[0] ** 2, x[1] ** 2)
 
 
-def _curvature(params: ParamSet, sign: int, nodes: np.ndarray, spans: np.ndarray, f):
+def _curvature(side: tuple[float, float, float], sign: int, nodes: np.ndarray, spans: np.ndarray, f):
     """Bounds (lo, hi) on F'' over each cell between the cell ends (NaN where untested), from their
     nodes and spans in _node_table; f holds the node bounds, and row 0 below is own, row 1 the corner."""
-    sigma, alpha, beta = params.side(sign)
+    sigma, alpha, beta = side
     c_main, c_prime = C_sigma(sigma)
     low = np.stack([f[0][1:], _dn(f[2][:-1] * f[4][1:])])  # each term's least and greatest value
     high = np.stack([f[1][:-1], _up(f[3][1:] * f[5][:-1])])
@@ -412,16 +414,16 @@ def _node_table(delta: float, panels: float, octaves: int = 0) -> dict:
     return table
 
 
-def _panels(params: ParamSet, sign: int, table: dict, n: int) -> tuple[float, float]:
+def _panels(side: tuple[float, float, float], sign: int, table: dict, n: int) -> tuple[float, float]:
     """Bounds on the integral of F in s over the first n nodes of table (_node_table), from delta: a
     first-order panel to t[0]^2 and panels [t[i]^2, t[i+1]^2] halved at their midpoint t[i] t[i+1]
     in s; the cell ends split these into curvature cells."""
     X, X_hi, u = table["X_lo"][: 2 * n], table["X_hi"][: 2 * n], table["u"][:, : 2 * n]
     c = np.searchsorted(table["ends"], 2 * n)
     ends = table["ends"][:c]
-    f = _node_bounds(params, sign, X, X_hi, u)
+    f = _node_bounds(side, sign, X, X_hi, u)
     own_lo, own_hi, pow_lo, pow_hi, rest_lo, rest_hi = f
-    F2 = _curvature(params, sign, table["nodes"][:, :c], table["spans"][:, : c - 1], [v[ends] for v in f])
+    F2 = _curvature(side, sign, table["nodes"][:, :c], table["spans"][:, : c - 1], [v[ends] for v in f])
     F2_lo, F2_hi = (np.repeat(v, np.diff(ends) // 2) for v in F2)
     F_lo, F_hi = _dn(own_lo + _dn(pow_lo * rest_lo)), _up(own_hi + _up(pow_hi * rest_hi))
     h_lo, h_hi = table["h_lo"][: 2 * n - 1], table["h_hi"][: 2 * n - 1]
@@ -441,26 +443,28 @@ def _panels(params: ParamSet, sign: int, table: dict, n: int) -> tuple[float, fl
     return _dn(lo[0] + np.sum(lo_sum), w), _up(hi[0] + np.sum(hi_sum), w)
 
 
-def _grid_bounds(params: ParamSet, sign: int, panels: float = _PANELS) -> tuple[float, float, float]:
-    """Bounds (lo, hi) on the D integral over [delta, M] on _grid at panels, and M rounded down."""
-    t = params.trapezoid
-    sigma, alpha, beta = params.side(sign)
+@functools.lru_cache(maxsize=_ENCLOSURES)
+def _grid_bounds(delta: float, sign: int, side: tuple, panels: float) -> tuple[float, float, float]:
+    """Bounds (lo, hi) on the D integral over [delta, M] on _grid at panels, and M rounded down, for
+    side = (sigma, alpha, beta).  Memoized process-wide on exactly the floats it reads, so the other
+    side's parameters never split a key; a ConstraintViolation is raised afresh each call."""
+    sigma, alpha, beta = side
     e = 2.0**-20
     if not (2.0**-11 <= sigma <= 0.5 - e and sigma - alpha >= e
-            and 1 + e <= t.delta <= 2.0**200 and e <= beta <= 1 / e):
+            and 1 + e <= delta <= 2.0**200 and e <= beta <= 1 / e):
         raise ConstraintViolation("enclose_D needs sigma >= 2^-11, sigma - alpha, 1/2 - sigma, delta - 1 and beta >= "
-                                  f"2^-20, delta <= 2^200, beta <= 2^20; got {sigma}, {alpha}, {t.delta}, {beta}")
-    table = _node_table(t.delta, panels)
-    floor = C_sigma(sigma)[0] * t.delta ** (alpha - sigma) / (4.0 * SQRT_PI * beta * (sigma - alpha))
-    fits = averaged_transform_tail(t, sign, sigma, table["tail_U"]) <= floor * 2.0**-22
+                                  f"2^-20, delta <= 2^200, beta <= 2^20; got {sigma}, {alpha}, {delta}, {beta}")
+    table = _node_table(delta, panels)
+    floor = C_sigma(sigma)[0] * delta ** (alpha - sigma) / (4.0 * SQRT_PI * beta * (sigma - alpha))
+    fits = averaged_transform_tail(delta, sign, sigma, alpha, beta, table["tail_U"]) <= floor * 2.0**-22
     n = int(table["size"][fits.argmax() if fits.any() else -1])
-    lo, hi = _panels(params, sign, table, n)
+    lo, hi = _panels(side, sign, table, n)
     return lo, hi, float(table["u"][2, 2 * n - 1])
 
 
 def _enclose_one_sign(params: ParamSet, sign: int) -> tuple[float, float]:
-    lo, hi, M = _grid_bounds(params, sign)
-    tail = _up(averaged_transform_tail(params.trapezoid, sign, params.side(sign)[0], M), _TAIL_MARGIN)
+    lo, hi, M = _grid_bounds(params.trapezoid.delta, sign, params.side(sign), _PANELS)
+    tail = _up(averaged_transform_tail(params.trapezoid.delta, sign, *params.side(sign), M), _TAIL_MARGIN)
     return float(lo), float(_up(hi + tail))
 
 
@@ -480,6 +484,9 @@ def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float
     ends) is built once per delta and steps an octave (_node_table, a small LRU cache).  A grid of
     k octaves is a prefix of it, as _grid's steps on an octave do not depend on how many follow and
     an octave's first node ends a cell: an enclosure reads the first nodes, with a k-octave grid's bits.
+    Each sign's grid bounds are memoized process-wide on the floats (delta, sigma, alpha, beta, panels)
+    they read (_grid_bounds, an LRU cache of _ENCLOSURES entries), so a repeated enclosure, in one call
+    or across calls, costs a lookup and the tail.
 
     Curvature.  p_sigma(w) = exp(Phi(omega)), omega = arccosh w = log x, where Phi is the
     log-sum-exp log(C e^{(2-sigma) omega} + C' e^{(1+sigma) omega}), whose second
@@ -598,21 +605,14 @@ def _certificate_end(q: float, D: float, factor: float, N_bar: float, sign: int)
     return -q - D * factor * N_bar if sign > 0 else -q + D * factor * N_bar
 
 
-def assemble(
-    params: ParamSet,
-    ctx: GroupContext,
-    N_bar: float,
-    mode: str = "theorem-exact",
-    D: tuple[float, float] | None = None,
-) -> BoundReport:
+def assemble(params: ParamSet, ctx: GroupContext, N_bar: float, mode: str = "theorem-exact") -> BoundReport:
     """Build the certificate A <= . <= B for a uniform count bound N_bar.
 
     N_bar bounds the average (N(z, z, 17) + N(w, w, 17)) / 2 over the
     intended range of base points; it must be finite and at least 2 (the
     identity pair is always counted).  In theorem-exact mode D_plus and
-    D_minus are the upper ends of the certified enclosures, compute_D(params);
-    a given D = (D_plus, D_minus) stands in for them, which is how the
-    optimizer passes its memoized values.
+    D_minus are the upper ends of the certified enclosures, compute_D(params),
+    whose grid bounds are memoized process-wide (_grid_bounds).
     """
     if not (N_bar >= 2.0 and math.isfinite(N_bar)):
         raise ConstraintViolation(f"N_bar must be finite and at least 2, got {N_bar}")
@@ -623,7 +623,7 @@ def assemble(
         factor = spectral_factor(ctx.eta, include_phi_constant=False)
     elif mode == "theorem-exact":
         q_plus, q_minus = compute_q(params, ctx)
-        D_plus, D_minus = compute_D(params) if D is None else D
+        D_plus, D_minus = compute_D(params)
         factor = spectral_factor(ctx.eta, include_phi_constant=True)
     else:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")

@@ -17,17 +17,21 @@ stops once its three steps are all below STEP_FLOOR, or after max_iters - 1
 sweeps.  Deterministic by construction: no randomness, strict-improvement
 moves, fixed coordinate order.
 
-The D enclosures dominate the cost.  Each side's are memoized on that side's
-exact parameter floats, so the side not being searched is enclosed once, a
-step that lands on the same floats again reuses the enclosure, and each
-reported D was enclosed at its own parameters.  A new point is
+The D enclosures dominate the cost.  Candidates are scored by assemble, and
+each side's grid bounds, fine and coarse, are memoized process-wide by
+bounds._grid_bounds on that side's exact floats (delta, sigma, alpha, beta),
+so the side not being searched is enclosed once, a step that lands on the
+same floats again reuses the enclosure, a later search in the same process
+that retraces a path (the same seed with fewer or as many iterations)
+encloses nothing anew, and each reported D was enclosed at its own parameters.  Each candidate is
 screened first: the lower end of its D enclosure on a coarse grid
 (_SCREEN_PANELS steps an octave) is a proved lower bound on D, so in
 assemble's float expression (bounds._certificate_end) it scores no worse than
 the fine upper end, rounding being monotone.  If it already reaches the score
-to beat, the candidate could not be taken and is skipped unenclosed; the
-score to beat never rises, so the memoized lower ends stay valid and the
-result is the unscreened search's to the last bit.
+to beat, the candidate could not be taken and is skipped unenclosed.  A skip
+therefore never drops a candidate that would have won, whether or not its fine
+enclosure is already memoized, and the result is the unscreened search's to
+the last bit.
 """
 
 from __future__ import annotations
@@ -39,9 +43,7 @@ from greenbound.bounds import (
     GroupContext,
     ParamSet,
     _certificate_end,
-    _enclose_one_sign,
     _grid_bounds,
-    _upper_end,
     assemble,
     compute_q,
     sigma_ceiling,
@@ -96,27 +98,13 @@ def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> t
         raise ConstraintViolation(f"seed parameters are invalid: {exc}") from exc
     sigma_max = sigma_ceiling(ctx.eta)
     factor = spectral_factor(ctx.eta, include_phi_constant=True)
-    memo: dict[int, dict] = {+1: {}, -1: {}}
-    lows: dict[int, dict] = {+1: {}, -1: {}}  # lower ends on the screen's grid
-
-    def evaluate(params: ParamSet) -> BoundReport:
-        D = []
-        for sign in (+1, -1):
-            k = params.side(sign)
-            if k not in memo[sign]:
-                memo[sign][k] = _enclose_one_sign(params, sign)
-            D.append(_upper_end(memo[sign][k], sign))
-        return assemble(params, ctx, N_bar, D=tuple(D))
 
     def screened(params: ParamSet, sign: int, bar: float) -> bool:
-        k = params.side(sign)
-        if k not in memo[sign] and k not in lows[sign]:
-            lows[sign][k] = _grid_bounds(params, sign, _SCREEN_PANELS)[0]
-        q = compute_q(params, ctx)[0 if sign > 0 else 1]
-        end = _certificate_end(q, lows[sign].get(k, -math.inf), factor, N_bar, sign)  # -inf: never skip
+        low = _grid_bounds(params.trapezoid.delta, sign, params.side(sign), _SCREEN_PANELS)[0]
+        end = _certificate_end(compute_q(params, ctx)[0 if sign > 0 else 1], low, factor, N_bar, sign)
         return (-end if sign > 0 else end) >= bar
 
-    current, report = seed, evaluate(seed)
+    current, report = seed, assemble(seed, ctx, N_bar)
     step_floor = math.log1p(STEP_FLOOR)
     for sign, names in _SIDES:
         score = -report.A if sign > 0 else report.B
@@ -133,7 +121,7 @@ def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> t
                         candidate = _make_params(values, sigma_max)
                         if screened(candidate, sign, score if best is None else best[0]):
                             continue
-                        candidate_report = evaluate(candidate)
+                        candidate_report = assemble(candidate, ctx, N_bar)
                     except (ConstraintViolation, NonConvergenceError):
                         continue
                     candidate_score = -candidate_report.A if sign > 0 else candidate_report.B

@@ -192,7 +192,7 @@ def resolvent_difference(a: float, b: float, s: complex, variant: str) -> comple
 
 
 def averaged_transform_tail(
-    params: TrapezoidParams, sign: int, sigma: float, M: float, s_factor: float = 1.0
+    delta: float, sign: int, sigma: float, alpha: float, beta: float, M, s_factor: float = 1.0
 ) -> float:
     """Analytic bound on |(1/2 pi) Integral_M^inf h_U^{+-}(s) / (U^2-1) dU| for M >= delta.
 
@@ -203,15 +203,15 @@ def averaged_transform_tail(
     which also bounds Integral_M^inf (p(W) + p(U)) U^{1+alpha} / (beta (U^2-1)^2) dU:
     p_sigma(u) <= p0 u^{2-sigma}, p0 = 3 (C + C') 2^{2-sigma} / (4 sqrt(pi)), and W <= kappa U,
     kappa = max(1, 1 + sign beta delta^-alpha), as W / U - 1 = sign beta U^-alpha (1 - U^-2).
+    (alpha, beta) is the trapezoid's side(sign); M may be an array.
     """
-    alpha, beta = params.side(sign)
     if not (sigma > alpha):
         raise NonConvergenceError(
             f"tail bound needs sigma > alpha, got sigma = {sigma}, alpha = {alpha}"
         )
     c_main, c_prime = C_sigma(sigma)
     p0 = 3.0 * (c_main + c_prime) * 2.0 ** (2.0 - sigma) / (4.0 * SQRT_PI)
-    kappa = max(1.0, 1.0 + sign * beta * params.delta ** -alpha)
+    kappa = max(1.0, 1.0 + sign * beta * delta ** -alpha)
     coeff = p0 * (kappa ** (2.0 - sigma) + 1.0) / beta
     geometry = (1.0 - M ** -2.0) ** -2.0
     return s_factor * coeff * geometry * M ** (alpha - sigma) / (sigma - alpha)
@@ -242,7 +242,7 @@ def I_delta_pm(params: TrapezoidParams, sign: int, s: complex) -> complex:
     def tail(M: float) -> float:
         # averaged_transform_tail bounds the tail of the (1/2 pi)-normalized
         # integral; the march integrates the unnormalized integrand.
-        return TWO_PI * averaged_transform_tail(params, sign, sigma_eff, M, s_factor)
+        return TWO_PI * averaged_transform_tail(params.delta, sign, sigma_eff, *params.side(sign), M, s_factor)
 
     value, _tail_bound = integrate_to_infinity(integrand, params.delta, tail, I_REL_TOL)
     return value / TWO_PI

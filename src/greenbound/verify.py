@@ -98,10 +98,10 @@ def volume_checks() -> list[CheckResult]:
     ]
 
 
-def majorant_cap_checks(D: tuple[float, float]) -> list[CheckResult]:
-    """Majorant integrals D = compute_D(reference_params()) against their rounded
-    caps; D_plus fails at the reference parameters (see the package documentation)."""
-    D_plus, D_minus = D
+def majorant_cap_checks() -> list[CheckResult]:
+    """Majorant integrals compute_D(reference_params()) against their rounded caps;
+    D_plus fails at the reference parameters (see the package documentation)."""
+    D_plus, D_minus = compute_D(reference_params())
     return [
         _result(
             "D_plus",
@@ -117,12 +117,12 @@ def majorant_cap_checks(D: tuple[float, float]) -> list[CheckResult]:
     ]
 
 
-def assembly_checks(D: tuple[float, float]) -> list[CheckResult]:
-    """Headline interval in paper arithmetic; strictly tighter in theorem-exact mode on D."""
+def assembly_checks() -> list[CheckResult]:
+    """Headline interval in paper arithmetic; strictly tighter in theorem-exact mode."""
     ctx = group_preset("sl2z")
     params = reference_params()
     paper = assemble(params, ctx, COUNT_CAP_STANDARD, mode="paper-arithmetic")
-    exact = assemble(params, ctx, COUNT_CAP_STANDARD, mode="theorem-exact", D=D)
+    exact = assemble(params, ctx, COUNT_CAP_STANDARD, mode="theorem-exact")
     return [
         _result(
             "paper_A",
@@ -148,10 +148,9 @@ def assembly_checks(D: tuple[float, float]) -> list[CheckResult]:
 
 
 def reproduction_battery(grid: tuple[int, int] = (100, 100)) -> list[CheckResult]:
-    """Replay the published constants; one record per reproduced number.  D is
-    enclosed once, for both the cap checks and the theorem-exact assembly."""
-    D = compute_D(reference_params())
-    return [count_check(grid), *volume_checks(), *majorant_cap_checks(D), *assembly_checks(D)]
+    """Replay the published constants; one record per reproduced number.  The cap checks and the
+    theorem-exact assembly share one enclosure of D, memoized in bounds._grid_bounds."""
+    return [count_check(grid), *volume_checks(), *majorant_cap_checks(), *assembly_checks()]
 
 
 def random_unimodular(rng: random.Random) -> UnimodularMatrix:

@@ -14,3 +14,13 @@ def full_check():
     share one run of it.
     """
     return functools.cache(lambda check: check())
+
+
+@pytest.fixture
+def cold_enclosures():
+    """Empty the process-wide memo of one-sign grid bounds (bounds._grid_bounds), so a test
+    that counts enclosures sees every one it causes, whatever ran before it in the process."""
+    from greenbound import bounds
+
+    bounds._grid_bounds.cache_clear()
+    return bounds._grid_bounds

@@ -301,8 +301,8 @@ def test_enclose_D_upper_end_carries_the_tail():
     t = TrapezoidParams(delta=2.0, alpha_plus=0.3, alpha_minus=0.1, beta_plus=1.0, beta_minus=0.1)
     p = ParamSet(trapezoid=t, sigma_plus=0.302, sigma_minus=0.3)
     for sign, sigma, (lo, hi) in zip((1, -1), (0.302, 0.3), enclose_D(p)):
-        panel_lo, panel_hi, M = _grid_bounds(p, sign)
-        tail = averaged_transform_tail(t, sign, sigma, M)
+        panel_lo, panel_hi, M = _grid_bounds(t.delta, sign, p.side(sign), bounds._PANELS)
+        tail = averaged_transform_tail(t.delta, sign, sigma, *t.side(sign), M)
         assert lo == panel_lo and 0.0 < lo < panel_hi
         assert hi >= panel_hi + tail
         if sign > 0:
@@ -318,12 +318,12 @@ def grid_bounds_without_table(params, sign):
     sq_lo, sq_hi = (bounds._dn(bounds._dn(t.delta * t.delta) - 1.0), bounds._up(bounds._up(t.delta * t.delta) - 1.0))
     floor = C_sigma(sigma)[0] * t.delta ** (alpha - sigma) / (4.0 * SQRT_PI * beta * (sigma - alpha))
     ends = np.arange(1, math.floor(600.0 - math.log2(sq_hi)) + 1)
-    fits = averaged_transform_tail(t, sign, sigma, np.sqrt(1.0 + sq_lo * np.exp2(ends))) <= floor * 2.0**-22
+    fits = averaged_transform_tail(t.delta, sign, sigma, alpha, beta, np.sqrt(1.0 + sq_lo * np.exp2(ends))) <= floor * 2.0**-22
     octaves = int(ends[fits.argmax() if fits.any() else -1])
     nodes = bounds._grid(math.sqrt(t.delta * t.delta - 1.0), octaves)[0]
     table = bounds._node_table.__wrapped__(t.delta, bounds._PANELS, octaves)
     assert np.array_equal(table["X_lo"][1::2], nodes * nodes)
-    lo, hi = bounds._panels(params, sign, table, nodes.size)
+    lo, hi = bounds._panels(params.side(sign), sign, table, nodes.size)
     return lo, hi, bounds._dn(math.sqrt(bounds._dn(1.0 + nodes[-1] * nodes[-1])))
 
 
@@ -331,7 +331,8 @@ def test_node_table_prefix_gives_the_same_bits():
     """_grid_bounds reads a prefix of one table per delta, built out to 2^600;
     it gives the bits of a table of exactly its own octaves, at the reference
     parameters, on seeded sets and at other delta, also after enough other
-    delta to evict every table, and the cache stays within its size."""
+    delta to evict every table, and the cache stays within its size.  The
+    grid bounds are taken unmemoized, so the second pass rebuilds tables."""
     rng = random.Random(1600)
     sets = [reference_params()] + [draw_valid_params(rng) for _ in range(4)]
     t = reference_params().trapezoid
@@ -342,13 +343,41 @@ def test_node_table_prefix_gives_the_same_bits():
     for _ in range(2):
         for params in sets:
             for sign in (1, -1):
-                assert bounds._grid_bounds(params, sign) == grid_bounds_without_table(params, sign), (params, sign)
+                fresh = bounds._grid_bounds.__wrapped__(params.trapezoid.delta, sign, params.side(sign), bounds._PANELS)
+                assert fresh == grid_bounds_without_table(params, sign), (params, sign)
                 assert bounds._node_table.cache_info().currsize <= bounds._TABLES
     assert bounds._node_table.cache_info().maxsize == bounds._TABLES
     table = bounds._node_table(2.0, bounds._PANELS)
     for values in table.values():
         with pytest.raises(ValueError, match="read-only"):
             values[..., 0] = 0
+
+
+def test_grid_bounds_memo_is_keyed_on_delta(cold_enclosures):
+    """The same (sigma, alpha, beta) at delta = 2 and at delta = 3 are two memo entries, each
+    with the bits of _panels run unmemoized on a table of its own delta."""
+    t = reference_params().trapezoid
+    shape = TrapezoidParams(3.0, t.alpha_plus, t.alpha_minus, t.beta_plus, t.beta_minus)
+    pair = (reference_params(), ParamSet(trapezoid=shape, sigma_plus=0.306, sigma_minus=0.25))
+    for sign in (1, -1):
+        assert pair[0].side(sign) == pair[1].side(sign)
+        cold_enclosures.cache_clear()
+        for params in pair:
+            memoized = cold_enclosures(params.trapezoid.delta, sign, params.side(sign), bounds._PANELS)
+            assert memoized == grid_bounds_without_table(params, sign), (params, sign)
+        assert cold_enclosures.cache_info().currsize == 2
+    assert cold_enclosures.cache_info().maxsize == bounds._ENCLOSURES
+
+
+def test_grid_bounds_memo_keeps_no_raise(cold_enclosures):
+    """A side outside the enclosure's range raises ConstraintViolation on every call; no entry
+    is stored for it."""
+    tiny = TrapezoidParams(delta=2.0, alpha_plus=1e-6, alpha_minus=0.1, beta_plus=1.0, beta_minus=0.1)
+    params = ParamSet(trapezoid=tiny, sigma_plus=1e-5, sigma_minus=0.3)
+    for _ in range(2):
+        with pytest.raises(ConstraintViolation, match="2\\^-11"):
+            enclose_D(params)
+    assert cold_enclosures.cache_info().currsize == 0
 
 
 def _D_pieces(ctx, params, sign):
@@ -467,7 +496,7 @@ def test_enclose_D_panel_bounds_agree_with_interval_arithmetic(sign):
             X = [mp.mpf(v) ** 2 - 1 for v in (a, b)]
             X_lo = np.array([float(mpmath.nstr(v, 17)) for v in X])
             X_lo, X_hi = np.nextafter(X_lo, 0.0), np.nextafter(X_lo, np.inf)
-            own_lo, own_hi, pow_lo, pow_hi, rest_lo, rest_hi = _node_bounds(params, sign, X_lo, X_hi)
+            own_lo, own_hi, pow_lo, pow_hi, rest_lo, rest_hi = _node_bounds(params.side(sign), sign, X_lo, X_hi)
             ends = pieces(mp.mpf(a)), pieces(mp.mpf(b))
             for k, exact in enumerate(ends):
                 for value, low, high in zip(exact, (own_lo, pow_lo, rest_lo), (own_hi, pow_hi, rest_hi)):

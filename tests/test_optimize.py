@@ -5,8 +5,8 @@ import math
 import pytest
 from test_bounds import D_MINUS_MPMATH, D_PLUS_MPMATH
 
-from greenbound import optimize
-from greenbound.bounds import ParamSet, _upper_end, assemble, group_preset, reference_params, validate
+from greenbound import bounds, optimize
+from greenbound.bounds import ParamSet, assemble, compute_D, group_preset, reference_params, validate
 from greenbound.errors import ConstraintViolation
 from greenbound.optimize import search
 
@@ -95,37 +95,54 @@ def test_search_result_is_pinned():
     assert (params.sigma_plus, params.sigma_minus) == (0.2923714123420863, 0.2502180733913586)
 
 
-def test_search_encloses_each_side_point_once(monkeypatch):
+def test_search_encloses_each_side_point_once(monkeypatch, cold_enclosures):
     """Each side stops on its own step floor, its enclosures are memoized, and
     the screen skips the candidates whose proved lower bound already misses,
-    so 25 iterations take at most 70 fine enclosures (230 unscreened)."""
-    calls = []
-    enclose = optimize._enclose_one_sign
+    so 25 iterations from a cold memo take at least one and at most 70 fine
+    enclosures (230 unscreened).  A memo miss reads its node table once."""
+    panels = []
+    node_table = bounds._node_table
 
-    def counted(params, sign):
-        calls.append(sign)
-        return enclose(params, sign)
+    def counted(delta, grid_panels):
+        panels.append(grid_panels)
+        return node_table(delta, grid_panels)
 
-    monkeypatch.setattr(optimize, "_enclose_one_sign", counted)
+    monkeypatch.setattr(bounds, "_node_table", counted)
     search(reference_params(), group_preset("sl2z"), N_BAR, 25)
-    assert len(calls) <= 70
+    assert 1 <= panels.count(bounds._PANELS) <= 70
 
+
+def test_repeated_searches_enclose_nothing_anew(cold_enclosures):
+    """The memo outlives a search: a second identical search, and a shorter
+    one after it, whose path is a prefix of the longer one's, make no memo
+    miss and return what they return from a cold memo."""
+    ctx = group_preset("sl2z")
+    short = repr(search(reference_params(), ctx, N_BAR, 9))
+    cold_enclosures.cache_clear()
+    full = repr(search(reference_params(), ctx, N_BAR, 25))
+    info = cold_enclosures.cache_info()
+    assert 0 < info.currsize <= info.maxsize == bounds._ENCLOSURES
+    assert repr(search(reference_params(), ctx, N_BAR, 25)) == full
+    assert repr(search(reference_params(), ctx, N_BAR, 9)) == short
+    assert cold_enclosures.cache_info().misses == info.misses
+    assert cold_enclosures.cache_info().currsize == info.currsize
 
 @pytest.mark.parametrize("n_bar", [N_BAR, 80.0])
 @pytest.mark.parametrize("max_iters", [1, 5, 12, 25])
-def test_screen_changes_no_decision(monkeypatch, max_iters, n_bar):
+def test_screen_changes_no_decision(monkeypatch, cold_enclosures, max_iters, n_bar):
     """With a screen that never skips, search returns the same parameters and
     report to the last bit."""
     ctx = group_preset("sl2z")
     screened = search(reference_params(), ctx, n_bar, max_iters)
-    monkeypatch.setattr(optimize, "_grid_bounds", lambda params, sign, panels: (-math.inf, math.inf, 1.0))
+    monkeypatch.setattr(optimize, "_grid_bounds", lambda delta, sign, side, panels: (-math.inf, math.inf, 1.0))
     assert repr(search(reference_params(), ctx, n_bar, max_iters)) == repr(screened)
 
 
 def test_screen_end_is_a_proved_lower_bound():
     """The coarse grid's lower end lies below the 30-digit D and within 2e-6 of it."""
     for sign, D in ((+1, D_PLUS_MPMATH), (-1, D_MINUS_MPMATH)):
-        low = optimize._grid_bounds(reference_params(), sign, optimize._SCREEN_PANELS)[0]
+        params = reference_params()
+        low = optimize._grid_bounds(params.trapezoid.delta, sign, params.side(sign), optimize._SCREEN_PANELS)[0]
         assert D * (1.0 - 2e-6) <= low <= D
 
 
@@ -139,25 +156,37 @@ def test_search_report_reassembles_exactly(max_iters):
     assert (direct.A, direct.B) == (report.A, report.B)
 
 
-def test_each_assembled_D_was_enclosed_at_its_own_floats(monkeypatch):
-    """The memo is keyed on each side's exact (sigma, alpha, beta), so every D
-    that search hands to assemble is the upper end of an enclosure made at
-    exactly that candidate's floats, never at a neighbouring point's."""
-    enclosed, assembled = {}, []
-    enclose, assemble_ = optimize._enclose_one_sign, optimize.assemble
+def test_each_assembled_D_was_enclosed_at_its_own_floats(monkeypatch, cold_enclosures):
+    """The memo is keyed on each side's exact (delta, sigma, alpha, beta), so
+    every D that search assembles comes from an enclosure made at exactly that
+    candidate's floats, never at a neighbouring point's: from a cold memo, each
+    side of each assembled candidate was a fine memo miss, and its D equals,
+    bit for bit, the one compute_D gives on an empty memo."""
+    missed, assembled = set(), []
+    node_table, panels, assemble_ = bounds._node_table, bounds._panels, optimize.assemble
+    key = []
 
-    def recorded_enclose(params, sign):
-        enclosed[sign, params.side(sign)] = result = enclose(params, sign)
-        return result
+    def recorded_node_table(delta, grid_panels):
+        key[:] = [delta, grid_panels]
+        return node_table(delta, grid_panels)
 
-    def recorded_assemble(params, ctx, N_bar, D):
-        assembled.append((params, D))
-        return assemble_(params, ctx, N_bar, D=D)
+    def recorded_panels(side, sign, table, n):
+        missed.add((*key, sign, side))
+        return panels(side, sign, table, n)
 
-    monkeypatch.setattr(optimize, "_enclose_one_sign", recorded_enclose)
+    def recorded_assemble(params, ctx, N_bar):
+        assembled.append((params, report := assemble_(params, ctx, N_bar)))
+        return report
+
+    monkeypatch.setattr(bounds, "_node_table", recorded_node_table)
+    monkeypatch.setattr(bounds, "_panels", recorded_panels)
     monkeypatch.setattr(optimize, "assemble", recorded_assemble)
     search(reference_params(), group_preset("sl2z"), N_BAR, 25)
     assert len(assembled) > 50
-    for params, D in assembled:
-        for sign, value in zip((+1, -1), D):
-            assert value == _upper_end(enclosed[sign, params.side(sign)], sign)
+    for params, report in assembled:
+        for sign in (+1, -1):
+            assert (params.trapezoid.delta, bounds._PANELS, sign, params.side(sign)) in missed
+    monkeypatch.undo()
+    for params, report in assembled:
+        cold_enclosures.cache_clear()
+        assert (report.D_plus, report.D_minus) == compute_D(params)

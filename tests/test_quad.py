@@ -166,7 +166,7 @@ def test_march_to_overflow_reports_the_tail():
     assert t.beta_minus < 3.0 ** (1.0 + t.alpha_minus) / 4.0
 
     def tail(M):
-        return transforms.averaged_transform_tail(t, +1, params.sigma_plus, M)
+        return transforms.averaged_transform_tail(t.delta, +1, *params.side(+1), M)
 
     with pytest.raises(NonConvergenceError, match="tail bound cannot reach tolerance"):
         integrate_to_infinity(lambda u: u ** (t.alpha_plus - params.sigma_plus - 1.0), t.delta, tail, 1e-6)

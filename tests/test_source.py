@@ -9,8 +9,8 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "greenbound"
 MAX_LINE = 120
 # Every private name one package module imports from another, as (importer, module, name).
 PRIVATE_IMPORTS = {
-    ("optimize", "bounds", name)
-    for name in ("_certificate_end", "_enclose_one_sign", "_grid_bounds", "_upper_end")
+    ("optimize", "bounds", "_certificate_end"),
+    ("optimize", "bounds", "_grid_bounds"),
 }
 
 

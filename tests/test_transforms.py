@@ -215,12 +215,12 @@ def test_resolvent_difference_variants(full_check):
 def test_tail_majorant_requires_sigma_above_alpha():
     p = reference_trapezoid()
     with pytest.raises(NonConvergenceError, match="sigma > alpha"):
-        averaged_transform_tail(p, +1, p.alpha_plus, 100.0)
+        averaged_transform_tail(p.delta, +1, p.alpha_plus, *p.side(+1), 100.0)
 
 
 def test_tail_majorant_decays():
     p = reference_trapezoid()
-    values = [averaged_transform_tail(p, +1, 0.306, M) for M in (10.0, 100.0, 1000.0)]
+    values = [averaged_transform_tail(p.delta, +1, 0.306, *p.side(+1), M) for M in (10.0, 100.0, 1000.0)]
     assert values[0] > values[1] > values[2] > 0.0
 
 

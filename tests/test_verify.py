@@ -2,7 +2,6 @@
 
 import pytest
 
-from greenbound import bounds
 from greenbound.verify import PROPERTY_CHECKS, reproduction_battery
 
 
@@ -13,17 +12,11 @@ def test_property_check_passes_at_full_size(check, full_check):
     assert result.passed, result.detail
 
 
-def test_reproduction_battery_encloses_D_once(monkeypatch):
+def test_reproduction_battery_encloses_D_once(cold_enclosures):
     """The majorant cap checks and the theorem-exact assembly share one
-    enclosure of D at the reference parameters: one per sign."""
-    signs = []
-    enclose = bounds._enclose_one_sign
-
-    def counted(params, sign):
-        signs.append(sign)
-        return enclose(params, sign)
-
-    monkeypatch.setattr(bounds, "_enclose_one_sign", counted)
+    enclosure of D at the reference parameters: from a cold memo, one miss
+    per sign, and the second reader hits."""
     results = reproduction_battery(grid=(10, 10))
-    assert sorted(signs) == [-1, +1]
+    info = cold_enclosures.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
     assert [r.name for r in results if not r.passed] == ["D_plus"]
