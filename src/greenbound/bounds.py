@@ -296,14 +296,14 @@ def _u_parts(X_lo: np.ndarray, X_hi: np.ndarray):
     return u2_lo, u2_hi, u_lo, u_hi, _dn(u_lo + _dn(np.sqrt(X_lo))), _up(u_hi + _up(np.sqrt(X_hi)))
 
 
-def _node_bounds(side: tuple[float, float, float], sign: int, X_lo: np.ndarray, X_hi: np.ndarray, u=None):
+def _node_bounds(side: tuple[float, float, float], sign: int, X_lo: np.ndarray, X_hi: np.ndarray, u):
     """Directed (own, pow, rest) at nodes X_lo <= U^2 - 1 <= X_hi, lower and upper ends interleaved:
     own = p_sigma(U) G, pow the x-power part P of p_sigma(W) and rest its shape factor S times
     G = U^alpha / (2 beta (U^2 - 1)), W = V or T, on side = (sigma, alpha, beta); u is _u_parts(X_lo,
-    X_hi) if a table has it."""
+    X_hi)."""
     sigma, alpha, beta = side
     consts = _C_sigma_enclosure(sigma)
-    u2_lo, u2_hi, u_lo, u_hi, xu_lo, xu_hi = _u_parts(X_lo, X_hi) if u is None else u
+    u2_lo, u2_hi, u_lo, u_hi, xu_lo, xu_hi = u
     ua = u2_lo ** (0.5 * alpha)  # U^alpha; (u2_hi / u2_lo)^(alpha / 2) <= u2_hi / u2_lo
     ua_lo, ua_hi = _dn(ua, _W_LIBM), _up(_up(ua, _W_LIBM) * _up(u2_hi / u2_lo))
     G_lo, G_hi = _dn(ua_lo / _up(2.0 * beta * X_hi)), _up(ua_hi / _dn(2.0 * beta * X_lo))

@@ -1,16 +1,18 @@
-"""Spherical-transform layer: sharp and trapezoid cutoff kernels and their
-spectral transforms, plus the resolvent transform.
+"""Spherical-transform layer: trapezoid cutoff kernels and their spectral
+transforms, plus the resolvent transform.
 
 A radial kernel g(u) has spectral transform h(s) = 2 pi Integral g(u)
-P_{s-1}(u) du.  Three families appear:
+P_{s-1}(u) du.  Two families appear:
 
-* sharp cutoff g_U = indicator of [1, U]:
-      h_U(s) = 2 pi sqrt(U^2 - 1) P^{-1}_{s-1}(U);
 * trapezoid cutoffs g_U^- <= g_U <= g_U^+ with corners at T(U) < U < V(U):
       h_U^+(s) = 2 pi [(V^2-1) P^{-2}_{s-1}(V) - (U^2-1) P^{-2}_{s-1}(U)] / (V - U),
       h_U^-(s) = 2 pi [(U^2-1) P^{-2}_{s-1}(U) - (T^2-1) P^{-2}_{s-1}(T)] / (U - T),
   with the boundary values h_U^{+-}(1) = 2 pi (U-1) + pi (W-U), W = V or T;
 * resolvent h_a(s) = 1 / (s(1-s) + a(a-1)).
+
+The sharp cutoff g_U = indicator of [1, U] between them has the transform
+2 pi sqrt(U^2 - 1) P^{-1}_{s-1}(U); no code evaluates it, and its bracket is
+greenbound.verify.order_one_bracket's, scaled.
 
 The corner functions are
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from greenbound._quad import integrate_to_infinity
 from greenbound.errors import ConstraintViolation, NonConvergenceError
-from greenbound.specfun import C_sigma, SQRT_PI, legendre_P_neg1, legendre_P_negm
+from greenbound.specfun import C_sigma, SQRT_PI, legendre_P_negm
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,17 +115,6 @@ def _corner(params: TrapezoidParams, sign: int, U):
     if sign == -1:
         return T_of_U(params, U)
     raise ValueError(f"sign must be +1 or -1, got {sign}")
-
-
-def h_U(s: complex, U: float) -> complex:
-    """Sharp-cutoff transform h_U(s) = 2 pi sqrt(U^2 - 1) P^{-1}_{s-1}(U) for 1 < U < 3.
-
-    Real whenever s(1-s) is real and nonnegative; at s = 1 it collapses to
-    the disc area 2 pi (U - 1).
-    """
-    if not (1.0 < U < 3.0):
-        raise ValueError(f"h_U requires 1 < U < 3, got U = {U}")
-    return TWO_PI * math.sqrt(U * U - 1.0) * legendre_P_neg1(s, U)
 
 
 def h_U_pm(params: TrapezoidParams, sign: int, s: complex, U):

@@ -9,9 +9,10 @@ import pytest
 def full_check():
     """Run a greenbound.verify check at its full (default) size, once a session.
 
-    The checks are seeded and deterministic, so the unit tests, the
-    acceptance criteria and the battery guard that assert the same check
-    share one run of it.
+    The checks are seeded and deterministic, so the battery guard in
+    tests/test_verify.py, the acceptance criteria and the unit tests that
+    assert the same check share one run of it; tests/test_source.py pins
+    which unit tests take this fixture.
     """
     return functools.cache(lambda check: check())
 

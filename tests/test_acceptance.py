@@ -112,15 +112,18 @@ def test_criterion_4_assembled_certificates():
 def test_criterion_5_special_function_suites(full_check):
     """Bracket suites for the special-function bounds; zero violations.
 
-    The order-two strip envelope, which selftest does not run, is checked
-    by tests/test_specfun.py::test_regular_strip_bound_grid.
+    The order-two strip envelope is the p_sigma bound that D+- integrate.
+    The sharp-cutoff transform bracket (4 pi - 8)(U - 1) <= h_U(s) <= 8 (U - 1)
+    is the order-one bracket times 2 pi sqrt(U^2 - 1), so it has no verify
+    check of its own; tests/test_transforms.py::test_h_U_bracket_suite samples
+    it directly.
     """
     start = time.perf_counter()
     checks = (
         verify.order_one_bracket,
         verify.q_derivative_bracket,
         verify.gamma_ratio_sandwich,
-        verify.transform_bracket,
+        verify.envelope_bound,
     )
     results = [full_check(check) for check in checks]
     elapsed = time.perf_counter() - start
@@ -141,7 +144,11 @@ def test_criterion_6_cusp_suites(full_check):
 def test_criterion_7_oracle_equivalences(full_check):
     """Independent-route equalities between the core numeric primitives.
 
-    The transform-area equality, which selftest does not run, is checked by
+    Two more equalities run in selftest and are asserted at full size by
+    tests/test_verify.py and tests/test_transforms.py: the averaged transform
+    at s = 1 against the closed trapezoid area (trapezoid_ends) and the
+    resolvent identities.  The
+    transform-area integral, which selftest does not run, is checked by
     tests/test_transforms.py::test_transform_at_one_is_trapezoid_area.
     """
     checks = (

@@ -471,7 +471,6 @@ def test_enclose_D_panel_bounds_agree_with_interval_arithmetic(sign):
     1e-12), inside the naive mpmath.iv range of the integrand in s, and times
     the panel width in s around the panel's quadrature."""
     mpmath = pytest.importorskip("mpmath")
-    from greenbound.bounds import _node_bounds
 
     params = reference_params()
     alpha, beta = (params.trapezoid.alpha_plus, params.trapezoid.beta_plus) if sign > 0 else (
@@ -496,7 +495,8 @@ def test_enclose_D_panel_bounds_agree_with_interval_arithmetic(sign):
             X = [mp.mpf(v) ** 2 - 1 for v in (a, b)]
             X_lo = np.array([float(mpmath.nstr(v, 17)) for v in X])
             X_lo, X_hi = np.nextafter(X_lo, 0.0), np.nextafter(X_lo, np.inf)
-            own_lo, own_hi, pow_lo, pow_hi, rest_lo, rest_hi = _node_bounds(params.side(sign), sign, X_lo, X_hi)
+            node = bounds._node_bounds(params.side(sign), sign, X_lo, X_hi, bounds._u_parts(X_lo, X_hi))
+            own_lo, own_hi, pow_lo, pow_hi, rest_lo, rest_hi = node
             ends = pieces(mp.mpf(a)), pieces(mp.mpf(b))
             for k, exact in enumerate(ends):
                 for value, low, high in zip(exact, (own_lo, pow_lo, rest_lo), (own_hi, pow_hi, rest_hi)):

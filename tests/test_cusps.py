@@ -285,4 +285,3 @@ def test_distance_implications_sampled_configurations(full_check):
     """No counterexamples to either implication over 50 admissible draws."""
     result = full_check(verify.cusp_distance_lemma)
     assert result.passed, result.detail
-

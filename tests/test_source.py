@@ -5,7 +5,8 @@ from pathlib import Path
 
 import greenbound
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "greenbound"
+TESTS = Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "greenbound"
 MAX_LINE = 120
 # Every private name one package module imports from another, as (importer, module, name).
 PRIVATE_IMPORTS = {
@@ -65,3 +66,35 @@ def test_every_private_definition_is_used_in_the_package():
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     }
     assert not defined - named, sorted(defined - named)
+
+
+# The unit tests outside the battery guard and the acceptance criteria that take full_check, as
+# (module, test).  Each asserts one check that tests/test_verify.py also asserts at full size.
+FULL_CHECK_WRAPPERS = {
+    ("test_bounds.py", "test_majorant_integrals_stable_under_tolerance_halving"),
+    ("test_cusps.py", "test_poisson_convolution_semigroup"),
+    ("test_cusps.py", "test_phase_average_fourier_series"),
+    ("test_cusps.py", "test_smoothing_count_bracket_grid"),
+    ("test_cusps.py", "test_distance_implications_sampled_configurations"),
+    ("test_geom.py", "test_u_of_gamma_matches_mobius_oracle"),
+    ("test_lattice.py", "test_certificate_dominates_exact_counts"),
+    ("test_specfun.py", "test_order_one_bracket_suite"),
+    ("test_specfun.py", "test_q_derivative_bracket_suite"),
+    ("test_specfun.py", "test_legendre_P_negm_closed_form_at_s_one"),
+    ("test_specfun.py", "test_gamma_ratio_sandwich_suite"),
+    ("test_transforms.py", "test_transform_series_matches_closed_form_at_one"),
+    ("test_transforms.py", "test_resolvent_difference_variants"),
+}
+
+
+def test_only_the_pinned_unit_tests_take_full_check():
+    """tests/test_verify.py asserts every property check at full size, so a unit test that takes the
+    full_check fixture to assert one again is a wrapper; a new one is a visible edit here."""
+    users = {
+        (path.name, node.name)
+        for path in sorted(TESTS.glob("test_*.py"))
+        if path.name not in {"test_verify.py", "test_acceptance.py"}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and any(arg.arg == "full_check" for arg in node.args.args)
+    }
+    assert users == FULL_CHECK_WRAPPERS

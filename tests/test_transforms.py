@@ -11,14 +11,13 @@ from greenbound import transforms, verify
 from greenbound._quad import integrate, integrate_to_infinity
 from greenbound.bounds import compute_D, reference_params
 from greenbound.errors import ConstraintViolation, NonConvergenceError
-from greenbound.specfun import legendre_P_negm, p_sigma
+from greenbound.specfun import legendre_P_neg1, legendre_P_negm, p_sigma
 from greenbound.transforms import (
     I_delta_pm,
     T_of_U,
     TrapezoidParams,
     V_of_U,
     averaged_transform_tail,
-    h_U,
     h_U_pm,
     h_U_pm_at_one,
     h_a,
@@ -177,23 +176,24 @@ def test_closed_transform_displays():
         assert math.isclose(h_U_pm_at_one(p, -1, U), minus, rel_tol=1e-14)
 
 
+def sharp_cutoff_transform(s, U):
+    """h_U(s) = 2 pi sqrt(U^2 - 1) P^{-1}_{s-1}(U), the transform of the indicator of [1, U]."""
+    return 2.0 * math.pi * math.sqrt(U * U - 1.0) * legendre_P_neg1(s, U)
+
+
 def test_h_U_at_s_one():
     for U in (1.1, 2.0, 2.9):
-        assert abs(h_U(1.0, U) - 2.0 * math.pi * (U - 1.0)) <= 1e-12 * U
+        assert abs(sharp_cutoff_transform(1.0, U) - 2.0 * math.pi * (U - 1.0)) <= 1e-12 * U
 
 
-def test_h_U_real_on_critical_line():
-    # the hypergeometric series sheds precision as |Im s| grows, so the
-    # imaginary residue is held to a scale that widens with t
-    for t, tol in ((0.5, 1e-14), (3.0, 1e-13), (12.0, 1e-8)):
-        value = h_U(complex(0.5, t), 2.0)
-        assert abs(value.imag) <= tol * max(abs(value.real), 1e-30)
-
-
-def test_h_U_bracket_suite(full_check):
-    """Two-sided bracket (4 pi - 8)(U - 1) <= h_U(s) <= 8 (U - 1), 300 samples."""
-    result = full_check(verify.transform_bracket)
-    assert result.passed, result.detail
+def test_h_U_bracket_suite():
+    """Two-sided bracket (4 pi - 8)(U - 1) <= h_U(s) <= 8 (U - 1), 300 samples: order_one_bracket's
+    inequality times 2 pi sqrt(U^2 - 1), on the strip window it draws from."""
+    rng = random.Random(60001)
+    for _ in range(300):
+        U, s = verify._strip_point(rng, 0.01, 1.99)
+        value = sharp_cutoff_transform(s, U).real
+        assert (4.0 * math.pi - 8.0) * (U - 1.0) <= value <= 8.0 * (U - 1.0), (U, s, value)
 
 
 def test_resolvent_multiplier():
