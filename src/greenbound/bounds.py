@@ -250,7 +250,7 @@ def _widen(x, side):
     return x + side * np.abs(x) * _W_OP  # outward by _W_OP, downward for side -1, for any sign
 
 
-def _grid(t0: float, octaves: int, panels: float = _PANELS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid(t0: float, octaves: int, panels: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes t (t^2 = U^2 - 1) past t0, rounded up to 26 bits, the curvature cell ends and the steps
     of each octave: the j-th octave [X, 2 X] of U^2 - 1 from delta takes max(3, ceil(panels 2^(-k/32)
     / sqrt(1 + k))) steps even in s = log(U^2 - 1), k = max(0, min(j, log2 X)), the first cut at
@@ -389,15 +389,15 @@ def _curvature(side: tuple[float, float, float], sign: int, nodes: np.ndarray, s
 
 
 @functools.lru_cache(maxsize=_TABLES)
-def _node_table(delta: float, panels: float, octaves: int = 0) -> dict:
-    """Read-only U-only parts of _panels on _grid(delta, octaves or up to U^2 - 1 = 2^600, panels):
+def _node_table(delta: float, panels: float) -> dict:
+    """Read-only U-only parts of _panels on _grid(delta, octaves up to U^2 - 1 = 2^600, panels):
     X_lo, X_hi interleave nodes t^2 and panel midpoints t t' in s after delta^2 - 1; u = _u_parts;
     h_lo <= h <= h_hi bound the half panel widths in s; ends index the cell ends in X_lo, with nodes
     (U^2 - 1, U, r^2 = 1 - 1/U^2, 1 - r^2, U - 1) there and spans (of r^2, 1 - r^2, r^2 (1 - r^2)) per
     cell; tail_U are the U that end the octaves, and size the nodes of a grid ending with each."""
     sq_lo, sq_hi = _dn(_dn(delta * delta) - 1.0), _up(_up(delta * delta) - 1.0)
     top = np.arange(1, math.floor(600.0 - math.log2(sq_hi)) + 1)  # U^2 - 1 <= 2^600
-    t, cells, n = _grid(math.sqrt(delta * delta - 1.0), octaves or int(top[-1]), panels)
+    t, cells, n = _grid(math.sqrt(delta * delta - 1.0), int(top[-1]), panels)
     X = np.empty(2 * t.size)
     X[0], X[1::2], X[2::2] = sq_lo, t * t, t[:-1] * t[1:]
     X_hi = np.insert(X[1:], 0, sq_hi)

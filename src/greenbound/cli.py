@@ -29,6 +29,7 @@ import time
 from greenbound import __version__
 from greenbound.bounds import (
     CONSTANTS,
+    COUNT_CAP_STANDARD,
     BoundReport,
     GroupContext,
     ParamSet,
@@ -221,7 +222,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     group = _group_from_entry(entries.get("group", "sl2z"))
     if "n_bar" in flags and "n_bar" not in entries and isinstance(entries.get("group"), dict):
         raise ConstraintViolation(f"a group mapping needs n_bar in the config or --n-bar; the default "
-                                  f"{CONSTANTS['count_cap'][0]:g} is proved only for SL(2, Z) and its subgroups")
+                                  f"{COUNT_CAP_STANDARD:g} is proved only for SL(2, Z) and its subgroups")
     params = _params_from_entry(entries.get("params", {}), reference_params())
     return RunConfig(
         group=group,
@@ -230,7 +231,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         U=_field(entries, "U", "config", 17.0),
         grid=_parse_grid(entries.get("grid", "100x100")),
         mode=_parse_mode(entries.get("mode", "exact")),
-        n_bar=_field(entries, "n_bar", "config", CONSTANTS["count_cap"][0]),
+        n_bar=_field(entries, "n_bar", "config", COUNT_CAP_STANDARD),
         cusp=None if entries.get("cusp") is None else _cusp_from_entry(entries["cusp"], group, params),
     )
 

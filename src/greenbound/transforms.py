@@ -182,14 +182,12 @@ def resolvent_difference(a: float, b: float, s: complex, variant: str) -> comple
     return num / den
 
 
-def averaged_transform_tail(
-    delta: float, sign: int, sigma: float, alpha: float, beta: float, M, s_factor: float = 1.0
-) -> float:
+def averaged_transform_tail(delta: float, sign: int, sigma: float, alpha: float, beta: float, M) -> float:
     """Analytic bound on |(1/2 pi) Integral_M^inf h_U^{+-}(s) / (U^2-1) dU| for M >= delta.
 
-    Requires sigma > alpha for integrability; s_factor should carry the
-    |s(1-s)|^{-5/4} of the strip bound (1.0 when bounding the D integrals,
-    which already strip it off).  Without s_factor the bound is
+    Requires sigma > alpha for integrability.  The bound leaves out the
+    |s(1-s)|^{-5/4} of the strip bound, which I_delta_pm multiplies in (the D
+    integrals strip it off).  It is
     K (1 - M^-2)^-2 M^{alpha-sigma} / (sigma - alpha), K = p0 (kappa^{2-sigma} + 1) / beta,
     which also bounds Integral_M^inf (p(W) + p(U)) U^{1+alpha} / (beta (U^2-1)^2) dU:
     p_sigma(u) <= p0 u^{2-sigma}, p0 = 3 (C + C') 2^{2-sigma} / (4 sqrt(pi)), and W <= kappa U,
@@ -205,7 +203,7 @@ def averaged_transform_tail(
     kappa = max(1.0, 1.0 + sign * beta * delta ** -alpha)
     coeff = p0 * (kappa ** (2.0 - sigma) + 1.0) / beta
     geometry = (1.0 - M ** -2.0) ** -2.0
-    return s_factor * coeff * geometry * M ** (alpha - sigma) / (sigma - alpha)
+    return coeff * geometry * M ** (alpha - sigma) / (sigma - alpha)
 
 
 def I_delta_pm(params: TrapezoidParams, sign: int, s: complex) -> complex:
@@ -232,8 +230,8 @@ def I_delta_pm(params: TrapezoidParams, sign: int, s: complex) -> complex:
 
     def tail(M: float) -> float:
         # averaged_transform_tail bounds the tail of the (1/2 pi)-normalized
-        # integral; the march integrates the unnormalized integrand.
-        return TWO_PI * averaged_transform_tail(params.delta, sign, sigma_eff, *params.side(sign), M, s_factor)
+        # integral without the strip factor; the march integrates the unnormalized integrand.
+        return TWO_PI * s_factor * averaged_transform_tail(params.delta, sign, sigma_eff, *params.side(sign), M)
 
     value, _tail_bound = integrate_to_infinity(integrand, params.delta, tail, I_REL_TOL)
     return value / TWO_PI

@@ -4,7 +4,8 @@ Each check is one function of its sample count n that returns a CheckResult;
 a failed inequality is reported, never raised.  A random check draws from
 its own fixed seed.  The defaults are the full sizes the test suite runs.
 reproduction_battery replays the published constants (count cap, volume
-terms, majorant caps, assembled certificates); property_battery runs the
+terms, majorant caps, assembled certificates) from one nine-row table, each
+value printed as its repr, to the last bit; property_battery runs the
 analytic identities and inequalities at the short sizes in PROPERTY_CHECKS.
 A short run of a random check tests a prefix of the full run's samples, and
 a short grid check the first n points of its grid.  The unit suite asserts
@@ -75,87 +76,33 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def count_check(grid: tuple[int, int] = (100, 100)) -> CheckResult:
-    """Count cap on the truncated domain at U = 17: 216 within 5%."""
+def reproduction_battery(grid: tuple[int, int] = (100, 100)) -> list[CheckResult]:
+    """Replay the published constants: one record per row of a table of (name, value, predicate,
+    target), its detail "<name> = <repr(value)>, <target>".  D_plus fails at the reference
+    parameters (see the package documentation).  The cap rows and the theorem-exact assembly
+    share one enclosure of D, memoized in bounds._grid_bounds."""
     cert = count_bound(truncated_fundamental_domain(), 17.0, grid)
-    return _result(
-        "count",
-        206 <= cert.bound <= 227,
-        f"bound {cert.bound} on {grid[0]}x{grid[1]} grid, target 216 within 5% "
-        f"([206, 227]), {cert.pairs} kernel pairs",
-    )
-
-
-def volume_checks() -> list[CheckResult]:
-    """Closed-form volume terms against 68.41 and -215.84 and their rounded caps."""
-    q_plus, q_minus = compute_q(reference_params(), group_preset("sl2z"))
-    return [
-        _result(
-            "q_plus",
-            abs(q_plus - 68.41) <= 0.02 and q_plus < ROUNDED_Q_PLUS,
-            f"q_plus = {q_plus:.6f}, target 68.41 +- 0.02, cap {ROUNDED_Q_PLUS}",
-        ),
-        _result(
-            "q_minus",
-            abs(q_minus - (-215.84)) <= 0.02 and q_minus > ROUNDED_Q_MINUS,
-            f"q_minus = {q_minus:.6f}, target -215.84 +- 0.02, cap {ROUNDED_Q_MINUS}",
-        ),
-    ]
-
-
-def majorant_cap_checks() -> list[CheckResult]:
-    """Majorant integrals compute_D(reference_params()) against their rounded caps;
-    D_plus fails at the reference parameters (see the package documentation)."""
-    D_plus, D_minus = compute_D(reference_params())
-    return [
-        _result(
-            "D_plus",
-            D_plus <= ROUNDED_D_PLUS,
-            f"D_plus = {D_plus:.8f} vs cap {ROUNDED_D_PLUS} "
-            "(computed integral exceeds the rounded cap at the reference parameters)",
-        ),
-        _result(
-            "D_minus",
-            D_minus <= ROUNDED_D_MINUS,
-            f"D_minus = {D_minus:.8f} vs cap {ROUNDED_D_MINUS}",
-        ),
-    ]
-
-
-def assembly_checks() -> list[CheckResult]:
-    """Headline interval in paper arithmetic; strictly tighter in theorem-exact mode."""
-    ctx = group_preset("sl2z")
-    params = reference_params()
+    ctx, params = group_preset("sl2z"), reference_params()
+    q_plus, q_minus = compute_q(params, ctx)
+    D_plus, D_minus = compute_D(params)
     paper = assemble(params, ctx, COUNT_CAP_STANDARD, mode="paper-arithmetic")
     exact = assemble(params, ctx, COUNT_CAP_STANDARD, mode="theorem-exact")
-    return [
-        _result(
-            "paper_A",
-            abs(paper.A - (-28682.0)) <= 100.0,
-            f"paper-arithmetic A = {paper.A:.4f}, target -28682 +- 100",
-        ),
-        _result(
-            "paper_B",
-            abs(paper.B - 15080.0) <= 100.0,
-            f"paper-arithmetic B = {paper.B:.4f}, target 15080 +- 100",
-        ),
-        _result(
-            "exact_A",
-            exact.A > HEADLINE_A,
-            f"theorem-exact A = {exact.A:.4f}, strictly above headline {HEADLINE_A}",
-        ),
-        _result(
-            "exact_B",
-            exact.B < HEADLINE_B,
-            f"theorem-exact B = {exact.B:.4f}, strictly below headline {HEADLINE_B}",
-        ),
-    ]
-
-
-def reproduction_battery(grid: tuple[int, int] = (100, 100)) -> list[CheckResult]:
-    """Replay the published constants; one record per reproduced number.  The cap checks and the
-    theorem-exact assembly share one enclosure of D, memoized in bounds._grid_bounds."""
-    return [count_check(grid), *volume_checks(), *majorant_cap_checks(), *assembly_checks()]
+    table = (
+        ("count", cert.bound, 206 <= cert.bound <= 227,
+         f"target 216 within 5% ([206, 227]) on {grid[0]}x{grid[1]} grid, {cert.pairs} kernel pairs"),
+        ("q_plus", q_plus, abs(q_plus - 68.41) <= 0.02 and q_plus < ROUNDED_Q_PLUS,
+         f"target 68.41 +- 0.02, cap {ROUNDED_Q_PLUS}"),
+        ("q_minus", q_minus, abs(q_minus - (-215.84)) <= 0.02 and q_minus > ROUNDED_Q_MINUS,
+         f"target -215.84 +- 0.02, cap {ROUNDED_Q_MINUS}"),
+        ("D_plus", D_plus, D_plus <= ROUNDED_D_PLUS,
+         f"cap {ROUNDED_D_PLUS} (computed integral exceeds the rounded cap at the reference parameters)"),
+        ("D_minus", D_minus, D_minus <= ROUNDED_D_MINUS, f"cap {ROUNDED_D_MINUS}"),
+        ("paper_A", paper.A, abs(paper.A - (-28682.0)) <= 100.0, "paper-arithmetic, target -28682 +- 100"),
+        ("paper_B", paper.B, abs(paper.B - 15080.0) <= 100.0, "paper-arithmetic, target 15080 +- 100"),
+        ("exact_A", exact.A, exact.A > HEADLINE_A, f"theorem-exact, strictly above headline {HEADLINE_A}"),
+        ("exact_B", exact.B, exact.B < HEADLINE_B, f"theorem-exact, strictly below headline {HEADLINE_B}"),
+    )
+    return [_result(name, passed, f"{name} = {value!r}, {target}") for name, value, passed, target in table]
 
 
 def random_unimodular(rng: random.Random) -> UnimodularMatrix:

@@ -4,8 +4,9 @@ Each test prints a PASS/FAIL line (visible with pytest -s, or in the
 captured output of a failing run) before asserting, so the status of every
 criterion is reported even when one of them fails.  Criteria 1, 2 and 4-7
 run the checks of greenbound.verify, the functions behind selftest and
-reproduce-paper, at their full sizes and print one line per check.
-Criterion 3 proves
+reproduce-paper, at their full sizes and print one line per check:
+criteria 1, 2 and 4 pick their rows by name from one reproduction_battery
+call on the 100x100 grid.  Criterion 3 proves
 with a certified enclosure that the rounded cap D_plus <= 18.5 fails at the
 reference parameters for the D_plus integrand this package documents
 (enclose_D, p_sigma, V_of_U); PAPER.md does not state the paper's own
@@ -14,6 +15,7 @@ green because it checks that proof, while reproduce-paper still reports the
 cap as a FAIL line.
 """
 
+import functools
 import math
 import time
 
@@ -42,11 +44,18 @@ def report_checks(criterion: int, results) -> None:
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
+@functools.cache
+def reproduction_rows() -> tuple[dict, float]:
+    """reproduce-paper's table on the 100x100 grid, by row name, and the wall time of the one call."""
+    start = time.perf_counter()
+    results = verify.reproduction_battery((100, 100))
+    return {r.name: r for r in results}, time.perf_counter() - start
+
+
 def test_criterion_1_count_certificate():
     """Grid count bound on the truncated domain at threshold 17."""
-    start = time.perf_counter()
-    result = verify.count_check((100, 100))
-    elapsed = time.perf_counter() - start
+    rows, elapsed = reproduction_rows()
+    result = rows["count"]
     report_line(1, result.passed and elapsed < 300.0, f"{result.detail} < 300s")
     assert result.passed, result.detail
     assert elapsed < 300.0
@@ -54,7 +63,8 @@ def test_criterion_1_count_certificate():
 
 def test_criterion_2_volume_terms():
     """Closed-form volume terms against their published roundings."""
-    report_checks(2, verify.volume_checks())
+    rows, _ = reproduction_rows()
+    report_checks(2, [rows["q_plus"], rows["q_minus"]])
 
 
 def test_criterion_3_majorant_integrals(full_check):
@@ -106,7 +116,8 @@ def test_criterion_3_majorant_integrals(full_check):
 
 def test_criterion_4_assembled_certificates():
     """Headline reproduction in rounded arithmetic, strictly tighter exact mode."""
-    report_checks(4, verify.assembly_checks())
+    rows, _ = reproduction_rows()
+    report_checks(4, [rows[name] for name in ("paper_A", "paper_B", "exact_A", "exact_B")])
 
 
 def test_criterion_5_special_function_suites(full_check):

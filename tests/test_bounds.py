@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ def test_enclose_D_upper_end_carries_the_tail():
 
 def grid_bounds_without_table(params, sign):
     """_grid_bounds with no cached prefix: the octave count by the tail rule,
-    then a fresh table of _grid over exactly that many octaves."""
+    then a fresh table of _grid over exactly that many octaves (_grid patched to stop there)."""
     t = params.trapezoid
     sigma, alpha, beta = params.side(sign)
     sq_lo, sq_hi = (bounds._dn(bounds._dn(t.delta * t.delta) - 1.0), bounds._up(bounds._up(t.delta * t.delta) - 1.0))
@@ -320,8 +321,10 @@ def grid_bounds_without_table(params, sign):
     ends = np.arange(1, math.floor(600.0 - math.log2(sq_hi)) + 1)
     fits = averaged_transform_tail(t.delta, sign, sigma, alpha, beta, np.sqrt(1.0 + sq_lo * np.exp2(ends))) <= floor * 2.0**-22
     octaves = int(ends[fits.argmax() if fits.any() else -1])
-    nodes = bounds._grid(math.sqrt(t.delta * t.delta - 1.0), octaves)[0]
-    table = bounds._node_table.__wrapped__(t.delta, bounds._PANELS, octaves)
+    grid = bounds._grid
+    nodes = grid(math.sqrt(t.delta * t.delta - 1.0), octaves, bounds._PANELS)[0]
+    with mock.patch.object(bounds, "_grid", lambda t0, _octaves, panels: grid(t0, octaves, panels)):
+        table = bounds._node_table.__wrapped__(t.delta, bounds._PANELS)
     assert np.array_equal(table["X_lo"][1::2], nodes * nodes)
     lo, hi = bounds._panels(params.side(sign), sign, table, nodes.size)
     return lo, hi, bounds._dn(math.sqrt(bounds._dn(1.0 + nodes[-1] * nodes[-1])))

@@ -8,7 +8,8 @@ rewrites every file with
 
     python tests/test_golden.py
 
-and says in CHANGES.md which records changed and why.
+which prints, for each file, whether its content changed, and says in
+CHANGES.md which records changed and why.
 """
 
 import json
@@ -58,7 +59,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for name, argv in COMMANDS.items():
             entry = run(argv, Path(scratch) / "record.json")
-            with open(GOLDEN / f"{name}.json", "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {name}.json (exit {entry['exit_code']})", file=sys.stderr)
+            path = GOLDEN / f"{name}.json"
+            text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
+            changed = not path.exists() or path.read_text(encoding="utf-8") != text
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {name}.json (exit {entry['exit_code']}, {'changed' if changed else 'unchanged'})",
+                  file=sys.stderr)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from greenbound.bounds import COUNT_CAP_STANDARD, assemble, compute_D, compute_q, group_preset, reference_params
+from greenbound.lattice import count_bound, truncated_fundamental_domain
 from greenbound.verify import PROPERTY_CHECKS, reproduction_battery
 
 
@@ -20,3 +22,22 @@ def test_reproduction_battery_encloses_D_once(cold_enclosures):
     info = cold_enclosures.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
     assert [r.name for r in results if not r.passed] == ["D_plus"]
+
+
+def test_reproduction_details_carry_each_value_to_the_last_bit():
+    """Each reproduce-paper detail reads "<name> = <repr(value)>, ...", so the golden record of
+    reproduce-paper sees a one-ulp move of any reproduced number; the values are computed here
+    by the same calls, in the table's order."""
+    ctx, params = group_preset("sl2z"), reference_params()
+    paper = assemble(params, ctx, COUNT_CAP_STANDARD, mode="paper-arithmetic")
+    exact = assemble(params, ctx, COUNT_CAP_STANDARD, mode="theorem-exact")
+    values = {
+        "count": count_bound(truncated_fundamental_domain(), 17.0, (10, 10)).bound,
+        **dict(zip(("q_plus", "q_minus"), compute_q(params, ctx))),
+        **dict(zip(("D_plus", "D_minus"), compute_D(params))),
+        "paper_A": paper.A, "paper_B": paper.B, "exact_A": exact.A, "exact_B": exact.B,
+    }
+    results = reproduction_battery((10, 10))
+    assert [r.name for r in results] == list(values)
+    for r in results:
+        assert r.detail.startswith(f"{r.name} = {values[r.name]!r}, "), r.detail
