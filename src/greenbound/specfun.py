@@ -100,27 +100,24 @@ def _recip_gamma(z: complex) -> complex:
 def hyp2f1(a: complex, b: complex, c: complex, z):
     """Gauss hypergeometric series F(a, b; c; z) for real |z| < 1.
 
-    Terms follow the ratio recurrence t_{n+1} = t_n (a+n)(b+n) z /
-    ((c+n)(n+1)); summation stops once three consecutive terms fall below
-    1e-16 times the partial sum (after at least ten terms).  Elementwise on
-    an array z, each entry stopping by that rule on its own (its sum stays
-    fixed while the others go on); a scalar z gives a complex.
+    Terms follow the ratio recurrence t_{n+1} = t_n (a+n)(b+n) z / ((c+n)(n+1)); summation stops
+    once three consecutive terms fall below 1e-16 times the partial sum (after at least ten terms).
+    Elementwise on an array z, each entry stopping by that rule on its own (its sum stays fixed
+    while the others go on).  Real a, b, c give a float (or float64 array) summed in floats,
+    complex ones a complex (or complex array).
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.abs(z) < 1.0):
         raise ValueError(f"hyp2f1 series requires |z| < 1, got max |z| = {np.max(np.abs(z))}")
-    c = complex(c)
-    if _is_nonpositive_integer(c):
+    if _is_nonpositive_integer(complex(c)):
         raise ValueError(f"hyp2f1 undefined for c = {c}")
-    a = complex(a)
-    b = complex(b)
-    # A scalar runs in Python complex arithmetic, which is many times faster
-    # than numpy on one entry; the loop below reads the same for both.
+    # A scalar runs in Python arithmetic, many times faster than numpy on one entry; the loop
+    # reads the same for both.  The sums start real and turn complex with a complex term ratio.
     if z.ndim:
-        total = term = np.ones(z.shape, dtype=complex)
+        total = term = np.ones(z.shape)
         live, any_live = np.ones(z.shape, dtype=bool), np.any
     else:
-        z, total, term, live, any_live = float(z), 1.0 + 0.0j, 1.0 + 0.0j, True, bool
+        z, total, term, live, any_live = float(z), 1.0, 1.0, True, bool
     small_run = 0
     for n in range(_MAX_TERMS):
         term = term * ((a + n) * (b + n) / ((c + n) * (n + 1))) * z
@@ -153,20 +150,26 @@ def legendre_P_neg1(s: complex, u: float) -> complex:
 
 
 def legendre_Q_deriv(nu: float, u: float) -> float:
-    """Derivative Q_nu'(u) for nu >= 0, u > 1, in hypergeometric form.
+    """Derivative Q_nu'(u) for finite nu >= 0 and u > 1, in hypergeometric form.
 
-    Q_nu'(u) = -(2/(u+1))^nu (u^2-1)^{-1} [Gamma(1+nu) Gamma(2+nu) /
-    Gamma(2+2nu)] F(nu, 1+nu; 2+2nu; 2/(u+1)).
-
-    Always negative: Q_nu decreases along (1, infinity).
+    With G = Gamma(1+nu) Gamma(2+nu) / Gamma(2+2nu) and z = 2/(u+1), Q_nu'(u) = -(2/(u+1))^nu G
+    F(nu, 1+nu; 2+2nu; z) / (u^2-1).  Two quadratic transformations (DLMF 15.8(iii)) move the argument
+    away from 1.  F(nu, nu+1; 2nu+2; z) = (1 - z/2)^-nu F(nu/2, (nu+1)/2; nu+3/2; (z/(2-z))^2), with
+    1 - z/2 = u/(u+1) and z/(2-z) = 1/u, gives -(2/u)^nu G F(nu/2, (nu+1)/2; nu+3/2; 1/u^2) / (u^2-1).
+    F(a, a+1/2; c; y) = ((1+r)/2)^-2a F(2a, 2a-c+1; c; (1-r)/(1+r)), with r = sqrt(1 - 1/u^2), (1+r)/2
+    = x/(2u) and (1-r)/(1+r) = 1/x^2 for x = u + sqrt(u^2-1), then gives the form summed here:
+    Q_nu'(u) = -(4/x)^nu G F(-1/2, nu; nu+3/2; 1/x^2) / (u^2-1).  A series crawls as its argument
+    nears 1; as u -> 1 its gap to 1 is (u-1)/2 for z, 2(u-1) for 1/u^2 and 2 sqrt(2(u-1)) for 1/x^2, whose
+    terms (c - a - b = 2) also fall like n^-3: about 400 of them at u - 1 = 1e-3.  F is in (0, 1] and
+    (4/x)^nu meets G in one exponent, so nothing overflows at large nu; the lgamma terms leave a relative
+    error up to about nu * 2e-15.  u^2 - 1 is (u-1)(u+1), a few ulps near u = 1.  Always negative.
     """
-    if not (nu >= 0.0):
-        raise ValueError(f"legendre_Q_deriv requires nu >= 0, got {nu}")
-    if not (u > 1.0):
-        raise ValueError(f"legendre_Q_deriv requires u > 1, got {u}")
-    gamma_factor = math.exp(math.lgamma(1.0 + nu) + math.lgamma(2.0 + nu) - math.lgamma(2.0 + 2.0 * nu))
-    f = hyp2f1(nu, 1.0 + nu, 2.0 + 2.0 * nu, 2.0 / (u + 1.0)).real
-    return -((2.0 / (u + 1.0)) ** nu) / (u * u - 1.0) * gamma_factor * f
+    if not (0.0 <= nu < math.inf and u > 1.0):
+        raise ValueError(f"legendre_Q_deriv requires finite nu >= 0 and u > 1, got nu = {nu}, u = {u}")
+    gap = (u - 1.0) * (u + 1.0)
+    x = u + math.sqrt(gap)
+    log_g = math.lgamma(1.0 + nu) + math.lgamma(2.0 + nu) - math.lgamma(2.0 + 2.0 * nu)
+    return -math.exp(nu * math.log(4.0 / x) + log_g) / gap * hyp2f1(-0.5, nu, nu + 1.5, 1.0 / (x * x))
 
 
 def _near_one(s: complex, u: np.ndarray) -> np.ndarray:

@@ -1,18 +1,16 @@
 """Numeric checks shared by the command line and the test suite.
 
-Each check is one function of its sample count n that returns a CheckResult;
-a failed inequality is reported, never raised.  A random check draws from
-its own fixed seed.  The defaults are the full sizes the test suite runs.
-reproduction_battery replays the published constants (count cap, volume
-terms, majorant caps, assembled certificates) from one nine-row table, each
-value printed as its repr, to the last bit; property_battery runs the
-analytic identities and inequalities at the short sizes in PROPERTY_CHECKS.
-A short run of a random check tests a prefix of the full run's samples, and
-a short grid check the first n points of its grid.  The unit suite asserts
-each property check once, at full size (tests/test_verify.py).  Each
-inequality has one check: the sharp-cutoff transform bracket is
-order_one_bracket scaled by 2 pi sqrt(U^2 - 1), and envelope_bound is the
-p_sigma envelope that ties the Legendre series to D+-.
+Each check is one function of its sample count n alone that returns a CheckResult; a failed
+inequality is reported, never raised.  A random check draws from its own fixed seed.  The defaults
+are the full sizes the test suite runs.  reproduction_battery replays the published constants
+(count cap, volume terms, majorant caps, assembled certificates) from one nine-row table, each
+value printed as its repr, to the last bit; property_battery runs the analytic identities and
+inequalities at the short sizes in PROPERTY_CHECKS, which sets n and nothing else.  A short run
+tests a prefix of the full run, with no exceptions: a random check draws the first n of the full
+run's samples (same seed, same range), a grid check takes the first n points of its grid.  The
+unit suite asserts each property check once, at full size (tests/test_verify.py).  Each
+inequality has one check: the sharp-cutoff transform bracket is order_one_bracket scaled by
+2 pi sqrt(U^2 - 1), and envelope_bound is the p_sigma envelope that ties the Legendre series to D+-.
 """
 
 from __future__ import annotations
@@ -178,20 +176,19 @@ def order_one_bracket(n: int = 500) -> CheckResult:
     )
 
 
-def q_derivative_bracket(n: int = 500, u_min: float = 1e-3) -> CheckResult:
-    """-(2/(u+1))^nu / (u^2 - 1) <= Q'_nu(u) <= 0 for u - 1 in [u_min, 99]; the
-    hypergeometric series slows down as u -> 1, so short runs start further out."""
+def q_derivative_bracket(n: int = 500) -> CheckResult:
+    """-(2/(u+1))^nu / (u^2 - 1) <= Q'_nu(u) <= 0 for nu in [0, 10] and u - 1 log-uniform in [1e-3, 99]."""
     rng = random.Random(52011)
     violations = 0
     for _ in range(n):
         nu = rng.uniform(0.0, 10.0)
-        u = 1.0 + math.exp(rng.uniform(math.log(u_min), math.log(99.0)))
+        u = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(99.0)))
         floor = -((2.0 / (u + 1.0)) ** nu) / (u * u - 1.0)
         violations += not (floor <= legendre_Q_deriv(nu, u) <= 0.0)
     return _result(
         "q-derivative-bracket",
         violations == 0,
-        f"-(2/(u+1))^nu/(u^2-1) <= Q' <= 0 for u - 1 >= {u_min:g}, {violations} violations / {n}",
+        f"-(2/(u+1))^nu/(u^2-1) <= Q' <= 0 for u - 1 >= 0.001, {violations} violations / {n}",
     )
 
 
@@ -402,11 +399,11 @@ def cusp_distance_lemma(n: int = 50) -> CheckResult:
     )
 
 
-def count_certificate_soundness(n: int = 200, grid: tuple[int, int] = (40, 40)) -> CheckResult:
-    """The grid certificate at U = 17 caps the exact count at n sampled points
+def count_certificate_soundness(n: int = 200) -> CheckResult:
+    """The 40x40 grid certificate at U = 17 caps the exact count at n sampled points
     of the truncated domain, and the points count at least the identity pair."""
     box = truncated_fundamental_domain()
-    cert = count_bound(box, 17.0, grid)
+    cert = count_bound(box, 17.0, (40, 40))
     rng = random.Random(70200)
     worst = 0
     for _ in range(n):
@@ -415,8 +412,7 @@ def count_certificate_soundness(n: int = 200, grid: tuple[int, int] = (40, 40)) 
     return _result(
         "count-certificate-soundness",
         2 <= worst <= cert.bound,
-        f"max exact count {worst} <= certified bound {cert.bound} "
-        f"({grid[0]}x{grid[1]} grid) on {n} points",
+        f"max exact count {worst} <= certified bound {cert.bound} (40x40 grid) on {n} points",
     )
 
 
@@ -432,7 +428,7 @@ PROPERTY_CHECKS = (
     (displacement_identity, {"n": 200}),
     (order_two_closed_form, {"n": 50}),
     (order_one_bracket, {"n": 100}),
-    (q_derivative_bracket, {"n": 100, "u_min": 1e-2}),
+    (q_derivative_bracket, {"n": 100}),
     (gamma_ratio_sandwich, {"n": 200}),
     (envelope_bound, {"n": 3}),
     (trapezoid_ends, {"n": 5}),
@@ -441,7 +437,7 @@ PROPERTY_CHECKS = (
     (phase_fourier_series, {"n": 20}),
     (smoothing_bracket, {"n": 3}),
     (cusp_distance_lemma, {"n": 5}),
-    (count_certificate_soundness, {"n": 20, "grid": (20, 20)}),
+    (count_certificate_soundness, {"n": 20}),
     (majorant_stability, {}),
 )
 

@@ -20,6 +20,7 @@ from greenbound.specfun import (
     hyp2f1,
     legendre_P_neg1,
     legendre_P_negm,
+    legendre_Q_deriv,
     log_gamma_complex,
     p_sigma,
 )
@@ -186,16 +187,71 @@ def test_order_one_matches_mpmath_outside_its_zone():
 def test_hyp2f1_array_matches_scalar_calls():
     """On an array z each entry stops by the scalar rule, whichever entries
     it shares the array with, and agrees with a scalar call to 1e-15 (numpy
-    and Python round complex products differently)."""
+    and Python round complex products differently); complex parameters give
+    a complex and a complex array, real ones a float and a float64 array."""
     z = np.array([[-0.1, -0.01], [0.0, 0.5]])
-    values = hyp2f1(0.3 + 2.0j, 0.7 - 2.0j, 3.0, z)
-    assert values.shape == z.shape
-    for x, value in zip(z.ravel(), values.ravel()):
-        scalar = hyp2f1(0.3 + 2.0j, 0.7 - 2.0j, 3.0, float(x))
-        assert isinstance(scalar, complex)
-        assert abs(value - scalar) <= 1e-15 * abs(scalar), x
+    for params, kind in (((0.3 + 2.0j, 0.7 - 2.0j, 3.0), complex), ((-0.5, 3.3, 4.8), float)):
+        values = hyp2f1(*params, z)
+        assert values.shape == z.shape
+        assert values.dtype == np.dtype(kind)
+        for x, value in zip(z.ravel(), values.ravel()):
+            scalar = hyp2f1(*params, float(x))
+            assert type(scalar) is kind
+            assert abs(value - scalar) <= 1e-15 * abs(scalar), (params, x)
     with pytest.raises(ValueError):
         hyp2f1(1.0, 1.0, 2.0, np.array([0.5, -1.0]))
+
+
+def test_hyp2f1_real_parameters_sum_in_floats_near_one():
+    """Real a, b, c and z give a float (a float64 array on an array z), within 1e-14 of 40-digit
+    mpmath at legendre_Q_deriv's parameters (-1/2, nu; nu+3/2) and its argument 1/x^2 nearest 1
+    in the Q' check, x = u + sqrt(u^2 - 1) at u - 1 = 1e-3."""
+    mpmath = pytest.importorskip("mpmath")
+    u = 1.001
+    x = u + math.sqrt((u - 1.0) * (u + 1.0))
+    z = 1.0 / (x * x)
+    for nu in (0.0, 0.5, 1.0, 3.3, 7.0, 10.0):
+        params = (-0.5, nu, nu + 1.5)
+        value = hyp2f1(*params, z)
+        values = hyp2f1(*params, np.array([z, 0.5]))
+        assert type(value) is float and values.dtype == np.float64
+        assert values[0] == value
+        with mpmath.workdps(40):
+            oracle = mpmath.hyp2f1(*params, z)
+        assert abs(value - oracle) <= 1e-14 * oracle, nu
+
+
+def test_legendre_Q_deriv_matches_mpmath():
+    """Q_nu'(u) within 1e-14 relative of the derivative of mpmath's legenq at 40 digits, on
+    nu in {0, 0.5, 1, 3.3, 7, 10} x u - 1 in {1e-3, 1e-2, 0.1, 1, 10, 99}."""
+    mpmath = pytest.importorskip("mpmath")
+    for nu in (0.0, 0.5, 1.0, 3.3, 7.0, 10.0):
+        for gap in (1e-3, 1e-2, 0.1, 1.0, 10.0, 99.0):
+            u = 1.0 + gap
+            with mpmath.workdps(40):
+                oracle = mpmath.diff(lambda x: mpmath.legenq(nu, 0, x, type=3), mpmath.mpf(u)).real
+            value = legendre_Q_deriv(nu, u)
+            assert abs(value - oracle) <= 1e-14 * abs(oracle), (nu, u, value, oracle)
+
+
+def test_legendre_Q_deriv_large_nu():
+    """Past nu ~ 512, where (4/x)^nu overflows a double near u = 1, and past nu ~ 540, where
+    Gamma(1+nu) Gamma(2+nu) / Gamma(2+2nu) underflows one, the value stays finite and within nu * 1e-14
+    relative of an independent 40-digit form: Q_nu(cosh t) = sqrt(pi) Gamma(nu+1) / Gamma(nu+3/2)
+    e^{-(nu+1) t} F(1/2, nu+1; nu+3/2; e^{-2t}), differentiated in t.  Bad input raises ValueError."""
+    mpmath = pytest.importorskip("mpmath")
+    for nu, u in ((600.0, 1.01), (1000.0, 1.001), (5000.0, 1.0001)):
+        with mpmath.workdps(40):
+            n, v = mpmath.mpf(nu), mpmath.mpf(u)
+            w = (v - mpmath.sqrt(v * v - 1)) ** 2
+            series = mpmath.hyp2f1(0.5, n + 1, n + 1.5, w) + w / (n + 1.5) * mpmath.hyp2f1(1.5, n + 2, n + 2.5, w)
+            scale = mpmath.sqrt(mpmath.pi) * mpmath.gamma(n + 2) / mpmath.gamma(n + 1.5)
+            oracle = -scale * w ** ((n + 1) / 2) / mpmath.sqrt(v * v - 1) * series
+        value = legendre_Q_deriv(nu, u)
+        assert math.isfinite(value) and abs(value - oracle) <= 1e-14 * nu * abs(oracle), (nu, u, value, oracle)
+    for nu, u in ((math.inf, 1.5), (math.nan, 1.5), (-0.5, 1.5), (1.0, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            legendre_Q_deriv(nu, u)
 
 
 def test_legendre_P_negm_closed_form_at_s_one(full_check):

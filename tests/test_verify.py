@@ -1,5 +1,7 @@
 """The self-check batteries and their shared check functions."""
 
+import inspect
+
 import pytest
 
 from greenbound.bounds import COUNT_CAP_STANDARD, assemble, compute_D, compute_q, group_preset, reference_params
@@ -12,6 +14,17 @@ def test_property_check_passes_at_full_size(check, full_check):
     """Every check selftest runs at its short size also runs in the suite at full size."""
     result = full_check(check)
     assert result.passed, result.detail
+
+
+def test_property_checks_set_only_the_sample_count():
+    """selftest's short run of each check is a prefix of its full run, so PROPERTY_CHECKS passes
+    no keyword but n, and no check takes another parameter: a range or grid knob that moves the
+    short run off the full one shows here."""
+    extra = {
+        check.__name__: sorted((set(size) | set(inspect.signature(check).parameters)) - {"n"})
+        for check, size in PROPERTY_CHECKS
+    }
+    assert not any(extra.values()), extra
 
 
 def test_reproduction_battery_encloses_D_once(cold_enclosures):
