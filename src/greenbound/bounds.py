@@ -13,13 +13,13 @@ where q_pm are closed-form volume terms, D_pm are integrals of the
 spectral-side majorants of the averaged transforms, S(eta) is the factor
 translating eigenfunction sums into lattice counts for a spectral gap eta,
 and N_bar is a uniform bound on the average of the two displacement counts
-N(z, z, 17) and N(w, w, 17).
+N(z, z, U) and N(w, w, U) at U = COUNT_RADIUS; certificate_end evaluates A and B.
 
 delta, the radius of the truncated kernel J_delta, enters three hypotheses:
 delta > 1 (TrapezoidParams), the beta^- cap beta^- <= delta^{1+alpha^-} /
 (delta + 1) (beta_minus_cap, so T(U) >= 1 for U >= delta), and the lower end
 U = delta of the D integrals and of the transforms I_delta^{+-} they bound.
-Nothing in the code ties the count radius 17 of N_bar, or S(eta), to delta.
+Nothing in the code ties COUNT_RADIUS, or S(eta), to delta.
 
 Two arithmetic modes are supported.  theorem-exact (the default) evaluates
 q_pm in closed form, takes D_pm as the upper ends of the certified
@@ -63,7 +63,9 @@ ROUNDED_Q_PLUS = 69.0
 ROUNDED_Q_MINUS = -216.0
 ROUNDED_D_PLUS = 18.5
 ROUNDED_D_MINUS = 9.61
-COUNT_CAP_STANDARD = 216.0  # certified N(z, z, 17) cap on the truncated domain
+COUNT_CAP_STANDARD = 216.0  # certified N(z, z, COUNT_RADIUS) cap on the truncated domain
+COUNT_RADIUS = 17.0  # displacement radius U of the counts N_bar bounds
+COUNT_GRID = (100, 100)  # grid on which COUNT_CAP_STANDARD is certified
 HEADLINE_A = -2.87e4
 HEADLINE_B = 1.51e4
 
@@ -233,6 +235,7 @@ _TAIL_MARGIN = 2.0**-24  # on the plain float value of averaged_transform_tail
 _W_CONVEX = 2.0**-30  # slack of the plain-float curvature bounds
 _D_REL_WIDTH = 1e-6  # widest enclosure, relative to its lower end, that compute_D accepts
 _PANELS = 200.0  # panels on an octave of U^2 - 1 next to delta or below 1; see _grid
+_SCREEN_PANELS = 50.0  # the coarse grid of D_floor
 _CELL = 4  # panels per curvature cell
 _TABLES = 4  # node tables kept, a fine and a coarse one for each of two values of delta
 _ENCLOSURES = 4096  # one-sign grid bounds kept process-wide, fine and coarse; see _grid_bounds
@@ -462,6 +465,12 @@ def _grid_bounds(delta: float, sign: int, side: tuple, panels: float) -> tuple[f
     return lo, hi, float(table["u"][2, 2 * n - 1])
 
 
+def D_floor(params: ParamSet, sign: int) -> float:
+    """A proved lower bound on D_plus (sign > 0) or D_minus: the lower end of the coarse-grid enclosure
+    (_SCREEN_PANELS steps an octave), without the positive tail; memoized in _grid_bounds."""
+    return float(_grid_bounds(params.trapezoid.delta, sign, params.side(sign), _SCREEN_PANELS)[0])
+
+
 def _enclose_one_sign(params: ParamSet, sign: int) -> tuple[float, float]:
     lo, hi, M = _grid_bounds(params.trapezoid.delta, sign, params.side(sign), _PANELS)
     tail = _up(averaged_transform_tail(params.trapezoid.delta, sign, *params.side(sign), M), _TAIL_MARGIN)
@@ -599,7 +608,7 @@ class BoundReport:
         return self.B - self.A
 
 
-def _certificate_end(q: float, D: float, factor: float, N_bar: float, sign: int) -> float:
+def certificate_end(q: float, D: float, factor: float, N_bar: float, sign: int) -> float:
     """A = -q_plus - D_plus factor N_bar (sign > 0) or B = -q_minus + D_minus factor N_bar; rounding
     is monotone, so with factor, N_bar > 0 a smaller D never gives a smaller A or a larger B."""
     return -q - D * factor * N_bar if sign > 0 else -q + D * factor * N_bar
@@ -608,7 +617,7 @@ def _certificate_end(q: float, D: float, factor: float, N_bar: float, sign: int)
 def assemble(params: ParamSet, ctx: GroupContext, N_bar: float, mode: str = "theorem-exact") -> BoundReport:
     """Build the certificate A <= . <= B for a uniform count bound N_bar.
 
-    N_bar bounds the average (N(z, z, 17) + N(w, w, 17)) / 2 over the
+    N_bar bounds the average (N(z, z, U) + N(w, w, U)) / 2, U = COUNT_RADIUS, over the
     intended range of base points; it must be finite and at least 2 (the
     identity pair is always counted).  In theorem-exact mode D_plus and
     D_minus are the upper ends of the certified enclosures, compute_D(params),
@@ -627,7 +636,7 @@ def assemble(params: ParamSet, ctx: GroupContext, N_bar: float, mode: str = "the
         factor = spectral_factor(ctx.eta, include_phi_constant=True)
     else:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    A, B = _certificate_end(q_plus, D_plus, factor, N_bar, +1), _certificate_end(q_minus, D_minus, factor, N_bar, -1)
+    A, B = certificate_end(q_plus, D_plus, factor, N_bar, +1), certificate_end(q_minus, D_minus, factor, N_bar, -1)
     return BoundReport(
         q_plus=q_plus,
         q_minus=q_minus,

@@ -30,6 +30,8 @@ from greenbound import __version__
 from greenbound.bounds import (
     CONSTANTS,
     COUNT_CAP_STANDARD,
+    COUNT_GRID,
+    COUNT_RADIUS,
     BoundReport,
     GroupContext,
     ParamSet,
@@ -48,6 +50,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_MISMATCH = 3
+
+_GRID_TEXT = f"{COUNT_GRID[0]}x{COUNT_GRID[1]}"  # the default count grid as --grid takes it
 
 _MODE_ALIASES = {
     "exact": "theorem-exact",
@@ -130,7 +134,7 @@ def _parse_grid(entry) -> tuple[int, int]:
     """A grid as NXxNY text or two integers."""
     parts = entry.lower().split("x") if isinstance(entry, str) else entry
     if not (isinstance(parts, (list, tuple)) and len(parts) == 2):
-        raise ConstraintViolation(f"grid must look like 100x100 or hold two integers, got {entry!r}")
+        raise ConstraintViolation(f"grid must look like {_GRID_TEXT} or hold two integers, got {entry!r}")
     return _number(parts[0], "grid", int), _number(parts[1], "grid", int)
 
 
@@ -228,8 +232,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         group=group,
         params=params,
         region=_region_from_entry(entries.get("region", y0)),
-        U=_field(entries, "U", "config", 17.0),
-        grid=_parse_grid(entries.get("grid", "100x100")),
+        U=_field(entries, "U", "config", COUNT_RADIUS),
+        grid=_parse_grid(entries.get("grid", COUNT_GRID)),
         mode=_parse_mode(entries.get("mode", "exact")),
         n_bar=_field(entries, "n_bar", "config", COUNT_CAP_STANDARD),
         cusp=None if entries.get("cusp") is None else _cusp_from_entry(entries["cusp"], group, params),
@@ -299,7 +303,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     print(f"grid:    {cert.grid[0]}x{cert.grid[1]}")
     print(f"bound:   {cert.bound}")
     print(f"elapsed: {elapsed:.2f}s")
-    # vars, not dataclasses.asdict, whose deep copy of per_cell_counts costs more than a 100x100 count
+    # vars, not dataclasses.asdict, whose deep copy of per_cell_counts costs more than a default-grid count
     _emit(_record("count", config, **{**vars(cert), "region": dataclasses.asdict(cert.region)}), args.json)
     return EXIT_OK
 
@@ -395,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--point", help="degenerate region at a single point, as X,Y")
     p_count.add_argument("--region", help="rectangle as x_min,x_max,y_min,y_max")
     p_count.add_argument("--U", type=float, help="displacement threshold")
-    p_count.add_argument("--grid", help="subdivision as NXxNY, e.g. 100x100")
+    p_count.add_argument("--grid", help=f"subdivision as NXxNY, e.g. {_GRID_TEXT}")
     p_count.set_defaults(handler=cmd_count)
 
     p_bounds = sub.add_parser("bounds", help="assemble the certificate A <= . <= B")
@@ -406,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce-paper", help="replay the published pipeline numbers")
     p_rep.add_argument("--json", help="write the machine record to this file")
-    p_rep.add_argument("--grid", default="100x100", help="grid for the count item (default 100x100)")
+    p_rep.add_argument("--grid", default=_GRID_TEXT, help=f"grid for the count item (default {_GRID_TEXT})")
     p_rep.set_defaults(handler=cmd_reproduce_paper)
 
     p_cusp = sub.add_parser("cusp-extend", help="transport a certificate to a cusp neighbourhood")

@@ -18,20 +18,19 @@ sweeps.  Deterministic by construction: no randomness, strict-improvement
 moves, fixed coordinate order.
 
 The D enclosures dominate the cost.  Candidates are scored by assemble, and
-each side's grid bounds, fine and coarse, are memoized process-wide by
-bounds._grid_bounds on that side's exact floats (delta, sigma, alpha, beta),
-so the side not being searched is enclosed once, a step that lands on the
-same floats again reuses the enclosure, a later search in the same process
-that retraces a path (the same seed with fewer or as many iterations)
-encloses nothing anew, and each reported D was enclosed at its own parameters.  Each candidate is
-screened first: the lower end of its D enclosure on a coarse grid
-(_SCREEN_PANELS steps an octave) is a proved lower bound on D, so in
-assemble's float expression (bounds._certificate_end) it scores no worse than
-the fine upper end, rounding being monotone.  If it already reaches the score
-to beat, the candidate could not be taken and is skipped unenclosed.  A skip
-therefore never drops a candidate that would have won, whether or not its fine
-enclosure is already memoized, and the result is the unscreened search's to
-the last bit.
+each side's enclosures, fine and coarse, are memoized process-wide by bounds
+on that side's exact floats (delta, sigma, alpha, beta), so the side not being
+searched is enclosed once, a step that lands on the same floats again reuses
+the enclosure, a later search in the same process that retraces a path (the
+same seed with fewer or as many iterations) encloses nothing anew, and each
+reported D was enclosed at its own parameters.  Each candidate is screened
+first: D_floor, the lower end of its D enclosure on a coarse grid, is a proved
+lower bound on D, so in assemble's end formula (certificate_end) it scores no
+worse than the fine upper end, rounding being monotone.  If it already reaches
+the score to beat, the candidate could not be taken and is skipped unenclosed.
+A skip therefore never drops a candidate that would have won, whether or not
+its fine enclosure is already memoized, and the result is the unscreened
+search's to the last bit.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ import math
 
 from greenbound.bounds import (
     BoundReport,
+    D_floor,
     GroupContext,
     ParamSet,
-    _certificate_end,
-    _grid_bounds,
     assemble,
+    certificate_end,
     compute_q,
     sigma_ceiling,
     spectral_factor,
@@ -62,7 +61,6 @@ _SIDES = (
 )
 _BETA_CAP_MARGIN = 1.0 - 1e-9
 _SIGMA_FLOOR_REL = 1e-6
-_SCREEN_PANELS = 50.0  # steps of the screen's grid on an octave next to delta; see bounds._grid
 
 
 def _make_params(values: dict[str, float], sigma_max: float) -> ParamSet:
@@ -100,8 +98,7 @@ def search(seed: ParamSet, ctx: GroupContext, N_bar: float, max_iters: int) -> t
     factor = spectral_factor(ctx.eta, include_phi_constant=True)
 
     def screened(params: ParamSet, sign: int, bar: float) -> bool:
-        low = _grid_bounds(params.trapezoid.delta, sign, params.side(sign), _SCREEN_PANELS)[0]
-        end = _certificate_end(compute_q(params, ctx)[0 if sign > 0 else 1], low, factor, N_bar, sign)
+        end = certificate_end(compute_q(params, ctx)[0 if sign > 0 else 1], D_floor(params, sign), factor, N_bar, sign)
         return (-end if sign > 0 else end) >= bar
 
     current, report = seed, assemble(seed, ctx, N_bar)

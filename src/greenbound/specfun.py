@@ -102,8 +102,10 @@ def hyp2f1(a: complex, b: complex, c: complex, z):
 
     Terms follow the ratio recurrence t_{n+1} = t_n (a+n)(b+n) z / ((c+n)(n+1)); summation stops
     once three consecutive terms fall below 1e-16 times the partial sum (after at least ten terms).
-    Elementwise on an array z, each entry stopping by that rule on its own (its sum stays fixed
-    while the others go on).  Real a, b, c give a float (or float64 array) summed in floats,
+    For positive z near 1 the terms decay like z^n, so the rule drops a tail of about the last term
+    times z / (1 - z); no caller sums there (near-one Legendre has |z| <= 0.1, legendre_Q_deriv sums
+    at 1/x^2).  Elementwise on an array z, each entry stopping by that rule on its own (its sum stays
+    fixed while the others go on).  Real a, b, c give a float (or float64 array) summed in floats,
     complex ones a complex (or complex array).
     """
     z = np.asarray(z, dtype=float)

@@ -158,28 +158,17 @@ def h_a(a: float, s: complex) -> complex:
     return 1.0 / den
 
 
-def resolvent_difference(a: float, b: float, s: complex, variant: str) -> complex:
-    """Closed forms for h_a(s) - h_b(s); the caller names the form.
+def resolvent_difference(a: float, b: float, s: complex) -> complex:
+    """h_a(s) - h_b(s) = (b(b-1) - a(a-1)) / ((a-s)(a-1+s)(b-s)(b-1+s)).
 
-    variant="displayed" evaluates
-        (b(b-1) - a(a-1)) / ((a-s)(a-1+s)(b-s)(b+1-s))
-    exactly as stated in the source derivation; variant="factored" replaces
-    the last factor by (b-1+s), which is what expanding
-    (b-s)(b-1+s) = s(1-s) + b(b-1) actually yields.  The unit tests compare
-    both against direct subtraction and record which one matches.
+    The source derivation displays the last factor as (b+1-s); expanding
+    (b-s)(b-1+s) = s(1-s) + b(b-1) gives (b-1+s).  Raises ValueError at a pole.
     """
     s = complex(s)
-    num = b * (b - 1.0) - a * (a - 1.0)
-    if variant == "displayed":
-        last = b + 1.0 - s
-    elif variant == "factored":
-        last = b - 1.0 + s
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    den = (a - s) * (a - 1.0 + s) * (b - s) * last
+    den = (a - s) * (a - 1.0 + s) * (b - s) * (b - 1.0 + s)
     if den == 0:
         raise ValueError(f"resolvent_difference pole at s = {s}")
-    return num / den
+    return (b * (b - 1.0) - a * (a - 1.0)) / den
 
 
 def averaged_transform_tail(delta: float, sign: int, sigma: float, alpha: float, beta: float, M) -> float:

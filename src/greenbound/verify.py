@@ -4,13 +4,14 @@ Each check is one function of its sample count n alone that returns a CheckResul
 inequality is reported, never raised.  A random check draws from its own fixed seed.  The defaults
 are the full sizes the test suite runs.  reproduction_battery replays the published constants
 (count cap, volume terms, majorant caps, assembled certificates) from one nine-row table, each
-value printed as its repr, to the last bit; property_battery runs the analytic identities and
-inequalities at the short sizes in PROPERTY_CHECKS, which sets n and nothing else.  A short run
-tests a prefix of the full run, with no exceptions: a random check draws the first n of the full
-run's samples (same seed, same range), a grid check takes the first n points of its grid.  The
-unit suite asserts each property check once, at full size (tests/test_verify.py).  Each
-inequality has one check: the sharp-cutoff transform bracket is order_one_bracket scaled by
-2 pi sqrt(U^2 - 1), and envelope_bound is the p_sigma envelope that ties the Legendre series to D+-.
+value printed as its repr, to the last bit; it reads q+- and D+- from the theorem-exact report.
+property_battery runs the analytic identities and inequalities at the short sizes in
+PROPERTY_CHECKS, which sets n and nothing else.  A short run tests a prefix of the full run, with
+no exceptions: a random check draws the first n of the full run's samples (same seed, same range),
+a grid check takes the first n points of its grid.  The unit suite asserts each property check
+once, at full size (tests/test_verify.py).  Each inequality has one check: the sharp-cutoff
+transform bracket is order_one_bracket scaled by 2 pi sqrt(U^2 - 1), and envelope_bound is the
+p_sigma envelope that ties the Legendre series to D+-.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import numpy as np
 from greenbound._quad import integrate
 from greenbound.bounds import (
     COUNT_CAP_STANDARD,
+    COUNT_GRID,
+    COUNT_RADIUS,
     HEADLINE_A,
     HEADLINE_B,
     ROUNDED_D_MINUS,
@@ -33,8 +36,6 @@ from greenbound.bounds import (
     ROUNDED_Q_MINUS,
     ROUNDED_Q_PLUS,
     assemble,
-    compute_D,
-    compute_q,
     enclose_D,
     group_preset,
     reference_params,
@@ -74,17 +75,15 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def reproduction_battery(grid: tuple[int, int] = (100, 100)) -> list[CheckResult]:
+def reproduction_battery(grid: tuple[int, int] = COUNT_GRID) -> list[CheckResult]:
     """Replay the published constants: one record per row of a table of (name, value, predicate,
     target), its detail "<name> = <repr(value)>, <target>".  D_plus fails at the reference
-    parameters (see the package documentation).  The cap rows and the theorem-exact assembly
-    share one enclosure of D, memoized in bounds._grid_bounds."""
-    cert = count_bound(truncated_fundamental_domain(), 17.0, grid)
+    parameters (see the package documentation).  The q and D rows read the theorem-exact report."""
+    cert = count_bound(truncated_fundamental_domain(), COUNT_RADIUS, grid)
     ctx, params = group_preset("sl2z"), reference_params()
-    q_plus, q_minus = compute_q(params, ctx)
-    D_plus, D_minus = compute_D(params)
     paper = assemble(params, ctx, COUNT_CAP_STANDARD, mode="paper-arithmetic")
     exact = assemble(params, ctx, COUNT_CAP_STANDARD, mode="theorem-exact")
+    q_plus, q_minus, D_plus, D_minus = exact.q_plus, exact.q_minus, exact.D_plus, exact.D_minus
     table = (
         ("count", cert.bound, 206 <= cert.bound <= 227,
          f"target 216 within 5% ([206, 227]) on {grid[0]}x{grid[1]} grid, {cert.pairs} kernel pairs"),
@@ -267,25 +266,22 @@ def trapezoid_ends(n: int = len(_TRAPEZOID_ENDS_U)) -> CheckResult:
 
 
 def resolvent_identities(n: int = 100) -> CheckResult:
-    """h_a(s) - h_b(s) against its factored closed form (within 1e-12) and the
-    exact symmetry h_a(s) = h_a(1 - s); the displayed closed form must
-    deviate (by more than 1e-6), since it is kept only for comparison."""
+    """h_a(s) - h_b(s) against its closed form resolvent_difference (within 1e-12) and the
+    exact symmetry h_a(s) = h_a(1 - s)."""
     rng = random.Random(60003)
-    worst = displayed = 0.0
+    worst = 0.0
     asymmetric = 0
     for _ in range(n):
         a = rng.uniform(1.1, 4.0)
         b = rng.uniform(1.1, 4.0)
         s = complex(rng.uniform(0.0, 1.0), rng.uniform(-10.0, 10.0))
         direct = h_a(a, s) - h_a(b, s)
-        worst = max(worst, abs(resolvent_difference(a, b, s, "factored") - direct))
-        displayed = max(displayed, abs(resolvent_difference(a, b, s, "displayed") - direct))
+        worst = max(worst, abs(resolvent_difference(a, b, s) - direct))
         asymmetric += h_a(a, s) != h_a(a, 1.0 - s)
     return _result(
         "resolvent-identities",
-        worst <= 1e-12 and asymmetric == 0 and displayed > 1e-6,
-        f"difference factorization worst gap {worst:.2e} <= 1e-12, s <-> 1-s symmetry "
-        f"broken {asymmetric} / {n}, displayed form off by {displayed:.2e} > 1e-6",
+        worst <= 1e-12 and asymmetric == 0,
+        f"difference factorization worst gap {worst:.2e} <= 1e-12, s <-> 1-s symmetry broken {asymmetric} / {n}",
     )
 
 
@@ -400,15 +396,15 @@ def cusp_distance_lemma(n: int = 50) -> CheckResult:
 
 
 def count_certificate_soundness(n: int = 200) -> CheckResult:
-    """The 40x40 grid certificate at U = 17 caps the exact count at n sampled points
+    """The 40x40 grid certificate at U = COUNT_RADIUS caps the exact count at n sampled points
     of the truncated domain, and the points count at least the identity pair."""
     box = truncated_fundamental_domain()
-    cert = count_bound(box, 17.0, (40, 40))
+    cert = count_bound(box, COUNT_RADIUS, (40, 40))
     rng = random.Random(70200)
     worst = 0
     for _ in range(n):
         z = UpperHalfPoint(rng.uniform(box.x_min, box.x_max), rng.uniform(box.y_min, box.y_max))
-        worst = max(worst, exact_count(z, z, 17.0))
+        worst = max(worst, exact_count(z, z, COUNT_RADIUS))
     return _result(
         "count-certificate-soundness",
         2 <= worst <= cert.bound,

@@ -24,6 +24,7 @@ from greenbound.bounds import (
     GroupContext,
     ParamSet,
     assemble,
+    certificate_end,
     compute_D,
     compute_q,
     enclose_D,
@@ -217,6 +218,19 @@ def test_count_cap_monotonicity():
     exact_loose = assemble(p, ctx, 300.0, "theorem-exact")
     assert exact_loose.A < exact_tight.A
     assert exact_loose.B > exact_tight.B
+
+
+def test_certificate_end_is_monotone_in_D():
+    """With factor, N_bar > 0, a larger D never raises A nor lowers B, down to one ulp of D: the
+    float expression is monotone, so the optimize screen may score a candidate by a lower bound
+    on its D (bounds.D_floor) and skip it without changing the search path."""
+    rng = random.Random(80400)
+    for _ in range(2000):
+        q, factor, N_bar = rng.uniform(-300.0, 300.0), math.exp(rng.uniform(-5.0, 5.0)), rng.uniform(2.0, 1e3)
+        D = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-20.0, 10.0))
+        for D_next in (D, math.nextafter(D, math.inf), D + abs(D) * rng.random(), D + rng.uniform(0.0, 1e3)):
+            assert -certificate_end(q, D_next, factor, N_bar, +1) >= -certificate_end(q, D, factor, N_bar, +1)
+            assert certificate_end(q, D_next, factor, N_bar, -1) >= certificate_end(q, D, factor, N_bar, -1)
 
 
 def test_assemble_input_checks():

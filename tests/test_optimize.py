@@ -134,7 +134,7 @@ def test_screen_changes_no_decision(monkeypatch, cold_enclosures, max_iters, n_b
     report to the last bit."""
     ctx = group_preset("sl2z")
     screened = search(reference_params(), ctx, n_bar, max_iters)
-    monkeypatch.setattr(optimize, "_grid_bounds", lambda delta, sign, side, panels: (-math.inf, math.inf, 1.0))
+    monkeypatch.setattr(optimize, "D_floor", lambda params, sign: -math.inf)
     assert repr(search(reference_params(), ctx, n_bar, max_iters)) == repr(screened)
 
 
@@ -142,7 +142,7 @@ def test_screen_end_is_a_proved_lower_bound():
     """The coarse grid's lower end lies below the 30-digit D and within 2e-6 of it."""
     for sign, D in ((+1, D_PLUS_MPMATH), (-1, D_MINUS_MPMATH)):
         params = reference_params()
-        low = optimize._grid_bounds(params.trapezoid.delta, sign, params.side(sign), optimize._SCREEN_PANELS)[0]
+        low = bounds.D_floor(params, sign)
         assert D * (1.0 - 2e-6) <= low <= D
 
 

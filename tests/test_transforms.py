@@ -203,13 +203,12 @@ def test_resolvent_multiplier():
 
 
 def test_resolvent_difference_variants(full_check):
-    """The factored form reproduces direct subtraction; the displayed form
-    deviates on generic inputs and is kept verbatim for comparison.  The
-    check also asserts the exact symmetry h_a(s) = h_a(1 - s)."""
+    """The factored form reproduces direct subtraction, and the check also asserts the exact
+    symmetry h_a(s) = h_a(1 - s); s = a is a pole."""
     result = full_check(verify.resolvent_identities)
     assert result.passed, result.detail
-    with pytest.raises(TypeError):
-        resolvent_difference(2.0, 3.0, 0.3 + 1.0j)  # no default form
+    with pytest.raises(ValueError):
+        resolvent_difference(2.0, 3.0, 2.0)
 
 
 def test_tail_majorant_requires_sigma_above_alpha():
