@@ -42,6 +42,20 @@ of W and W there) are computed once per candidate (_rows), and the two ends
 of a box in x and in y enter each kernel stacked, so a kernel call is a
 fixed, short list of numpy operations whatever the number of pairs.
 
+The reflection iota(z) = -conj(z) normalizes SL(2, Z): iota gamma iota is
+(a, -b; -c, d), whose c >= 0 representative is (-a, b, c, -d), so
+N(-conj(z), U) = N(z, U).  On a region that the move makes symmetric about
+x = 0, count_bound counts the first ceil(nx/2) columns of cells only and
+gives the others the counts of their mirror images.  That holds in floats,
+bit for bit: the x nodes are exactly antisymmetric (_x_nodes); the candidate
+set is closed under the mirror, and where gamma has the kernel rows (_rows)
+(-a, d, c, b, e, xv, wv), its mirror has (a, -d, c, b, -e, -xv, wv); and
+_parts over (-X1, -X0) gives the ends of (-(a - cx), d + cx) negated and
+swapped and the same W, so _low, _high and _centre return the same bits on
+a cell and on its mirror, and the refinement splits them alike.  A region
+symmetric about a half-integer counts in full: there the mirror is
+x -> 1 - x, which does not round symmetrically.
+
 Before enumerating anything, enumerate_candidates, count_bound and
 enumerate_group_elements estimate their work in closed form and raise
 ValueError above MAX_WORK, so a region reaching towards the real axis, a
@@ -159,6 +173,13 @@ def _centred(region: Rectangle) -> Rectangle:
         return x - n if Fraction(x - n) == Fraction(x) - n else math.nextafter(x - n, outward)
 
     return Rectangle(move(region.x_min, -math.inf), move(region.x_max, math.inf), region.y_min, region.y_max)
+
+
+def _x_nodes(region: Rectangle, n: int) -> np.ndarray:
+    """The n + 1 x nodes of an n-column grid on region, evenly spaced; exactly antisymmetric
+    (node i is minus node n - i) when x_min == -x_max, which np.linspace alone is not."""
+    xs = np.linspace(region.x_min, region.x_max, n + 1)
+    return 0.5 * (xs - xs[::-1]) if region.x_min == -region.x_max else xs
 
 
 def _check_work(region: Rectangle, U: float, grid: tuple[int, int] = (1, 1)) -> None:
@@ -494,6 +515,19 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     n = round(its x midpoint) (_centred), where |x| is at most half its
     width plus 1/2, and holds on any region narrower than about 2e4 y_min.
     The certificate names the caller's region; its cells are the moved grid's.
+
+    When the moved region has x_min == -x_max, its x nodes are exactly
+    antisymmetric, the screen and the refinement run on the first
+    ceil(nx/2) columns only, and column nx - 1 - i takes the counts of
+    column i (the mirror of the module docstring); for odd nx the middle
+    column straddles x = 0 and is refined whole, both halves kept.  The
+    certificate is the one the full grid gives, and `pairs` counts the work
+    done, about half.  _check_work still charges the full grid, so every
+    refusal before enumeration is unchanged; the screen's open-pair cap and
+    the refinement cap charge only the columns counted.  Where that cap ends
+    the refinement (U in the thousands on the truncated domain), the same
+    budget refines the counted columns further, so the bound is at most the
+    full grid's: 61,224 against 61,410 at U = 4,999 on 40x40.
     """
     nx, ny = grid
     if nx < 1 or ny < 1:
@@ -506,10 +540,11 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     relaxed = cutoff * (1.0 + PRUNE_SLACK)
     rows = _rows(*enumerate_candidates(centred, U).columns.astype(float))
 
-    xs = np.linspace(centred.x_min, centred.x_max, nx + 1)
+    xs = _x_nodes(centred, nx)
     ys = np.linspace(centred.y_min, centred.y_max, ny + 1)
+    mx = (nx + 1) // 2 if centred.x_min == -centred.x_max else nx  # columns counted; the rest mirror them
     side = (_block_side(nx), _block_side(ny))
-    counts, pairs, block_sure, block_of, block_cand = _screen(rows, xs, ys, side, U, cutoff, relaxed)
+    counts, pairs, block_sure, block_of, block_cand = _screen(rows, xs[: mx + 1], ys, side, U, cutoff, relaxed)
     nby, block_sure = block_sure.shape[1], block_sure.ravel()
     # Pieces: the grid cells that have been maximal and their halves.  box holds their
     # ((x0, x1), (y0, y1)) and tally their grid cell (owner), count (score) and count of
@@ -565,11 +600,13 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         tally, box = np.concatenate([tally, new[:, h:]], axis=1), np.concatenate([box, halves[..., h:]], axis=2)
 
     np.maximum.at(counts, tally[0], tally[1])
+    counts = counts.reshape(mx, ny)
+    counts = np.concatenate([counts, counts[: nx - mx][::-1]])
     return CountCertificate(
         region=region,
         U=U,
         grid=(nx, ny),
-        per_cell_counts=tuple(map(tuple, counts.reshape(nx, ny).tolist())),
+        per_cell_counts=tuple(map(tuple, counts.tolist())),
         bound=2 * int(top),
         pairs=pairs,
     )
