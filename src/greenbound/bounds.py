@@ -233,7 +233,7 @@ _W_LIBM = 2.0**-48  # **, exp, tan and log1p from libm or numpy SIMD: e up to 15
 _W_EVAL = 2.0**-46  # the short plain-float expressions of _x_parts
 _TAIL_MARGIN = 2.0**-24  # on the plain float value of averaged_transform_tail
 _W_CONVEX = 2.0**-30  # slack of the plain-float curvature bounds
-_D_REL_WIDTH = 1e-6  # widest enclosure, relative to its lower end, that compute_D accepts
+D_REL_WIDTH = 1e-6  # widest enclosure, relative to its lower end, that compute_D accepts
 _PANELS = 200.0  # panels on an octave of U^2 - 1 next to delta or below 1; see _grid
 _SCREEN_PANELS = 50.0  # the coarse grid of D_floor
 _CELL = 4  # panels per curvature cell
@@ -546,14 +546,15 @@ def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float
 
 def _upper_end(enclosure: tuple[float, float], sign: int) -> float:
     lo, hi = enclosure
-    if not hi - lo <= _D_REL_WIDTH * lo:
-        raise NonConvergenceError(f"D_{'plus' if sign > 0 else 'minus'} enclosure {enclosure} wider than 1e-06")
+    if not hi - lo <= D_REL_WIDTH * lo:
+        side = "plus" if sign > 0 else "minus"
+        raise NonConvergenceError(f"D_{side} enclosure {enclosure} wider than {D_REL_WIDTH}")
     return hi
 
 
 def compute_D(params: ParamSet) -> tuple[float, float]:
     """Majorant integrals (D_plus, D_minus): the upper ends of enclose_D, proved upper bounds.
-    Raises NonConvergenceError if an enclosure is wider than 1e-6 of its lower end."""
+    Raises NonConvergenceError if an enclosure is wider than D_REL_WIDTH = 1e-6 of its lower end."""
     return tuple(_upper_end(enclosure, sign) for enclosure, sign in zip(enclose_D(params), (+1, -1)))
 
 

@@ -10,8 +10,8 @@ widening is controlled by the smoothing integral
     N(xi) = integral of J_delta(1 + (eps t)^2 / 2) P(e^{2 pi i t} xi) dt,
 
 where P is the Poisson kernel of the unit disc: N deviates from
-(1/eps)(2/pi) arctan sqrt((delta-1)/2) - (1/2 pi) log|1 - xi| by at most
-eps times the constant r_delta.
+kernel_mass(delta) / eps - (1/2 pi) log|1 - xi| by at most eps times the
+constant r_delta; kernel_mass(delta) = (2/pi) arctan sqrt((delta-1)/2).
 
 The geometry is the single-cusp model: cusp at infinity with identity
 scaling, cusp height = Im z, stabilizer = integer translations, and the
@@ -81,6 +81,16 @@ def r_delta(delta: float) -> float:
         raise ValueError(f"r_delta requires delta > 1, got {delta}")
     root = math.sqrt((delta - 1.0) / 2.0)
     return (math.sqrt(2.0 / (delta - 1.0)) + math.atan(root)) / (24.0 * math.pi)
+
+
+def kernel_mass(delta: float) -> float:
+    """Integral of J_delta(1 + s^2/2) over the real line, (2/pi) arctan sqrt((delta - 1)/2): the
+    kernel is (1/4 pi) log(1 + 4/s^2) - L(delta) on |s| <= tau = sqrt(2 delta - 2), L(delta) being
+    the first term at tau, and by parts Integral_0^tau log(1 + 4/s^2) ds = tau log(1 + 4/tau^2) +
+    4 arctan(tau/2).  The case-c shift and verify.smoothing_bracket both read it."""
+    if not (delta > 1.0):
+        raise ValueError(f"kernel_mass requires delta > 1, got {delta}")
+    return (2.0 / math.pi) * math.atan(math.sqrt((delta - 1.0) / 2.0))
 
 
 def N_delta_eps(delta: float, eps: float, xi: complex) -> float:
@@ -223,14 +233,14 @@ def extend_bounds(base: BoundReport, geom: CuspGeometry, case: str) -> CuspBound
         offsets use the z-side inner radius eps; callers tracking distinct
         radii per cusp must substitute their own second radius.
     c:  z and w in the same outer disc; the interval shifts by
-        count_pm1 [(1/eps')(1 - (2/pi) arctan sqrt((delta-1)/2))] and
-        widens by count_pm1 eps' r_delta on each side.
+        count_pm1 (1 - kernel_mass(delta)) / eps' and widens by
+        count_pm1 eps' r_delta on each side.
     """
     if case not in _CASES:
         raise ConstraintViolation(f"case must be one of {_CASES}, got {case!r}")
     if case != "c":
         return CuspBoundReport(case=case, base_A=base.A, base_B=base.B, offset_terms=_OFFSETS[case])
-    shift = (1.0 - (2.0 / math.pi) * math.atan(math.sqrt((geom.delta - 1.0) / 2.0)))
+    shift = 1.0 - kernel_mass(geom.delta)
     shift *= geom.count_pm1 / geom.eps_prime
     half_width = geom.count_pm1 * geom.eps_prime * r_delta(geom.delta)
     return CuspBoundReport(

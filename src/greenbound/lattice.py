@@ -146,7 +146,8 @@ def truncated_fundamental_domain() -> Rectangle:
 
     Every orbit has a representative with height in [sqrt(3)/2, 2] or inside
     a cusp neighbourhood, so a uniform count bound on this box extends to
-    the thick part of the quotient.
+    the thick part of the quotient.  The float box contains the true one: its
+    x sides and y_max are exact, and float(sqrt(3)/2) lies 5.0e-17 below sqrt(3)/2.
     """
     return Rectangle(-0.5, 0.5, math.sqrt(3.0) / 2.0, 2.0)
 

@@ -14,13 +14,9 @@ The sharp cutoff g_U = indicator of [1, U] between them has the transform
 2 pi sqrt(U^2 - 1) P^{-1}_{s-1}(U); no code evaluates it, and its bracket is
 greenbound.verify.order_one_bracket's, scaled.
 
-The corner functions are
-
-    T(U) = U - beta^- U^{-1-alpha^-} (U^2 - 1),
-    V(U) = U + beta^+ U^{-1-alpha^+} (U^2 - 1),
-
-and beta^- <= delta^{1+alpha^-} / (delta + 1) (beta_minus_cap) guarantees
-T(U) >= 1 for U >= delta.
+One function gives both corners, corner(params, sign, U) = U + sign beta U^{-1-alpha} (U^2 - 1)
+with (alpha, beta) = params.side(sign): V(U) for sign +1, T(U) for sign -1.  The cap beta^- <=
+delta^{1+alpha^-} / (delta + 1) (beta_minus_cap) guarantees T(U) >= 1 for U >= delta.
 
 The averaged transforms I_delta^{+-}(s) = (1/2 pi) Integral_delta^infinity
 h_U^{+-}(s) / (U^2 - 1) dU are evaluated by the adaptive Clenshaw-Curtis
@@ -89,37 +85,25 @@ class TrapezoidParams:
         return (self.alpha_plus, self.beta_plus) if sign > 0 else (self.alpha_minus, self.beta_minus)
 
 
-def T_of_U(params: TrapezoidParams, U):
-    """Lower trapezoid corner T(U) = U - beta^- U^{-1-alpha^-} (U^2 - 1); needs U >= delta.
-
-    The beta^- cap proves T(U) >= 1 there, so a value that rounding puts
-    below 1 (beta^- on the cap, U = delta) is clamped to 1.
-    """
-    if not np.all(U >= params.delta):
-        raise ValueError(f"T_of_U requires U >= delta = {params.delta}, got min U = {np.min(U)}")
-    T = U - params.beta_minus * U ** (-1.0 - params.alpha_minus) * (U * U - 1.0)
-    return np.maximum(T, 1.0) if np.ndim(T) else max(T, 1.0)
-
-
-def V_of_U(params: TrapezoidParams, U):
-    """Upper trapezoid corner V(U) = U + beta^+ U^{-1-alpha^+} (U^2 - 1); needs U >= 1."""
-    if not np.all(U >= 1.0):
-        raise ValueError(f"V_of_U requires U >= 1, got min U = {np.min(U)}")
-    return U + params.beta_plus * U ** (-1.0 - params.alpha_plus) * (U * U - 1.0)
-
-
-def _corner(params: TrapezoidParams, sign: int, U):
-    """The trapezoid corner W(U): V(U) for sign +1, T(U) for sign -1."""
-    if sign == +1:
-        return V_of_U(params, U)
-    if sign == -1:
-        return T_of_U(params, U)
-    raise ValueError(f"sign must be +1 or -1, got {sign}")
+def corner(params: TrapezoidParams, sign: int, U):
+    """Trapezoid corner W(U) = U + sign beta U^{-1-alpha} (U^2 - 1), (alpha, beta) = params.side(sign):
+    V(U) for sign +1, which needs U >= 1, and T(U) for sign -1, which needs U >= delta.  The beta^-
+    cap proves T(U) >= 1 there; a W that rounding puts below 1 (beta^- on the cap, U = delta) is
+    clamped to 1, which leaves every V >= U >= 1 as it is.  Elementwise on an array U."""
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    floor, name = (1.0, "1") if sign > 0 else (params.delta, f"delta = {params.delta}")
+    if not np.all(U >= floor):
+        raise ValueError(f"corner requires U >= {name}, got min U = {np.min(U)}")
+    alpha, beta = params.side(sign)
+    W = U + sign * beta * U ** (-1.0 - alpha) * (U * U - 1.0)
+    return np.maximum(W, 1.0) if np.ndim(W) else max(W, 1.0)
 
 
 def h_U_pm(params: TrapezoidParams, sign: int, s: complex, U):
     """Trapezoid transform h_U^{+-}(s) via the order -2 Legendre difference quotient
-    2 pi [(W^2 - 1) P^{-2}_{s-1}(W) - (U^2 - 1) P^{-2}_{s-1}(U)] / (W - U), W = V or T.
+    2 pi [(W^2 - 1) P^{-2}_{s-1}(W) - (U^2 - 1) P^{-2}_{s-1}(U)] / (W - U), with the corner
+    W = corner(params, sign, U): V(U) for sign +1, T(U) for sign -1.
 
     The minus side needs U >= delta so that T(U) >= 1; where T lands on the
     kernel edge its (T^2 - 1) P^{-2}_{s-1}(T) term is zero to well below
@@ -134,19 +118,19 @@ def h_U_pm(params: TrapezoidParams, sign: int, s: complex, U):
     U = np.asarray(U, dtype=float)
     if not np.all(U > 1.0):
         raise ValueError(f"h_U_pm requires U > 1, got min U = {np.min(U)}")
-    W = _corner(params, sign, U)
+    W = corner(params, sign, U)
     kept = (W > _T_EDGE) | (sign == +1)
     P = legendre_P_negm(2, s, np.concatenate([U.ravel(), W[kept]]))
-    corner = np.zeros(U.shape, dtype=complex)
-    corner[kept] = (W[kept] * W[kept] - 1.0) * P[U.size :]
-    value = TWO_PI * (corner - (U * U - 1.0) * P[: U.size].reshape(U.shape)) / (W - U)
+    W_term = np.zeros(U.shape, dtype=complex)
+    W_term[kept] = (W[kept] * W[kept] - 1.0) * P[U.size :]
+    value = TWO_PI * (W_term - (U * U - 1.0) * P[: U.size].reshape(U.shape)) / (W - U)
     return value if value.ndim else complex(value)
 
 
 def h_U_pm_at_one(params: TrapezoidParams, sign: int, U: float) -> float:
-    """Boundary value h_U^{+-}(1) = 2 pi (U-1) + pi (W-U), W = V or T: the minus side's
+    """Boundary value h_U^{+-}(1) = 2 pi (U-1) + pi (W-U), W = corner(params, sign, U): the minus side's
     2 pi (U-1) - pi (U-T), as pi (T-U) is exactly -pi (U-T)."""
-    return TWO_PI * (U - 1.0) + math.pi * (_corner(params, sign, U) - U)
+    return TWO_PI * (U - 1.0) + math.pi * (corner(params, sign, U) - U)
 
 
 def h_a(a: float, s: complex) -> complex:
@@ -211,8 +195,7 @@ def I_delta_pm(params: TrapezoidParams, sign: int, s: complex) -> complex:
     if not (0.0 < s.real < 1.0):
         raise ValueError(f"I_delta_pm requires 0 < Re s < 1, got s = {s}")
     sigma_eff = min(s.real, 1.0 - s.real, 0.49)
-    lam = abs(s * (1.0 - s))
-    s_factor = lam ** -1.25 if lam > 0 else math.inf
+    s_factor = abs(s * (1.0 - s)) ** -1.25  # s(1 - s) != 0 on the open strip
 
     def integrand(U: np.ndarray) -> np.ndarray:
         return h_U_pm(params, sign, s, U) / (U * U - 1.0)

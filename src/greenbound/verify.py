@@ -29,6 +29,7 @@ from greenbound.bounds import (
     COUNT_CAP_STANDARD,
     COUNT_GRID,
     COUNT_RADIUS,
+    D_REL_WIDTH,
     HEADLINE_A,
     HEADLINE_B,
     ROUNDED_D_MINUS,
@@ -40,7 +41,7 @@ from greenbound.bounds import (
     group_preset,
     reference_params,
 )
-from greenbound.cusps import N_delta_eps, admissible_eps, lambda_xi, poisson_kernel, r_delta
+from greenbound.cusps import N_delta_eps, admissible_eps, kernel_mass, lambda_xi, poisson_kernel, r_delta
 from greenbound.geom import UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u
 from greenbound.lattice import (
     count_bound,
@@ -333,11 +334,11 @@ _SMOOTHING_POINTS = _SMOOTHING_SHORT + tuple(
 
 def smoothing_bracket(n: int = len(_SMOOTHING_POINTS)) -> CheckResult:
     """The smoothed count sits within eps r_delta of its main term
-    (1/eps)(2/pi) arctan sqrt((delta-1)/2) - (1/2 pi) log|1 - xi|."""
+    kernel_mass(delta) / eps - (1/2 pi) log|1 - xi|, with the case-c shift's kernel mass."""
     violations = 0
     for delta, eps, xi in _SMOOTHING_POINTS[:n]:
         value = N_delta_eps(delta, eps, xi)
-        main = (2.0 / math.pi) * math.atan(math.sqrt((delta - 1.0) / 2.0)) / eps
+        main = kernel_mass(delta) / eps
         main -= math.log(abs(1.0 - xi)) / (2.0 * math.pi)
         violations += abs(value - main) > eps * r_delta(delta)
     return _result(
@@ -413,10 +414,12 @@ def count_certificate_soundness(n: int = 200) -> CheckResult:
 
 
 def majorant_stability() -> CheckResult:
-    """The majorant enclosures at the reference parameters are at most 1e-6 wide, relative."""
-    widths = [(hi - lo) / lo for lo, hi in enclose_D(reference_params())]
-    detail = f"majorant integral enclosures {widths[0]:.2e} (plus) and {widths[1]:.2e} (minus) wide"
-    return _result("majorant-stability", all(0.0 < w <= 1e-6 for w in widths), detail + " relative, each <= 1e-6")
+    """The majorant enclosures at the reference parameters pass compute_D's test, 0 < hi - lo <= D_REL_WIDTH lo."""
+    enclosures = enclose_D(reference_params())
+    plus, minus = ((hi - lo) / lo for lo, hi in enclosures)
+    cap = np.format_float_scientific(D_REL_WIDTH, trim="-", exp_digits=1)
+    detail = f"majorant integral enclosures {plus:.2e} (plus) and {minus:.2e} (minus) wide relative, each <= {cap}"
+    return _result("majorant-stability", all(0.0 < hi - lo <= D_REL_WIDTH * lo for lo, hi in enclosures), detail)
 
 
 # The property checks in battery order, each with the size selftest runs.

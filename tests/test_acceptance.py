@@ -9,7 +9,7 @@ criteria 1, 2 and 4 pick their rows by name from one reproduction_battery
 call on the 100x100 grid.  Criterion 3 proves
 with a certified enclosure that the rounded cap D_plus <= 18.5 fails at the
 reference parameters for the D_plus integrand this package documents
-(enclose_D, p_sigma, V_of_U); PAPER.md does not state the paper's own
+(enclose_D, p_sigma, corner); PAPER.md does not state the paper's own
 integrand, so the proof does not reach the paper itself.  The suite is
 green because it checks that proof, while reproduce-paper still reports the
 cap as a FAIL line.
@@ -156,9 +156,9 @@ def test_criterion_7_oracle_equivalences(full_check):
     """Independent-route equalities between the core numeric primitives.
 
     Two more equalities run in selftest and are asserted at full size by
-    tests/test_verify.py and tests/test_transforms.py: the averaged transform
-    at s = 1 against the closed trapezoid area (trapezoid_ends) and the
-    resolvent identities.  The
+    tests/test_verify.py: the averaged transform at s = 1 against the closed
+    trapezoid area (trapezoid_ends, which tests/test_transforms.py asserts
+    too) and the resolvent identities.  The
     transform-area integral, which selftest does not run, is checked by
     tests/test_transforms.py::test_transform_at_one_is_trapezoid_area.
     """

@@ -16,6 +16,7 @@ from greenbound.cusps import (
     N_delta_eps,
     admissible_eps,
     extend_bounds,
+    kernel_mass,
     lambda_xi,
     poisson_kernel,
     r_delta,
@@ -264,9 +265,26 @@ def test_extend_mixed_configurations_echo_base():
         extend_bounds(base, geom, "d")
 
 
+def test_kernel_mass_is_the_kernel_integral():
+    """kernel_mass(delta) is the integral of J_delta(1 + s^2/2) over the line: 30-digit mpmath
+    quadrature of the kernel on its support |s| <= sqrt(2 delta - 2) agrees to 1e-15."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for delta, pinned in ((1.5, 0.29517), (2.0, 0.39183), (3.0, 0.5), (1.0001, None), (50.0, None)):
+            edge = mpmath.log((delta + 1) / mpmath.mpf(delta - 1)) / (4 * mpmath.pi)
+            tau = mpmath.sqrt(2 * mpmath.mpf(delta) - 2)
+            mass = 2 * mpmath.quad(lambda s: mpmath.log(1 + 4 / s**2) / (4 * mpmath.pi) - edge, [0, tau])
+            assert abs(kernel_mass(delta) - mass) <= 1e-15 * mass, (delta, kernel_mass(delta), mass)
+            if pinned is not None:
+                assert round(kernel_mass(delta), 5) == pinned
+    for bad in (1.0, 0.5):
+        with pytest.raises(ValueError, match="delta > 1"):
+            kernel_mass(bad)
+
+
 def test_extend_same_cusp_offsets():
-    """Case c: shift by count (1/eps')(1 - (2/pi) arctan sqrt((delta-1)/2)),
-    widen by count eps' r_delta on each side."""
+    """Case c: shift by count (1 - kernel_mass(delta)) / eps', kernel_mass(delta) =
+    (2/pi) arctan sqrt((delta-1)/2), widen by count eps' r_delta on each side."""
     base = small_report()
     geom = reference_geometry()
     report = extend_bounds(base, geom, "c")

@@ -32,6 +32,16 @@ def test_truncated_fundamental_domain_box():
     assert box.y_max == 2.0
 
 
+def test_truncated_fundamental_domain_contains_the_true_box():
+    """The float box contains [-1/2, 1/2] x [sqrt(3)/2, 2]: its x sides and y_max are exact, and
+    4 y_min^2 <= 3 in exact arithmetic (float(sqrt(3)/2) squared is 8.7e-17 below 3/4)."""
+    from fractions import Fraction
+
+    box = truncated_fundamental_domain()
+    assert (box.x_min, box.x_max, box.y_max) == (-0.5, 0.5, 2.0)
+    assert 4 * Fraction(box.y_min) ** 2 <= 3
+
+
 def test_candidate_enumeration_is_canonical():
     box = truncated_fundamental_domain()
     cands = enumerate_candidates(box, STANDARD_U)
