@@ -283,9 +283,10 @@ def _emit(record: dict, path: str | None) -> None:
 def _report_checks(
     command: str, results: list[CheckResult], summary: str, path: str | None, fail_code: int
 ) -> int:
-    """Print one PASS/FAIL line a check and the summary line, write the record; the exit code."""
+    """Print one PASS/FAIL line a check, naming its certificate step (verify.STEPS), and the summary
+    line, write the record; the exit code."""
     for result in results:
-        print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
+        print(f"{'PASS' if result.passed else 'FAIL'}  {result.name} [{result.step}]: {result.detail}")
     passed = all(r.passed for r in results)
     print(summary.format(sum(r.passed for r in results), len(results)))
     _emit(_record(command, None, checks=[dataclasses.asdict(r) for r in results], passed=passed), path)

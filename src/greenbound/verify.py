@@ -1,17 +1,41 @@
-"""Numeric checks shared by the command line and the test suite.
+"""Numeric checks shared by the command line and the test suite, and the ledger of what each proves.
 
 Each check is one function of its sample count n alone that returns a CheckResult; a failed
 inequality is reported, never raised.  A random check draws from its own fixed seed.  The defaults
-are the full sizes the test suite runs.  reproduction_battery replays the published constants
-(count cap, volume terms, majorant caps, assembled certificates) from one nine-row table, each
-value printed as its repr, to the last bit; it reads q+- and D+- from the theorem-exact report.
-property_battery runs the analytic identities and inequalities at the short sizes in
-PROPERTY_CHECKS, which sets n and nothing else.  A short run tests a prefix of the full run, with
-no exceptions: a random check draws the first n of the full run's samples (same seed, same range),
-a grid check takes the first n points of its grid.  The unit suite asserts each property check
-once, at full size (tests/test_verify.py).  Each inequality has one check: the sharp-cutoff
-transform bracket is order_one_bracket scaled by 2 pi sqrt(U^2 - 1), and envelope_bound is the
-p_sigma envelope that ties the Legendre series to D+-.
+are the full sizes the test suite runs.  reproduction_battery replays the published constants from
+one nine-row table, each value printed as its repr, to the last bit; it reads q+- and D+- from the
+theorem-exact report.  property_battery runs the analytic identities and inequalities at the short
+sizes in PROPERTY_CHECKS, which sets n and nothing else.  A short run tests a prefix of the full
+run, with no exceptions: a random check draws the first n of the full run's samples (same seed,
+same range), a grid check takes the first n points of its grid.  The unit suite asserts each
+property check once, at full size (tests/test_verify.py).
+
+The ledger.  Each row of the two tables, PROPERTY_CHECKS and reproduction_battery's, names the step
+of the certificate it supports, one key of STEPS, which states each step in one line; selftest and
+reproduce-paper print it as "PASS  <name> [<step>]: <detail>", and their --json records carry it as
+"step".  Why the checks of each step support it:
+
+* K_a -> gr.  K_a's spectral transform is h_a (greenbound.transforms), and the singular part of the
+  limit is L = Q_0 / (2 pi) (greenbound.geom).  The limit's lemmas are identities of h_a and the
+  sign and size of Q'_nu.
+* N_bar.  The count kernel's u(z, gamma z) must be u of the explicit image, and the grid
+  certificate of greenbound.lattice must cap the exact counts.
+* S(eta).  The 2 pi - 4 of the prefactor is half the lower constant 4 pi - 8 of the sharp-cutoff
+  bracket (4 pi - 8)(U - 1) <= h_U(s) <= 8 (U - 1), the order-one Legendre bracket times
+  2 pi sqrt(U^2 - 1).
+* q+-.  P^{-2}_0(u) = (u-1)/(2u+2), so (u^2 - 1) P^{-2}_0(u) = (u - 1)^2 / 2, and the difference
+  quotient that defines h_U^+- is at s = 1 the trapezoid area that bounds.compute_q's closed forms
+  average over U.
+* D+-.  compute_D takes the upper ends of enclosures at most D_REL_WIDTH wide.  The envelope's
+  constants (specfun.C_sigma) carry exp(1/2 + 1/(24 sigma (1/2 + sigma))) and
+  exp(1/2 + 1/(24 (1 - sigma)(3/2 - sigma))): the upper Gamma-ratio constant
+  exp(b - a + (1/12)(1/a - 1/b)) at (a, b) = (sigma, sigma + 1/2) and (1 - sigma, 3/2 - sigma).
+* A, B.  Paper arithmetic replays the published certificate, and the theorem-exact one lies
+  strictly inside the headline interval.
+* cusp extension.  The smoothed count N_delta_eps integrates J_delta against the rotated Poisson
+  kernel, whose circular convolutions are Poisson kernels again.  For real xi the phase
+  lambda(xi, t) has t-derivative P(e^{2 pi i t} xi) - 1, so by parts it carries the log|1 - xi| term
+  of the smoothed count's centre.  The two cusp-distance implications pick the case.
 """
 
 from __future__ import annotations
@@ -20,7 +44,7 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,22 +87,37 @@ from greenbound.specfun import (
 from greenbound.transforms import h_U_pm, h_U_pm_at_one, h_a, resolvent_difference
 
 
+# The certificate's steps in the order the bound is built, each with the statement its checks support;
+# the module docstring says why each kind of check supports its step.
+STEPS = {
+    "K_a -> gr": "gr is the limit as a -> 1 of the resolvent kernels K_a = (1/2 pi) Q_{a-1}",
+    "N_bar": "N_bar caps the displacement counts N(z, z, COUNT_RADIUS) on the truncated domain",
+    "S(eta)": "S(eta) turns eigenfunction sums into counts, with the prefactor pi/(2 pi - 4)^2",
+    "q+-": "q+- are the s = 1 terms, the trapezoid areas h_U^+-(1) = 2 pi (U-1) + pi (W-U) averaged over U",
+    "D+-": "D+- are proved upper bounds on the integrals of the strip envelope of |P^{-2}_{s-1}(u)| (u^2 - 1)",
+    "A, B": "A = -q_plus - D_plus S(eta) N_bar and B = -q_minus + D_minus S(eta) N_bar",
+    "cusp extension": "extend_bounds moves [A, B] into a cusp neighbourhood",
+}
+
+
 @dataclass(frozen=True)
 class CheckResult:
-    """One named pass/fail line with a value-bearing detail string."""
+    """One named pass/fail line with a value-bearing detail string, and the key of STEPS that its
+    table row names (empty for a check run outside the batteries)."""
 
     name: str
     passed: bool
     detail: str
+    step: str = ""
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
+def _result(name: str, passed: bool, detail: str, step: str = "") -> CheckResult:
+    return CheckResult(name=name, passed=bool(passed), detail=detail, step=step)
 
 
 def reproduction_battery(grid: tuple[int, int] = COUNT_GRID) -> list[CheckResult]:
     """Replay the published constants: one record per row of a table of (name, value, predicate,
-    target), its detail "<name> = <repr(value)>, <target>".  D_plus fails at the reference
+    target, step), its detail "<name> = <repr(value)>, <target>".  D_plus fails at the reference
     parameters (see the package documentation).  The q and D rows read the theorem-exact report."""
     cert = count_bound(truncated_fundamental_domain(), COUNT_RADIUS, grid)
     ctx, params = group_preset("sl2z"), reference_params()
@@ -87,20 +126,20 @@ def reproduction_battery(grid: tuple[int, int] = COUNT_GRID) -> list[CheckResult
     q_plus, q_minus, D_plus, D_minus = exact.q_plus, exact.q_minus, exact.D_plus, exact.D_minus
     table = (
         ("count", cert.bound, 206 <= cert.bound <= 227,
-         f"target 216 within 5% ([206, 227]) on {grid[0]}x{grid[1]} grid, {cert.pairs} kernel pairs"),
+         f"target 216 within 5% ([206, 227]) on {grid[0]}x{grid[1]} grid, {cert.pairs} kernel pairs", "N_bar"),
         ("q_plus", q_plus, abs(q_plus - 68.41) <= 0.02 and q_plus < ROUNDED_Q_PLUS,
-         f"target 68.41 +- 0.02, cap {ROUNDED_Q_PLUS}"),
+         f"target 68.41 +- 0.02, cap {ROUNDED_Q_PLUS}", "q+-"),
         ("q_minus", q_minus, abs(q_minus - (-215.84)) <= 0.02 and q_minus > ROUNDED_Q_MINUS,
-         f"target -215.84 +- 0.02, cap {ROUNDED_Q_MINUS}"),
+         f"target -215.84 +- 0.02, cap {ROUNDED_Q_MINUS}", "q+-"),
         ("D_plus", D_plus, D_plus <= ROUNDED_D_PLUS,
-         f"cap {ROUNDED_D_PLUS} (computed integral exceeds the rounded cap at the reference parameters)"),
-        ("D_minus", D_minus, D_minus <= ROUNDED_D_MINUS, f"cap {ROUNDED_D_MINUS}"),
-        ("paper_A", paper.A, abs(paper.A - (-28682.0)) <= 100.0, "paper-arithmetic, target -28682 +- 100"),
-        ("paper_B", paper.B, abs(paper.B - 15080.0) <= 100.0, "paper-arithmetic, target 15080 +- 100"),
-        ("exact_A", exact.A, exact.A > HEADLINE_A, f"theorem-exact, strictly above headline {HEADLINE_A}"),
-        ("exact_B", exact.B, exact.B < HEADLINE_B, f"theorem-exact, strictly below headline {HEADLINE_B}"),
+         f"cap {ROUNDED_D_PLUS} (computed integral exceeds the rounded cap at the reference parameters)", "D+-"),
+        ("D_minus", D_minus, D_minus <= ROUNDED_D_MINUS, f"cap {ROUNDED_D_MINUS}", "D+-"),
+        ("paper_A", paper.A, abs(paper.A - (-28682.0)) <= 100.0, "paper-arithmetic, target -28682 +- 100", "A, B"),
+        ("paper_B", paper.B, abs(paper.B - 15080.0) <= 100.0, "paper-arithmetic, target 15080 +- 100", "A, B"),
+        ("exact_A", exact.A, exact.A > HEADLINE_A, f"theorem-exact, strictly above headline {HEADLINE_A}", "A, B"),
+        ("exact_B", exact.B, exact.B < HEADLINE_B, f"theorem-exact, strictly below headline {HEADLINE_B}", "A, B"),
     )
-    return [_result(name, passed, f"{name} = {value!r}, {target}") for name, value, passed, target in table]
+    return [_result(name, passed, f"{name} = {value!r}, {target}", step) for name, value, passed, target, step in table]
 
 
 def random_unimodular(rng: random.Random) -> UnimodularMatrix:
@@ -249,7 +288,8 @@ _TRAPEZOID_ENDS_U = (2.0, 2.5, 3.0, 5.0, 9.0, 4.0)
 
 
 def trapezoid_ends(n: int = len(_TRAPEZOID_ENDS_U)) -> CheckResult:
-    """Averaged transforms at s = 1 vs the closed area: real 1e-10, imaginary 1e-12 relative."""
+    """Trapezoid transforms h_U^+-(1), by their order-two series at s = 1, vs the closed area
+    2 pi (U-1) + pi (W-U): real 1e-10, imaginary 1e-12 relative."""
     params = reference_params().trapezoid
     worst_real = worst_imag = 0.0
     for U in _TRAPEZOID_ENDS_U[:n]:
@@ -261,7 +301,7 @@ def trapezoid_ends(n: int = len(_TRAPEZOID_ENDS_U)) -> CheckResult:
     return _result(
         "trapezoid-ends",
         worst_real <= 1e-10 and worst_imag <= 1e-12,
-        f"averaged transform at s = 1 vs closed trapezoid area at {n} thresholds, worst gap "
+        f"trapezoid transform at s = 1 vs closed trapezoid area at {n} thresholds, worst gap "
         f"{worst_real:.2e}, imaginary part {worst_imag:.2e}",
     )
 
@@ -422,25 +462,25 @@ def majorant_stability() -> CheckResult:
     return _result("majorant-stability", all(0.0 < hi - lo <= D_REL_WIDTH * lo for lo, hi in enclosures), detail)
 
 
-# The property checks in battery order, each with the size selftest runs.
+# The property checks in battery order, each with the size selftest runs and the step it supports.
 PROPERTY_CHECKS = (
-    (displacement_identity, {"n": 200}),
-    (order_two_closed_form, {"n": 50}),
-    (order_one_bracket, {"n": 100}),
-    (q_derivative_bracket, {"n": 100}),
-    (gamma_ratio_sandwich, {"n": 200}),
-    (envelope_bound, {"n": 3}),
-    (trapezoid_ends, {"n": 5}),
-    (resolvent_identities, {"n": 50}),
-    (poisson_convolution, {"n": 3}),
-    (phase_fourier_series, {"n": 20}),
-    (smoothing_bracket, {"n": 3}),
-    (cusp_distance_lemma, {"n": 5}),
-    (count_certificate_soundness, {"n": 20}),
-    (majorant_stability, {}),
+    (displacement_identity, {"n": 200}, "N_bar"),
+    (order_two_closed_form, {"n": 50}, "q+-"),
+    (order_one_bracket, {"n": 100}, "S(eta)"),
+    (q_derivative_bracket, {"n": 100}, "K_a -> gr"),
+    (gamma_ratio_sandwich, {"n": 200}, "D+-"),
+    (envelope_bound, {"n": 3}, "D+-"),
+    (trapezoid_ends, {"n": 5}, "q+-"),
+    (resolvent_identities, {"n": 50}, "K_a -> gr"),
+    (poisson_convolution, {"n": 3}, "cusp extension"),
+    (phase_fourier_series, {"n": 20}, "cusp extension"),
+    (smoothing_bracket, {"n": 3}, "cusp extension"),
+    (cusp_distance_lemma, {"n": 5}, "cusp extension"),
+    (count_certificate_soundness, {"n": 20}, "N_bar"),
+    (majorant_stability, {}, "D+-"),
 )
 
 
 def property_battery() -> list[CheckResult]:
-    """The analytic property checks at their short selftest sizes."""
-    return [check(**size) for check, size in PROPERTY_CHECKS]
+    """The analytic property checks at their short selftest sizes, each carrying its step."""
+    return [replace(check(**size), step=step) for check, size, step in PROPERTY_CHECKS]

@@ -11,8 +11,9 @@ def full_check():
 
     The checks are seeded and deterministic, so the battery guard in
     tests/test_verify.py, the acceptance criteria and the unit tests that
-    assert the same check share one run of it; tests/test_source.py pins
-    which unit tests take this fixture.
+    assert the same check again share one run of it; tests/test_source.py
+    pins those unit tests (FULL_CHECK_WRAPPERS).  verify.PROPERTY_CHECKS,
+    not this fixture, names the certificate step each check supports.
     """
     return functools.cache(lambda check: check())
 

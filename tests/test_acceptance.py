@@ -6,7 +6,9 @@ criterion is reported even when one of them fails.  Criteria 1, 2 and 4-7
 run the checks of greenbound.verify, the functions behind selftest and
 reproduce-paper, at their full sizes and print one line per check:
 criteria 1, 2 and 4 pick their rows by name from one reproduction_battery
-call on the 100x100 grid.  Criterion 3 proves
+call on the 100x100 grid.  The certificate step that each check supports is
+named once, in verify's two tables (PROPERTY_CHECKS and reproduction_battery's
+rows, keys of verify.STEPS).  Criterion 3 proves
 with a certified enclosure that the rounded cap D_plus <= 18.5 fails at the
 reference parameters for the D_plus integrand this package documents
 (enclose_D, p_sigma, corner); PAPER.md does not state the paper's own
@@ -123,7 +125,6 @@ def test_criterion_4_assembled_certificates():
 def test_criterion_5_special_function_suites(full_check):
     """Bracket suites for the special-function bounds; zero violations.
 
-    The order-two strip envelope is the p_sigma bound that D+- integrate.
     The sharp-cutoff transform bracket (4 pi - 8)(U - 1) <= h_U(s) <= 8 (U - 1)
     is the order-one bracket times 2 pi sqrt(U^2 - 1), so it has no verify
     check of its own; tests/test_transforms.py::test_h_U_bracket_suite samples
@@ -156,9 +157,9 @@ def test_criterion_7_oracle_equivalences(full_check):
     """Independent-route equalities between the core numeric primitives.
 
     Two more equalities run in selftest and are asserted at full size by
-    tests/test_verify.py: the averaged transform at s = 1 against the closed
-    trapezoid area (trapezoid_ends, which tests/test_transforms.py asserts
-    too) and the resolvent identities.  The
+    tests/test_verify.py: the trapezoid transform h_U^+-(1), by its series,
+    against the closed trapezoid area (trapezoid_ends, which
+    tests/test_transforms.py asserts too) and the resolvent identities.  The
     transform-area integral, which selftest does not run, is checked by
     tests/test_transforms.py::test_transform_at_one_is_trapezoid_area.
     """

@@ -72,10 +72,6 @@ FULL_CHECK_WRAPPERS = {
     ("test_cusps.py", "test_distance_implications_sampled_configurations"),
     ("test_geom.py", "test_u_of_gamma_matches_mobius_oracle"),
     ("test_lattice.py", "test_certificate_dominates_exact_counts"),
-    ("test_specfun.py", "test_order_one_bracket_suite"),
-    ("test_specfun.py", "test_q_derivative_bracket_suite"),
-    ("test_specfun.py", "test_legendre_P_negm_closed_form_at_s_one"),
-    ("test_specfun.py", "test_gamma_ratio_sandwich_suite"),
     ("test_transforms.py", "test_transform_series_matches_closed_form_at_one"),
 }
 

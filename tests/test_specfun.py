@@ -1,8 +1,8 @@
 """Special functions: gamma machinery, hypergeometric series, Legendre bounds.
 
-The bracket suites mirror the inequalities the certificate rests on; they
-run the greenbound.verify checks at full sample size and permit zero
-violations.
+The bracket inequalities that the certificate rests on are greenbound.verify
+checks; tests/test_verify.py asserts each at full sample size, and
+verify.PROPERTY_CHECKS names the certificate step each supports.
 """
 
 import cmath
@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from greenbound import specfun, verify
+from greenbound import specfun
 from greenbound.errors import NonConvergenceError
 from greenbound.specfun import (
     C_sigma,
@@ -78,18 +78,6 @@ def test_legendre_P_neg1_at_s_one():
     for u in (1.01, 1.5, 2.0, 2.9):
         value = legendre_P_neg1(1.0, u)
         assert cmath.isclose(value, math.sqrt((u - 1.0) / (u + 1.0)), rel_tol=1e-13)
-
-
-def test_order_one_bracket_suite(full_check):
-    """Two-sided bracket for the order-one function, 500 samples."""
-    result = full_check(verify.order_one_bracket)
-    assert result.passed, result.detail
-
-
-def test_q_derivative_bracket_suite(full_check):
-    """Q' is negative and dominated by the closed envelope, 500 samples."""
-    result = full_check(verify.q_derivative_bracket)
-    assert result.passed, result.detail
 
 
 def test_legendre_P_neg1_real_on_critical_line():
@@ -254,23 +242,11 @@ def test_legendre_Q_deriv_large_nu():
             legendre_Q_deriv(nu, u)
 
 
-def test_legendre_P_negm_closed_form_at_s_one(full_check):
-    result = full_check(verify.order_two_closed_form)
-    assert result.passed, result.detail
-
-
 def test_legendre_P_negm_order_zero_is_legendre_P():
     # m = 0 reduces to P_{s-1}; compare with the order-one route at s = 1
     for u in (1.2, 2.0, 5.0):
         value = legendre_P_negm(0, 1.0, u).real
         assert math.isclose(value, 1.0, rel_tol=1e-12), u
-
-
-def test_gamma_ratio_sandwich_suite(full_check):
-    """Closed two-sided bounds vs the log-gamma oracle, 1000 samples; the
-    simplified decay bound dominates the sharp one."""
-    result = full_check(verify.gamma_ratio_sandwich)
-    assert result.passed, result.detail
 
 
 def test_C_sigma_reference_values():

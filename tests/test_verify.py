@@ -1,15 +1,18 @@
 """The self-check batteries and their shared check functions."""
 
 import inspect
+import json
+import re
 
 import pytest
 
 from greenbound.bounds import COUNT_CAP_STANDARD, assemble, compute_D, compute_q, group_preset, reference_params
+from greenbound.cli import main
 from greenbound.lattice import count_bound, truncated_fundamental_domain
-from greenbound.verify import PROPERTY_CHECKS, reproduction_battery
+from greenbound.verify import PROPERTY_CHECKS, STEPS, reproduction_battery
 
 
-@pytest.mark.parametrize("check", [check for check, _ in PROPERTY_CHECKS], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("check", [check for check, _, _ in PROPERTY_CHECKS], ids=lambda c: c.__name__)
 def test_property_check_passes_at_full_size(check, full_check):
     """Every check selftest runs at its short size also runs in the suite at full size."""
     result = full_check(check)
@@ -22,9 +25,27 @@ def test_property_checks_set_only_the_sample_count():
     short run off the full one shows here."""
     extra = {
         check.__name__: sorted((set(size) | set(inspect.signature(check).parameters)) - {"n"})
-        for check, size in PROPERTY_CHECKS
+        for check, size, _ in PROPERTY_CHECKS
     }
     assert not any(extra.values()), extra
+
+
+def test_every_check_names_a_listed_step_and_every_step_has_a_check(tmp_path, capsys):
+    """The ledger: selftest and reproduce-paper print each check's step on its line and write the
+    same step into its --json entry; selftest's steps are PROPERTY_CHECKS', every step printed is a
+    key of STEPS, and every key of STEPS has at least one check."""
+    steps = {}
+    for command, argv in (("selftest", []), ("reproduce-paper", ["--grid", "10x10"])):
+        path = tmp_path / f"{command}.json"
+        main([command, *argv, "--json", str(path)])
+        lines = [line for line in capsys.readouterr().out.splitlines() if line[:6] in ("PASS  ", "FAIL  ")]
+        steps[command] = [re.fullmatch(r"(?:PASS|FAIL)  \S+ \[(.+?)\]: .*", line)[1] for line in lines]
+        checks = json.loads(path.read_text(encoding="utf-8"))["checks"]
+        assert steps[command] == [check["step"] for check in checks], command
+    assert steps["selftest"] == [step for _, _, step in PROPERTY_CHECKS]
+    listed = set(steps["selftest"] + steps["reproduce-paper"])
+    assert listed <= set(STEPS), sorted(listed - set(STEPS))
+    assert set(STEPS) <= listed, sorted(set(STEPS) - listed)
 
 
 def test_reproduction_battery_encloses_D_once(cold_enclosures):
