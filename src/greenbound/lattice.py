@@ -34,8 +34,9 @@ cell.  The region is first moved into the strip around x = 0 by an
 integer translation, which changes no count and keeps the rounding of the
 bound small.  count_bound screens the grid once, settling most matrices on
 whole blocks of cells from both sides, by _low and by an upper bound,
-_high, then halves the cells that attain the maximum, round after round,
-until a centre attains it (see its docstring).  One pass (_both) gives both
+_high, then splits the cells that attain the maximum, into quarters or,
+when long, into halves across their length, round after round, until a
+centre attains it (see its docstring).  One pass (_both) gives both
 bounds from their shared x-only parts (_parts), and a centre is tested by u
 itself (_centre).  The parts that depend on a candidate alone (the vertex
 of W and W there) are computed once per candidate (_rows), and the two ends
@@ -99,9 +100,10 @@ CELL_WEIGHT = 16
 _CHUNK = 2**13  # kernel evaluations per call, to bound memory
 PRUNE_SLACK = 1e-12  # relative slack of the pruning threshold over the count threshold
 _EDGE = np.array([0, 1])[:, None, None]  # the lower and upper end of a cell, from its index
-# Rows of (x0, x1, y0, y1, xm, ym) that give (x0, x1, y0, y1) of the (first, second) half
-# of a piece, halved across x ([0]) or across y ([1]).
-_HALVES = np.array([[[0, 4], [4, 1], [2, 2], [3, 3]], [[0, 0], [1, 1], [2, 5], [5, 3]]])
+# Rows of (x0, x1, y0, y1, xm, ym, xt, yt) that give ((x0, x1), (y0, y1)) of quarters 0 to 3 of a
+# piece, the upper half of x in quarters 1 and 3 and of y in 2 and 3; xt and yt end the lower
+# halves, at the middle of a side that is cut and at its upper end otherwise.
+_QUARTERS = np.array([[[0, 4, 0, 4], [6, 1, 6, 1]], [[2, 2, 5, 5], [7, 7, 3, 3]]])
 
 
 @dataclass(frozen=True)
@@ -464,19 +466,27 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     Subdivides region into grid = (nx, ny) cells and counts for each cell
     the candidates whose interval lower bound on u over the cell is at most
     cutoff = U (1 + 1e-6).  The cells attaining the maximal count are then
-    halved across their wider side, round after round, until a maximal piece
-    counts as many matrices at its centre as over the whole piece (the
-    maximum is attained there, so no refinement can lower it), a split
-    leaves a float unchanged, or the refinement work would pass MAX_WORK.  A
-    cell's count is the maximum over its pieces and the bound is twice the
-    largest.
+    split, round after round, until a maximal piece counts as many matrices
+    at its centre as over the whole piece (the maximum is attained there, so
+    no refinement can lower it), a split leaves a float unchanged, or the
+    refinement work would pass MAX_WORK.  A cell's count is the maximum over
+    its pieces and the bound is twice the largest.  A round splits each
+    maximal piece, in one pass, across every side at least half as long as
+    its longest: a near-square piece into four quarters, a long piece or a
+    segment into two halves across its length, so that a 1x30 grid does not
+    split its long cells into thin strips.  The bound does not depend on the
+    rule: where the centre test ends the refinement, the bound is twice the
+    count at a centre, and no piece counts fewer matrices than a point in it,
+    so the bound is twice the largest count at a point of the region, however
+    the pieces were split.  Only the counts of the cells that held a maximal
+    piece can differ, each still an upper bound.
 
     Candidates are settled on whole boxes from both sides.  The grid is cut
     into blocks of about 1.5 n^(1/3) cells a side on a grid side of n (see
     _block_side), the last one along a side possibly partial; block edges
     are grid nodes, so a block contains its cells exactly in floats, and a
     cell or piece contains its pieces.  Per candidate and block, and in the refinement per open
-    candidate and half piece, _low and _high decide, both from one pass (_both):
+    candidate and kid of a piece, _low and _high decide, both from one pass (_both):
 
     * fail, when _low > relaxed = cutoff (1 + PRUNE_SLACK).  A box's
       exact lower bound is never above that of a cell or piece inside it
@@ -494,20 +504,29 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
       cell that becomes maximal starts with its block's sure count and open
       (block, candidate) pairs, found by binary search in the screen's
       sorted list, and keeps them as (piece, candidate) pairs.  A piece's
-      centre and halves evaluate only its open candidates.
+      centre and kids evaluate only its open candidates.
 
     Each round tests the centres of the maximal pieces first, with u itself
     (_centre, the bits of _low on the point), and stops if one reaches
-    the maximum; only then are both halves tested, in one pass, and the pairs
-    still open on a half are kept under its piece.  So every count is the one
-    a test of every candidate on every piece makes, and only the cells that a
-    candidate's level set u = U crosses test it one by one.  `pairs` counts
-    each bound evaluated on one candidate and box: two per pass of _both,
-    one per centre.  A round costs a fixed number of numpy calls, whatever
-    its numbers of pieces and pairs: the pieces keep their boxes in one
-    array and their grid cell, count and sure count in another, so each
-    gather, update and halving is one call, and the grid is searched for
-    cells at the maximum only in rounds whose maximum a grid cell attains.
+    the maximum; only then are the kids tested, all in one pass, and the
+    pairs still open on a kid are kept under its piece.  So every count is
+    the one a test of every candidate on every piece makes, and only the
+    cells that a candidate's level set u = U crosses test it one by one.
+    `pairs` counts each bound evaluated on one candidate and box: two per
+    pass of _both, one per centre.  The refinement cap charges, per round,
+    one centre and one test per kid for each hot piece and candidate, open
+    or not.  A round costs a fixed number of numpy calls, whatever its
+    numbers of pieces and pairs, and a few more per array of open pairs it
+    reads: the pieces keep their boxes in one array and their grid cell,
+    count and sure count in another, the quarters of every hot piece come
+    from one gather (_QUARTERS), the ones that are not kids of their piece
+    masked out, so each gather, update and split is one call, and the grid
+    is searched for cells at the maximum only in rounds whose maximum a grid
+    cell attains.  The open pairs of the grid cells that become pieces in a
+    round, and those of a round's kids, are kept in one array each, filed
+    under the largest count of its pieces, so a round reads only the arrays
+    that hold a piece at the maximum, files their other pairs again, and
+    never scans the pairs of all the pieces.
 
     The result is a proof: every matrix with u <= U at some point of a
     piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
@@ -528,7 +547,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     the refinement cap charge only the columns counted.  Where that cap ends
     the refinement (U in the thousands on the truncated domain), the same
     budget refines the counted columns further, so the bound is at most the
-    full grid's: 61,224 against 61,410 at U = 4,999 on 40x40.
+    full grid's: 61,170 against 61,484 at U = 4,999 on 40x40.
     """
     nx, ny = grid
     if nx < 1 or ny < 1:
@@ -547,12 +566,14 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     side = (_block_side(nx), _block_side(ny))
     counts, pairs, block_sure, block_of, block_cand = _screen(rows, xs[: mx + 1], ys, side, U, cutoff, relaxed)
     nby, block_sure = block_sure.shape[1], block_sure.ravel()
-    # Pieces: the grid cells that have been maximal and their halves.  box holds their
+    # Pieces: the grid cells that have been maximal and their kids.  box holds their
     # ((x0, x1), (y0, y1)) and tally their grid cell (owner), count (score) and count of
-    # candidates sure on them, one column each; pair lists the (piece, candidate) pairs
-    # still open.  grid_top is the largest count of a grid cell not yet a piece.
+    # candidates sure on them, one column each.  pair files the (piece, candidate) pairs still
+    # open, in arrays with the scores of their pieces, under the largest of those scores, so a
+    # round reads the pairs of its hot pieces from the arrays filed under top and no others.
+    # grid_top is the largest count of a grid cell not yet a piece.
     box = np.empty((2, 2, 0))
-    tally, pair = np.empty((3, 0), dtype=np.int64), np.empty((2, 0), dtype=np.int64)
+    tally, pair = np.empty((3, 0), dtype=np.int64), {}
     grid_top, work = counts.max(), 0
     while True:
         top = max(grid_top, tally[1].max(initial=0))
@@ -563,42 +584,62 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
             lo, hi = np.searchsorted(block_of, [block, block + 1])  # the open pairs of each cell's block
             n = hi - lo
             cand = block_cand[np.repeat(lo, n) + _ramp(n)]
-            pair = np.concatenate([pair, [np.repeat(tally.shape[1] + np.arange(fresh.size), n), cand]], axis=1)
+            piece = np.repeat(tally.shape[1] + np.arange(fresh.size), n)
+            pair.setdefault(top, []).append((np.array([piece, cand]), np.full(cand.size, top)))
             box = np.concatenate([box, [[xs[ix], xs[ix + 1]], [ys[iy], ys[iy + 1]]]], axis=2)
             tally = np.concatenate([tally, [fresh, counts[fresh], block_sure[block]]], axis=1)
             counts[fresh] = 0
             grid_top = counts.max()
-        is_hot = tally[1] == top
-        hot = is_hot.nonzero()[0]
+        hot = (tally[1] == top).nonzero()[0]
         h, b = hot.size, box.take(hot, axis=2)
         mid = 0.5 * (b[:, 0] + b[:, 1])  # xm, ym
         size = b[:, 1] - b[:, 0]
-        wide = size[0] >= size[1]
+        cut = 2.0 * size >= size.max(axis=0)  # the sides split: each at least half the longest
         inner = (b[:, 0] < mid) & (mid < b[:, 1])
-        work += 3 * h * rows.shape[1]
-        if work > MAX_WORK or not np.where(wide, inner[0], inner[1]).all():
+        # Quarter q of a hot piece takes the upper half of x if q & 1 and of y if q & 2, and a side
+        # not cut whole; it is a kid of the piece when every side it halves is cut: the four
+        # quarters of a near-square piece, the two halves across the length of a long one.
+        is_kid = np.ones((4, h), dtype=bool)
+        is_kid[1:3] = cut
+        is_kid[3] = cut[0] & cut[1]
+        work += (h + np.count_nonzero(is_kid)) * rows.shape[1]
+        if work > MAX_WORK or not (inner | ~cut).all():
             break
-        on_hot = is_hot[pair[0]]
-        at, c = hot.searchsorted(pair[0].compress(on_hot)), pair[1].compress(on_hot)  # at: slot in hot
+        held = [np.empty((2, 0), dtype=np.int64)]
+        for part, score in pair.pop(top, []):  # the hot pairs, and the others filed again
+            on = score == top
+            held.append(part.compress(on, axis=1))
+            if not on.all():
+                score, part = score.compress(~on), part.compress(~on, axis=1)
+                pair.setdefault(score.max(), []).append((part, score))
+        at, c = np.concatenate(held, axis=1)
+        at = hot.searchsorted(at)  # slot in hot
         low = _each(_centre, rows, c, at, mid)
         pairs += at.size
         if (tally[2, hot] + np.bincount(at.compress(low <= cutoff), minlength=h) >= top).any():
             break
-        # Both halves of each hot piece, in one pass: the first (lower x or y) at slot i, the
-        # second at h + i.  The first halves replace their pieces in place; the second are appended.
-        split = np.where(wide, _HALVES[0, :, :, None], _HALVES[1, :, :, None])
-        halves = np.concatenate([b.reshape(4, h), mid])[split, np.arange(h)].reshape(2, 2, 2 * h)
-        at, c = np.concatenate([at, at + h]), np.concatenate([c, c])
-        low, high = _each(_both, rows, c, at, halves)
+        # Every kid in one pass: quarter q of hot piece i is box q h + i of quarters.
+        quarters = np.concatenate([b.reshape(4, h), mid, np.where(cut, mid, b[:, 1])])[_QUARTERS].reshape(2, 2, 4 * h)
+        is_kid = is_kid.ravel()
+        kid = (at + h * np.arange(4)[:, None]).ravel()
+        on = is_kid[kid]
+        kid, c = kid.compress(on), np.concatenate([c] * 4).compress(on)
+        low, high = _each(_both, rows, c, kid, quarters)
         is_sure = high <= U
         keep = (low <= relaxed) & ~is_sure
-        ids = np.concatenate([hot, tally.shape[1] + np.arange(h)])
-        pair = np.concatenate([pair.compress(~on_hot, axis=1), [ids[at.compress(keep)], c.compress(keep)]], axis=1)
-        pairs += 2 * at.size
-        new = tally.take(np.concatenate([hot, hot]), axis=1)  # owner, score and sure count of each half
-        new[1:] = new[2] + [np.bincount(at.compress(ok), minlength=2 * h) for ok in (low <= cutoff, is_sure)]
-        tally[:, hot], box[..., hot] = new[:, :h], halves[..., :h]
-        tally, box = np.concatenate([tally, new[:, h:]], axis=1), np.concatenate([box, halves[..., h:]], axis=2)
+        # Quarter 0 of each piece replaces it in place; the other kids are appended.
+        rest = is_kid[h:]
+        ids = np.concatenate([hot, tally.shape[1] - 1 + np.cumsum(rest)])
+        pairs += 2 * kid.size
+        new = tally.take(np.concatenate([hot] * 4), axis=1)  # owner, score and sure count of each quarter
+        new[1:] = new[2] + [np.bincount(kid.compress(ok), minlength=4 * h) for ok in (low <= cutoff, is_sure)]
+        kept = kid.compress(keep)
+        if kept.size:
+            score = new[1, kept]
+            pair.setdefault(score.max(), []).append((np.array([ids[kept], c.compress(keep)]), score))
+        tally[:, hot], box[..., hot] = new[:, :h], quarters[..., :h]
+        tally = np.concatenate([tally, new[:, h:].compress(rest, axis=1)], axis=1)
+        box = np.concatenate([box, quarters[..., h:].compress(rest, axis=2)], axis=2)
 
     np.maximum.at(counts, tally[0], tally[1])
     counts = counts.reshape(mx, ny)

@@ -106,7 +106,7 @@ def test_count_certificate_reference_grid():
 
 
 def test_coarse_grids_refine_to_the_same_bound():
-    """Bisecting the maximal cells brings every grid, from 1x1 to 400x400, to the same bound."""
+    """Splitting the maximal cells brings every grid, from 1x1 to 400x400, to the same bound."""
     box = truncated_fundamental_domain()
     for n in (1, 2, 3, 4, 7, 10, 17, 20, 33, 40, 64, 150, 400):
         assert count_bound(box, STANDARD_U, (n, n)).bound == 214, n
@@ -123,14 +123,13 @@ def test_screen_tests_few_pairs():
 
 
 def test_refinement_tests_few_pairs():
-    """An 11x11 grid refines for 39 rounds; pieces evaluate only the candidates
-    still open on them, 49k kernel evaluations in all on the 6 columns counted
-    (the other 5 mirror them; 97k on all 11, and 589k on all 11 when every
-    candidate that passed the screen was tested on every piece).  At U = 5
-    on 12x12 the last round splits 420 tied pieces of the 6 columns counted;
-    their centres are tested first, and one at the maximum ends the
-    refinement without testing the halves (47k evaluations, 54k with the
-    halves)."""
+    """An 11x11 grid refines for 20 rounds (39 when each round halved its
+    pieces); pieces evaluate only the candidates still open on them, 50k kernel
+    evaluations in all on the 6 columns counted (the other 5 mirror them; 98k
+    on all 11).  At U = 5 on 12x12 the last round splits 342 tied pieces of
+    the 6 columns counted; their centres are tested first, and one at the
+    maximum ends the refinement without testing the quarters (33k
+    evaluations, 44k with the quarters)."""
     box = truncated_fundamental_domain()
     cert = count_bound(box, STANDARD_U, (11, 11))
     assert cert.bound == 214
@@ -140,12 +139,25 @@ def test_refinement_tests_few_pairs():
     assert cert.pairs <= 100_000
 
 
+def test_long_pieces_are_halved_along_their_length():
+    """Only the sides at least half as long as a piece's longest are split, so the long cells of
+    1x30, 30x1 and 2x40 grids are halved across their length until they are near square.  Their
+    pairs stay within 2% of those of halving every piece across its wider side (120,948, 54,096
+    and 64,458 against 119,836, 60,612 and 63,314); quartering every piece took 1,641,416 on
+    1x30."""
+    box = truncated_fundamental_domain()
+    for grid, halving_pairs in (((1, 30), 119_836), ((30, 1), 60_612), ((2, 40), 63_314)):
+        cert = count_bound(box, STANDARD_U, grid)
+        assert cert.bound == 214, grid
+        assert cert.pairs <= 1.02 * halving_pairs, grid
+
+
 PINNED = [  # (region, U, grid, pairs, digest of per_cell_counts)
-    (truncated_fundamental_domain(), 17.0, (10, 10), 49_826, "1a8041d06e7e8dcf"),
-    (truncated_fundamental_domain(), 5.0, (12, 12), 47_259, "a7608c7aeab97251"),
-    (truncated_fundamental_domain(), 9.0, (12, 12), 8_227, "475fe8e8317e67fd"),
+    (truncated_fundamental_domain(), 17.0, (10, 10), 47_453, "feab7fc2fe5203e7"),
+    (truncated_fundamental_domain(), 5.0, (12, 12), 32_635, "a7608c7aeab97251"),
+    (truncated_fundamental_domain(), 9.0, (12, 12), 7_675, "475fe8e8317e67fd"),
     (Rectangle(-0.3819660112501051, 0.1180339887498949, 1.1495190528383288, 1.7165063509461096), 17.0, (25, 25),
-     55_454, "d1b9e4dcae2b9b7d"),  # a lattice-grid sub-rectangle job
+     55_631, "79240777e8adc72f"),  # a lattice-grid sub-rectangle job
 ]
 
 
@@ -207,12 +219,15 @@ def test_displacement_check_exercises_the_count_kernel(monkeypatch):
     assert not verify.displacement_identity(n=50).passed
 
 
-def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes):
+def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes, halves=False):
     """count_bound by testing every candidate on every piece: the grid screen
-    and the bisection of the maximal cells without any pruning, and without the
+    and the refinement of the maximal cells without any pruning, and without the
     mirror, on the grid of the region moved to the strip around x = 0, as
     count_bound counts, with x nodes x_nodes(moved region, nx); the certificate
-    names the caller's region."""
+    names the caller's region.  Each round splits every maximal piece across
+    each side at least half as long as its longest, as count_bound does, or with
+    halves=True across its wider side only, the earlier rule, which reaches the
+    same bound and is kept as its reference."""
     cutoff = U * (1.0 + lattice.SAFE_MARGIN)
     moved = lattice._centred(region)
     rows = lattice._rows(*enumerate_candidates(moved, U).columns.astype(float))[:, None, :]
@@ -229,25 +244,38 @@ def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes):
     owner, counts, work = np.arange(nx * ny), count(cells), 0
     while True:
         top = counts.max()
-        hot = counts == top
+        hot = np.flatnonzero(counts == top)
         x0, x1, y0, y1 = (v[hot] for v in cells)
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        wide = x1 - x0 >= y1 - y0
-        work += 3 * len(x0) * rows.shape[2]
+        if halves:
+            cut_x = x1 - x0 >= y1 - y0
+            cut_y = ~cut_x
+        else:
+            longest = np.maximum(x1 - x0, y1 - y0)
+            cut_x, cut_y = 2.0 * (x1 - x0) >= longest, 2.0 * (y1 - y0) >= longest
+        work += (len(x0) + np.sum(2 ** (cut_x.astype(int) + cut_y))) * rows.shape[2]
         if (
             work > lattice.MAX_WORK
-            or not np.all(np.where(wide, (x0 < xm) & (xm < x1), (y0 < ym) & (ym < y1)))
+            or not np.all((~cut_x | ((x0 < xm) & (xm < x1))) & (~cut_y | ((y0 < ym) & (ym < y1))))
             or np.any(count((xm, xm, ym, ym)) >= top)
         ):
             break
-        first = (x0, np.where(wide, xm, x1), y0, np.where(wide, y1, ym))
-        second = (np.where(wide, xm, x0), x1, np.where(wide, y0, ym), y1)
-        extra = count(second)
-        counts[hot] = count(first)
-        counts, owner = np.concatenate([counts, extra]), np.concatenate([owner, owner[hot]])
-        for k in range(4):
-            cells[k][hot] = first[k]
-            cells[k] = np.concatenate([cells[k], second[k]])
+        # Kid (i, j) takes the upper half across x when i = 1, across y when j = 1;
+        # a side that is not cut has the lower half only, which is the whole side.
+        for i, j in ((0, 1), (1, 0), (1, 1), (0, 0)):
+            real = (cut_x | (i == 0)) & (cut_y | (j == 0))
+            kid = (
+                xm if i else x0, x1 if i else np.where(cut_x, xm, x1),
+                ym if j else y0, y1 if j else np.where(cut_y, ym, y1),
+            )
+            if i or j:
+                counts = np.concatenate([counts, count(kid)[real]])
+                owner = np.concatenate([owner, owner[hot][real]])
+                cells = [np.concatenate([v, k[real]]) for v, k in zip(cells, kid)]
+            else:
+                counts[hot] = count(kid)
+                for v, k in zip(cells, kid):
+                    v[hot] = k
     per_cell = np.zeros(nx * ny, dtype=np.int64)
     np.maximum.at(per_cell, owner, counts)
     rows = tuple(tuple(int(v) for v in row) for row in per_cell.reshape(nx, ny))
@@ -283,6 +311,21 @@ def test_count_bound_matches_the_all_pairs_oracle():
         assert count_bound(region, U, (nx, ny)) == _oracle_count_bound(region, U, (nx, ny))
 
     check()
+
+
+def test_the_split_rule_moves_no_bound():
+    """Where the refinement ends by its centre test, the bound is twice the count at a centre,
+    max over z of N(z); how the pieces were split does not enter it.  So count_bound's bound is
+    the halving oracle's on the full domain at U = 5, 9 and 17 on nine grids, on a lattice-grid
+    sub-rectangle, on [3 - 0.4, 3 + 0.4] x [1, 1.6] and on a segment."""
+    box = truncated_fundamental_domain()
+    jobs = [(box, U, (n, n)) for U in (5.0, 9.0, 17.0) for n in (1, 2, 7, 10, 12, 17, 28, 36, 63)]
+    jobs += [(PINNED[3][0], 17.0, PINNED[3][2]), (Rectangle(2.6, 3.4, 1.0, 1.6), 17.0, (6, 5)),
+             (Rectangle(0.0, 0.0, 1.0, 2.0), 3.0, (1, 5))]
+    for region, U, grid in jobs:
+        assert count_bound(region, U, grid).bound == _oracle_count_bound(region, U, grid, halves=True).bound, (
+            region, U, grid)
+    assert count_bound(Rectangle(0.0, 0.0, 1.0, 2.0), 3.0, (1, 5)).bound == 36
 
 
 def _plain_nodes(region, n):

@@ -262,6 +262,18 @@ def test_C_sigma_reference_values():
         C_sigma(1e-5)  # its exp overflows below about 1.17e-4
 
 
+def test_C_sigma_factors_are_the_gamma_ratio_constant():
+    """C_sigma's two exponential factors are the upper Gamma-ratio constant exp(b - a + (1/12)(1/a - 1/b))
+    at (a, b) = (sigma, sigma + 1/2) and (1 - sigma, 3/2 - sigma), which gamma_ratio_upper computes,
+    times (a^2 + y^2)^{-(b - a)/2}: so its value times (a^2 + y^2)^{1/4}, at any y, is the factor."""
+    for sigma in (0.1, 0.306, 0.45):
+        common = max(1.0, math.tan(math.pi * sigma)) * (1.0 / sigma - 1.0) ** 0.25
+        for factor, (a, b) in zip(C_sigma(sigma), ((sigma, sigma + 0.5), (1.0 - sigma, 1.5 - sigma))):
+            for y in (0.0, 1.0, 30.0):
+                constant = specfun.gamma_ratio_upper(a, b, y) * (a * a + y * y) ** 0.25
+                assert math.isclose(factor / common, constant, rel_tol=1e-15), (sigma, a, y)
+
+
 def test_p_sigma_series_identity():
     # the coefficient sum collapses: sum |(-3/2)_n|/n! t^n = (1-t)^{3/2} + 3t
     rng = random.Random(52014)
