@@ -10,10 +10,10 @@ def full_check():
     """Run a greenbound.verify check at its full (default) size, once a session.
 
     The checks are seeded and deterministic, so the battery guard in
-    tests/test_verify.py, the acceptance criteria and the unit tests that
-    assert the same check again share one run of it; tests/test_source.py
-    pins those unit tests (FULL_CHECK_WRAPPERS).  verify.PROPERTY_CHECKS,
-    not this fixture, names the certificate step each check supports.
+    tests/test_verify.py and the acceptance criteria share one run of it;
+    tests/test_source.py keeps every other test from taking it.
+    verify.PROPERTY_CHECKS, not this fixture, names the certificate step
+    each check supports.
     """
     return functools.cache(lambda check: check())
 

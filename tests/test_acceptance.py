@@ -127,8 +127,7 @@ def test_criterion_5_special_function_suites(full_check):
 
     The sharp-cutoff transform bracket (4 pi - 8)(U - 1) <= h_U(s) <= 8 (U - 1)
     is the order-one bracket times 2 pi sqrt(U^2 - 1), so it has no verify
-    check of its own; tests/test_transforms.py::test_h_U_bracket_suite samples
-    it directly.
+    check of its own; verify.order_one_bracket's docstring states it.
     """
     start = time.perf_counter()
     checks = (
@@ -158,10 +157,9 @@ def test_criterion_7_oracle_equivalences(full_check):
 
     Two more equalities run in selftest and are asserted at full size by
     tests/test_verify.py: the trapezoid transform h_U^+-(1), by its series,
-    against the closed trapezoid area (trapezoid_ends, which
-    tests/test_transforms.py asserts too) and the resolvent identities.  The
-    transform-area integral, which selftest does not run, is checked by
-    tests/test_transforms.py::test_transform_at_one_is_trapezoid_area.
+    against the closed trapezoid area (trapezoid_ends) and the resolvent
+    identities.  The transform-area integral, which selftest does not run, is
+    checked by tests/test_transforms.py::test_transform_at_one_is_trapezoid_area.
     """
     checks = (
         verify.displacement_identity,

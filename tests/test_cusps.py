@@ -63,18 +63,6 @@ def test_poisson_kernel_mean_value():
         assert abs(mean - 1.0) <= 1e-10
 
 
-def test_poisson_convolution_semigroup(full_check):
-    """Circular convolution of two kernels is the kernel of the product point."""
-    result = full_check(verify.poisson_convolution)
-    assert result.passed, result.detail
-
-
-def test_phase_average_fourier_series(full_check):
-    """lambda(xi, t) equals sum over n of xi^n sin(2 pi n t)/(pi n)."""
-    result = full_check(verify.phase_fourier_series)
-    assert result.passed, result.detail
-
-
 def test_phase_average_branches_and_domain():
     assert isinstance(lambda_xi(0.5, 0.3), float)
     assert isinstance(lambda_xi(0.5j, 0.3), complex)
@@ -114,13 +102,6 @@ def test_lambda_integral_bound_grid():
 
 def test_lambda_integral_vanishes_at_zero():
     assert lambda_integral_gap(0.0, 1.0) <= 1e-12
-
-
-def test_smoothing_count_bracket_grid(full_check):
-    """The smoothed count sits within eps r_delta of its main term on the
-    45-point grid and one point off the real axis."""
-    result = full_check(verify.smoothing_bracket)
-    assert result.passed, result.detail
 
 
 def two_half_N_delta_eps(delta, eps, xi):
@@ -297,9 +278,3 @@ def test_extend_same_cusp_offsets():
     widening = (report.B_tilde - report.A_tilde) - (base.B - base.A)
     assert math.isclose(widening, 2.0 * 2 * 0.2 * r_delta(2.0), rel_tol=1e-12)
     assert "q(z) - q(w)" in report.offset_terms
-
-
-def test_distance_implications_sampled_configurations(full_check):
-    """No counterexamples to either implication over 50 admissible draws."""
-    result = full_check(verify.cusp_distance_lemma)
-    assert result.passed, result.detail

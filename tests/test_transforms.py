@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from test_bounds import draw_valid_params
 
-from greenbound import transforms, verify
+from greenbound import transforms
 from greenbound._quad import integrate, integrate_to_infinity
 from greenbound.bounds import compute_D, enclose_D, reference_params
 from greenbound.errors import ConstraintViolation, NonConvergenceError
-from greenbound.specfun import legendre_P_neg1, legendre_P_negm, p_sigma
+from greenbound.specfun import legendre_P_negm, p_sigma
 from greenbound.transforms import (
     I_delta_pm,
     TrapezoidParams,
@@ -162,11 +162,6 @@ def test_transform_at_one_is_trapezoid_area():
             assert abs(2.0 * math.pi * area - closed) <= 1e-10 * abs(closed), (sign, U)
 
 
-def test_transform_series_matches_closed_form_at_one(full_check):
-    result = full_check(verify.trapezoid_ends)
-    assert result.passed, result.detail
-
-
 def test_closed_transform_displays():
     p = reference_trapezoid()
     for U in (2.0, 5.0):
@@ -176,26 +171,6 @@ def test_closed_transform_displays():
         minus = 2.0 * math.pi * (U - 1.0) - math.pi * (U - T)
         assert math.isclose(h_U_pm_at_one(p, +1, U), plus, rel_tol=1e-14)
         assert math.isclose(h_U_pm_at_one(p, -1, U), minus, rel_tol=1e-14)
-
-
-def sharp_cutoff_transform(s, U):
-    """h_U(s) = 2 pi sqrt(U^2 - 1) P^{-1}_{s-1}(U), the transform of the indicator of [1, U]."""
-    return 2.0 * math.pi * math.sqrt(U * U - 1.0) * legendre_P_neg1(s, U)
-
-
-def test_h_U_at_s_one():
-    for U in (1.1, 2.0, 2.9):
-        assert abs(sharp_cutoff_transform(1.0, U) - 2.0 * math.pi * (U - 1.0)) <= 1e-12 * U
-
-
-def test_h_U_bracket_suite():
-    """Two-sided bracket (4 pi - 8)(U - 1) <= h_U(s) <= 8 (U - 1), 300 samples: order_one_bracket's
-    inequality times 2 pi sqrt(U^2 - 1), on the strip window it draws from."""
-    rng = random.Random(60001)
-    for _ in range(300):
-        U, s = verify._strip_point(rng, 0.01, 1.99)
-        value = sharp_cutoff_transform(s, U).real
-        assert (4.0 * math.pi - 8.0) * (U - 1.0) <= value <= 8.0 * (U - 1.0), (U, s, value)
 
 
 def test_resolvent_multiplier():
