@@ -14,13 +14,15 @@ config file (--config), overridden by command-line flags.  Every command
 accepts --json FILE to write a machine-readable record: the fields of the
 produced certificate plus the config echo and the tool version.  Exit
 codes: 0 success, 1 configuration or constraint error, 2 numerical
-failure, 3 reproduction mismatch.
+failure, 3 reproduction mismatch.  The parser is built once per process, and main looks the
+handler of the parsed command up on each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -385,7 +387,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared after it: do not mutate it."""
     parser = _Parser(prog="greenbound", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"greenbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -401,18 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--region", help="rectangle as x_min,x_max,y_min,y_max")
     p_count.add_argument("--U", type=float, help="displacement threshold")
     p_count.add_argument("--grid", help=f"subdivision as NXxNY, e.g. {_GRID_TEXT}")
-    p_count.set_defaults(handler=cmd_count)
 
     p_bounds = sub.add_parser("bounds", help="assemble the certificate A <= . <= B")
     add_common(p_bounds)
     p_bounds.add_argument("--mode", help="arithmetic mode: exact or paper")
     p_bounds.add_argument("--n-bar", dest="n_bar", type=float, help="uniform count bound")
-    p_bounds.set_defaults(handler=cmd_bounds)
 
     p_rep = sub.add_parser("reproduce-paper", help="replay the published pipeline numbers")
     p_rep.add_argument("--json", help="write the machine record to this file")
     p_rep.add_argument("--grid", default=_GRID_TEXT, help=f"grid for the count item (default {_GRID_TEXT})")
-    p_rep.set_defaults(handler=cmd_reproduce_paper)
 
     p_cusp = sub.add_parser("cusp-extend", help="transport a certificate to a cusp neighbourhood")
     add_common(p_cusp)
@@ -421,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cusp.add_argument("--eps-prime", dest="eps_prime", type=float, help="outer radius")
     p_cusp.add_argument("--mode", help="arithmetic mode: exact or paper")
     p_cusp.add_argument("--n-bar", dest="n_bar", type=float, help="uniform count bound")
-    p_cusp.set_defaults(handler=cmd_cusp_extend)
 
     p_opt = sub.add_parser("optimize", help="tune the free parameters")
     add_common(p_opt)
@@ -431,19 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument("--max-iters", dest="max_iters", type=int, default=25)
     p_opt.add_argument("--n-bar", dest="n_bar", type=float, help="uniform count bound")
-    p_opt.set_defaults(handler=cmd_optimize)
 
     p_self = sub.add_parser("selftest", help="run the analytic property spot checks")
     p_self.add_argument("--json", help="write the machine record to this file")
-    p_self.set_defaults(handler=cmd_selftest)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]  # at call time, so a rebound cmd_* is called
     try:
-        return args.handler(args)
+        return handler(args)
     except ConstraintViolation as exc:
         print(f"greenbound: constraint error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -68,9 +68,11 @@ from greenbound.bounds import (
 from greenbound.cusps import N_delta_eps, admissible_eps, kernel_mass, lambda_xi, poisson_kernel, r_delta
 from greenbound.geom import UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u
 from greenbound.lattice import (
+    SAFE_MARGIN,
     count_bound,
     enumerate_group_elements,
     exact_count,
+    exact_u,
     reduce_to_fundamental_domain,
     truncated_fundamental_domain,
     u_of_gamma,
@@ -98,6 +100,10 @@ STEPS = {
     "A, B": "A = -q_plus - D_plus S(eta) N_bar and B = -q_minus + D_minus S(eta) N_bar",
     "cusp extension": "extend_bounds moves [A, B] into a cusp neighbourhood",
 }
+
+# (p, q, r): z = (p + iq)/r has |z|^2 = 2, on the axis of (3 4; 2 3), where u(z, gamma z) = COUNT_RADIUS
+# for gamma and its inverse, so N(z, z, COUNT_RADIUS) = 214 attains its supremum on the truncated domain.
+COUNT_WITNESS = (-161, 719, 521)
 
 
 @dataclass(frozen=True)
@@ -437,10 +443,24 @@ def cusp_distance_lemma(n: int = 50) -> CheckResult:
 
 
 def count_certificate_soundness(n: int = 200) -> CheckResult:
-    """The 40x40 grid certificate at U = COUNT_RADIUS caps the exact count at n sampled points
-    of the truncated domain, and the points count at least the identity pair."""
+    """The 40x40 grid certificate at U = COUNT_RADIUS caps the exact count at the witness COUNT_WITNESS
+    and at n points, and the points count at least the identity pair.
+
+    The points are uniform on the truncated domain [-1/2, 1/2] x [sqrt(3)/2, 2], the range on which the
+    N_bar step caps N(z, z, COUNT_RADIUS).  Their floats miss the maximum, 214 on the arc |z|^2 = 2,
+    so the witness, a rational point of that arc, is counted exactly in every run, which keeps a short
+    run a prefix of the full one.  Rounding it to the nearest float point moves u by a relative 1e-15 or
+    so, so the candidates are enumerated there for COUNT_RADIUS (1 + SAFE_MARGIN), those below
+    COUNT_RADIUS (1 - SAFE_MARGIN) count, and exact_u decides the rest on the Fraction coordinates."""
+    from fractions import Fraction  # on first use, as in lattice.exact_u
+
     box = truncated_fundamental_domain()
     cert = count_bound(box, COUNT_RADIUS, (40, 40))
+    p, q, r = COUNT_WITNESS
+    exact, near = UpperHalfPoint(Fraction(p, r), Fraction(q, r)), UpperHalfPoint(p / r, q / r)
+    candidates = enumerate_group_elements(near, near, COUNT_RADIUS * (1.0 + SAFE_MARGIN))
+    low = COUNT_RADIUS * (1.0 - SAFE_MARGIN)
+    witness = 2 * sum(u < low or exact_u(exact, gamma, exact) <= COUNT_RADIUS for gamma, u in candidates)
     rng = random.Random(70200)
     worst = 0
     for _ in range(n):
@@ -448,8 +468,9 @@ def count_certificate_soundness(n: int = 200) -> CheckResult:
         worst = max(worst, exact_count(z, z, COUNT_RADIUS))
     return _result(
         "count-certificate-soundness",
-        2 <= worst <= cert.bound,
-        f"max exact count {worst} <= certified bound {cert.bound} (40x40 grid) on {n} points",
+        2 <= worst <= cert.bound and witness <= cert.bound,
+        f"exact count {witness} at the witness ({p} + {q}i)/{r} and max {worst} on {n} points"
+        f" <= certified bound {cert.bound} (40x40 grid)",
     )
 
 

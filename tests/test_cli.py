@@ -13,6 +13,7 @@ import pytest
 from greenbound.bounds import ParamSet, assemble, enclose_D, group_preset, reference_params
 from greenbound.transforms import TrapezoidParams
 from greenbound.lattice import count_bound, truncated_fundamental_domain
+from greenbound import cli
 from greenbound.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -517,6 +518,35 @@ def test_unknown_subcommand_is_config_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == EXIT_CONFIG
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """A bad flag, --version and an unknown subcommand leave nothing behind in the shared parser:
+    the next bounds record is the one a first call writes."""
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    argv = ["bounds", "--mode", "paper", "--json"]
+    assert main([*argv, str(first)]) == EXIT_OK
+    for bad, code in ((["bounds", "--no-such-flag"], EXIT_CONFIG), (["--version"], EXIT_OK),
+                      (["frobnicate"], EXIT_CONFIG)):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == code, bad
+    assert main([*argv, str(again)]) == EXIT_OK
+    assert again.read_text(encoding="utf-8") == first.read_text(encoding="utf-8")
+
+
+def test_main_calls_the_handler_bound_at_call_time(monkeypatch, capsys):
+    """main looks cmd_* up on each call, so a handler rebound after the parser is built (as a tracer
+    does) is the one called."""
+    assert main(["bounds", "--mode", "paper"]) == EXIT_OK
+    calls = []
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: calls.append(args.mode) or EXIT_MISMATCH)
+    assert main(["bounds", "--mode", "paper"]) == EXIT_MISMATCH
+    assert calls == ["paper"]
 
 
 def test_readme_command_lines_parse():

@@ -105,6 +105,22 @@ def test_count_certificate_reference_grid():
     assert cert.bound == 2 * max(max(row) for row in cert.per_cell_counts)
 
 
+def test_the_witness_attains_the_certified_count():
+    """z* = (-161 + 719i)/521 lies on |z|^2 = 2, the axis of (3 4; 2 3), and N(z*, z*, 17) is 214,
+    the certificate's bound, so the bound is sharp.  The count is exact: the candidates at the float
+    point nearest z* and U (1 + SAFE_MARGIN), each decided by exact_u on the Fraction coordinates.
+    The float point itself counts 210, so no float sample can stand in for the witness."""
+    from fractions import Fraction
+
+    p, q, r = verify.COUNT_WITNESS
+    exact, near = UpperHalfPoint(Fraction(p, r), Fraction(q, r)), UpperHalfPoint(p / r, q / r)
+    assert exact.x**2 + exact.y**2 == 2
+    candidates = lattice.enumerate_group_elements(near, near, STANDARD_U * (1.0 + lattice.SAFE_MARGIN))
+    assert 2 * sum(lattice.exact_u(exact, gamma, exact) <= STANDARD_U for gamma, _ in candidates) == 214
+    assert exact_count(near, near, STANDARD_U) == 210
+    assert count_bound(truncated_fundamental_domain(), STANDARD_U, (100, 100)).bound == 214
+
+
 def test_coarse_grids_refine_to_the_same_bound():
     """Splitting the maximal cells brings every grid, from 1x1 to 400x400, to the same bound."""
     box = truncated_fundamental_domain()
