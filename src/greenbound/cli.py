@@ -258,6 +258,8 @@ def parse_count_certificate(record: dict) -> CountCertificate:
         per_cell_counts=tuple(tuple(row) for row in record["per_cell_counts"]),
         bound=record["bound"],
         pairs=record["pairs"],
+        stop=record["stop"],
+        witness=None if record["witness"] is None else tuple(record["witness"]),
     )
 
 
@@ -278,8 +280,7 @@ def _emit(record: dict, path: str | None) -> None:
     if path is None:
         return
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(record, sort_keys=True) + "\n")  # no indent: json.dump(indent=...) is pure Python
 
 
 def _report_checks(
@@ -305,6 +306,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     print(f"U:       {cert.U:g}")
     print(f"grid:    {cert.grid[0]}x{cert.grid[1]}")
     print(f"bound:   {cert.bound}")
+    print(f"stop:    {cert.stop}")
     print(f"elapsed: {elapsed:.2f}s")
     # vars, not dataclasses.asdict, whose deep copy of per_cell_counts costs more than a default-grid count
     _emit(_record("count", config, **{**vars(cert), "region": dataclasses.asdict(cert.region)}), args.json)

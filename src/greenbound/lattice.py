@@ -36,9 +36,12 @@ bound small.  count_bound screens the grid once, settling most matrices on
 whole blocks of cells from both sides, by _low and by an upper bound,
 _high, then splits the cells that attain the maximum, into quarters or,
 when long, into halves across their length, round after round, until a
-centre attains it (see its docstring).  One pass (_both) gives both
-bounds from their shared x-only parts (_parts), and a centre is tested by u
-itself (_centre).  The parts that depend on a candidate alone (the vertex
+centre attains it.  At U = 17, on a region of the truncated domain that
+holds a proved witness z*, a point where the supremum 214 is attained, the
+count at z* is taken first, and each round splits every cell and piece
+above it, until none is left (see its docstring).  One pass (_both) gives
+both bounds from their shared x-only parts (_parts), and a centre is
+tested by u itself (_centre).  The parts that depend on a candidate alone (the vertex
 of W and W there) are computed once per candidate (_rows), and the two ends
 of a box in x and in y enter each kernel stacked, so a kernel call is a
 fixed, short list of numpy operations whatever the number of pairs.
@@ -104,6 +107,10 @@ _EDGE = np.array([0, 1])[:, None, None]  # the lower and upper end of a cell, fr
 # piece, the upper half of x in quarters 1 and 3 and of y in 2 and 3; xt and yt end the lower
 # halves, at the middle of a side that is cut and at its upper end otherwise.
 _QUARTERS = np.array([[[0, 4, 0, 4], [6, 1, 6, 1]], [[2, 2, 5, 5], [7, 7, 3, 3]]])
+# (p, q, r): z* = (p + iq)/r has |z*|^2 = 2, on the axis of (3 4; 2 3), where u(z*, gamma z*) = WITNESS_U for
+# gamma and its inverse, so N(z*, z*, WITNESS_U) = 214 attains its supremum on the truncated domain.
+COUNT_WITNESS = (-161, 719, 521)
+WITNESS_U = 17.0  # min over z of u(z, gamma z) = (tr gamma)^2/2 - 1 at trace 6
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,10 @@ class CountCertificate:
     per_cell_counts: tuple[tuple[int, ...], ...]
     bound: int
     pairs: int = field(default=0, compare=False)  # bounds evaluated per candidate and box; work, not proof
+    # How the refinement ended ("witness", "centre", "float" or "cap"; empty when built by hand), and the
+    # point (x, y) whose count the bound attains, for "witness" and "centre" only.
+    stop: str = field(default="", compare=False)
+    witness: tuple[float, float] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         max_count = max(map(max, self.per_cell_counts))
@@ -183,6 +194,21 @@ def _x_nodes(region: Rectangle, n: int) -> np.ndarray:
     (node i is minus node n - i) when x_min == -x_max, which np.linspace alone is not."""
     xs = np.linspace(region.x_min, region.x_max, n + 1)
     return 0.5 * (xs - xs[::-1]) if region.x_min == -region.x_max else xs
+
+
+def _witness(region: Rectangle, U: float) -> tuple[float, float] | None:
+    """The float point nearest z* (COUNT_WITNESS), or its mirror, that region holds, when U is WITNESS_U
+    and region lies inside the truncated domain; None otherwise (see count_bound)."""
+    box = truncated_fundamental_domain()
+    if U != WITNESS_U or not (box.x_min <= region.x_min and region.x_max <= box.x_max
+                              and box.y_min <= region.y_min and region.y_max <= box.y_max):
+        return None
+    p, q, r = COUNT_WITNESS
+    y = q / r
+    for x in (p / r, -p / r):  # -(p / r) is the float nearest -p/r: rounding is symmetric
+        if region.x_min <= x <= region.x_max and region.y_min <= y <= region.y_max:
+            return x, y
+    return None
 
 
 def _check_work(region: Rectangle, U: float, grid: tuple[int, int] = (1, 1)) -> None:
@@ -481,6 +507,36 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     the pieces were split.  Only the counts of the cells that held a maximal
     piece can differ, each still an upper bound.
 
+    The witness.  At U = WITNESS_U = 17, on a region that lies inside the
+    truncated domain once moved (_centred below) and holds the float point
+    nearest z* = COUNT_WITNESS or its mirror (_witness), the count T there,
+    107 per sign, is taken first, with the centre test's bits (_centre <=
+    cutoff on the same candidates).  Each round then splits every grid cell
+    and piece that counts more than T, tests no centre, and the refinement
+    stops as soon as none does.  The bound cannot move: T is a count at a
+    point of the region and no piece counts fewer matrices than a point in
+    it, so the top is at least T in every round and the refinement ends at
+    top = T, the value the centre test reaches once no point counts more.
+    T is the supremum there: sup N(z, 17) over the truncated domain is 214,
+    attained on the arc |z|^2 = 2, the axis of (3 4; 2 3), where
+    u(z, gamma z) = 17 + 2 (|z|^2 - 2)^2 / y^2 touches 17 for gamma and its
+    inverse; z* = (-161 + 719i)/521 lies on the arc (verify's
+    count_certificate_soundness counts 214 there exactly), and at its float
+    point that pair has u within the margin of 17.  The proof never rests on
+    T, as the bound is twice the largest count of a piece whatever the rule:
+    were a point to count more than T at the cutoff, the pieces around it
+    would stay above T until the float or cap exit, slower but still sound.
+    Every grid tested, 1x1 to 900x900, ends at 214 either way.  Without the
+    witness the top falls one count level per 1 to 3 rounds (116 to 107 in
+    17 rounds at 11x11), then waits for a centre within about 1e-3 of the
+    arc; with it, 11x11 takes 6 rounds.
+
+    The certificate says how the refinement ended, in `stop`: "witness",
+    "centre", "float" (a split left a float unchanged) or "cap" (MAX_WORK);
+    and in `witness`, the point whose count the bound attains, in the
+    caller's coordinates: the witness's float point, or the centre that
+    reached the top; None after "float" or "cap".
+
     Candidates are settled on whole boxes from both sides.  The grid is cut
     into blocks of about 1.5 n^(1/3) cells a side on a grid side of n (see
     _block_side), the last one along a side possibly partial; block edges
@@ -506,12 +562,13 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
       sorted list, and keeps them as (piece, candidate) pairs.  A piece's
       centre and kids evaluate only its open candidates.
 
-    Each round tests the centres of the maximal pieces first, with u itself
-    (_centre, the bits of _low on the point), and stops if one reaches
-    the maximum; only then are the kids tested, all in one pass, and the
-    pairs still open on a kid are kept under its piece.  So every count is
-    the one a test of every candidate on every piece makes, and only the
-    cells that a candidate's level set u = U crosses test it one by one.
+    Without a witness, each round tests the centres of the maximal pieces
+    first, with u itself (_centre, the bits of _low on the point), and stops
+    if one reaches the maximum; only then are the kids tested, all in one
+    pass, and the pairs still open on a kid are kept under its piece.  So
+    every count is the one a test of every candidate on every piece makes,
+    and only the cells that a candidate's level set u = U crosses test it
+    one by one.
     `pairs` counts each bound evaluated on one candidate and box: two per
     pass of _both, one per centre.  The refinement cap charges, per round,
     one centre and one test per kid for each hot piece and candidate, open
@@ -521,11 +578,11 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     count and sure count in another, the quarters of every hot piece come
     from one gather (_QUARTERS), the ones that are not kids of their piece
     masked out, so each gather, update and split is one call, and the grid
-    is searched for cells at the maximum only in rounds whose maximum a grid
-    cell attains.  The open pairs of the grid cells that become pieces in a
-    round, and those of a round's kids, are kept in one array each, filed
-    under the largest count of its pieces, so a round reads only the arrays
-    that hold a piece at the maximum, files their other pairs again, and
+    is searched for cells to split only in rounds where a grid cell counts
+    enough to be split.  The open pairs of the grid cells that become pieces
+    in a round, and those of a round's kids, are kept in one array each,
+    filed under the largest count of its pieces, so a round reads only the
+    arrays that hold a piece it splits, files their other pairs again, and
     never scans the pairs of all the pieces.
 
     The result is a proof: every matrix with u <= U at some point of a
@@ -566,31 +623,42 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     side = (_block_side(nx), _block_side(ny))
     counts, pairs, block_sure, block_of, block_cand = _screen(rows, xs[: mx + 1], ys, side, U, cutoff, relaxed)
     nby, block_sure = block_sure.shape[1], block_sure.ravel()
-    # Pieces: the grid cells that have been maximal and their kids.  box holds their
-    # ((x0, x1), (y0, y1)) and tally their grid cell (owner), count (score) and count of
-    # candidates sure on them, one column each.  pair files the (piece, candidate) pairs still
-    # open, in arrays with the scores of their pieces, under the largest of those scores, so a
-    # round reads the pairs of its hot pieces from the arrays filed under top and no others.
-    # grid_top is the largest count of a grid cell not yet a piece.
+    witness, floor = _witness(centred, U), None
+    if witness is not None:  # the count at the witness, by the bits of the centre test
+        floor = np.count_nonzero(_centre(rows, *witness) <= cutoff)
+        pairs += rows.shape[1]
+    # A round splits the hot cells and pieces, those that count lim or more: the maximal ones,
+    # or with a witness all that count more than it.  Pieces: the grid cells that have been hot
+    # and their kids.  box holds their ((x0, x1), (y0, y1)) and tally their grid cell (owner),
+    # count (score) and count of candidates sure on them, one column each.  pair files the
+    # (piece, candidate) pairs still open, in arrays with the scores of their pieces, under the
+    # largest of those scores, so a round reads the pairs of its hot pieces from the arrays
+    # filed under lim or more and no others.  grid_top is the largest count of a grid cell not
+    # yet a piece.
     box = np.empty((2, 2, 0))
     tally, pair = np.empty((3, 0), dtype=np.int64), {}
     grid_top, work = counts.max(), 0
     while True:
         top = max(grid_top, tally[1].max(initial=0))
-        if grid_top == top:  # grid cells maximal for the first time become pieces
-            fresh = (counts == top).nonzero()[0]
+        if floor is not None and top <= floor:
+            stop = "witness"
+            break
+        lim = top if floor is None else floor + 1
+        if grid_top >= lim:  # grid cells hot for the first time become pieces
+            fresh = (counts >= lim).nonzero()[0]
             ix, iy = np.divmod(fresh, ny)
             block = ix // side[0] * nby + iy // side[1]
             lo, hi = np.searchsorted(block_of, [block, block + 1])  # the open pairs of each cell's block
             n = hi - lo
             cand = block_cand[np.repeat(lo, n) + _ramp(n)]
             piece = np.repeat(tally.shape[1] + np.arange(fresh.size), n)
-            pair.setdefault(top, []).append((np.array([piece, cand]), np.full(cand.size, top)))
+            score = counts[fresh]
+            pair.setdefault(score.max(), []).append((np.array([piece, cand]), np.repeat(score, n)))
             box = np.concatenate([box, [[xs[ix], xs[ix + 1]], [ys[iy], ys[iy + 1]]]], axis=2)
-            tally = np.concatenate([tally, [fresh, counts[fresh], block_sure[block]]], axis=1)
+            tally = np.concatenate([tally, [fresh, score, block_sure[block]]], axis=1)
             counts[fresh] = 0
             grid_top = counts.max()
-        hot = (tally[1] == top).nonzero()[0]
+        hot = (tally[1] >= lim).nonzero()[0]
         h, b = hot.size, box.take(hot, axis=2)
         mid = 0.5 * (b[:, 0] + b[:, 1])  # xm, ym
         size = b[:, 1] - b[:, 0]
@@ -604,20 +672,25 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         is_kid[3] = cut[0] & cut[1]
         work += (h + np.count_nonzero(is_kid)) * rows.shape[1]
         if work > MAX_WORK or not (inner | ~cut).all():
+            stop, witness = "cap" if work > MAX_WORK else "float", None
             break
         held = [np.empty((2, 0), dtype=np.int64)]
-        for part, score in pair.pop(top, []):  # the hot pairs, and the others filed again
-            on = score == top
-            held.append(part.compress(on, axis=1))
-            if not on.all():
-                score, part = score.compress(~on), part.compress(~on, axis=1)
-                pair.setdefault(score.max(), []).append((part, score))
+        for key in [k for k in pair if k >= lim]:
+            for part, score in pair.pop(key):  # the hot pairs, and the others filed again
+                on = score >= lim
+                held.append(part.compress(on, axis=1))
+                if not on.all():
+                    score, part = score.compress(~on), part.compress(~on, axis=1)
+                    pair.setdefault(score.max(), []).append((part, score))
         at, c = np.concatenate(held, axis=1)
         at = hot.searchsorted(at)  # slot in hot
-        low = _each(_centre, rows, c, at, mid)
-        pairs += at.size
-        if (tally[2, hot] + np.bincount(at.compress(low <= cutoff), minlength=h) >= top).any():
-            break
+        if floor is None:
+            low = _each(_centre, rows, c, at, mid)
+            pairs += at.size
+            reached = tally[2, hot] + np.bincount(at.compress(low <= cutoff), minlength=h) >= top
+            if reached.any():
+                stop, witness = "centre", tuple(mid[:, reached.argmax()].tolist())
+                break
         # Every kid in one pass: quarter q of hot piece i is box q h + i of quarters.
         quarters = np.concatenate([b.reshape(4, h), mid, np.where(cut, mid, b[:, 1])])[_QUARTERS].reshape(2, 2, 4 * h)
         is_kid = is_kid.ravel()
@@ -651,6 +724,8 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         per_cell_counts=tuple(map(tuple, counts.tolist())),
         bound=2 * int(top),
         pairs=pairs,
+        stop=stop,
+        witness=None if witness is None else (witness[0] + round(region.x_min - centred.x_min), witness[1]),
     )
 
 

@@ -68,6 +68,7 @@ from greenbound.bounds import (
 from greenbound.cusps import N_delta_eps, admissible_eps, kernel_mass, lambda_xi, poisson_kernel, r_delta
 from greenbound.geom import UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u
 from greenbound.lattice import (
+    COUNT_WITNESS,
     SAFE_MARGIN,
     count_bound,
     enumerate_group_elements,
@@ -100,10 +101,6 @@ STEPS = {
     "A, B": "A = -q_plus - D_plus S(eta) N_bar and B = -q_minus + D_minus S(eta) N_bar",
     "cusp extension": "extend_bounds moves [A, B] into a cusp neighbourhood",
 }
-
-# (p, q, r): z = (p + iq)/r has |z|^2 = 2, on the axis of (3 4; 2 3), where u(z, gamma z) = COUNT_RADIUS
-# for gamma and its inverse, so N(z, z, COUNT_RADIUS) = 214 attains its supremum on the truncated domain.
-COUNT_WITNESS = (-161, 719, 521)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 
 from greenbound.bounds import ParamSet, assemble, enclose_D, group_preset, reference_params
 from greenbound.transforms import TrapezoidParams
-from greenbound.lattice import count_bound, truncated_fundamental_domain
+from greenbound.lattice import COUNT_WITNESS, count_bound, truncated_fundamental_domain
 from greenbound import cli
 from greenbound.cli import (
     EXIT_CONFIG,
@@ -52,7 +52,11 @@ def test_count_preset_region(capsys, tmp_path):
     assert cert.grid == (20, 20)
     # the work counter is carried and deterministic
     assert cert.pairs == record["pairs"] == count_bound(truncated_fundamental_domain(), 17.0, (20, 20)).pairs > 0
-    fields = {"region": dict, "U": float, "grid": list, "per_cell_counts": list, "bound": int, "pairs": int}
+    # and so is how the refinement stopped: at the witness, the float point nearest z*
+    p, q, r = COUNT_WITNESS
+    assert (cert.stop, cert.witness) == ("witness", (p / r, q / r)) and "stop:    witness" in out
+    fields = {"region": dict, "U": float, "grid": list, "per_cell_counts": list, "bound": int, "pairs": int,
+              "stop": str, "witness": list}
     assert set(record) == {"tool", "version", "command", "config", *fields}
     assert all(isinstance(record[name], kind) for name, kind in fields.items())
     assert set(record["region"]) == {"x_min", "x_max", "y_min", "y_max"}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from greenbound import lattice, verify
+from greenbound.bounds import COUNT_RADIUS
 from greenbound.geom import Rectangle, UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u
 from greenbound.lattice import (
     CountCertificate,
@@ -109,10 +110,13 @@ def test_the_witness_attains_the_certified_count():
     """z* = (-161 + 719i)/521 lies on |z|^2 = 2, the axis of (3 4; 2 3), and N(z*, z*, 17) is 214,
     the certificate's bound, so the bound is sharp.  The count is exact: the candidates at the float
     point nearest z* and U (1 + SAFE_MARGIN), each decided by exact_u on the Fraction coordinates.
-    The float point itself counts 210, so no float sample can stand in for the witness."""
+    The float point itself counts 210, so no float sample can stand in for the witness.  The count's
+    radius is the one the N_bar step uses."""
     from fractions import Fraction
 
-    p, q, r = verify.COUNT_WITNESS
+    assert lattice.WITNESS_U == COUNT_RADIUS
+
+    p, q, r = lattice.COUNT_WITNESS
     exact, near = UpperHalfPoint(Fraction(p, r), Fraction(q, r)), UpperHalfPoint(p / r, q / r)
     assert exact.x**2 + exact.y**2 == 2
     candidates = lattice.enumerate_group_elements(near, near, STANDARD_U * (1.0 + lattice.SAFE_MARGIN))
@@ -139,10 +143,11 @@ def test_screen_tests_few_pairs():
 
 
 def test_refinement_tests_few_pairs():
-    """An 11x11 grid refines for 20 rounds (39 when each round halved its
-    pieces); pieces evaluate only the candidates still open on them, 50k kernel
-    evaluations in all on the 6 columns counted (the other 5 mirror them; 98k
-    on all 11).  At U = 5 on 12x12 the last round splits 342 tied pieces of
+    """An 11x11 grid refines for 6 rounds on the witness path (20 ending at a
+    centre, 39 when each round halved its pieces); pieces evaluate only the
+    candidates still open on them, 38k kernel evaluations in all on the 6
+    columns counted (the other 5 mirror them; 75k on all 11).  At U = 5 on
+    12x12 the last round splits 342 tied pieces of
     the 6 columns counted; their centres are tested first, and one at the
     maximum ends the refinement without testing the quarters (33k
     evaluations, 44k with the quarters)."""
@@ -168,22 +173,74 @@ def test_long_pieces_are_halved_along_their_length():
         assert cert.pairs <= 1.02 * halving_pairs, grid
 
 
-PINNED = [  # (region, U, grid, pairs, digest of per_cell_counts)
-    (truncated_fundamental_domain(), 17.0, (10, 10), 47_453, "feab7fc2fe5203e7"),
-    (truncated_fundamental_domain(), 5.0, (12, 12), 32_635, "a7608c7aeab97251"),
-    (truncated_fundamental_domain(), 9.0, (12, 12), 7_675, "475fe8e8317e67fd"),
+PINNED = [  # (region, U, grid, pairs, digest of per_cell_counts) without the witness, and both on its path
+    (truncated_fundamental_domain(), 17.0, (10, 10), 47_453, "feab7fc2fe5203e7", (38_720, "7c121ba397a3e2fc")),
+    (truncated_fundamental_domain(), 5.0, (12, 12), 32_635, "a7608c7aeab97251", None),
+    (truncated_fundamental_domain(), 9.0, (12, 12), 7_675, "475fe8e8317e67fd", None),
     (Rectangle(-0.3819660112501051, 0.1180339887498949, 1.1495190528383288, 1.7165063509461096), 17.0, (25, 25),
-     55_631, "79240777e8adc72f"),  # a lattice-grid sub-rectangle job
+     55_631, "79240777e8adc72f", (50_386, "a28984c59d042093")),  # a lattice-grid sub-rectangle job; holds z*
 ]
 
 
-def test_certificates_are_pinned():
+def _pins(cert):
+    return cert.pairs, hashlib.sha256(str(cert.per_cell_counts).encode()).hexdigest()[:16]
+
+
+def _no_witness(monkeypatch):
+    monkeypatch.setattr(lattice, "_witness", lambda region, U: None)
+
+
+def test_certificates_are_pinned(monkeypatch):
     """Every stop decision of the screen and the refinement shows in pairs, and every count in
-    the digest: a refactor of the kernels or of the refinement must keep both."""
-    for region, U, grid, pairs, digest in PINNED:
-        cert = count_bound(region, U, grid)
-        assert cert.pairs == pairs, (U, grid)
-        assert hashlib.sha256(str(cert.per_cell_counts).encode()).hexdigest()[:16] == digest, (U, grid)
+    the digest: a refactor of the kernels or of the refinement must keep both, on the witness path
+    and, with the witness taken away, on the path that ends at a centre."""
+    for region, U, grid, pairs, digest, on_witness in PINNED:
+        assert _pins(count_bound(region, U, grid)) == (on_witness or (pairs, digest)), (U, grid)
+    _no_witness(monkeypatch)
+    for region, U, grid, pairs, digest, _ in PINNED:
+        assert _pins(count_bound(region, U, grid)) == (pairs, digest), (U, grid)
+
+
+def test_the_witness_moves_no_bound(monkeypatch):
+    """On the truncated domain and on a sub-rectangle that holds z* and its mirror, the witness path
+    ends at the witness with the bound of the run that ends at a centre, no cell counting fewer, and
+    fewer pairs.  U = 17 on a region reaching below the truncated domain and U = 17.5 on it take no
+    witness and give the witness-free certificate, pairs included."""
+    box, sub = truncated_fundamental_domain(), PINNED[3][0]
+    mirror = Rectangle(-sub.x_max, -sub.x_min, sub.y_min, sub.y_max)
+    jobs = [(box, 17.0, (n, n)) for n in (10, 11, 20, 40, 100)] + [(sub, 17.0, (25, 25)), (mirror, 17.0, (25, 25))]
+    others = [(Rectangle(-0.5, 0.5, 0.7, 2.0), 17.0, (10, 10)), (box, 17.5, (10, 10))]
+    witnessed = [count_bound(*job) for job in jobs + others]
+    _no_witness(monkeypatch)
+    for cert, job in zip(witnessed, jobs):
+        free = count_bound(*job)
+        assert (cert.stop, free.stop) == ("witness", "centre"), job
+        assert cert.bound == free.bound == 214, job
+        assert (np.array(cert.per_cell_counts) >= free.per_cell_counts).all(), job
+        assert cert.pairs < free.pairs, job
+    for cert, job in zip(witnessed[len(jobs):], others):
+        free = count_bound(*job)
+        assert cert.stop == "centre" and (cert, cert.pairs, cert.witness) == (free, free.pairs, free.witness), job
+
+
+def test_the_record_names_the_stop(monkeypatch):
+    """A count at U = 17 on the truncated domain ends at the witness, the float point nearest z*; at
+    U = 9 it ends at a centre, which it names and where the centre test counts the bound; under a
+    low MAX_WORK the refinement ends at its cap, names no point, and the bound stays twice its
+    largest count, above the sharp 214."""
+    box = truncated_fundamental_domain()
+    p, q, r = lattice.COUNT_WITNESS
+    cert = count_bound(box, 17.0, (10, 10))
+    assert (cert.stop, cert.witness) == ("witness", (p / r, q / r))
+    cert = count_bound(box, 9.0, (12, 12))
+    assert cert.stop == "centre" and cert.bound == 132
+    x, y = cert.witness
+    assert box.x_min <= x <= box.x_max and box.y_min <= y <= box.y_max
+    rows = lattice._rows(*enumerate_candidates(box, 9.0).columns.astype(float))
+    assert 2 * np.count_nonzero(lattice._centre(rows, x, y) <= 9.0 * (1.0 + lattice.SAFE_MARGIN)) == 132
+    monkeypatch.setattr(lattice, "MAX_WORK", 100_000)  # above what the screen needs, below the refinement
+    cert = count_bound(box, 17.0, (10, 10))
+    assert (cert.stop, cert.witness) == ("cap", None) and cert.bound > 214
 
 
 def test_centre_gives_the_lower_bound_bits_on_a_point():
@@ -243,7 +300,10 @@ def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes, halves=False)
     names the caller's region.  Each round splits every maximal piece across
     each side at least half as long as its longest, as count_bound does, or with
     halves=True across its wider side only, the earlier rule, which reaches the
-    same bound and is kept as its reference."""
+    same bound and is kept as its reference.  At U = 17 on a moved region inside
+    the truncated domain that holds the float point nearest z* = (-161 + 719i)/521
+    or its mirror, T is the count there, each round splits every piece that counts
+    more than T, and the refinement stops once none does, as count_bound does."""
     cutoff = U * (1.0 + lattice.SAFE_MARGIN)
     moved = lattice._centred(region)
     rows = lattice._rows(*enumerate_candidates(moved, U).columns.astype(float))[:, None, :]
@@ -253,6 +313,12 @@ def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes, halves=False)
         low = lattice._low(rows, np.array([y0, y1]), *lattice._parts(rows, np.array([x0, x1])))
         return np.count_nonzero(low <= cutoff, axis=1)
 
+    box, y, floor = truncated_fundamental_domain(), 719 / 521, None
+    inside = (box.x_min <= moved.x_min <= moved.x_max <= box.x_max
+              and box.y_min <= moved.y_min <= moved.y_max <= box.y_max)
+    held = [x for x in (-161 / 521, 161 / 521) if moved.x_min <= x <= moved.x_max and moved.y_min <= y <= moved.y_max]
+    if U == 17.0 and inside and held:
+        floor = count([np.array([v]) for v in (held[0], held[0], y, y)])[0]
     nx, ny = grid
     xs = x_nodes(moved, nx)
     ys = np.linspace(moved.y_min, moved.y_max, ny + 1)
@@ -260,7 +326,9 @@ def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes, halves=False)
     owner, counts, work = np.arange(nx * ny), count(cells), 0
     while True:
         top = counts.max()
-        hot = np.flatnonzero(counts == top)
+        if floor is not None and top <= floor:
+            break
+        hot = np.flatnonzero(counts > (top - 1 if floor is None else floor))
         x0, x1, y0, y1 = (v[hot] for v in cells)
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         if halves:
@@ -273,7 +341,7 @@ def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes, halves=False)
         if (
             work > lattice.MAX_WORK
             or not np.all((~cut_x | ((x0 < xm) & (xm < x1))) & (~cut_y | ((y0 < ym) & (ym < y1))))
-            or np.any(count((xm, xm, ym, ym)) >= top)
+            or (floor is None and np.any(count((xm, xm, ym, ym)) >= top))
         ):
             break
         # Kid (i, j) takes the upper half across x when i = 1, across y when j = 1;
@@ -322,6 +390,7 @@ def test_count_bound_matches_the_all_pairs_oracle():
     @hypothesis.example(0.04, 0.6, 1.12, 0.23, 16.05, 3, 2)  # ends at the last of 7 hot centres
     @hypothesis.example(0.40625, 0.40853598691700443, 1.5, 0.40853598691700443, 16.0, 1, 4)  # moved by -1
     @hypothesis.example(-0.375, 0.75, 0.9, 0.5, 9.0, 7, 6)  # symmetric about x = 0: mirrored columns
+    @hypothesis.example(-0.4, 0.2, 1.3, 0.2, 17.0, 5, 7)  # holds the witness
     def check(x0, width, y0, height, U, nx, ny):
         region = Rectangle(x0, x0 + width, y0, y0 + height)
         assert count_bound(region, U, (nx, ny)) == _oracle_count_bound(region, U, (nx, ny))
