@@ -260,6 +260,7 @@ def parse_count_certificate(record: dict) -> CountCertificate:
         pairs=record["pairs"],
         stop=record["stop"],
         witness=None if record["witness"] is None else tuple(record["witness"]),
+        rounds=record["rounds"],
     )
 
 
@@ -307,6 +308,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     print(f"grid:    {cert.grid[0]}x{cert.grid[1]}")
     print(f"bound:   {cert.bound}")
     print(f"stop:    {cert.stop}")
+    print(f"rounds:  {cert.rounds}")
     print(f"elapsed: {elapsed:.2f}s")
     # vars, not dataclasses.asdict, whose deep copy of per_cell_counts costs more than a default-grid count
     _emit(_record("count", config, **{**vars(cert), "region": dataclasses.asdict(cert.region)}), args.json)

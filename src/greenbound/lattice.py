@@ -36,10 +36,13 @@ bound small.  count_bound screens the grid once, settling most matrices on
 whole blocks of cells from both sides, by _low and by an upper bound,
 _high, then splits the cells that attain the maximum, into quarters or,
 when long, into halves across their length, round after round, until a
-centre attains it.  At U = 17, on a region of the truncated domain that
-holds a proved witness z*, a point where the supremum 214 is attained, the
-count at z* is taken first, and each round splits every cell and piece
-above it, until none is left (see its docstring).  One pass (_both) gives
+centre attains it, or a crossing of the level sets u(z, gamma z) = U,
+circles and lines (_level_sets), of the candidates still open on a piece
+whose split settled none of them (_vertex).  At U = 17, on a region of the
+truncated domain that holds a proved witness z*, a point where the
+supremum 214 is attained, the count at z* is taken first, and each round
+splits every cell and piece above it, until none is left (see its
+docstring).  One pass (_both) gives
 both bounds from their shared x-only parts (_parts), and a centre is
 tested by u itself (_centre).  The parts that depend on a candidate alone (the vertex
 of W and W there) are computed once per candidate (_rows), and the two ends
@@ -141,10 +144,11 @@ class CountCertificate:
     per_cell_counts: tuple[tuple[int, ...], ...]
     bound: int
     pairs: int = field(default=0, compare=False)  # bounds evaluated per candidate and box; work, not proof
-    # How the refinement ended ("witness", "centre", "float" or "cap"; empty when built by hand), and the
-    # point (x, y) whose count the bound attains, for "witness" and "centre" only.
+    # How the refinement ended ("witness", "centre", "vertex", "float" or "cap"; empty when built by hand),
+    # and the point (x, y) whose count the bound attains, for "witness", "centre" and "vertex" only.
     stop: str = field(default="", compare=False)
     witness: tuple[float, float] | None = field(default=None, compare=False)
+    rounds: int = field(default=0, compare=False)  # refinement rounds that split or tested pieces; work, not proof
 
     def __post_init__(self) -> None:
         max_count = max(map(max, self.per_cell_counts))
@@ -342,6 +346,83 @@ def _centre(g, x, y):
     return 0.5 * (s[0] + (w / y) ** 2 + (g[2] * y) ** 2 + s[1])
 
 
+def _level_sets(g, U):
+    """The level sets u(z, gamma z) = U of the candidates with kernel rows g (_rows): circles and lines.
+
+    u - 1 = |cz^2 + (d - a)z - b|^2 / (2y^2), and with s = x - xv the numerator is
+    (wv + c (y^2 - s^2))^2 + 4 c^2 s^2 y^2, so for c >= 1 the level set is
+    (s^2 + y^2 - R y - wv/c)(s^2 + y^2 + R y - wv/c) = 0: the circles of centres
+    (xv, +-R/2) and radius K/2, K = sqrt(2 (U - 1))/c, R^2 = K^2 - 4 wv/c, none
+    when R^2 < 0 (then min u = t^2/2 - 1 > U).  For c = 0 it is the line
+    y = |b| / sqrt(2 (U - 1)).  Returns the rows xv, R/2, K/2 and the line's
+    height, one column a candidate, NaN where there is no circle or no line.
+    """
+    k = math.sqrt(2.0 * (U - 1.0))
+    arc = g[2] > 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0, R^2 < 0 or U = 1
+        K = np.where(arc, k / g[2], np.nan)
+        R = np.sqrt(K * K - 4.0 * g[6] / g[2])
+        return np.array([g[5], 0.5 * R, 0.5 * K, np.where(arc, np.nan, np.abs(g[3]) / k)])
+
+
+def _vertex(level, rows, cand, at, c, box, sure, cutoff: float, top: int):
+    """The vertex test: a crossing of the level sets of candidates cand that counts top.
+
+    level holds the level sets of all the candidates (_level_sets) and rows
+    their kernel rows (_rows); the round's hot pieces have the boxes box, the
+    sure counts sure and the open (slot, candidate) pairs (at, c).  Takes the
+    crossing points of every two level sets of cand, the point of closest
+    approach for a tangent pair (h^2 clamped at 0), and keeps those in a hot
+    piece, one of each cluster that agrees to 12 decimals: a point in no hot
+    piece lies in a piece that counts less than top.  A point in hot piece j
+    counts sure[j] and the open candidates of j with _centre <= cutoff, which
+    is its count over all the candidates with the centre test's bits (a
+    candidate sure on j counts there, one failed on it does not).  Returns
+    the first point that counts top, or None, and the kernel evaluations
+    spent.  With the centres as complex numbers, the ordered pair of circles
+    (i, j) gives the crossing z_i + (f + ih)(z_j - z_i) and (j, i) the other,
+    so one sign serves both.  Each pass takes at most about _CHUNK pairs of
+    circles, or of points and hot pieces or open pairs, to bound memory.
+    """
+    x, half_r, half_k, line = level.take(cand, axis=1)
+    z, r2 = np.concatenate([x + 1j * half_r, x - 1j * half_r]), np.concatenate([half_k, half_k]) ** 2
+    lo, hi = box[:, 0].min(axis=1), box[:, 1].max(axis=1)
+    found, step = [], max(1, _CHUNK // max(z.size, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # no circle, or a circle with itself: NaN, dropped
+        for s in range(0, z.size, step):  # circles s to s + step with all, _CHUNK pairs a pass
+            zi, ri = z[s : s + step, None], r2[s : s + step, None]
+            dz = z - zi
+            d2 = dz.real**2 + dz.imag**2
+            f = 0.5 + 0.5 * (ri - r2) / d2  # the chord's foot, as a fraction of the way from z_i to z_j
+            found.append((zi + (f + 1j * np.sqrt(np.maximum(ri / d2 - f * f, 0.0))) * dz).ravel())
+        for y in line.compress(line < np.inf):  # a line meets a circle at x +- w
+            w = np.sqrt(np.maximum(r2 - (y - z.imag) ** 2, 0.0))
+            found.append(np.concatenate([z.real - w, z.real + w]) + 1j * y)
+    p = np.concatenate([q.compress((lo[0] <= q.real) & (q.real <= hi[0]) & (lo[1] <= q.imag) & (q.imag <= hi[1]))
+                        for q in found])  # in the bounding box of the hot pieces
+    evaluated, step = 0, max(1, _CHUNK // max(box.shape[2], at.size))
+    for s in range(0, p.size, step):  # _CHUNK points by hot pieces or by open pairs a pass
+        q = p[s : s + step, None]
+        inside = (box[0, 0] <= q.real) & (q.real <= box[0, 1]) & (box[1, 0] <= q.imag) & (q.imag <= box[1, 1])
+        held = inside.any(axis=1)
+        if not held.any():
+            continue
+        q, piece = q.compress(held), inside.argmax(axis=1).compress(held)  # the first hot piece holding it
+        key = np.rint(q * 1e12)  # one point of each cluster
+        order = key.argsort()
+        key = key.take(order)
+        q, piece = (np.delete(v, order[1:].compress(key[1:] == key[:-1])) for v in (q, piece))
+        point, k = (piece[:, None] == at).nonzero()  # each point with each open pair of its piece
+        zk = q.take(point)
+        ok = _centre(rows.take(c.take(k), axis=1), zk.real, zk.imag) <= cutoff
+        count = sure.take(piece) + np.bincount(point.compress(ok), minlength=piece.size)
+        evaluated += point.size
+        if count.max() >= top:
+            i = count.argmax()
+            return (float(q[i].real), float(q[i].imag)), evaluated
+    return None, evaluated
+
+
 def _matrix_bounds(gamma: UnimodularMatrix, region: Rectangle):
     """_both over region for gamma or -gamma, whichever has c >= 0 (u is sign-invariant)."""
     s = -1.0 if gamma.c < 0 else 1.0
@@ -486,12 +567,141 @@ def _each(kernel, rows: np.ndarray, cand: np.ndarray, at: np.ndarray, box: np.nd
     return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
 
+def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float, witness):
+    """The refinement rounds of count_bound (see there), after the screen.
+
+    rows are the candidates' kernel rows, xs and ys the grid's nodes, side
+    the block sides, screen what _screen returned, cutoff and relaxed the
+    count and pruning thresholds and witness _witness's point or None.
+    Returns the counts of the counted grid cells (x-major, each the largest
+    of its pieces), the top count, how the refinement stopped and at which
+    point, and the pairs (the screen's included) and rounds spent.  The
+    rounds' arrays are freed on return, before count_bound builds the
+    certificate's tuples, when the memory of a large count peaks.
+    """
+    counts, pairs, block_sure, block_of, block_cand = screen
+    ny, nby, block_sure = len(ys) - 1, block_sure.shape[1], block_sure.ravel()
+    floor = None
+    if witness is not None:  # the count at the witness, by the bits of the centre test
+        floor = np.count_nonzero(_centre(rows, *witness) <= cutoff)
+        pairs += rows.shape[1]
+    # A round splits the hot cells and pieces, those that count lim or more: the maximal ones,
+    # or with a witness all that count more than it.  Pieces: the grid cells that have been hot
+    # and their kids.  box holds their ((x0, x1), (y0, y1)) and tally their grid cell (owner),
+    # count (score), count of candidates sure on them and their parent's count of open pairs
+    # (-1 for a grid cell), one column each.  pair files the (piece, candidate) pairs still
+    # open, in arrays with the scores of their pieces, under the largest of those scores, so a
+    # round reads the pairs of its hot pieces from the arrays filed under lim or more and no
+    # others.  grid_top is the largest count of a grid cell not yet a piece.  tested holds, per
+    # top, the open candidates of the pieces whose crossings have been counted.
+    box = np.empty((2, 2, 0))
+    tally, pair = np.empty((4, 0), dtype=np.int64), {}
+    grid_top, work, rounds, tested, level = counts.max(), 0, 0, {}, None
+    while True:
+        top = max(grid_top, tally[1].max(initial=0))
+        if floor is not None and top <= floor:
+            stop = "witness"
+            break
+        lim = top if floor is None else floor + 1
+        if grid_top >= lim:  # grid cells hot for the first time become pieces
+            fresh = (counts >= lim).nonzero()[0]
+            ix, iy = np.divmod(fresh, ny)
+            block = ix // side[0] * nby + iy // side[1]
+            lo, hi = np.searchsorted(block_of, [block, block + 1])  # the open pairs of each cell's block
+            n = hi - lo
+            cand = block_cand[np.repeat(lo, n) + _ramp(n)]
+            piece = np.repeat(tally.shape[1] + np.arange(fresh.size), n)
+            score = counts[fresh]
+            pair.setdefault(score.max(), []).append((np.array([piece, cand]), np.repeat(score, n)))
+            box = np.concatenate([box, [[xs[ix], xs[ix + 1]], [ys[iy], ys[iy + 1]]]], axis=2)
+            tally = np.concatenate([tally, [fresh, score, block_sure[block], np.full(fresh.size, -1)]], axis=1)
+            counts[fresh] = 0
+            grid_top = counts.max()
+        hot = (tally[1] >= lim).nonzero()[0]
+        h, b = hot.size, box.take(hot, axis=2)
+        mid = 0.5 * (b[:, 0] + b[:, 1])  # xm, ym
+        size = b[:, 1] - b[:, 0]
+        cut = 2.0 * size >= size.max(axis=0)  # the sides split: each at least half the longest
+        inner = (b[:, 0] < mid) & (mid < b[:, 1])
+        # Quarter q of a hot piece takes the upper half of x if q & 1 and of y if q & 2, and a side
+        # not cut whole; it is a kid of the piece when every side it halves is cut: the four
+        # quarters of a near-square piece, the two halves across the length of a long one.
+        is_kid = np.ones((4, h), dtype=bool)
+        is_kid[1:3] = cut
+        is_kid[3] = cut[0] & cut[1]
+        work += (h + np.count_nonzero(is_kid)) * rows.shape[1]
+        if work > MAX_WORK or not (inner | ~cut).all():
+            stop, witness = "cap" if work > MAX_WORK else "float", None
+            break
+        held = [entry for key in [k for k in pair if k >= lim] for entry in pair.pop(key)]
+        held = held or [(np.empty((2, 0), dtype=np.int64), np.empty(0, dtype=np.int64))]
+        part, score = held[0] if len(held) == 1 else (np.concatenate(column, axis=-1) for column in zip(*held))
+        on = score >= lim
+        if not on.all():  # the pairs of the pieces that are not hot are filed again, in one array
+            part, cold, score = part.compress(on, axis=1), part.compress(~on, axis=1), score.compress(~on)
+            pair.setdefault(score.max(), []).append((cold, score))
+        at, c = part
+        at = hot.searchsorted(at)  # slot in hot
+        rounds += 1
+        if floor is None:
+            low = _each(_centre, rows[:5], c, at, mid)
+            pairs += at.size
+            sure, parent = tally[2:].take(hot, axis=1)
+            opened = np.bincount(at, minlength=h)
+            centre = sure + np.bincount(at.compress(low <= cutoff), minlength=h)
+            if centre.max() >= top:
+                stop, witness = "centre", tuple(mid[:, centre.argmax()].tolist())
+                break
+            stalled = (opened == parent).nonzero()[0]  # the split settled none of their open pairs
+            if stalled.size:  # the vertex test, on the stalled piece with the best centre
+                cand = c.compress(at == stalled[centre[stalled].argmax()])
+                seen = set(cand.tolist())
+                if not any(seen <= old for old in tested.setdefault(top, [])):
+                    tested[top].append(seen)
+                    if level is None:
+                        level = _level_sets(rows, U)
+                    witness, n = _vertex(level, rows, cand, at, c, b, sure, cutoff, top)
+                    pairs, work = pairs + n, work + n
+                    if witness is not None:
+                        stop = "vertex"
+                        break
+        # Every kid in one pass: quarter q of hot piece i is box q h + i of quarters.
+        quarters = np.concatenate([b.reshape(4, h), mid, np.where(cut, mid, b[:, 1])])[_QUARTERS].reshape(2, 2, 4 * h)
+        is_kid = is_kid.ravel()
+        kid = (at + h * np.arange(4)[:, None]).ravel()
+        on = is_kid[kid]
+        kid, c = kid.compress(on), np.concatenate([c] * 4).compress(on)
+        low, high = _each(_both, rows, c, kid, quarters)
+        is_sure = high <= U
+        keep = (low <= relaxed) & ~is_sure
+        # Quarter 0 of each piece replaces it in place; the other kids are appended.
+        rest = is_kid[h:]
+        ids = np.concatenate([hot, tally.shape[1] - 1 + np.cumsum(rest)])
+        pairs += 2 * kid.size
+        new = tally.take(np.concatenate([hot] * 4), axis=1)  # owner, score, sure and parent's open count
+        new[1:3] = new[2] + [np.bincount(kid.compress(ok), minlength=4 * h) for ok in (low <= cutoff, is_sure)]
+        kept = kid.compress(keep)
+        if floor is None:
+            new[3] = np.concatenate([opened] * 4)
+        if kept.size:
+            score = new[1, kept]
+            pair.setdefault(score.max(), []).append((np.array([ids[kept], c.compress(keep)]), score))
+        tally[:, hot], box[..., hot] = new[:, :h], quarters[..., :h]
+        tally = np.concatenate([tally, new[:, h:].compress(rest, axis=1)], axis=1)
+        box = np.concatenate([box, quarters[..., h:].compress(rest, axis=2)], axis=2)
+
+    np.maximum.at(counts, tally[0], tally[1])
+    return counts, top, stop, witness, pairs, rounds
+
+
 def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCertificate:
     """Certified uniform bound on N(z, U) = #{gamma : u(z, gamma z) <= U} over region.
 
     Subdivides region into grid = (nx, ny) cells and counts for each cell
     the candidates whose interval lower bound on u over the cell is at most
-    cutoff = U (1 + 1e-6).  The cells attaining the maximal count are then
+    cutoff = U (1 + 1e-6).  The candidates are drawn for cutoff, the
+    threshold they are counted at, so a point counts the same over the
+    candidates of any region that holds it.  The cells attaining the maximal count are then
     split, round after round, until a maximal piece counts as many matrices
     at its centre as over the whole piece (the maximum is attained there, so
     no refinement can lower it), a split leaves a float unchanged, or the
@@ -531,11 +741,34 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     17 rounds at 11x11), then waits for a centre within about 1e-3 of the
     arc; with it, 11x11 takes 6 rounds.
 
+    The vertex test.  Without a witness, the supremum sits where level sets
+    u(z, gamma z) = U cross or touch: at U = 9 sixteen of them cross at i,
+    at U = 5 the horocycles at the cusps 1 and -1 touch at
+    (-1 + 2 sqrt(2) i)/3.  A centre counts it only within about 1e-6 of that
+    point, 12 to 17 rounds of halving away.  But every level set is a circle
+    or a line, as u - 1 = |cz^2 + (d - a)z - b|^2 / (2y^2) (_level_sets), so
+    the crossings can be computed.  A hot piece has stalled when it has as
+    many open candidates as its parent had, so its split settled none of
+    them (none became sure or failed on it): that is the wait.  In a round
+    whose centre test fails, the stalled piece with the best centre count is
+    tested (_vertex): the crossings of its open candidates' level sets that
+    lie in a hot piece are counted with the centre test's bits, and one that
+    counts the top ends the refinement.  A piece whose open candidates lie
+    inside a set already tested at the same top is not tested: its crossings
+    were, and while the top holds the hot pieces only shrink.  The bound
+    cannot move: the stop is the centre test's own proof, a float point of
+    the region whose count is the top, and the split sequence is the same as
+    without the test, so it can only end the refinement earlier, and no cell
+    counts fewer than without it.  Its evaluations count in `pairs` and
+    against the refinement cap.  The 12x12 counts at U = 5 and 9 end in 5
+    and 3 rounds instead of 15 and 18.
+
     The certificate says how the refinement ended, in `stop`: "witness",
-    "centre", "float" (a split left a float unchanged) or "cap" (MAX_WORK);
-    and in `witness`, the point whose count the bound attains, in the
-    caller's coordinates: the witness's float point, or the centre that
-    reached the top; None after "float" or "cap".
+    "centre", "vertex", "float" (a split left a float unchanged) or "cap"
+    (MAX_WORK); in `witness`, the point whose count the bound attains, in
+    the caller's coordinates: the witness's float point, the centre or the
+    crossing that reached the top; None after "float" or "cap"; and in
+    `rounds`, the rounds of the refinement that split or tested pieces.
 
     Candidates are settled on whole boxes from both sides.  The grid is cut
     into blocks of about 1.5 n^(1/3) cells a side on a grid side of n (see
@@ -564,26 +797,29 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
 
     Without a witness, each round tests the centres of the maximal pieces
     first, with u itself (_centre, the bits of _low on the point), and stops
-    if one reaches the maximum; only then are the kids tested, all in one
-    pass, and the pairs still open on a kid are kept under its piece.  So
+    if one reaches the maximum, then runs the vertex test; only then are
+    the kids tested, all in one pass, and the pairs still open on a kid are
+    kept under its piece.  So
     every count is the one a test of every candidate on every piece makes,
     and only the cells that a candidate's level set u = U crosses test it
     one by one.
     `pairs` counts each bound evaluated on one candidate and box: two per
-    pass of _both, one per centre.  The refinement cap charges, per round,
+    pass of _both, one per centre and per crossing of the vertex test.  The
+    refinement cap charges those crossings too and, per round,
     one centre and one test per kid for each hot piece and candidate, open
     or not.  A round costs a fixed number of numpy calls, whatever its
-    numbers of pieces and pairs, and a few more per array of open pairs it
-    reads: the pieces keep their boxes in one array and their grid cell,
-    count and sure count in another, the quarters of every hot piece come
-    from one gather (_QUARTERS), the ones that are not kids of their piece
-    masked out, so each gather, update and split is one call, and the grid
-    is searched for cells to split only in rounds where a grid cell counts
-    enough to be split.  The open pairs of the grid cells that become pieces
-    in a round, and those of a round's kids, are kept in one array each,
-    filed under the largest count of its pieces, so a round reads only the
-    arrays that hold a piece it splits, files their other pairs again, and
-    never scans the pairs of all the pieces.
+    numbers of pieces and pairs: the pieces keep their boxes in one array
+    and their grid cell, count, sure count and parent's open count in
+    another, the quarters of every hot piece come from one gather
+    (_QUARTERS), the ones that are not kids of their piece masked out, so
+    each gather, update and split is one call, and the grid is searched for
+    cells to split only in rounds where a grid cell counts enough to be
+    split.  The open pairs of
+    the grid cells that become pieces in a round, and those of a round's
+    kids, are kept in one array each, filed under the largest count of its
+    pieces, so a round reads only the arrays that hold a piece it splits,
+    joined, files their other pairs again in one array, and never scans the
+    pairs of all the pieces.
 
     The result is a proof: every matrix with u <= U at some point of a
     piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
@@ -615,106 +851,14 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     _check_work(centred, U, grid)
     cutoff = U * (1.0 + SAFE_MARGIN)
     relaxed = cutoff * (1.0 + PRUNE_SLACK)
-    rows = _rows(*enumerate_candidates(centred, U).columns.astype(float))
+    rows = _rows(*enumerate_candidates(centred, cutoff).columns.astype(float))
 
     xs = _x_nodes(centred, nx)
     ys = np.linspace(centred.y_min, centred.y_max, ny + 1)
     mx = (nx + 1) // 2 if centred.x_min == -centred.x_max else nx  # columns counted; the rest mirror them
     side = (_block_side(nx), _block_side(ny))
-    counts, pairs, block_sure, block_of, block_cand = _screen(rows, xs[: mx + 1], ys, side, U, cutoff, relaxed)
-    nby, block_sure = block_sure.shape[1], block_sure.ravel()
-    witness, floor = _witness(centred, U), None
-    if witness is not None:  # the count at the witness, by the bits of the centre test
-        floor = np.count_nonzero(_centre(rows, *witness) <= cutoff)
-        pairs += rows.shape[1]
-    # A round splits the hot cells and pieces, those that count lim or more: the maximal ones,
-    # or with a witness all that count more than it.  Pieces: the grid cells that have been hot
-    # and their kids.  box holds their ((x0, x1), (y0, y1)) and tally their grid cell (owner),
-    # count (score) and count of candidates sure on them, one column each.  pair files the
-    # (piece, candidate) pairs still open, in arrays with the scores of their pieces, under the
-    # largest of those scores, so a round reads the pairs of its hot pieces from the arrays
-    # filed under lim or more and no others.  grid_top is the largest count of a grid cell not
-    # yet a piece.
-    box = np.empty((2, 2, 0))
-    tally, pair = np.empty((3, 0), dtype=np.int64), {}
-    grid_top, work = counts.max(), 0
-    while True:
-        top = max(grid_top, tally[1].max(initial=0))
-        if floor is not None and top <= floor:
-            stop = "witness"
-            break
-        lim = top if floor is None else floor + 1
-        if grid_top >= lim:  # grid cells hot for the first time become pieces
-            fresh = (counts >= lim).nonzero()[0]
-            ix, iy = np.divmod(fresh, ny)
-            block = ix // side[0] * nby + iy // side[1]
-            lo, hi = np.searchsorted(block_of, [block, block + 1])  # the open pairs of each cell's block
-            n = hi - lo
-            cand = block_cand[np.repeat(lo, n) + _ramp(n)]
-            piece = np.repeat(tally.shape[1] + np.arange(fresh.size), n)
-            score = counts[fresh]
-            pair.setdefault(score.max(), []).append((np.array([piece, cand]), np.repeat(score, n)))
-            box = np.concatenate([box, [[xs[ix], xs[ix + 1]], [ys[iy], ys[iy + 1]]]], axis=2)
-            tally = np.concatenate([tally, [fresh, score, block_sure[block]]], axis=1)
-            counts[fresh] = 0
-            grid_top = counts.max()
-        hot = (tally[1] >= lim).nonzero()[0]
-        h, b = hot.size, box.take(hot, axis=2)
-        mid = 0.5 * (b[:, 0] + b[:, 1])  # xm, ym
-        size = b[:, 1] - b[:, 0]
-        cut = 2.0 * size >= size.max(axis=0)  # the sides split: each at least half the longest
-        inner = (b[:, 0] < mid) & (mid < b[:, 1])
-        # Quarter q of a hot piece takes the upper half of x if q & 1 and of y if q & 2, and a side
-        # not cut whole; it is a kid of the piece when every side it halves is cut: the four
-        # quarters of a near-square piece, the two halves across the length of a long one.
-        is_kid = np.ones((4, h), dtype=bool)
-        is_kid[1:3] = cut
-        is_kid[3] = cut[0] & cut[1]
-        work += (h + np.count_nonzero(is_kid)) * rows.shape[1]
-        if work > MAX_WORK or not (inner | ~cut).all():
-            stop, witness = "cap" if work > MAX_WORK else "float", None
-            break
-        held = [np.empty((2, 0), dtype=np.int64)]
-        for key in [k for k in pair if k >= lim]:
-            for part, score in pair.pop(key):  # the hot pairs, and the others filed again
-                on = score >= lim
-                held.append(part.compress(on, axis=1))
-                if not on.all():
-                    score, part = score.compress(~on), part.compress(~on, axis=1)
-                    pair.setdefault(score.max(), []).append((part, score))
-        at, c = np.concatenate(held, axis=1)
-        at = hot.searchsorted(at)  # slot in hot
-        if floor is None:
-            low = _each(_centre, rows, c, at, mid)
-            pairs += at.size
-            reached = tally[2, hot] + np.bincount(at.compress(low <= cutoff), minlength=h) >= top
-            if reached.any():
-                stop, witness = "centre", tuple(mid[:, reached.argmax()].tolist())
-                break
-        # Every kid in one pass: quarter q of hot piece i is box q h + i of quarters.
-        quarters = np.concatenate([b.reshape(4, h), mid, np.where(cut, mid, b[:, 1])])[_QUARTERS].reshape(2, 2, 4 * h)
-        is_kid = is_kid.ravel()
-        kid = (at + h * np.arange(4)[:, None]).ravel()
-        on = is_kid[kid]
-        kid, c = kid.compress(on), np.concatenate([c] * 4).compress(on)
-        low, high = _each(_both, rows, c, kid, quarters)
-        is_sure = high <= U
-        keep = (low <= relaxed) & ~is_sure
-        # Quarter 0 of each piece replaces it in place; the other kids are appended.
-        rest = is_kid[h:]
-        ids = np.concatenate([hot, tally.shape[1] - 1 + np.cumsum(rest)])
-        pairs += 2 * kid.size
-        new = tally.take(np.concatenate([hot] * 4), axis=1)  # owner, score and sure count of each quarter
-        new[1:] = new[2] + [np.bincount(kid.compress(ok), minlength=4 * h) for ok in (low <= cutoff, is_sure)]
-        kept = kid.compress(keep)
-        if kept.size:
-            score = new[1, kept]
-            pair.setdefault(score.max(), []).append((np.array([ids[kept], c.compress(keep)]), score))
-        tally[:, hot], box[..., hot] = new[:, :h], quarters[..., :h]
-        tally = np.concatenate([tally, new[:, h:].compress(rest, axis=1)], axis=1)
-        box = np.concatenate([box, quarters[..., h:].compress(rest, axis=2)], axis=2)
-
-    np.maximum.at(counts, tally[0], tally[1])
+    screen, witness = _screen(rows, xs[: mx + 1], ys, side, U, cutoff, relaxed), _witness(centred, U)
+    counts, top, stop, witness, pairs, rounds = _refine(rows, xs, ys, side, screen, U, cutoff, relaxed, witness)
     counts = counts.reshape(mx, ny)
     counts = np.concatenate([counts, counts[: nx - mx][::-1]])
     return CountCertificate(
@@ -726,6 +870,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
         pairs=pairs,
         stop=stop,
         witness=None if witness is None else (witness[0] + round(region.x_min - centred.x_min), witness[1]),
+        rounds=rounds,
     )
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -147,17 +148,18 @@ def test_refinement_tests_few_pairs():
     centre, 39 when each round halved its pieces); pieces evaluate only the
     candidates still open on them, 38k kernel evaluations in all on the 6
     columns counted (the other 5 mirror them; 75k on all 11).  At U = 5 on
-    12x12 the last round splits 342 tied pieces of
-    the 6 columns counted; their centres are tested first, and one at the
-    maximum ends the refinement without testing the quarters (33k
-    evaluations, 44k with the quarters)."""
+    12x12 the vertex test ends the refinement in round 5, at the tangency of
+    two horocycles, after 3.9k evaluations; without it the refinement waits
+    15 rounds for a centre at the maximum, whose last round tests the
+    centres of 342 tied pieces (33k evaluations, 44k were their quarters
+    tested too)."""
     box = truncated_fundamental_domain()
     cert = count_bound(box, STANDARD_U, (11, 11))
-    assert cert.bound == 214
+    assert cert.bound == 214 and cert.rounds == 6
     assert cert.pairs <= 150_000
     cert = count_bound(box, 5.0, (12, 12))
-    assert cert.bound == 64
-    assert cert.pairs <= 100_000
+    assert cert.bound == 64 and cert.rounds == 5
+    assert cert.pairs <= 10_000
 
 
 def test_long_pieces_are_halved_along_their_length():
@@ -173,10 +175,12 @@ def test_long_pieces_are_halved_along_their_length():
         assert cert.pairs <= 1.02 * halving_pairs, grid
 
 
-PINNED = [  # (region, U, grid, pairs, digest of per_cell_counts) without the witness, and both on its path
+# (region, U, grid, pairs, digest of per_cell_counts) without the witness and the vertex test, and both with them:
+# the U = 17 counts take the witness path, the U = 5 and 9 counts end at the vertex test.
+PINNED = [
     (truncated_fundamental_domain(), 17.0, (10, 10), 47_453, "feab7fc2fe5203e7", (38_720, "7c121ba397a3e2fc")),
-    (truncated_fundamental_domain(), 5.0, (12, 12), 32_635, "a7608c7aeab97251", None),
-    (truncated_fundamental_domain(), 9.0, (12, 12), 7_675, "475fe8e8317e67fd", None),
+    (truncated_fundamental_domain(), 5.0, (12, 12), 32_635, "a7608c7aeab97251", (3_913, "f2f080a9e2cc02ab")),
+    (truncated_fundamental_domain(), 9.0, (12, 12), 7_675, "475fe8e8317e67fd", (4_891, "475fe8e8317e67fd")),
     (Rectangle(-0.3819660112501051, 0.1180339887498949, 1.1495190528383288, 1.7165063509461096), 17.0, (25, 25),
      55_631, "79240777e8adc72f", (50_386, "a28984c59d042093")),  # a lattice-grid sub-rectangle job; holds z*
 ]
@@ -190,13 +194,19 @@ def _no_witness(monkeypatch):
     monkeypatch.setattr(lattice, "_witness", lambda region, U: None)
 
 
+def _no_vertex(monkeypatch):
+    monkeypatch.setattr(lattice, "_vertex", lambda *args: (None, 0))
+
+
 def test_certificates_are_pinned(monkeypatch):
     """Every stop decision of the screen and the refinement shows in pairs, and every count in
-    the digest: a refactor of the kernels or of the refinement must keep both, on the witness path
-    and, with the witness taken away, on the path that ends at a centre."""
-    for region, U, grid, pairs, digest, on_witness in PINNED:
-        assert _pins(count_bound(region, U, grid)) == (on_witness or (pairs, digest)), (U, grid)
+    the digest: a refactor of the kernels or of the refinement must keep both, on the witness and
+    vertex paths and, with the witness and the vertex test taken away, on the path that ends at a
+    centre."""
+    for region, U, grid, _, _, fast in PINNED:
+        assert _pins(count_bound(region, U, grid)) == fast, (U, grid)
     _no_witness(monkeypatch)
+    _no_vertex(monkeypatch)
     for region, U, grid, pairs, digest, _ in PINNED:
         assert _pins(count_bound(region, U, grid)) == (pairs, digest), (U, grid)
 
@@ -225,22 +235,111 @@ def test_the_witness_moves_no_bound(monkeypatch):
 
 def test_the_record_names_the_stop(monkeypatch):
     """A count at U = 17 on the truncated domain ends at the witness, the float point nearest z*; at
-    U = 9 it ends at a centre, which it names and where the centre test counts the bound; under a
-    low MAX_WORK the refinement ends at its cap, names no point, and the bound stays twice its
-    largest count, above the sharp 214."""
+    U = 9 it ends at the vertex test, at a crossing of level circles within 1e-7 of i, and without
+    the vertex test at a centre; it names the point, and the centre test counts the bound there.
+    Under a low MAX_WORK the refinement ends at its cap, names no point, and the bound stays twice
+    its largest count, above the sharp 214.  The rounds counted are the record's too."""
     box = truncated_fundamental_domain()
     p, q, r = lattice.COUNT_WITNESS
     cert = count_bound(box, 17.0, (10, 10))
-    assert (cert.stop, cert.witness) == ("witness", (p / r, q / r))
-    cert = count_bound(box, 9.0, (12, 12))
-    assert cert.stop == "centre" and cert.bound == 132
-    x, y = cert.witness
-    assert box.x_min <= x <= box.x_max and box.y_min <= y <= box.y_max
-    rows = lattice._rows(*enumerate_candidates(box, 9.0).columns.astype(float))
-    assert 2 * np.count_nonzero(lattice._centre(rows, x, y) <= 9.0 * (1.0 + lattice.SAFE_MARGIN)) == 132
+    assert (cert.stop, cert.witness, cert.rounds) == ("witness", (p / r, q / r), 6)
+    rows = lattice._rows(*enumerate_candidates(box, 9.0 * (1.0 + lattice.SAFE_MARGIN)).columns.astype(float))
+    vertex = count_bound(box, 9.0, (12, 12))
+    _no_vertex(monkeypatch)
+    centre = count_bound(box, 9.0, (12, 12))
+    assert (vertex.stop, vertex.rounds, centre.stop, centre.rounds) == ("vertex", 3, "centre", 18)
+    assert abs(complex(*vertex.witness) - 1j) < 1e-7
+    for cert in (vertex, centre):
+        x, y = cert.witness
+        assert cert.bound == 132 and box.x_min <= x <= box.x_max and box.y_min <= y <= box.y_max
+        assert 2 * np.count_nonzero(lattice._centre(rows, x, y) <= 9.0 * (1.0 + lattice.SAFE_MARGIN)) == 132
     monkeypatch.setattr(lattice, "MAX_WORK", 100_000)  # above what the screen needs, below the refinement
     cert = count_bound(box, 17.0, (10, 10))
     assert (cert.stop, cert.witness) == ("cap", None) and cert.bound > 214
+
+
+def test_a_point_counts_what_the_domain_counts_there():
+    """count_bound draws its candidates for its cutoff U (1 + SAFE_MARGIN), the threshold it counts
+    at, so a one-point region counts what the full domain's candidates count at that point: at the
+    centre where the 12x12 count at U = 9 ends without the vertex test, 132, as exact_count does at
+    the cutoff (116 at U).  Drawn for U, its candidates missed two pairs with u in (9, cutoff] there,
+    and it counted 128."""
+    x, y = -3.1789143880208326e-07, 0.9999999014385567
+    z, cutoff = UpperHalfPoint(x, y), 9.0 * (1.0 + lattice.SAFE_MARGIN)
+    assert count_bound(Rectangle(x, x, y, y), 9.0, (1, 1)).bound == 132
+    assert (exact_count(z, z, cutoff), exact_count(z, z, 9.0)) == (132, 116)
+
+
+def test_the_level_sets_are_circles_and_lines():
+    """u(z, gamma z) = U on the level sets of _level_sets: at 16 points of each circle and line
+    (those with y >= 1/2), u_of_gamma is U within 1e-12 relative, for seeded candidates of every
+    kind, elliptic (|a + d| < 2), parabolic (|a + d| = 2), hyperbolic and translations, at seeded U.
+    Two vertices are pinned: at U = 9 the level sets of 16 of the truncated domain's candidates, 14
+    circles and 2 lines, pass through i; at U = 5 the horocycles of (2 -1; 1 0) and (-3 -2; 2 1) at
+    the cusps 1 and -1 touch at (-1 + 2 sqrt(2) i)/3, where the 12x12 count ends at its vertex test."""
+    rng = random.Random(70600)
+    kinds = set()
+    for _ in range(6):
+        U = rng.uniform(1.5, 40.0)
+        columns = enumerate_candidates(truncated_fundamental_domain(), U).columns
+        for a, b, c, d in rng.sample(columns.T.tolist(), 40):
+            gamma = UnimodularMatrix(a, b, c, d)
+            rows = lattice._rows(*np.array([[a], [b], [c], [d]], float))
+            x, half_r, half_k, line = lattice._level_sets(rows, U)[:, 0]
+            kind = "translation" if c == 0 else "elliptic" if abs(a + d) < 2 else "parabolic" if abs(a + d) == 2 \
+                else "hyperbolic"
+            if c == 0:
+                points = [(rng.uniform(-3.0, 3.0), line) for _ in range(16)]
+            else:  # the circles of centres (x, +-R/2) and radius K/2, none when R^2 < 0 (NaN)
+                turns = [2.0 * math.pi * (k + rng.random()) / 16.0 for k in range(16)]
+                points = [(x + half_k * math.cos(t), s * half_r + half_k * math.sin(t)) for s in (1, -1) for t in turns]
+            for px, py in points:
+                if py >= 0.5:
+                    assert math.isclose(lattice.u_of_gamma(gamma, UpperHalfPoint(px, py)), U, rel_tol=1e-12), (gamma, U)
+                    kinds.add(kind)
+    assert kinds == {"elliptic", "parabolic", "hyperbolic", "translation"}
+    x, half_r, half_k, line = lattice._level_sets(lattice._rows(*enumerate_candidates(
+        truncated_fundamental_domain(), 9.0).columns.astype(float)), 9.0)
+    through_i = [np.abs(np.abs(x + s * 1j * half_r - 1j) - half_k) < 1e-12 for s in (1, -1)]
+    assert np.count_nonzero(through_i[0] | through_i[1]) == 14 and np.count_nonzero(line == 1.0) == 2
+    horocycles = lattice._rows(*np.array([[2, -3], [-1, -2], [1, 2], [0, 1]], float))  # (2 -1; 1 0), (-3 -2; 2 1)
+    x, half_r, half_k, _ = lattice._level_sets(horocycles, 5.0)
+    upper = x + 1j * half_r  # the centres of the upper circles, tangent to the real axis at the cusps
+    assert np.allclose(upper, [1 + math.sqrt(2) * 1j, -1 + math.sqrt(0.5) * 1j]) and np.allclose(half_k, half_r)
+    assert math.isclose(abs(upper[1] - upper[0]), half_k.sum(), rel_tol=1e-15)  # tangent
+    touch = complex(*count_bound(truncated_fundamental_domain(), 5.0, (12, 12)).witness)
+    assert abs(touch - (-1 + 2 * math.sqrt(2) * 1j) / 3) < 1e-15
+
+
+def _lattice_grid_round(seed):
+    """The count jobs (region, U, grid) of one lattice-grid benchmark round (perfbench/workloads.py)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return [tuple(job.args.values()) for job in workloads.LatticeGrid().seeded_jobs(random.Random(seed))]
+
+
+def test_the_vertex_test_moves_no_bound(monkeypatch):
+    """The vertex test leaves the split sequence as it is and ends the refinement at a point that
+    counts the top, as the centre test does, so it only ends it earlier.  On the truncated domain at
+    U = 2, 3, 5, 9, 12.5 and 33 on 1x1 to 20x20 grids and on a lattice-grid benchmark round, the bound
+    is that of the count without it, no cell counts fewer, and no count takes more rounds; the
+    full-domain counts at U = 5 and 9 end at the vertex test with fewer pairs."""
+    box = truncated_fundamental_domain()
+    jobs = [(box, U, (n, n)) for U in (2.0, 3.0, 5.0, 9.0, 12.5, 33.0) for n in (1, 2, 7, 11, 20)]
+    jobs += _lattice_grid_round(1)
+    fast = [count_bound(*job) for job in jobs]
+    _no_vertex(monkeypatch)
+    for cert, job in zip(fast, jobs):
+        free = count_bound(*job)
+        assert cert.bound == free.bound and cert.rounds <= free.rounds, job
+        assert (np.array(cert.per_cell_counts) >= free.per_cell_counts).all(), job
+        if job[0] == box and job[1] in (5.0, 9.0):
+            assert cert.stop == "vertex" and cert.pairs < free.pairs, job
 
 
 def test_centre_gives_the_lower_bound_bits_on_a_point():
@@ -294,7 +393,8 @@ def test_displacement_check_exercises_the_count_kernel(monkeypatch):
 
 def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes, halves=False):
     """count_bound by testing every candidate on every piece: the grid screen
-    and the refinement of the maximal cells without any pruning, and without the
+    and the refinement of the maximal cells without any pruning, without the
+    vertex test (compare with count_bound with _vertex taken away), and without the
     mirror, on the grid of the region moved to the strip around x = 0, as
     count_bound counts, with x nodes x_nodes(moved region, nx); the certificate
     names the caller's region.  Each round splits every maximal piece across
@@ -306,7 +406,7 @@ def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes, halves=False)
     more than T, and the refinement stops once none does, as count_bound does."""
     cutoff = U * (1.0 + lattice.SAFE_MARGIN)
     moved = lattice._centred(region)
-    rows = lattice._rows(*enumerate_candidates(moved, U).columns.astype(float))[:, None, :]
+    rows = lattice._rows(*enumerate_candidates(moved, cutoff).columns.astype(float))[:, None, :]
 
     def count(cells):
         x0, x1, y0, y1 = (v[:, None] for v in cells)
@@ -366,10 +466,11 @@ def _oracle_count_bound(region, U, grid, x_nodes=lattice._x_nodes, halves=False)
     return CountCertificate(region=region, U=U, grid=grid, per_cell_counts=rows, bound=2 * int(top))
 
 
-def test_count_bound_matches_the_all_pairs_oracle():
+def test_count_bound_matches_the_all_pairs_oracle(monkeypatch):
     """On random regions (segments and points included), U in [1, 17] and
     grids up to 30x30, pruning changes no cell count of the certificate."""
     hypothesis = pytest.importorskip("hypothesis")
+    _no_vertex(monkeypatch)
     st = hypothesis.strategies
     side = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
 
@@ -417,11 +518,12 @@ def _plain_nodes(region, n):
     return np.linspace(region.x_min, region.x_max, n + 1)
 
 
-def test_symmetric_regions_count_half_the_columns_and_mirror_them():
+def test_symmetric_regions_count_half_the_columns_and_mirror_them(monkeypatch):
     """On a region symmetric about x = 0 after the move to the centre strip, count_bound counts the
     first ceil(nx/2) columns and mirrors them: the certificate is the unmirrored count on the same
     (exactly antisymmetric) nodes, and column i has the counts of column nx - 1 - i, at even and odd
     nx, at nx = 1, and on [3 - w, 3 + w], symmetric only once moved by -3."""
+    _no_vertex(monkeypatch)
     box = truncated_fundamental_domain()
     shifted = Rectangle(3.0 - 0.4, 3.0 + 0.4, 1.0, 1.6)
     moved = lattice._centred(shifted)
@@ -435,10 +537,11 @@ def test_symmetric_regions_count_half_the_columns_and_mirror_them():
     assert (xs == -xs[::-1]).all() and not (_plain_nodes(box, 17) == -_plain_nodes(box, 17)[::-1]).all()
 
 
-def test_antisymmetric_nodes_move_no_certificate():
+def test_antisymmetric_nodes_move_no_certificate(monkeypatch):
     """The antisymmetric x nodes differ from np.linspace's by an ulp, and no count feels it: on the
     full domain at U = 5, 9 and 17, on the grids that the CLI, selftest and the benchmark count on
     and a few between, count_bound equals the unmirrored count on plain np.linspace nodes."""
+    _no_vertex(monkeypatch)
     box = truncated_fundamental_domain()
     for U in (5.0, 9.0, 17.0):
         for n in (10, 20, 40, 50, 100):
