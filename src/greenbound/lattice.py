@@ -365,16 +365,16 @@ def _level_sets(g, U):
         return np.array([g[5], 0.5 * R, 0.5 * K, np.where(arc, np.nan, np.abs(g[3]) / k)])
 
 
-def _vertex(level, rows, cand, at, c, box, sure, cutoff: float, top: int):
+def _vertex(rows, cand, at, c, box, sure, U: float, cutoff: float, top: int):
     """The vertex test: a crossing of the level sets of candidates cand that counts top.
 
-    level holds the level sets of all the candidates (_level_sets) and rows
-    their kernel rows (_rows); the round's hot pieces have the boxes box, the
-    sure counts sure and the open (slot, candidate) pairs (at, c).  Takes the
-    crossing points of every two level sets of cand, the point of closest
-    approach for a tangent pair (h^2 clamped at 0), and keeps those in a hot
-    piece, one of each cluster that agrees to 12 decimals: a point in no hot
-    piece lies in a piece that counts less than top.  A point in hot piece j
+    rows holds the kernel rows of all the candidates (_rows); the round's
+    hot pieces have the boxes box, the sure counts sure and the open (slot,
+    candidate) pairs (at, c).  Takes the level sets of cand (_level_sets),
+    the crossing points of every two of them, the point of closest approach
+    for a tangent pair (h^2 clamped at 0), and keeps those in a hot piece,
+    one of each cluster that agrees to 12 decimals: a point in no hot piece
+    lies in a piece that counts less than top.  A point in hot piece j
     counts sure[j] and the open candidates of j with _centre <= cutoff, which
     is its count over all the candidates with the centre test's bits (a
     candidate sure on j counts there, one failed on it does not).  Returns
@@ -384,9 +384,8 @@ def _vertex(level, rows, cand, at, c, box, sure, cutoff: float, top: int):
     so one sign serves both.  Each pass takes at most about _CHUNK pairs of
     circles, or of points and hot pieces or open pairs, to bound memory.
     """
-    x, half_r, half_k, line = level.take(cand, axis=1)
+    x, half_r, half_k, line = _level_sets(rows.take(cand, axis=1), U)
     z, r2 = np.concatenate([x + 1j * half_r, x - 1j * half_r]), np.concatenate([half_k, half_k]) ** 2
-    lo, hi = box[:, 0].min(axis=1), box[:, 1].max(axis=1)
     found, step = [], max(1, _CHUNK // max(z.size, 1))
     with np.errstate(divide="ignore", invalid="ignore"):  # no circle, or a circle with itself: NaN, dropped
         for s in range(0, z.size, step):  # circles s to s + step with all, _CHUNK pairs a pass
@@ -398,8 +397,7 @@ def _vertex(level, rows, cand, at, c, box, sure, cutoff: float, top: int):
         for y in line.compress(line < np.inf):  # a line meets a circle at x +- w
             w = np.sqrt(np.maximum(r2 - (y - z.imag) ** 2, 0.0))
             found.append(np.concatenate([z.real - w, z.real + w]) + 1j * y)
-    p = np.concatenate([q.compress((lo[0] <= q.real) & (q.real <= hi[0]) & (lo[1] <= q.imag) & (q.imag <= hi[1]))
-                        for q in found])  # in the bounding box of the hot pieces
+    p = np.concatenate(found)
     evaluated, step = 0, max(1, _CHUNK // max(box.shape[2], at.size))
     for s in range(0, p.size, step):  # _CHUNK points by hot pieces or by open pairs a pass
         q = p[s : s + step, None]
@@ -592,11 +590,10 @@ def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float,
     # (-1 for a grid cell), one column each.  pair files the (piece, candidate) pairs still
     # open, in arrays with the scores of their pieces, under the largest of those scores, so a
     # round reads the pairs of its hot pieces from the arrays filed under lim or more and no
-    # others.  grid_top is the largest count of a grid cell not yet a piece.  tested holds, per
-    # top, the open candidates of the pieces whose crossings have been counted.
+    # others.  grid_top is the largest count of a grid cell not yet a piece.
     box = np.empty((2, 2, 0))
     tally, pair = np.empty((4, 0), dtype=np.int64), {}
-    grid_top, work, rounds, tested, level = counts.max(), 0, 0, {}, None
+    grid_top, work, rounds = counts.max(), 0, 0
     while True:
         top = max(grid_top, tally[1].max(initial=0))
         if floor is not None and top <= floor:
@@ -643,11 +640,11 @@ def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float,
         at, c = part
         at = hot.searchsorted(at)  # slot in hot
         rounds += 1
+        opened = np.bincount(at, minlength=h)
         if floor is None:
             low = _each(_centre, rows[:5], c, at, mid)
             pairs += at.size
             sure, parent = tally[2:].take(hot, axis=1)
-            opened = np.bincount(at, minlength=h)
             centre = sure + np.bincount(at.compress(low <= cutoff), minlength=h)
             if centre.max() >= top:
                 stop, witness = "centre", tuple(mid[:, centre.argmax()].tolist())
@@ -655,16 +652,11 @@ def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float,
             stalled = (opened == parent).nonzero()[0]  # the split settled none of their open pairs
             if stalled.size:  # the vertex test, on the stalled piece with the best centre
                 cand = c.compress(at == stalled[centre[stalled].argmax()])
-                seen = set(cand.tolist())
-                if not any(seen <= old for old in tested.setdefault(top, [])):
-                    tested[top].append(seen)
-                    if level is None:
-                        level = _level_sets(rows, U)
-                    witness, n = _vertex(level, rows, cand, at, c, b, sure, cutoff, top)
-                    pairs, work = pairs + n, work + n
-                    if witness is not None:
-                        stop = "vertex"
-                        break
+                witness, n = _vertex(rows, cand, at, c, b, sure, U, cutoff, top)
+                pairs, work = pairs + n, work + n
+                if witness is not None:
+                    stop = "vertex"
+                    break
         # Every kid in one pass: quarter q of hot piece i is box q h + i of quarters.
         quarters = np.concatenate([b.reshape(4, h), mid, np.where(cut, mid, b[:, 1])])[_QUARTERS].reshape(2, 2, 4 * h)
         is_kid = is_kid.ravel()
@@ -680,9 +672,8 @@ def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float,
         pairs += 2 * kid.size
         new = tally.take(np.concatenate([hot] * 4), axis=1)  # owner, score, sure and parent's open count
         new[1:3] = new[2] + [np.bincount(kid.compress(ok), minlength=4 * h) for ok in (low <= cutoff, is_sure)]
+        new[3] = np.concatenate([opened] * 4)
         kept = kid.compress(keep)
-        if floor is None:
-            new[3] = np.concatenate([opened] * 4)
         if kept.size:
             score = new[1, kept]
             pair.setdefault(score.max(), []).append((np.array([ids[kept], c.compress(keep)]), score))
@@ -749,19 +740,17 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     or a line, as u - 1 = |cz^2 + (d - a)z - b|^2 / (2y^2) (_level_sets), so
     the crossings can be computed.  A hot piece has stalled when it has as
     many open candidates as its parent had, so its split settled none of
-    them (none became sure or failed on it): that is the wait.  In a round
-    whose centre test fails, the stalled piece with the best centre count is
-    tested (_vertex): the crossings of its open candidates' level sets that
-    lie in a hot piece are counted with the centre test's bits, and one that
-    counts the top ends the refinement.  A piece whose open candidates lie
-    inside a set already tested at the same top is not tested: its crossings
-    were, and while the top holds the hot pieces only shrink.  The bound
-    cannot move: the stop is the centre test's own proof, a float point of
-    the region whose count is the top, and the split sequence is the same as
-    without the test, so it can only end the refinement earlier, and no cell
-    counts fewer than without it.  Its evaluations count in `pairs` and
-    against the refinement cap.  The 12x12 counts at U = 5 and 9 end in 5
-    and 3 rounds instead of 15 and 18.
+    them (none became sure or failed on it): that is the wait.  In every
+    round whose centre test fails and that has a stalled piece, the stalled
+    piece with the best centre count is tested (_vertex): the crossings of
+    its open candidates' level sets that lie in a hot piece are counted with
+    the centre test's bits, and one that counts the top ends the refinement.
+    The bound cannot move: the stop is the centre test's own proof, a float
+    point of the region whose count is the top, and the split sequence is
+    the same as without the test, so it can only end the refinement earlier,
+    and no cell counts fewer than without it.  Its evaluations count in
+    `pairs` and against the refinement cap.  The 12x12 counts at U = 5 and
+    9 end in 5 and 3 rounds instead of 15 and 18.
 
     The certificate says how the refinement ended, in `stop`: "witness",
     "centre", "vertex", "float" (a split left a float unchanged) or "cap"
@@ -894,9 +883,11 @@ def enumerate_group_elements(
     coprime pair (c, d) in range, the solutions (a, b) of ad - bc = 1 form a
     line gamma_t w = gamma_0 w + t, so t runs over an interval.  Every
     candidate is verified against point_u directly before being yielded.
-    A value within TIE_MARGIN of U is decided in exact rational arithmetic
-    on the float inputs (a tie such as u(i, gamma i) = 3 can round to either
-    side), and the value yielded is then at most U.
+    The coordinates may be floats or exact (Fractions): the enumeration runs
+    on float copies of z and w, and a value within TIE_MARGIN of U is decided
+    by exact_u on the coordinates given (a tie such as u(i, gamma i) = 3 can
+    round to either side), so on exact coordinates the count is exact; the
+    value yielded is then at most U.  Float inputs are their own copies.
     The (c, d) loop takes at most (c_max + 1)(2 q_max + 3) steps; above
     MAX_WORK (or for a non-finite estimate) ValueError is raised first.
     Away from x = 0 it enumerates gamma' at z - n, w - m (n, m the rounded real parts, exact
@@ -910,26 +901,27 @@ def enumerate_group_elements(
             a = g.a + n * g.c
             yield UnimodularMatrix(a, g.b + n * g.d - m * a, g.c, g.d - m * g.c), value
         return
+    zf, wf = (UpperHalfPoint(float(p.x), float(p.y)) for p in (z, w))  # the float path's copies
     rho = U + math.sqrt(U * U - 1.0)
-    c_max = math.sqrt(rho / (z.y * w.y))
-    q_max = math.sqrt(w.y * rho / z.y)
+    c_max = math.sqrt(rho / (zf.y * wf.y))
+    q_max = math.sqrt(wf.y * rho / zf.y)
     work = (c_max + 1.0) * (2.0 * q_max + 3.0)
     if not (work <= MAX_WORK):
         raise ValueError(
-            f"orbit enumeration at U = {U:g} for heights {z.y:g}, {w.y:g} is estimated at "
+            f"orbit enumeration at U = {U:g} for heights {zf.y:g}, {wf.y:g} is estimated at "
             f"{work:.3g} steps, above the cap {MAX_WORK}; lower U"
         )
 
     def _yield_range(c: int, d: int, a0: int, b0: int) -> Iterator[tuple[UnimodularMatrix, float]]:
-        base = mobius_apply(UnimodularMatrix(a0, b0, c, d), w)
-        disc = 2.0 * z.y * base.y * (U - 1.0) - (z.y - base.y) ** 2
-        if disc < -TIE_MARGIN * z.y * base.y * U:
+        base = mobius_apply(UnimodularMatrix(a0, b0, c, d), wf)
+        disc = 2.0 * zf.y * base.y * (U - 1.0) - (zf.y - base.y) ** 2
+        if disc < -TIE_MARGIN * zf.y * base.y * U:
             return
         r = math.sqrt(max(disc, 0.0))
-        center = z.x - base.x
+        center = zf.x - base.x
         for t in _int_range(center - r - 1.0, center + r + 1.0):
             gamma = UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
-            value = point_u(z, mobius_apply(gamma, w))
+            value = point_u(zf, mobius_apply(gamma, wf))
             if abs(value - U) <= TIE_MARGIN * U:  # a near tie: decide it exactly
                 value = min(value, U) if exact_u(z, gamma, w) <= U else math.inf
             if value <= U:
@@ -939,7 +931,7 @@ def enumerate_group_elements(
     yield from _yield_range(0, 1, 1, 0)
 
     for c in _int_range(1.0, c_max + 1.0):
-        for d in _int_range(-q_max - c * w.x - 1.0, q_max - c * w.x + 1.0):
+        for d in _int_range(-q_max - c * wf.x - 1.0, q_max - c * wf.x + 1.0):
             if math.gcd(c, abs(d)) != 1:
                 continue
             a0 = pow(d % c, -1, c) if c > 1 else 0
@@ -951,7 +943,8 @@ def exact_count(z: UpperHalfPoint, w: UpperHalfPoint, U: float) -> int:
     """#{gamma in SL(2, Z), both signs, with u(z, gamma w) <= U}.
 
     Twice the representative count: gamma and -gamma give the same u.
-    Always even; >= 2 for U >= 1 when z = w (the identity pair).
+    Always even; >= 2 for U >= 1 when z = w (the identity pair).  Exact on
+    exact (Fraction) coordinates, as enumerate_group_elements decides ties there.
     """
     return 2 * sum(1 for _ in enumerate_group_elements(z, w, U))
 

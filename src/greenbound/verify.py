@@ -69,11 +69,9 @@ from greenbound.cusps import N_delta_eps, admissible_eps, kernel_mass, lambda_xi
 from greenbound.geom import UnimodularMatrix, UpperHalfPoint, mobius_apply, point_u
 from greenbound.lattice import (
     COUNT_WITNESS,
-    SAFE_MARGIN,
     count_bound,
     enumerate_group_elements,
     exact_count,
-    exact_u,
     reduce_to_fundamental_domain,
     truncated_fundamental_domain,
     u_of_gamma,
@@ -446,18 +444,15 @@ def count_certificate_soundness(n: int = 200) -> CheckResult:
     The points are uniform on the truncated domain [-1/2, 1/2] x [sqrt(3)/2, 2], the range on which the
     N_bar step caps N(z, z, COUNT_RADIUS).  Their floats miss the maximum, 214 on the arc |z|^2 = 2,
     so the witness, a rational point of that arc, is counted exactly in every run, which keeps a short
-    run a prefix of the full one.  Rounding it to the nearest float point moves u by a relative 1e-15 or
-    so, so the candidates are enumerated there for COUNT_RADIUS (1 + SAFE_MARGIN), those below
-    COUNT_RADIUS (1 - SAFE_MARGIN) count, and exact_u decides the rest on the Fraction coordinates."""
+    run a prefix of the full one: exact_count on its Fraction coordinates decides each tie there exactly
+    (its float point counts 210)."""
     from fractions import Fraction  # on first use, as in lattice.exact_u
 
     box = truncated_fundamental_domain()
     cert = count_bound(box, COUNT_RADIUS, (40, 40))
     p, q, r = COUNT_WITNESS
-    exact, near = UpperHalfPoint(Fraction(p, r), Fraction(q, r)), UpperHalfPoint(p / r, q / r)
-    candidates = enumerate_group_elements(near, near, COUNT_RADIUS * (1.0 + SAFE_MARGIN))
-    low = COUNT_RADIUS * (1.0 - SAFE_MARGIN)
-    witness = 2 * sum(u < low or exact_u(exact, gamma, exact) <= COUNT_RADIUS for gamma, u in candidates)
+    exact = UpperHalfPoint(Fraction(p, r), Fraction(q, r))
+    witness = exact_count(exact, exact, COUNT_RADIUS)
     rng = random.Random(70200)
     worst = 0
     for _ in range(n):

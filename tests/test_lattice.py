@@ -109,10 +109,9 @@ def test_count_certificate_reference_grid():
 
 def test_the_witness_attains_the_certified_count():
     """z* = (-161 + 719i)/521 lies on |z|^2 = 2, the axis of (3 4; 2 3), and N(z*, z*, 17) is 214,
-    the certificate's bound, so the bound is sharp.  The count is exact: the candidates at the float
-    point nearest z* and U (1 + SAFE_MARGIN), each decided by exact_u on the Fraction coordinates.
-    The float point itself counts 210, so no float sample can stand in for the witness.  The count's
-    radius is the one the N_bar step uses."""
+    the certificate's bound, so the bound is sharp.  The count is exact: exact_count on the Fraction
+    coordinates decides each tie there exactly.  The float point nearest z* counts 210, so no float
+    sample can stand in for the witness.  The count's radius is the one the N_bar step uses."""
     from fractions import Fraction
 
     assert lattice.WITNESS_U == COUNT_RADIUS
@@ -120,8 +119,7 @@ def test_the_witness_attains_the_certified_count():
     p, q, r = lattice.COUNT_WITNESS
     exact, near = UpperHalfPoint(Fraction(p, r), Fraction(q, r)), UpperHalfPoint(p / r, q / r)
     assert exact.x**2 + exact.y**2 == 2
-    candidates = lattice.enumerate_group_elements(near, near, STANDARD_U * (1.0 + lattice.SAFE_MARGIN))
-    assert 2 * sum(lattice.exact_u(exact, gamma, exact) <= STANDARD_U for gamma, _ in candidates) == 214
+    assert exact_count(exact, exact, STANDARD_U) == 214
     assert exact_count(near, near, STANDARD_U) == 210
     assert count_bound(truncated_fundamental_domain(), STANDARD_U, (100, 100)).bound == 214
 
@@ -616,13 +614,19 @@ def test_certificate_rejects_tampering():
 
 
 def test_exact_count_small_values():
+    from fractions import Fraction
+
     i = UpperHalfPoint(0.0, 1.0)
     # U = 1: only the stabilizer pair {1, -1} together with the rotation of
     # order two fixing i
     assert exact_count(i, i, 1.0) == 4
     # 18 sign representatives with (a^2 + b^2 + c^2 + d^2)/2 <= 3; ties such
-    # as (0, -1; 1, -2), with u = 3 exactly, round up in floating point
+    # as (0, -1; 1, -2), with u = 3 exactly, round up in floating point.  On
+    # exact coordinates, at i and at its translate i + 5, the ties are exact.
     assert exact_count(i, i, 3.0) == 36
+    for x in (0, 5):
+        exact_i = UpperHalfPoint(Fraction(x), Fraction(1))
+        assert exact_count(exact_i, exact_i, 3.0) == 36
 
 
 def test_exact_count_monotone_in_U():
