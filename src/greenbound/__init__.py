@@ -22,9 +22,7 @@ from greenbound.lattice import (
     enumerate_candidates,
     exact_count,
     truncated_fundamental_domain,
-    u_lower_bound,
     u_of_gamma,
-    u_upper_bound,
 )
 from greenbound.bounds import (
     BoundReport,
@@ -72,9 +70,7 @@ __all__ = [
     "search",
     "spectral_factor",
     "truncated_fundamental_domain",
-    "u_lower_bound",
     "u_of_gamma",
-    "u_upper_bound",
     "validate",
     "__version__",
 ]

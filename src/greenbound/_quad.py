@@ -1,28 +1,9 @@
-"""Adaptive Clenshaw-Curtis quadrature used throughout the numeric pipeline.
+"""Adaptive Clenshaw-Curtis quadrature, the one engine of the numeric pipeline.
 
-One routine, `_integrate`, refines any number of intervals at once.  A panel
-is sampled at the 17 nodes cos(k pi / 16), both ends included.  Its value is
-the Clenshaw-Curtis sum CC17, its error estimate |CC17 - CC9|, CC9 taking
-every other node.  It is accepted when that estimate is at most tol; else it
-is split at its midpoint, tol halves, and a panel 60 splits deep raises
-NonConvergenceError, as a tol below the integrand's rounding noise does.
-The rule is closed, so a kink between an end and the next node still shows
-in the estimate.  Acceptance is per panel, so the tree is that of the
-textbook recursion in any order of refinement.  The first pass evaluates
-every interval; after it the open panels are refined depth-first in batches
-of _MAX_POINTS // 17, which bounds the abscissas of each integrand call and
-the open set.  Integrands map a 1-D float array to a real or complex array
-of its shape, elementwise.
-
-Improper integrals over [a, infinity) march over octaves [M, 2M] and stop
-once a caller-supplied analytic bound on the remaining tail drops below the
-requested tolerance; the averaged transforms I_delta_pm are the one caller
-(the majorant integrals D_pm are enclosed by greenbound.bounds.enclose_D).
-The march takes at most two engine calls: a first block of octaves, then
-every octave up to the last one where, by the mass of that block alone, the
-stop rule must fire.  Its error budget: each first-block octave to tol of its
-own size, the far octaves together to tol times the first block's mass, and
-the tail bound, which the caller keeps out of the value.
+_integrate refines any number of intervals at once, integrate takes one finite
+interval, and integrate_to_infinity marches over octaves against a caller's
+analytic tail bound; the averaged transforms I_delta_pm are its one caller (the
+majorant integrals D_pm are enclosed by greenbound.bounds.enclose_D).
 """
 
 from __future__ import annotations
@@ -79,6 +60,19 @@ def _integrate(f: Callable, a: np.ndarray, b: np.ndarray, tol: float, relative=F
 
     tol is each interval's absolute tolerance; with relative=True it is
     relative to the interval's first-pass CC17 of |f|, floored at 1e-300.
+    f maps a 1-D float array to a real or complex array of its shape,
+    elementwise.  A panel is sampled at the 17 nodes cos(k pi / 16), both
+    ends included.  Its value is the Clenshaw-Curtis sum CC17, its error
+    estimate |CC17 - CC9|, CC9 taking every other node.  It is accepted when
+    that estimate is at most tol; else it is split at its midpoint, tol
+    halves, and a panel 60 splits deep raises NonConvergenceError, as a tol
+    below the integrand's rounding noise does.  The rule is closed, so a kink
+    between an end and the next node still shows in the estimate.
+    Acceptance is per panel, so the tree is that of the textbook recursion
+    in any order of refinement.  The first pass evaluates every interval;
+    after it the open panels are refined depth-first in batches of
+    _MAX_POINTS // 17, which bounds the abscissas of each integrand call and
+    the open set.
     """
     k = a.size
     # One column per open panel: a, b, tol, depth, interval index.
@@ -135,6 +129,8 @@ def integrate_to_infinity(
     absolute tolerance rel_tol times that mass over n.  Nothing past M_k is
     integrated.  Returns (value over [a, M], tail_bound(M)); the caller
     decides whether the tail belongs in the value or only in the error budget.
+    That budget: each first-block octave to rel_tol of its own size, the far
+    octaves together to rel_tol times the first block's mass, and the tail bound.
     """
     total = mass = 0.0
     lo, hi = a, (2.0 * a if a > 0 else 1.0)

@@ -1,72 +1,20 @@
-"""Lattice-point counting in SL(2, Z).
+"""Lattice-point counting in SL(2, Z): N(z, U) = #{gamma : u(z, gamma z) <= U}.
 
-Two counting modes feed the bound pipeline:
+* count_bound certifies a uniform upper bound on N over a rectangle of base
+  points, and its docstring holds the proof.  enumerate_candidates draws the
+  matrices it may count, _screen counts them on a grid of cells and _refine
+  splits the maximal cells; _rows, _parts, _low, _high, _both and _centre are
+  its kernels, and _level_sets and _vertex its vertex test.
+* exact_count counts at one pair of points by orbit enumeration
+  (enumerate_group_elements), exactly on exact coordinates; it is the oracle
+  the certificate is tested against.
+* u_of_gamma and exact_u evaluate u; truncated_fundamental_domain and
+  reduce_to_fundamental_domain place points.
 
-* count_bound certifies a uniform upper bound for N(z, U) = #{gamma :
-  u(z, gamma z) <= U} over a rectangle R of base points: it subdivides R
-  into grid cells, counts for each cell the sign-representatives gamma whose
-  displacement could dip below the threshold anywhere on the cell, and
-  returns twice the worst cell count (gamma and -gamma move points
-  identically).
-* exact_count counts #{gamma in SL(2, Z), both signs : u(z, gamma w) <= U}
-  at a single pair of points, by direct orbit enumeration.  It is the
-  oracle the certificate is tested against.
-
-Candidate enumeration derives from the closed form
-
-    u(z, gamma z) = (1/2) [(a - cx)^2 + ((b + (a-d)x - cx^2)/y)^2
-                           + (cy)^2 + (d + cx)^2]:
-
-every square is at most 2U on the counted set, which pins (c, then a and d)
-into explicit intervals, and b = (ad - 1)/c must be integral.  Translations
-(c = 0) obey |b| <= y sqrt(2U - 2).  Continuous interval endpoints get a
-1e-9 slack before floor/ceil so borderline integers are kept.  The
-enumeration is built as integer arrays: ad = 1 (mod c) makes a a unit mod c
-and d the residue class of its inverse, so each a steps straight through
-its d values, and work and memory follow the candidates, not the (a, d)
-box.  Only the ranges and inverse tables of each c are Python loops.
-
-A matrix counts for a cell when one interval lower bound on u over the
-cell, _low, is at most U (1 + SAFE_MARGIN); _low bounds each part of the
-closed form below separately and exactly (see its docstring) and is u
-itself on a single point, so a cell's count covers every point of the
-cell.  The region is first moved into the strip around x = 0 by an
-integer translation, which changes no count and keeps the rounding of the
-bound small.  count_bound screens the grid once, settling most matrices on
-whole blocks of cells from both sides, by _low and by an upper bound,
-_high, then splits the cells that attain the maximum, into quarters or,
-when long, into halves across their length, round after round, until a
-centre attains it, or a crossing of the level sets u(z, gamma z) = U,
-circles and lines (_level_sets), of the candidates still open on a piece
-whose split settled none of them (_vertex).  At U = 17, on a region of the
-truncated domain that holds a proved witness z*, a point where the
-supremum 214 is attained, the count at z* is taken first, and each round
-splits every cell and piece above it, until none is left (see its
-docstring).  One pass (_both) gives
-both bounds from their shared x-only parts (_parts), and a centre is
-tested by u itself (_centre).  The parts that depend on a candidate alone (the vertex
-of W and W there) are computed once per candidate (_rows), and the two ends
-of a box in x and in y enter each kernel stacked, so a kernel call is a
-fixed, short list of numpy operations whatever the number of pairs.
-
-The reflection iota(z) = -conj(z) normalizes SL(2, Z): iota gamma iota is
-(a, -b; -c, d), whose c >= 0 representative is (-a, b, c, -d), so
-N(-conj(z), U) = N(z, U).  On a region that the move makes symmetric about
-x = 0, count_bound counts the first ceil(nx/2) columns of cells only and
-gives the others the counts of their mirror images.  That holds in floats,
-bit for bit: the x nodes are exactly antisymmetric (_x_nodes); the candidate
-set is closed under the mirror, and where gamma has the kernel rows (_rows)
-(-a, d, c, b, e, xv, wv), its mirror has (a, -d, c, b, -e, -xv, wv); and
-_parts over (-X1, -X0) gives the ends of (-(a - cx), d + cx) negated and
-swapped and the same W, so _low, _high and _centre return the same bits on
-a cell and on its mirror, and the refinement splits them alike.  A region
-symmetric about a half-integer counts in full: there the mirror is
-x -> 1 - x, which does not round symmetrically.
-
-Before enumerating anything, enumerate_candidates, count_bound and
-enumerate_group_elements estimate their work in closed form and raise
-ValueError above MAX_WORK, so a region reaching towards the real axis, a
-huge grid or a huge orbit count fails at once instead of running for hours.
+Every counting entry point estimates its work in closed form before it
+enumerates anything, and raises ValueError above MAX_WORK, so a region
+reaching towards the real axis, a huge grid or a huge orbit count fails at
+once instead of running for hours.
 """
 
 from __future__ import annotations
@@ -116,7 +64,7 @@ COUNT_WITNESS = (-161, 719, 521)
 WITNESS_U = 17.0  # min over z of u(z, gamma z) = (tr gamma)^2/2 - 1 at trace 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """Sign-representatives that could satisfy min over R of u(z, gamma z) <= U.
 
@@ -125,9 +73,7 @@ class CandidateSet:
     as four integer rows, one column each; matrices builds them on first read.
     """
 
-    region: Rectangle
-    U: float
-    columns: np.ndarray = field(repr=False, compare=False)  # a function of region and U
+    columns: np.ndarray = field(repr=False)
 
     @cached_property
     def matrices(self) -> tuple[UnimodularMatrix, ...]:
@@ -170,7 +116,7 @@ def truncated_fundamental_domain() -> Rectangle:
 
 
 def _int_range(lo: float, hi: float) -> range:
-    """Integers n with lo <= n <= hi, after the 1e-9 slack."""
+    """Integers n with lo <= n <= hi, after the 1e-9 slack that keeps borderline integers."""
     start = math.ceil(lo - RANGE_SLACK)
     stop = math.floor(hi + RANGE_SLACK)
     return range(start, stop + 1)
@@ -195,7 +141,8 @@ def _centred(region: Rectangle) -> Rectangle:
 
 def _x_nodes(region: Rectangle, n: int) -> np.ndarray:
     """The n + 1 x nodes of an n-column grid on region, evenly spaced; exactly antisymmetric
-    (node i is minus node n - i) when x_min == -x_max, which np.linspace alone is not."""
+    (node i is minus node n - i) when x_min == -x_max, which np.linspace alone is not, so that
+    count_bound's mirror holds bit for bit."""
     xs = np.linspace(region.x_min, region.x_max, n + 1)
     return 0.5 * (xs - xs[::-1]) if region.x_min == -region.x_max else xs
 
@@ -289,8 +236,8 @@ def _low(g, Y, ad, w, inside):
 
     From the kernel rows g (_rows), Y = (Y0, Y1) stacked and _parts(g, X),
     X = (X0, X1), broadcast, in count_bound candidates as columns and cells
-    as rows; c is 0 or an integer >= 1.  Each part of the closed form is
-    bounded below exactly over the cell:
+    as rows; c is 0 or an integer >= 1.  Each part of the closed form
+    (enumerate_candidates) is bounded below exactly over the cell:
 
     * (a - cx)^2 and (d + cx)^2 by the squared distance from 0 of the range
       of a monotone linear function, spanned by its values at X0 and X1;
@@ -332,7 +279,8 @@ def _high(g, Y, ad, w, inside):
 
 
 def _both(g, X, Y):
-    """(_low, _high) from the candidates' kernel rows g (_rows) over X = (X0, X1) and Y = (Y0, Y1) stacked."""
+    """(_low, _high) from the candidates' kernel rows g (_rows) over X = (X0, X1) and Y = (Y0, Y1) stacked,
+    so that a call is a fixed, short list of numpy operations whatever the number of pairs."""
     parts = _parts(g, X)
     return _low(g, Y, *parts), _high(g, Y, *parts)
 
@@ -421,23 +369,6 @@ def _vertex(rows, cand, at, c, box, sure, U: float, cutoff: float, top: int):
     return None, evaluated
 
 
-def _matrix_bounds(gamma: UnimodularMatrix, region: Rectangle):
-    """_both over region for gamma or -gamma, whichever has c >= 0 (u is sign-invariant)."""
-    s = -1.0 if gamma.c < 0 else 1.0
-    g = _rows(*(s * v for v in gamma.entries()))
-    return _both(g, np.array([region.x_min, region.x_max]), np.array([region.y_min, region.y_max]))
-
-
-def u_lower_bound(gamma: UnimodularMatrix, region: Rectangle) -> float:
-    """Lower bound on u(z, gamma z) over z in region; u itself on a point region."""
-    return float(_matrix_bounds(gamma, region)[0])
-
-
-def u_upper_bound(gamma: UnimodularMatrix, region: Rectangle) -> float:
-    """Upper bound on u(z, gamma z) over z in region; u itself on a point region."""
-    return float(_matrix_bounds(gamma, region)[1])
-
-
 def u_of_gamma(gamma: UnimodularMatrix, z: UpperHalfPoint) -> float:
     """u(z, gamma z): _centre on gamma's kernel rows, so _low's bits on the point; -gamma gives the same bits."""
     return float(_centre(_rows(*map(float, gamma.entries())), z.x, z.y))
@@ -446,7 +377,16 @@ def u_of_gamma(gamma: UnimodularMatrix, z: UpperHalfPoint) -> float:
 def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
     """All sign-representatives whose displacement could be <= U somewhere on region.
 
-    Returned in canonical order: translations by increasing b, then c > 0
+    By the closed form
+
+        u(z, gamma z) = (1/2) [(a - cx)^2 + ((b + (a - d)x - cx^2)/y)^2 + (cy)^2 + (d + cx)^2],
+
+    every square is at most 2U on the counted set, which pins c, then a and
+    d, into explicit intervals, and b = (ad - 1)/c must be integral;
+    translations (c = 0) obey |b| <= y sqrt(2U - 2).  The set is built as
+    integer arrays: each a steps straight through its class of d, so work
+    and memory follow the candidates, not the (a, d) box, and only each c's
+    ranges and inverse table are Python loops.  Returned in canonical order: translations by increasing b, then c > 0
     sorted by (c, a, d).  The set is a superset of the matrices any
     sub-rectangle of region can count for the same U.  The entries are
     64-bit integers, so a region where |a| and |d| could pass 2^31, that is
@@ -485,7 +425,7 @@ def enumerate_candidates(region: Rectangle, U: float) -> CandidateSet:
     a, c = np.repeat(a, n), np.repeat(c, n)
     d = np.repeat(first, n) + c * _ramp(n)
     columns = [[np.ones_like(b), b, np.zeros_like(b), np.ones_like(b)], [a, (a * d - 1) // c, c, d]]
-    return CandidateSet(region=region, U=U, columns=np.concatenate(columns, axis=1))
+    return CandidateSet(np.concatenate(columns, axis=1))
 
 
 def _block_side(n: int) -> int:
@@ -627,9 +567,6 @@ def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float,
         is_kid[1:3] = cut
         is_kid[3] = cut[0] & cut[1]
         work += (h + np.count_nonzero(is_kid)) * rows.shape[1]
-        if work > MAX_WORK or not (inner | ~cut).all():
-            stop, witness = "cap" if work > MAX_WORK else "float", None
-            break
         held = [entry for key in [k for k in pair if k >= lim] for entry in pair.pop(key)]
         held = held or [(np.empty((2, 0), dtype=np.int64), np.empty(0, dtype=np.int64))]
         part, score = held[0] if len(held) == 1 else (np.concatenate(column, axis=-1) for column in zip(*held))
@@ -657,6 +594,9 @@ def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float,
                 if witness is not None:
                     stop = "vertex"
                     break
+        if work > MAX_WORK or not (inner | ~cut).all():
+            stop, witness = "cap" if work > MAX_WORK else "float", None
+            break
         # Every kid in one pass: quarter q of hot piece i is box q h + i of quarters.
         quarters = np.concatenate([b.reshape(4, h), mid, np.where(cut, mid, b[:, 1])])[_QUARTERS].reshape(2, 2, 4 * h)
         is_kid = is_kid.ravel()
@@ -692,20 +632,21 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     the candidates whose interval lower bound on u over the cell is at most
     cutoff = U (1 + 1e-6).  The candidates are drawn for cutoff, the
     threshold they are counted at, so a point counts the same over the
-    candidates of any region that holds it.  The cells attaining the maximal count are then
-    split, round after round, until a maximal piece counts as many matrices
-    at its centre as over the whole piece (the maximum is attained there, so
-    no refinement can lower it), a split leaves a float unchanged, or the
-    refinement work would pass MAX_WORK.  A cell's count is the maximum over
-    its pieces and the bound is twice the largest.  A round splits each
-    maximal piece, in one pass, across every side at least half as long as
-    its longest: a near-square piece into four quarters, a long piece or a
-    segment into two halves across its length, so that a 1x30 grid does not
-    split its long cells into thin strips.  The bound does not depend on the
-    rule: where the centre test ends the refinement, the bound is twice the
-    count at a centre, and no piece counts fewer matrices than a point in it,
-    so the bound is twice the largest count at a point of the region, however
-    the pieces were split.  Only the counts of the cells that held a maximal
+    candidates of any region that holds it.  The cells attaining the maximal
+    count are then split, round after round, until a maximal piece counts as
+    many matrices at its centre as over the whole piece (the maximum is
+    attained there, so no refinement can lower it), a split would leave a
+    float unchanged, or the refinement work would pass MAX_WORK.  A cell's
+    count is the maximum over its pieces and the bound is twice the largest
+    (gamma and -gamma give the same u).  A round splits each maximal piece,
+    in one pass, across every side at least half as long as its longest: a
+    near-square piece into four quarters, a long piece or a segment into two
+    halves across its length, so that a 1x30 grid does not split its long
+    cells into thin strips.  The bound does not depend on the rule: where
+    the centre test ends the refinement, the bound is twice the count at a
+    centre, and no piece counts fewer matrices than a point in it, so the
+    bound is twice the largest count at a point of the region, however the
+    pieces were split.  Only the counts of the cells that held a maximal
     piece can differ, each still an upper bound.
 
     The witness.  At U = WITNESS_U = 17, on a region that lies inside the
@@ -728,9 +669,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     were a point to count more than T at the cutoff, the pieces around it
     would stay above T until the float or cap exit, slower but still sound.
     Every grid tested, 1x1 to 900x900, ends at 214 either way.  Without the
-    witness the top falls one count level per 1 to 3 rounds (116 to 107 in
-    17 rounds at 11x11), then waits for a centre within about 1e-3 of the
-    arc; with it, 11x11 takes 6 rounds.
+    witness, the centre test waits for a centre within about 1e-3 of the arc.
 
     The vertex test.  Without a witness, the supremum sits where level sets
     u(z, gamma z) = U cross or touch: at U = 9 sixteen of them cross at i,
@@ -749,22 +688,23 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     point of the region whose count is the top, and the split sequence is
     the same as without the test, so it can only end the refinement earlier,
     and no cell counts fewer than without it.  Its evaluations count in
-    `pairs` and against the refinement cap.  The 12x12 counts at U = 5 and
-    9 end in 5 and 3 rounds instead of 15 and 18.
+    `pairs` and against the refinement cap.
 
     The certificate says how the refinement ended, in `stop`: "witness",
-    "centre", "vertex", "float" (a split left a float unchanged) or "cap"
-    (MAX_WORK); in `witness`, the point whose count the bound attains, in
-    the caller's coordinates: the witness's float point, the centre or the
-    crossing that reached the top; None after "float" or "cap"; and in
-    `rounds`, the rounds of the refinement that split or tested pieces.
+    "centre", "vertex", "float" (a split would leave a float unchanged) or
+    "cap" (MAX_WORK); in `witness`, the point whose count the bound attains,
+    in the caller's coordinates: the witness's float point, the centre or
+    the crossing that reached the top; None after "float" or "cap"; and in
+    `rounds`, the rounds of the refinement that split or tested pieces.  A
+    one-point region stops at "centre" in its first round, at its own point.
 
     Candidates are settled on whole boxes from both sides.  The grid is cut
     into blocks of about 1.5 n^(1/3) cells a side on a grid side of n (see
     _block_side), the last one along a side possibly partial; block edges
     are grid nodes, so a block contains its cells exactly in floats, and a
-    cell or piece contains its pieces.  Per candidate and block, and in the refinement per open
-    candidate and kid of a piece, _low and _high decide, both from one pass (_both):
+    cell or piece contains its pieces.  Per candidate and block, and in the
+    refinement per open candidate and kid of a piece, _low and _high decide,
+    both from one pass (_both):
 
     * fail, when _low > relaxed = cutoff (1 + PRUNE_SLACK).  A box's
       exact lower bound is never above that of a cell or piece inside it
@@ -786,24 +726,22 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
 
     Without a witness, each round tests the centres of the maximal pieces
     first, with u itself (_centre, the bits of _low on the point), and stops
-    if one reaches the maximum, then runs the vertex test; only then are
-    the kids tested, all in one pass, and the pairs still open on a kid are
-    kept under its piece.  So
-    every count is the one a test of every candidate on every piece makes,
-    and only the cells that a candidate's level set u = U crosses test it
-    one by one.
+    if one reaches the maximum, then runs the vertex test; only then does it
+    stop at a float or at the cap, or test the kids, all in one pass, and
+    keep the pairs still open on a kid under its piece.  So every count is
+    the one a test of every candidate on every piece makes, and only the
+    cells that a candidate's level set u = U crosses test it one by one.
     `pairs` counts each bound evaluated on one candidate and box: two per
     pass of _both, one per centre and per crossing of the vertex test.  The
-    refinement cap charges those crossings too and, per round,
-    one centre and one test per kid for each hot piece and candidate, open
-    or not.  A round costs a fixed number of numpy calls, whatever its
-    numbers of pieces and pairs: the pieces keep their boxes in one array
-    and their grid cell, count, sure count and parent's open count in
-    another, the quarters of every hot piece come from one gather
-    (_QUARTERS), the ones that are not kids of their piece masked out, so
-    each gather, update and split is one call, and the grid is searched for
-    cells to split only in rounds where a grid cell counts enough to be
-    split.  The open pairs of
+    refinement cap charges those crossings too and, per round, one centre
+    and one test per kid for each hot piece and candidate, open or not.  A
+    round costs a fixed number of numpy calls, whatever its numbers of
+    pieces and pairs: the pieces keep their boxes in one array and their
+    grid cell, count, sure count and parent's open count in another, the
+    quarters of every hot piece come from one gather (_QUARTERS), the ones
+    that are not kids of their piece masked out, so each gather, update and
+    split is one call, and the grid is searched for cells to split only in
+    rounds where a grid cell counts enough to be split.  The open pairs of
     the grid cells that become pieces in a round, and those of a round's
     kids, are kept in one array each, filed under the largest count of its
     pieces, so a round reads only the arrays that hold a piece it splits,
@@ -818,18 +756,28 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     width plus 1/2, and holds on any region narrower than about 2e4 y_min.
     The certificate names the caller's region; its cells are the moved grid's.
 
-    When the moved region has x_min == -x_max, its x nodes are exactly
-    antisymmetric, the screen and the refinement run on the first
+    The mirror.  The reflection iota(z) = -conj(z) normalizes SL(2, Z):
+    iota gamma iota is (a, -b; -c, d), whose c >= 0 representative is
+    (-a, b, c, -d), so N(-conj(z), U) = N(z, U).  When the moved region has
+    x_min == -x_max, the screen and the refinement run on the first
     ceil(nx/2) columns only, and column nx - 1 - i takes the counts of
-    column i (the mirror of the module docstring); for odd nx the middle
-    column straddles x = 0 and is refined whole, both halves kept.  The
-    certificate is the one the full grid gives, and `pairs` counts the work
-    done, about half.  _check_work still charges the full grid, so every
-    refusal before enumeration is unchanged; the screen's open-pair cap and
-    the refinement cap charge only the columns counted.  Where that cap ends
-    the refinement (U in the thousands on the truncated domain), the same
-    budget refines the counted columns further, so the bound is at most the
-    full grid's: 61,170 against 61,484 at U = 4,999 on 40x40.
+    column i; for odd nx the middle column straddles x = 0 and is refined
+    whole, both halves kept.  That holds in floats, bit for bit: the x
+    nodes are exactly antisymmetric (_x_nodes); the candidate set is closed
+    under the mirror, and where gamma has the kernel rows (_rows)
+    (-a, d, c, b, e, xv, wv), its mirror has (a, -d, c, b, -e, -xv, wv); and
+    _parts over (-X1, -X0) gives the ends of (-(a - cx), d + cx) negated and
+    swapped and the same W, so _low, _high and _centre return the same bits
+    on a cell and on its mirror, and the refinement splits them alike.  A
+    region symmetric about a half-integer counts in full: there the mirror
+    is x -> 1 - x, which does not round symmetrically.  The certificate is
+    the one the full grid gives, and `pairs` counts the work done, about
+    half.  _check_work still charges the full grid, so every refusal before
+    enumeration is unchanged; the screen's open-pair cap and the refinement
+    cap charge only the columns counted.  Where that cap ends the
+    refinement (U in the thousands on the truncated domain), the same budget
+    refines the counted columns further, so the bound is at most the full
+    grid's: 61,170 against 61,484 at U = 4,999 on 40x40.
     """
     nx, ny = grid
     if nx < 1 or ny < 1:

@@ -1,32 +1,12 @@
-"""Special functions: Gauss series, log-gamma, Legendre evaluators, and the
-explicit constants used by the spectral-side estimates.
+"""Special functions in plain doubles, each with a documented truncation rule.
 
-Everything is computed in plain doubles with documented truncation rules:
-
-* hyp2f1: direct power series, stop after three consecutive terms below
-  1e-16 times the partial sum (and at least ten terms), error past 1e6 terms.
-  On an array z each entry stops by this rule on its own.
-* legendre_P_negm: two forms, chosen per entry.  Near u = 1, where
-  (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2, the hypergeometric form
-  ((u-1)/(u+1))^(m/2) F(s, 1-s; 1+m; (1-u)/2) / m! (DLMF 14.3.1), summed
-  by hyp2f1.  Its terms peak near exp(2 sqrt(|s(1-s)| (u-1)/2)) <= e^4.5,
-  so they cancel by at most about two digits, and |z| <= 0.1 ends the sum
-  in a few dozen terms.  Everywhere else, a descending series in
-  x = u + sqrt(u^2 - 1) with the reflection tan(pi s) Gamma(n - m + s) =
-  (-1)^(n-m) pi / (cos(pi s) Gamma(m - n + 1 - s)) applied term by term,
-  so the evaluation stays finite where the raw prefactor and the Gamma
-  factors trade poles (in particular on the real boundary s = 1), and a
-  geometric tail cutoff with ratio x^-2.  The descending series needs
-  about 17 / sqrt(2 (u - 1)) terms near u = 1 and cancels there (for
-  m = 2 its relative error grows like 1e-14 / (u - 1)^2), which is what
-  the near-one zone avoids; at the zone's edge it is below 2e-13.
-* log_gamma_complex: upward recurrence to Re z >= 10 followed by the
-  Stirling asymptotic series with ten Bernoulli coefficients.
-
-Evaluation near s = 1/2 is excluded for legendre_P_negm: the cos(pi s)
-denominator of the descending series vanishes there, so inputs with
-|Re s - 1/2| < 1e-3 and |Im s| < 1e-3 are rejected rather than evaluated
-inaccurately.
+* hyp2f1: the Gauss hypergeometric series.
+* log_gamma_complex: upward recurrence and the Stirling series.
+* legendre_P_negm and legendre_P_neg1: P^{-m}_{s-1}(u), by a hypergeometric
+  form near u = 1 (_near_one says where) and a descending series elsewhere.
+* legendre_Q_deriv: Q_nu'(u).
+* C_sigma, p_sigma, gamma_ratio_bounds and gamma_ratio_upper: the explicit
+  constants of the spectral-side estimates.
 """
 
 from __future__ import annotations
@@ -106,7 +86,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z):
     times z / (1 - z); no caller sums there (near-one Legendre has |z| <= 0.1, legendre_Q_deriv sums
     at 1/x^2).  Elementwise on an array z, each entry stopping by that rule on its own (its sum stays
     fixed while the others go on).  Real a, b, c give a float (or float64 array) summed in floats,
-    complex ones a complex (or complex array).
+    complex ones a complex (or complex array).  Past 1e6 terms it raises NonConvergenceError.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.abs(z) < 1.0):
@@ -175,8 +155,14 @@ def legendre_Q_deriv(nu: float, u: float) -> float:
 
 
 def _near_one(s: complex, u: np.ndarray) -> np.ndarray:
-    """Entries that _P_negm_near_one evaluates: (u-1) max(|s(1-s)|, 1) <= 10
-    and u - 1 <= 0.2 (see the module docstring for why)."""
+    """Entries that _P_negm_near_one evaluates: (u-1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2.
+
+    There the hypergeometric terms peak near exp(2 sqrt(|s(1-s)| (u-1)/2)) <= e^4.5, so they
+    cancel by at most about two digits, and |(1-u)/2| <= 0.1 ends the sum in a few dozen terms.
+    The descending series needs about 17 / sqrt(2 (u - 1)) terms near u = 1 and cancels there (for
+    m = 2 its relative error grows like 1e-14 / (u - 1)^2), which is what the zone avoids; at the
+    zone's edge its error is below 2e-13.
+    """
     d = u - 1.0
     return (d * max(abs(s * (1.0 - s)), 1.0) <= 10.0) & (d <= 0.2)
 
@@ -251,7 +237,7 @@ def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
 def legendre_P_negm(m: int, s: complex, u):
     """Order -m Legendre function P^{-m}_{s-1}(u) for even m >= 0 and u > 1.
 
-    Each entry of u takes one of two forms (module docstring).  Near u = 1,
+    Each entry of u takes one of two forms (_near_one says why).  Near u = 1,
     where (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2, the
     hypergeometric form _P_negm_near_one.  Everywhere else, the descending
     series in x = u + sqrt(u^2 - 1) > 1:
@@ -271,9 +257,9 @@ def legendre_P_negm(m: int, s: complex, u):
     factors G1(0), G2(0) are cached per (m, s).
 
     The strip point s = 1/2 is a removable singularity handled analytically
-    but not numerically; inputs within 1e-3 of it (both components) are
-    rejected.  An entry whose series terms overflow (u past about 1e154)
-    raises NonConvergenceError naming its u.
+    but not numerically, as cos(pi s) vanishes there; inputs within 1e-3 of
+    it (both components) are rejected.  An entry whose series terms overflow
+    (u past about 1e154) raises NonConvergenceError naming its u.
     """
     if m < 0 or m % 2 != 0:
         raise ValueError(f"legendre_P_negm supports even m >= 0 only, got m = {m}")

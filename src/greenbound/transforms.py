@@ -18,11 +18,8 @@ One function gives both corners, corner(params, sign, U) = U + sign beta U^{-1-a
 with (alpha, beta) = params.side(sign): V(U) for sign +1, T(U) for sign -1.  The cap beta^- <=
 delta^{1+alpha^-} / (delta + 1) (beta_minus_cap) guarantees T(U) >= 1 for U >= delta.
 
-The averaged transforms I_delta^{+-}(s) = (1/2 pi) Integral_delta^infinity
-h_U^{+-}(s) / (U^2 - 1) dU are evaluated by the adaptive Clenshaw-Curtis
-engine of greenbound._quad over octaves [M, 2M], calling h_U_pm on arrays of
-U; the integrand decays like U^{alpha - sigma - 1}, so the remaining tail
-past the last octave is bounded in closed form.
+I_delta_pm averages h_U_pm over U >= delta with greenbound._quad's octave
+march; averaged_transform_tail bounds the tail in closed form.
 """
 
 from __future__ import annotations
@@ -158,7 +155,8 @@ def resolvent_difference(a: float, b: float, s: complex) -> complex:
 def averaged_transform_tail(delta: float, sign: int, sigma: float, alpha: float, beta: float, M) -> float:
     """Analytic bound on |(1/2 pi) Integral_M^inf h_U^{+-}(s) / (U^2-1) dU| for M >= delta.
 
-    Requires sigma > alpha for integrability.  The bound leaves out the
+    Requires sigma > alpha for integrability: the integrand decays like
+    U^{alpha - sigma - 1}.  The bound leaves out the
     |s(1-s)|^{-5/4} of the strip bound, which I_delta_pm multiplies in (the D
     integrals strip it off).  It is
     K (1 - M^-2)^-2 M^{alpha-sigma} / (sigma - alpha), K = p0 (kappa^{2-sigma} + 1) / beta,

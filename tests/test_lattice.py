@@ -19,8 +19,6 @@ from greenbound.lattice import (
     exact_count,
     reduce_to_fundamental_domain,
     truncated_fundamental_domain,
-    u_lower_bound,
-    u_upper_bound,
 )
 
 STANDARD_U = 17.0
@@ -650,6 +648,15 @@ def test_point_region_at_threshold_one():
     assert cert.bound == 4
 
 
+def test_a_one_point_region_stops_at_its_own_point():
+    """A round tests its centres before it stops at a float, so a one-point region ends at its
+    centre, its own point, in one round, with the bound exact_count gives there."""
+    for x, y, U, bound in ((0.1, 1.2, 5.0, 56), (0.0, 1.0, 1.0, 4), (0.3, 1.5, 9.0, 110)):
+        cert = count_bound(Rectangle(x, x, y, y), U, (1, 1))
+        assert (cert.stop, cert.rounds, cert.witness, cert.bound) == ("centre", 1, (x, y), bound), (x, y, U)
+        assert exact_count(UpperHalfPoint(x, y), UpperHalfPoint(x, y), U) == bound
+
+
 def closed_form_u(gamma, z):
     """u(z, gamma z) by the scalar closed form, sharing no code with the count kernels:
     (1/2) [(a - cx)^2 + ((b + (a - d)x - cx^2)/y)^2 + (cy)^2 + (d + cx)^2]."""
@@ -661,15 +668,24 @@ def closed_form_u(gamma, z):
     return 0.5 * (t1 * t1 + (w / y) ** 2 + (c * y) ** 2 + t4 * t4)
 
 
+def _kernel_bounds(gamma, rect):
+    """(_low, _high) of the count kernels over rect, on the rows of gamma or -gamma, whichever has
+    c >= 0 (u is sign-invariant), as count_bound runs them."""
+    s = -1.0 if gamma.c < 0 else 1.0
+    g = lattice._rows(*(s * v for v in gamma.entries()))
+    low, high = lattice._both(g, np.array([rect.x_min, rect.x_max]), np.array([rect.y_min, rect.y_max]))
+    return float(low), float(high)
+
+
 def test_min_u_lower_bounds_sampled_values():
-    """u_lower_bound must never exceed the value at any point of the cell."""
+    """The kernels' lower bound must never exceed the value at any point of the cell."""
     rng = random.Random(70300)
     for _ in range(30):
         gamma = verify.random_unimodular(rng)
         x0 = rng.uniform(-0.6, 0.4)
         y0 = rng.uniform(0.8, 1.8)
         rect = Rectangle(x0, x0 + 0.2, y0, y0 + 0.2)
-        low = u_lower_bound(gamma, rect)
+        low = _kernel_bounds(gamma, rect)[0]
         sampled = min(
             closed_form_u(gamma, UpperHalfPoint(x0 + 0.2 * ix / 8.0, y0 + 0.2 * iy / 8.0))
             for ix in range(9)
@@ -718,10 +734,10 @@ def test_u_lower_bound_property():
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(_unimodular(hypothesis), *_cells(hypothesis))
     def check(gamma, x0, width, y0, height, fractions):
-        low = u_lower_bound(gamma, Rectangle(x0, x0 + width, y0, y0 + height))
+        low = _kernel_bounds(gamma, Rectangle(x0, x0 + width, y0, y0 + height))[0]
         for z in _sample_points(x0, width, y0, height, fractions):
             assert low <= closed_form_u(gamma, z) * (1.0 + 1e-12), (gamma, z, low)
-        point = u_lower_bound(gamma, Rectangle(x0, x0, y0, y0))
+        point = _kernel_bounds(gamma, Rectangle(x0, x0, y0, y0))[0]
         assert math.isclose(point, closed_form_u(gamma, UpperHalfPoint(x0, y0)), rel_tol=1e-12)
 
     check()
@@ -737,11 +753,11 @@ def test_u_upper_bound_property():
     @hypothesis.given(_unimodular(hypothesis), *_cells(hypothesis))
     def check(gamma, x0, width, y0, height, fractions):
         cell = Rectangle(x0, x0 + width, y0, y0 + height)
-        high = u_upper_bound(gamma, cell)
+        low, high = _kernel_bounds(gamma, cell)
         for z in _sample_points(x0, width, y0, height, fractions):
             assert high >= closed_form_u(gamma, z) * (1.0 - 1e-12), (gamma, z, high)
-        assert high >= u_lower_bound(gamma, cell)
-        point = u_upper_bound(gamma, Rectangle(x0, x0, y0, y0))
+        assert high >= low
+        point = _kernel_bounds(gamma, Rectangle(x0, x0, y0, y0))[1]
         assert math.isclose(point, closed_form_u(gamma, UpperHalfPoint(x0, y0)), rel_tol=1e-12)
 
     check()
