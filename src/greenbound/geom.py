@@ -12,7 +12,8 @@ The free-space Green kernel is
 
 and the truncated kernel J_delta(u) = max(0, L(u) - L(delta)) vanishes for
 u >= delta.  The displacement u(z, gamma z) has one closed form, the count
-kernel's (lattice.u_of_gamma); point_u of mobius_apply is its oracle.
+kernel's (lattice.u_of_gamma); point_u of mobius_apply is its oracle.  Both
+point_u and mobius_apply take float or Fraction coordinates, exactly on Fractions.
 """
 
 from __future__ import annotations
@@ -81,15 +82,16 @@ def point_u(z: UpperHalfPoint, w: UpperHalfPoint) -> float:
     """Point-pair invariant u(z, w) = 1 + |z - w|^2 / (2 Im z Im w)."""
     dx = z.x - w.x
     dy = z.y - w.y
-    return 1.0 + (dx * dx + dy * dy) / (2.0 * z.y * w.y)
+    return 1 + (dx * dx + dy * dy) / (2 * z.y * w.y)
 
 
 def mobius_apply(gamma: UnimodularMatrix, z: UpperHalfPoint) -> UpperHalfPoint:
     """Apply the Mobius map z -> (az + b)/(cz + d).
 
-    With determinant 1 the image has Im = Im z / |cz + d|^2 > 0.
+    With determinant 1 the image has Im = Im z / |cz + d|^2 > 0.  On floats, int entries below 2^26
+    round as float entries would: each int product here is exact in a double.
     """
-    a, b, c, d = (float(gamma.a), float(gamma.b), float(gamma.c), float(gamma.d))
+    a, b, c, d = gamma.entries()
     den_re = c * z.x + d
     den_im = c * z.y
     den2 = den_re * den_re + den_im * den_im

@@ -8,7 +8,7 @@
 * exact_count counts at one pair of points by orbit enumeration
   (enumerate_group_elements), exactly on exact coordinates; it is the oracle
   the certificate is tested against.
-* u_of_gamma and exact_u evaluate u; truncated_fundamental_domain and
+* u_of_gamma evaluates u(z, gamma z); truncated_fundamental_domain and
   reduce_to_fundamental_domain place points.
 
 Every counting entry point estimates its work in closed form before it
@@ -131,7 +131,7 @@ def _centred(region: Rectangle) -> Rectangle:
     n = round(0.5 * region.x_min + 0.5 * region.x_max)
     if n == 0:
         return region
-    from fractions import Fraction  # a region away from the centre strip is rare; see exact_u
+    from fractions import Fraction  # on first use: a region away from the centre strip is rare
 
     def move(x: float, outward: float) -> float:
         return x - n if Fraction(x - n) == Fraction(x) - n else math.nextafter(x - n, outward)
@@ -811,31 +811,19 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     )
 
 
-def exact_u(z: UpperHalfPoint, gamma: UnimodularMatrix, w: UpperHalfPoint):
-    """u(z, gamma w) as a Fraction, exact on the coordinates given (floats or Fractions)."""
-    from fractions import Fraction  # on first use: near ties are rare, the import costs 2 ms and 0.4 MB
-
-    x, y, wx, wy = (Fraction(t) for t in (z.x, z.y, w.x, w.y))
-    a, b, c, d = gamma.entries()
-    den = (c * wx + d) ** 2 + (c * wy) ** 2
-    gx, gy = ((a * wx + b) * (c * wx + d) + a * c * wy * wy) / den, wy / den
-    return 1 + ((x - gx) ** 2 + (y - gy) ** 2) / (2 * y * gy)
-
-
 def enumerate_group_elements(
     z: UpperHalfPoint, w: UpperHalfPoint, U: float
 ) -> Iterator[tuple[UnimodularMatrix, float]]:
     """Yield sign-representatives gamma with u(z, gamma w) <= U, and the value.
 
-    Orbit enumeration: for c = 0 the images are w + b; for c > 0 and each
-    coprime pair (c, d) in range, the solutions (a, b) of ad - bc = 1 form a
-    line gamma_t w = gamma_0 w + t, so t runs over an interval.  Every
-    candidate is verified against point_u directly before being yielded.
-    The coordinates may be floats or exact (Fractions): the enumeration runs
-    on float copies of z and w, and a value within TIE_MARGIN of U is decided
-    by exact_u on the coordinates given (a tie such as u(i, gamma i) = 3 can
-    round to either side), so on exact coordinates the count is exact; the
-    value yielded is then at most U.  Float inputs are their own copies.
+    Orbit enumeration: for c = 0 the images are w + b; for c > 0 and each coprime pair (c, d) in
+    range, the solutions (a, b) of ad - bc = 1 form a line gamma_t w = gamma_0 w + t, walked by
+    translation from one mobius_apply over an interval of t; a matrix is built only to be yielded
+    or decided.  The coordinates may be floats or exact (Fractions): the walk runs on float copies
+    of z and w, and a value within TIE_MARGIN of U (a tie such as u(i, gamma i) = 3 can round to
+    either side) is decided by point_u of mobius_apply on the coordinates given, as Fractions, so
+    on exact coordinates the count is exact; the value yielded is then at most U.  Float inputs
+    are their own copies.
     The (c, d) loop takes at most (c_max + 1)(2 q_max + 3) steps; above
     MAX_WORK (or for a non-finite estimate) ValueError is raised first.
     Away from x = 0 it enumerates gamma' at z - n, w - m (n, m the rounded real parts, exact
@@ -868,12 +856,16 @@ def enumerate_group_elements(
         r = math.sqrt(max(disc, 0.0))
         center = zf.x - base.x
         for t in _int_range(center - r - 1.0, center + r + 1.0):
-            gamma = UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
-            value = point_u(zf, mobius_apply(gamma, wf))
-            if abs(value - U) <= TIE_MARGIN * U:  # a near tie: decide it exactly
-                value = min(value, U) if exact_u(z, gamma, w) <= U else math.inf
-            if value <= U:
-                yield gamma, value
+            value = point_u(zf, UpperHalfPoint(base.x + t, base.y))  # gamma_t w = gamma_0 w + t
+            if abs(value - U) <= TIE_MARGIN * U:  # a near tie: decide it exactly, on Fractions
+                from fractions import Fraction  # on first use: ties are rare, the import costs 2 ms and 0.4 MB
+
+                gamma = UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
+                exact_z, exact_w = (UpperHalfPoint(Fraction(p.x), Fraction(p.y)) for p in (z, w))
+                if point_u(exact_z, mobius_apply(gamma, exact_w)) <= U:
+                    yield gamma, min(value, U)
+            elif value <= U:
+                yield UnimodularMatrix(a0 + t * c, b0 + t * d, c, d), value
 
     # Translations: u(z, w + b) <= U.
     yield from _yield_range(0, 1, 1, 0)
@@ -891,8 +883,8 @@ def exact_count(z: UpperHalfPoint, w: UpperHalfPoint, U: float) -> int:
     """#{gamma in SL(2, Z), both signs, with u(z, gamma w) <= U}.
 
     Twice the representative count: gamma and -gamma give the same u.
-    Always even; >= 2 for U >= 1 when z = w (the identity pair).  Exact on
-    exact (Fraction) coordinates, as enumerate_group_elements decides ties there.
+    Always even; >= 2 for U >= 1 when z = w (the identity pair).  Exact on exact
+    (Fraction) coordinates, where enumerate_group_elements decides ties in Fractions.
     """
     return 2 * sum(1 for _ in enumerate_group_elements(z, w, U))
 

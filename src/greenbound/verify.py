@@ -446,7 +446,7 @@ def count_certificate_soundness(n: int = 200) -> CheckResult:
     so the witness, a rational point of that arc, is counted exactly in every run, which keeps a short
     run a prefix of the full one: exact_count on its Fraction coordinates decides each tie there exactly
     (its float point counts 210)."""
-    from fractions import Fraction  # on first use, as in lattice.exact_u
+    from fractions import Fraction  # on first use, as in lattice.enumerate_group_elements
 
     box = truncated_fundamental_domain()
     cert = count_bound(box, COUNT_RADIUS, (40, 40))

@@ -88,6 +88,38 @@ def test_mobius_inversion_at_i():
     assert abs(image.x) < 1e-15 and math.isclose(image.y, 1.0, rel_tol=1e-15)
 
 
+def test_u_is_exact_on_fraction_points():
+    """point_u and mobius_apply stay in Fractions on Fraction points: u(z*, (3 4; 2 3) z*) is 17 at the
+    count witness z* and u(i, i + 1) is 3/2, both exactly and as Fractions."""
+    from fractions import Fraction
+
+    p, q, r = verify.COUNT_WITNESS
+    z = UpperHalfPoint(Fraction(p, r), Fraction(q, r))
+    i = UpperHalfPoint(Fraction(0), Fraction(1))
+    for value, expected in (
+        (point_u(z, mobius_apply(UnimodularMatrix(3, 4, 2, 3), z)), 17),
+        (point_u(i, mobius_apply(UnimodularMatrix(1, 1, 0, 1), i)), Fraction(3, 2)),
+    ):
+        assert isinstance(value, Fraction) and value == expected
+
+
+def test_mobius_apply_rounds_int_entries_as_float_entries():
+    """On float points, int entries below 2^26 give the bits of the same entries as floats: each
+    int product in mobius_apply is exact in a double."""
+    from types import SimpleNamespace
+
+    rng = random.Random(4102)
+    for _ in range(300):
+        c, d = rng.randint(1, 2**25), rng.randint(-(2**25), 2**25)
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, c)
+        gamma = UnimodularMatrix(a, (a * d - 1) // c, c, d)
+        as_floats = SimpleNamespace(entries=lambda g=gamma: tuple(map(float, g.entries())))
+        z = random_point(rng)
+        assert mobius_apply(gamma, z) == mobius_apply(as_floats, z), (gamma, z)
+
+
 def test_u_is_mobius_invariant():
     # invariance is exact in arithmetic; the float tolerance absorbs the
     # conditioning of images near the real axis for large matrix entries

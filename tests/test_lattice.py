@@ -785,14 +785,38 @@ def test_reduction_fixes_interior_points():
 
 
 def test_enumeration_values_match_direct_u():
+    """The line walk (gamma_t w = gamma_0 w + t) yields the matrices that point_u of mobius_apply,
+    matrix by matrix, finds with u(z, gamma w) <= U, with values within 1e-13 relative.  The direct
+    search covers a box that holds every such sign representative: u >= Im z / (2 Im gamma w) gives
+    |cw + d|^2 <= 2 U Im w / Im z, which bounds c and d, and |Re gamma_0 w| <= 1 + 1/(c^2 Im w) with
+    |Re gamma_t w - Re z| <= 2 U Im z bounds t."""
     from greenbound.lattice import enumerate_group_elements
 
-    z = UpperHalfPoint(0.2, 1.1)
-    w = UpperHalfPoint(-0.3, 0.95)
-    for gamma, value in enumerate_group_elements(z, w, 6.0):
-        assert value <= 6.0
-        direct = point_u(z, mobius_apply(gamma, w))
-        assert math.isclose(value, direct, rel_tol=1e-12)
+    rng = random.Random(78700)
+    found = 0
+    for U in (1.5, 3.0, 6.0, 17.0):
+        for _ in range(3):
+            z, w = (UpperHalfPoint(rng.uniform(-0.6, 0.6), rng.uniform(0.8, 1.6)) for _ in range(2))
+            walked = {g.entries(): value for g, value in enumerate_group_elements(z, w, U)}
+            direct = {}
+            t_max = int(3.0 + 2.0 * U * z.y)
+            for c in range(int(math.sqrt(2.0 * U / (z.y * w.y))) + 1):
+                reach = int(c * abs(w.x) + math.sqrt(2.0 * U * w.y / z.y)) + 1
+                for d in range(-reach, reach + 1) if c else (1,):
+                    if math.gcd(c, d) != 1:
+                        continue
+                    a0 = pow(d, -1, c) if c else 1
+                    b0 = (a0 * d - 1) // c if c else 0
+                    for t in range(-t_max, t_max + 1):
+                        gamma = UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
+                        value = point_u(z, mobius_apply(gamma, w))
+                        if value <= U:
+                            direct[gamma.entries()] = value
+            assert walked.keys() == direct.keys()
+            for entries, value in walked.items():
+                assert math.isclose(value, direct[entries], rel_tol=1e-13)
+            found += len(walked)
+    assert found >= 100, found
 
 
 def test_enumeration_requires_sane_threshold():

@@ -80,6 +80,19 @@ def test_legendre_P_neg1_at_s_one():
         assert cmath.isclose(value, math.sqrt((u - 1.0) / (u + 1.0)), rel_tol=1e-13)
 
 
+def test_legendre_P_neg1_near_the_domain_end_matches_mpmath_and_returns_fast():
+    """Near u = 3 the hypergeometric zone sums Pfaff's form, whose argument (u-1)/(u+1) stays below
+    1/2, not the form in (1-u)/2, whose argument tends to -1 and whose terms barely decay there."""
+    mpmath = pytest.importorskip("mpmath")
+    for u in (2.9999, 2.99999, 2.9999999):
+        start = time.perf_counter()
+        value = legendre_P_neg1(0.7, u)
+        assert time.perf_counter() - start < 5e-3, u
+        with mpmath.workdps(30):
+            oracle = complex(mpmath.legenp(0.7 - 1.0, -1, u, type=3))
+        assert cmath.isclose(value, oracle, rel_tol=1e-12), u
+
+
 def test_legendre_P_neg1_real_on_critical_line():
     # real wherever s(1 - s) is; the hypergeometric series sheds precision as
     # |Im s| grows, so the imaginary residue is held to a scale that widens with t
