@@ -544,18 +544,22 @@ def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float
     return _enclose_one_sign(params, +1), _enclose_one_sign(params, -1)
 
 
-def _upper_end(enclosure: tuple[float, float], sign: int) -> float:
+def _upper_end(params: ParamSet, sign: int, enclosure: tuple[float, float]) -> float:
     lo, hi = enclosure
     if not hi - lo <= D_REL_WIDTH * lo:
-        side = "plus" if sign > 0 else "minus"
-        raise NonConvergenceError(f"D_{side} enclosure {enclosure} wider than {D_REL_WIDTH}")
+        side, (sigma, alpha, beta) = "plus" if sign > 0 else "minus", params.side(sign)
+        grid_hi, M = _grid_bounds(params.trapezoid.delta, sign, (sigma, alpha, beta), _PANELS)[1:]
+        raise NonConvergenceError(f"D_{side} enclosure {enclosure} wider than {D_REL_WIDTH}: {(hi - lo) / lo:.3g} of "
+                                  f"its lower end, {(hi - grid_hi) / lo:.3g} of it the tail past U = {M:.3g}; raise "
+                                  f"sigma_{side} - alpha_{side} = {sigma - alpha:.3g} to shrink that tail")
     return hi
 
 
 def compute_D(params: ParamSet) -> tuple[float, float]:
     """Majorant integrals (D_plus, D_minus): the upper ends of enclose_D, proved upper bounds.
-    Raises NonConvergenceError if an enclosure is wider than D_REL_WIDTH = 1e-6 of its lower end."""
-    return tuple(_upper_end(enclosure, sign) for enclosure, sign in zip(enclose_D(params), (+1, -1)))
+    Raises NonConvergenceError if an enclosure is wider than D_REL_WIDTH = 1e-6 of its lower end,
+    naming how much of that width the tail past the last node adds, which shrinks as sigma - alpha grows."""
+    return tuple(_upper_end(params, sign, enclosure) for sign, enclosure in zip((+1, -1), enclose_D(params)))
 
 
 def spectral_factor(eta: float, include_phi_constant: bool) -> float:

@@ -2,8 +2,8 @@
 
 * hyp2f1: the Gauss hypergeometric series.
 * log_gamma_complex: upward recurrence and the Stirling series.
-* legendre_P_negm and legendre_P_neg1: P^{-m}_{s-1}(u), by a hypergeometric
-  form near u = 1 (_near_one says where) and a descending series elsewhere.
+* legendre_P_negm and legendre_P_neg1: P^{-m}_{s-1}(u) for every order m >= 0, by Pfaff's
+  hypergeometric form near u = 1 (_near_one says where) and a descending series elsewhere.
 * legendre_Q_deriv: Q_nu'(u).
 * C_sigma, p_sigma, gamma_ratio_bounds and gamma_ratio_upper: the explicit
   constants of the spectral-side estimates.
@@ -83,10 +83,11 @@ def hyp2f1(a: complex, b: complex, c: complex, z):
     Terms follow the ratio recurrence t_{n+1} = t_n (a+n)(b+n) z / ((c+n)(n+1)); summation stops
     once three consecutive terms fall below 1e-16 times the partial sum (after at least ten terms).
     For positive z near 1 the terms decay like z^n, so the rule drops a tail of about the last term
-    times z / (1 - z); no caller sums there (near-one Legendre has |z| <= 0.1, legendre_Q_deriv sums
-    at 1/x^2).  Elementwise on an array z, each entry stopping by that rule on its own (its sum stays
-    fixed while the others go on).  Real a, b, c give a float (or float64 array) summed in floats,
-    complex ones a complex (or complex array).  Past 1e6 terms it raises NonConvergenceError.
+    times z / (1 - z); no caller sums there (_P_negm_near_one sums at z <= 1/11 in _near_one's zone
+    and z < 1/2 in legendre_P_neg1's, legendre_Q_deriv at 1/x^2).  Elementwise on an array z, each
+    entry stopping by that rule on its own (its sum stays fixed while the others go on).  Real a, b,
+    c give a float (or float64 array) summed in floats, complex ones a complex (or complex array).
+    Past 1e6 terms it raises NonConvergenceError.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.abs(z) < 1.0):
@@ -115,21 +116,15 @@ def hyp2f1(a: complex, b: complex, c: complex, z):
 def legendre_P_neg1(s: complex, u: float) -> complex:
     """Order -1 Legendre function P^{-1}_{s-1}(u) on the cut, for 1 < u < 3.
 
-    Where (u - 1) max(|s(1-s)|, 1) <= 10, the hypergeometric form
-    sqrt(zeta) ((u+1)/2)^(s-1) F(2-s, 1-s; 2; zeta), zeta = (u-1)/(u+1) < 1/2: Pfaff's transformation
-    (DLMF 15.8.1) of sqrt(zeta) F(s, 1-s; 2; (1-u)/2), the m = 1 case of _P_negm_near_one, whose
-    argument tends to -1 as u -> 3, where its terms barely decay (past 1e6 of them at u = 2.99999).
-    Here at most about 70 terms are summed, and they cancel by about two digits at most.  Elsewhere
-    the m = 1 case of legendre_P_negm's descending series.  Near s = 1/2, where cos(pi s) vanishes,
-    every u < 3 lies in the hypergeometric zone.
+    Where (u - 1) max(|s(1-s)|, 1) <= 10, Pfaff's form _P_negm_near_one: its argument (u-1)/(u+1) < 1/2
+    ends the sum in at most about 70 terms, which cancel by about two digits at most.  Elsewhere the
+    descending series of legendre_P_negm.  The zone reaches past _near_one's cap on u - 1 because that
+    series divides by cos(pi s): near s = 1/2, where order_one_bracket samples, all of 1 < u < 3 is in it.
     """
     if not (1.0 < u < 3.0):
         raise ValueError(f"legendre_P_neg1 requires 1 < u < 3, got u = {u}")
-    s = complex(s)
-    if (u - 1.0) * max(abs(s * (1.0 - s)), 1.0) <= 10.0:
-        zeta = (u - 1.0) / (u + 1.0)
-        return math.sqrt(zeta) * (0.5 * (u + 1.0)) ** (s - 1.0) * hyp2f1(2.0 - s, 1.0 - s, 2.0, zeta)
-    return complex(_P_negm_descending(1, s, np.array([u]))[0])
+    near = (u - 1.0) * max(abs(s * (1.0 - s)), 1.0) <= 10.0
+    return _P_negm_near_one(1, complex(s), u) if near else legendre_P_negm(1, s, u)
 
 
 def legendre_Q_deriv(nu: float, u: float) -> float:
@@ -158,21 +153,25 @@ def legendre_Q_deriv(nu: float, u: float) -> float:
 def _near_one(s: complex, u: np.ndarray) -> np.ndarray:
     """Entries that _P_negm_near_one evaluates: (u-1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2.
 
-    There the hypergeometric terms peak near exp(2 sqrt(|s(1-s)| (u-1)/2)) <= e^4.5, so they
-    cancel by at most about two digits, and |(1-u)/2| <= 0.1 ends the sum in a few dozen terms.
-    The descending series needs about 17 / sqrt(2 (u - 1)) terms near u = 1 and cancels there (for
-    m = 2 its relative error grows like 1e-14 / (u - 1)^2), which is what the zone avoids; at the
-    zone's edge its error is below 2e-13.
+    There the terms of Pfaff's form peak near exp(2 sqrt(|s(1-s)| zeta)) <= e^4.5, zeta = (u-1)/(u+1)
+    <= 1/11, so they cancel by at most about two digits and end in a few dozen terms.  For m <= 2 the
+    cap on u - 1 is a speed choice, as that sum converges for every u < 3: past it, it takes 30-50 terms
+    where the descending series takes 12-16 (one zone up to u = 3 cost perfbench's spectral-strip
+    median job 16%).  The descending series needs about 17 / sqrt(2 (u - 1)) terms near u = 1 and
+    cancels there, which is what the zone avoids; at the cap (s = 1/4 + i/2) its error grows about
+    tenfold an order, from 2e-15 at m = 0 to 2e-13 at m = 2, 1e-12 at m = 3 and 1e-11 at m = 4.
     """
-    d = u - 1.0
-    return (d * max(abs(s * (1.0 - s)), 1.0) <= 10.0) & (d <= 0.2)
+    return ((u - 1.0) * max(abs(s * (1.0 - s)), 1.0) <= 10.0) & (u - 1.0 <= 0.2)
 
 
 def _P_negm_near_one(m: int, s: complex, u):
-    """P^{-m}_{s-1}(u) = ((u-1)/(u+1))^{m/2} F(s, 1-s; 1+m; (1-u)/2) / m!
-    (DLMF 14.3.1) for integer m >= 0 and 1 < u < 3, elementwise."""
-    series = hyp2f1(s, 1.0 - s, 1.0 + m, (1.0 - u) / 2.0)
-    return ((u - 1.0) / (u + 1.0)) ** (0.5 * m) / math.factorial(m) * series
+    """P^{-m}_{s-1}(u) = zeta^{m/2} ((u+1)/2)^{s-1} F(1+m-s, 1-s; 1+m; zeta) / m!, zeta = (u-1)/(u+1),
+    for integer m >= 0 and 1 < u < 3, elementwise (a float u sums in Python arithmetic in hyp2f1).
+    DLMF 14.3.1 by Pfaff's transformation (DLMF 15.8.1): one form for every order, whose argument
+    stays in [0, 1/2) where that of F(s, 1-s; 1+m; (1-u)/2) tends to -1 and its terms barely decay."""
+    zeta = (u - 1.0) / (u + 1.0)
+    series = hyp2f1(1.0 + m - s, 1.0 - s, 1.0 + m, zeta)
+    return zeta ** (0.5 * m) * (0.5 * (u + 1.0)) ** (s - 1.0) / math.factorial(m) * series
 
 
 @functools.lru_cache(maxsize=64)
@@ -198,8 +197,7 @@ def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
     g1, g2 = _descending_gammas(m, s)
     scale = (x - 1.0 / x) ** m
 
-    coeff = 1.0  # (1/2 - m)_n / n!, signed
-    sign = 1.0  # (-1)^n
+    coeff = 1.0  # (-1)^n (1/2 - m)_n / n!
     total = np.zeros(x.size, dtype=complex)
     out = np.empty(x.size, dtype=complex)
     todo = np.arange(x.size)  # entries still summing; the arrays above hold only these
@@ -208,7 +206,7 @@ def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
             break
         part1 = g1 * pow1
         part2 = g2 * pow2
-        total += coeff * sign * (part1 - part2)
+        total += coeff * (part1 - part2)
         if n == 0 and not np.isfinite(total + scale).all():  # past u ~ 1e154, else it never stops
             bad = u[~np.isfinite(total + scale)][0]
             raise NonConvergenceError(f"legendre_P_negm series terms are not finite at u = {bad}")
@@ -222,8 +220,7 @@ def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
             out[todo[done]] = total[done]
             todo, total, pow1, pow2, inv_x2 = (v[~done] for v in (todo, total, pow1, pow2, inv_x2))
         # Advance n -> n+1.
-        coeff *= (0.5 - m + n) / (n + 1.0)
-        sign = -sign
+        coeff *= (m - 0.5 - n) / (n + 1.0)
         pow1 *= inv_x2
         pow2 *= inv_x2
         g1 *= (m - n - s) / (n + 0.5 + s)
@@ -236,34 +233,33 @@ def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
 
 
 def legendre_P_negm(m: int, s: complex, u):
-    """Order -m Legendre function P^{-m}_{s-1}(u) for even m >= 0 and u > 1.
+    """Order -m Legendre function P^{-m}_{s-1}(u) for every integer m >= 0 and u > 1.
 
-    Each entry of u takes one of two forms (_near_one says why).  Near u = 1,
-    where (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2, the
-    hypergeometric form _P_negm_near_one.  Everywhere else, the descending
-    series in x = u + sqrt(u^2 - 1) > 1:
+    m is an int or a numpy integer; anything else, a float such as 2.0 too, raises ValueError.
+
+    Each entry of u takes one of two forms (_near_one says why).  Near u = 1, where
+    (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2, Pfaff's form _P_negm_near_one.  Everywhere
+    else, the descending series in x = u + sqrt(u^2 - 1) > 1:
 
         P^{-m}_{s-1}(u) = sqrt(pi) / ((x - 1/x)^m cos(pi s)) *
             sum_n ((1/2 - m)_n / n!) (-1)^n [ G1(n) x^{m-s-2n}
                                               - G2(n) x^{m-1+s-2n} ],
 
-    with G1(n) = 1/(Gamma(m-n+1-s) Gamma(n+1/2+s)) and
-    G2(n) = 1/(Gamma(m-n+s) Gamma(n+3/2-s)).  This is the raw
-    tan(pi s)-prefactored series with the reflection formula folded into each
-    term, which keeps every factor finite: at s = 1 the reciprocal Gammas
-    vanish on the former pole terms and the series terminates.
+    with G1(n) = 1/(Gamma(m-n+1-s) Gamma(n+1/2+s)) and G2(n) = 1/(Gamma(m-n+s) Gamma(n+3/2-s)).
+    This is the raw tan(pi s)-prefactored series with the reflection formula folded into each term,
+    which keeps every factor finite: at s = 1 the reciprocal Gammas vanish on the former pole terms
+    and the series terminates.
 
-    Every entry is evaluated as a scalar call would evaluate it: each form
-    is elementwise, and each entry stops at its own cutoff.  The Gamma
-    factors G1(0), G2(0) are cached per (m, s).
+    Every entry is evaluated as a scalar call would evaluate it: each form is elementwise, and each
+    entry stops at its own cutoff.  The Gamma factors G1(0), G2(0) are cached per (m, s).
 
-    The strip point s = 1/2 is a removable singularity handled analytically
-    but not numerically, as cos(pi s) vanishes there; inputs within 1e-3 of
-    it (both components) are rejected.  An entry whose series terms overflow
-    (u past about 1e154) raises NonConvergenceError naming its u.
+    The strip point s = 1/2 is a removable singularity handled analytically but not numerically, as
+    cos(pi s) vanishes there; inputs within 1e-3 of it (both components) are rejected.  An entry
+    whose series terms overflow (u past about 1e154) raises NonConvergenceError naming its u.
     """
-    if m < 0 or m % 2 != 0:
-        raise ValueError(f"legendre_P_negm supports even m >= 0 only, got m = {m}")
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        raise ValueError(f"legendre_P_negm requires an integer m >= 0, got m = {m!r}")
+    m = int(m)  # a numpy integer would turn the descending series' complex factors into numpy ones
     u = np.asarray(u, dtype=float)
     if not np.all(u > 1.0):
         raise ValueError(f"legendre_P_negm requires u > 1, got min u = {np.min(u)}")

@@ -17,6 +17,7 @@ from greenbound import cli
 from greenbound.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
+    EXIT_NUMERICAL,
     EXIT_OK,
     build_parser,
     main,
@@ -222,6 +223,21 @@ def test_bounds_refuses_tiny_sigma(sigma, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err.startswith("greenbound: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_too_wide_enclosure_names_its_tail(capsys, tmp_path):
+    """At alpha_plus = 0.246, sigma_plus - alpha_plus = 0.06 and the tail past the node table's last
+    octave is about 5.6e-5 of D_plus wide: exit 2 with one stderr line that names that tail and
+    sigma_plus - alpha_plus, not only the enclosure."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"alpha_plus": 0.246}}), encoding="utf-8")
+    assert main(["bounds", "--mode", "exact", "--config", str(config)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err.startswith("greenbound: numerical failure: D_plus enclosure")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    share = float(re.search(r", (\S+) of it the tail past U = ", captured.err).group(1))
+    assert 5e-5 < share < 6e-5
+    assert "sigma_plus - alpha_plus = 0.06 " in captured.err
 
 
 def test_cusp_extend_same_cusp(capsys, tmp_path):

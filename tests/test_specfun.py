@@ -102,8 +102,9 @@ def test_legendre_P_neg1_real_on_critical_line():
 
 
 def test_legendre_P_negm_validation():
-    with pytest.raises(ValueError):
-        legendre_P_negm(1, 0.7, 2.0)  # odd order unsupported
+    for m in (-1, 1.5, 2.0):  # the order is an integer >= 0, given as an int or a numpy integer
+        with pytest.raises(ValueError):
+            legendre_P_negm(m, 0.7, 2.0)
     with pytest.raises(ValueError):
         legendre_P_negm(2, 0.7, 1.0)  # u must exceed 1
     with pytest.raises(ValueError):
@@ -134,23 +135,24 @@ def _strip_points():
 
 
 def test_legendre_P_negm_array_matches_mpmath_and_scalar_calls():
-    """The array path against mpmath legenp on both strip lines, within
-    1e-12 relative for u - 1 in [1e-6, 1e6], with points on both sides of
-    the edge of the hypergeometric zone; and entry by entry against scalar
-    calls."""
+    """The array path against mpmath legenp for orders m = 0 to 3 on both
+    strip lines, within 1e-12 relative for u - 1 in [1e-6, 1e6], with points
+    on both sides of the edge of the hypergeometric zone; and entry by entry
+    against scalar calls, with m an int or a numpy integer."""
     mpmath = pytest.importorskip("mpmath")
     for s in _strip_points():
         edge = _zone_edge(s)
         sides = 1.0 + np.array([0.9 * edge, 1.1 * edge])
         assert specfun._near_one(s, sides).tolist() == [True, False]
         u = np.sort(np.concatenate([1.0 + np.geomspace(1e-6, 1e6, 25), sides]))
-        values = legendre_P_negm(2, s, u)
-        for x, value in zip(u, values):
-            with mpmath.workdps(30):
-                oracle = complex(mpmath.legenp(s - 1.0, -2, x, type=3))
-            assert abs(value - oracle) <= 1e-12 * abs(oracle), (s, x, value, oracle)
-            scalar = legendre_P_negm(2, s, float(x))
-            assert abs(value - scalar) <= 1e-15 * abs(scalar), (s, x)
+        for m in range(4):
+            values = legendre_P_negm(m, s, u)
+            for x, value in zip(u, values):
+                with mpmath.workdps(30):
+                    oracle = complex(mpmath.legenp(s - 1.0, -m, x, type=3))
+                assert abs(value - oracle) <= 1e-12 * abs(oracle), (m, s, x, value, oracle)
+                scalar = legendre_P_negm(np.int64(m), s, float(x))
+                assert abs(value - scalar) <= 1e-15 * abs(scalar), (m, s, x)
 
 
 def test_orders_zero_and_one_match_mpmath_near_one():
