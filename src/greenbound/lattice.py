@@ -2,9 +2,10 @@
 
 * count_bound certifies a uniform upper bound on N over a rectangle of base
   points, and its docstring holds the proof.  enumerate_candidates draws the
-  matrices it may count, _screen counts them on a grid of cells and _refine
-  splits the maximal cells; _rows, _parts, _low, _high, _both and _centre are
-  its kernels, and _level_sets and _vertex its vertex test.
+  matrices it may count, _inverse_pairs keeps one of each inverse pair, _screen
+  counts them on a grid of cells and _refine splits the maximal cells; _rows,
+  _parts, _low, _high, _both and _centre are its kernels, and _level_sets and
+  _vertex its vertex test.
 * exact_count counts at one pair of points by orbit enumeration
   (enumerate_group_elements), exactly on exact coordinates; it is the oracle
   the certificate is tested against.
@@ -221,6 +222,25 @@ def _rows(a, b, c, d):
     return np.array([-a, d, c, b, e, xv, wv, np.abs(wv), c1])
 
 
+def _inverse_pairs(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel rows (_rows) of one matrix of each inverse pair among the candidates (a, b, c, d) in
+    columns, and its weight: 2, or 1 for a matrix that is its own inverse up to sign.
+
+    The c >= 0 form of gamma^-1 is (-d, b, c, -a), of trace -(a + d), and the inverse of the
+    translation by b is the translation by -b; so a + d <= 0 is kept for c > 0 and b <= 0 for c = 0,
+    the first of the two in enumerate_candidates' order, and the weight is 1 at a + d = 0
+    (gamma^2 = -1) and at the identity.
+    """
+    key = np.where(columns[2] == 0, columns[1], columns[0] + columns[3])
+    kept = key <= 0
+    return _rows(*columns.compress(kept, axis=1).astype(float)), np.where(key.compress(kept) < 0, 2, 1)
+
+
+def _tally(at: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
+    """The sum of weight at each index 0 .. n - 1 of at, as int64 (bincount adds in floats, exact below 2^53)."""
+    return np.bincount(at, weights=weight, minlength=n).astype(np.int64)
+
+
 def _parts(g, X):
     """The x-only parts of the closed form on [X0, X1], for kernel rows g and X = (X0, X1) stacked.
 
@@ -247,12 +267,15 @@ def _low(g, Y, ad, w, inside):
     * W^2/y^2 + c^2 y^2 increases in |W| and, at |W| = w, is least at
       y = sqrt(w/c) clamped to [Y0, Y1] (at Y1 when c = 0).
 
-    On a single point every part is exact and the bound is u itself.
+    On a single point every part is exact and the bound is u itself.  The
+    c >= 0 form of gamma^-1, (-d, b, c, -a), has gamma's rows with rows 0
+    and 1 swapped, so the two squares swap; they are added first, so it gets
+    gamma's bits, as -gamma does.
     """
     m = _dist0(np.minimum(w[0], w[1]), np.maximum(np.maximum(w[0], w[1]), np.where(inside, g[6], -np.inf)))
     yc = np.where(g[2], np.minimum(np.maximum(np.sqrt(m / g[8]), Y[0]), Y[1]), Y[1])  # Y1 where c = 0
     s = _dist0(ad[:, 0], ad[:, 1]) ** 2  # least (a - cx)^2 and (d + cx)^2
-    return 0.5 * (s[0] + (m / yc) ** 2 + (g[2] * yc) ** 2 + s[1])
+    return 0.5 * (s[0] + s[1] + (m / yc) ** 2 + (g[2] * yc) ** 2)
 
 
 def _high(g, Y, ad, w, inside):
@@ -269,13 +292,14 @@ def _high(g, Y, ad, w, inside):
 
     On a single point every part is exact and the bound is u itself.  Each
     part is computed from the same floats as in _low and rounding is
-    monotone, so in floats too the bound is never below _low.
+    monotone, so in floats too the bound is never below _low.  As in _low,
+    the two squares are added first, so -gamma and gamma^-1 get gamma's bits.
     """
     aw = np.abs(w)
     m = np.maximum(np.maximum(aw[0], aw[1]), np.where(inside, g[7], 0.0))
     s = ad**2
     s = np.maximum(s[:, 0], s[:, 1])  # largest (a - cx)^2 and (d + cx)^2
-    return 0.5 * (s[0] + (m / Y[0]) ** 2 + (g[2] * Y[1]) ** 2 + s[1])
+    return 0.5 * (s[0] + s[1] + (m / Y[0]) ** 2 + (g[2] * Y[1]) ** 2)
 
 
 def _both(g, X, Y):
@@ -287,11 +311,12 @@ def _both(g, X, Y):
 
 def _centre(g, x, y):
     """u(z, gamma z) at z = x + iy from the candidates' kernel rows g (_rows): _low's bits on the
-    point, X = (x, x) and Y = (y, y), the one identity the refinement's stop rule needs."""
+    point, X = (x, x) and Y = (y, y), the one identity the refinement's stop rule needs; -gamma and
+    gamma^-1 get gamma's bits, as the two squares are added first."""
     cx = g[2] * x
     s = (g[0:2] + cx) ** 2
     w = g[3] + g[4] * x - cx * x
-    return 0.5 * (s[0] + (w / y) ** 2 + (g[2] * y) ** 2 + s[1])
+    return 0.5 * (s[0] + s[1] + (w / y) ** 2 + (g[2] * y) ** 2)
 
 
 def _level_sets(g, U):
@@ -313,19 +338,24 @@ def _level_sets(g, U):
         return np.array([g[5], 0.5 * R, 0.5 * K, np.where(arc, np.nan, np.abs(g[3]) / k)])
 
 
-def _vertex(rows, cand, at, c, box, sure, U: float, cutoff: float, top: int):
+def _vertex(rows, weight, cand, at, c, box, sure, U: float, cutoff: float, top: int):
     """The vertex test: a crossing of the level sets of candidates cand that counts top.
 
-    rows holds the kernel rows of all the candidates (_rows); the round's
+    rows and weight hold the kernel rows (_rows) and weights of all the
+    candidates, one of each inverse pair (_inverse_pairs); the round's
     hot pieces have the boxes box, the sure counts sure and the open (slot,
     candidate) pairs (at, c).  Takes the level sets of cand (_level_sets),
     the crossing points of every two of them, the point of closest approach
     for a tangent pair (h^2 clamped at 0), and keeps those in a hot piece,
-    one of each cluster that agrees to 12 decimals: a point in no hot piece
-    lies in a piece that counts less than top.  A point in hot piece j
-    counts sure[j] and the open candidates of j with _centre <= cutoff, which
-    is its count over all the candidates with the centre test's bits (a
-    candidate sure on j counts there, one failed on it does not).  Returns
+    the first of each cluster that agrees to 12 decimals (by a stable sort,
+    so the point kept does not depend on the copies a cluster holds): a
+    point in no hot piece lies in a piece that counts less than top.  A
+    point in hot piece j counts sure[j] and the weights of the open
+    candidates of j with _centre <= cutoff, which is its count over all the
+    candidates with the centre test's bits (a candidate sure on j counts
+    there, one failed on it does not).  Two level sets are the same circle
+    or line only for an inverse pair, of which cand holds one matrix, so no
+    two of them are.  Returns
     the first point that counts top, or None, and the kernel evaluations
     spent.  With the centres as complex numbers, the ordered pair of circles
     (i, j) gives the crossing z_i + (f + ih)(z_j - z_i) and (j, i) the other,
@@ -354,14 +384,15 @@ def _vertex(rows, cand, at, c, box, sure, U: float, cutoff: float, top: int):
         if not held.any():
             continue
         q, piece = q.compress(held), inside.argmax(axis=1).compress(held)  # the first hot piece holding it
-        key = np.rint(q * 1e12)  # one point of each cluster
-        order = key.argsort()
+        key = np.rint(q * 1e12)  # the first point of each cluster
+        order = key.argsort(kind="stable")
         key = key.take(order)
         q, piece = (np.delete(v, order[1:].compress(key[1:] == key[:-1])) for v in (q, piece))
         point, k = (piece[:, None] == at).nonzero()  # each point with each open pair of its piece
         zk = q.take(point)
-        ok = _centre(rows.take(c.take(k), axis=1), zk.real, zk.imag) <= cutoff
-        count = sure.take(piece) + np.bincount(point.compress(ok), minlength=piece.size)
+        ck = c.take(k)
+        ok = _centre(rows.take(ck, axis=1), zk.real, zk.imag) <= cutoff
+        count = sure.take(piece) + _tally(point, weight.take(ck) * ok, piece.size)
         evaluated += point.size
         if count.max() >= top:
             i = count.argmax()
@@ -370,7 +401,8 @@ def _vertex(rows, cand, at, c, box, sure, U: float, cutoff: float, top: int):
 
 
 def u_of_gamma(gamma: UnimodularMatrix, z: UpperHalfPoint) -> float:
-    """u(z, gamma z): _centre on gamma's kernel rows, so _low's bits on the point; -gamma gives the same bits."""
+    """u(z, gamma z): _centre on gamma's kernel rows, so _low's bits on the point; -gamma and gamma^-1 give
+    the same bits."""
     return float(_centre(_rows(*map(float, gamma.entries())), z.x, z.y))
 
 
@@ -439,18 +471,18 @@ def _block_side(n: int) -> int:
     return max(1, round(1.5 * n ** (1.0 / 3.0)))
 
 
-def _screen(
-    rows: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: tuple[int, int], U: float, cutoff: float, relaxed: float
-):
-    """Per grid cell (x-major), the count of candidates (columns of the kernel rows, _rows) with _low <= cutoff.
+def _screen(rows: np.ndarray, weight: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: tuple[int, int], U: float,
+            cutoff: float, relaxed: float):
+    """Per grid cell (x-major), the weight of the candidates (columns of the kernel rows, _rows, with
+    weights weight) with _low <= cutoff.
 
     The grid is cut into blocks of side[0] x side[1] cells, partial at the
     far edges, and numbered x-major.  Per candidate and block, _high <= U
     makes it sure (it counts on every cell of the block), _low > relaxed
     makes it fail, and otherwise it is open and tested on each cell of the
     block.  Kernel calls broadcast (candidates, x, 1) x (1, y).  Also returns
-    the pairs evaluated, the sure count per block and the open (block,
-    candidate) pairs as two index arrays, sorted.
+    the pairs evaluated, the sure count (weight) per block and the open
+    (block, candidate) pairs as two index arrays, sorted.
     """
     nx, ny, k = len(xs) - 1, len(ys) - 1, rows.shape[1]
     ex, ey = np.append(np.arange(0, nx, side[0]), nx), np.append(np.arange(0, ny, side[1]), ny)
@@ -466,7 +498,7 @@ def _screen(
             x = slice(i, i + width)
             low, high = _both(part, xb[:, :, x], yb)
             is_sure = high <= U
-            sure[x] += np.count_nonzero(is_sure, axis=0)
+            sure[x] += np.einsum("k,kxy->xy", weight[j : j + step], is_sure)
             c, bx, by = np.nonzero((low <= relaxed) & ~is_sure)
             open_b.append((bx + i) * nby + by)
             open_c.append(c + j)
@@ -488,7 +520,7 @@ def _screen(
         cell = (ix[:, :, None] * ny + iy[:, None, :])[ok]
         if cell.size:
             low = cell.min()
-            hit = np.bincount(cell - low)
+            hit = _tally(cell - low, np.broadcast_to(weight.take(c[q])[:, None, None], ok.shape)[ok], 0)
             counts[low : low + hit.size] += hit
     return counts, 2 * k * nbx * nby + b.size * side[0] * side[1], sure, b, c
 
@@ -505,12 +537,13 @@ def _each(kernel, rows: np.ndarray, cand: np.ndarray, at: np.ndarray, box: np.nd
     return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
 
-def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float, witness):
+def _refine(rows, weight, xs, ys, side, screen, U: float, cutoff: float, relaxed: float, witness):
     """The refinement rounds of count_bound (see there), after the screen.
 
-    rows are the candidates' kernel rows, xs and ys the grid's nodes, side
-    the block sides, screen what _screen returned, cutoff and relaxed the
-    count and pruning thresholds and witness _witness's point or None.
+    rows are the candidates' kernel rows and weight their weights, xs and
+    ys the grid's nodes, side the block sides, screen what _screen returned,
+    cutoff and relaxed the count and pruning thresholds and witness
+    _witness's point or None.
     Returns the counts of the counted grid cells (x-major, each the largest
     of its pieces), the top count, how the refinement stopped and at which
     point, and the pairs (the screen's included) and rounds spent.  The
@@ -521,16 +554,17 @@ def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float,
     ny, nby, block_sure = len(ys) - 1, block_sure.shape[1], block_sure.ravel()
     floor = None
     if witness is not None:  # the count at the witness, by the bits of the centre test
-        floor = np.count_nonzero(_centre(rows, *witness) <= cutoff)
+        floor = weight.compress(_centre(rows, *witness) <= cutoff).sum()
         pairs += rows.shape[1]
     # A round splits the hot cells and pieces, those that count lim or more: the maximal ones,
     # or with a witness all that count more than it.  Pieces: the grid cells that have been hot
     # and their kids.  box holds their ((x0, x1), (y0, y1)) and tally their grid cell (owner),
     # count (score), count of candidates sure on them and their parent's count of open pairs
-    # (-1 for a grid cell), one column each.  pair files the (piece, candidate) pairs still
-    # open, in arrays with the scores of their pieces, under the largest of those scores, so a
-    # round reads the pairs of its hot pieces from the arrays filed under lim or more and no
-    # others.  grid_top is the largest count of a grid cell not yet a piece.
+    # (-1 for a grid cell), one column each; the counts sum weights, the open pairs do not.  pair
+    # files the (piece, candidate) pairs still open, in arrays with the scores of their pieces,
+    # under the largest of those scores, so a round reads the pairs of its hot pieces from the
+    # arrays filed under lim or more and no others.  grid_top is the largest count of a grid cell
+    # not yet a piece.
     box = np.empty((2, 2, 0))
     tally, pair = np.empty((4, 0), dtype=np.int64), {}
     grid_top, work, rounds = counts.max(), 0, 0
@@ -577,19 +611,19 @@ def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float,
         at, c = part
         at = hot.searchsorted(at)  # slot in hot
         rounds += 1
-        opened = np.bincount(at, minlength=h)
+        opened = np.bincount(at, minlength=h)  # open pairs, not weights: a stall is a split that settles none
         if floor is None:
             low = _each(_centre, rows[:5], c, at, mid)
             pairs += at.size
             sure, parent = tally[2:].take(hot, axis=1)
-            centre = sure + np.bincount(at.compress(low <= cutoff), minlength=h)
+            centre = sure + _tally(at, weight.take(c) * (low <= cutoff), h)
             if centre.max() >= top:
                 stop, witness = "centre", tuple(mid[:, centre.argmax()].tolist())
                 break
             stalled = (opened == parent).nonzero()[0]  # the split settled none of their open pairs
             if stalled.size:  # the vertex test, on the stalled piece with the best centre
                 cand = c.compress(at == stalled[centre[stalled].argmax()])
-                witness, n = _vertex(rows, cand, at, c, b, sure, U, cutoff, top)
+                witness, n = _vertex(rows, weight, cand, at, c, b, sure, U, cutoff, top)
                 pairs, work = pairs + n, work + n
                 if witness is not None:
                     stop = "vertex"
@@ -611,7 +645,8 @@ def _refine(rows, xs, ys, side, screen, U: float, cutoff: float, relaxed: float,
         ids = np.concatenate([hot, tally.shape[1] - 1 + np.cumsum(rest)])
         pairs += 2 * kid.size
         new = tally.take(np.concatenate([hot] * 4), axis=1)  # owner, score, sure and parent's open count
-        new[1:3] = new[2] + [np.bincount(kid.compress(ok), minlength=4 * h) for ok in (low <= cutoff, is_sure)]
+        w = weight.take(c)
+        new[1:3] = new[2] + [_tally(kid, w * ok, 4 * h) for ok in (low <= cutoff, is_sure)]
         new[3] = np.concatenate([opened] * 4)
         kept = kid.compress(keep)
         if kept.size:
@@ -648,6 +683,31 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     bound is twice the largest count at a point of the region, however the
     pieces were split.  Only the counts of the cells that held a maximal
     piece can differ, each still an upper bound.
+
+    Inverse pairs.  u(z, gamma^-1 z) = u(gamma z, z) = u(z, gamma z), as
+    gamma is an isometry, so a matrix and its inverse count alike at every
+    point.  The count keeps one of each pair (_inverse_pairs) and counts it
+    with weight 2, or 1 where gamma is its own inverse up to sign (the
+    identity, and trace 0, where gamma^2 = -1); below, the candidates are
+    these representatives.  That counts every candidate once, as the
+    candidate set is closed under inversion: the c >= 0 form of gamma^-1 is
+    (-d, b, c, -a), and the range enumerate_candidates gives a at c is
+    exactly minus that of d (the float ends and their slack negate exactly),
+    and the translations by b and -b are both drawn.  It holds in floats,
+    bit for bit: the kernel rows of (-d, b, c, -a) are gamma's with rows 0
+    and 1 swapped, so its two squares (a - cx)^2 and (d + cx)^2 swap, and
+    _low, _high and _centre add those two first, so both members get the
+    same bits on every box and point.  So every count, split, stall and stop
+    is the one the full candidate set gives; the weights are summed wherever
+    candidates are counted (the screen's sure and per-cell counts, the
+    witness's count, the centre test, the kids' counts and the vertex test's
+    crossings), in exact int64.  The member kept is the first in canonical
+    order (a + d <= 0 for c > 0, b <= 0 for c = 0), so the vertex test meets
+    the crossings of the full set where each first occurs there, in the same
+    order.  `pairs`, the screen's open-pair cap and the refinement cap count
+    evaluations, one per representative, about half as many; where that cap
+    ends the refinement, the same budget refines further, so the bound can
+    only fall: 60,998 against 61,170 at U = 4,999 on 40x40.
 
     The witness.  At U = WITNESS_U = 17, on a region that lies inside the
     truncated domain once moved (_centred below) and holds the float point
@@ -731,7 +791,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     keep the pairs still open on a kid under its piece.  So every count is
     the one a test of every candidate on every piece makes, and only the
     cells that a candidate's level set u = U crosses test it one by one.
-    `pairs` counts each bound evaluated on one candidate and box: two per
+    `pairs` counts each bound evaluated on one representative and box: two per
     pass of _both, one per centre and per crossing of the vertex test.  The
     refinement cap charges those crossings too and, per round, one centre
     and one test per kid for each hot piece and candidate, open or not.  A
@@ -768,16 +828,19 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     (-a, d, c, b, e, xv, wv), its mirror has (a, -d, c, b, -e, -xv, wv); and
     _parts over (-X1, -X0) gives the ends of (-(a - cx), d + cx) negated and
     swapped and the same W, so _low, _high and _centre return the same bits
-    on a cell and on its mirror, and the refinement splits them alike.  A
-    region symmetric about a half-integer counts in full: there the mirror
-    is x -> 1 - x, which does not round symmetrically.  The certificate is
+    on a cell and on its mirror, and the refinement splits them alike.  The
+    mirror (-a, b, c, -d) of a representative is the inverse of another,
+    (d, b, c, a), of the same trace and weight, with the same bits (Inverse
+    pairs), so the weighted counts mirror too.  A region symmetric about a
+    half-integer counts in full: there the mirror is x -> 1 - x, which does
+    not round symmetrically.  The certificate is
     the one the full grid gives, and `pairs` counts the work done, about
     half.  _check_work still charges the full grid, so every refusal before
     enumeration is unchanged; the screen's open-pair cap and the refinement
     cap charge only the columns counted.  Where that cap ends the
     refinement (U in the thousands on the truncated domain), the same budget
     refines the counted columns further, so the bound is at most the full
-    grid's: 61,170 against 61,484 at U = 4,999 on 40x40.
+    grid's: 60,998 against 61,170 at U = 4,999 on 40x40.
     """
     nx, ny = grid
     if nx < 1 or ny < 1:
@@ -788,14 +851,15 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     _check_work(centred, U, grid)
     cutoff = U * (1.0 + SAFE_MARGIN)
     relaxed = cutoff * (1.0 + PRUNE_SLACK)
-    rows = _rows(*enumerate_candidates(centred, cutoff).columns.astype(float))
+    rows, weight = _inverse_pairs(enumerate_candidates(centred, cutoff).columns)
 
     xs = _x_nodes(centred, nx)
     ys = np.linspace(centred.y_min, centred.y_max, ny + 1)
     mx = (nx + 1) // 2 if centred.x_min == -centred.x_max else nx  # columns counted; the rest mirror them
     side = (_block_side(nx), _block_side(ny))
-    screen, witness = _screen(rows, xs[: mx + 1], ys, side, U, cutoff, relaxed), _witness(centred, U)
-    counts, top, stop, witness, pairs, rounds = _refine(rows, xs, ys, side, screen, U, cutoff, relaxed, witness)
+    screen, witness = _screen(rows, weight, xs[: mx + 1], ys, side, U, cutoff, relaxed), _witness(centred, U)
+    counts, top, stop, witness, pairs, rounds = _refine(rows, weight, xs, ys, side, screen, U, cutoff, relaxed,
+                                                        witness)
     counts = counts.reshape(mx, ny)
     counts = np.concatenate([counts, counts[: nx - mx][::-1]])
     return CountCertificate(

@@ -84,9 +84,10 @@ def hyp2f1(a: complex, b: complex, c: complex, z):
     once three consecutive terms fall below 1e-16 times the partial sum (after at least ten terms).
     For positive z near 1 the terms decay like z^n, so the rule drops a tail of about the last term
     times z / (1 - z); no caller sums there (_P_negm_near_one sums at z <= 1/11 in _near_one's zone
-    and z < 1/2 in legendre_P_neg1's, legendre_Q_deriv at 1/x^2).  Elementwise on an array z, each
-    entry stopping by that rule on its own (its sum stays fixed while the others go on).  Real a, b,
-    c give a float (or float64 array) summed in floats, complex ones a complex (or complex array).
+    for m <= 2, z < 1/2 up to m = 5 and in legendre_P_neg1's zone, legendre_Q_deriv at 1/x^2).
+    Elementwise on an array z, each entry stopping by that rule on its own (its sum stays fixed while
+    the others go on).  Real a, b, c give a float (or float64 array) summed in floats, complex ones a
+    complex (or complex array).
     Past 1e6 terms it raises NonConvergenceError.
     """
     z = np.asarray(z, dtype=float)
@@ -150,25 +151,31 @@ def legendre_Q_deriv(nu: float, u: float) -> float:
     return -math.exp(nu * math.log(4.0 / x) + log_g) / gap * hyp2f1(-0.5, nu, nu + 1.5, 1.0 / (x * x))
 
 
-def _near_one(s: complex, u: np.ndarray) -> np.ndarray:
-    """Entries that _P_negm_near_one evaluates: (u-1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2.
+def _near_one(m: int, s: complex, u: np.ndarray) -> np.ndarray:
+    """Entries that _P_negm_near_one evaluates at order m: (u-1) max(|s(1-s)|, 1) <= 10 and u - 1 <= cap,
+    cap = 0.2 for m <= 2 and 0.2 * 2^(m-2) above.
 
-    There the terms of Pfaff's form peak near exp(2 sqrt(|s(1-s)| zeta)) <= e^4.5, zeta = (u-1)/(u+1)
-    <= 1/11, so they cancel by at most about two digits and end in a few dozen terms.  For m <= 2 the
+    There the terms of Pfaff's form peak near exp(2 sqrt(|s(1-s)| zeta)) <= e^4.5, zeta = (u-1)/(u+1),
+    so they cancel by at most about two digits and end in a few dozen terms.  For m <= 2 the
     cap on u - 1 is a speed choice, as that sum converges for every u < 3: past it, it takes 30-50 terms
     where the descending series takes 12-16 (one zone up to u = 3 cost perfbench's spectral-strip
     median job 16%).  The descending series needs about 17 / sqrt(2 (u - 1)) terms near u = 1 and
-    cancels there, which is what the zone avoids; at the cap (s = 1/4 + i/2) its error grows about
-    tenfold an order, from 2e-15 at m = 0 to 2e-13 at m = 2, 1e-12 at m = 3 and 1e-11 at m = 4.
+    cancels there, which is what the zone avoids; at u - 1 = 0.2 (s = 1/4 + i/2) its error grows about
+    tenfold an order, from 2e-15 at m = 0 to 2e-13 at m = 2, 1e-12 at m = 3 and 1e-11 at m = 4, and
+    falls as u grows.  So the cap doubles with each order above 2: just past the zone, on both strip
+    lines with |Im s| <= 30, the descending series errs at most 2.1e-13, 1.3e-13 and 4.7e-13 at m = 3,
+    4 and 5 (the last at |Im s| = 30, where the first bound ends the zone), against 2.5e-13 at m <= 2.
+    From m = 6 it loses digits there too (8.8e-12), where no caller sums.
     """
-    return ((u - 1.0) * max(abs(s * (1.0 - s)), 1.0) <= 10.0) & (u - 1.0 <= 0.2)
+    return ((u - 1.0) * max(abs(s * (1.0 - s)), 1.0) <= 10.0) & (u - 1.0 <= 0.2 * 2.0 ** max(m - 2, 0))
 
 
 def _P_negm_near_one(m: int, s: complex, u):
     """P^{-m}_{s-1}(u) = zeta^{m/2} ((u+1)/2)^{s-1} F(1+m-s, 1-s; 1+m; zeta) / m!, zeta = (u-1)/(u+1),
-    for integer m >= 0 and 1 < u < 3, elementwise (a float u sums in Python arithmetic in hyp2f1).
+    for integer m >= 0 and u > 1, elementwise (a float u sums in Python arithmetic in hyp2f1).
     DLMF 14.3.1 by Pfaff's transformation (DLMF 15.8.1): one form for every order, whose argument
-    stays in [0, 1/2) where that of F(s, 1-s; 1+m; (1-u)/2) tends to -1 and its terms barely decay."""
+    stays in [0, 1/2) for u < 3, where that of F(s, 1-s; 1+m; (1-u)/2) tends to -1 and its terms
+    barely decay."""
     zeta = (u - 1.0) / (u + 1.0)
     series = hyp2f1(1.0 + m - s, 1.0 - s, 1.0 + m, zeta)
     return zeta ** (0.5 * m) * (0.5 * (u + 1.0)) ** (s - 1.0) / math.factorial(m) * series
@@ -238,7 +245,8 @@ def legendre_P_negm(m: int, s: complex, u):
     m is an int or a numpy integer; anything else, a float such as 2.0 too, raises ValueError.
 
     Each entry of u takes one of two forms (_near_one says why).  Near u = 1, where
-    (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2, Pfaff's form _P_negm_near_one.  Everywhere
+    (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2 (0.2 * 2^(m-2) for m > 2), Pfaff's form
+    _P_negm_near_one.  Everywhere
     else, the descending series in x = u + sqrt(u^2 - 1) > 1:
 
         P^{-m}_{s-1}(u) = sqrt(pi) / ((x - 1/x)^m cos(pi s)) *
@@ -268,7 +276,7 @@ def legendre_P_negm(m: int, s: complex, u):
         raise ValueError(f"legendre_P_negm excluded zone around s = 1/2, got s = {s}")
 
     flat = u.ravel()
-    near = _near_one(s, flat)
+    near = _near_one(m, s, flat)
     value = np.empty(flat.size, dtype=complex)
     if near.any():
         value[near] = _P_negm_near_one(m, s, flat[near])

@@ -131,8 +131,9 @@ def test_coarse_grids_refine_to_the_same_bound():
 
 def test_screen_tests_few_pairs():
     """Settling candidates on whole blocks evaluates kernels at most 0.10 times
-    per (cell, candidate) pair at 333x333 (it evaluates 0.02: 0.04 on the 167
-    columns it counts, which the other 166 mirror)."""
+    per (cell, candidate) pair at 333x333 (it evaluates 0.010: 0.021 on the 167
+    columns it counts, which the other 166 mirror, on one matrix of each
+    inverse pair)."""
     box = truncated_fundamental_domain()
     cert = count_bound(box, STANDARD_U, (333, 333))
     assert cert.bound == 214
@@ -142,13 +143,13 @@ def test_screen_tests_few_pairs():
 def test_refinement_tests_few_pairs():
     """An 11x11 grid refines for 6 rounds on the witness path (20 ending at a
     centre, 39 when each round halved its pieces); pieces evaluate only the
-    candidates still open on them, 38k kernel evaluations in all on the 6
-    columns counted (the other 5 mirror them; 75k on all 11).  At U = 5 on
-    12x12 the vertex test ends the refinement in round 5, at the tangency of
-    two horocycles, after 3.9k evaluations; without it the refinement waits
-    15 rounds for a centre at the maximum, whose last round tests the
-    centres of 342 tied pieces (33k evaluations, 44k were their quarters
-    tested too)."""
+    candidates still open on them, 20k kernel evaluations in all on the 6
+    columns counted (the other 5 mirror them; 39k on all 11), on one matrix
+    of each inverse pair.  At U = 5 on 12x12 the vertex test ends the
+    refinement in round 5, at the tangency of two horocycles, after 2.2k
+    evaluations; without it the refinement waits 15 rounds for a centre at
+    the maximum, whose last round tests the centres of 342 tied pieces (17k
+    evaluations, 22k were their quarters tested too)."""
     box = truncated_fundamental_domain()
     cert = count_bound(box, STANDARD_U, (11, 11))
     assert cert.bound == 214 and cert.rounds == 6
@@ -161,11 +162,11 @@ def test_refinement_tests_few_pairs():
 def test_long_pieces_are_halved_along_their_length():
     """Only the sides at least half as long as a piece's longest are split, so the long cells of
     1x30, 30x1 and 2x40 grids are halved across their length until they are near square.  Their
-    pairs stay within 2% of those of halving every piece across its wider side (120,948, 54,096
-    and 64,458 against 119,836, 60,612 and 63,314); quartering every piece took 1,641,416 on
-    1x30."""
+    pairs stay within 2% of those of halving every piece across its wider side (without the
+    witness and the vertex test, 63,058, 28,456 and 33,821 against 62,644, 31,766 and 33,260);
+    quartering every piece took 454,010 on 1x30."""
     box = truncated_fundamental_domain()
-    for grid, halving_pairs in (((1, 30), 119_836), ((30, 1), 60_612), ((2, 40), 63_314)):
+    for grid, halving_pairs in (((1, 30), 62_644), ((30, 1), 31_766), ((2, 40), 33_260)):
         cert = count_bound(box, STANDARD_U, grid)
         assert cert.bound == 214, grid
         assert cert.pairs <= 1.02 * halving_pairs, grid
@@ -174,11 +175,11 @@ def test_long_pieces_are_halved_along_their_length():
 # (region, U, grid, pairs, digest of per_cell_counts) without the witness and the vertex test, and both with them:
 # the U = 17 counts take the witness path, the U = 5 and 9 counts end at the vertex test.
 PINNED = [
-    (truncated_fundamental_domain(), 17.0, (10, 10), 47_453, "feab7fc2fe5203e7", (38_720, "7c121ba397a3e2fc")),
-    (truncated_fundamental_domain(), 5.0, (12, 12), 32_635, "a7608c7aeab97251", (3_913, "f2f080a9e2cc02ab")),
-    (truncated_fundamental_domain(), 9.0, (12, 12), 7_675, "475fe8e8317e67fd", (4_891, "475fe8e8317e67fd")),
+    (truncated_fundamental_domain(), 17.0, (10, 10), 24_916, "feab7fc2fe5203e7", (20_287, "7c121ba397a3e2fc")),
+    (truncated_fundamental_domain(), 5.0, (12, 12), 16_598, "a7608c7aeab97251", (2_217, "f2f080a9e2cc02ab")),
+    (truncated_fundamental_domain(), 9.0, (12, 12), 4_024, "475fe8e8317e67fd", (2_632, "475fe8e8317e67fd")),
     (Rectangle(-0.3819660112501051, 0.1180339887498949, 1.1495190528383288, 1.7165063509461096), 17.0, (25, 25),
-     55_631, "79240777e8adc72f", (50_386, "a28984c59d042093")),  # a lattice-grid sub-rectangle job; holds z*
+     29_546, "79240777e8adc72f", (26_777, "a28984c59d042093")),  # a lattice-grid sub-rectangle job; holds z*
 ]
 
 
@@ -372,6 +373,39 @@ def test_centre_gives_the_lower_bound_bits_on_a_point():
     check()
 
 
+def test_inverse_pairs_share_their_kernel_bits():
+    """count_bound counts one matrix of each inverse pair with weight 2 (1 for a matrix that is its own
+    inverse up to sign), which holds only if the candidate set is closed under gamma -> gamma^-1, whose
+    c >= 0 form is (-d, b, c, -a) (the translation by -b for c = 0), and the two members get the same
+    bits from every kernel.  Closure is checked at U = 5, 9, 17, 33 and 300 on the truncated domain and
+    on a seeded sub-rectangle; the bits of _low, _high (on seeded boxes, segments included) and _centre
+    (at seeded points) on each candidate and on its inverse's rows; and _inverse_pairs keeps the first
+    member of each pair in canonical order, with weights summing to the number of candidates."""
+    rng = random.Random(70700)
+    box = truncated_fundamental_domain()
+    for U in (5.0, 9.0, 17.0, 33.0, 300.0):
+        x0, y0 = rng.uniform(-0.5, 0.2), rng.uniform(box.y_min, 1.5)
+        for region in (box, Rectangle(x0, x0 + rng.uniform(0.0, 0.3), y0, y0 + rng.uniform(0.0, 0.5))):
+            columns = enumerate_candidates(region, U).columns
+            a, b, c, d = columns
+            inverse = np.where(c == 0, [a, -b, c, d], [-d, b, c, -a])
+            order = {m: i for i, m in enumerate(map(tuple, columns.T.tolist()))}
+            partner = np.array([order[m] for m in map(tuple, inverse.T.tolist())])  # KeyError: not closed
+            assert (partner[partner] == np.arange(partner.size)).all()
+            rows, weight = lattice._inverse_pairs(columns)
+            first = partner >= np.arange(partner.size)
+            assert (rows == lattice._rows(*columns.compress(first, axis=1).astype(float))).all(), (U, region)
+            own = partner[first] == first.nonzero()[0]  # its own inverse
+            assert weight.sum() == partner.size and (weight == np.where(own, 1, 2)).all()
+            g, h = lattice._rows(*columns.astype(float)), lattice._rows(*inverse.astype(float))
+            for _ in range(4):
+                X0, Y0 = rng.uniform(region.x_min, region.x_max), rng.uniform(region.y_min, region.y_max)
+                X, Y = np.array([[X0], [X0 + rng.choice([0.0, rng.uniform(0.0, 0.2)])]]), np.array([[Y0], [Y0 + 0.1]])
+                for got, want in zip(lattice._both(h, X, Y), lattice._both(g, X, Y)):
+                    assert got.tobytes() == want.tobytes(), (U, region, X, Y)
+                assert lattice._centre(h, X0, Y0).tobytes() == lattice._centre(g, X0, Y0).tobytes(), (U, X0, Y0)
+
+
 def test_displacement_check_exercises_the_count_kernel(monkeypatch):
     """selftest's displacement-identity check reads u(z, gamma z) through the count kernel: with W
     scaled by 1 + 1e-9 in _centre, it fails."""
@@ -381,7 +415,7 @@ def test_displacement_check_exercises_the_count_kernel(monkeypatch):
         cx = g[2] * x
         s = (g[0:2] + cx) ** 2
         w = (g[3] + g[4] * x - cx * x) * (1.0 + 1e-9)
-        return 0.5 * (s[0] + (w / y) ** 2 + (g[2] * y) ** 2 + s[1])
+        return 0.5 * (s[0] + s[1] + (w / y) ** 2 + (g[2] * y) ** 2)
 
     monkeypatch.setattr(lattice, "_centre", skewed)
     assert not verify.displacement_identity(n=50).passed
@@ -862,12 +896,12 @@ def test_screen_refuses_open_pairs_above_the_cap(monkeypatch):
     """After the block pass the screen checks its per-cell tests, open pairs
     times cells per block, against MAX_WORK before it runs them."""
     region = truncated_fundamental_domain()
-    rows = lattice._rows(*enumerate_candidates(region, STANDARD_U).columns.astype(float))
+    cutoff = STANDARD_U * (1.0 + lattice.SAFE_MARGIN)
+    rows, weight = lattice._inverse_pairs(enumerate_candidates(region, cutoff).columns)
     xs = np.linspace(region.x_min, region.x_max, 101)
     ys = np.linspace(region.y_min, region.y_max, 101)
     side = (lattice._block_side(100), lattice._block_side(100))
-    cutoff = STANDARD_U * (1.0 + lattice.SAFE_MARGIN)
-    args = (rows, xs, ys, side, STANDARD_U, cutoff, cutoff * (1.0 + lattice.PRUNE_SLACK))
+    args = (rows, weight, xs, ys, side, STANDARD_U, cutoff, cutoff * (1.0 + lattice.PRUNE_SLACK))
     tests = lattice._screen(*args)[3].size * side[0] * side[1]
     monkeypatch.setattr(lattice, "MAX_WORK", tests)
     lattice._screen(*args)

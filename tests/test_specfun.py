@@ -121,9 +121,9 @@ def test_legendre_P_negm_refuses_overflowing_u_at_once():
     assert time.perf_counter() - start < 1.0
 
 
-def _zone_edge(s):
-    """u - 1 at the edge of legendre_P_negm's hypergeometric zone for s."""
-    return min(10.0 / max(abs(s * (1.0 - s)), 1.0), 0.2)
+def _zone_edge(s, m=0):
+    """u - 1 at the edge of legendre_P_negm's hypergeometric zone for s and order m."""
+    return min(10.0 / max(abs(s * (1.0 - s)), 1.0), 0.2 * 2.0 ** max(m - 2, 0))
 
 
 def _strip_points():
@@ -135,17 +135,20 @@ def _strip_points():
 
 
 def test_legendre_P_negm_array_matches_mpmath_and_scalar_calls():
-    """The array path against mpmath legenp for orders m = 0 to 3 on both
+    """The array path against mpmath legenp for orders m = 0 to 5 on both
     strip lines, within 1e-12 relative for u - 1 in [1e-6, 1e6], with points
-    on both sides of the edge of the hypergeometric zone; and entry by entry
-    against scalar calls, with m an int or a numpy integer."""
+    on both sides of the edge of the hypergeometric zone, which widens with m
+    above 2, and at u = 1.202 and 1.22, just past the edge for m <= 2 at
+    s = 1/4 + i/2, where the descending series errs 1e-11 at m = 4 and 3e-11
+    at m = 5; and entry by entry against scalar calls, with m an int or a
+    numpy integer."""
     mpmath = pytest.importorskip("mpmath")
     for s in _strip_points():
-        edge = _zone_edge(s)
-        sides = 1.0 + np.array([0.9 * edge, 1.1 * edge])
-        assert specfun._near_one(s, sides).tolist() == [True, False]
-        u = np.sort(np.concatenate([1.0 + np.geomspace(1e-6, 1e6, 25), sides]))
-        for m in range(4):
+        for m in range(6):
+            edge = _zone_edge(s, m)
+            sides = 1.0 + np.array([0.9 * edge, 1.1 * edge])
+            assert specfun._near_one(m, s, sides).tolist() == [True, False]
+            u = np.sort(np.concatenate([1.0 + np.geomspace(1e-6, 1e6, 25), sides, [1.202, 1.22]]))
             values = legendre_P_negm(m, s, u)
             for x, value in zip(u, values):
                 with mpmath.workdps(30):
