@@ -255,7 +255,7 @@ def parse_count_certificate(record: dict) -> CountCertificate:
         region=Rectangle(**record["region"]),
         U=record["U"],
         grid=tuple(record["grid"]),
-        per_cell_counts=tuple(tuple(row) for row in record["per_cell_counts"]),
+        per_cell_counts=record["per_cell_counts"],
         bound=record["bound"],
         pairs=record["pairs"],
         stop=record["stop"],
@@ -310,8 +310,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     print(f"stop:    {cert.stop}")
     print(f"rounds:  {cert.rounds}")
     print(f"elapsed: {elapsed:.2f}s")
-    # vars, not dataclasses.asdict, whose deep copy of per_cell_counts costs more than a default-grid count
-    _emit(_record("count", config, **{**vars(cert), "region": dataclasses.asdict(cert.region)}), args.json)
+    fields = {**dataclasses.asdict(cert), "per_cell_counts": cert.per_cell_counts.tolist()}
+    _emit(_record("count", config, **fields), args.json)
     return EXIT_OK
 
 

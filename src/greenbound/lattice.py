@@ -54,7 +54,6 @@ C_WEIGHT = 4096
 CELL_WEIGHT = 16
 _CHUNK = 2**13  # kernel evaluations per call, to bound memory
 PRUNE_SLACK = 1e-12  # relative slack of the pruning threshold over the count threshold
-_EDGE = np.array([0, 1])[:, None, None]  # the lower and upper end of a cell, from its index
 # Rows of (x0, x1, y0, y1, xm, ym, xt, yt) that give ((x0, x1), (y0, y1)) of quarters 0 to 3 of a
 # piece, the upper half of x in quarters 1 and 3 and of y in 2 and 3; xt and yt end the lower
 # halves, at the middle of a side that is cut and at its upper end otherwise.
@@ -81,28 +80,55 @@ class CandidateSet:
         return tuple(UnimodularMatrix(*m) for m in self.columns.T.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountCertificate:
-    """Grid certificate: bound >= 2 max cell count >= sup over R of N(z, U)."""
+    """Grid certificate: bound >= 2 max cell count >= sup over R of N(z, U).
+
+    per_cell_counts holds the count of each cell as one read-only int64
+    array of shape grid, x-major (per_cell_counts[i, j] is the cell i from
+    the left and j from the bottom); it is built from any array or nested
+    sequence of integers of that shape, and a ragged shape or a value that
+    is not an integer is refused.  Two certificates are equal when their
+    region, U, grid, bound and counts are; pairs, stop, witness and rounds
+    record how the count ran and are not compared.  Certificates are not
+    hashable.
+    """
 
     region: Rectangle
     U: float
     grid: tuple[int, int]
-    per_cell_counts: tuple[tuple[int, ...], ...]
+    per_cell_counts: np.ndarray
     bound: int
-    pairs: int = field(default=0, compare=False)  # bounds evaluated per candidate and box; work, not proof
+    pairs: int = 0  # bounds evaluated per candidate and box; work, not proof
     # How the refinement ended ("witness", "centre", "vertex", "float" or "cap"; empty when built by hand),
     # and the point (x, y) whose count the bound attains, for "witness", "centre" and "vertex" only.
-    stop: str = field(default="", compare=False)
-    witness: tuple[float, float] | None = field(default=None, compare=False)
-    rounds: int = field(default=0, compare=False)  # refinement rounds that split or tested pieces; work, not proof
+    stop: str = ""
+    witness: tuple[float, float] | None = None
+    rounds: int = 0  # refinement rounds that split or tested pieces; work, not proof
 
     def __post_init__(self) -> None:
-        max_count = max(map(max, self.per_cell_counts))
+        try:
+            counts = np.array(self.per_cell_counts)  # a copy the certificate alone holds
+        except ValueError:  # a ragged nesting
+            counts = None
+        if counts is None or counts.shape != tuple(self.grid):
+            raise ValueError(f"per_cell_counts is not a grid of shape {tuple(self.grid)}")
+        if counts.dtype.kind not in "iu" or not np.can_cast(counts.dtype, np.int64):
+            raise ValueError(f"per_cell_counts holds {counts.dtype} values, not integers")
+        counts = counts.astype(np.int64, copy=False)
+        counts.flags.writeable = False
+        object.__setattr__(self, "per_cell_counts", counts)
+        max_count = int(counts.max())
         if self.bound != 2 * max_count:
             raise ValueError(f"bound {self.bound} is not twice the max cell count {max_count}")
         if self.bound < 2:
             raise ValueError(f"bound must be >= 2 (identity pair), got {self.bound}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.region, self.U, self.grid, self.bound) == (other.region, other.U, other.grid, other.bound)
+        return same and np.array_equal(self.per_cell_counts, other.per_cell_counts)
 
 
 def truncated_fundamental_domain() -> Rectangle:
@@ -476,18 +502,28 @@ def _screen(rows: np.ndarray, weight: np.ndarray, xs: np.ndarray, ys: np.ndarray
     """Per grid cell (x-major), the weight of the candidates (columns of the kernel rows, _rows, with
     weights weight) with _low <= cutoff.
 
-    The grid is cut into blocks of side[0] x side[1] cells, partial at the
-    far edges, and numbered x-major.  Per candidate and block, _high <= U
+    The grid is cut into blocks of side[0] x side[1] cells, numbered
+    x-major; the nodes are padded at the far ends with copies of the last,
+    so that every block is whole, and the degenerate cells this adds are
+    cropped from the counts at the end.  Per candidate and block, _high <= U
     makes it sure (it counts on every cell of the block), _low > relaxed
     makes it fail, and otherwise it is open and tested on each cell of the
-    block.  Kernel calls broadcast (candidates, x, 1) x (1, y).  Also returns
-    the pairs evaluated, the sure count (weight) per block and the open
-    (block, candidate) pairs as two index arrays, sorted.
+    block.  Kernel calls broadcast (candidates, x, 1) x (1, y) on blocks and
+    (pairs, x, 1) x (pairs, 1, y) on the cells of the open pairs' blocks.
+    The open pairs are sorted by block, so a pass sums its weighted hits
+    over each run of one block's pairs (np.add.reduceat) into a
+    (blocks, side[0], side[1]) array that starts at the sure counts.  Also
+    returns the pairs evaluated, the sure count (weight) per block and the
+    open (block, candidate) pairs as two index arrays, sorted.
     """
     nx, ny, k = len(xs) - 1, len(ys) - 1, rows.shape[1]
-    ex, ey = np.append(np.arange(0, nx, side[0]), nx), np.append(np.arange(0, ny, side[1]), ny)
-    nbx, nby = len(ex) - 1, len(ey) - 1
-    xb, yb = np.array([xs[ex[:-1]], xs[ex[1:]]])[:, None, :, None], np.array([ys[ey[:-1]], ys[ey[1:]]])  # block ends
+    nbx, nby = -(-nx // side[0]), -(-ny // side[1])
+    xs = np.append(xs, np.full(nbx * side[0] - nx, xs[-1]))  # padded: the cells added have width 0
+    ys = np.append(ys, np.full(nby * side[1] - ny, ys[-1]))
+    xc = np.array([xs[:-1], xs[1:]]).reshape(2, nbx, side[0])  # (x0, x1) of each cell, by block
+    yc = np.array([ys[:-1], ys[1:]]).reshape(2, nby, side[1])
+    xb = np.array([xc[0, :, 0], xc[1, :, -1]])[:, None, :, None]  # block ends
+    yb = np.array([yc[0, :, 0], yc[1, :, -1]])
     sure = np.zeros((nbx, nby), dtype=np.int64)
     open_b, open_c = [], []
     step = max(1, _CHUNK // (nbx * nby))  # candidates per call
@@ -502,27 +538,25 @@ def _screen(rows: np.ndarray, weight: np.ndarray, xs: np.ndarray, ys: np.ndarray
             c, bx, by = np.nonzero((low <= relaxed) & ~is_sure)
             open_b.append((bx + i) * nby + by)
             open_c.append(c + j)
-    counts = np.repeat(np.repeat(sure, np.diff(ex), axis=0), np.diff(ey), axis=1).ravel()
     order = np.argsort(np.concatenate(open_b), kind="stable")  # block by block, so that a call's cells are near
     b, c = np.concatenate(open_b)[order], np.concatenate(open_c)[order]
     if not (b.size * side[0] * side[1] <= MAX_WORK):  # the per-cell tests below
         raise ValueError(f"{b.size * side[0] * side[1]} cell tests stay open, above the cap {MAX_WORK}")
-    ox, oy = np.arange(side[0]), np.arange(side[1])
+    cells = np.repeat(sure.ravel(), side[0] * side[1]).reshape(nbx * nby, *side)  # by block, then x-major
+    bx, by = np.divmod(b, nby)
+    w = weight.take(c)[:, None, None]
     step = max(1, _CHUNK // (side[0] * side[1]))
+    first = np.ones(b.size, dtype=bool)  # where a pass or the run of a block's pairs starts
+    first[1:] = b[1:] != b[:-1]
+    first[::step] = True
     for i in range(0, b.size, step):
         q = slice(i, i + step)
-        ix, iy = ex[b[q] // nby, None] + ox, ey[b[q] % nby, None] + oy
-        ok = (ix < nx)[:, :, None] & (iy < ny)[:, None, :]  # cells of partial blocks
-        ix, iy = np.minimum(ix, nx - 1), np.minimum(iy, ny - 1)
-        X, Y = xs[ix + _EDGE][..., None], ys[iy + _EDGE][:, :, None]  # (x0, x1) and (y0, y1) of each cell
         g = rows.take(c[q], axis=1)[:, :, None, None]
-        ok &= _low(g, Y, *_parts(g, X)) <= cutoff
-        cell = (ix[:, :, None] * ny + iy[:, None, :])[ok]
-        if cell.size:
-            low = cell.min()
-            hit = _tally(cell - low, np.broadcast_to(weight.take(c[q])[:, None, None], ok.shape)[ok], 0)
-            counts[low : low + hit.size] += hit
-    return counts, 2 * k * nbx * nby + b.size * side[0] * side[1], sure, b, c
+        low = _low(g, yc[:, by[q], None, :], *_parts(g, xc[:, bx[q], :, None]))
+        at = first[q].nonzero()[0]
+        cells[b[q].take(at)] += np.add.reduceat((low <= cutoff) * w[q], at)
+    counts = cells.reshape(nbx, nby, *side).transpose(0, 2, 1, 3).reshape(nbx * side[0], nby * side[1])
+    return counts[:nx, :ny].ravel(), 2 * k * nbx * nby + b.size * side[0] * side[1], sure, b, c
 
 
 def _each(kernel, rows: np.ndarray, cand: np.ndarray, at: np.ndarray, box: np.ndarray):
@@ -547,8 +581,8 @@ def _refine(rows, weight, xs, ys, side, screen, U: float, cutoff: float, relaxed
     Returns the counts of the counted grid cells (x-major, each the largest
     of its pieces), the top count, how the refinement stopped and at which
     point, and the pairs (the screen's included) and rounds spent.  The
-    rounds' arrays are freed on return, before count_bound builds the
-    certificate's tuples, when the memory of a large count peaks.
+    rounds' arrays are freed on return, before count_bound mirrors the
+    counts into the certificate.
     """
     counts, pairs, block_sure, block_of, block_cand = screen
     ny, nby, block_sure = len(ys) - 1, block_sure.shape[1], block_sure.ravel()
@@ -861,12 +895,11 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     counts, top, stop, witness, pairs, rounds = _refine(rows, weight, xs, ys, side, screen, U, cutoff, relaxed,
                                                         witness)
     counts = counts.reshape(mx, ny)
-    counts = np.concatenate([counts, counts[: nx - mx][::-1]])
     return CountCertificate(
         region=region,
         U=U,
         grid=(nx, ny),
-        per_cell_counts=tuple(map(tuple, counts.tolist())),
+        per_cell_counts=np.concatenate([counts, counts[: nx - mx][::-1]]),
         bound=2 * int(top),
         pairs=pairs,
         stop=stop,

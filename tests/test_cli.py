@@ -64,6 +64,13 @@ def test_count_preset_region(capsys, tmp_path):
     assert set(record["region"]) == {"x_min", "x_max", "y_min", "y_max"}
     assert record["grid"] == [20, 20] and len(record["per_cell_counts"]) == 20
     assert all(isinstance(row, list) and len(row) == 20 for row in record["per_cell_counts"])
+    assert cert == count_bound(truncated_fundamental_domain(), 17.0, (20, 20))
+    ragged, fractional = json.loads(json.dumps(record)), json.loads(json.dumps(record))
+    ragged["per_cell_counts"][3].pop()
+    fractional["per_cell_counts"][3][4] += 0.5
+    for tampered, match in ((ragged, "not a grid"), (fractional, "not integers")):
+        with pytest.raises(ValueError, match=match):
+            parse_count_certificate(tampered)
 
 
 def test_count_rejects_bad_region(capsys):

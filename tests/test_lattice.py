@@ -159,12 +159,15 @@ def test_refinement_tests_few_pairs():
     assert cert.pairs <= 10_000
 
 
-def test_long_pieces_are_halved_along_their_length():
+def test_long_pieces_are_halved_along_their_length(monkeypatch):
     """Only the sides at least half as long as a piece's longest are split, so the long cells of
     1x30, 30x1 and 2x40 grids are halved across their length until they are near square.  Their
-    pairs stay within 2% of those of halving every piece across its wider side (without the
-    witness and the vertex test, 63,058, 28,456 and 33,821 against 62,644, 31,766 and 33,260);
-    quartering every piece took 454,010 on 1x30."""
+    pairs stay within 2% of those of halving every piece across its wider side, both counted
+    without the witness and the vertex test, so that the split rule alone sets them (63,058,
+    28,456 and 33,821 against 62,644, 31,766 and 33,260); quartering every piece took 454,010 on
+    1x30."""
+    _no_witness(monkeypatch)
+    _no_vertex(monkeypatch)
     box = truncated_fundamental_domain()
     for grid, halving_pairs in (((1, 30), 62_644), ((30, 1), 31_766), ((2, 40), 33_260)):
         cert = count_bound(box, STANDARD_U, grid)
@@ -184,7 +187,7 @@ PINNED = [
 
 
 def _pins(cert):
-    return cert.pairs, hashlib.sha256(str(cert.per_cell_counts).encode()).hexdigest()[:16]
+    return cert.pairs, hashlib.sha256(str(tuple(map(tuple, cert.per_cell_counts.tolist()))).encode()).hexdigest()[:16]
 
 
 def _no_witness(monkeypatch):
@@ -562,7 +565,7 @@ def test_symmetric_regions_count_half_the_columns_and_mirror_them(monkeypatch):
                             (shifted, 9.0, (5, 3)), (Rectangle(-0.25, 0.25, 1.2, 1.2), 17.0, (4, 1))):
         cert = count_bound(region, U, grid)
         assert cert == _oracle_count_bound(region, U, grid), (region, U, grid)
-        assert cert.per_cell_counts == cert.per_cell_counts[::-1], (region, U, grid)
+        assert np.array_equal(cert.per_cell_counts, cert.per_cell_counts[::-1]), (region, U, grid)
     xs = lattice._x_nodes(box, 17)
     assert (xs == -xs[::-1]).all() and not (_plain_nodes(box, 17) == -_plain_nodes(box, 17)[::-1]).all()
 
@@ -579,12 +582,20 @@ def test_antisymmetric_nodes_move_no_certificate(monkeypatch):
 
 
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch):
-    """Chunks narrower than the candidate list, or than a row of cells,
-    split the screen and the refinement into blocks."""
+    """Chunks narrower than the candidate list, or than a row of cells, split the screen and the
+    refinement into blocks.  At _CHUNK = 7 each per-cell pass of the screen takes one open pair, so
+    the pairs of every block are split across passes; at 100 a pass ends inside some blocks' runs.
+    The grids' far blocks are partial, so the screen pads them (blocks in cells, on the columns
+    counted before the mirror): the last row of blocks holds 2 of 3 rows at 29x11 (5x3 blocks) and
+    1 of 7 at 30x120 (5x7), the one column of blocks 1 of 2 columns at 1x30 (2x5), and the 25x25
+    sub-rectangle's last blocks 1 of 4 on both sides (4x4)."""
     box = truncated_fundamental_domain()
-    whole = [count_bound(box, STANDARD_U, grid) for grid in ((4, 4), (30, 120))]
-    monkeypatch.setattr(lattice, "_CHUNK", 100)
-    assert [count_bound(box, STANDARD_U, grid) for grid in ((4, 4), (30, 120))] == whole
+    jobs = [(box, STANDARD_U, (4, 4)), (box, 9.0, (29, 11)), (box, STANDARD_U, (1, 30)),
+            (box, STANDARD_U, (30, 120)), (PINNED[3][0], STANDARD_U, (25, 25))]
+    whole = [count_bound(*job) for job in jobs]
+    for chunk in (100, 7):
+        monkeypatch.setattr(lattice, "_CHUNK", chunk)
+        assert [count_bound(*job) for job in jobs] == whole, chunk
 
 
 def test_segment_region_refines_quickly():
@@ -627,22 +638,29 @@ def test_centring_moves_inexact_sides_outward():
 
 
 def test_certificate_rejects_tampering():
-    with pytest.raises(ValueError, match="twice the max cell count"):
-        CountCertificate(
-            region=truncated_fundamental_domain(),
-            U=2.0,
-            grid=(1, 1),
-            per_cell_counts=((3,),),
-            bound=4,
-        )
-    with pytest.raises(ValueError, match=">= 2"):
-        CountCertificate(
-            region=truncated_fundamental_domain(),
-            U=2.0,
-            grid=(1, 1),
-            per_cell_counts=((0,),),
-            bound=0,
-        )
+    """The bound must be twice the largest count and at least 2, and the counts a grid of integers
+    of shape grid: a ragged nesting, a wrong shape, a float count (3.0 as well) and 3.5, which an
+    int64 cast would turn into 3, are refused.  The certificate keeps a read-only int64 copy of the
+    counts, and compares them, not the work fields, with ==."""
+    box = truncated_fundamental_domain()
+    for counts, bound, match in (
+        (((3,),), 4, "twice the max cell count"),
+        (((0,),), 0, ">= 2"),
+        (((3, 3), (1,)), 6, "not a grid"),
+        (((3, 3),), 6, "not a grid"),
+        (((3.0,),), 6, "not integers"),
+        (((3.5,),), 6, "not integers"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            CountCertificate(region=box, U=2.0, grid=(1, 1), per_cell_counts=counts, bound=bound)
+    counts = np.array([[3, 1]], dtype=np.int32)
+    cert = CountCertificate(region=box, U=2.0, grid=(1, 2), per_cell_counts=counts, bound=6, pairs=5)
+    counts[0, 0] = 9
+    assert cert.per_cell_counts.dtype == np.int64 and cert.per_cell_counts.tolist() == [[3, 1]]
+    with pytest.raises(ValueError, match="read-only"):
+        cert.per_cell_counts[0, 0] = 9
+    assert cert == CountCertificate(region=box, U=2.0, grid=(1, 2), per_cell_counts=((3, 1),), bound=6)
+    assert cert != CountCertificate(region=box, U=2.0, grid=(1, 2), per_cell_counts=((3, 2),), bound=6)
 
 
 def test_exact_count_small_values():
