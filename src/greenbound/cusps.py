@@ -63,7 +63,7 @@ def lambda_xi(xi: complex, t):
     Principal branches.  Real for real xi (the logs are conjugate), where it
     equals the Fourier series (1/pi) sum xi^n sin(2 pi n t)/n; returns a
     float in that case and the complex value otherwise.  Elementwise on an
-    array t.
+    array t.  verify.phase_integral_bound checks on it the lemma behind r_delta.
     """
     z = complex(xi)
     if abs(z) >= 1.0:

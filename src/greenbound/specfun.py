@@ -2,8 +2,8 @@
 
 * hyp2f1: the Gauss hypergeometric series.
 * log_gamma_complex: upward recurrence and the Stirling series.
-* legendre_P_negm and legendre_P_neg1: P^{-m}_{s-1}(u) for every order m >= 0, by Pfaff's
-  hypergeometric form near u = 1 (_near_one says where) and a descending series elsewhere.
+* legendre_P_negm and legendre_P_neg1: P^{-m}_{s-1}(u) for the orders m = 0, 1, 2 that the transforms and
+  checks use, by Pfaff's hypergeometric form near u = 1 (_near_one says where) and a descending series elsewhere.
 * legendre_Q_deriv: Q_nu'(u).
 * C_sigma, p_sigma, gamma_ratio_bounds and gamma_ratio_upper: the explicit
   constants of the spectral-side estimates.
@@ -84,7 +84,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z):
     once three consecutive terms fall below 1e-16 times the partial sum (after at least ten terms).
     For positive z near 1 the terms decay like z^n, so the rule drops a tail of about the last term
     times z / (1 - z); no caller sums there (_P_negm_near_one sums at z <= 1/11 in _near_one's zone
-    for m <= 2, z < 1/2 up to m = 5 and in legendre_P_neg1's zone, legendre_Q_deriv at 1/x^2).
+    and z < 1/2 in legendre_P_neg1's, legendre_Q_deriv at 1/x^2).
     Elementwise on an array z, each entry stopping by that rule on its own (its sum stays fixed while
     the others go on).  Real a, b, c give a float (or float64 array) summed in floats, complex ones a
     complex (or complex array).
@@ -151,29 +151,22 @@ def legendre_Q_deriv(nu: float, u: float) -> float:
     return -math.exp(nu * math.log(4.0 / x) + log_g) / gap * hyp2f1(-0.5, nu, nu + 1.5, 1.0 / (x * x))
 
 
-def _near_one(m: int, s: complex, u: np.ndarray) -> np.ndarray:
-    """Entries that _P_negm_near_one evaluates at order m: (u-1) max(|s(1-s)|, 1) <= 10 and u - 1 <= cap,
-    cap = 0.2 for m <= 2 and 0.2 * 2^(m-2) above.
+def _near_one(s: complex, u: np.ndarray) -> np.ndarray:
+    """Entries that _P_negm_near_one evaluates: (u-1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2.
 
     There the terms of Pfaff's form peak near exp(2 sqrt(|s(1-s)| zeta)) <= e^4.5, zeta = (u-1)/(u+1),
-    so they cancel by at most about two digits and end in a few dozen terms.  For m <= 2 the
-    cap on u - 1 is a speed choice, as that sum converges for every u < 3: past it, it takes 30-50 terms
-    where the descending series takes 12-16 (one zone up to u = 3 cost perfbench's spectral-strip
-    median job 16%).  The descending series needs about 17 / sqrt(2 (u - 1)) terms near u = 1 and
-    cancels there, which is what the zone avoids; at u - 1 = 0.2 (s = 1/4 + i/2) its error grows about
-    tenfold an order, from 2e-15 at m = 0 to 2e-13 at m = 2, 1e-12 at m = 3 and 1e-11 at m = 4, and
-    falls as u grows.  So the cap doubles with each order above 2: just past the zone, on both strip
-    lines with |Im s| <= 30, the descending series errs at most 2.1e-13, 1.3e-13 and 4.7e-13 at m = 3,
-    4 and 5 (the last at |Im s| = 30, where the first bound ends the zone), against 2.5e-13 at m <= 2.
-    From m = 6 it loses digits there too (8.8e-12), where no caller sums.
-    """
-    return ((u - 1.0) * max(abs(s * (1.0 - s)), 1.0) <= 10.0) & (u - 1.0 <= 0.2 * 2.0 ** max(m - 2, 0))
+    so they cancel by at most about two digits and end in a few dozen terms.  The cap is a speed choice:
+    up to u = 3 that sum converges but takes 30-50 terms where the descending series takes 12-16 (one
+    zone up to u = 3 cost perfbench's spectral-strip median job 16%).  The descending series needs about
+    17 / sqrt(2 (u - 1)) terms near u = 1 and cancels there, which is what the zone avoids; just past
+    it, on both strip lines with |Im s| <= 30, it errs at most 2.5e-13."""
+    return ((u - 1.0) * max(abs(s * (1.0 - s)), 1.0) <= 10.0) & (u - 1.0 <= 0.2)
 
 
 def _P_negm_near_one(m: int, s: complex, u):
     """P^{-m}_{s-1}(u) = zeta^{m/2} ((u+1)/2)^{s-1} F(1+m-s, 1-s; 1+m; zeta) / m!, zeta = (u-1)/(u+1),
-    for integer m >= 0 and u > 1, elementwise (a float u sums in Python arithmetic in hyp2f1).
-    DLMF 14.3.1 by Pfaff's transformation (DLMF 15.8.1): one form for every order, whose argument
+    for m in {0, 1, 2} and u > 1, elementwise (a float u sums in Python arithmetic in hyp2f1).
+    DLMF 14.3.1 by Pfaff's transformation (DLMF 15.8.1): one form for each order, whose argument
     stays in [0, 1/2) for u < 3, where that of F(s, 1-s; 1+m; (1-u)/2) tends to -1 and its terms
     barely decay."""
     zeta = (u - 1.0) / (u + 1.0)
@@ -240,14 +233,14 @@ def _P_negm_descending(m: int, s: complex, u: np.ndarray) -> np.ndarray:
 
 
 def legendre_P_negm(m: int, s: complex, u):
-    """Order -m Legendre function P^{-m}_{s-1}(u) for every integer m >= 0 and u > 1.
+    """Order -m Legendre function P^{-m}_{s-1}(u) for m = 0, 1, 2 and u > 1.
 
-    m is an int or a numpy integer; anything else, a float such as 2.0 too, raises ValueError.
+    m is an int or a numpy integer in {0, 1, 2}; anything else, a bool or a float such as 2.0 too,
+    raises ValueError, and so does an s with a NaN or infinite part.
 
     Each entry of u takes one of two forms (_near_one says why).  Near u = 1, where
-    (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2 (0.2 * 2^(m-2) for m > 2), Pfaff's form
-    _P_negm_near_one.  Everywhere
-    else, the descending series in x = u + sqrt(u^2 - 1) > 1:
+    (u - 1) max(|s(1-s)|, 1) <= 10 and u - 1 <= 0.2, Pfaff's form _P_negm_near_one; everywhere else,
+    the descending series in x = u + sqrt(u^2 - 1) > 1:
 
         P^{-m}_{s-1}(u) = sqrt(pi) / ((x - 1/x)^m cos(pi s)) *
             sum_n ((1/2 - m)_n / n!) (-1)^n [ G1(n) x^{m-s-2n}
@@ -265,18 +258,20 @@ def legendre_P_negm(m: int, s: complex, u):
     cos(pi s) vanishes there; inputs within 1e-3 of it (both components) are rejected.  An entry
     whose series terms overflow (u past about 1e154) raises NonConvergenceError naming its u.
     """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"legendre_P_negm requires an integer m >= 0, got m = {m!r}")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m <= 2:
+        raise ValueError(f"legendre_P_negm takes the order m = 0, 1 or 2 as an integer, got m = {m!r}")
     m = int(m)  # a numpy integer would turn the descending series' complex factors into numpy ones
     u = np.asarray(u, dtype=float)
     if not np.all(u > 1.0):
         raise ValueError(f"legendre_P_negm requires u > 1, got min u = {np.min(u)}")
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"legendre_P_negm requires a finite s, got s = {s}")
     if abs(s.real - 0.5) < 1e-3 and abs(s.imag) < 1e-3:
         raise ValueError(f"legendre_P_negm excluded zone around s = 1/2, got s = {s}")
 
     flat = u.ravel()
-    near = _near_one(m, s, flat)
+    near = _near_one(s, flat)
     value = np.empty(flat.size, dtype=complex)
     if near.any():
         value[near] = _P_negm_near_one(m, s, flat[near])

@@ -33,9 +33,9 @@ reproduce-paper print it as "PASS  <name> [<step>]: <detail>", and their --json 
 * A, B.  Paper arithmetic replays the published certificate, and the theorem-exact one lies
   strictly inside the headline interval.
 * cusp extension.  The smoothed count N_delta_eps integrates J_delta against the rotated Poisson
-  kernel, whose circular convolutions are Poisson kernels again.  For real xi the phase
-  lambda(xi, t) has t-derivative P(e^{2 pi i t} xi) - 1, so by parts it carries the log|1 - xi| term
-  of the smoothed count's centre.  The two cusp-distance implications pick the case.
+  kernel, whose circular convolutions are Poisson kernels again.  For real xi the phase lambda(xi, t)
+  has t-derivative P(e^{2 pi i t} xi) - 1, so by parts, with the phase lemma, it carries the log|1 - xi|
+  term of the smoothed count's centre and its width eps r_delta.  The cusp-distance implications pick the case.
 """
 
 from __future__ import annotations
@@ -254,19 +254,21 @@ def gamma_ratio_sandwich(n: int = 1000) -> CheckResult:
     )
 
 
-# (sigma, t): three short-run strips, the first where the full grid's worst ratio sits, then the
-# rest of sigma in {0.1, 0.25, 0.306, 0.45} x 12 t log-spaced in [0.01, 50].
+# (sigma, t): three short-run strips, the first where the full grid's worst ratio sits, then the rest of sigma
+# in {0.1, 0.25, 0.306, 0.45} x 12 t log-spaced in [0.01, 50]; u: 12 in (1, 100], 12 with log2(u^2 - 1) in [7, 598].
 _ENVELOPE_T = [0.01 * (50.0 / 0.01) ** (k / 11.0) for k in range(12)]
 _ENVELOPE_SHORT = ((0.25, _ENVELOPE_T[10]), (0.1, _ENVELOPE_T[0]), (0.45, _ENVELOPE_T[8]))
 _ENVELOPE_STRIPS = _ENVELOPE_SHORT + tuple(
     p for p in itertools.product((0.1, 0.25, 0.306, 0.45), _ENVELOPE_T) if p not in _ENVELOPE_SHORT
 )
-_ENVELOPE_U = np.array([1.0 + 1e-2 * (99.0 / 1e-2) ** (k / 11.0) for k in range(12)])
+_ENVELOPE_U = np.array([1.0 + 1e-2 * (99.0 / 1e-2) ** (k / 11.0) for k in range(12)]
+                       + [math.sqrt(1.0 + 2.0 ** (7.0 + 591.0 * k / 11.0)) for k in range(12)])
 
 
 def envelope_bound(n: int = len(_ENVELOPE_STRIPS)) -> CheckResult:
-    """|P^{-2}_{s-1}(u)| (u^2 - 1) <= |s(1 - s)|^{-5/4} p_sigma(u), the envelope that D+- integrate,
-    at n strip points s = sigma + it, each at 12 log-spaced u in (1, 100]."""
+    """|P^{-2}_{s-1}(u)| (u^2 - 1) <= |s(1 - s)|^{-5/4} p_sigma(u), the envelope D+- integrate, at n strip points
+    x 24 u.  The step uses it for sigma in (0, 1/2), real t and u > 1 (enclose_D's nodes reach U^2 - 1 = 2^600); the
+    check samples sigma in {0.1, 0.25, 0.306, 0.45}, t in [0.01, 50], u in [1.01, 1.0e90] (0.369 past u = 100)."""
     violations = 0
     worst = (0.0, 0.0, 0.0, 0.0)
     for sigma, t in _ENVELOPE_STRIPS[:n]:
@@ -280,7 +282,7 @@ def envelope_bound(n: int = len(_ENVELOPE_STRIPS)) -> CheckResult:
     return _result(
         "envelope-bound",
         violations == 0,
-        f"|P^-2|(u^2-1) / (|s(1-s)|^-5/4 p_sigma(u)) at {n} strip points x 12 u in (1, 100], "
+        f"|P^-2|(u^2-1) / (|s(1-s)|^-5/4 p_sigma(u)) at {n} strip points x 24 u in [1.01, 1.0e90], "
         f"worst ratio {ratio:.3f} at sigma = {sigma:g}, t = {t:.3g}, u = {u:.3g}, {violations} violations",
     )
 
@@ -348,19 +350,21 @@ def poisson_convolution(n: int = 10) -> CheckResult:
     )
 
 
-def phase_fourier_series(n: int = 20) -> CheckResult:
-    """lambda(xi, t) against sum over n < 400 of xi^n sin(2 pi n t)/(pi n)."""
-    rng = random.Random(90200)
-    worst = 0.0
-    for _ in range(n):
-        xi = rng.uniform(-0.9, 0.9)
-        t = rng.uniform(0.0, 2.0)
-        series = sum(xi**k * math.sin(2.0 * math.pi * k * t) / k for k in range(1, 400))
-        worst = max(worst, abs(lambda_xi(xi, t) - series / math.pi))
+def phase_integral_bound(n: int = 16) -> CheckResult:
+    """12 t |Integral_0^t lambda(xi, y)/y dy + (1/2) log(1 - xi)| <= 1, the phase lemma, at the first n of
+    (xi, t) in {0.9, -0.8, 0.4, -0.3} x {7, 2, 0.5, 0.1}: xi-major, so a short run starts at the worst, (0.9, 7).
+    The cusp step uses it at every t in (0, sqrt(2 delta - 2)/eps] and |xi| < 1 (the real part for complex
+    xi); the check samples real xi in [-0.8, 0.9] and t in [0.1, 7], and past t = 7, 12 t |gap| tends to at
+    most 6 Li_2(|xi|)/pi^2 < 1 (0.790 at xi = 0.9).  From t 1e-16, as in N_delta_eps, it leaves out < 2e-14."""
+    worst = (0.0, 0.0, 0.0)
+    for xi, t in itertools.islice(itertools.product((0.9, -0.8, 0.4, -0.3), (7.0, 2.0, 0.5, 0.1)), n):
+        gap = integrate(lambda y: lambda_xi(xi, y) / y, t * 1e-16, t, abs_tol=1e-10) + 0.5 * math.log(1.0 - xi)
+        worst = max(worst, (12.0 * t * abs(gap), xi, t))
+    ratio, xi, t = worst
     return _result(
-        "phase-fourier-series",
-        worst <= 1e-10,
-        f"log-difference phase vs Fourier series on {n} samples, worst gap {worst:.2e}",
+        "phase-integral-bound",
+        ratio <= 1.0,
+        f"12 t |int_0^t lambda/y dy + log(1 - xi)/2| <= 1 on {n} (xi, t) points, worst {ratio:.3f} at ({xi:g}, {t:g})",
     )
 
 
@@ -486,7 +490,7 @@ PROPERTY_CHECKS = (
     (trapezoid_ends, {"n": 5}, "q+-"),
     (resolvent_identities, {"n": 50}, "K_a -> gr"),
     (poisson_convolution, {"n": 3}, "cusp extension"),
-    (phase_fourier_series, {"n": 20}, "cusp extension"),
+    (phase_integral_bound, {"n": 3}, "cusp extension"),
     (smoothing_bracket, {"n": 3}, "cusp extension"),
     (cusp_distance_lemma, {"n": 5}, "cusp extension"),
     (count_certificate_soundness, {"n": 20}, "N_bar"),

@@ -143,12 +143,10 @@ def test_criterion_5_special_function_suites(full_check):
 
 
 def test_criterion_6_cusp_suites(full_check):
-    """Smoothed-count bracket, kernel convolution, and the distance implications.
-
-    The smoothing-integral bound, which selftest does not run, is checked by
-    tests/test_cusps.py::test_lambda_integral_bound_grid.
-    """
-    checks = (verify.smoothing_bracket, verify.poisson_convolution, verify.cusp_distance_lemma)
+    """Smoothed-count bracket, the phase lemma behind its width, kernel convolution, and the
+    distance implications."""
+    checks = (verify.smoothing_bracket, verify.phase_integral_bound, verify.poisson_convolution,
+              verify.cusp_distance_lemma)
     report_checks(6, [full_check(check) for check in checks])
 
 
