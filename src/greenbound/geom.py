@@ -11,9 +11,10 @@ The free-space Green kernel is
     L(u) = (1/4 pi) log((u + 1)/(u - 1)),
 
 and the truncated kernel J_delta(u) = max(0, L(u) - L(delta)) vanishes for
-u >= delta.  The displacement u(z, gamma z) has one closed form, the count
-kernel's (lattice.u_of_gamma); point_u of mobius_apply is its oracle.  Both
-point_u and mobius_apply take float or Fraction coordinates, exactly on Fractions.
+u >= delta.  The displacement u(z, gamma z) has one implementation, the count
+kernel's (lattice.u_of_gamma): (a + d)^2/2 - 1 + (W(x) - c y^2)^2 / (2 y^2) with
+W(x) = b + (a - d)x - cx^2; point_u of mobius_apply is its oracle.  Both point_u
+and mobius_apply take float or Fraction coordinates, exactly on Fractions.
 """
 
 from __future__ import annotations

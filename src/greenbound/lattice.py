@@ -3,9 +3,12 @@
 * count_bound certifies a uniform upper bound on N over a rectangle of base
   points, and its docstring holds the proof.  enumerate_candidates draws the
   matrices it may count, _inverse_pairs keeps one of each inverse pair, _screen
-  counts them on a grid of cells and _refine splits the maximal cells; _rows,
-  _parts, _low, _high, _both and _centre are its kernels, and _level_sets and
-  _vertex its vertex test.
+  counts them on a grid of cells and _refine splits the maximal cells.  Its
+  kernels read u(z, gamma z) = (tr gamma)^2/2 - 1 + (W(x) - c y^2)^2 / (2 y^2),
+  W(x) = b + (a - d)x - cx^2: _rows holds a candidate's coefficients, _parts
+  W's range over [X0, X1], _low and _high the exact minimum and maximum of u
+  over a box (_both takes both), and _centre u at a point, with _low's bits
+  there; _level_sets and _vertex are its vertex test.
 * exact_count counts at one pair of points by orbit enumeration
   (enumerate_group_elements), exactly on exact coordinates; it is the oracle
   the certificate is tested against.
@@ -46,12 +49,12 @@ TIE_MARGIN = 1e-9  # relative distance from U below which exact_count decides ex
 # U = 300 0.58 ms), so a step counts LOOP_WEIGHT, the upper end rounded up; a value
 # of c, its ranges and inverse table in Python, took 3.6 to 9 us with its box steps
 # (U = 1 to 17 at y_min = 1e-4 to 3e-3), so it counts C_WEIGHT on top of them; a
-# grid cell, its counts and certificate entry, about 16 (4e6 cells at U = 1.0001
-# took 0.13 s).
+# grid cell, its counts and certificate entry, about 8 (1e6 cells at U = 1.0001
+# took 15-16 ms in a fresh process, 8-13 ms when repeated; 4e6 took 28-37 ms).
 MAX_WORK = 2**28
 LOOP_WEIGHT = 3
 C_WEIGHT = 4096
-CELL_WEIGHT = 16
+CELL_WEIGHT = 8
 _CHUNK = 2**13  # kernel evaluations per call, to bound memory
 PRUNE_SLACK = 1e-12  # relative slack of the pruning threshold over the count threshold
 # Rows of (x0, x1, y0, y1, xm, ym, xt, yt) that give ((x0, x1), (y0, y1)) of quarters 0 to 3 of a
@@ -199,6 +202,12 @@ def _check_work(region: Rectangle, U: float, grid: tuple[int, int] = (1, 1)) -> 
     box counts LOOP_WEIGHT against the cap, each value of c C_WEIGHT, each cell
     CELL_WEIGHT and the block screen two steps per candidate and block; _screen
     checks the per-cell tests it leaves open.  NaN or infinity is refused.
+
+    A count that passes keeps its traces small enough for _rows' m0 to be
+    exact: |a + d| <= 2 sqrt(2U) + c (x_max - x_min) + 2, and the loop term
+    alone, at most MAX_WORK / LOOP_WEIGHT, bounds n0^2 C and w^2 C^3 / 3 by
+    2^28 / 3 with C >= 1, so 2 sqrt(2U) < 2^14, c w <= C w < 2^14 and
+    |a + d| < 2^16, far below 2^26.
     """
     root_2u = math.sqrt(2.0 * U)
     n0 = 2.0 * root_2u + 1.0
@@ -227,25 +236,19 @@ def _ramp(n: np.ndarray) -> np.ndarray:
     return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
 
 
-def _dist0(lo, hi):
-    """Distance from 0 of the interval [lo, hi] (elementwise)."""
-    return np.maximum(np.maximum(lo, -hi), 0.0)
-
-
 def _rows(a, b, c, d):
-    """A candidate's kernel rows: -a, d, c, b, e = a - d, the vertex x = e/(2c) of W, W and |W| there, max(c, 1).
+    """A candidate's kernel rows: c, b, e = a - d, m0 = (a + d)^2/2 - 1, the vertex x = e/(2c) of W, W there, max(c, 1).
 
-    The bounds read the vertex and W there from these rows, so a candidate
-    computes them once, not once per box; for c = 0, a = d and W is constant.
-    a enters negated, so that a - cx and d + cx are each one addition of cx
-    (-a + cx is -(a - cx) exactly).  a, b, c, d share one shape.
+    The kernels read u(z, gamma z) = m0 + (W(x) - c y^2)^2 / (2 y^2), W(x) = b + e x - c x^2 (see _low),
+    and the bounds the vertex and W there, so a candidate computes them once, not once per box; for
+    c = 0, a = d and W is constant.  m0 is exact in floats while |a + d| < 2^26 (_check_work keeps the
+    count's candidates below 2^16).  a, b, c, d share one shape.
     """
-    e = a - d
+    e, t = a - d, a + d
     c1 = np.maximum(c, 1.0)
     xv = e / (2.0 * c1)
     cv = c * xv
-    wv = b + e * xv - cv * xv
-    return np.array([-a, d, c, b, e, xv, wv, np.abs(wv), c1])
+    return np.array([c, b, e, 0.5 * (t * t) - 1.0, xv, b + e * xv - cv * xv, c1])
 
 
 def _inverse_pairs(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,81 +271,78 @@ def _tally(at: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
 
 
 def _parts(g, X):
-    """The x-only parts of the closed form on [X0, X1], for kernel rows g and X = (X0, X1) stacked.
+    """The range [lo, hi] of W(x) = b + (a - d)x - cx^2 over [X0, X1], for kernel rows g (_rows) and X = (X0, X1)
+    stacked: W is concave, so lo is the lesser of its values at X0 and X1, and hi the greater, or W at the
+    vertex x = (a - d)/(2c) when that lies in [X0, X1].  u depends on x only through W."""
+    cx = g[0] * X
+    w = g[1] + g[2] * X - cx * X
+    inside = (X[0] <= g[4]) & (g[4] <= X[1])
+    return np.minimum(w[0], w[1]), np.maximum(np.maximum(w[0], w[1]), np.where(inside, g[5], -np.inf))
 
-    Returns -(a - cx) and d + cx at X0 and X1 as ((-a0, -a1), (d0, d1)), W(x) = b + (a - d)x - cx^2
-    at X0 and X1, and whether the vertex lies in [X0, X1].
+
+def _low(g, Y, lo, hi):
+    """min of u(z, gamma z) over z in [X0, X1] x [Y0, Y1], for c >= 0, exact but for rounding.
+
+    From the kernel rows g (_rows), Y = (Y0, Y1) stacked and W's range [lo, hi] = _parts(g, X),
+    X = (X0, X1), broadcast, in count_bound candidates as columns and cells as rows; c is 0 or an
+    integer >= 1.  Expanding u - 1 = |cz^2 + (d - a)z - b|^2 / (2y^2) (_level_sets) gives
+
+        u(z, gamma z) = m0 + (W(x) - c y^2)^2 / (2 y^2),  m0 = (a + d)^2/2 - 1 = min u,
+
+    so u depends on x only through W, and for each y the square is least at the W in [lo, hi] nearest
+    c y^2: its root is max(0, c y - hi/y, lo/y - c y).  The first branch is least at
+    y1 = sqrt(max(-hi, 0)/c) clamped to [Y0, Y1] (at Y1 when c = 0), and the second falls as y grows,
+    so it is least at Y1; the two are never both positive, so the minimum over the box is
+    m0 + max(0, (c y1^2 - hi)/y1, (lo - c Y1^2)/Y1)^2 / 2.  On a single point, y1 = y and the bound
+    is u itself, with _centre's bits.
+
+    Forward error: m0 is exact (_rows), and the one cancellation left is W - c y^2, which enters
+    squared; with delta the rounding of that difference, a few ulps of |b| + |(a - d)x| + c x^2 + c y^2,
+    the bound errs by about sqrt(2 (u - m0)) delta / y, a few ulps of U (1 + (x/y)^2) at u near U.
+    y1's own rounding moves it by second order, as the first branch is stationary there.
     """
-    cx = g[2] * X
-    return g[0:2, None] + cx, g[3] + g[4] * X - cx * X, (X[0] <= g[5]) & (g[5] <= X[1])
+    root = np.where(g[0] > 0, np.sqrt(np.maximum(-hi, 0.0) / g[6]), np.inf)  # Y1 where c = 0
+    y1 = np.minimum(np.maximum(root, Y[0]), Y[1])
+    s = np.maximum(np.maximum((g[0] * y1 * y1 - hi) / y1, (lo - g[0] * Y[1] * Y[1]) / Y[1]), 0.0)
+    return g[3] + 0.5 * s * s
 
 
-def _low(g, Y, ad, w, inside):
-    """Lower bound on u(z, gamma z) over z in [X0, X1] x [Y0, Y1], for c >= 0.
+def _high(g, Y, lo, hi):
+    """max of u(z, gamma z) over z in [X0, X1] x [Y0, Y1], for c >= 0, exact but for rounding.
 
-    From the kernel rows g (_rows), Y = (Y0, Y1) stacked and _parts(g, X),
-    X = (X0, X1), broadcast, in count_bound candidates as columns and cells
-    as rows; c is 0 or an integer >= 1.  Each part of the closed form
-    (enumerate_candidates) is bounded below exactly over the cell:
-
-    * (a - cx)^2 and (d + cx)^2 by the squared distance from 0 of the range
-      of a monotone linear function, spanned by its values at X0 and X1;
-    * W(x) = b + (a - d)x - cx^2 is concave, so its range is spanned by the
-      endpoint values and, when the vertex x = (a - d)/(2c) lies in the
-      cell, the vertex value; |W| is at least that range's distance w from 0;
-    * W^2/y^2 + c^2 y^2 increases in |W| and, at |W| = w, is least at
-      y = sqrt(w/c) clamped to [Y0, Y1] (at Y1 when c = 0).
-
-    On a single point every part is exact and the bound is u itself.  The
-    c >= 0 form of gamma^-1, (-d, b, c, -a), has gamma's rows with rows 0
-    and 1 swapped, so the two squares swap; they are added first, so it gets
-    gamma's bits, as -gamma does.
+    Arguments as for _low.  The square (W - c y^2)^2 / y^2 is convex in W, so it is greatest at lo
+    or hi; for fixed W, W/y - c y is monotone in y when W >= 0, and its absolute value convex when
+    W < 0, so it is greatest at Y0 or Y1: the maximum is the largest of the four corner terms,
+    m0 + ((W - c y^2)/y)^2 / 2 for W in {lo, hi} and y in {Y0, Y1}.  Each corner term is computed
+    in _low's order of operations, so the terms _low takes at a clamped y1 have its bits, and on a
+    point the bound is u itself with _low's bits; only an interior y1 is not a corner (see _both).
     """
-    m = _dist0(np.minimum(w[0], w[1]), np.maximum(np.maximum(w[0], w[1]), np.where(inside, g[6], -np.inf)))
-    yc = np.where(g[2], np.minimum(np.maximum(np.sqrt(m / g[8]), Y[0]), Y[1]), Y[1])  # Y1 where c = 0
-    s = _dist0(ad[:, 0], ad[:, 1]) ** 2  # least (a - cx)^2 and (d + cx)^2
-    return 0.5 * (s[0] + s[1] + (m / yc) ** 2 + (g[2] * yc) ** 2)
-
-
-def _high(g, Y, ad, w, inside):
-    """Upper bound on u(z, gamma z) over z in [X0, X1] x [Y0, Y1], for c >= 0.
-
-    Arguments as for _low.  Each part of the closed form is bounded above over the cell:
-
-    * (a - cx)^2 and (d + cx)^2 by their larger value at X0 and X1 (a square
-      of a linear function is convex);
-    * |W(x)| by the largest of |W(X0)|, |W(X1)| and, when the vertex
-      x = (a - d)/(2c) lies in the cell, |W(vertex)| (W is concave), and
-      W^2/y^2 by that over Y0^2;
-    * (cy)^2 by (c Y1)^2.
-
-    On a single point every part is exact and the bound is u itself.  Each
-    part is computed from the same floats as in _low and rounding is
-    monotone, so in floats too the bound is never below _low.  As in _low,
-    the two squares are added first, so -gamma and gamma^-1 get gamma's bits.
-    """
-    aw = np.abs(w)
-    m = np.maximum(np.maximum(aw[0], aw[1]), np.where(inside, g[7], 0.0))
-    s = ad**2
-    s = np.maximum(s[:, 0], s[:, 1])  # largest (a - cx)^2 and (d + cx)^2
-    return 0.5 * (s[0] + s[1] + (m / Y[0]) ** 2 + (g[2] * Y[1]) ** 2)
+    k0, k1 = g[0] * Y[0] * Y[0], g[0] * Y[1] * Y[1]
+    s = np.maximum(np.maximum(hi - k0, k0 - lo) / Y[0], np.maximum(hi - k1, k1 - lo) / Y[1])
+    return g[3] + 0.5 * s * s
 
 
 def _both(g, X, Y):
     """(_low, _high) from the candidates' kernel rows g (_rows) over X = (X0, X1) and Y = (Y0, Y1) stacked,
-    so that a call is a fixed, short list of numpy operations whatever the number of pairs."""
-    parts = _parts(g, X)
-    return _low(g, Y, *parts), _high(g, Y, *parts)
+    so that a call is a fixed, short list of numpy operations whatever the number of pairs.
+
+    The upper bound is the larger of the two, so that it is never below the lower bound in floats:
+    where _low's y1 lies inside a box a few ulps tall, its term can round an ulp above every corner (7 to
+    11% of the U = 300 candidates on boxes 1 to 100 ulps tall around their y1).  Both bound u over the
+    same box, so the larger is still an upper bound.
+    """
+    lo, hi = _parts(g, X)
+    low = _low(g, Y, lo, hi)
+    return low, np.maximum(_high(g, Y, lo, hi), low)
 
 
 def _centre(g, x, y):
-    """u(z, gamma z) at z = x + iy from the candidates' kernel rows g (_rows): _low's bits on the
-    point, X = (x, x) and Y = (y, y), the one identity the refinement's stop rule needs; -gamma and
-    gamma^-1 get gamma's bits, as the two squares are added first."""
-    cx = g[2] * x
-    s = (g[0:2] + cx) ** 2
-    w = g[3] + g[4] * x - cx * x
-    return 0.5 * (s[0] + s[1] + (w / y) ** 2 + (g[2] * y) ** 2)
+    """u(z, gamma z) = m0 + ((W(x) - c y^2)/y)^2 / 2 at z = x + iy from the candidates' kernel rows g (_rows),
+    which it reads only up to m0: _low's bits on the point, X = (x, x) and Y = (y, y), the one identity the
+    refinement's stop rule needs.  Any sign of c is taken."""
+    cx = g[0] * x
+    s = (g[1] + g[2] * x - cx * x - g[0] * y * y) / y
+    return g[3] + 0.5 * s * s
 
 
 def _level_sets(g, U):
@@ -357,11 +357,11 @@ def _level_sets(g, U):
     height, one column a candidate, NaN where there is no circle or no line.
     """
     k = math.sqrt(2.0 * (U - 1.0))
-    arc = g[2] > 0
+    arc = g[0] > 0
     with np.errstate(divide="ignore", invalid="ignore"):  # c = 0, R^2 < 0 or U = 1
-        K = np.where(arc, k / g[2], np.nan)
-        R = np.sqrt(K * K - 4.0 * g[6] / g[2])
-        return np.array([g[5], 0.5 * R, 0.5 * K, np.where(arc, np.nan, np.abs(g[3]) / k)])
+        K = np.where(arc, k / g[0], np.nan)
+        R = np.sqrt(K * K - 4.0 * g[5] / g[0])
+        return np.array([g[4], 0.5 * R, 0.5 * K, np.where(arc, np.nan, np.abs(g[1]) / k)])
 
 
 def _vertex(rows, weight, cand, at, c, box, sure, U: float, cutoff: float, top: int):
@@ -427,8 +427,8 @@ def _vertex(rows, weight, cand, at, c, box, sure, U: float, cutoff: float, top: 
 
 
 def u_of_gamma(gamma: UnimodularMatrix, z: UpperHalfPoint) -> float:
-    """u(z, gamma z): _centre on gamma's kernel rows, so _low's bits on the point; -gamma and gamma^-1 give
-    the same bits."""
+    """u(z, gamma z) = (tr gamma)^2/2 - 1 + (W(x) - c y^2)^2 / (2 y^2): _centre on gamma's kernel rows, so
+    _low's bits on the point; -gamma and gamma^-1 have the same rows, so they give the same bits."""
     return float(_centre(_rows(*map(float, gamma.entries())), z.x, z.y))
 
 
@@ -562,8 +562,8 @@ def _screen(rows: np.ndarray, weight: np.ndarray, xs: np.ndarray, ys: np.ndarray
 def _each(kernel, rows: np.ndarray, cand: np.ndarray, at: np.ndarray, box: np.ndarray):
     """kernel on each pair i: the kernel rows of candidate cand[i] over the box column at[i] (last axis).
 
-    _CHUNK / 2 pairs per call, so that _both's (2, 2, pairs) temporaries stay at 128 kB: a call on
-    5,000 pairs (160 kB) took twice as long as one on 4,500 (2-core box).
+    _CHUNK / 2 pairs per call, so that _both's temporaries stay in cache: _both on 8,192 pairs took
+    0.68 ms in two calls and 1.02 ms in one (median of 30, 2-core box).
     """
     step = max(1, _CHUNK // 2)
     chunks = (slice(i, i + step) for i in range(0, max(cand.size, 1), step))
@@ -587,9 +587,12 @@ def _refine(rows, weight, xs, ys, side, screen, U: float, cutoff: float, relaxed
     counts, pairs, block_sure, block_of, block_cand = screen
     ny, nby, block_sure = len(ys) - 1, block_sure.shape[1], block_sure.ravel()
     floor = None
-    if witness is not None:  # the count at the witness, by the bits of the centre test
-        floor = weight.compress(_centre(rows, *witness) <= cutoff).sum()
-        pairs += rows.shape[1]
+    if witness is not None:  # the centre test's count at the witness: its block's sure and open candidates
+        ix, iy = (min(max(v.searchsorted(p, side="right") - 1, 0), v.size - 2) for v, p in zip((xs, ys), witness))
+        block = ix // side[0] * nby + iy // side[1]
+        cand = block_cand[slice(*block_of.searchsorted([block, block + 1]))]
+        floor = block_sure[block] + weight.take(cand).compress(_centre(rows[:4, cand], *witness) <= cutoff).sum()
+        pairs += cand.size
     # A round splits the hot cells and pieces, those that count lim or more: the maximal ones,
     # or with a witness all that count more than it.  Pieces: the grid cells that have been hot
     # and their kids.  box holds their ((x0, x1), (y0, y1)) and tally their grid cell (owner),
@@ -647,7 +650,7 @@ def _refine(rows, weight, xs, ys, side, screen, U: float, cutoff: float, relaxed
         rounds += 1
         opened = np.bincount(at, minlength=h)  # open pairs, not weights: a stall is a split that settles none
         if floor is None:
-            low = _each(_centre, rows[:5], c, at, mid)
+            low = _each(_centre, rows[:4], c, at, mid)
             pairs += at.size
             sure, parent = tally[2:].take(hot, axis=1)
             centre = sure + _tally(at, weight.take(c) * (low <= cutoff), h)
@@ -728,26 +731,28 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     (-d, b, c, -a), and the range enumerate_candidates gives a at c is
     exactly minus that of d (the float ends and their slack negate exactly),
     and the translations by b and -b are both drawn.  It holds in floats,
-    bit for bit: the kernel rows of (-d, b, c, -a) are gamma's with rows 0
-    and 1 swapped, so its two squares (a - cx)^2 and (d + cx)^2 swap, and
-    _low, _high and _centre add those two first, so both members get the
-    same bits on every box and point.  So every count, split, stall and stop
-    is the one the full candidate set gives; the weights are summed wherever
-    candidates are counted (the screen's sure and per-cell counts, the
-    witness's count, the centre test, the kids' counts and the vertex test's
-    crossings), in exact int64.  The member kept is the first in canonical
+    bit for bit: (-d, b, c, -a) has gamma's c, b and a - d and the trace
+    -(a + d), of the same square, so its kernel rows (_rows) are gamma's,
+    and both members get the same bits on every box and point; so do the
+    translations by b and -b, as every kernel squares W - c y^2 = +-b.  So
+    every count, split, stall and stop is the one the full candidate set
+    gives; the weights are summed wherever candidates are counted (the
+    screen's sure and per-cell counts, the witness's count, the centre test,
+    the kids' counts and the vertex test's crossings), in exact int64.  The member kept is the first in canonical
     order (a + d <= 0 for c > 0, b <= 0 for c = 0), so the vertex test meets
     the crossings of the full set where each first occurs there, in the same
     order.  `pairs`, the screen's open-pair cap and the refinement cap count
     evaluations, one per representative, about half as many; where that cap
     ends the refinement, the same budget refines further, so the bound can
-    only fall: 60,998 against 61,170 at U = 4,999 on 40x40.
+    only fall: 60,810 against 60,948 at U = 4,999 on 40x40.
 
     The witness.  At U = WITNESS_U = 17, on a region that lies inside the
     truncated domain once moved (_centred below) and holds the float point
     nearest z* = COUNT_WITNESS or its mirror (_witness), the count T there,
-    107 per sign, is taken first, with the centre test's bits (_centre <=
-    cutoff on the same candidates).  Each round then splits every grid cell
+    107 per sign, is taken first, as the centre test counts a point: the
+    candidates sure on the screen's block that holds it, and those of the
+    block's open candidates with _centre <= cutoff (a candidate that fails
+    on the block fails there too).  Each round then splits every grid cell
     and piece that counts more than T, tests no centre, and the refinement
     stops as soon as none does.  The bound cannot move: T is a count at a
     point of the region and no piece counts fewer matrices than a point in
@@ -800,18 +805,17 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     refinement per open candidate and kid of a piece, _low and _high decide,
     both from one pass (_both):
 
-    * fail, when _low > relaxed = cutoff (1 + PRUNE_SLACK).  A box's
-      exact lower bound is never above that of a cell or piece inside it
-      (each part is an exact minimum over the box), and the slack absorbs
-      the rounding of both bounds, so the candidate fails at cutoff on all
-      of them;
-    * sure, when _high <= U.  Then the exact maximum of u over the box is
-      at most U plus a few ulps, so the float _low of any cell, piece or
-      centre inside it is at most cutoff and the candidate counts there.
-      SAFE_MARGIN absorbs the rounding of _low, and that of _high,
-      which has the same parts and operations, on the same |x|/y range.  A
-      sure candidate is counted on every cell and every later piece of the
-      box without another test;
+    * fail, when _low > relaxed = cutoff (1 + PRUNE_SLACK).  _low is the
+      exact minimum of u over the box, so it is never above that of a cell
+      or piece inside it, and the slack absorbs the rounding of both, so
+      the candidate fails at cutoff on all of them;
+    * sure, when _high <= U.  _high is the exact maximum of u over the box
+      but for rounding, so that maximum is at most U plus a few ulps, and
+      the float _low of any cell, piece or centre inside it is at most
+      cutoff: the candidate counts there.  SAFE_MARGIN absorbs the rounding
+      of _low, and that of _high, whose corner terms take _low's operations
+      on the same |x|/y range.  A sure candidate is counted on every cell
+      and every later piece of the box without another test;
     * open otherwise: tested on each cell of the block with _low.  A grid
       cell that becomes maximal starts with its block's sure count and open
       (block, candidate) pairs, found by binary search in the screen's
@@ -844,10 +848,10 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
 
     The result is a proof: every matrix with u <= U at some point of a
     piece has its lower bound there <= U, and the margin U 1e-6 absorbs the
-    rounding of the bound, a few ulps of terms of size U (x/y)^2, wherever
-    |x|/y stays below about 1e4.  So the count runs on the region moved by
-    n = round(its x midpoint) (_centred), where |x| is at most half its
-    width plus 1/2, and holds on any region narrower than about 2e4 y_min.
+    rounding of the bound (_low states it), a few ulps of U (1 + (x/y)^2),
+    wherever |x|/y stays below about 1e4.  So the count runs on the region
+    moved by n = round(its x midpoint) (_centred), where |x| is at most half
+    its width plus 1/2, and holds on any region narrower than about 2e4 y_min.
     The certificate names the caller's region; its cells are the moved grid's.
 
     The mirror.  The reflection iota(z) = -conj(z) normalizes SL(2, Z):
@@ -859,13 +863,13 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     whole, both halves kept.  That holds in floats, bit for bit: the x
     nodes are exactly antisymmetric (_x_nodes); the candidate set is closed
     under the mirror, and where gamma has the kernel rows (_rows)
-    (-a, d, c, b, e, xv, wv), its mirror has (a, -d, c, b, -e, -xv, wv); and
-    _parts over (-X1, -X0) gives the ends of (-(a - cx), d + cx) negated and
-    swapped and the same W, so _low, _high and _centre return the same bits
-    on a cell and on its mirror, and the refinement splits them alike.  The
-    mirror (-a, b, c, -d) of a representative is the inverse of another,
-    (d, b, c, a), of the same trace and weight, with the same bits (Inverse
-    pairs), so the weighted counts mirror too.  A region symmetric about a
+    (c, b, e, m0, xv, wv), its mirror has (c, b, -e, m0, -xv, wv), so its
+    W(-x) has W(x)'s bits; _parts over (-X1, -X0) gives the same range, so
+    _low, _high and _centre return the same bits on a cell and on its
+    mirror, and the refinement splits them alike.  The mirror (-a, b, c, -d)
+    of a representative is the inverse of another, (d, b, c, a), of the same
+    trace and weight, with the same bits (Inverse pairs), so the weighted
+    counts mirror too.  A region symmetric about a
     half-integer counts in full: there the mirror is x -> 1 - x, which does
     not round symmetrically.  The certificate is
     the one the full grid gives, and `pairs` counts the work done, about
@@ -874,7 +878,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     cap charge only the columns counted.  Where that cap ends the
     refinement (U in the thousands on the truncated domain), the same budget
     refines the counted columns further, so the bound is at most the full
-    grid's: 60,998 against 61,170 at U = 4,999 on 40x40.
+    grid's: 60,810 against 60,948 at U = 4,999 on 40x40.
     """
     nx, ny = grid
     if nx < 1 or ny < 1:

@@ -80,11 +80,6 @@ def test_smoothing_radius_values():
         r_delta(1.0)
 
 
-def test_lambda_integral_vanishes_at_zero():
-    """The phase lemma's integral, as verify.phase_integral_bound takes it, is 0 at xi = 0."""
-    assert abs(integrate(lambda y: lambda_xi(0.0, y) / y, 1e-16, 1.0, abs_tol=1e-10)) <= 1e-12
-
-
 def two_half_N_delta_eps(delta, eps, xi):
     """The smoothing integral as its two halves t > 0 and t < 0, each its own engine call in
     log t to half of N_ABS_TOL: the form N_delta_eps had before it folded them into one integrand."""
