@@ -447,10 +447,12 @@ def _panels(side: tuple[float, float, float], sign: int, table: dict, n: int) ->
 
 
 @functools.lru_cache(maxsize=_ENCLOSURES)
-def _grid_bounds(delta: float, sign: int, side: tuple, panels: float) -> tuple[float, float, float]:
-    """Bounds (lo, hi) on the D integral over [delta, M] on _grid at panels, and M rounded down, for
-    side = (sigma, alpha, beta).  Memoized process-wide on exactly the floats it reads, so the other
-    side's parameters never split a key; a ConstraintViolation is raised afresh each call."""
+def _grid_bounds(delta: float, sign: int, side: tuple, panels: float) -> tuple[float, float, float, float]:
+    """The enclosure (lo, hi) of D for side = (sigma, alpha, beta) on _grid at panels, then the grid's own
+    upper end, without the tail past M, and M rounded down: lo and the grid's upper end bound the
+    integral over [delta, M], and hi adds averaged_transform_tail(M), rounded up.  Memoized
+    process-wide on exactly the floats it reads, so the other side's parameters never split a key;
+    a ConstraintViolation is raised afresh each call."""
     sigma, alpha, beta = side
     e = 2.0**-20
     if not (2.0**-11 <= sigma <= 0.5 - e and sigma - alpha >= e
@@ -462,19 +464,14 @@ def _grid_bounds(delta: float, sign: int, side: tuple, panels: float) -> tuple[f
     fits = averaged_transform_tail(delta, sign, sigma, alpha, beta, table["tail_U"]) <= floor * 2.0**-22
     n = int(table["size"][fits.argmax() if fits.any() else -1])
     lo, hi = _panels(side, sign, table, n)
-    return lo, hi, float(table["u"][2, 2 * n - 1])
+    M = float(table["u"][2, 2 * n - 1])
+    return float(lo), float(_up(hi + _up(averaged_transform_tail(delta, sign, *side, M), _TAIL_MARGIN))), float(hi), M
 
 
 def D_floor(params: ParamSet, sign: int) -> float:
     """A proved lower bound on D_plus (sign > 0) or D_minus: the lower end of the coarse-grid enclosure
     (_SCREEN_PANELS steps an octave), without the positive tail; memoized in _grid_bounds."""
     return float(_grid_bounds(params.trapezoid.delta, sign, params.side(sign), _SCREEN_PANELS)[0])
-
-
-def _enclose_one_sign(params: ParamSet, sign: int) -> tuple[float, float]:
-    lo, hi, M = _grid_bounds(params.trapezoid.delta, sign, params.side(sign), _PANELS)
-    tail = _up(averaged_transform_tail(params.trapezoid.delta, sign, *params.side(sign), M), _TAIL_MARGIN)
-    return float(lo), float(_up(hi + tail))
 
 
 def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -493,9 +490,9 @@ def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float
     ends) is built once per delta and steps an octave (_node_table, a small LRU cache).  A grid of
     k octaves is a prefix of it, as _grid's steps on an octave do not depend on how many follow and
     an octave's first node ends a cell: an enclosure reads the first nodes, with a k-octave grid's bits.
-    Each sign's grid bounds are memoized process-wide on the floats (delta, sigma, alpha, beta, panels)
-    they read (_grid_bounds, an LRU cache of _ENCLOSURES entries), so a repeated enclosure, in one call
-    or across calls, costs a lookup and the tail.
+    Each sign's enclosure, the tail included, is memoized process-wide on the floats (delta, sigma,
+    alpha, beta, panels) it reads (_grid_bounds, an LRU cache of _ENCLOSURES entries), so a repeated
+    enclosure, in one call or across calls, costs a lookup only.
 
     Curvature.  p_sigma(w) = exp(Phi(omega)), omega = arccosh w = log x, where Phi is the
     log-sum-exp log(C e^{(2-sigma) omega} + C' e^{(1+sigma) omega}), whose second
@@ -541,15 +538,14 @@ def enclose_D(params: ParamSet) -> tuple[tuple[float, float], tuple[float, float
     so _TAIL_MARGIN = 2^-24 covers it.  At the reference parameters the enclosures are about
     1e-7 and 3e-7 relative wide.
     """
-    return _enclose_one_sign(params, +1), _enclose_one_sign(params, -1)
+    return tuple(_grid_bounds(params.trapezoid.delta, sign, params.side(sign), _PANELS)[:2] for sign in (+1, -1))
 
 
-def _upper_end(params: ParamSet, sign: int, enclosure: tuple[float, float]) -> float:
-    lo, hi = enclosure
+def _upper_end(params: ParamSet, sign: int) -> float:
+    lo, hi, grid_hi, M = _grid_bounds(params.trapezoid.delta, sign, params.side(sign), _PANELS)
     if not hi - lo <= D_REL_WIDTH * lo:
-        side, (sigma, alpha, beta) = "plus" if sign > 0 else "minus", params.side(sign)
-        grid_hi, M = _grid_bounds(params.trapezoid.delta, sign, (sigma, alpha, beta), _PANELS)[1:]
-        raise NonConvergenceError(f"D_{side} enclosure {enclosure} wider than {D_REL_WIDTH}: {(hi - lo) / lo:.3g} of "
+        side, (sigma, alpha, _) = "plus" if sign > 0 else "minus", params.side(sign)
+        raise NonConvergenceError(f"D_{side} enclosure {(lo, hi)} wider than {D_REL_WIDTH}: {(hi - lo) / lo:.3g} of "
                                   f"its lower end, {(hi - grid_hi) / lo:.3g} of it the tail past U = {M:.3g}; raise "
                                   f"sigma_{side} - alpha_{side} = {sigma - alpha:.3g} to shrink that tail")
     return hi
@@ -559,7 +555,7 @@ def compute_D(params: ParamSet) -> tuple[float, float]:
     """Majorant integrals (D_plus, D_minus): the upper ends of enclose_D, proved upper bounds.
     Raises NonConvergenceError if an enclosure is wider than D_REL_WIDTH = 1e-6 of its lower end,
     naming how much of that width the tail past the last node adds, which shrinks as sigma - alpha grows."""
-    return tuple(_upper_end(params, sign, enclosure) for sign, enclosure in zip((+1, -1), enclose_D(params)))
+    return tuple(_upper_end(params, sign) for sign in (+1, -1))
 
 
 def spectral_factor(eta: float, include_phi_constant: bool) -> float:

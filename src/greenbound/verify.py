@@ -19,7 +19,8 @@ reproduce-paper print it as "PASS  <name> [<step>]: <detail>", and their --json 
   limit is L = Q_0 / (2 pi) (greenbound.geom).  The limit's lemmas are identities of h_a and the
   sign and size of Q'_nu.
 * N_bar.  The count kernel's u(z, gamma z) must be u of the explicit image, and the grid
-  certificate of greenbound.lattice must cap the exact counts.
+  certificate of greenbound.lattice must cap the exact counts and stay within the N_bar the
+  certificate uses, COUNT_CAP_STANDARD.
 * S(eta).  The 2 pi - 4 of the prefactor is half the lower constant 4 pi - 8 of the sharp-cutoff
   bracket (4 pi - 8)(U - 1) <= h_U(s) <= 8 (U - 1), the order-one Legendre bracket times
   2 pi sqrt(U^2 - 1).
@@ -443,7 +444,8 @@ def cusp_distance_lemma(n: int = 50) -> CheckResult:
 
 def count_certificate_soundness(n: int = 200) -> CheckResult:
     """The 40x40 grid certificate at U = COUNT_RADIUS caps the exact count at the witness COUNT_WITNESS
-    and at n points, and the points count at least the identity pair.
+    and at n points, the points count at least the identity pair, and the certified bound is at most
+    COUNT_CAP_STANDARD, the default N_bar of the certificate.
 
     The points are uniform on the truncated domain [-1/2, 1/2] x [sqrt(3)/2, 2], the range on which the
     N_bar step caps N(z, z, COUNT_RADIUS).  Their floats miss the maximum, 214 on the arc |z|^2 = 2,
@@ -464,9 +466,9 @@ def count_certificate_soundness(n: int = 200) -> CheckResult:
         worst = max(worst, exact_count(z, z, COUNT_RADIUS))
     return _result(
         "count-certificate-soundness",
-        2 <= worst <= cert.bound and witness <= cert.bound,
+        2 <= worst <= cert.bound and witness <= cert.bound <= COUNT_CAP_STANDARD,
         f"exact count {witness} at the witness ({p} + {q}i)/{r} and max {worst} on {n} points"
-        f" <= certified bound {cert.bound} (40x40 grid)",
+        f" <= certified bound {cert.bound} (40x40 grid) <= N_bar {COUNT_CAP_STANDARD:g}",
     )
 
 

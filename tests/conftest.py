@@ -20,7 +20,7 @@ def full_check():
 
 @pytest.fixture
 def cold_enclosures():
-    """Empty the process-wide memo of one-sign grid bounds (bounds._grid_bounds), so a test
+    """Empty the process-wide memo of one-sign enclosures (bounds._grid_bounds), so a test
     that counts enclosures sees every one it causes, whatever ran before it in the process."""
     from greenbound import bounds
 

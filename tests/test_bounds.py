@@ -311,7 +311,7 @@ def test_enclose_D_upper_end_carries_the_tail():
     t = TrapezoidParams(delta=2.0, alpha_plus=0.3, alpha_minus=0.1, beta_plus=1.0, beta_minus=0.1)
     p = ParamSet(trapezoid=t, sigma_plus=0.302, sigma_minus=0.3)
     for sign, sigma, (lo, hi) in zip((1, -1), (0.302, 0.3), enclose_D(p)):
-        panel_lo, panel_hi, M = _grid_bounds(t.delta, sign, p.side(sign), bounds._PANELS)
+        panel_lo, _, panel_hi, M = _grid_bounds(t.delta, sign, p.side(sign), bounds._PANELS)
         tail = averaged_transform_tail(t.delta, sign, sigma, *t.side(sign), M)
         assert lo == panel_lo and 0.0 < lo < panel_hi
         assert hi >= panel_hi + tail
@@ -355,8 +355,9 @@ def test_node_table_prefix_gives_the_same_bits():
     for _ in range(2):
         for params in sets:
             for sign in (1, -1):
-                fresh = bounds._grid_bounds.__wrapped__(params.trapezoid.delta, sign, params.side(sign), bounds._PANELS)
-                assert fresh == grid_bounds_without_table(params, sign), (params, sign)
+                lo, _, hi, M = bounds._grid_bounds.__wrapped__(params.trapezoid.delta, sign, params.side(sign),
+                                                               bounds._PANELS)
+                assert (lo, hi, M) == grid_bounds_without_table(params, sign), (params, sign)
                 assert bounds._node_table.cache_info().currsize <= bounds._TABLES
     assert bounds._node_table.cache_info().maxsize == bounds._TABLES
     table = bounds._node_table(2.0, bounds._PANELS)
@@ -375,8 +376,8 @@ def test_grid_bounds_memo_is_keyed_on_delta(cold_enclosures):
         assert pair[0].side(sign) == pair[1].side(sign)
         cold_enclosures.cache_clear()
         for params in pair:
-            memoized = cold_enclosures(params.trapezoid.delta, sign, params.side(sign), bounds._PANELS)
-            assert memoized == grid_bounds_without_table(params, sign), (params, sign)
+            lo, _, hi, M = cold_enclosures(params.trapezoid.delta, sign, params.side(sign), bounds._PANELS)
+            assert (lo, hi, M) == grid_bounds_without_table(params, sign), (params, sign)
         assert cold_enclosures.cache_info().currsize == 2
     assert cold_enclosures.cache_info().maxsize == bounds._ENCLOSURES
 

@@ -94,6 +94,39 @@ def test_count_refuses_infinite_side_or_work(argv, capsys):
     assert "Traceback" not in err and "nan" not in err
 
 
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["count", "--U", "0.5"], None, id="U-below-1"),
+    pytest.param(["count", "--grid", "0x3"], None, id="empty-grid"),
+    pytest.param(["bounds", "--mode", "fast"], None, id="unknown-mode"),
+    pytest.param(["bounds"], [1, 2], id="config-list"),
+    pytest.param(["bounds", "--json", "{missing}/bounds.json"], None, id="json-into-missing-directory"),
+])
+def test_refusals_are_one_line(argv, config, capsys, tmp_path):
+    """RunConfig's U and grid checks, the mode parser, a config file that holds no mapping and a --json
+    path that cannot be written each exit 1 with one stderr line and no traceback."""
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("greenbound: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sl2z_preset_replaces_a_group_mapping(capsys, tmp_path):
+    """--preset sl2z is laid over the config's entries, so it replaces a group mapping, even one that
+    would be refused, and the record is the one without the config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"group": {"volume": 1.0}}), encoding="utf-8")
+    records = []
+    for extra in (["--preset", "sl2z", "--config", str(path)], []):
+        assert main(["bounds", *extra, "--json", str(tmp_path / "bounds.json")]) == EXIT_OK
+        records.append(json.loads((tmp_path / "bounds.json").read_text(encoding="utf-8")))
+    assert capsys.readouterr().err == ""
+    assert records[0] == records[1]
+
+
 @pytest.mark.parametrize("command", ["count", "reproduce-paper"])
 def test_empty_grid_is_refused(command, capsys):
     """An empty --grid is a config error with one line, not the default grid."""

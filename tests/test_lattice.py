@@ -178,8 +178,8 @@ def test_long_pieces_are_halved_along_their_length(monkeypatch):
 # the U = 17 counts take the witness path, the U = 5 and 9 counts end at the vertex test.
 PINNED = [
     (truncated_fundamental_domain(), 17.0, (10, 10), 8_209, "92a7acc6356add67", (6_782, "754614c7b4efa9cd")),
-    (truncated_fundamental_domain(), 5.0, (12, 12), 16_310, "c8ee2b6ccb126bd7", (2_012, "3085b4f6f89436e1")),
-    (truncated_fundamental_domain(), 9.0, (12, 12), 3_672, "a51d83bbe8f1da9f", (2_488, "a51d83bbe8f1da9f")),
+    (truncated_fundamental_domain(), 5.0, (12, 12), 16_310, "c8ee2b6ccb126bd7", (2_018, "3085b4f6f89436e1")),
+    (truncated_fundamental_domain(), 9.0, (12, 12), 3_672, "a51d83bbe8f1da9f", (2_720, "a51d83bbe8f1da9f")),
     (Rectangle(-0.3819660112501051, 0.1180339887498949, 1.1495190528383288, 1.7165063509461096), 17.0, (25, 25),
      18_848, "a7752657a062edcd", (18_495, "e07dce6cf5e0308f")),  # a lattice-grid sub-rectangle job; holds z*
 ]
@@ -212,10 +212,10 @@ def test_certificates_are_pinned(monkeypatch):
 
 def test_the_witness_moves_no_bound(monkeypatch):
     """On the truncated domain and on a sub-rectangle that holds z* and its mirror, the witness path
-    ends at the witness with the bound of the run without it, which ends at a centre (at its vertex
-    test on 11x11), no cell counting fewer, and fewer pairs.  U = 17 on a region reaching below the
-    truncated domain and U = 17.5 on it take no witness and give the witness-free certificate, pairs
-    included, ending at the vertex test and at a centre."""
+    ends at the witness with the bound of the run without it, which ends at its vertex test (at a
+    centre on 100x100, in its first round), no cell counting fewer, and fewer pairs.  U = 17 on a
+    region reaching below the truncated domain and U = 17.5 on it take no witness and give the
+    witness-free certificate, pairs included, ending at the vertex test and at a centre."""
     box, sub = truncated_fundamental_domain(), PINNED[3][0]
     mirror = Rectangle(-sub.x_max, -sub.x_min, sub.y_min, sub.y_max)
     jobs = [(box, 17.0, (n, n)) for n in (10, 11, 20, 40, 100)] + [(sub, 17.0, (25, 25)), (mirror, 17.0, (25, 25))]
@@ -225,7 +225,7 @@ def test_the_witness_moves_no_bound(monkeypatch):
     _no_witness(monkeypatch)
     for cert, job in zip(witnessed, jobs):
         free = count_bound(*job)
-        assert (cert.stop, free.stop) == ("witness", "vertex" if job[2] == (11, 11) else "centre"), job
+        assert (cert.stop, free.stop) == ("witness", "centre" if job[2] == (100, 100) else "vertex"), job
         assert cert.bound == free.bound == 214, job
         assert (np.array(cert.per_cell_counts) >= free.per_cell_counts).all(), job
         assert cert.pairs < free.pairs, job
@@ -249,7 +249,7 @@ def test_the_record_names_the_stop(monkeypatch):
     vertex = count_bound(box, 9.0, (12, 12))
     _no_vertex(monkeypatch)
     centre = count_bound(box, 9.0, (12, 12))
-    assert (vertex.stop, vertex.rounds, centre.stop, centre.rounds) == ("vertex", 3, "centre", 18)
+    assert (vertex.stop, vertex.rounds, centre.stop, centre.rounds) == ("vertex", 2, "centre", 18)
     assert abs(complex(*vertex.witness) - 1j) < 1e-7
     for cert in (vertex, centre):
         x, y = cert.witness
@@ -956,9 +956,18 @@ def test_enumeration_values_match_direct_u():
 
 
 def test_enumeration_requires_sane_threshold():
-    z = UpperHalfPoint(0.0, 1.0)
+    """U below 1 is refused by exact_count, enumerate_candidates and count_bound, and an empty grid by
+    count_bound; a work estimate above the cap is refused before any enumeration."""
+    z, box = UpperHalfPoint(0.0, 1.0), truncated_fundamental_domain()
     with pytest.raises(ValueError, match="U >= 1"):
         exact_count(z, z, 0.5)
+    with pytest.raises(ValueError, match="enumerate_candidates requires U >= 1"):
+        enumerate_candidates(box, 0.5)
+    with pytest.raises(ValueError, match="count_bound requires U >= 1"):
+        count_bound(box, 0.5, (2, 2))
+    for grid in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            count_bound(box, 5.0, grid)
     # refused from the closed-form work estimate, before any enumeration
     start = time.perf_counter()
     with pytest.raises(ValueError, match="above the cap"):
